@@ -9,7 +9,7 @@ namespace pmemsim {
 namespace {
 
 // Dispatcher stream ids live in the ServeSubSeed slot one past the last
-// shard, so they never collide with the legacy engine's per-shard streams.
+// shard.
 constexpr uint32_t kMixStream = 0;
 constexpr uint32_t kZipfStream = 1;
 constexpr uint32_t kThinkStream = 2;
@@ -30,7 +30,7 @@ TierDispatcher::TierDispatcher(const ServeConfig& cfg)
       zipf_(global_keys_, cfg.theta, ServeSubSeed(cfg.seed, cfg.shards, kZipfStream)),
       think_rng_(ServeSubSeed(cfg.seed, cfg.shards, kThinkStream)),
       // Global arrival rate: the per-shard mean divided by the shard count,
-      // so the tier carries the same total offered load as the legacy engine.
+      // so the tier carries cfg.shards times one shard's offered load.
       arrivals_(cfg.interarrival_cycles / cfg.shards,
                 ServeSubSeed(cfg.seed, cfg.shards, kArrivalStream)),
       route_salt_(ServeSubSeed(cfg.seed, cfg.shards, kRouteStream)),

@@ -1,9 +1,9 @@
-// TierDispatcher: the client population and front-end router of the
-// partitioned serving engine (DomainTier).
+// TierDispatcher: the client population and front-end router of the serving
+// engine (DomainTier).
 //
-// In the partitioned engine every shard is an isolated domain with its own
-// System; the only cross-domain interaction is the client tier dispatching a
-// request to the shard that owns its key. The dispatcher owns that tier:
+// Every shard is a domain; the only cross-domain interaction is the client
+// tier dispatching a request to the shard that owns its key. The dispatcher
+// owns that tier:
 //
 //  * routing is by key hash — Route(key) = Mix64(key ^ salt) % shards — over
 //    one global key space of cfg.keys * cfg.shards preloaded keys, so every

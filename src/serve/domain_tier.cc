@@ -15,8 +15,15 @@ namespace {
 
 // How far an idle worker advances in eager (zero-lookahead) mode when its
 // domain has no pending arrival but peers still hold requests in flight.
-// Matches the legacy engine's quantum so idle cadence is comparable.
+// Small enough to observe completions promptly, large enough not to dominate
+// step counts.
 constexpr Cycles kIdleQuantum = 256;
+
+// The shared-System configuration has no dispatch hop.
+ServeConfig WithoutDispatchHop(ServeConfig cfg) {
+  cfg.dispatch_latency = 0;
+  return cfg;
+}
 
 // Persistent barrier-synchronized pool: N-1 host threads plus the caller
 // (worker 0). Run(body) executes body(w) for every w in [0, N) and returns
@@ -122,44 +129,60 @@ class EpochPool {
 
 }  // namespace
 
-ServeDomain::ServeDomain(const PlatformConfig& platform, uint32_t dimms, const ServeConfig& cfg,
-                         uint32_t index, std::vector<uint64_t> load_keys, uint64_t append_budget)
+ServeDomain::ServeDomain(System* system, const ServeConfig& cfg, uint32_t index,
+                         std::vector<uint64_t> load_keys, uint64_t append_budget)
     : cfg_(cfg),
       index_(index),
-      system_(platform, dimms),
+      system_(system),
       queue_(cfg.queue_depth),
       load_keys_(std::move(load_keys)) {
   PMEMSIM_CHECK(cfg_.workers_per_shard > 0);
   workers_.resize(cfg_.workers_per_shard);
   for (uint32_t i = 0; i < cfg_.workers_per_shard; ++i) {
-    workers_[i].ctx = &system_.CreateThread();
+    workers_[i].ctx = &system_->CreateThread();
   }
-  store_ = std::make_unique<ShardStore>(&system_, cfg_.store, load_keys_.size(), append_budget,
+  store_ = std::make_unique<ShardStore>(system_, cfg_.store, load_keys_.size(), append_budget,
                                         *workers_[0].ctx);
   owned_sorted_ = load_keys_;
   std::sort(owned_sorted_.begin(), owned_sorted_.end());
 }
 
-void ServeDomain::RunLoad() {
+StepResult ServeDomain::LoadStep() {
   ThreadContext& loader = *workers_[0].ctx;
-  for (const uint64_t key : load_keys_) {
-    store_->Insert(loader, key, Mix64(key));
+  if (loaded_ == load_keys_.size()) {
+    load_end_ = loader.clock();
+    return StepResult::kDone;
   }
-  store_->FlushPreload(loader);  // preload durability point before serving
-  load_end_ = loader.clock();
+  const uint64_t key = load_keys_[loaded_++];
+  store_->Insert(loader, key, Mix64(key));
+  if (loaded_ == load_keys_.size()) {
+    store_->FlushPreload(loader);  // preload durability point before serving
+  }
+  return StepResult::kProgress;
 }
 
-void ServeDomain::SetObservability(ServeMetrics* metrics, SpanRecorder* spans) {
+void ServeDomain::RunLoad() {
+  while (LoadStep() == StepResult::kProgress) {
+  }
+}
+
+void ServeDomain::AppendLoadJob(std::vector<SimJob>* out) {
+  out->push_back(SimJob{workers_[0].ctx, [this] { return LoadStep(); }});
+}
+
+void ServeDomain::SetObservability(ServeMetrics* metrics, SpanRecorder* spans,
+                                   Sampler* mem_sampler) {
   metrics_ = metrics;
   span_recorder_ = spans;
+  mem_sampler_ = mem_sampler;
 }
 
 void ServeDomain::BeginServe(Cycles t0, TierDispatcher* eager_dispatcher,
                              std::function<bool()> all_quiet) {
   eager_dispatcher_ = eager_dispatcher;
   all_quiet_ = std::move(all_quiet);
-  // The serve phase is a fresh accounting window (same contract as the
-  // legacy engine): preload state must not leak into the measured stats.
+  // The serve phase is a fresh accounting window: preload-time queue state
+  // must not leak into the measured offered/rejected/max_occupancy.
   queue_.BeginPhase();
   if (metrics_ != nullptr) {
     metrics_->ObserveQueueDepth(t0, queue_.size());
@@ -167,6 +190,7 @@ void ServeDomain::BeginServe(Cycles t0, TierDispatcher* eager_dispatcher,
   for (Worker& wk : workers_) {
     wk.ctx->AdvanceTo(t0);
     wk.ctx->SetAttribution(&attribution_);
+    // Phase boundary: the trace-visible twin of the queue's BeginPhase().
     wk.ctx->TraceMarker(kServePhaseMarker);
   }
   if (eager_dispatcher_ == nullptr) {
@@ -182,10 +206,9 @@ void ServeDomain::Accept(const Request& r) { pending_.push(r); }
 
 void ServeDomain::RunEpoch(Cycles epoch_end) {
   epoch_end_ = epoch_end;
-  // The domain's private scheduler drives the domain's own mem-sampler: the
-  // interval series observes this domain's minimum worker clock, exactly as
-  // the global sampler observes the legacy engine's lockstep minimum.
-  engine_->RunUntil(epoch_end, metrics_ != nullptr ? metrics_->mem_sampler() : nullptr);
+  // The domain's private scheduler drives its System's mem-sampler: the
+  // interval series observes this domain's minimum worker clock.
+  engine_->RunUntil(epoch_end, mem_sampler_);
 }
 
 void ServeDomain::AppendEagerJobs(std::vector<SimJob>* out) {
@@ -216,10 +239,11 @@ StepResult ServeDomain::WorkerStep(Worker& wk) {
       // (lockstep invariant across ALL domains), so pumping the dispatcher
       // here delivers open-loop arrivals in exact admission order.
       eager_dispatcher_->Pump(ctx.clock());
-      if (metrics_ != nullptr && metrics_->mem_sampler() != nullptr) {
+      if (mem_sampler_ != nullptr) {
         // No private scheduler in eager mode; the global lockstep minimum is
-        // this step's clock, so it is a valid (non-decreasing) observation.
-        metrics_->mem_sampler()->AdvanceTo(ctx.clock());
+        // this step's clock, so it is a valid (non-decreasing) observation
+        // even when several domains drive one shared System's sampler.
+        mem_sampler_->AdvanceTo(ctx.clock());
       }
     }
     CatchUpAdmissions(ctx.clock());
@@ -342,9 +366,9 @@ void ServeDomain::Scan(ThreadContext& ctx, uint64_t from, uint32_t len) {
     return;
   }
   // Hash-shaped stores have no key order; emulate the range as `len` point
-  // reads over the keys this domain owns (ascending from `from`, wrapping).
-  // The partitioned analogue of the legacy consecutive-key emulation: only
-  // owned keys exist locally, so consecutive global ids would mostly miss.
+  // reads over the keys this domain owns (ascending from `from`, wrapping):
+  // only owned keys exist in this shard, so consecutive global ids would
+  // mostly miss.
   if (owned_sorted_.empty()) {
     return;
   }
@@ -390,14 +414,38 @@ std::optional<Cycles> ServeDomain::NextArrivalTime() const {
 
 DomainTier::DomainTier(const PlatformConfig& platform, uint32_t dimms_per_domain,
                        const ServeConfig& cfg)
-    : platform_(platform), cfg_(cfg), dispatcher_(cfg_) {
+    : cfg_(cfg), dispatcher_(cfg_) {
+  AddDomains(&platform, dimms_per_domain);
+}
+
+DomainTier::DomainTier(System* system, const ServeConfig& cfg)
+    : cfg_(WithoutDispatchHop(cfg)), dispatcher_(cfg_), shared_system_(system) {
+  AddDomains(nullptr, 0);
+}
+
+DomainTier::~DomainTier() {
+  if (timeline_ == nullptr) {
+    return;
+  }
+  timeline_->FlushTruncated();  // no-op after Run's normal Finalize
+  for (auto& domain : domains_) {
+    domain->system().SetExtraGaugeSource({});
+  }
+}
+
+void DomainTier::AddDomains(const PlatformConfig* platform, uint32_t dimms_per_domain) {
   PMEMSIM_CHECK(cfg_.shards > 0 && cfg_.workers_per_shard > 0);
   std::vector<std::vector<uint64_t>> keys = dispatcher_.PartitionLoadKeys();
   const uint64_t append_budget = dispatcher_.budget();
   domains_.reserve(cfg_.shards);
   for (uint32_t s = 0; s < cfg_.shards; ++s) {
-    domains_.push_back(std::make_unique<ServeDomain>(platform_, dimms_per_domain, cfg_, s,
-                                                     std::move(keys[s]), append_budget));
+    System* system = shared_system_;
+    if (system == nullptr) {
+      systems_.push_back(std::make_unique<System>(*platform, dimms_per_domain));
+      system = systems_.back().get();
+    }
+    domains_.push_back(
+        std::make_unique<ServeDomain>(system, cfg_, s, std::move(keys[s]), append_budget));
   }
 }
 
@@ -417,7 +465,7 @@ void DomainTier::Run() {
   if (timeline_ != nullptr) {
     for (auto& domain : domains_) {
       domain->system().SetExtraGaugeSource({});
-      domain->SetObservability(nullptr, nullptr);
+      domain->SetObservability(nullptr, nullptr, nullptr);
     }
     // Every domain finalizes at the same engine end, so the per-shard window
     // lists are congruent whatever each domain's local drain time was.
@@ -430,15 +478,29 @@ void DomainTier::BeginTimeline() {
     return;
   }
   timeline_->Begin(serve_start_);
+  // One memory-plane series and one serve-queue-depth gauge per distinct
+  // System. Domains sharing a System are contiguous (all of them, or none),
+  // so the first domain on each System carries its series.
+  Sampler* sampler = nullptr;
   for (uint32_t d = 0; d < cfg_.shards; ++d) {
-    ServeDomain* dom = domains_[d].get();
+    System* system = &domains_[d]->system();
     ServeMetrics* metrics = timeline_->shard(d);
-    metrics->AttachMemSampler(&dom->system().counters(),
-                              [dom](Cycles now) { return dom->system().ReadGauges(now); });
-    dom->system().SetExtraGaugeSource([dom](Cycles, SampleGauges* g) {
-      g->serve_queue_depth += dom->queue().size();
-    });
-    dom->SetObservability(metrics, timeline_->spans(d));
+    if (d == 0 || system != &domains_[d - 1]->system()) {
+      std::vector<const RequestQueue*> queues;
+      for (const auto& dom : domains_) {
+        if (&dom->system() == system) {
+          queues.push_back(&dom->queue());
+        }
+      }
+      sampler = metrics->AttachMemSampler(
+          &system->counters(), [system](Cycles now) { return system->ReadGauges(now); });
+      system->SetExtraGaugeSource([queues](Cycles, SampleGauges* g) {
+        for (const RequestQueue* q : queues) {
+          g->serve_queue_depth += q->size();
+        }
+      });
+    }
+    domains_[d]->SetObservability(metrics, timeline_->spans(d), sampler);
   }
 }
 
@@ -495,12 +557,17 @@ void DomainTier::RunEpochLoop() {
 }
 
 void DomainTier::RunEager() {
-  // Zero lookahead: no window to run domains concurrently in, so one combined
-  // lockstep run over every domain's workers — global clock order plays the
-  // coordinator and the dispatcher is pumped synchronously at admission time.
+  // Zero lookahead: no window to run domains concurrently in, so preload and
+  // serving are each one combined lockstep run over every domain's threads.
+  // Loaders sharing a System thereby reach its memory model in clock order;
+  // while serving, global clock order plays the coordinator and the
+  // dispatcher is pumped synchronously at admission time.
+  std::vector<SimJob> jobs;
+  jobs.reserve(static_cast<size_t>(cfg_.shards) * cfg_.workers_per_shard);
   for (auto& domain : domains_) {
-    domain->RunLoad();
+    domain->AppendLoadJob(&jobs);
   }
+  Scheduler::Run(jobs);
   load_end_ = 0;
   for (auto& domain : domains_) {
     load_end_ = std::max(load_end_, domain->load_end());
@@ -516,8 +583,7 @@ void DomainTier::RunEager() {
   }
   dispatcher_.StartServing(serve_start_);
 
-  std::vector<SimJob> jobs;
-  jobs.reserve(static_cast<size_t>(cfg_.shards) * cfg_.workers_per_shard);
+  jobs.clear();
   for (auto& domain : domains_) {
     domain->AppendEagerJobs(&jobs);
   }
@@ -550,7 +616,7 @@ ServiceStats DomainTier::GlobalStats() const {
 }
 
 void DomainTier::ToJson(JsonWriter& w) const {
-  const double ghz = platform_.cpu_ghz;
+  const double ghz = domains_.front()->system().config().cpu_ghz;
   w.BeginObject();
   w.Key("config").BeginObject();
   w.Key("store").Value(StoreName(cfg_.store));
@@ -570,7 +636,7 @@ void DomainTier::ToJson(JsonWriter& w) const {
   w.Key("seed").Value(cfg_.seed);
   // Engine identity — but deliberately NOT engine_threads: the report must
   // byte-compare across host thread counts (the determinism gate).
-  w.Key("engine").Value("partitioned");
+  w.Key("engine").Value(shared_system_ != nullptr ? "interleaved" : "partitioned");
   w.Key("dispatch_latency").Value(static_cast<uint64_t>(cfg_.dispatch_latency));
   w.EndObject();
   w.Key("load_cycles").Value(static_cast<uint64_t>(load_end_));

@@ -1,16 +1,20 @@
-// DomainTier: the shard-parallel (partitioned) serving engine.
+// DomainTier: the serving engine. A deployment is N shard *domains*; each
+// domain is one shard: its bounded admission queue, stats, attribution
+// collector, store (ShardStore), worker ThreadContexts and pending-arrival
+// heap. The client tier (TierDispatcher) routes every request to the domain
+// that owns its key, with a modelled dispatch latency of
+// D = cfg.dispatch_latency cycles. Where the domains' memory lives is the one
+// configuration axis:
 //
-// The legacy ServiceTier interleaves all N shards x M workers on ONE shared
-// System through one lockstep heap — a single host thread per sweep point.
-// DomainTier instead partitions the deployment into N independent *domains*:
-// each shard owns its own System (DIMMs, iMC, caches, counter registry),
-// store, bounded admission queue, stats, attribution collector, and worker
-// ThreadContexts, and shares nothing with its peers. The only cross-domain
-// interaction is the client tier (TierDispatcher) routing requests to shards
-// by key hash with a modelled dispatch latency of D = cfg.dispatch_latency
-// cycles.
+//  * shared System (ServiceTier, pmemsim_serve's default): every domain runs
+//    on one borrowed System, so all shards contend for the same iMC, DIMM
+//    buffers and AIT — the shared-DIMM deployment. There is no dispatch hop
+//    (D = 0) and the domains run in lockstep;
+//  * private Systems (DomainTier(platform, dimms, cfg), --engine_threads):
+//    each domain owns a System and shares nothing with its peers, which lets
+//    it advance on its own host thread under the epoch loop below.
 //
-// Conservative epoch execution (D > 0):
+// Conservative epoch execution (private Systems, D > 0):
 //   Because every cross-domain message issued at time t arrives at t + D at
 //   the earliest, a domain advancing inside the window [E, E + D) can never
 //   receive an arrival it has not already been handed: all deliveries due
@@ -28,15 +32,16 @@
 //   byte-identical at any --engine_threads — that is the determinism
 //   contract, gated in CI exactly like --jobs.
 //
-// Zero lookahead (D == 0) removes the conservative window, so the engine
-// falls back to one combined sequential Scheduler::Run over all domains'
-// workers (engine_threads is ignored): the lockstep global clock order plays
-// the coordinator, and the dispatcher is pumped synchronously at admission
-// time.
+// Lockstep execution (D == 0, always on a shared System): there is no window
+// to run domains concurrently in, so preload and serving are each one
+// combined Scheduler::Run over every domain's workers (engine_threads is
+// ignored). Global clock order plays the coordinator: loaders and workers
+// reach a shared memory model in clock order, and the dispatcher is pumped
+// synchronously at admission time.
 //
 // Stats merge is order-independent: every per-domain counter is an integer
 // sum or a histogram bucket count, merged by addition on the coordinator in
-// fixed domain-index order (see DESIGN.md §11).
+// fixed domain-index order (see DESIGN.md §10).
 
 #ifndef SRC_SERVE_DOMAIN_TIER_H_
 #define SRC_SERVE_DOMAIN_TIER_H_
@@ -58,26 +63,33 @@
 #include "src/serve/service_stats.h"
 #include "src/serve/shard.h"
 #include "src/trace/attribution.h"
+#include "src/trace/sampler.h"
+#include "src/trace/serve_metrics.h"
+#include "src/trace/span.h"
 
 namespace pmemsim {
 
 class JsonWriter;
 
-// One isolated shard domain: its own simulated machine plus the serving state
-// of exactly one shard. All methods are called either from the coordinator
-// between epochs or from the single host thread advancing this domain inside
-// an epoch — never concurrently.
+// One shard domain: the serving state of exactly one shard on a System it
+// may share with its peers. All methods are called either from the
+// coordinator between epochs or from the single host thread advancing this
+// domain — never concurrently.
 class ServeDomain {
  public:
   // `load_keys` is this domain's slice of the global preload key space
   // (TierDispatcher::PartitionLoadKeys); `append_budget` sizes append-only
-  // stores for the tier-wide op budget (any op can route anywhere).
-  ServeDomain(const PlatformConfig& platform, uint32_t dimms, const ServeConfig& cfg,
-              uint32_t index, std::vector<uint64_t> load_keys, uint64_t append_budget);
+  // stores for the tier-wide op budget (any op can route anywhere). The
+  // store is built on `system`, timed on the domain's first worker.
+  ServeDomain(System* system, const ServeConfig& cfg, uint32_t index,
+              std::vector<uint64_t> load_keys, uint64_t append_budget);
 
-  // Preloads the owned keys on the first worker (domains load in parallel —
-  // each on its own System, there is nothing to contend on).
+  // Preloads one owned key on the first worker (the last step also flushes
+  // the store); kDone once every key is in. RunLoad loops it to completion;
+  // AppendLoadJob hands it to a combined lockstep preload.
+  StepResult LoadStep();
   void RunLoad();
+  void AppendLoadJob(std::vector<SimJob>* out);
   Cycles load_end() const { return load_end_; }
 
   // Aligns workers to the common serve origin t0, installs attribution,
@@ -87,12 +99,13 @@ class ServeDomain {
   // the tier-wide quiescence predicate that retires idle workers.
   void BeginServe(Cycles t0, TierDispatcher* eager_dispatcher, std::function<bool()> all_quiet);
 
-  // Installs (or clears) the domain's observability sinks — same contract as
-  // Shard::SetObservability. Install before BeginServe (which emits the
-  // opening queue-depth observation). The domain drives the metrics'
-  // mem-sampler from its private scheduler (epoch mode) or from its worker
-  // steps (eager mode), so the memory-plane series stays per-domain.
-  void SetObservability(ServeMetrics* metrics, SpanRecorder* spans);
+  // Installs (or clears, with nullptrs) the observability sinks for the
+  // serve phase. Pay-for-use: with none installed, the hot path costs one
+  // pointer test per event. Install before BeginServe (which emits the
+  // opening queue-depth observation). `mem_sampler` is the memory-plane
+  // series of this domain's System; the domain drives it from its private
+  // scheduler (epoch mode) or from its workers' admission steps (eager mode).
+  void SetObservability(ServeMetrics* metrics, SpanRecorder* spans, Sampler* mem_sampler);
 
   // Delivery sink for the dispatcher (arrival times may be far future; the
   // domain admits them when its clock gets there).
@@ -115,10 +128,12 @@ class ServeDomain {
   void FinalizeServe();
 
   uint32_t index() const { return index_; }
-  System& system() { return system_; }
+  System& system() { return *system_; }
+  const System& system() const { return *system_; }
   const RequestQueue& queue() const { return queue_; }
   const ServiceStats& stats() const { return stats_; }
   AttributionCollector& attribution() { return attribution_; }
+  const AttributionCollector& attribution() const { return attribution_; }
 
  private:
   struct Worker {
@@ -141,16 +156,18 @@ class ServeDomain {
 
   const ServeConfig& cfg_;
   uint32_t index_;
-  System system_;
+  System* system_;  // not owned
   RequestQueue queue_;
   ServiceStats stats_;
   AttributionCollector attribution_;
   ServeMetrics* metrics_ = nullptr;        // not owned; null = observability off
   SpanRecorder* span_recorder_ = nullptr;  // not owned
+  Sampler* mem_sampler_ = nullptr;         // not owned
   Cycles span_stage_base_[AttributionCollector::kStageCount] = {};
   std::vector<Worker> workers_;
   std::unique_ptr<ShardStore> store_;
   std::vector<uint64_t> load_keys_;
+  size_t loaded_ = 0;
   std::vector<uint64_t> owned_sorted_;  // hash-store scan emulation order
 
   std::priority_queue<Request, std::vector<Request>, ArrivalOrder> pending_;
@@ -166,17 +183,25 @@ class ServeDomain {
 
 class DomainTier {
  public:
-  // One System per shard domain, each with `dimms_per_domain` Optane DIMMs.
+  // Private Systems: one System per shard domain, each with
+  // `dimms_per_domain` Optane DIMMs.
   DomainTier(const PlatformConfig& platform, uint32_t dimms_per_domain, const ServeConfig& cfg);
+  // Closes an attached timeline that a failed Run left open (truncated), and
+  // detaches the queue gauges, while the Systems and queues they read live.
+  ~DomainTier();
+  DomainTier(const DomainTier&) = delete;
+  DomainTier& operator=(const DomainTier&) = delete;
 
   // Attaches (before Run) the serve-phase observability sink: per-domain
-  // windowed metrics + spans and a per-domain memory-plane sampler over each
-  // domain's private System (the global timeline view is the field-wise sum).
-  // Timeline Begin/Finalize happen on the coordinator at serve_start_ and the
-  // engine's final cycle. Pass nullptr (default) for zero-cost serving.
+  // windowed metrics + spans, one memory-plane sampler per distinct System
+  // (carried by the first domain on it; the global timeline view is the
+  // field-wise sum), and the serve-queue-depth gauge on each System's
+  // ReadGauges. Timeline Begin/Finalize happen on the coordinator at
+  // serve_start_ and the engine's final cycle. Pass nullptr (default) for
+  // zero-cost serving.
   void AttachTimeline(ServeTimeline* timeline) { timeline_ = timeline; }
 
-  // Load (parallel across domains) then serve to completion. One-shot.
+  // Load then serve to completion. One-shot.
   void Run();
 
   Cycles load_end() const { return load_end_; }
@@ -187,22 +212,29 @@ class DomainTier {
   const std::vector<std::unique_ptr<ServeDomain>>& domains() const { return domains_; }
   ServiceStats GlobalStats() const;  // merged in domain-index order
 
-  // Same shape as ServiceTier::ToJson (scripts/check_serve.py schema), plus
-  // config.engine = "partitioned" and config.dispatch_latency. Deliberately
-  // excludes engine_threads: the report must byte-compare across thread
-  // counts.
+  // scripts/check_serve.py schema. config.engine names the memory
+  // configuration ("interleaved" on a shared System, "partitioned" on
+  // private ones) next to config.dispatch_latency. Deliberately excludes
+  // engine_threads: the report must byte-compare across thread counts.
   void ToJson(JsonWriter& w) const;
   std::string ToJson() const;
 
+ protected:
+  // Shared System: every shard domain on `system` (not owned), lockstep with
+  // no dispatch hop (cfg.dispatch_latency is taken as 0). See ServiceTier.
+  DomainTier(System* system, const ServeConfig& cfg);
+
  private:
+  void AddDomains(const PlatformConfig* platform, uint32_t dimms_per_domain);
   void RunEpochLoop();
   void RunEager();
   void BeginTimeline();
   bool AllDrained() const;
 
-  PlatformConfig platform_;
   ServeConfig cfg_;
   TierDispatcher dispatcher_;
+  System* shared_system_ = nullptr;              // not owned; null = private Systems
+  std::vector<std::unique_ptr<System>> systems_;  // private Systems, one per domain
   std::vector<std::unique_ptr<ServeDomain>> domains_;
   ServeTimeline* timeline_ = nullptr;  // not owned
   Cycles load_end_ = 0;

@@ -1,9 +1,11 @@
 #include "src/serve/shard.h"
 
-#include <cmath>
 #include <cstring>
+#include <utility>
+#include <vector>
 
 #include "src/common/check.h"
+#include "src/common/random.h"
 
 namespace pmemsim {
 namespace {
@@ -137,251 +139,6 @@ void ShardStore::TreeScan(ThreadContext& ctx, uint64_t from, uint32_t len) {
 void ShardStore::FlushPreload(ThreadContext& ctx) {
   if (flat_ != nullptr) {
     flat_->Flush(ctx);
-  }
-}
-
-Shard::Shard(System* system, const ServeConfig& cfg, uint32_t index, ThreadContext& loader)
-    : cfg_(cfg),
-      index_(index),
-      queue_(cfg.queue_depth),
-      mix_sampler_(cfg.mix, ServeSubSeed(cfg.seed, index, 0)),
-      zipf_(cfg.keys, cfg.theta, ServeSubSeed(cfg.seed, index, 1)),
-      think_rng_(ServeSubSeed(cfg.seed, index, 2)),
-      key_scramble_salt_(ServeSubSeed(cfg.seed, index, 3)),
-      next_insert_key_(cfg.keys + 1),
-      store_(system, cfg.store, cfg.keys, cfg.ops, loader),
-      arrivals_(cfg.interarrival_cycles, ServeSubSeed(cfg.seed, index, 4)) {
-  PMEMSIM_CHECK(cfg.keys > 0);
-  latest_skew_ = !cfg.mix_name.empty() && (cfg.mix_name[0] == 'd' || cfg.mix_name[0] == 'D');
-  load_keys_ = MakeLoadKeys(cfg.keys, ServeSubSeed(cfg.seed, index, 5));
-}
-
-bool Shard::LoadStep(ThreadContext& ctx) {
-  if (loaded_ >= cfg_.keys) {
-    return false;
-  }
-  const uint64_t key = load_keys_[loaded_];
-  StoreInsert(ctx, key, Mix64(key));
-  ++loaded_;
-  if (loaded_ == cfg_.keys) {
-    store_.FlushPreload(ctx);  // preload durability point before serving
-  }
-  return true;
-}
-
-void Shard::SetObservability(ServeMetrics* metrics, SpanRecorder* spans) {
-  metrics_ = metrics;
-  span_recorder_ = spans;
-}
-
-void Shard::BeginSpan() {
-  if (span_recorder_ == nullptr) {
-    return;
-  }
-  for (int s = 0; s < AttributionCollector::kStageCount; ++s) {
-    span_stage_base_[s] = attribution_.stage_total(static_cast<AttributionCollector::Stage>(s));
-  }
-}
-
-void Shard::StartServing(Cycles t0) {
-  serve_start_ = t0;
-  // The serve phase is a fresh accounting window: preload-time queue state
-  // (none today, but the contract holds if warm-up traffic ever precedes it)
-  // must not leak into the measured offered/rejected/max_occupancy.
-  queue_.BeginPhase();
-  if (metrics_ != nullptr) {
-    // Opening observation: window 0 starts from the real (inherited)
-    // occupancy rather than the carry-forward default of zero.
-    metrics_->ObserveQueueDepth(t0, queue_.size());
-  }
-  if (cfg_.loop == LoopMode::kClosed) {
-    const uint64_t first = std::min<uint64_t>(cfg_.clients, cfg_.ops);
-    for (uint32_t c = 0; c < first; ++c) {
-      pending_.push(PendingArrival{t0 + ThinkDraw(), c});
-      ++scheduled_;
-    }
-  } else if (cfg_.ops > 0) {
-    next_open_arrival_ = t0 + arrivals_.Next();
-  }
-}
-
-void Shard::CatchUpAdmissions(Cycles now) {
-  bool folded = false;
-  if (cfg_.loop == LoopMode::kClosed) {
-    while (!pending_.empty() && pending_.top().time <= now) {
-      const PendingArrival arr = pending_.top();
-      pending_.pop();
-      folded = true;
-      const bool admitted = queue_.Offer(Materialize(arr.time, arr.client), now);
-      if (metrics_ != nullptr) {
-        admitted ? metrics_->RecordAdmission(now) : metrics_->RecordShed(now);
-      }
-      if (!admitted && scheduled_ < cfg_.ops) {
-        // Shed: the client backs off one think time and offers a fresh op.
-        pending_.push(PendingArrival{arr.time + ThinkDraw(), arr.client});
-        ++scheduled_;
-      }
-    }
-  } else {
-    while (open_issued_ < cfg_.ops && next_open_arrival_ <= now) {
-      folded = true;
-      const bool admitted =
-          queue_.Offer(Materialize(next_open_arrival_, open_seq_++), now);  // shed = dropped
-      if (metrics_ != nullptr) {
-        admitted ? metrics_->RecordAdmission(now) : metrics_->RecordShed(now);
-      }
-      ++open_issued_;
-      if (open_issued_ < cfg_.ops) {
-        next_open_arrival_ = serve_start_ + arrivals_.Next();
-      }
-    }
-  }
-  if (folded && metrics_ != nullptr) {
-    metrics_->ObserveQueueDepth(now, queue_.size());
-  }
-}
-
-size_t Shard::ClaimBatch(Cycles now, std::vector<Request>* out) {
-  const size_t n = queue_.ClaimBatch(cfg_.batch, out);
-  in_flight_ += n;
-  if (n > 0 && metrics_ != nullptr) {
-    metrics_->ObserveQueueDepth(now, queue_.size());
-  }
-  return n;
-}
-
-void Shard::Execute(ThreadContext& ctx, const Request& r) {
-  uint64_t value = 0;
-  switch (r.op) {
-    case ServeOp::kRead:
-      if (!StoreGet(ctx, r.key, &value)) {
-        ++stats_.not_found;
-      }
-      break;
-    case ServeOp::kUpdate:
-      StoreUpdate(ctx, r.key, Mix64(r.key + r.arrival));
-      break;
-    case ServeOp::kInsert:
-      StoreInsert(ctx, r.key, Mix64(r.key));
-      break;
-    case ServeOp::kScan:
-      StoreScan(ctx, r.key, r.scan_len);
-      break;
-    case ServeOp::kRmw:
-      if (!StoreGet(ctx, r.key, &value)) {
-        ++stats_.not_found;
-      }
-      StoreUpdate(ctx, r.key, value + 1);
-      break;
-  }
-}
-
-void Shard::CompleteRequest(const Request& r, Cycles start, Cycles end) {
-  stats_.RecordCompletion(r, start, end);
-  PMEMSIM_CHECK(in_flight_ > 0);
-  --in_flight_;
-  if (metrics_ != nullptr) {
-    metrics_->RecordCompletion(end, end - r.arrival);
-  }
-  if (span_recorder_ != nullptr) {
-    Cycles deltas[AttributionCollector::kStageCount];
-    for (int s = 0; s < AttributionCollector::kStageCount; ++s) {
-      deltas[s] = attribution_.stage_total(static_cast<AttributionCollector::Stage>(s)) -
-                  span_stage_base_[s];
-    }
-    span_recorder_->Record(r.client, static_cast<uint8_t>(r.op), r.arrival, r.admit, start, end,
-                           deltas);
-  }
-  if (cfg_.loop == LoopMode::kClosed && scheduled_ < cfg_.ops) {
-    pending_.push(PendingArrival{end + ThinkDraw(), r.client});
-    ++scheduled_;
-  }
-}
-
-bool Shard::Drained() const {
-  if (!queue_.empty() || in_flight_ != 0) {
-    return false;
-  }
-  return cfg_.loop == LoopMode::kClosed ? pending_.empty() : open_issued_ >= cfg_.ops;
-}
-
-std::optional<Cycles> Shard::NextArrivalTime() const {
-  if (cfg_.loop == LoopMode::kClosed) {
-    return pending_.empty() ? std::nullopt : std::optional<Cycles>(pending_.top().time);
-  }
-  return open_issued_ < cfg_.ops ? std::optional<Cycles>(next_open_arrival_) : std::nullopt;
-}
-
-void Shard::FinalizeStats() {
-  stats_.offered = queue_.offered();
-  stats_.rejected = queue_.rejected();
-}
-
-Request Shard::Materialize(Cycles time, uint32_t client) {
-  Request r;
-  r.arrival = time;
-  r.client = client;
-  r.op = mix_sampler_.Next();
-  switch (r.op) {
-    case ServeOp::kInsert:
-      r.key = next_insert_key_++;
-      break;
-    case ServeOp::kScan:
-      r.key = SkewedKey();
-      r.scan_len = cfg_.scan_len;
-      break;
-    default:
-      r.key = SkewedKey();
-      break;
-  }
-  return r;
-}
-
-uint64_t Shard::SkewedKey() {
-  const uint64_t population = next_insert_key_ - 1;  // keys 1..population exist
-  const uint64_t rank = zipf_.Next();
-  if (latest_skew_) {
-    // Mix D: rank 0 is the newest key, per YCSB's latest distribution.
-    return population - rank % population;
-  }
-  // YCSB-style scrambled zipfian: hot ranks scatter across the key space.
-  return 1 + Mix64(rank ^ key_scramble_salt_) % population;
-}
-
-Cycles Shard::ThinkDraw() {
-  const double u = think_rng_.NextDouble();
-  const double cycles = -cfg_.think_cycles * std::log(1.0 - u);
-  return cycles < 1.0 ? Cycles{1} : static_cast<Cycles>(cycles);
-}
-
-bool Shard::StoreGet(ThreadContext& ctx, uint64_t key, uint64_t* value_out) {
-  return store_.Get(ctx, key, value_out);
-}
-
-void Shard::StoreUpdate(ThreadContext& ctx, uint64_t key, uint64_t value) {
-  if (!store_.Update(ctx, key, value)) {
-    ++stats_.not_found;
-  }
-}
-
-void Shard::StoreInsert(ThreadContext& ctx, uint64_t key, uint64_t value) {
-  store_.Insert(ctx, key, value);
-}
-
-void Shard::StoreScan(ThreadContext& ctx, uint64_t from, uint32_t len) {
-  if (store_.ordered()) {
-    store_.TreeScan(ctx, from, len);
-    return;
-  }
-  // Hash-shaped stores have no key order; emulate the range as `len`
-  // consecutive point reads (YCSB's usual adaptation for KV stores).
-  const uint64_t population = next_insert_key_ - 1;
-  uint64_t value = 0;
-  for (uint32_t i = 0; i < len; ++i) {
-    const uint64_t key = (from - 1 + i) % population + 1;
-    if (!StoreGet(ctx, key, &value)) {
-      ++stats_.not_found;
-    }
   }
 }
 

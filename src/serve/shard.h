@@ -1,30 +1,7 @@
-// One shard of the serving tier: a datastore instance (CCEH, FAST&FAIR, or
-// FlatLog) behind a bounded admission queue, fed by a closed- or open-loop
-// client population and served by M worker ThreadContexts.
-//
-// Event model (all in simulated time, driven by the lockstep scheduler):
-//  * arrivals live in a pending set — a (time, client) min-heap for the
-//    closed loop, a lazily-advanced Poisson cursor for the open loop;
-//  * admission is processed by whichever worker observes simulated time
-//    first: CatchUpAdmissions(now) folds every arrival <= now into the
-//    bounded queue in arrival order, shedding on full. Because the lockstep
-//    scheduler only ever steps the minimum-clock job, claims and catch-ups
-//    happen in global clock order, so queue occupancy — and therefore every
-//    shed decision — is a pure function of the seed;
-//  * a shed open-loop arrival is dropped; a shed closed-loop client backs
-//    off one think time and retries (each retry is a new offered op);
-//  * request content (op category, key) is materialized at admission time
-//    from the shard's MixSampler and skewed key generator, so the request
-//    stream is deterministic per seed whatever the worker interleaving.
-//
-// The shard owns a per-shard AttributionCollector; the tier installs it on
-// the shard's worker contexts for the serving phase so the memory-side tail
-// decomposition (media/buffer/RAP/WPQ-wait) is reported per shard.
-//
-// The datastore itself lives behind ShardStore, shared with the partitioned
-// engine's Domain (src/serve/domain_tier.*): one class owns store
-// construction/sizing and the per-kind op dispatch, so both engines serve
-// byte-identical store behaviour.
+// The shard's datastore and the serving tier's configuration: one
+// datastore instance (CCEH, FAST&FAIR, or FlatLog) behind a uniform point-op
+// API (ShardStore), plus the tier-wide ServeConfig. The request path that
+// serves a shard lives in ServeDomain (src/serve/domain_tier.h).
 
 #ifndef SRC_SERVE_SHARD_H_
 #define SRC_SERVE_SHARD_H_
@@ -32,26 +9,15 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
-#include <queue>
 #include <string>
-#include <utility>
-#include <vector>
 
-#include "src/common/random.h"
 #include "src/common/types.h"
 #include "src/core/system.h"
 #include "src/cpu/thread_context.h"
 #include "src/datastores/cceh.h"
 #include "src/datastores/fast_fair.h"
 #include "src/datastores/flat_log.h"
-#include "src/serve/request.h"
-#include "src/serve/request_queue.h"
-#include "src/serve/service_stats.h"
-#include "src/trace/attribution.h"
-#include "src/trace/serve_metrics.h"
-#include "src/trace/span.h"
 #include "src/workload/ycsb.h"
-#include "src/workload/zipf.h"
 
 namespace pmemsim {
 
@@ -63,9 +29,9 @@ std::optional<StoreKind> StoreByName(const std::string& name);
 enum class LoopMode : uint8_t { kClosed, kOpen };
 const char* LoopModeName(LoopMode mode);
 
-// Decorrelated per-(shard, stream) seed so every stochastic source — load-key
-// order, op mix, key skew, think times, arrivals — draws from its own stream.
-// Shared by the legacy shard and the partitioned engine's tier dispatcher.
+// Decorrelated per-(slot, stream) seed so every stochastic source — load-key
+// order, op mix, key skew, think times, arrivals — draws from its own stream
+// (the tier dispatcher's streams, src/serve/dispatch.cc).
 uint64_t ServeSubSeed(uint64_t seed, uint32_t shard, uint32_t stream);
 
 // TraceMarker id emitted on every worker context when the measured serve
@@ -91,11 +57,12 @@ struct ServeConfig {
   double theta = 0.99;             // Zipfian skew of the hot-key distribution
   uint32_t scan_len = 16;          // YCSB-E scan length
   uint64_t seed = 42;
-  // Partitioned engine only (DomainTier): host threads advancing the shard
-  // domains of one point, and the modelled client->shard dispatch latency in
-  // cycles — also the conservative epoch window. engine_threads does not
-  // change any simulated result (that is the determinism contract);
-  // dispatch_latency does (it is part of the simulated model).
+  // Private-System domains only (DomainTier(platform, dimms, cfg)): host
+  // threads advancing the shard domains of one point, and the modelled
+  // client->shard dispatch latency in cycles — also the conservative epoch
+  // window. engine_threads does not change any simulated result (that is the
+  // determinism contract); dispatch_latency does (it is part of the simulated
+  // model). The shared-System ServiceTier has no dispatch hop.
   uint32_t engine_threads = 1;
   Cycles dispatch_latency = 2048;
 };
@@ -115,7 +82,7 @@ class ShardStore {
   bool Update(ThreadContext& ctx, uint64_t key, uint64_t value);
   void Insert(ThreadContext& ctx, uint64_t key, uint64_t value);
   // Ordered range scan; valid only when ordered() (callers emulate ranges on
-  // hash-shaped stores as consecutive point reads).
+  // hash-shaped stores as point reads).
   void TreeScan(ThreadContext& ctx, uint64_t from, uint32_t len);
   bool ordered() const { return kind_ == StoreKind::kFastFair; }
   // Durability point after the preload (FlatLog batches its appends).
@@ -129,114 +96,6 @@ class ShardStore {
   std::unique_ptr<FastFairTree> tree_;
   std::unique_ptr<FlatLog> flat_;
   uint64_t store_full_ = 0;  // FlatLog appends refused (log exhausted)
-};
-
-class Shard {
- public:
-  // Builds the shard's store (construction is timed on `loader`, the shard's
-  // first worker context, like a real preload).
-  Shard(System* system, const ServeConfig& cfg, uint32_t index, ThreadContext& loader);
-
-  // --- load phase (one preloaded key per call, timed on `ctx`) ---
-  bool LoadStep(ThreadContext& ctx);  // false once all cfg.keys are loaded
-
-  // --- serving phase ---
-  void StartServing(Cycles t0);
-
-  // Installs (or clears, with nullptrs) the observability sinks for the serve
-  // phase. Pay-for-use: with none installed, the hot path costs one pointer
-  // test per event. Install before StartServing (which emits the opening
-  // queue-depth observation); either pointer may be null independently.
-  void SetObservability(ServeMetrics* metrics, SpanRecorder* spans);
-
-  // Snapshots the shard collector's per-stage totals before a request's
-  // Execute; CompleteRequest reads the deltas back as the request's stage
-  // decomposition. One Execute runs within one uninterrupted scheduler step
-  // of one worker, so the delta belongs to exactly that request. No-op
-  // without a span recorder.
-  void BeginSpan();
-
-  // Folds every pending arrival with time <= now into the bounded queue, in
-  // arrival order, shedding on full (see file comment for the loop policies).
-  void CatchUpAdmissions(Cycles now);
-
-  // Claims up to cfg.batch queued requests for a worker observing simulated
-  // time `now` (the post-claim queue-depth gauge point). Returns the count.
-  size_t ClaimBatch(Cycles now, std::vector<Request>* out);
-
-  // Executes one request against the store on `ctx` (clock advances).
-  void Execute(ThreadContext& ctx, const Request& r);
-
-  // Records the completion and, in the closed loop, schedules the client's
-  // next request one think time after `end`.
-  void CompleteRequest(const Request& r, Cycles start, Cycles end);
-
-  // True when no arrival is pending, the queue is empty, and no claimed
-  // request is still in flight — the shard will never produce work again.
-  bool Drained() const;
-
-  // The next pending arrival time (> the last CatchUpAdmissions clock), or
-  // nullopt when none is scheduled. Idle workers park just past this.
-  std::optional<Cycles> NextArrivalTime() const;
-
-  uint32_t index() const { return index_; }
-  const RequestQueue& queue() const { return queue_; }
-  ServiceStats& stats() { return stats_; }
-  const ServiceStats& stats() const { return stats_; }
-  AttributionCollector& attribution() { return attribution_; }
-  // Copies the queue's offered/rejected counters into stats() (end of run).
-  void FinalizeStats();
-
- private:
-  struct PendingArrival {
-    Cycles time;
-    uint32_t client;
-    bool operator>(const PendingArrival& o) const {
-      return time != o.time ? time > o.time : client > o.client;
-    }
-  };
-
-  Request Materialize(Cycles time, uint32_t client);
-  uint64_t SkewedKey();
-  Cycles ThinkDraw();  // exponential, mean cfg.think_cycles, >= 1
-  // Store dispatch (via store_; scan emulation for hash-shaped stores).
-  bool StoreGet(ThreadContext& ctx, uint64_t key, uint64_t* value_out);
-  void StoreUpdate(ThreadContext& ctx, uint64_t key, uint64_t value);
-  void StoreInsert(ThreadContext& ctx, uint64_t key, uint64_t value);
-  void StoreScan(ThreadContext& ctx, uint64_t from, uint32_t len);
-
-  const ServeConfig& cfg_;
-  uint32_t index_;
-
-  RequestQueue queue_;
-  ServiceStats stats_;
-  AttributionCollector attribution_;
-  ServeMetrics* metrics_ = nullptr;       // not owned; null = observability off
-  SpanRecorder* span_recorder_ = nullptr; // not owned
-  Cycles span_stage_base_[AttributionCollector::kStageCount] = {};
-
-  MixSampler mix_sampler_;
-  ZipfGenerator zipf_;
-  Rng think_rng_;
-  bool latest_skew_ = false;  // mix D: reads target the newest keys
-  uint64_t key_scramble_salt_;
-
-  uint64_t next_insert_key_;
-  ShardStore store_;
-
-  std::vector<uint64_t> load_keys_;
-  uint64_t loaded_ = 0;
-
-  // Closed loop: pending client re-issues. Open loop: the Poisson cursor.
-  std::priority_queue<PendingArrival, std::vector<PendingArrival>, std::greater<PendingArrival>>
-      pending_;
-  PoissonArrivalGenerator arrivals_;
-  Cycles serve_start_ = 0;
-  Cycles next_open_arrival_ = 0;
-  uint64_t open_issued_ = 0;   // open loop: arrivals issued so far
-  uint64_t scheduled_ = 0;     // closed loop: attempts issued or pending
-  uint32_t open_seq_ = 0;
-  uint64_t in_flight_ = 0;     // claimed but not yet completed
 };
 
 }  // namespace pmemsim

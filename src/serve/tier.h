@@ -1,19 +1,8 @@
-// ServiceTier: the whole serving deployment for one configuration — N shards,
-// each with its own store and worker ThreadContexts, run through the lockstep
-// scheduler in two phases:
-//
-//   1. load — each shard's first worker preloads cfg.keys records (one store
-//      insert per scheduler step, so shards contend realistically for the
-//      shared memory system);
-//   2. serve — every worker context is first aligned to the same start cycle
-//      t0 (max clock after loading), then workers loop: catch up admissions
-//      to their clock, claim a batch, execute one request per step. A worker
-//      with no work parks just past the shard's next arrival (or an idle
-//      quantum when it waits on peers) and retires once the shard is drained.
-//
-// Per-shard AttributionCollectors are installed on the workers for the serve
-// phase only, so the reported memory-side decomposition covers serving, not
-// the preload.
+// ServiceTier: the shared-DIMM serving deployment — every shard domain of a
+// DomainTier on one borrowed System, so all shards contend for the same iMC,
+// WPQs, on-DIMM read/write buffers and AIT. This is pmemsim_serve's default
+// configuration. The domains run in lockstep with no dispatch hop (see
+// src/serve/domain_tier.h): preload, then serve until every shard drains.
 //
 // Determinism: the tier runs on one OS thread; all randomness derives from
 // cfg.seed. Running independent tiers on separate System instances (one per
@@ -23,67 +12,20 @@
 #define SRC_SERVE_TIER_H_
 
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "src/core/system.h"
-#include "src/cpu/scheduler.h"
-#include "src/cpu/thread_context.h"
-#include "src/serve/shard.h"
-#include "src/serve/service_stats.h"
+#include "src/serve/domain_tier.h"
 
 namespace pmemsim {
 
-class JsonWriter;
-
-class ServiceTier {
+class ServiceTier : public DomainTier {
  public:
-  // Creates cfg.shards shards and cfg.workers_per_shard workers each on
+  // Creates cfg.shards domains of cfg.workers_per_shard workers each on
   // `system` (construction builds the stores; preload happens in Run).
-  ServiceTier(System* system, const ServeConfig& cfg);
+  ServiceTier(System* system, const ServeConfig& cfg) : DomainTier(system, cfg) {}
 
-  // Attaches (before Run) the serve-phase observability sink: per-shard
-  // windowed metrics + spans, a global memory-plane sampler over the shared
-  // System, and the serve-queue-depth gauge on System::ReadGauges. The tier
-  // Begins the timeline at serve_start_ and Finalizes it at the serve
-  // engine's end. Pass nullptr (default) for zero-cost serving.
-  void AttachTimeline(ServeTimeline* timeline) { timeline_ = timeline; }
-
-  // Runs load then serve to completion. Idempotent guard: call once.
-  void Run();
-
-  Cycles load_end() const { return load_end_; }
-  Cycles serve_start() const { return serve_start_; }
-  // Max completion cycle across shards (== makespan end of the serve phase).
-  Cycles end_cycle() const;
-
-  const ServeConfig& config() const { return cfg_; }
-  const std::vector<std::unique_ptr<Shard>>& shards() const { return shards_; }
-  ServiceStats GlobalStats() const;  // merged across shards
-
-  // {"config":{...},"serve_start":..,"global":{ServiceStats},
-  //  "shards":[{"shard":0,"queue":{...},"stats":{...},"attribution":{...}}]}
-  void ToJson(JsonWriter& w) const;
-  std::string ToJson() const;
-
- private:
-  struct Worker {
-    ThreadContext* ctx = nullptr;
-    uint32_t shard = 0;
-    std::vector<Request> claimed;
-    size_t next = 0;  // cursor into `claimed`
-  };
-
-  StepResult WorkerStep(Worker& wk);
-
-  System* system_;
-  ServeConfig cfg_;
-  std::vector<std::unique_ptr<Shard>> shards_;
-  std::vector<Worker> workers_;
-  ServeTimeline* timeline_ = nullptr;  // not owned
-  Cycles load_end_ = 0;
-  Cycles serve_start_ = 0;
-  bool ran_ = false;
+  const std::vector<std::unique_ptr<ServeDomain>>& shards() const { return domains(); }
 };
 
 }  // namespace pmemsim

@@ -152,13 +152,6 @@ void ServeTimeline::Begin(Cycles origin) {
   for (auto& m : metrics_) m->Begin(origin);
 }
 
-Sampler* ServeTimeline::AttachGlobalMemSampler(const Counters* counters, Sampler::GaugeFn gauges) {
-  PMEMSIM_CHECK_MSG(begun_, "AttachGlobalMemSampler requires Begin");
-  global_sampler_ = std::make_unique<Sampler>(counters, cfg_.interval_cycles, origin_);
-  global_sampler_->SetGaugeSource(std::move(gauges));
-  return global_sampler_.get();
-}
-
 void ServeTimeline::Finalize(Cycles end) {
   if (finalized_) return;
   PMEMSIM_CHECK_MSG(begun_, "ServeTimeline::Finalize before Begin");
@@ -201,9 +194,9 @@ void ServeTimeline::MergeGlobal() {
       g.shed += w.shed;
       g.queue_depth += w.queue_depth;
       g.sojourn.Merge(w.sojourn);
-      // Partitioned engine: the global memory plane is the field-wise sum of
-      // the per-domain series (each domain owns a private System).
-      if (!global_sampler_ && w.has_mem) {
+      // The global memory plane is the field-wise sum of the per-System
+      // series (each carried by the first shard on its System).
+      if (w.has_mem) {
         g.has_mem = true;
         g.mem_delta += w.mem_delta;
         g.mem_gauges.wpq_occupancy += w.mem_gauges.wpq_occupancy;
@@ -211,16 +204,6 @@ void ServeTimeline::MergeGlobal() {
         g.mem_gauges.write_buffer_entries += w.mem_gauges.write_buffer_entries;
         g.mem_gauges.serve_queue_depth += w.mem_gauges.serve_queue_depth;
       }
-    }
-  }
-  // Legacy engine: one shared System, one global sampler.
-  if (global_sampler_) {
-    global_sampler_->Finalize(std::max(end_, origin_));
-    for (const Sample& s : global_sampler_->samples()) {
-      ServeWindow& g = global_windows_[std::min<uint64_t>(s.index, n - 1)];
-      g.has_mem = true;
-      g.mem_delta += s.delta;
-      g.mem_gauges = s.gauges;
     }
   }
 }

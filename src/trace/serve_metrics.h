@@ -23,7 +23,9 @@
 // admitted, and shed events each land in exactly one window.
 //
 // ServeTimeline bundles one ServeMetrics (plus optional SpanRecorder) per
-// shard, merges them into the global per-window view, evaluates the SLO
+// shard, merges them into the global per-window view (the memory plane is
+// joined once per System: when shards share one, the first carries it),
+// evaluates the SLO
 // monitor (--slo_p99_cycles), and serializes the --timeline_json artifact.
 // It is also the unwind-flush target: FlushTruncated() finalizes whatever was
 // observed so a failed sweep point still emits a well-formed (marked
@@ -141,7 +143,8 @@ class ServeTimeline {
     std::string mix;
     std::string loop;
     std::string store;
-    // "interleaved" (legacy shared-System tier) or "partitioned" (DomainTier).
+    // "interleaved" (shard domains on one shared System) or "partitioned"
+    // (one System per domain).
     // Deliberately no engine_threads anywhere in the artifact: the timeline
     // must byte-compare across host thread counts.
     std::string engine;
@@ -170,12 +173,6 @@ class ServeTimeline {
 
   // Opens every shard series at the serve-phase origin.
   void Begin(Cycles origin);
-
-  // Legacy engine: one memory-plane series over the shared System (the
-  // partitioned engine attaches per-shard samplers instead). Call after
-  // Begin.
-  Sampler* AttachGlobalMemSampler(const Counters* counters, Sampler::GaugeFn gauges);
-  Sampler* global_mem_sampler() { return global_sampler_.get(); }
 
   // Normal close at the engine's serve end (every shard at the same end, so
   // window counts line up across shards).
@@ -210,7 +207,6 @@ class ServeTimeline {
   Config cfg_;
   std::vector<std::unique_ptr<ServeMetrics>> metrics_;
   std::vector<std::unique_ptr<SpanRecorder>> recorders_;
-  std::unique_ptr<Sampler> global_sampler_;
   std::vector<ServeWindow> global_windows_;
   Cycles origin_ = 0;
   Cycles end_ = 0;

@@ -16,7 +16,7 @@
 // Recording is pay-for-use: shards test one pointer per completion when no
 // recorder is installed. A recorder is single-(OS-)thread confined to its
 // shard's engine (the lockstep scheduler, or one domain's host thread in the
-// partitioned engine), so recording needs no synchronization; per-shard span
+// epoch loop), so recording needs no synchronization; per-shard span
 // vectors are concatenated in shard-index order at export, which keeps the
 // serialized form byte-identical across --jobs and --engine_threads.
 

@@ -1,14 +1,17 @@
-// Partitioned serving engine (DomainTier) tests: the determinism contract
-// (byte-identical reports at any --engine_threads), the zero-lookahead eager
-// fallback, epoch-barrier edge cases (idle domains, tiny budgets), and the
-// admission accounting identities.
+// Serving engine (DomainTier) tests: the determinism contract (byte-identical
+// reports at any --engine_threads), the zero-lookahead eager fallback, one
+// request path for the shared-System and private-System configurations,
+// epoch-barrier edge cases (idle domains, tiny budgets), and the admission
+// accounting identities.
 
 #include <gtest/gtest.h>
 
 #include <string>
 
 #include "src/common/config.h"
+#include "src/core/system.h"
 #include "src/serve/domain_tier.h"
+#include "src/serve/tier.h"
 #include "src/trace/serve_metrics.h"
 #include "src/workload/ycsb.h"
 
@@ -66,6 +69,35 @@ TEST(DomainTierTest, ByteIdenticalReportAcrossEngineThreads) {
       cfg.engine_threads = threads;
       EXPECT_EQ(RunToJson(cfg), baseline)
           << LoopModeName(loop) << " diverges at engine_threads=" << threads;
+    }
+  }
+}
+
+TEST(DomainTierTest, SharedSystemTierIsTheLockstepDomainModel) {
+  // One request path: a single-shard ServiceTier on a borrowed one-DIMM G1
+  // System and a single-domain DomainTier with no dispatch hop build the same
+  // machine and run the same lockstep engine, so every stat, tail and
+  // attribution bucket must agree. Only the configuration's name differs.
+  for (const StoreKind store : {StoreKind::kCceh, StoreKind::kFastFair}) {
+    for (const LoopMode loop : {LoopMode::kClosed, LoopMode::kOpen}) {
+      ServeConfig cfg = SmallConfig(loop);
+      cfg.store = store;
+      cfg.shards = 1;
+      cfg.dispatch_latency = 0;
+      System system(G1Platform(), 1);
+      ServiceTier shared(&system, cfg);
+      shared.Run();
+      DomainTier owned(G1Platform(), 1, cfg);
+      owned.Run();
+      const std::string label = std::string(StoreName(store)) + "/" + LoopModeName(loop);
+      ASSERT_GT(owned.GlobalStats().completed, 0u) << label;
+
+      std::string shared_json = shared.ToJson();
+      const std::string kInterleaved = "\"engine\":\"interleaved\"";
+      const size_t at = shared_json.find(kInterleaved);
+      ASSERT_NE(at, std::string::npos) << label;
+      shared_json.replace(at, kInterleaved.size(), "\"engine\":\"partitioned\"");
+      EXPECT_EQ(shared_json, owned.ToJson()) << label;
     }
   }
 }
@@ -191,7 +223,7 @@ TEST(DomainTierTest, ReportExcludesEngineThreadsAndNamesTheEngine) {
   EXPECT_NE(json.find("\"dispatch_latency\":2048"), std::string::npos);
 }
 
-// ---------- Serve observability on the partitioned engine ----------
+// ---------- Serve observability on private-System domains ----------
 
 ServeTimeline::Config PartitionedTimelineConfig(const ServeConfig& cfg, Cycles interval) {
   ServeTimeline::Config tc;

@@ -1,5 +1,6 @@
-// Serving-tier tests: admission-queue mechanics, closed/open-loop completion,
-// shed determinism, per-shard/global aggregation, and the latency identity
+// Serving-tier tests on the shared-System configuration (ServiceTier):
+// admission-queue mechanics, closed/open-loop completion, shed determinism,
+// per-shard/global aggregation, and the latency identity
 // sojourn == queue wait + service.
 
 #include <gtest/gtest.h>
@@ -219,23 +220,31 @@ TEST(ServiceTierTest, AttributionCoversTheServePhase) {
 }
 
 TEST(ServiceTierTest, EveryStoreServesEveryMix) {
-  for (const StoreKind store : {StoreKind::kCceh, StoreKind::kFastFair, StoreKind::kFlatLog}) {
-    for (const char* mix : {"a", "b", "c", "d", "e", "f"}) {
-      ServeConfig cfg = SmallConfig();
-      cfg.keys = 150;
-      cfg.ops = 150;
-      cfg.shards = 1;
-      cfg.store = store;
-      cfg.mix = *MixByName(mix);
-      cfg.mix_name = mix;
-      cfg.scan_len = 8;
-      auto system = MakeG1System(1);
-      ServiceTier tier(system.get(), cfg);
-      tier.Run();
-      const ServiceStats global = tier.GlobalStats();
-      EXPECT_EQ(global.completed + global.rejected, global.offered)
-          << StoreName(store) << "/" << mix;
-      EXPECT_GT(global.completed, 0u) << StoreName(store) << "/" << mix;
+  // One shard, and three shard domains sharing one System.
+  for (const uint32_t shards : {1u, 3u}) {
+    for (const StoreKind store : {StoreKind::kCceh, StoreKind::kFastFair, StoreKind::kFlatLog}) {
+      for (const char* mix : {"a", "b", "c", "d", "e", "f"}) {
+        ServeConfig cfg = SmallConfig();
+        cfg.keys = 150;
+        cfg.ops = 150;
+        cfg.shards = shards;
+        cfg.store = store;
+        cfg.mix = *MixByName(mix);
+        cfg.mix_name = mix;
+        cfg.scan_len = 8;
+        auto system = MakeG1System(shards);
+        ServiceTier tier(system.get(), cfg);
+        tier.Run();
+        const ServiceStats global = tier.GlobalStats();
+        const std::string label =
+            std::string(StoreName(store)) + "/" + mix + "/shards=" + std::to_string(shards);
+        EXPECT_EQ(global.completed + global.rejected, global.offered) << label;
+        EXPECT_GT(global.completed, 0u) << label;
+        if (mix[0] == 'a' || mix[0] == 'b' || mix[0] == 'c' || mix[0] == 'f') {
+          // No inserts: every key is preloaded on the shard it routes to.
+          EXPECT_EQ(global.not_found, 0u) << label;
+        }
+      }
     }
   }
 }

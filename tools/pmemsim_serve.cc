@@ -1,7 +1,8 @@
 // pmemsim_serve — the sharded KV request-serving tier.
 //
 // Stands up N shards (each its own datastore instance with M worker threads
-// and a bounded admission queue) on one simulated machine per configuration,
+// and a bounded admission queue) on one shared simulated machine per
+// configuration (or one machine per shard with --engine_threads),
 // drives YCSB core mixes from closed-loop (fixed clients, exponential think)
 // or open-loop (Poisson arrivals) client populations, and reports throughput
 // plus exact-rank p50/p99/p999 sojourn tails per shard and globally. The
@@ -39,11 +40,11 @@ using namespace pmemsim;
 
 struct ServeCliConfig {
   PlatformConfig platform;
-  uint32_t dimms = 0;  // 0 = one DIMM per shard (legacy) / per domain (partitioned)
+  uint32_t dimms = 0;  // 0 = one DIMM per shard (shared System) / per domain (partitioned)
   ServeConfig serve;
   std::vector<std::string> mixes;
   std::vector<LoopMode> loops;
-  bool partitioned = false;  // --engine_threads present: run the DomainTier engine
+  bool partitioned = false;  // --engine_threads present: one System per shard domain
   bool quiet = false;
   // Serve observability (all off by default: the hot path pays nothing).
   Cycles sample_interval = 0;     // telemetry window width; 0 = windowing off
@@ -182,12 +183,7 @@ void RunPoint(const ServeCliConfig& cli, const std::string& mix, LoopMode loop,
   cfg.mix_name = mix;
   cfg.mix = *MixByName(mix);
   cfg.loop = loop;
-  if (cli.partitioned) {
-    // Partitioned engine: one System per shard domain. --dimms counts DIMMs
-    // per domain here (default 1), matching the legacy default of one DIMM
-    // per shard in aggregate.
-    const uint32_t dimms = cli.dimms != 0 ? cli.dimms : 1;
-    DomainTier tier(cli.platform, dimms, cfg);
+  const auto serve = [&](DomainTier& tier) {
     tier.AttachTimeline(timeline);
     tier.Run();
     EmitScope(point, cli, mix, loop, "global", tier.GlobalStats(), tier.serve_start());
@@ -197,20 +193,17 @@ void RunPoint(const ServeCliConfig& cli, const std::string& mix, LoopMode loop,
       EmitScope(point, cli, mix, loop, scope, domain->stats(), tier.serve_start());
     }
     *serve_json = tier.ToJson();
-    return;
+  };
+  if (cli.partitioned) {
+    // One System per shard domain; --dimms counts DIMMs per domain here.
+    DomainTier tier(cli.platform, cli.dimms != 0 ? cli.dimms : 1, cfg);
+    serve(tier);
+  } else {
+    // Every shard domain on one System, one DIMM per shard by default.
+    System system(cli.platform, cli.dimms != 0 ? cli.dimms : cfg.shards);
+    ServiceTier tier(&system, cfg);
+    serve(tier);
   }
-  const uint32_t dimms = cli.dimms != 0 ? cli.dimms : cfg.shards;
-  System system(cli.platform, dimms);
-  ServiceTier tier(&system, cfg);
-  tier.AttachTimeline(timeline);
-  tier.Run();
-  EmitScope(point, cli, mix, loop, "global", tier.GlobalStats(), tier.serve_start());
-  for (const auto& shard : tier.shards()) {
-    char scope[16];
-    std::snprintf(scope, sizeof(scope), "shard%u", shard->index());
-    EmitScope(point, cli, mix, loop, scope, shard->stats(), tier.serve_start());
-  }
-  *serve_json = tier.ToJson();
 }
 
 int Usage() {
@@ -242,14 +235,15 @@ int Usage() {
       "parallelism (two independent axes; both keep output byte-identical):\n"
       "  --jobs=N            ACROSS sweep points: run N (mix,loop) points\n"
       "                      concurrently, each on its own simulated machine\n"
-      "  --engine_threads=N  WITHIN one sweep point: select the partitioned\n"
-      "                      engine and advance its shard domains on N host\n"
-      "                      threads. Changes the simulated model (per-shard\n"
+      "  --engine_threads=N  WITHIN one sweep point: give every shard domain\n"
+      "                      its own simulated machine (default: all shards\n"
+      "                      share one) and advance the domains on N host\n"
+      "                      threads. Changes the simulated model (private\n"
       "                      machines + client dispatch latency), never the\n"
       "                      results for a given model: any N compares equal\n"
-      "  --dispatch_latency=C  partitioned engine only: client->shard dispatch\n"
-      "                      latency in cycles (the epoch window; 0 = eager\n"
-      "                      sequential fallback)\n",
+      "  --dispatch_latency=C  with --engine_threads only: client->shard\n"
+      "                      dispatch latency in cycles (the epoch window;\n"
+      "                      0 = one lockstep run, no host parallelism)\n",
       pmemsim_bench::kTelemetryFlagsHelp);
   return 2;
 }
@@ -312,9 +306,10 @@ int main(int argc, char** argv) {
   cli.serve.scan_len = static_cast<uint32_t>(flags.GetU64("scan_len", 16));
   cli.serve.seed = flags.GetU64("seed", 42);
 
-  // --engine_threads opts into the partitioned (shard-parallel) engine; its
-  // value is host threads per sweep point. --dispatch_latency belongs to that
-  // engine's simulated model, so it is rejected without --engine_threads.
+  // --engine_threads gives every shard domain a private System; its value is
+  // host threads per sweep point. --dispatch_latency belongs to that
+  // configuration's simulated model, so it is rejected without
+  // --engine_threads.
   cli.partitioned = !flags.Get("engine_threads", "").empty();
   if (cli.partitioned) {
     cli.serve.engine_threads = static_cast<uint32_t>(flags.GetU64("engine_threads", 1));
@@ -330,7 +325,7 @@ int main(int argc, char** argv) {
     }
   } else if (!flags.Get("dispatch_latency", "").empty()) {
     pmemsim_bench::Flags::BadValue("dispatch_latency", flags.Get("dispatch_latency", ""),
-                                   "--engine_threads to be set (partitioned engine only)");
+                                   "--engine_threads to be set (private-System domains only)");
   }
   cli.quiet = flags.Has("quiet");
   if (cli.serve.shards == 0 || cli.serve.workers_per_shard == 0 || cli.serve.queue_depth == 0 ||
