@@ -8,8 +8,13 @@
 namespace pmemsim {
 namespace {
 
-// Dispatcher stream ids live in the ServeSubSeed slot one past the last
-// shard.
+// Decorrelated per-(slot, stream) seed so every stochastic source — load-key
+// order, op mix, key skew, think times, arrivals — draws from its own stream.
+uint64_t ServeSubSeed(uint64_t seed, uint32_t slot, uint32_t stream) {
+  return Mix64(seed + 0x9E3779B97F4A7C15ull * (uint64_t{slot} * 8 + stream + 1));
+}
+
+// The dispatcher's streams live in slot cfg.shards.
 constexpr uint32_t kMixStream = 0;
 constexpr uint32_t kZipfStream = 1;
 constexpr uint32_t kThinkStream = 2;

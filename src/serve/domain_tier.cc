@@ -478,25 +478,19 @@ void DomainTier::BeginTimeline() {
     return;
   }
   timeline_->Begin(serve_start_);
-  // One memory-plane series and one serve-queue-depth gauge per distinct
-  // System. Domains sharing a System are contiguous (all of them, or none),
-  // so the first domain on each System carries its series.
   Sampler* sampler = nullptr;
   for (uint32_t d = 0; d < cfg_.shards; ++d) {
-    System* system = &domains_[d]->system();
     ServeMetrics* metrics = timeline_->shard(d);
-    if (d == 0 || system != &domains_[d - 1]->system()) {
-      std::vector<const RequestQueue*> queues;
-      for (const auto& dom : domains_) {
-        if (&dom->system() == system) {
-          queues.push_back(&dom->queue());
-        }
-      }
+    if (d == 0 || shared_system_ == nullptr) {
+      // One memory-plane series and one serve-queue-depth gauge per System,
+      // carried by the first domain on it.
+      System* system = &domains_[d]->system();
+      const size_t end = shared_system_ != nullptr ? domains_.size() : d + 1;
       sampler = metrics->AttachMemSampler(
           &system->counters(), [system](Cycles now) { return system->ReadGauges(now); });
-      system->SetExtraGaugeSource([queues](Cycles, SampleGauges* g) {
-        for (const RequestQueue* q : queues) {
-          g->serve_queue_depth += q->size();
+      system->SetExtraGaugeSource([this, d, end](Cycles, SampleGauges* g) {
+        for (size_t i = d; i < end; ++i) {
+          g->serve_queue_depth += domains_[i]->queue().size();
         }
       });
     }

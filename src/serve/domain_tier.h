@@ -129,11 +129,9 @@ class ServeDomain {
 
   uint32_t index() const { return index_; }
   System& system() { return *system_; }
-  const System& system() const { return *system_; }
   const RequestQueue& queue() const { return queue_; }
   const ServiceStats& stats() const { return stats_; }
   AttributionCollector& attribution() { return attribution_; }
-  const AttributionCollector& attribution() const { return attribution_; }
 
  private:
   struct Worker {

@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "src/common/check.h"
-#include "src/common/random.h"
 
 namespace pmemsim {
 namespace {
@@ -22,10 +21,6 @@ uint32_t CcehDepthFor(uint64_t keys) {
 }
 
 }  // namespace
-
-uint64_t ServeSubSeed(uint64_t seed, uint32_t shard, uint32_t stream) {
-  return Mix64(seed + 0x9E3779B97F4A7C15ull * (uint64_t{shard} * 8 + stream + 1));
-}
 
 const char* StoreName(StoreKind kind) {
   switch (kind) {

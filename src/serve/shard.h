@@ -29,11 +29,6 @@ std::optional<StoreKind> StoreByName(const std::string& name);
 enum class LoopMode : uint8_t { kClosed, kOpen };
 const char* LoopModeName(LoopMode mode);
 
-// Decorrelated per-(slot, stream) seed so every stochastic source — load-key
-// order, op mix, key skew, think times, arrivals — draws from its own stream
-// (the tier dispatcher's streams, src/serve/dispatch.cc).
-uint64_t ServeSubSeed(uint64_t seed, uint32_t shard, uint32_t stream);
-
 // TraceMarker id emitted on every worker context when the measured serve
 // phase opens. The marker is the trace-visible twin of the queue's
 // BeginPhase() accounting boundary (src/serve/request_queue.h).

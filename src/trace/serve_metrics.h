@@ -81,7 +81,6 @@ class ServeMetrics {
   // to this series' origin/interval. Call after Begin; the owner drives the
   // returned sampler (Scheduler::Run / RunUntil observation hooks).
   Sampler* AttachMemSampler(const Counters* counters, Sampler::GaugeFn gauges);
-  Sampler* mem_sampler() { return sampler_.get(); }
 
   void RecordAdmission(Cycles t);
   void RecordShed(Cycles t);
