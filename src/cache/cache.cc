@@ -1,6 +1,5 @@
 #include "src/cache/cache.h"
 
-#include <algorithm>
 #include <bit>
 
 #if defined(__linux__)
@@ -57,11 +56,10 @@ SetAssocCache::SetAssocCache(const CacheLevelConfig& config) : config_(config) {
   }
   stride_ = (4 * config.ways + 7) & ~size_t{7};  // whole 64 B lines per set
   ways_mask_ = config.ways == 32 ? ~0u : (1u << config.ways) - 1u;
-  block_words_ = sets_ * stride_;
-  blocks_.reset(static_cast<uint64_t*>(
-      ::operator new[](block_words_ * sizeof(uint64_t), std::align_val_t{64})));
-  AdviseHugePages(blocks_.get(), block_words_ * sizeof(uint64_t));
-  std::fill_n(blocks_.get(), block_words_, 0);
+  const size_t block_bytes = sets_ * stride_ * sizeof(uint64_t);
+  blocks_.reset(static_cast<uint64_t*>(::operator new[](block_bytes, std::align_val_t{64})));
+  AdviseHugePages(blocks_.get(), block_bytes);
+  // Left uninitialized: the masks below gate every read (see Tag()).
   valid_mask_.assign(sets_, 0);
   ready_mask_.assign(sets_, 0);
   pending_mask_.assign(sets_, 0);
@@ -139,7 +137,6 @@ void SetAssocCache::ApplyPendingInvalidate(Addr line_addr) {
 }
 
 void SetAssocCache::Clear() {
-  std::fill_n(blocks_.get(), block_words_, 0);
   valid_mask_.assign(valid_mask_.size(), 0);
   ready_mask_.assign(ready_mask_.size(), 0);
   pending_mask_.assign(pending_mask_.size(), 0);

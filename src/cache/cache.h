@@ -138,6 +138,10 @@ class SetAssocCache {
   // LRU words the insert after a miss scans. The ready_at/pending_at
   // quarters are cold: per-set ready/pending bitmasks gate every read and
   // write of them, so the demand path never touches those lines at all.
+  // Likewise a way's tag and LRU words mean something only while its valid
+  // bit is set. Every word is written before its mask bit is set, so the
+  // array is never zeroed: an untouched cache costs no host memory, and
+  // Clear() is a mask reset.
   // `w` below is a block-coordinate way handle: set * stride_ + way.
   Addr& Tag(size_t w) { return blocks_[w]; }
   Addr Tag(size_t w) const { return blocks_[w]; }
@@ -169,7 +173,6 @@ class SetAssocCache {
   CacheLevelConfig config_;
   size_t sets_;
   size_t stride_;         // 4 * ways rounded up to whole 64 B lines
-  size_t block_words_;    // sets_ * stride_
   uint64_t set_mask_;     // sets_ - 1 when sets_ is a power of two, else 0
   uint64_t mod_mul_;      // ceil(2^64 / sets_) when set_mask_ == 0, else 0
   uint32_t ways_mask_;    // low config_.ways bits set
@@ -289,10 +292,12 @@ inline EvictedLine SetAssocCache::Insert(Addr line_addr, Cycles now, bool dirty,
       free |= 1u << i;
     }
   }
+  // A free way's block words are stale (or were never written), so only the
+  // all-ways-valid LRU branch reads the line it evicts.
   size_t victim;
+  EvictedLine evicted;
   if (free != 0) {
     victim = base + static_cast<uint32_t>(std::countr_zero(free));
-    ClearValid(set, victim);
   } else {
     victim = base;
     for (uint32_t i = 1; i < config_.ways; ++i) {
@@ -300,10 +305,6 @@ inline EvictedLine SetAssocCache::Insert(Addr line_addr, Cycles now, bool dirty,
         victim = base + i;
       }
     }
-  }
-
-  EvictedLine evicted;
-  if ((Tag(victim) & kValid) != 0) {
     evicted = {Tag(victim) & kTagMask, true, (Tag(victim) & kDirty) != 0};
   }
   const uint32_t bit = 1u << (victim - base);

@@ -28,8 +28,7 @@ BackingStore::Page& BackingStore::Radix::Ensure(uint64_t pageno, size_t* allocat
   }
   std::unique_ptr<Page>& slot = root_[chunk]->pages[pageno & (kLeafSize - 1)];
   if (!slot) {
-    slot = std::make_unique<Page>();
-    slot->fill(0);
+    slot = std::make_unique<Page>();  // value-initialized: zero-filled
     ++*allocated;
   }
   return *slot;

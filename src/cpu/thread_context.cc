@@ -93,9 +93,10 @@ void ThreadContext::RecordPersistOp(AttributionCollector::Op op, Cycles t0, Cycl
   }
 }
 
-uint64_t ThreadContext::LoadInternal(Addr addr, bool train) {
-  // Every load ends with backing_->ReadU64(addr), so start the host fetch of
-  // that page first: it overlaps the whole simulated walk. No simulated
+// Marked inline: it is on every timed load's path.
+inline const HierAccessResult& ThreadContext::TimeLoad(Addr addr, bool train) {
+  // A timed load usually ends with backing_->ReadU64(addr), so start the host
+  // fetch of that page first: it overlaps the whole simulated walk. No simulated
   // effect (dependent-chase shapes cannot hint their next address early, so
   // this entry-point overlap is all the host parallelism they get). Skipped
   // when an explicit hint already warmed the line one operation ago.
@@ -111,12 +112,9 @@ uint64_t ThreadContext::LoadInternal(Addr addr, bool train) {
         const Cycles latency = ScaleCore(hier_->l1().hit_latency());
         last_access_ = {1, latency, 0};
         clock_ += latency;
-        if (attribution_ != nullptr) {
-          HierAccessResult early;
-          early.hit_level = 1;
-          RecordMemAccess(AttributionCollector::kLoad, latency, early);
-        }
-        return backing_->ReadU64(addr);
+        HierAccessResult& early = *arena_.Alloc();
+        early.hit_level = 1;
+        return early;
       }
     }
   }
@@ -128,8 +126,13 @@ uint64_t ThreadContext::LoadInternal(Addr addr, bool train) {
   }
   last_access_ = {r.hit_level, latency, r.stalled_for};
   clock_ += latency;
+  return r;
+}
+
+uint64_t ThreadContext::LoadInternal(Addr addr, bool train) {
+  const HierAccessResult& r = TimeLoad(addr, train);
   if (attribution_ != nullptr) {
-    RecordMemAccess(AttributionCollector::kLoad, latency, r);
+    RecordMemAccess(AttributionCollector::kLoad, last_access_.latency, r);
   }
   return backing_->ReadU64(addr);
 }
@@ -137,12 +140,22 @@ uint64_t ThreadContext::LoadInternal(Addr addr, bool train) {
 void ThreadContext::LoadMulti(const Addr* addrs, size_t count) {
   const Cycles start = clock_;
   Cycles latest = start;
+  // The loads overlap, so only the slowest one is on the critical path.
+  // Attribution records the group as that one load: its stages then sum to
+  // the clock advance, as they do for every other operation.
+  HierAccessResult critical;
   for (size_t i = 0; i < count; ++i) {
     clock_ = start;
-    (void)LoadInternal(addrs[i], /*train=*/true);
-    latest = std::max(latest, clock_);
+    const HierAccessResult& r = TimeLoad(addrs[i], /*train=*/true);
+    if (i == 0 || clock_ > latest) {
+      latest = clock_;
+      critical = r;
+    }
   }
   clock_ = latest;
+  if (attribution_ != nullptr && count != 0) {
+    RecordMemAccess(AttributionCollector::kLoad, latest - start, critical);
+  }
   if (recorder_ != nullptr) {
     recorder_->RecordMulti(trace_tid_, addrs, count, clock_);
   }

@@ -192,6 +192,10 @@ class ThreadContext {
 
   void TrackPersist(Addr line, Cycles accepted_at, bool is_flush);
   void DrainRetired();
+  // Times one load from clock_ and advances the clock past it; returns where
+  // its latency went (the record stays valid until the next access).
+  const HierAccessResult& TimeLoad(Addr addr, bool train);
+  // TimeLoad plus attribution; returns the loaded word.
   uint64_t LoadInternal(Addr addr, bool train);
   // Binds the flush member-function pointers and sizes the persist ring
   // (shared tail of both constructors).

@@ -34,13 +34,7 @@ void PersistTracker::OnStore(Addr addr, uint64_t len, Cycles now) {
   if (eadr_) {
     // The caches are inside the persistence domain: the store is durable the
     // moment it retires, so snapshot the bytes now.
-    Record rec;
-    rec.addr = addr;
-    rec.len = static_cast<uint32_t>(len);
-    rec.retired_store = true;
-    rec.data.resize(len);
-    system_->backing().Read(addr, rec.data.data(), len);
-    records_.push_back(std::move(rec));
+    AddRecord(addr, static_cast<uint32_t>(len), /*retired_store=*/true, /*accepted_at=*/0);
     return;
   }
   // ADR: the bytes sit in a volatile cache until a write-back reaches the
@@ -48,26 +42,31 @@ void PersistTracker::OnStore(Addr addr, uint64_t len, Cycles now) {
   const Addr first = CacheLineBase(addr);
   const Addr last = CacheLineBase(addr + len - 1);
   for (Addr line = first; line <= last; line += kCacheLineSize) {
-    dirty_lines_.insert(line);
+    dirty_lines_.Insert(line, true);
   }
   PurgeMatured(now);
   SampleWindow();
 }
 
+void PersistTracker::AddRecord(Addr addr, uint32_t len, bool retired_store, Cycles accepted_at) {
+  Record& rec = records_.emplace_back();
+  rec.addr = addr;
+  rec.len = len;
+  rec.retired_store = retired_store;
+  rec.accepted_at = accepted_at;
+  rec.data_offset = snapshots_.size();
+  snapshots_.resize(snapshots_.size() + len);
+  system_->backing().Read(addr, snapshots_.data() + rec.data_offset, len);
+}
+
 void PersistTracker::OnPmWrite(Addr line, Cycles issue, Cycles accepted_at,
                                Cycles drained_at) {
-  Record rec;
-  rec.addr = line;
-  rec.len = kCacheLineSize;
-  rec.accepted_at = accepted_at;
-  rec.data.resize(kCacheLineSize);
-  system_->backing().Read(line, rec.data.data(), kCacheLineSize);
-  records_.push_back(std::move(rec));
+  AddRecord(line, kCacheLineSize, /*retired_store=*/false, accepted_at);
 
   if (!eadr_) {
-    dirty_lines_.erase(line);  // the line left the cache hierarchy
+    dirty_lines_.Erase(line);  // the line left the cache hierarchy
     ++inflight_[line];
-    accept_fifo_.emplace_back(line, accepted_at);
+    pending_accepts_.emplace(accepted_at, line);
   }
   // Sample at issue time: the new line sits in the WPQ entry path, not yet
   // accepted (issue < accepted_at), which is exactly the vulnerable moment.
@@ -88,18 +87,14 @@ void PersistTracker::OnFence(Cycles now) {
 void PersistTracker::PurgeMatured(Cycles now) {
   accept_watermark_ = std::max(accept_watermark_, now);
   // Retire every pending write the WPQ has accepted by the watermark.
-  auto matured = [this](const std::pair<Addr, Cycles>& p) {
-    if (p.second > accept_watermark_) {
-      return false;
+  while (!pending_accepts_.empty() && pending_accepts_.top().first <= accept_watermark_) {
+    const Addr line = pending_accepts_.top().second;
+    pending_accepts_.pop();
+    uint32_t* count = inflight_.Find(line);
+    if (count != nullptr && --*count == 0) {
+      inflight_.Erase(line);
     }
-    auto it = inflight_.find(p.first);
-    if (it != inflight_.end() && --it->second == 0) {
-      inflight_.erase(it);
-    }
-    return true;
-  };
-  accept_fifo_.erase(std::remove_if(accept_fifo_.begin(), accept_fifo_.end(), matured),
-                     accept_fifo_.end());
+  }
 }
 
 void PersistTracker::SampleWindow() {
@@ -108,11 +103,11 @@ void PersistTracker::SampleWindow() {
   if (!eadr_) {
     in_cache = kCacheLineSize * dirty_lines_.size();
     in_wpq = kCacheLineSize * inflight_.size();
-    for (const auto& [addr, count] : inflight_) {
-      if (dirty_lines_.count(addr) != 0) {
+    inflight_.ForEach([&](Addr addr, uint32_t) {
+      if (dirty_lines_.Contains(addr)) {
         overlap += kCacheLineSize;  // re-dirtied while still in flight
       }
-    }
+    });
   }
   const uint64_t vulnerable = in_cache + in_wpq - overlap;
   stats_.max_in_cache_bytes = std::max(stats_.max_in_cache_bytes, in_cache);
@@ -137,9 +132,10 @@ PersistTracker::MaterializeResult PersistTracker::Materialize(
   MaterializeResult result;
   for (size_t i = 0; i < records_.size(); ++i) {
     const Record& rec = records_[i];
+    const uint8_t* data = snapshots_.data() + rec.data_offset;
     const bool durable = eadr_ || rec.retired_store || rec.accepted_at <= crash_now;
     if (durable) {
-      out->Write(rec.addr, rec.data.data(), rec.len);
+      out->Write(rec.addr, data, rec.len);
       ++result.durable_writes;
       continue;
     }
@@ -150,7 +146,7 @@ PersistTracker::MaterializeResult PersistTracker::Materialize(
     Rng rng(Mix64(tear_seed + 0x9E3779B97F4A7C15ull * (i + 1)));
     const uint64_t fate = rng.NextBelow(3);
     if (fate == 0) {
-      out->Write(rec.addr, rec.data.data(), rec.len);
+      out->Write(rec.addr, data, rec.len);
       ++result.survived_writes;
     } else if (fate == 1) {
       ++result.lost_writes;  // the old bytes stay
@@ -161,12 +157,12 @@ PersistTracker::MaterializeResult PersistTracker::Materialize(
       for (uint32_t off = 0; off < rec.len; off += 8) {
         const uint32_t span = std::min<uint32_t>(8, rec.len - off);
         if ((rng.Next() & 1) != 0) {
-          out->Write(rec.addr + off, rec.data.data() + off, span);
+          out->Write(rec.addr + off, data + off, span);
         } else if (granularity == TearGranularity::kSubword) {
           const uint32_t prefix =
               std::min<uint32_t>(static_cast<uint32_t>(rng.NextBelow(9)), span);
           if (prefix > 0) {
-            out->Write(rec.addr + off, rec.data.data() + off, prefix);
+            out->Write(rec.addr + off, data + off, prefix);
           }
         }
       }

@@ -29,12 +29,13 @@
 #define SRC_CRASH_PERSIST_TRACKER_H_
 
 #include <cstdint>
-#include <deque>
-#include <unordered_map>
-#include <unordered_set>
+#include <functional>
+#include <queue>
+#include <utility>
 #include <vector>
 
 #include "src/common/backing_store.h"
+#include "src/common/flat_map.h"
 #include "src/common/types.h"
 #include "src/core/system.h"
 #include "src/crash/crash_injector.h"
@@ -109,8 +110,11 @@ class PersistTracker : public PersistObserver {
     // accepted_at (ADR) or are likewise unconditional (eADR).
     bool retired_store = false;
     Cycles accepted_at = 0;
-    std::vector<uint8_t> data;
+    size_t data_offset = 0;  // the written bytes: snapshots_[data_offset, +len)
   };
+
+  // Appends a record of [addr, addr + len) with its current bytes.
+  void AddRecord(Addr addr, uint32_t len, bool retired_store, Cycles accepted_at);
 
   // MemoryController hook: an Optane-bound cacheline write.
   void OnPmWrite(Addr line, Cycles issue, Cycles accepted_at, Cycles drained_at);
@@ -125,12 +129,15 @@ class PersistTracker : public PersistObserver {
   System* system_ = nullptr;
   CrashInjector* injector_ = nullptr;
   std::vector<Record> records_;
+  std::vector<uint8_t> snapshots_;  // every record's bytes, back to back
 
-  // ADR bookkeeping for the vulnerable-byte stats (never used for output
-  // iteration, so unordered containers are safe):
-  std::unordered_set<Addr> dirty_lines_;            // written, not yet at the iMC
-  std::unordered_map<Addr, uint32_t> inflight_;     // at the iMC, not yet accepted
-  std::deque<std::pair<Addr, Cycles>> accept_fifo_; // pending accepts by time
+  // ADR bookkeeping for the vulnerable-byte stats. The stats are sums and
+  // maxima over these sets, never ordered output, so hash order is safe.
+  FlatMap<Addr, bool> dirty_lines_;   // written, not yet at the iMC
+  FlatMap<Addr, uint32_t> inflight_;  // at the iMC, not yet accepted (count)
+  // Pending accepts as (accepted_at, line), earliest on top.
+  using PendingAccept = std::pair<Cycles, Addr>;
+  std::priority_queue<PendingAccept, std::vector<PendingAccept>, std::greater<>> pending_accepts_;
   Cycles accept_watermark_ = 0;
   Stats stats_;
 };

@@ -18,14 +18,16 @@ std::string U64(uint64_t v) { return std::to_string(v); }
 
 }  // namespace
 
-void ValidateCceh(ThreadContext& ctx, const CcehExpectation& exp, ValidationReport* report) {
+void ValidateCceh(const BackingStore& image, const CcehExpectation& exp, ValidationReport* report) {
   const uint64_t dir_entries = 1ull << exp.global_depth;
 
   // Every acked insert must be found by the published probe procedure.
-  for (const auto& [key, value] : exp.acked) {
+  for (const auto& acked : exp.acked) {
+    const uint64_t key = acked.first;
+    const uint64_t value = acked.second;
     const uint64_t hash = Mix64(key);
     const uint64_t dir_index = exp.global_depth == 0 ? 0 : hash >> (64 - exp.global_depth);
-    const Addr segment = ctx.Load64(exp.directory + dir_index * 8);
+    const Addr segment = image.ReadU64(exp.directory + dir_index * 8);
     const uint64_t bucket = hash & (Cceh::kBucketsPerSegment - 1);
     bool found = false;
     uint64_t got = 0;
@@ -34,17 +36,18 @@ void ValidateCceh(ThreadContext& ctx, const CcehExpectation& exp, ValidationRepo
       const Addr bucket_addr = segment + Cceh::kSegmentHeaderSize + b * kCacheLineSize;
       for (uint64_t slot = 0; slot < Cceh::kSlotsPerBucket; ++slot) {
         const Addr slot_addr = bucket_addr + slot * Cceh::kSlotSize;
-        if (ctx.Load64(slot_addr) == key) {
-          got = ctx.Load64(slot_addr + 8);
+        if (image.ReadU64(slot_addr) == key) {
+          got = image.ReadU64(slot_addr + 8);
           found = true;
           break;
         }
       }
     }
-    report->Check(found, "cceh: acked key " + U64(key) + " not found");
+    report->Check(found, [&] { return "cceh: acked key " + U64(key) + " not found"; });
     if (found) {
-      report->Check(got == value, "cceh: key " + U64(key) + " has value " + U64(got) +
-                                      ", want " + U64(value));
+      report->Check(got == value, [&] {
+        return "cceh: key " + U64(key) + " has value " + U64(got) + ", want " + U64(value);
+      });
     }
   }
 
@@ -54,7 +57,7 @@ void ValidateCceh(ThreadContext& ctx, const CcehExpectation& exp, ValidationRepo
   std::vector<Addr> segments;
   segments.reserve(dir_entries);
   for (uint64_t i = 0; i < dir_entries; ++i) {
-    segments.push_back(ctx.Load64(exp.directory + i * 8));
+    segments.push_back(image.ReadU64(exp.directory + i * 8));
   }
   std::sort(segments.begin(), segments.end());
   segments.erase(std::unique(segments.begin(), segments.end()), segments.end());
@@ -62,27 +65,28 @@ void ValidateCceh(ThreadContext& ctx, const CcehExpectation& exp, ValidationRepo
     for (uint64_t b = 0; b < Cceh::kBucketsPerSegment; ++b) {
       const Addr bucket_addr = segment + Cceh::kSegmentHeaderSize + b * kCacheLineSize;
       for (uint64_t slot = 0; slot < Cceh::kSlotsPerBucket; ++slot) {
-        const uint64_t key = ctx.Load64(bucket_addr + slot * Cceh::kSlotSize);
+        const uint64_t key = image.ReadU64(bucket_addr + slot * Cceh::kSlotSize);
         if (key != Cceh::kInvalidKey && exp.attempted.count(key) == 0) {
-          report->Fail("cceh: phantom key " + U64(key) + " in segment " + U64(segment));
+          report->Fail(
+              [&] { return "cceh: phantom key " + U64(key) + " in segment " + U64(segment); });
         }
       }
     }
   }
 }
 
-void ValidateFastFair(ThreadContext& ctx, const FastFairExpectation& exp,
+void ValidateFastFair(const BackingStore& image, const FastFairExpectation& exp,
                       ValidationReport* report) {
   // Descend entry-0 children to the leftmost leaf. Entry 0 of an internal
   // node is never shifted (insert positions are >= 1 past the kMinKey
   // sentinel), so this path is stable across in-flight insertions.
-  Addr node = ctx.Load64(exp.meta);
-  for (int depth = 0; ctx.Load64(node + 8) == 0; ++depth) {
+  Addr node = image.ReadU64(exp.meta);
+  for (int depth = 0; image.ReadU64(node + 8) == 0; ++depth) {
     if (depth > 64) {
-      report->Fail("fastfair: descent exceeded 64 levels");
+      report->Fail([] { return std::string("fastfair: descent exceeded 64 levels"); });
       return;
     }
-    node = ctx.Load64(FastFairTree::kEntriesOffset + node + 8);
+    node = image.ReadU64(FastFairTree::kEntriesOffset + node + 8);
   }
 
   // Walk the leaf sibling chain left to right.
@@ -92,13 +96,15 @@ void ValidateFastFair(ThreadContext& ctx, const FastFairExpectation& exp,
   bool have_prev = false;
   while (node != 0) {
     if (++nodes > exp.max_nodes) {
-      report->Fail("fastfair: leaf chain exceeded " + U64(exp.max_nodes) +
-                   " nodes (cycle?)");
+      report->Fail([&] {
+        return "fastfair: leaf chain exceeded " + U64(exp.max_nodes) + " nodes (cycle?)";
+      });
       break;
     }
-    const uint64_t count = ctx.Load64(node);
+    const uint64_t count = image.ReadU64(node);
     if (count > FastFairTree::kMaxEntries) {
-      report->Fail("fastfair: node " + U64(node) + " count " + U64(count) + " out of range");
+      report->Fail(
+          [&] { return "fastfair: node " + U64(node) + " count " + U64(count) + " out of range"; });
       break;
     }
     uint64_t keys[FastFairTree::kMaxEntries];
@@ -106,8 +112,8 @@ void ValidateFastFair(ThreadContext& ctx, const FastFairExpectation& exp,
     bool valid[FastFairTree::kMaxEntries];
     for (uint64_t i = 0; i < count; ++i) {
       const Addr entry = node + FastFairTree::kEntriesOffset + i * FastFairTree::kEntrySize;
-      keys[i] = ctx.Load64(entry);
-      vals[i] = ctx.Load64(entry + 8);
+      keys[i] = image.ReadU64(entry);
+      vals[i] = image.ReadU64(entry + 8);
     }
     // FAST&FAIR's transient-state filter. Rule 1: an entry whose value
     // duplicates its left neighbor's is a mid-shift copy (the left one is
@@ -141,29 +147,37 @@ void ValidateFastFair(ThreadContext& ctx, const FastFairExpectation& exp,
         continue;
       }
       if (have_prev) {
-        report->Check(keys[i] >= prev_key, "fastfair: key " + U64(keys[i]) +
-                                               " out of order after " + U64(prev_key));
+        report->Check(keys[i] >= prev_key, [&] {
+          return "fastfair: key " + U64(keys[i]) + " out of order after " + U64(prev_key);
+        });
       }
       prev_key = keys[i];
       have_prev = true;
       auto it = exp.attempted.find(keys[i]);
       if (it == exp.attempted.end()) {
-        report->Fail("fastfair: phantom key " + U64(keys[i]));
+        report->Fail([&] { return "fastfair: phantom key " + U64(keys[i]); });
       } else {
-        report->Check(it->second == vals[i], "fastfair: key " + U64(keys[i]) + " has value " +
-                                                 U64(vals[i]) + ", want " + U64(it->second));
+        report->Check(it->second == vals[i], [&] {
+          return "fastfair: key " + U64(keys[i]) + " has value " + U64(vals[i]) + ", want " +
+                 U64(it->second);
+        });
         found.emplace(keys[i], vals[i]);
       }
     }
-    node = ctx.Load64(node + 16);  // sibling pointer
+    node = image.ReadU64(node + 16);  // sibling pointer
   }
 
-  for (const auto& [key, value] : exp.acked) {
+  for (const auto& acked : exp.acked) {
+    const uint64_t key = acked.first;
+    const uint64_t value = acked.second;
     auto it = found.find(key);
-    report->Check(it != found.end(), "fastfair: acked key " + U64(key) + " not found");
+    report->Check(it != found.end(),
+                  [&] { return "fastfair: acked key " + U64(key) + " not found"; });
     if (it != found.end()) {
-      report->Check(it->second == value, "fastfair: acked key " + U64(key) + " has value " +
-                                             U64(it->second) + ", want " + U64(value));
+      report->Check(it->second == value, [&] {
+        return "fastfair: acked key " + U64(key) + " has value " + U64(it->second) + ", want " +
+               U64(value);
+      });
     }
   }
 }
@@ -175,7 +189,7 @@ void ValidateFlatLog(System* fresh, ThreadContext& ctx, const FlatLogExpectation
     uint8_t got[FlatLog::kSlotSize];
     ctx.Read(exp.region.base + slot * FlatLog::kSlotSize, got, sizeof(got));
     report->Check(std::memcmp(got, exp.slot_images[slot].data(), sizeof(got)) == 0,
-                  "flatlog: acked slot " + U64(slot) + " image mismatch");
+                  [&] { return "flatlog: acked slot " + U64(slot) + " image mismatch"; });
   }
 
   // The unacked tail: torn nt-store batches over fresh (zero) slots. A slot
@@ -194,21 +208,24 @@ void ValidateFlatLog(System* fresh, ThreadContext& ctx, const FlatLogExpectation
       continue;
     }
     if (key != 0 && exp.attempted.count(key) == 0) {
-      report->Fail("flatlog: phantom key " + U64(key) + " in unacked slot " + U64(slot));
+      report->Fail(
+          [&] { return "flatlog: phantom key " + U64(key) + " in unacked slot " + U64(slot); });
     }
   }
 
   // Real recovery: rebuild the index and point-read every acked key.
   FlatLog log(fresh, exp.region);
   log.Recover(ctx);
-  for (const auto& [key, payload] : exp.acked_kv) {
+  for (const auto& acked : exp.acked_kv) {
+    const uint64_t key = acked.first;
+    const std::vector<uint8_t>& payload = acked.second;
     uint8_t out[FlatLog::kMaxPayload];
     uint32_t len = 0;
     const bool ok = log.Get(ctx, key, out, &len);
-    report->Check(ok, "flatlog: acked key " + U64(key) + " missing after Recover");
+    report->Check(ok, [&] { return "flatlog: acked key " + U64(key) + " missing after Recover"; });
     if (ok) {
       report->Check(len == payload.size() && std::memcmp(out, payload.data(), len) == 0,
-                    "flatlog: acked key " + U64(key) + " payload mismatch");
+                    [&] { return "flatlog: acked key " + U64(key) + " payload mismatch"; });
     }
   }
 }
@@ -225,8 +242,10 @@ void ValidateRedo(System* fresh, ThreadContext& ctx, const RedoExpectation& exp,
     auto it = std::find_if(exp.inflight.begin(), exp.inflight.end(),
                            [i](const auto& p) { return p.first == i; });
     if (it == exp.inflight.end()) {
-      report->Check(got == old_value, "redo: target " + U64(i) + " holds " + U64(got) +
-                                          ", want committed " + U64(old_value));
+      report->Check(got == old_value, [&] {
+        return "redo: target " + U64(i) + " holds " + U64(got) + ", want committed " +
+               U64(old_value);
+      });
       continue;
     }
     if (got == old_value) {
@@ -236,16 +255,18 @@ void ValidateRedo(System* fresh, ThreadContext& ctx, const RedoExpectation& exp,
       ++took_new;
       ++report->checks;
     } else {
-      report->Fail("redo: in-flight target " + U64(i) + " holds " + U64(got) +
-                   ", want " + U64(old_value) +
-                   (exp.inflight_reached_commit ? " or " + U64(it->second) : ""));
+      report->Fail([&] {
+        return "redo: in-flight target " + U64(i) + " holds " + U64(got) + ", want " +
+               U64(old_value) + (exp.inflight_reached_commit ? " or " + U64(it->second) : "");
+      });
     }
   }
   // The commit record covers the whole group: recovery must replay all of
   // the in-flight transaction or none of it.
-  report->Check(took_new == 0 || took_old == 0,
-                "redo: in-flight transaction partially applied (" + U64(took_new) +
-                    " new, " + U64(took_old) + " old)");
+  report->Check(took_new == 0 || took_old == 0, [&] {
+    return "redo: in-flight transaction partially applied (" + U64(took_new) + " new, " +
+           U64(took_old) + " old)";
+  });
 }
 
 void ValidateUndo(System* fresh, ThreadContext& ctx, const UndoExpectation& exp,
@@ -263,12 +284,15 @@ void ValidateUndo(System* fresh, ThreadContext& ctx, const UndoExpectation& exp,
   }
   const bool is_a = image == exp.committed;
   const bool is_b = exp.inflight_reached_commit && image == state_b;
-  report->Check(is_a || is_b, "undo: recovered image is neither state A nor state B");
+  report->Check(is_a || is_b,
+                [] { return std::string("undo: recovered image is neither state A nor state B"); });
   if (!(is_a || is_b)) {
     for (size_t i = 0; i < image.size(); ++i) {
       if (image[i] != exp.committed[i] && image[i] != state_b[i]) {
-        report->Fail("undo: field " + U64(i) + " holds " + U64(image[i]) + ", want " +
-                     U64(exp.committed[i]) + " or " + U64(state_b[i]));
+        report->Fail([&] {
+          return "undo: field " + U64(i) + " holds " + U64(image[i]) + ", want " +
+                 U64(exp.committed[i]) + " or " + U64(state_b[i]);
+        });
       }
     }
   }

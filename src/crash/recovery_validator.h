@@ -3,7 +3,10 @@
 // Each Validate* function inspects a MATERIALIZED durable image (a fresh
 // System whose BackingStore was populated by PersistTracker::Materialize) and
 // checks the structure's crash-consistency contract against what the workload
-// knows it did:
+// knows it did. CCEH and FAST&FAIR have no recovery step, so their checks
+// read the image's bytes straight from the BackingStore, untimed; the logs
+// run their structure's real Recover through a ThreadContext on the image.
+// The checks are:
 //
 //  - acked operations (the call returned before the crash) must be fully
 //    visible with their exact values;
@@ -27,6 +30,7 @@
 #include <utility>
 #include <vector>
 
+#include "src/common/backing_store.h"
 #include "src/common/types.h"
 #include "src/core/system.h"
 #include "src/cpu/thread_context.h"
@@ -40,17 +44,22 @@ struct ValidationReport {
 
   static constexpr size_t kMaxMessages = 4;
 
-  // Records one invariant check; on failure counts it and keeps the message.
-  void Check(bool ok, const std::string& message) {
+  // Records one invariant check; on failure counts it as a violation.
+  // `message` is a callable returning the violation's std::string. It runs
+  // only for a violation that is kept, so passing checks (and violations
+  // past the first kMaxMessages) build no string.
+  template <typename MessageFn>
+  void Check(bool ok, MessageFn&& message) {
     ++checks;
     if (!ok) {
       Fail(message);
     }
   }
-  void Fail(const std::string& message) {
+  template <typename MessageFn>
+  void Fail(MessageFn&& message) {
     ++violations;
     if (messages.size() < kMaxMessages) {
-      messages.push_back(message);
+      messages.push_back(message());
     }
   }
 };
@@ -66,7 +75,7 @@ struct CcehExpectation {
   std::vector<std::pair<uint64_t, uint64_t>> acked;  // key -> value, ack order
   std::unordered_set<uint64_t> attempted;            // every key ever attempted
 };
-void ValidateCceh(ThreadContext& ctx, const CcehExpectation& exp, ValidationReport* report);
+void ValidateCceh(const BackingStore& image, const CcehExpectation& exp, ValidationReport* report);
 
 // ---- FAST&FAIR ----
 // Walks the leaf chain from the leftmost leaf, filters transient duplicate
@@ -79,7 +88,7 @@ struct FastFairExpectation {
   std::unordered_map<uint64_t, uint64_t> attempted;  // key -> planned value
   uint64_t max_nodes = 0;                            // chain-walk budget (cycle guard)
 };
-void ValidateFastFair(ThreadContext& ctx, const FastFairExpectation& exp,
+void ValidateFastFair(const BackingStore& image, const FastFairExpectation& exp,
                       ValidationReport* report);
 
 // ---- FlatLog ----

@@ -42,12 +42,12 @@ class CcehCrashWorkload : public CrashWorkload {
   }
 
   void Validate(System& fresh, ThreadContext& ctx, ValidationReport* report) override {
-    (void)fresh;
+    (void)ctx;
     // The volatile directory pointer/depth are consistent at every crash
     // point: DoubleDirectory persists the new directory before switching.
     exp_.directory = cceh_->directory_addr();
     exp_.global_depth = cceh_->global_depth();
-    ValidateCceh(ctx, exp_, report);
+    ValidateCceh(fresh.backing(), exp_, report);
   }
 
   uint64_t acked_ops() const override { return exp_.acked.size(); }
@@ -81,10 +81,10 @@ class FastFairCrashWorkload : public CrashWorkload {
   }
 
   void Validate(System& fresh, ThreadContext& ctx, ValidationReport* report) override {
-    (void)fresh;
+    (void)ctx;
     exp_.meta = tree_->meta_addr();
     exp_.max_nodes = tree_->node_count() * 4 + 16;
-    ValidateFastFair(ctx, exp_, report);
+    ValidateFastFair(fresh.backing(), exp_, report);
   }
 
   uint64_t acked_ops() const override { return exp_.acked.size(); }

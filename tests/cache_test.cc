@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <memory>
 #include <vector>
 
@@ -11,6 +12,7 @@
 #include "src/cache/hierarchy.h"
 #include "src/cache/prefetcher.h"
 #include "src/common/config.h"
+#include "src/common/random.h"
 #include "src/imc/memory_controller.h"
 
 namespace pmemsim {
@@ -114,6 +116,83 @@ TEST(SetAssocCacheTest, FillReadyAtDelaysAvailability) {
   // Ready time is consumed by the first access.
   EXPECT_TRUE(cache.Access(0, 600, false, nullptr, &avail));
   EXPECT_EQ(avail, 600u);
+}
+
+// Applies one seeded random operation over a few lines per set, so sets fill,
+// evict, and carry pending invalidations and fill-ready times. Returns every
+// observable result of the operation: its flags, ready time and evicted line.
+std::array<uint64_t, 3> RandomCacheOp(SetAssocCache& cache, Rng& rng, Cycles now) {
+  const Addr addr = rng.NextBelow(cache.sets() * 6) * kCacheLineSize + rng.NextBelow(64);
+  const uint64_t op = rng.NextBelow(7);
+  const bool flag_a = rng.NextBelow(2) == 0;
+  const bool flag_b = rng.NextBelow(3) == 0;
+  const Cycles later = flag_b ? 0 : now + rng.NextBelow(100);
+  bool hit = false;
+  bool was_prefetched = false;
+  Cycles available_at = 0;
+  EvictedLine evicted;
+  SetAssocCache::InvalidateResult invalidated;
+  switch (op) {
+    case 0:
+      hit = cache.Access(addr, now, flag_a, &was_prefetched, &available_at);
+      break;
+    case 1:
+    case 2:
+      evicted = cache.Insert(addr, now, flag_a, flag_b, later);
+      break;
+    case 3:
+      invalidated = cache.WriteBack(addr, later, /*retain=*/flag_a);
+      break;
+    case 4:
+      invalidated = cache.Invalidate(addr);
+      break;
+    case 5:
+      hit = cache.Probe(addr, now);
+      break;
+    default:
+      hit = cache.ConsumePrefetchedFlag(addr, now);
+      cache.ApplyPendingInvalidate(addr);
+      break;
+  }
+  const uint64_t flags = hit | was_prefetched << 1 | evicted.valid << 2 | evicted.dirty << 3 |
+                         invalidated.was_present << 4 | invalidated.was_dirty << 5;
+  return {flags, available_at, evicted.line};
+}
+
+// The block array is never zeroed, so a cleared (or freshly built) cache must
+// behave exactly like a fresh one whatever stale words its blocks hold.
+TEST(SetAssocCacheTest, ClearedCacheBehavesLikeFreshCache) {
+  SetAssocCache cleared(SmallCache());
+  Rng fill(11);
+  for (Cycles now = 1; now <= 2000; ++now) {
+    (void)RandomCacheOp(cleared, fill, now);
+  }
+  cleared.Clear();
+
+  SetAssocCache fresh(SmallCache());
+  Rng a(29), b(29);
+  for (Cycles now = 3000; now < 8000; ++now) {
+    const std::array<uint64_t, 3> want = RandomCacheOp(fresh, a, now);
+    ASSERT_EQ(RandomCacheOp(cleared, b, now), want) << "diverged at cycle " << now;
+  }
+}
+
+TEST(SetAssocCacheTest, ExpiredPendingWayIsReusedWithoutEviction) {
+  SetAssocCache cache(SmallCache());
+  const uint64_t stride = cache.sets() * kCacheLineSize;  // same set
+  for (uint64_t i = 0; i < 4; ++i) {
+    cache.Insert(i * stride, i, /*dirty=*/true, false);
+  }
+  // Line 2's clwb invalidation is due at 100; by 200 its way is the set's
+  // only free way (every other way is valid, and line 0 is the LRU way).
+  cache.WriteBack(2 * stride, /*invalidate_at=*/100, /*retain=*/false);
+  const EvictedLine e = cache.Insert(4 * stride, 200, false, false);
+  EXPECT_FALSE(e.valid);  // dropped, not evicted: its write-back already left
+  EXPECT_FALSE(cache.Probe(2 * stride, 201));
+  EXPECT_TRUE(cache.Probe(4 * stride, 201));
+  for (const uint64_t i : {0u, 1u, 3u}) {
+    EXPECT_TRUE(cache.Probe(i * stride, 201)) << "line " << i;
+  }
 }
 
 // ---------- Hierarchy + prefetchers ----------

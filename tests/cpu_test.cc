@@ -8,6 +8,7 @@
 #include "src/api/pmem.h"
 #include "src/core/platform.h"
 #include "src/cpu/scheduler.h"
+#include "src/trace/attribution.h"
 
 namespace pmemsim {
 namespace {
@@ -151,6 +152,23 @@ TEST(ThreadContextTest, LoadMultiOverlaps) {
   const Cycles multi_cost = f.ctx->clock() - m0;
   EXPECT_LT(multi_cost, serial_cost);
   EXPECT_GE(multi_cost, serial_cost / 2);
+}
+
+TEST(ThreadContextTest, LoadMultiAttributesOnlyTheCriticalPath) {
+  // Overlapped loads are one critical-path access: the attributed cycles
+  // equal the clock advance, not the sum of the loads' latencies.
+  Fixture f;
+  AttributionCollector attribution;
+  f.ctx->SetAttribution(&attribution);
+  f.ctx->Load64(f.pm.base + KiB(64));  // one cache-hot line among the cold
+  const Addr addrs[3] = {f.pm.base, f.pm.base + KiB(64), f.pm.base + KiB(32)};
+  const uint64_t accesses_before = attribution.access_count();
+  const uint64_t total_before = attribution.end_to_end_total();
+  const Cycles m0 = f.ctx->clock();
+  f.ctx->LoadMulti(addrs, 3);
+  EXPECT_EQ(attribution.access_count() - accesses_before, 1u);
+  EXPECT_EQ(attribution.end_to_end_total() - total_before, f.ctx->clock() - m0);
+  EXPECT_EQ(attribution.StageTotalSum(), attribution.end_to_end_total());
 }
 
 TEST(ThreadContextTest, StreamCopyMovesData) {

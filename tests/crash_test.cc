@@ -16,6 +16,7 @@
 #include "src/crash/persist_tracker.h"
 #include "src/crash/recovery_validator.h"
 #include "src/crash/workloads.h"
+#include "src/datastores/cceh.h"
 
 namespace pmemsim {
 namespace {
@@ -287,6 +288,76 @@ TEST(RecoveryValidatorTest, BrokenPersistVariantIsCaught) {
   ASSERT_GT(cal.events, 0u);
   const PointResult r = RunPoint(platform, "cceh", opts, cal.events - 1, 7);
   EXPECT_GT(r.report.violations, 0u);
+}
+
+TEST(ValidationReportTest, BuildsMessagesOnlyForKeptViolations) {
+  ValidationReport report;
+  int built = 0;
+  const auto message = [&] {
+    ++built;
+    return "violation " + std::to_string(built);
+  };
+  report.Check(true, message);
+  EXPECT_EQ(built, 0);
+  for (size_t i = 0; i < ValidationReport::kMaxMessages + 3; ++i) {
+    report.Check(false, message);
+  }
+  EXPECT_EQ(report.checks, ValidationReport::kMaxMessages + 4);
+  EXPECT_EQ(report.violations, ValidationReport::kMaxMessages + 3);
+  EXPECT_EQ(built, static_cast<int>(ValidationReport::kMaxMessages));
+  ASSERT_EQ(report.messages.size(), ValidationReport::kMaxMessages);
+  EXPECT_EQ(report.messages.front(), "violation 1");
+}
+
+// The address of `key`'s slot in a CCEH image, found by scanning every live
+// segment (0 if absent).
+Addr FindCcehSlot(const BackingStore& image, const CcehExpectation& exp, uint64_t key) {
+  for (uint64_t i = 0; i < (1ull << exp.global_depth); ++i) {
+    const Addr segment = image.ReadU64(exp.directory + i * 8);
+    for (uint64_t b = 0; b < Cceh::kBucketsPerSegment; ++b) {
+      const Addr bucket = segment + Cceh::kSegmentHeaderSize + b * kCacheLineSize;
+      for (uint64_t slot = 0; slot < Cceh::kSlotsPerBucket; ++slot) {
+        if (image.ReadU64(bucket + slot * Cceh::kSlotSize) == key) {
+          return bucket + slot * Cceh::kSlotSize;
+        }
+      }
+    }
+  }
+  return 0;
+}
+
+TEST(RecoveryValidatorTest, CcehReportsCorruptedAckedValue) {
+  System system(G1Platform());
+  ThreadContext& ctx = system.CreateThread();
+  Cceh cceh(&system, ctx, /*initial_depth=*/1, MemoryKind::kOptane);
+  CcehExpectation exp;
+  for (uint64_t i = 0; i < 64; ++i) {
+    const uint64_t key = Mix64(i) | 1;
+    const uint64_t value = Mix64(key) | 1;
+    ASSERT_TRUE(cceh.Insert(ctx, key, value));
+    exp.attempted.insert(key);
+    exp.acked.emplace_back(key, value);
+  }
+  exp.directory = cceh.directory_addr();
+  exp.global_depth = cceh.global_depth();
+
+  ValidationReport clean;
+  ValidateCceh(system.backing(), exp, &clean);
+  EXPECT_EQ(clean.violations, 0u);
+  EXPECT_EQ(clean.checks, 2 * exp.acked.size());  // found + value, per acked key
+
+  const auto [key, value] = exp.acked[17];
+  const Addr slot = FindCcehSlot(system.backing(), exp, key);
+  ASSERT_NE(slot, 0u);
+  system.backing().WriteU64(slot + 8, 12345);
+  ValidationReport report;
+  ValidateCceh(system.backing(), exp, &report);
+  EXPECT_EQ(report.checks, clean.checks);
+  EXPECT_EQ(report.violations, 1u);
+  ASSERT_EQ(report.messages.size(), 1u);
+  const std::string want =
+      "cceh: key " + std::to_string(key) + " has value 12345, want " + std::to_string(value);
+  EXPECT_EQ(report.messages.front(), want);
 }
 
 TEST(PersistTrackerTest, EadrVulnerableWindowStrictlySmaller) {

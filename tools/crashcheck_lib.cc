@@ -174,7 +174,9 @@ int RunCrashcheck(int argc, char** argv) {
                  }
                  ValidationReport rep;
                  if (!out.crashed) {
-                   rep.Fail("crash point " + std::to_string(event_index) + " never fired");
+                   rep.Fail([event_index] {
+                     return "crash point " + std::to_string(event_index) + " never fired";
+                   });
                  } else {
                    out.kind = injector.fired_kind();
                    out.crash_cycles = injector.crash_now();
