@@ -85,14 +85,6 @@ void WriteBuffer::Tick(Cycles now, std::vector<WritebackRequest>& writebacks) {
   }
 }
 
-bool WriteBuffer::HoldsLine(Addr line_addr) const {
-  const uint32_t* pos = index_.Find(XPLineBase(line_addr));
-  if (pos == nullptr) {
-    return false;
-  }
-  return (entries_[*pos].valid_mask >> LineIndexInXPLine(line_addr)) & 1u;
-}
-
 bool WriteBuffer::ContainsXPLine(Addr addr) const {
   return index_.Contains(XPLineBase(addr));
 }

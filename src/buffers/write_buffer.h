@@ -62,15 +62,12 @@ class WriteBuffer {
   // Advances the periodic write-back clock; appends due full-line write-backs.
   void Tick(Cycles now, std::vector<WritebackRequest>& writebacks);
 
-  // True if the cacheline's latest value resides in the buffer.
-  bool HoldsLine(Addr line_addr) const;
-
   // True if the XPLine occupies an entry (dirty or clean).
   bool ContainsXPLine(Addr addr) const;
 
   // Everything the DIMM read path asks of the buffer, answered by a single
-  // index probe: HoldsLine, VisibleAt and ContainsXPLine for one cacheline.
-  // Semantically identical to calling the three methods back to back.
+  // index probe: whether the cacheline's latest value resides in the buffer,
+  // its VisibleAt, and ContainsXPLine.
   struct ReadSnoopResult {
     bool holds_line = false;       // valid data for this cacheline
     bool contains_xpline = false;  // the XPLine occupies an entry

@@ -110,16 +110,6 @@ SetAssocCache::InvalidateResult SetAssocCache::WriteBack(Addr line_addr, Cycles 
   return {};
 }
 
-bool SetAssocCache::ConsumePrefetchedFlag(Addr line_addr, Cycles now) {
-  size_t set;
-  const size_t w = FindWay(line_addr, now, &set);
-  if (w == kNone || (Tag(w) & kPrefetched) == 0) {
-    return false;
-  }
-  Tag(w) &= ~kPrefetched;
-  return true;
-}
-
 void SetAssocCache::ApplyPendingInvalidate(Addr line_addr) {
   const Addr line = CacheLineBase(line_addr);
   const size_t set = SetIndex(line);

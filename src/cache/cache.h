@@ -73,10 +73,6 @@ class SetAssocCache {
   // otherwise (G1) it is scheduled to invalidate at `invalidate_at`.
   InvalidateResult WriteBack(Addr line_addr, Cycles invalidate_at, bool retain);
 
-  // If the line is present and was filled by a prefetch that has not been
-  // demand-touched yet, clears the flag and returns true.
-  bool ConsumePrefetchedFlag(Addr line_addr, Cycles now);
-
   // Applies a scheduled (pending) invalidation immediately, if one exists.
   // Used by mfence, which orders younger loads after the flush's effects.
   void ApplyPendingInvalidate(Addr line_addr);

@@ -20,19 +20,18 @@ CacheHierarchy::CacheHierarchy(const CacheConfig& config, SetAssocCache* shared_
   PMEMSIM_CHECK(counters != nullptr);
 }
 
-void CacheHierarchy::Load(Addr addr, Cycles now, bool ordered, bool train,
-                          HierAccessResult* out) {
+void CacheHierarchy::Load(Addr addr, Cycles now, bool ordered, bool train, AccessRecord* out) {
   ++counters_->demand_loads;
   AccessInternal(addr, now, /*is_store=*/false, ordered, train, out);
 }
 
-void CacheHierarchy::Store(Addr addr, Cycles now, HierAccessResult* out) {
+void CacheHierarchy::Store(Addr addr, Cycles now, AccessRecord* out) {
   ++counters_->demand_stores;
   AccessInternal(addr, now, /*is_store=*/true, /*ordered=*/false, /*train=*/true, out);
 }
 
 void CacheHierarchy::AccessInternal(Addr addr, Cycles now, bool is_store, bool ordered,
-                                    bool train, HierAccessResult* out) {
+                                    bool train, AccessRecord* out) {
   const Addr line = CacheLineBase(addr);
   PrefetchEngine::DemandInfo info;
   info.line = line;
@@ -92,7 +91,7 @@ void CacheHierarchy::AccessInternal(Addr addr, Cycles now, bool is_store, bool o
   // Full miss: fetch from memory. Stores are RFOs and then dirty the line.
   // The iMC and DIMM write their latency shares straight into `out`.
   ++counters_->cache_misses;
-  mc_->ReadInto(line, now, node_, ordered, out);
+  mc_->Read(line, now, node_, ordered, out);
   out->hit_level = 0;
   FillInto(*l3_, 3, line, now, /*dirty=*/false, /*prefetched=*/false);
   FillInto(l2_, 2, line, now, /*dirty=*/false, /*prefetched=*/false);
@@ -191,11 +190,12 @@ void CacheHierarchy::PrefetchFill(Addr line_addr, Cycles now, bool into_l1) {
   }
   in_prefetch_fill_ = true;
   ++counters_->prefetch_requests;
-  const McReadResult mr = mc_->Read(line, now, node_, /*ordered=*/false);
-  FillInto(*l3_, 3, line, now, /*dirty=*/false, /*prefetched=*/true, mr.complete_at);
-  FillInto(l2_, 2, line, now, /*dirty=*/false, /*prefetched=*/true, mr.complete_at);
+  AccessRecord fill;
+  mc_->Read(line, now, node_, /*ordered=*/false, &fill);
+  FillInto(*l3_, 3, line, now, /*dirty=*/false, /*prefetched=*/true, fill.complete_at);
+  FillInto(l2_, 2, line, now, /*dirty=*/false, /*prefetched=*/true, fill.complete_at);
   if (into_l1) {
-    FillInto(l1_, 1, line, now, /*dirty=*/false, /*prefetched=*/true, mr.complete_at);
+    FillInto(l1_, 1, line, now, /*dirty=*/false, /*prefetched=*/true, fill.complete_at);
   }
   in_prefetch_fill_ = false;
 }

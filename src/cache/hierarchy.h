@@ -15,10 +15,6 @@
 
 namespace pmemsim {
 
-// The hierarchy's access result is the shared in-place record every memory
-// layer writes into (see src/common/access_record.h for the field list).
-using HierAccessResult = AccessRecord;
-
 struct FlushResult {
   bool wrote = false;      // a write-back entered the WPQ
   Cycles accepted_at = 0;  // persist point, if wrote
@@ -32,20 +28,11 @@ class CacheHierarchy : public PrefetchSink {
 
   // Demand cacheline load/store (store = RFO + dirty mark, write-allocate).
   // `train` = false suppresses prefetcher training (AVX streaming path).
-  // The in-place forms write into `out`, which must arrive value-initialized
-  // (arena-allocated records are); the value forms wrap them.
-  void Load(Addr addr, Cycles now, bool ordered, bool train, HierAccessResult* out);
-  void Store(Addr addr, Cycles now, HierAccessResult* out);
-  HierAccessResult Load(Addr addr, Cycles now, bool ordered, bool train = true) {
-    HierAccessResult r;
-    Load(addr, now, ordered, train, &r);
-    return r;
-  }
-  HierAccessResult Store(Addr addr, Cycles now) {
-    HierAccessResult r;
-    Store(addr, now, &r);
-    return r;
-  }
+  // Both write the shared in-place record `out` (see
+  // src/common/access_record.h), which must arrive value-initialized
+  // (arena-allocated records are).
+  void Load(Addr addr, Cycles now, bool ordered, bool train, AccessRecord* out);
+  void Store(Addr addr, Cycles now, AccessRecord* out);
 
   // clwb: writes back a dirty copy; G1 schedules invalidation after the
   // dispatch window, G2 retains the line clean.
@@ -88,7 +75,7 @@ class CacheHierarchy : public PrefetchSink {
 
  private:
   void AccessInternal(Addr addr, Cycles now, bool is_store, bool ordered, bool train,
-                      HierAccessResult* out);
+                      AccessRecord* out);
   // Trains the prefetch engine on a demand access; with every prefetcher
   // disabled it collapses to the one state change that path performs.
   void TrainEngine(const PrefetchEngine::DemandInfo& info) {

@@ -55,7 +55,7 @@ Cycles ThreadContext::ScaleCore(Cycles c) const {
 }
 
 void ThreadContext::RecordMemAccess(AttributionCollector::Op op, Cycles end_to_end,
-                                    const HierAccessResult& r) {
+                                    const AccessRecord& r) {
   AttributionCollector::StageDurations stages;
   switch (r.hit_level) {
     case 1:
@@ -94,7 +94,7 @@ void ThreadContext::RecordPersistOp(AttributionCollector::Op op, Cycles t0, Cycl
 }
 
 // Marked inline: it is on every timed load's path.
-inline const HierAccessResult& ThreadContext::TimeLoad(Addr addr, bool train) {
+inline const AccessRecord& ThreadContext::TimeLoad(Addr addr, bool train) {
   // A timed load usually ends with backing_->ReadU64(addr), so start the host
   // fetch of that page first: it overlaps the whole simulated walk. No simulated
   // effect (dependent-chase shapes cannot hint their next address early, so
@@ -112,13 +112,13 @@ inline const HierAccessResult& ThreadContext::TimeLoad(Addr addr, bool train) {
         const Cycles latency = ScaleCore(hier_->l1().hit_latency());
         last_access_ = {1, latency, 0};
         clock_ += latency;
-        HierAccessResult& early = *arena_.Alloc();
+        AccessRecord& early = *arena_.Alloc();
         early.hit_level = 1;
         return early;
       }
     }
   }
-  HierAccessResult& r = *arena_.Alloc();
+  AccessRecord& r = *arena_.Alloc();
   hier_->Load(addr, clock_, loads_ordered_, train, &r);
   Cycles latency = r.complete_at - clock_;
   if (r.hit_level >= 1) {
@@ -130,7 +130,7 @@ inline const HierAccessResult& ThreadContext::TimeLoad(Addr addr, bool train) {
 }
 
 uint64_t ThreadContext::LoadInternal(Addr addr, bool train) {
-  const HierAccessResult& r = TimeLoad(addr, train);
+  const AccessRecord& r = TimeLoad(addr, train);
   if (attribution_ != nullptr) {
     RecordMemAccess(AttributionCollector::kLoad, last_access_.latency, r);
   }
@@ -143,10 +143,10 @@ void ThreadContext::LoadMulti(const Addr* addrs, size_t count) {
   // The loads overlap, so only the slowest one is on the critical path.
   // Attribution records the group as that one load: its stages then sum to
   // the clock advance, as they do for every other operation.
-  HierAccessResult critical;
+  AccessRecord critical;
   for (size_t i = 0; i < count; ++i) {
     clock_ = start;
-    const HierAccessResult& r = TimeLoad(addrs[i], /*train=*/true);
+    const AccessRecord& r = TimeLoad(addrs[i], /*train=*/true);
     if (i == 0 || clock_ > latest) {
       latest = clock_;
       critical = r;
@@ -196,7 +196,7 @@ void ThreadContext::TraceMarker(uint32_t id) {
 
 void ThreadContext::StoreTimed(Addr addr) {
   const Cycles t0 = clock_;
-  HierAccessResult& r = *arena_.Alloc();
+  AccessRecord& r = *arena_.Alloc();
   hier_->Store(addr, clock_, &r);
   Cycles latency;
   if (r.hit_level >= 1) {
@@ -469,7 +469,8 @@ void ThreadContext::StreamCopyXPLine(Addr pm_xpline, Addr dram_buffer) {
     (void)LoadInternal(base + i * kCacheLineSize, /*train=*/false);
     clock_ += cpu_.simd_copy_cost;
     // ...paired with a store into the DRAM-resident bounce buffer.
-    const HierAccessResult r = hier_->Store(dram_buffer + i * kCacheLineSize, clock_);
+    AccessRecord& r = *arena_.Alloc();
+    hier_->Store(dram_buffer + i * kCacheLineSize, clock_, &r);
     clock_ = r.complete_at;
   }
   backing_->Read(base, buf, kXPLineSize);

@@ -194,7 +194,7 @@ class ThreadContext {
   void DrainRetired();
   // Times one load from clock_ and advances the clock past it; returns where
   // its latency went (the record stays valid until the next access).
-  const HierAccessResult& TimeLoad(Addr addr, bool train);
+  const AccessRecord& TimeLoad(Addr addr, bool train);
   // TimeLoad plus attribution; returns the loaded word.
   uint64_t LoadInternal(Addr addr, bool train);
   // Binds the flush member-function pointers and sizes the persist ring
@@ -210,7 +210,7 @@ class ThreadContext {
   void StoreTimed(Addr addr);
   void NoteRecentFlush(Addr line);
   // Attribution recording (called only with attribution_ != nullptr).
-  void RecordMemAccess(AttributionCollector::Op op, Cycles end_to_end, const HierAccessResult& r);
+  void RecordMemAccess(AttributionCollector::Op op, Cycles end_to_end, const AccessRecord& r);
   void RecordPersistOp(AttributionCollector::Op op, Cycles t0, Cycles wpq_wait, Cycles accepted_at);
   // Trace recording for AddCompute (called only with recorder_ != nullptr).
   void RecordCompute(Cycles c);

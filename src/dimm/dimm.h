@@ -1,23 +1,14 @@
-// Abstract memory DIMM as seen by the integrated memory controller: a sink
-// for 64 B cacheline reads and writes with its own notion of time.
+// The write result both DIMM models (OptaneDimm, DramDimm) hand back to the
+// integrated memory controller when a 64 B cacheline drains from the WPQ.
+// Reads have no result struct of their own: they fill the shared in-place
+// AccessRecord (src/common/access_record.h).
 
 #ifndef SRC_DIMM_DIMM_H_
 #define SRC_DIMM_DIMM_H_
 
 #include "src/common/types.h"
-#include "src/trace/attribution.h"
-#include "src/trace/counters.h"
 
 namespace pmemsim {
-
-struct DimmReadResult {
-  Cycles complete_at = 0;   // when the data is available at the iMC
-  Cycles stalled_for = 0;   // portion spent waiting on an in-flight persist
-  // Latency attribution: populated fields sum exactly to complete_at - now
-  // (the span the DIMM charged this read). Plain field writes of values the
-  // timing code already computed; consumed only when --breakdown is on.
-  MemStageBreakdown stages;
-};
 
 struct DimmWriteResult {
   // When the written value becomes readable on the DIMM. DDR-T writes are
@@ -27,33 +18,6 @@ struct DimmWriteResult {
   // (non-zero when absorbing this write forced media evictions and the media
   // write ports are saturated). The WPQ delays subsequent drains until then.
   Cycles backpressure_until = 0;
-};
-
-class Dimm {
- public:
-  virtual ~Dimm() = default;
-
-  // Serves a 64 B read request arriving at `now`. `ordered` marks loads that
-  // execute under a full memory fence: their read-after-persist stalls are
-  // fully exposed, while unordered loads overlap part of the stall with other
-  // work in the out-of-order window.
-  virtual DimmReadResult Read(Addr line_addr, Cycles now, bool ordered) = 0;
-
-  // Accepts a 64 B write draining from the WPQ at `now`.
-  virtual DimmWriteResult Write(Addr line_addr, Cycles now) = 0;
-
-  virtual MemoryKind kind() const = 0;
-
-  // If the cacheline has a persist in flight, the time it becomes visible;
-  // 0 otherwise (read-after-persist stalls).
-  virtual Cycles PendingVisibleAt(Addr line_addr) const = 0;
-
-  // Earliest time a new persist to the line may be accepted (same-address
-  // write ordering); 0 = no constraint.
-  virtual Cycles SameLineStallUntil(Addr line_addr) const = 0;
-
-  // Drops all buffered state and port schedules (fresh benchmark runs).
-  virtual void Reset() = 0;
 };
 
 }  // namespace pmemsim

@@ -9,7 +9,7 @@ DramDimm::DramDimm(const DramConfig& config, Counters* counters)
   PMEMSIM_CHECK(counters_ != nullptr);
 }
 
-void DramDimm::ReadInto(Addr addr, Cycles now, bool ordered, AccessRecord* out) {
+void DramDimm::Read(Addr addr, Cycles now, bool ordered, AccessRecord* out) {
   const Addr line = CacheLineBase(addr);
   counters_->dram_read_bytes += kCacheLineSize;
 
@@ -33,16 +33,6 @@ void DramDimm::ReadInto(Addr addr, Cycles now, bool ordered, AccessRecord* out) 
   out->complete_at = ports_.Schedule(start, config_.load_latency);
   out->mem.rap_stall = out->stalled_for;
   out->mem.dram = out->complete_at - start;
-}
-
-DimmReadResult DramDimm::Read(Addr addr, Cycles now, bool ordered) {
-  AccessRecord rec;
-  ReadInto(addr, now, ordered, &rec);
-  DimmReadResult result;
-  result.complete_at = rec.complete_at;
-  result.stalled_for = rec.stalled_for;
-  result.stages = rec.mem;
-  return result;
 }
 
 DimmWriteResult DramDimm::Write(Addr addr, Cycles now) {

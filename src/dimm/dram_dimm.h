@@ -13,23 +13,23 @@
 
 namespace pmemsim {
 
-class DramDimm : public Dimm {
+// DDR4 merges same-line writes, so unlike OptaneDimm there is no same-line
+// persist stall for the iMC to apply.
+class DramDimm {
  public:
   DramDimm(const DramConfig& config, Counters* counters);
 
-  // In-place read: fills complete_at / stalled_for / mem of `out` (which must
-  // arrive value-initialized). The virtual Read() wraps this.
-  void ReadInto(Addr line_addr, Cycles now, bool ordered, AccessRecord* out);
+  // Serves a 64 B read arriving at `now`: fills complete_at / stalled_for /
+  // mem of `out` (which must arrive value-initialized). `ordered` marks loads
+  // executing under a full fence, whose read-after-persist stall is fully
+  // exposed.
+  void Read(Addr line_addr, Cycles now, bool ordered, AccessRecord* out);
 
-  DimmReadResult Read(Addr line_addr, Cycles now, bool ordered) override;
-  DimmWriteResult Write(Addr line_addr, Cycles now) override;
-  MemoryKind kind() const override { return MemoryKind::kDram; }
-  Cycles PendingVisibleAt(Addr line_addr) const override {
-    const Cycles* visible = pending_visible_.Find(CacheLineBase(line_addr));
-    return visible == nullptr ? 0 : *visible;
-  }
-  Cycles SameLineStallUntil(Addr) const override { return 0; }  // DDR4 merges
-  void Reset() override;
+  // Accepts a 64 B write draining from the WPQ at `now`.
+  DimmWriteResult Write(Addr line_addr, Cycles now);
+
+  // Drops port schedules and pending visibility (fresh benchmark runs).
+  void Reset();
 
  private:
   void MaybeSweep(Cycles now);

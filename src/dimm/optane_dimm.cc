@@ -35,16 +35,6 @@ OptaneDimm::OptaneDimm(const OptaneDimmConfig& config, Counters* counters, uint6
   PMEMSIM_CHECK(counters_ != nullptr);
 }
 
-DimmReadResult OptaneDimm::Read(Addr addr, Cycles now, bool ordered) {
-  AccessRecord rec;
-  ReadInto(addr, now, ordered, &rec);
-  DimmReadResult result;
-  result.complete_at = rec.complete_at;
-  result.stalled_for = rec.stalled_for;
-  result.stages = rec.mem;
-  return result;
-}
-
 template <bool kPeriodicWb>
 void OptaneDimm::ReadImpl(Addr addr, Cycles now, bool ordered, AccessRecord* out) {
   const Addr line = CacheLineBase(addr);
@@ -61,8 +51,7 @@ void OptaneDimm::ReadImpl(Addr addr, Cycles now, bool ordered, AccessRecord* out
     }
   }
 
-  // One write-buffer probe answers steps 1 and 2 (the old path asked
-  // HoldsLine, VisibleAt and ContainsXPLine separately).
+  // One write-buffer probe answers steps 1 and 2.
   const WriteBuffer::ReadSnoopResult snoop = write_buffer_.ReadSnoop(line);
 
   // 1. Freshest data may still be in the write buffer. DDR-T reads snoop it;

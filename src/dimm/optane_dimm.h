@@ -26,26 +26,28 @@
 
 namespace pmemsim {
 
-class OptaneDimm : public Dimm {
+class OptaneDimm {
  public:
   OptaneDimm(const OptaneDimmConfig& config, Counters* counters, uint64_t rng_seed = 0xD1337);
 
-  // In-place read: fills complete_at / stalled_for / mem of `out` (which must
-  // arrive value-initialized). Dispatches through a member-function pointer
+  // Serves a 64 B read arriving at `now`: fills complete_at / stalled_for /
+  // mem of `out` (which must arrive value-initialized). `ordered` marks loads
+  // executing under a full fence: their read-after-persist stalls are fully
+  // exposed, while unordered loads overlap part of the stall with other work
+  // in the out-of-order window. Dispatches through a member-function pointer
   // resolved once at construction to the generation-specialized path: G1
   // (periodic full write-back) checks the write-back clock per read, G2/eADR
-  // skips that work entirely. The virtual Read() below wraps this.
-  void ReadInto(Addr line_addr, Cycles now, bool ordered, AccessRecord* out) {
+  // skips that work entirely.
+  void Read(Addr line_addr, Cycles now, bool ordered, AccessRecord* out) {
     (this->*read_impl_)(line_addr, now, ordered, out);
   }
 
-  DimmReadResult Read(Addr line_addr, Cycles now, bool ordered) override;
-  DimmWriteResult Write(Addr line_addr, Cycles now) override;
-  MemoryKind kind() const override { return MemoryKind::kOptane; }
-  Cycles PendingVisibleAt(Addr line_addr) const override {
-    return write_buffer_.VisibleAt(line_addr);
-  }
-  Cycles SameLineStallUntil(Addr line_addr) const override {
+  // Accepts a 64 B write draining from the WPQ at `now`.
+  DimmWriteResult Write(Addr line_addr, Cycles now);
+
+  // Earliest time a new persist to the line may be accepted (same-address
+  // write ordering); 0 = no constraint.
+  Cycles SameLineStallUntil(Addr line_addr) const {
     if (!config_.same_line_flush_stall) {
       return 0;
     }
@@ -58,7 +60,9 @@ class OptaneDimm : public Dimm {
                                : 0;
     return drained + config_.same_line_stall_window;
   }
-  void Reset() override;
+
+  // Drops all buffered state and port schedules (fresh benchmark runs).
+  void Reset();
 
   // Host-side hint: warm the AIT translation chain a media fetch for this
   // line would walk, plus the read/write-buffer index buckets the snoop will

@@ -10,17 +10,7 @@ namespace pmemsim {
 
 MemoryController::MemoryController(const PlatformConfig& platform, CounterRegistry* registry,
                                    uint32_t optane_dimm_count)
-    : MemoryController(platform, registry, /*counters=*/nullptr, optane_dimm_count) {}
-
-MemoryController::MemoryController(const PlatformConfig& platform, Counters* counters,
-                                   uint32_t optane_dimm_count)
-    : MemoryController(platform, /*registry=*/nullptr, counters, optane_dimm_count) {}
-
-MemoryController::MemoryController(const PlatformConfig& platform, CounterRegistry* registry,
-                                   Counters* counters, uint32_t optane_dimm_count)
-    : config_(platform.imc) {
-  PMEMSIM_CHECK(registry != nullptr || counters != nullptr);
-  counters_ = registry != nullptr ? registry->CreateScope("imc") : counters;
+    : config_(platform.imc), counters_(registry->CreateScope("imc")) {
   const uint32_t n = optane_dimm_count ? optane_dimm_count : config_.optane_dimm_count;
   PMEMSIM_CHECK(n > 0);
   const WpqConfig wpq_config{config_.wpq_entries, config_.wpq_accept_latency,
@@ -28,7 +18,7 @@ MemoryController::MemoryController(const PlatformConfig& platform, CounterRegist
   TraceEmitter& trace = TraceEmitter::Global();
   for (uint32_t i = 0; i < n; ++i) {
     const std::string scope_name = "optane_dimm" + std::to_string(i);
-    Counters* scope = registry != nullptr ? registry->CreateScope(scope_name) : counters;
+    Counters* scope = registry->CreateScope(scope_name);
     optane_scope_counters_.push_back(scope);
     optane_dimms_.push_back(
         std::make_unique<OptaneDimm>(platform.optane, scope, 0xD1337 + i * 0x9E37));
@@ -39,7 +29,7 @@ MemoryController::MemoryController(const PlatformConfig& platform, CounterRegist
       optane_wpqs_[i]->SetTraceTrack(track);
     }
   }
-  Counters* dram_scope = registry != nullptr ? registry->CreateScope("dram") : counters;
+  Counters* dram_scope = registry->CreateScope("dram");
   dram_scope_counters_ = dram_scope;
   dram_dimm_ = std::make_unique<DramDimm>(platform.dram, dram_scope);
   dram_wpq_ = std::make_unique<Wpq>(wpq_config, dram_scope);
@@ -52,27 +42,17 @@ size_t MemoryController::OptaneIndexFor(Addr addr) const {
   return static_cast<size_t>((addr / config_.interleave_granularity) % optane_dimms_.size());
 }
 
-McReadResult MemoryController::Read(Addr addr, Cycles now, NodeId requester, bool ordered) {
-  AccessRecord rec;
-  ReadInto(addr, now, requester, ordered, &rec);
-  McReadResult result;
-  result.complete_at = rec.complete_at;
-  result.stalled_for = rec.stalled_for;
-  result.stages = rec.mem;
-  return result;
-}
-
-void MemoryController::ReadInto(Addr addr, Cycles now, NodeId requester, bool ordered,
-                                AccessRecord* out) {
+void MemoryController::Read(Addr addr, Cycles now, NodeId requester, bool ordered,
+                            AccessRecord* out) {
   const Cycles hop = requester == home_node_ ? 0 : config_.numa_hop_latency;
   const Cycles issue = now + hop + config_.read_overhead;
 
   if (addr >= kDramAddressBase) {
-    dram_dimm_->ReadInto(addr, issue, ordered, out);
+    dram_dimm_->Read(addr, issue, ordered, out);
   } else {
     OptaneDimm* dimm =
         sole_optane_ != nullptr ? sole_optane_ : optane_dimms_[OptaneIndexFor(addr)].get();
-    dimm->ReadInto(addr, issue, ordered, out);
+    dimm->Read(addr, issue, ordered, out);
   }
   out->complete_at += hop;
   // The iMC's own share: overhead + both hop crossings (the DIMM's stages
@@ -83,34 +63,34 @@ void MemoryController::ReadInto(Addr addr, Cycles now, NodeId requester, bool or
 McWriteResult MemoryController::Write(Addr addr, Cycles now, NodeId requester) {
   const Cycles hop = requester == home_node_ ? 0 : config_.numa_hop_latency;
   const Cycles arrival = now + hop;
+  McWriteResult result;
 
-  Wpq* wpq = nullptr;
-  Dimm* dimm = nullptr;
   if (KindOf(addr) == MemoryKind::kDram) {
-    wpq = dram_wpq_.get();
-    dimm = dram_dimm_.get();
-  } else {
-    const size_t i = OptaneIndexFor(addr);
-    wpq = optane_wpqs_[i].get();
-    dimm = optane_dimms_[i].get();
+    // DRAM never back-pressures the WPQ: it has no media write ports to fill.
+    const Wpq::AcceptResult accept = dram_wpq_->Accept(arrival, /*dimm_backpressure_until=*/0);
+    result.accepted_at = accept.accepted_at + hop;
+    result.visible_at = dram_dimm_->Write(addr, accept.drained_at).visible_at;
+    return result;
   }
 
+  const size_t i = OptaneIndexFor(addr);
+  Wpq& wpq = *optane_wpqs_[i];
+  OptaneDimm& dimm = *optane_dimms_[i];
   Cycles effective_arrival = arrival;
-  const Cycles same_line_until = dimm->SameLineStallUntil(addr);
+  const Cycles same_line_until = dimm.SameLineStallUntil(addr);
   if (same_line_until > effective_arrival) {
     counters_->wpq_stall_cycles += same_line_until - effective_arrival;
     effective_arrival = same_line_until;
   }
-  const Wpq::AcceptResult accept = wpq->Accept(effective_arrival, /*dimm_backpressure_until=*/0);
-  const DimmWriteResult w = dimm->Write(addr, accept.drained_at);
+  const Wpq::AcceptResult accept = wpq.Accept(effective_arrival, /*dimm_backpressure_until=*/0);
+  const DimmWriteResult w = dimm.Write(addr, accept.drained_at);
   if (w.backpressure_until > accept.drained_at) {
-    wpq->DelayDrain(w.backpressure_until);
+    wpq.DelayDrain(w.backpressure_until);
   }
-  McWriteResult result;
   // The store's persist point includes the interconnect crossing.
   result.accepted_at = accept.accepted_at + hop;
   result.visible_at = w.visible_at;
-  if (persist_hook_ && KindOf(addr) == MemoryKind::kOptane) {
+  if (persist_hook_) {
     persist_hook_(CacheLineBase(addr), now, result.accepted_at, accept.drained_at);
   }
   return result;

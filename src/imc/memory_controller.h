@@ -16,7 +16,6 @@
 #include "src/common/access_record.h"
 #include "src/common/config.h"
 #include "src/common/types.h"
-#include "src/dimm/dimm.h"
 #include "src/dimm/dram_dimm.h"
 #include "src/dimm/optane_dimm.h"
 #include "src/imc/wpq.h"
@@ -26,14 +25,6 @@ namespace pmemsim {
 
 // All DRAM addresses have this bit set; PM addresses do not.
 inline constexpr Addr kDramAddressBase = 1ull << 46;
-
-struct McReadResult {
-  Cycles complete_at = 0;
-  Cycles stalled_for = 0;  // read-after-persist component
-  // DIMM-reported stage latencies plus the iMC's own imc_transit share; the
-  // populated fields sum exactly to complete_at - now.
-  MemStageBreakdown stages;
-};
 
 struct McWriteResult {
   Cycles accepted_at = 0;  // in the ADR domain: this is the persist point
@@ -52,21 +43,18 @@ class MemoryController {
   // iMC's own stalls ("imc") — the per-DIMM `ipmwatch` view.
   MemoryController(const PlatformConfig& platform, CounterRegistry* registry,
                    uint32_t optane_dimm_count = 0);
-  // Flat form for standalone use (unit tests): every component shares
-  // `counters`, as if the registry had a single scope.
-  MemoryController(const PlatformConfig& platform, Counters* counters,
-                   uint32_t optane_dimm_count = 0);
 
   // 64 B cacheline read. `ordered` marks loads executing under a full fence.
-  McReadResult Read(Addr addr, Cycles now, NodeId requester, bool ordered);
-
-  // In-place form of Read: writes complete_at / stalled_for / mem of `out`
-  // (which must arrive value-initialized). Routing is devirtualized — typed
-  // DIMM pointers resolved at construction, with a single-DIMM fast path that
-  // skips the interleave arithmetic. Read() above wraps this.
-  void ReadInto(Addr addr, Cycles now, NodeId requester, bool ordered, AccessRecord* out);
+  // Writes complete_at / stalled_for / mem of `out` (which must arrive
+  // value-initialized): the DIMM fills its stages and the iMC adds its
+  // imc_transit share, so the populated stages sum to complete_at - now.
+  // Routing uses typed DIMM pointers, with a single-DIMM fast path that skips
+  // the interleave arithmetic.
+  void Read(Addr addr, Cycles now, NodeId requester, bool ordered, AccessRecord* out);
 
   // 64 B persist-path write (clwb write-back, nt-store, or dirty eviction).
+  // Only Optane writes take the same-line persist stall and reach the
+  // persist hook.
   McWriteResult Write(Addr addr, Cycles now, NodeId requester);
 
   static MemoryKind KindOf(Addr addr) {
@@ -99,16 +87,12 @@ class MemoryController {
   DramDimm& dram_dimm() { return *dram_dimm_; }
   Wpq& optane_wpq(size_t i) { return *optane_wpqs_[i]; }
 
-  // Per-scope views (valid only when constructed with a registry; the flat
-  // form aliases every pointer to the shared struct).
+  // Per-scope views.
   const Counters& optane_dimm_counters(size_t i) const { return *optane_scope_counters_[i]; }
   const Counters& dram_counters() const { return *dram_scope_counters_; }
   const Counters& imc_counters() const { return *counters_; }
 
  private:
-  MemoryController(const PlatformConfig& platform, CounterRegistry* registry, Counters* counters,
-                   uint32_t optane_dimm_count);
-
   size_t OptaneIndexFor(Addr addr) const;
 
   ImcConfig config_;

@@ -6,10 +6,11 @@
 // companion characterizations (Izraelevitz et al.; Yang et al., FAST '20).
 // This module reproduces that decomposition in the model.
 //
-// Mechanics: the memory side of the path reports its components *in its
-// result structs* (MemStageBreakdown rides DimmReadResult -> McReadResult ->
-// HierAccessResult), so nothing on the hot path consults a collector — the
-// components are plain field writes already computed by the timing code.
+// Mechanics: the memory side of the path reports its components *in the
+// access's own record* (the DIMM, then the iMC, write their MemStageBreakdown
+// shares into the one AccessRecord the hierarchy walk carries), so nothing on
+// the hot path consults a collector — the components are plain field writes
+// already computed by the timing code.
 // ThreadContext is the single recording point: when a collector is installed
 // (System::SetAttribution, the benches' --breakdown flag), each operation
 // records its end-to-end latency and the reported stages; the unattributed

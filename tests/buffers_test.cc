@@ -259,7 +259,7 @@ TEST(WriteBufferTest, PeriodicWritebackOfFullLines) {
   EXPECT_FALSE(wb[0].needs_rmw);
   EXPECT_EQ(c.periodic_writebacks, 1u);
   // The entry stays resident (clean) and still serves reads.
-  EXPECT_TRUE(buf.HoldsLine(0));
+  EXPECT_TRUE(buf.ReadSnoop(0).holds_line);
 }
 
 TEST(WriteBufferTest, G2NoPeriodicWriteback) {
@@ -290,9 +290,9 @@ TEST(WriteBufferTest, AbsorbFillCompletesEntry) {
   WriteBuffer buf(G1WbConfig(), &c);
   std::vector<WritebackRequest> wb;
   buf.Write(0, 0, 100, wb);
-  EXPECT_FALSE(buf.HoldsLine(64));
+  EXPECT_FALSE(buf.ReadSnoop(64).holds_line);
   EXPECT_TRUE(buf.AbsorbFill(64));
-  EXPECT_TRUE(buf.HoldsLine(64));
+  EXPECT_TRUE(buf.ReadSnoop(64).holds_line);
   EXPECT_FALSE(buf.AbsorbFill(100 * kXPLineSize));  // not resident
   // Evicting an absorbed entry needs no RMW.
   buf.DrainAll(wb);
@@ -305,8 +305,8 @@ TEST(WriteBufferTest, InstallTransitionHoldsWholeXPLine) {
   WriteBuffer buf(G1WbConfig(), &c);
   std::vector<WritebackRequest> wb;
   buf.InstallTransition(64, 0, 500, wb);
-  EXPECT_TRUE(buf.HoldsLine(0));
-  EXPECT_TRUE(buf.HoldsLine(192));
+  EXPECT_TRUE(buf.ReadSnoop(0).holds_line);
+  EXPECT_TRUE(buf.ReadSnoop(192).holds_line);
   EXPECT_EQ(buf.VisibleAt(64), 500u);
   EXPECT_EQ(buf.VisibleAt(0), 0u);  // unwritten lines are visible data
   EXPECT_EQ(c.read_write_transitions, 1u);

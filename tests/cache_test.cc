@@ -14,6 +14,7 @@
 #include "src/common/config.h"
 #include "src/common/random.h"
 #include "src/imc/memory_controller.h"
+#include "src/trace/registry.h"
 
 namespace pmemsim {
 namespace {
@@ -150,7 +151,6 @@ std::array<uint64_t, 3> RandomCacheOp(SetAssocCache& cache, Rng& rng, Cycles now
       hit = cache.Probe(addr, now);
       break;
     default:
-      hit = cache.ConsumePrefetchedFlag(addr, now);
       cache.ApplyPendingInvalidate(addr);
       break;
   }
@@ -198,7 +198,7 @@ TEST(SetAssocCacheTest, ExpiredPendingWayIsReusedWithoutEviction) {
 // ---------- Hierarchy + prefetchers ----------
 
 struct HierFixture {
-  Counters counters;
+  CounterRegistry registry;
   PlatformConfig platform = G1Platform();
   std::unique_ptr<MemoryController> mc;
   std::unique_ptr<SetAssocCache> l3;
@@ -206,32 +206,48 @@ struct HierFixture {
 
   explicit HierFixture(bool g2 = false) {
     platform = g2 ? G2Platform() : G1Platform();
-    mc = std::make_unique<MemoryController>(platform, &counters, 1);
+    mc = std::make_unique<MemoryController>(platform, &registry, 1);
     l3 = std::make_unique<SetAssocCache>(platform.cache.l3);
-    hier = std::make_unique<CacheHierarchy>(platform.cache, l3.get(), mc.get(), &counters, 0);
+    hier = std::make_unique<CacheHierarchy>(platform.cache, l3.get(), mc.get(),
+                                            registry.CreateScope("thread0"), 0);
     hier->prefetch_engine().SetEnabled(false, false, false);
+  }
+
+  // Machine-wide totals: the sum over the iMC, DIMM and thread scopes.
+  Counters counters() const { return registry.Aggregate(); }
+
+  // Unordered, prefetch-training demand accesses, each into a fresh record.
+  AccessRecord Load(Addr addr, Cycles now) {
+    AccessRecord r;
+    hier->Load(addr, now, /*ordered=*/false, /*train=*/true, &r);
+    return r;
+  }
+  AccessRecord Store(Addr addr, Cycles now) {
+    AccessRecord r;
+    hier->Store(addr, now, &r);
+    return r;
   }
 };
 
 TEST(HierarchyTest, MissFillsAllLevels) {
   HierFixture f;
-  const HierAccessResult r = f.hier->Load(0, 1000, false);
+  const AccessRecord r = f.Load(0, 1000);
   EXPECT_EQ(r.hit_level, 0);
   EXPECT_TRUE(f.hier->l1().Probe(0, 2000));
   EXPECT_TRUE(f.hier->l2().Probe(0, 2000));
   EXPECT_TRUE(f.l3->Probe(0, 2000));
-  const HierAccessResult r2 = f.hier->Load(0, 3000, false);
+  const AccessRecord r2 = f.Load(0, 3000);
   EXPECT_EQ(r2.hit_level, 1);
   EXPECT_EQ(r2.complete_at, 3000 + f.platform.cache.l1.hit_latency);
 }
 
 TEST(HierarchyTest, StoreMakesDirtyAndClwbWritesBack) {
   HierFixture f;
-  f.hier->Store(0, 1000);
+  f.Store(0, 1000);
   const FlushResult flush = f.hier->Clwb(0, 2000);
   EXPECT_TRUE(flush.wrote);
   EXPECT_GT(flush.accepted_at, 2000u);
-  EXPECT_EQ(f.counters.imc_write_bytes, kCacheLineSize);
+  EXPECT_EQ(f.counters().imc_write_bytes, kCacheLineSize);
   // Second clwb: line now clean, nothing written.
   const FlushResult again = f.hier->Clwb(0, 3000);
   EXPECT_FALSE(again.wrote);
@@ -239,14 +255,14 @@ TEST(HierarchyTest, StoreMakesDirtyAndClwbWritesBack) {
 
 TEST(HierarchyTest, CleanFlushSendsNothing) {
   HierFixture f;
-  f.hier->Load(0, 1000, false);
+  f.Load(0, 1000);
   EXPECT_FALSE(f.hier->Clflushopt(0, 2000).wrote);
-  EXPECT_EQ(f.counters.imc_write_bytes, 0u);
+  EXPECT_EQ(f.counters().imc_write_bytes, 0u);
 }
 
 TEST(HierarchyTest, G1ClwbEventuallyInvalidates) {
   HierFixture f;
-  f.hier->Store(0, 1000);
+  f.Store(0, 1000);
   f.hier->Clwb(0, 2000);
   EXPECT_TRUE(f.hier->ProbeAny(0, 2100));  // within the dispatch window
   EXPECT_FALSE(f.hier->ProbeAny(0, 2000 + f.platform.cache.clwb_dispatch_delay));
@@ -254,7 +270,7 @@ TEST(HierarchyTest, G1ClwbEventuallyInvalidates) {
 
 TEST(HierarchyTest, G2ClwbRetains) {
   HierFixture f(/*g2=*/true);
-  f.hier->Store(0, 1000);
+  f.Store(0, 1000);
   f.hier->Clwb(0, 2000);
   EXPECT_TRUE(f.hier->ProbeAny(0, 1000000));
 }
@@ -262,7 +278,7 @@ TEST(HierarchyTest, G2ClwbRetains) {
 TEST(HierarchyTest, DirtyL3EvictionEntersPersistPath) {
   HierFixture f;
   // Dirty a line, then force it out of all levels by filling its sets.
-  f.hier->Store(0, 1000);
+  f.Store(0, 1000);
   const uint64_t l1_stride = f.hier->l1().sets() * kCacheLineSize;
   // Evict from L1/L2 by conflict; lines land dirty in lower levels and the
   // L3 eviction finally writes to the iMC. The stride aliases the same set at
@@ -270,16 +286,16 @@ TEST(HierarchyTest, DirtyL3EvictionEntersPersistPath) {
   const uint64_t l3_stride = f.l3->sets() * kCacheLineSize;
   (void)l1_stride;
   for (uint64_t i = 1; i <= 3 * (f.platform.cache.l3.ways + f.platform.cache.l2.ways); ++i) {
-    f.hier->Load(i * l3_stride, 1000 + i * 10, false);
+    f.Load(i * l3_stride, 1000 + i * 10);
   }
-  EXPECT_GE(f.counters.imc_write_bytes, kCacheLineSize);
+  EXPECT_GE(f.counters().imc_write_bytes, kCacheLineSize);
 }
 
 TEST(PrefetcherTest, AdjacentTriggersOnL2Miss) {
   HierFixture f;
   f.hier->prefetch_engine().SetEnabled(true, false, false);
-  f.hier->Load(0, 1000, false);
-  EXPECT_EQ(f.counters.prefetch_requests, 1u);
+  f.Load(0, 1000);
+  EXPECT_EQ(f.counters().prefetch_requests, 1u);
   EXPECT_TRUE(f.hier->l2().Probe(kCacheLineSize, 2000));
   EXPECT_FALSE(f.hier->l1().Probe(kCacheLineSize, 2000));  // L2 prefetcher
 }
@@ -287,28 +303,28 @@ TEST(PrefetcherTest, AdjacentTriggersOnL2Miss) {
 TEST(PrefetcherTest, AdjacentTriggersOnPrefetchedFirstTouch) {
   HierFixture f;
   f.hier->prefetch_engine().SetEnabled(true, false, false);
-  f.hier->Load(0, 1000, false);          // prefetches line 1
-  f.hier->Load(kCacheLineSize, 2000, false);  // first touch -> prefetches line 2
-  EXPECT_EQ(f.counters.prefetch_requests, 2u);
+  f.Load(0, 1000);               // prefetches line 1
+  f.Load(kCacheLineSize, 2000);  // first touch -> prefetches line 2
+  EXPECT_EQ(f.counters().prefetch_requests, 2u);
   EXPECT_TRUE(f.hier->l2().Probe(2 * kCacheLineSize, 3000));
 }
 
 TEST(PrefetcherTest, DcuTriggersOnAscendingPair) {
   HierFixture f;
   f.hier->prefetch_engine().SetEnabled(false, true, false);
-  f.hier->Load(0, 1000, false);
-  EXPECT_EQ(f.counters.prefetch_requests, 0u);
-  f.hier->Load(kCacheLineSize, 2000, false);  // ascending pair
-  EXPECT_EQ(f.counters.prefetch_requests, 1u);
+  f.Load(0, 1000);
+  EXPECT_EQ(f.counters().prefetch_requests, 0u);
+  f.Load(kCacheLineSize, 2000);  // ascending pair
+  EXPECT_EQ(f.counters().prefetch_requests, 1u);
   EXPECT_TRUE(f.hier->l1().Probe(2 * kCacheLineSize, 3000));  // DCU fills L1
 }
 
 TEST(PrefetcherTest, DcuIgnoresNonAdjacent) {
   HierFixture f;
   f.hier->prefetch_engine().SetEnabled(false, true, false);
-  f.hier->Load(0, 1000, false);
-  f.hier->Load(10 * kCacheLineSize, 2000, false);
-  EXPECT_EQ(f.counters.prefetch_requests, 0u);
+  f.Load(0, 1000);
+  f.Load(10 * kCacheLineSize, 2000);
+  EXPECT_EQ(f.counters().prefetch_requests, 0u);
 }
 
 TEST(PrefetcherTest, StreamLocksOnConstantStride) {
@@ -317,9 +333,9 @@ TEST(PrefetcherTest, StreamLocksOnConstantStride) {
   // Long 256 B-stride run: the stochastic lock arbitration must engage well
   // within 64 in-stride accesses (P(miss) ~ 0.6^20).
   for (uint64_t i = 0; i < 64; ++i) {
-    f.hier->Load(i * kXPLineSize, 1000 + i * 100, false);
+    f.Load(i * kXPLineSize, 1000 + i * 100);
   }
-  EXPECT_GT(f.counters.prefetch_requests, 0u);
+  EXPECT_GT(f.counters().prefetch_requests, 0u);
 }
 
 TEST(PrefetcherTest, StreamIgnoresRandomAccesses) {
@@ -327,25 +343,25 @@ TEST(PrefetcherTest, StreamIgnoresRandomAccesses) {
   f.hier->prefetch_engine().SetEnabled(false, false, true);
   Rng rng(99);
   for (int i = 0; i < 100; ++i) {
-    f.hier->Load(rng.NextBelow(1u << 20) * kCacheLineSize * 7, 1000 + i * 100, false);
+    f.Load(rng.NextBelow(1u << 20) * kCacheLineSize * 7, 1000 + i * 100);
   }
-  EXPECT_EQ(f.counters.prefetch_requests, 0u);
+  EXPECT_EQ(f.counters().prefetch_requests, 0u);
 }
 
 TEST(PrefetcherTest, PrefetchFillsDoNotCascade) {
   HierFixture f;
   f.hier->prefetch_engine().SetEnabled(true, true, true);
-  f.hier->Load(0, 1000, false);
+  f.Load(0, 1000);
   // Bounded prefetching from a single demand access.
-  EXPECT_LE(f.counters.prefetch_requests, 3u);
+  EXPECT_LE(f.counters().prefetch_requests, 3u);
 }
 
 TEST(PrefetcherTest, PrefetchedLineArrivesLater) {
   HierFixture f;
   f.hier->prefetch_engine().SetEnabled(true, false, false);
-  f.hier->Load(0, 1000, false);  // issues prefetch of line 1 at ~1000
+  f.Load(0, 1000);  // issues prefetch of line 1 at ~1000
   // An immediate demand hit on the prefetched line waits for its fill.
-  const HierAccessResult r = f.hier->Load(kCacheLineSize, 1001, false);
+  const AccessRecord r = f.Load(kCacheLineSize, 1001);
   EXPECT_EQ(r.hit_level, 2);
   EXPECT_GT(r.complete_at, 1001 + f.platform.cache.l2.hit_latency);
 }

@@ -13,10 +13,18 @@ namespace {
 OptaneDimmConfig G1Dimm() { return G1Platform().optane; }
 OptaneDimmConfig G2Dimm() { return G2Platform().optane; }
 
+// Serves one read into a fresh record.
+template <typename DimmT>
+AccessRecord ReadLine(DimmT& dimm, Addr addr, Cycles now, bool ordered) {
+  AccessRecord r;
+  dimm.Read(addr, now, ordered, &r);
+  return r;
+}
+
 TEST(OptaneDimmTest, ColdReadFetchesWholeXPLine) {
   Counters c;
   OptaneDimm dimm(G1Dimm(), &c);
-  const DimmReadResult r = dimm.Read(64, 1000, false);
+  const AccessRecord r = ReadLine(dimm, 64, 1000, false);
   EXPECT_GT(r.complete_at, 1000 + G1Dimm().media_read_latency);
   EXPECT_EQ(c.media_read_bytes, kXPLineSize);
   EXPECT_EQ(c.imc_read_bytes, kCacheLineSize);
@@ -25,9 +33,9 @@ TEST(OptaneDimmTest, ColdReadFetchesWholeXPLine) {
 TEST(OptaneDimmTest, AdjacentLinesHitReadBuffer) {
   Counters c;
   OptaneDimm dimm(G1Dimm(), &c);
-  dimm.Read(0, 1000, false);
+  ReadLine(dimm, 0, 1000, false);
   const Cycles media_after_first = c.media_read_bytes;
-  const DimmReadResult r2 = dimm.Read(64, 100000, false);
+  const AccessRecord r2 = ReadLine(dimm, 64, 100000, false);
   EXPECT_EQ(c.media_read_bytes, media_after_first);  // buffer hit
   EXPECT_EQ(r2.complete_at, 100000 + G1Dimm().buffer_hit_latency);
 }
@@ -36,8 +44,8 @@ TEST(OptaneDimmTest, RereadRefetches) {
   // Exclusive read buffer: the same line read twice costs two media fetches.
   Counters c;
   OptaneDimm dimm(G1Dimm(), &c);
-  dimm.Read(0, 1000, false);
-  dimm.Read(0, 100000, false);
+  ReadLine(dimm, 0, 1000, false);
+  ReadLine(dimm, 0, 100000, false);
   EXPECT_EQ(c.media_read_bytes, 2 * kXPLineSize);
 }
 
@@ -54,7 +62,7 @@ TEST(OptaneDimmTest, ReadAfterPersistStallsUntilVisible) {
   Counters c;
   OptaneDimm dimm(G1Dimm(), &c);
   const DimmWriteResult w = dimm.Write(0, 1000);
-  const DimmReadResult r = dimm.Read(0, 1200, /*ordered=*/true);
+  const AccessRecord r = ReadLine(dimm, 0, 1200, /*ordered=*/true);
   EXPECT_EQ(r.stalled_for, w.visible_at - 1200);
   EXPECT_EQ(r.complete_at, w.visible_at + G1Dimm().buffer_hit_latency);
   EXPECT_EQ(c.rap_stalled_loads, 1u);
@@ -64,11 +72,11 @@ TEST(OptaneDimmTest, UnorderedReadHidesPartOfStall) {
   Counters c;
   OptaneDimm dimm(G1Dimm(), &c);
   dimm.Write(0, 1000);
-  const DimmReadResult ordered = dimm.Read(0, 1200, true);
+  const AccessRecord ordered = ReadLine(dimm, 0, 1200, true);
   Counters c2;
   OptaneDimm dimm2(G1Dimm(), &c2);
   dimm2.Write(0, 1000);
-  const DimmReadResult unordered = dimm2.Read(0, 1200, false);
+  const AccessRecord unordered = ReadLine(dimm2, 0, 1200, false);
   EXPECT_EQ(ordered.stalled_for - unordered.stalled_for, G1Dimm().unordered_read_overlap);
 }
 
@@ -76,17 +84,17 @@ TEST(OptaneDimmTest, OldPersistDoesNotStall) {
   Counters c;
   OptaneDimm dimm(G1Dimm(), &c);
   const DimmWriteResult w = dimm.Write(0, 1000);
-  const DimmReadResult r = dimm.Read(0, w.visible_at + 1, true);
+  const AccessRecord r = ReadLine(dimm, 0, w.visible_at + 1, true);
   EXPECT_EQ(r.stalled_for, 0u);
 }
 
 TEST(OptaneDimmTest, ReadToWriteBufferTransition) {
   Counters c;
   OptaneDimm dimm(G1Dimm(), &c);
-  dimm.Read(0, 1000, false);      // XPLine into the read buffer
-  dimm.Write(64, 2000);           // write to another line of the same XPLine
+  ReadLine(dimm, 0, 1000, false);  // XPLine into the read buffer
+  dimm.Write(64, 2000);             // write to another line of the same XPLine
   EXPECT_EQ(c.read_write_transitions, 1u);
-  EXPECT_TRUE(dimm.write_buffer().HoldsLine(128));  // whole XPLine absorbed
+  EXPECT_TRUE(dimm.write_buffer().ReadSnoop(128).holds_line);  // whole XPLine absorbed
   EXPECT_FALSE(dimm.read_buffer().ContainsXPLine(0));
 }
 
@@ -96,11 +104,11 @@ TEST(OptaneDimmTest, OnDemandRmwMergeServesLaterReads) {
   Counters c;
   OptaneDimm dimm(G1Dimm(), &c);
   dimm.Write(0, 1000);
-  dimm.Read(64, 2000, false);
+  ReadLine(dimm, 64, 2000, false);
   EXPECT_EQ(c.media_read_bytes, kXPLineSize);  // one on-demand merge
-  dimm.Read(128, 3000, false);
-  dimm.Read(192, 4000, false);
-  dimm.Read(64, 5000, false);  // write buffer is not exclusive: still a hit
+  ReadLine(dimm, 128, 3000, false);
+  ReadLine(dimm, 192, 4000, false);
+  ReadLine(dimm, 64, 5000, false);  // write buffer is not exclusive: still a hit
   EXPECT_EQ(c.media_read_bytes, kXPLineSize);
 }
 
@@ -133,7 +141,7 @@ TEST(DramDimmTest, FlatLoadLatency) {
   Counters c;
   DramConfig cfg = G1Platform().dram;
   DramDimm dimm(cfg, &c);
-  const DimmReadResult r = dimm.Read(0, 1000, false);
+  const AccessRecord r = ReadLine(dimm, 0, 1000, false);
   EXPECT_EQ(r.complete_at, 1000 + cfg.load_latency);
   EXPECT_EQ(c.dram_read_bytes, kCacheLineSize);
 }
@@ -144,16 +152,9 @@ TEST(DramDimmTest, RapShorterThanOptane) {
   DramDimm dimm(cfg, &c);
   const DimmWriteResult w = dimm.Write(0, 1000);
   EXPECT_EQ(w.visible_at, 1000 + cfg.write_visible_delay);
-  const DimmReadResult r = dimm.Read(0, 1001, true);
+  const AccessRecord r = ReadLine(dimm, 0, 1001, true);
   EXPECT_EQ(r.stalled_for, w.visible_at - 1001);
   EXPECT_LT(cfg.write_visible_delay, G1Dimm().write_visible_delay / 4);
-}
-
-TEST(DramDimmTest, NoSameLineStall) {
-  Counters c;
-  DramDimm dimm(G1Platform().dram, &c);
-  dimm.Write(0, 1000);
-  EXPECT_EQ(dimm.SameLineStallUntil(0), 0u);
 }
 
 // Property: over any random mixed workload, media read/write bytes are
@@ -169,7 +170,7 @@ TEST_P(DimmInvariantProperty, AmplificationBounds) {
   for (int i = 0; i < 5000; ++i) {
     const Addr line = rng.NextBelow(256) * kCacheLineSize;
     if (rng.NextBelow(2) == 0) {
-      dimm.Read(line, now, rng.NextBelow(2) == 0);
+      ReadLine(dimm, line, now, rng.NextBelow(2) == 0);
     } else {
       dimm.Write(line, now);
     }

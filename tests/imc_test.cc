@@ -6,9 +6,22 @@
 #include "src/common/config.h"
 #include "src/imc/memory_controller.h"
 #include "src/imc/wpq.h"
+#include "src/trace/registry.h"
 
 namespace pmemsim {
 namespace {
+
+// A controller on its own counter registry; totals() is the machine-wide sum
+// over its iMC, DIMM and DRAM scopes.
+struct McFixture {
+  CounterRegistry registry;
+  MemoryController mc;
+
+  McFixture(const PlatformConfig& platform, uint32_t optane_dimms)
+      : mc(platform, &registry, optane_dimms) {}
+
+  Counters totals() const { return registry.Aggregate(); }
+};
 
 TEST(WpqTest, AcceptanceBeforeDrain) {
   Counters c;
@@ -109,42 +122,41 @@ TEST(McTest, KindRouting) {
 }
 
 TEST(McTest, InterleaveAcrossDimms) {
-  Counters c;
-  MemoryController mc(G1Platform(), &c, /*optane_dimm_count=*/6);
+  McFixture f(G1Platform(), /*optane_dimms=*/6);
   // Writes landing on different 4 KB pages hit different DIMM write buffers.
   for (uint64_t page = 0; page < 6; ++page) {
-    mc.Write(page * kPageSize, 1000, 0);
+    f.mc.Write(page * kPageSize, 1000, 0);
   }
   size_t populated = 0;
-  for (size_t i = 0; i < mc.optane_dimm_count(); ++i) {
-    populated += mc.optane_dimm(i).write_buffer().occupied_entries() > 0 ? 1 : 0;
+  for (size_t i = 0; i < f.mc.optane_dimm_count(); ++i) {
+    populated += f.mc.optane_dimm(i).write_buffer().occupied_entries() > 0 ? 1 : 0;
   }
   EXPECT_EQ(populated, 6u);
 }
 
 TEST(McTest, SingleDimmTakesAll) {
-  Counters c;
-  MemoryController mc(G1Platform(), &c, 1);
+  McFixture f(G1Platform(), 1);
   for (uint64_t page = 0; page < 6; ++page) {
-    mc.Write(page * kPageSize, 1000, 0);
+    f.mc.Write(page * kPageSize, 1000, 0);
   }
-  EXPECT_EQ(mc.optane_dimm(0).write_buffer().occupied_entries(), 6u);
+  EXPECT_EQ(f.mc.optane_dimm(0).write_buffer().occupied_entries(), 6u);
 }
 
 TEST(McTest, NumaHopAddsRoundTrip) {
   const PlatformConfig p = G1Platform();
-  Counters c1, c2;
-  MemoryController local(p, &c1, 1);
-  MemoryController remote(p, &c2, 1);
-  const McReadResult rl = local.Read(0, 1000, /*requester=*/0, false);
-  const McReadResult rr = remote.Read(0, 1000, /*requester=*/1, false);
+  McFixture local(p, 1);
+  McFixture remote(p, 1);
+  AccessRecord rl;
+  AccessRecord rr;
+  local.mc.Read(0, 1000, /*requester=*/0, false, &rl);
+  remote.mc.Read(0, 1000, /*requester=*/1, false, &rr);
   EXPECT_EQ(rr.complete_at - rl.complete_at, 2 * p.imc.numa_hop_latency);
+  EXPECT_EQ(rr.mem.imc_transit - rl.mem.imc_transit, 2 * p.imc.numa_hop_latency);
 }
 
 TEST(McTest, PersistPointPrecedesVisibility) {
-  Counters c;
-  MemoryController mc(G1Platform(), &c, 1);
-  const McWriteResult w = mc.Write(0, 1000, 0);
+  McFixture f(G1Platform(), 1);
+  const McWriteResult w = f.mc.Write(0, 1000, 0);
   EXPECT_GT(w.accepted_at, 1000u);
   EXPECT_GT(w.visible_at, w.accepted_at);
   // ADR: acceptance is the persist point; visibility lags by the pipeline.
@@ -152,35 +164,41 @@ TEST(McTest, PersistPointPrecedesVisibility) {
 }
 
 TEST(McTest, SameLinePersistStallsOnG1) {
-  Counters c;
-  MemoryController mc(G1Platform(), &c, 1);
-  const McWriteResult w1 = mc.Write(0, 1000, 0);
-  const McWriteResult w2 = mc.Write(0, 1100, 0);  // same line, within window
+  McFixture f(G1Platform(), 1);
+  f.mc.Write(0, 1000, 0);
+  const McWriteResult w2 = f.mc.Write(0, 1100, 0);  // same line, within window
   EXPECT_GT(w2.accepted_at - 1100, G1Platform().imc.wpq_accept_latency);
-  (void)w1;
-  EXPECT_GT(c.wpq_stall_cycles, 0u);
+  EXPECT_GT(f.totals().wpq_stall_cycles, 0u);
 
-  Counters c2;
-  MemoryController mc2(G2Platform(), &c2, 1);
-  mc2.Write(0, 1000, 0);
-  const McWriteResult g2w = mc2.Write(0, 1100, 0);
+  McFixture g2(G2Platform(), 1);
+  g2.mc.Write(0, 1000, 0);
+  const McWriteResult g2w = g2.mc.Write(0, 1100, 0);
   EXPECT_EQ(g2w.accepted_at, 1100 + G2Platform().imc.wpq_accept_latency);
 }
 
+TEST(McTest, DramSameLineWritesDoNotStall) {
+  // DDR4 merges same-line writes: even on G1, whose Optane DIMMs stall a
+  // second persist to the same line, the DRAM branch accepts both at once.
+  McFixture f(G1Platform(), 1);
+  ASSERT_TRUE(G1Platform().optane.same_line_flush_stall);
+  f.mc.Write(kDramAddressBase, 1000, 0);
+  const McWriteResult w2 = f.mc.Write(kDramAddressBase, 1100, 0);
+  EXPECT_EQ(w2.accepted_at, 1100 + G1Platform().imc.wpq_accept_latency);
+  EXPECT_EQ(f.totals().wpq_stall_cycles, 0u);
+}
+
 TEST(McTest, DifferentLinesDoNotStall) {
-  Counters c;
-  MemoryController mc(G1Platform(), &c, 1);
-  mc.Write(0, 1000, 0);
-  const McWriteResult w2 = mc.Write(kCacheLineSize, 1100, 0);
+  McFixture f(G1Platform(), 1);
+  f.mc.Write(0, 1000, 0);
+  const McWriteResult w2 = f.mc.Write(kCacheLineSize, 1100, 0);
   EXPECT_EQ(w2.accepted_at, 1100 + G1Platform().imc.wpq_accept_latency);
 }
 
 TEST(McTest, DramWritesRouteToDramModel) {
-  Counters c;
-  MemoryController mc(G1Platform(), &c, 1);
-  mc.Write(kDramAddressBase, 1000, 0);
-  EXPECT_EQ(c.dram_write_bytes, kCacheLineSize);
-  EXPECT_EQ(c.imc_write_bytes, 0u);  // PM-side counter untouched
+  McFixture f(G1Platform(), 1);
+  f.mc.Write(kDramAddressBase, 1000, 0);
+  EXPECT_EQ(f.mc.dram_counters().dram_write_bytes, kCacheLineSize);
+  EXPECT_EQ(f.totals().imc_write_bytes, 0u);  // PM-side counter untouched
 }
 
 }  // namespace
