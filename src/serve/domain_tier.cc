@@ -181,16 +181,13 @@ void ServeDomain::BeginServe(Cycles t0, TierDispatcher* eager_dispatcher,
                              std::function<bool()> all_quiet) {
   eager_dispatcher_ = eager_dispatcher;
   all_quiet_ = std::move(all_quiet);
-  // The serve phase is a fresh accounting window: preload-time queue state
-  // must not leak into the measured offered/rejected/max_occupancy.
-  queue_.BeginPhase();
   if (metrics_ != nullptr) {
     metrics_->ObserveQueueDepth(t0, queue_.size());
   }
   for (Worker& wk : workers_) {
     wk.ctx->AdvanceTo(t0);
     wk.ctx->SetAttribution(&attribution_);
-    // Phase boundary: the trace-visible twin of the queue's BeginPhase().
+    // Phase boundary: the serve phase opens in the trace.
     wk.ctx->TraceMarker(kServePhaseMarker);
   }
   if (eager_dispatcher_ == nullptr) {

@@ -17,7 +17,6 @@ bool RequestQueue::Offer(const Request& r, Cycles now) {
   q_.push_back(r);
   q_.back().admit = now;
   max_occupancy_ = std::max<uint64_t>(max_occupancy_, q_.size());
-  lifetime_max_occupancy_ = std::max(lifetime_max_occupancy_, max_occupancy_);
   return true;
 }
 
@@ -27,16 +26,7 @@ size_t RequestQueue::ClaimBatch(size_t max, std::vector<Request>* out) {
     out->push_back(q_.front());
     q_.pop_front();
   }
-  claimed_ += n;
   return n;
-}
-
-void RequestQueue::BeginPhase() {
-  phase_offered_base_ = offered_;
-  phase_rejected_base_ = rejected_;
-  phase_claimed_base_ = claimed_;
-  max_occupancy_ = q_.size();
-  inherited_occupancy_ = q_.size();
 }
 
 }  // namespace pmemsim

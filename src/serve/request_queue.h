@@ -6,11 +6,9 @@
 // to `max` requests in one operation, which amortizes queue bookkeeping the
 // way real servers batch their accept/dispatch loops.
 //
-// Accounting is phase-scoped: BeginPhase() — called by the tier at each
-// TraceMarker phase boundary (e.g. when the measured serve window opens) —
-// resets offered/rejected/max_occupancy to the new phase, so warm-up
-// occupancy and warm-up sheds cannot leak into the measured window's stats.
-// Lifetime totals stay available through the lifetime_*() accessors.
+// A domain builds its queue fresh and first offers to it when the measured
+// serve phase opens, so offered/rejected/max_occupancy count exactly that
+// phase.
 //
 // The queue is single-(OS-)threaded like the rest of the simulator: arrivals
 // and claims are interleaved in simulated-clock order by the lockstep
@@ -35,51 +33,26 @@ class RequestQueue {
   // Admits `r` if the queue holds fewer than `depth` requests; returns false
   // (and counts the shed) when full. Every call counts as one offered op.
   // `now` is the admitting worker's clock, stamped into the request's admit
-  // field (the span layer's queue-entry time). The one-argument form stamps
-  // admit = arrival.
+  // field (the span layer's queue-entry time).
   bool Offer(const Request& r, Cycles now);
-  bool Offer(const Request& r) { return Offer(r, r.arrival); }
 
   // Pops up to `max` requests FIFO into `out` (appended). Returns the number
   // claimed.
   size_t ClaimBatch(size_t max, std::vector<Request>* out);
 
-  // Opens a new accounting phase: offered()/rejected()/claimed() restart at
-  // zero, max_occupancy() restarts at the current queue size, and
-  // inherited_occupancy() snapshots that size (requests already queued are
-  // real occupancy the new phase inherits — the gauge snapshot resets
-  // consistently with the phase-scoped counters, so within a phase
-  // size() == inherited_occupancy() + admitted - claimed holds exactly).
-  // Queued requests are not dropped; lifetime totals are unaffected.
-  void BeginPhase();
-
   bool empty() const { return q_.empty(); }
   size_t size() const { return q_.size(); }
   size_t depth() const { return depth_; }
-  // Phase-scoped counts (since the last BeginPhase, or construction).
-  uint64_t offered() const { return offered_ - phase_offered_base_; }
-  uint64_t rejected() const { return rejected_ - phase_rejected_base_; }
-  uint64_t claimed() const { return claimed_ - phase_claimed_base_; }
+  uint64_t offered() const { return offered_; }
+  uint64_t rejected() const { return rejected_; }
   uint64_t max_occupancy() const { return max_occupancy_; }
-  // Queue size at the last BeginPhase: the occupancy the phase started with.
-  uint64_t inherited_occupancy() const { return inherited_occupancy_; }
-  // Lifetime totals across all phases.
-  uint64_t lifetime_offered() const { return offered_; }
-  uint64_t lifetime_rejected() const { return rejected_; }
-  uint64_t lifetime_max_occupancy() const { return lifetime_max_occupancy_; }
 
  private:
   std::deque<Request> q_;
   size_t depth_;
   uint64_t offered_ = 0;
   uint64_t rejected_ = 0;
-  uint64_t claimed_ = 0;
-  uint64_t max_occupancy_ = 0;  // within the current phase
-  uint64_t inherited_occupancy_ = 0;
-  uint64_t lifetime_max_occupancy_ = 0;
-  uint64_t phase_offered_base_ = 0;
-  uint64_t phase_rejected_base_ = 0;
-  uint64_t phase_claimed_base_ = 0;
+  uint64_t max_occupancy_ = 0;
 };
 
 }  // namespace pmemsim

@@ -30,8 +30,8 @@ enum class LoopMode : uint8_t { kClosed, kOpen };
 const char* LoopModeName(LoopMode mode);
 
 // TraceMarker id emitted on every worker context when the measured serve
-// phase opens. The marker is the trace-visible twin of the queue's
-// BeginPhase() accounting boundary (src/serve/request_queue.h).
+// phase opens, the point from which the admission queue counts (see
+// src/serve/request_queue.h).
 constexpr uint32_t kServePhaseMarker = 0x5345u;  // "SE"
 
 // Tier-wide configuration; every count is per shard unless noted.

@@ -106,7 +106,7 @@ ReplayResult ReplaySegment(const TraceSegment& seg, System& system, const Replay
         res.error = "invalid op in segment";
         return res;
     }
-    if (opts.verify_clocks && ctx.clock() != rec.clock) {
+    if (ctx.clock() != rec.clock) {
       FormatDivergence(&res, i, rec, ctx.clock());
       return res;
     }

@@ -23,11 +23,8 @@
 
 namespace pmemsim {
 
+// Replay hooks. The per-op clock check above is unconditional.
 struct ReplayOptions {
-  // Compare each replayed op's post-clock against the recorded clock and fail
-  // on the first mismatch. The teeth of the determinism contract; leave on.
-  bool verify_clocks = true;
-
   // Fired when a kMarker record is replayed (after the record applies), with
   // the marker id and issuing thread. Harnesses snapshot counters here to
   // reproduce phase-delimited metrics (warm-up vs measurement windows).

@@ -24,49 +24,14 @@ namespace {
 TEST(RequestQueueTest, BoundedDepthShedsWhenFull) {
   RequestQueue q(3);
   Request r;
-  EXPECT_TRUE(q.Offer(r));
-  EXPECT_TRUE(q.Offer(r));
-  EXPECT_TRUE(q.Offer(r));
-  EXPECT_FALSE(q.Offer(r));  // depth 3: the fourth is shed
+  EXPECT_TRUE(q.Offer(r, r.arrival));
+  EXPECT_TRUE(q.Offer(r, r.arrival));
+  EXPECT_TRUE(q.Offer(r, r.arrival));
+  EXPECT_FALSE(q.Offer(r, r.arrival));  // depth 3: the fourth is shed
   EXPECT_EQ(q.size(), 3u);
   EXPECT_EQ(q.offered(), 4u);
   EXPECT_EQ(q.rejected(), 1u);
   EXPECT_EQ(q.max_occupancy(), 3u);
-}
-
-TEST(RequestQueueTest, BeginPhaseResetsAccountingButKeepsQueueAndLifetime) {
-  // Regression for phase-scoped accounting: warm-up offers/sheds/occupancy
-  // must not leak into the measured window opened at a phase boundary.
-  RequestQueue q(3);
-  Request r;
-  EXPECT_TRUE(q.Offer(r));
-  EXPECT_TRUE(q.Offer(r));
-  EXPECT_TRUE(q.Offer(r));
-  EXPECT_FALSE(q.Offer(r));  // warm-up shed
-  EXPECT_EQ(q.max_occupancy(), 3u);
-
-  std::vector<Request> batch;
-  q.ClaimBatch(2, &batch);  // occupancy drops to 1 before the boundary
-  q.BeginPhase();
-
-  // Phase counters restart; max occupancy restarts at the REAL current size
-  // (queued requests are occupancy the new phase inherits), not at zero.
-  EXPECT_EQ(q.offered(), 0u);
-  EXPECT_EQ(q.rejected(), 0u);
-  EXPECT_EQ(q.max_occupancy(), 1u);
-  EXPECT_EQ(q.size(), 1u);  // queued requests are not dropped
-
-  EXPECT_TRUE(q.Offer(r));
-  EXPECT_TRUE(q.Offer(r));
-  EXPECT_FALSE(q.Offer(r));  // measured-phase shed
-  EXPECT_EQ(q.offered(), 3u);
-  EXPECT_EQ(q.rejected(), 1u);
-  EXPECT_EQ(q.max_occupancy(), 3u);
-
-  // Lifetime totals span both phases.
-  EXPECT_EQ(q.lifetime_offered(), 7u);
-  EXPECT_EQ(q.lifetime_rejected(), 2u);
-  EXPECT_EQ(q.lifetime_max_occupancy(), 3u);
 }
 
 TEST(RequestQueueTest, ClaimBatchIsFifoAndBounded) {
@@ -74,7 +39,7 @@ TEST(RequestQueueTest, ClaimBatchIsFifoAndBounded) {
   for (uint64_t k = 1; k <= 10; ++k) {
     Request r;
     r.key = k;
-    ASSERT_TRUE(q.Offer(r));
+    ASSERT_TRUE(q.Offer(r, r.arrival));
   }
   std::vector<Request> batch;
   EXPECT_EQ(q.ClaimBatch(4, &batch), 4u);
