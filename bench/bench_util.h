@@ -4,9 +4,6 @@
 //   --stats_json=<path>    write the bench's rows as machine-readable JSON
 //                          (consumed by scripts/check_figures.py in CI)
 //   --trace_out=<path>     emit a chrome://tracing event file for the run
-//   --samples_json=<path>  write the interval sampler's time series (benches
-//                          that run a Sampler; validated by
-//                          scripts/check_samples.py in CI)
 //
 // Every bench prints a header comment naming the paper figure, then CSV rows
 // matching the figure's axes; the same rows go into the JSON report.
@@ -77,6 +74,42 @@ class Flags {
     return parsed;
   }
 
+  // A byte count with an optional binary K/M/G suffix: "4096", "64K", "4M".
+  uint64_t GetSize(const std::string& name, uint64_t def) const {
+    const std::string v = Get(name, "");
+    if (v.empty()) {
+      return def;
+    }
+    errno = 0;
+    char* end = nullptr;
+    const unsigned long long parsed = std::strtoull(v.c_str(), &end, 10);
+    const bool no_digits = end == v.c_str();
+    int shift = 0;
+    switch (*end) {
+      case 'K':
+      case 'k':
+        shift = 10;
+        break;
+      case 'M':
+      case 'm':
+        shift = 20;
+        break;
+      case 'G':
+      case 'g':
+        shift = 30;
+        break;
+      default:
+        break;
+    }
+    if (shift != 0) {
+      ++end;
+    }
+    if (errno != 0 || no_digits || *end != '\0' || v[0] == '-' || parsed > (~0ull >> shift)) {
+      BadValue(name, v, "byte count, e.g. 4096, 64K, 4M or 1G");
+    }
+    return static_cast<uint64_t>(parsed) << shift;
+  }
+
   double GetDouble(const std::string& name, double def) const {
     const std::string v = Get(name, "");
     if (v.empty()) {
@@ -129,6 +162,22 @@ inline void PrintHeader(const char* figure, const char* description) {
   std::printf("# %s — %s\n", figure, description);
 }
 
+// Writes `text` to `path`; on failure names the path on stderr and returns
+// false.
+inline bool WriteFile(const std::string& path, const std::string& text) {
+  std::FILE* f = std::fopen(path.c_str(), "w");
+  if (f == nullptr) {
+    std::fprintf(stderr, "error: cannot open %s\n", path.c_str());
+    return false;
+  }
+  const bool ok = std::fwrite(text.data(), 1, text.size(), f) == text.size();
+  if (std::fclose(f) != 0 || !ok) {
+    std::fprintf(stderr, "error: short write to %s\n", path.c_str());
+    return false;
+  }
+  return true;
+}
+
 // Collects the bench's result rows and writes them as JSON when the user
 // passed --stats_json. Also enables the chrome-trace emitter for --trace_out.
 //
@@ -172,8 +221,7 @@ class BenchReport {
   BenchReport(const Flags& flags, const std::string& bench_name,
               const std::string& default_stats_path = "")
       : bench_name_(bench_name),
-        stats_path_(flags.Get("stats_json", default_stats_path)),
-        samples_path_(flags.Get("samples_json", "")) {
+        stats_path_(flags.Get("stats_json", default_stats_path)) {
     const std::string trace_path = flags.Get("trace_out", "");
     if (!trace_path.empty()) {
       pmemsim::TraceEmitter::Global().Enable(trace_path);
@@ -200,14 +248,6 @@ class BenchReport {
     counters_.emplace_back(label, counters);
   }
 
-  // True when the user asked for the interval-sampler time series; benches
-  // use this to decide whether to attach a Sampler to their run.
-  bool WantsSamples() const { return !samples_path_.empty(); }
-
-  // Supplies the sampler's serialized time series (Sampler::ToJson), written
-  // to the --samples_json path by Finish().
-  void SetSamplesJson(std::string samples_json) { samples_json_ = std::move(samples_json); }
-
   // Embeds `raw_json` — one complete JSON value — as a top-level section of
   // the stats report (e.g. "attribution" for AttributionCollector::ToJson).
   void AddSection(const std::string& key, std::string raw_json) {
@@ -224,17 +264,6 @@ class BenchReport {
         rc = 1;
       }
       trace_enabled_ = false;
-    }
-    if (!samples_path_.empty()) {
-      if (samples_json_.empty()) {
-        std::fprintf(stderr,
-                     "error: --samples_json requested but this bench did not "
-                     "produce a sample series\n");
-        rc = 1;
-      } else if (!WriteFile(samples_path_, samples_json_)) {
-        rc = 1;
-      }
-      samples_path_.clear();
     }
     if (stats_path_.empty()) {
       return rc;
@@ -284,24 +313,8 @@ class BenchReport {
   }
 
  private:
-  static bool WriteFile(const std::string& path, const std::string& text) {
-    std::FILE* f = std::fopen(path.c_str(), "w");
-    if (f == nullptr) {
-      std::fprintf(stderr, "error: cannot open %s\n", path.c_str());
-      return false;
-    }
-    const bool ok = std::fwrite(text.data(), 1, text.size(), f) == text.size();
-    if (std::fclose(f) != 0 || !ok) {
-      std::fprintf(stderr, "error: short write to %s\n", path.c_str());
-      return false;
-    }
-    return true;
-  }
-
   std::string bench_name_;
   std::string stats_path_;
-  std::string samples_path_;
-  std::string samples_json_;
   bool trace_enabled_ = false;
   std::vector<Row> rows_;
   std::vector<std::pair<std::string, pmemsim::Counters>> counters_;
@@ -311,7 +324,6 @@ class BenchReport {
 inline const char* kTelemetryFlagsHelp =
     "  --stats_json=<path>    write rows as JSON (for scripts/check_figures.py)\n"
     "  --trace_out=<path>     write a chrome://tracing event file\n"
-    "  --samples_json=<path>  write the interval-sampler time series as JSON\n"
     "  --jobs=N               host parallelism ACROSS sweep points: N points\n"
     "                         run concurrently, each a complete independent\n"
     "                         simulation; output stays byte-identical to\n"

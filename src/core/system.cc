@@ -33,30 +33,28 @@ PmRegion System::AllocateDram(uint64_t bytes, uint64_t align) {
 
 ThreadContext& System::CreateThread(NodeId node) {
   thread_seed_ = Mix64(thread_seed_ + 0x9E3779B97F4A7C15ull);
-  Counters* scope = registry_.CreateScope("thread" + std::to_string(threads_.size()));
-  threads_.push_back(std::make_unique<ThreadContext>(config_, &backing_, mc_.get(), l3_.get(),
-                                                     scope, node, thread_seed_));
-  threads_.back()->SetPersistObserver(persist_observer_);
-  threads_.back()->SetAttribution(attribution_);
-  if (trace_recorder_ != nullptr) {
-    const uint32_t tid = static_cast<uint32_t>(threads_.size() - 1);
-    trace_recorder_->DeclareThread(tid, node);
-    threads_.back()->SetTraceRecorder(trace_recorder_, tid);
-  }
-  return *threads_.back();
+  return AdoptThread(std::make_unique<ThreadContext>(config_, &backing_, mc_.get(), l3_.get(),
+                                                     NextThreadScope(), node, thread_seed_));
 }
 
 ThreadContext& System::CreateSmtSibling(ThreadContext& sibling) {
-  Counters* scope = registry_.CreateScope("thread" + std::to_string(threads_.size()));
-  threads_.push_back(
-      std::make_unique<ThreadContext>(config_, &backing_, mc_.get(), scope, &sibling));
-  threads_.back()->SetPersistObserver(persist_observer_);
-  threads_.back()->SetAttribution(attribution_);
+  return AdoptThread(
+      std::make_unique<ThreadContext>(config_, &backing_, mc_.get(), NextThreadScope(), &sibling));
+}
+
+Counters* System::NextThreadScope() {
+  return registry_.CreateScope("thread" + std::to_string(threads_.size()));
+}
+
+ThreadContext& System::AdoptThread(std::unique_ptr<ThreadContext> thread) {
+  thread->SetPersistObserver(persist_observer_);
+  thread->SetAttribution(attribution_);
   if (trace_recorder_ != nullptr) {
-    const uint32_t tid = static_cast<uint32_t>(threads_.size() - 1);
-    trace_recorder_->DeclareThread(tid, sibling.node());
-    threads_.back()->SetTraceRecorder(trace_recorder_, tid);
+    const uint32_t tid = static_cast<uint32_t>(threads_.size());
+    trace_recorder_->DeclareThread(tid, thread->node());
+    thread->SetTraceRecorder(trace_recorder_, tid);
   }
+  threads_.push_back(std::move(thread));
   return *threads_.back();
 }
 

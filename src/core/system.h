@@ -99,6 +99,12 @@ class System {
   void SetExtraGaugeSource(ExtraGaugeFn fn) { extra_gauges_ = std::move(fn); }
 
  private:
+  // The counter scope ("threadN") of the next thread to be created.
+  Counters* NextThreadScope();
+  // Takes ownership of a new thread and installs the system-wide hooks on
+  // it: persist observer, attribution collector, trace-recorder declaration.
+  ThreadContext& AdoptThread(std::unique_ptr<ThreadContext> thread);
+
   PlatformConfig config_;
   CounterRegistry registry_;
   Counters counters_;  // aggregate view, bound to registry_

@@ -144,5 +144,31 @@ TEST(SweepRunnerTest, UnqueriedEngineThreadsFlagExitsTwo) {
               "unrecognized flag '--engine_threads'");
 }
 
+TEST(FlagsTest, GetSizeTakesBinarySuffixes) {
+  const Flags flags = MakeFlags({"--a=4096", "--b=64K", "--c=4m", "--d=1G"});
+  EXPECT_EQ(flags.GetSize("a", 0), 4096u);
+  EXPECT_EQ(flags.GetSize("b", 0), 64u << 10);
+  EXPECT_EQ(flags.GetSize("c", 0), 4u << 20);
+  EXPECT_EQ(flags.GetSize("d", 0), 1ull << 30);
+  EXPECT_EQ(flags.GetSize("absent", 7), 7u);
+}
+
+TEST(FlagsTest, GetSizeRejectsMalformedSizesWithExitTwo) {
+  for (const char* bad : {"--wss=4MB", "--wss=M", "--wss=-4K", "--wss=99999999999999G"}) {
+    const Flags flags = MakeFlags({bad});
+    EXPECT_EXIT(flags.GetSize("wss", 0), testing::ExitedWithCode(2), "invalid value for --wss")
+        << bad;
+  }
+}
+
+TEST(BenchReportTest, SamplesJsonIsNotABenchFlag) {
+  // Only pmemsim_watch produces an interval series and queries the flag
+  // itself; a bench that builds a BenchReport must reject it as unknown.
+  const Flags flags = MakeFlags({"--samples_json=/dev/null"});
+  BenchReport report(flags, "test_bench");
+  EXPECT_EXIT(flags.RejectUnknown(), testing::ExitedWithCode(2),
+              "unrecognized flag '--samples_json'");
+}
+
 }  // namespace
 }  // namespace pmemsim_bench

@@ -28,27 +28,6 @@ namespace {
 
 using namespace pmemsim;
 
-uint64_t ParseSize(const std::string& s) {
-  if (s.empty()) {
-    return 0;
-  }
-  const char suffix = s.back();
-  const uint64_t base = std::strtoull(s.c_str(), nullptr, 10);
-  switch (suffix) {
-    case 'K':
-    case 'k':
-      return KiB(base);
-    case 'M':
-    case 'm':
-      return MiB(base);
-    case 'G':
-    case 'g':
-      return GiB(base);
-    default:
-      return base;
-  }
-}
-
 struct ProbeConfig {
   PlatformConfig platform;        // selected by --platform (or legacy --gen)
   std::string op = "read";        // read | write | ntstore | rap | copy
@@ -224,7 +203,7 @@ int main(int argc, char** argv) {
   cfg.op = flags.Get("op", "read");
   cfg.pattern = flags.Get("pattern", "rand");
   cfg.persist = flags.Get("persist", "none");
-  cfg.wss = ParseSize(flags.Get("wss", "64M"));
+  cfg.wss = flags.GetSize("wss", MiB(64));
   cfg.stride = flags.GetU64("stride", kCacheLineSize);
   cfg.threads = static_cast<uint32_t>(flags.GetU64("threads", 1));
   cfg.ops = flags.GetU64("ops", 100000);

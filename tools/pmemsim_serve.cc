@@ -114,20 +114,6 @@ class TimelineSlotGuard {
   std::string* slot_;
 };
 
-bool WriteFileOrComplain(const std::string& path, const std::string& text) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "error: cannot open %s\n", path.c_str());
-    return false;
-  }
-  const bool ok = std::fwrite(text.data(), 1, text.size(), f) == text.size();
-  if (std::fclose(f) != 0 || !ok) {
-    std::fprintf(stderr, "error: short write to %s\n", path.c_str());
-    return false;
-  }
-  return true;
-}
-
 std::vector<std::string> SplitCsv(const std::string& s) {
   std::vector<std::string> out;
   size_t start = 0;
@@ -460,16 +446,16 @@ int main(int argc, char** argv) {
     }
     timeline.EndArray();
     timeline.EndObject();
-    if (!WriteFileOrComplain(cli.timeline_path, timeline.str())) {
+    if (!pmemsim_bench::WriteFile(cli.timeline_path, timeline.str())) {
       io_rc = 1;
     }
   }
   if (!cli.spans_path.empty() &&
-      !WriteFileOrComplain(cli.spans_path, timelines[0]->SpansToJson())) {
+      !pmemsim_bench::WriteFile(cli.spans_path, timelines[0]->SpansToJson())) {
     io_rc = 1;
   }
   if (!cli.span_trace_path.empty() &&
-      !WriteFileOrComplain(cli.span_trace_path, timelines[0]->SpansToChromeTrace())) {
+      !pmemsim_bench::WriteFile(cli.span_trace_path, timelines[0]->SpansToChromeTrace())) {
     io_rc = 1;
   }
 

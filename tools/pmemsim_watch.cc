@@ -39,27 +39,6 @@ namespace {
 
 using namespace pmemsim;
 
-uint64_t ParseSize(const std::string& s) {
-  if (s.empty()) {
-    return 0;
-  }
-  const char suffix = s.back();
-  const uint64_t base = std::strtoull(s.c_str(), nullptr, 10);
-  switch (suffix) {
-    case 'K':
-    case 'k':
-      return KiB(base);
-    case 'M':
-    case 'm':
-      return MiB(base);
-    case 'G':
-    case 'g':
-      return GiB(base);
-    default:
-      return base;
-  }
-}
-
 struct WatchConfig {
   PlatformConfig platform;
   std::string workload = "seq_store";
@@ -244,6 +223,7 @@ int main(int argc, char** argv) {
         "                     [--platform=g1|g2|g2-eadr] [--dimms=1] [--threads=1]\n"
         "                     [--wss=4M] [--stride=64] [--ops=200000] [--distance=4]\n"
         "                     [--sample_interval_cycles=20000] [--breakdown] [--quiet]\n"
+        "                     [--samples_json=<path>]  write the interval series as JSON\n"
         "       pmemsim_watch --serve_timeline=<path>   render a pmemsim_serve\n"
         "                     --timeline_json artifact instead of running\n%s",
         pmemsim_bench::kTelemetryFlagsHelp);
@@ -265,7 +245,7 @@ int main(int argc, char** argv) {
   }
   cfg.platform = *platform;
   cfg.workload = flags.Get("workload", "seq_store");
-  cfg.wss = ParseSize(flags.Get("wss", "4M"));
+  cfg.wss = flags.GetSize("wss", MiB(4));
   cfg.stride = flags.GetU64("stride", kCacheLineSize);
   cfg.threads = static_cast<uint32_t>(flags.GetU64("threads", 1));
   cfg.ops = flags.GetU64("ops", 200000);
@@ -281,6 +261,7 @@ int main(int argc, char** argv) {
     pmemsim_bench::Flags::BadValue("wss", flags.Get("wss", "4M"),
                                    "working set of at least one stride");
   }
+  const std::string samples_path = flags.Get("samples_json", "");
   pmemsim_bench::BenchReport report(flags, "pmemsim_watch");
   flags.RejectUnknown();
 
@@ -365,7 +346,8 @@ int main(int argc, char** argv) {
       .Set("wa", global.WriteAmplification())
       .Set("ra", global.ReadAmplification());
   report.AddCounters("global_delta", global);
-  report.SetSamplesJson(sampler.ToJson());
+  const bool samples_ok =
+      samples_path.empty() || pmemsim_bench::WriteFile(samples_path, sampler.ToJson());
   const int rc = report.Finish();
-  return conserved ? rc : 1;
+  return conserved && samples_ok ? rc : 1;
 }
