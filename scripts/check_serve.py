@@ -8,8 +8,10 @@ The serving tier's contract (src/serve/) is enforceable from the JSON alone:
      to completion (nothing is lost or double-counted);
   2. aggregation: the per-shard offered/rejected/completed counts sum to the
      global counts, and no shard's last_completion exceeds the global one;
-  3. latency accounting: sojourn histogram count == completed, and the
-     exact-rank tails are monotone (p50 <= p99 <= p999);
+  3. latency accounting: sojourn histogram count == completed, the
+     exact-rank tails are monotone (p50 <= p99 <= p999), and the histogram
+     ladder under latency.sojourn reports the same p50/p99/p999 as the flat
+     sojourn_pXX fields (one quantile definition);
   4. attribution: every shard carries a memory-side attribution section with
      a positive access count (the serve phase was actually attributed);
   5. rows: every (mix, loop) point emits a "global" row plus one row per
@@ -63,6 +65,12 @@ def check_stats_block(stats, where):
         )
         if not p50 <= p99 <= p999:
             fail(f"{where}: tails not monotone: p50={p50} p99={p99} p999={p999}")
+    for p in ("p50", "p99", "p999"):
+        if sojourn.get(p) != stats[f"sojourn_{p}"]:
+            fail(
+                f"{where}: latency.sojourn.{p} ({sojourn.get(p)}) != "
+                f"sojourn_{p} ({stats[f'sojourn_{p}']})"
+            )
     return stats["offered"], stats["rejected"], stats["completed"]
 
 

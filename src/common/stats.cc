@@ -61,18 +61,6 @@ int Histogram::BucketFor(uint64_t value) {
   return std::min<int>(bucket, kOctaves * kSubBuckets - 1);
 }
 
-uint64_t Histogram::BucketMidpoint(int bucket) {
-  if (bucket < kSubBuckets) {
-    return static_cast<uint64_t>(bucket);
-  }
-  const int octave = bucket / kSubBuckets - 1;
-  const int sub = bucket % kSubBuckets;
-  const uint64_t base = (static_cast<uint64_t>(kSubBuckets) | static_cast<uint64_t>(sub))
-                        << (octave - 1);
-  const uint64_t width = 1ull << std::max(0, octave - 1);
-  return base + width / 2;
-}
-
 void Histogram::Add(uint64_t value) {
   if (count_ == 0) {
     min_ = max_ = value;
@@ -104,23 +92,6 @@ void Histogram::Merge(const Histogram& other) {
 }
 
 double Histogram::mean() const { return count_ ? sum_ / static_cast<double>(count_) : 0.0; }
-
-uint64_t Histogram::Percentile(double p) const {
-  if (count_ == 0) {
-    return 0;
-  }
-  PMEMSIM_CHECK(p >= 0.0 && p <= 100.0);
-  const uint64_t target =
-      static_cast<uint64_t>(std::ceil(p / 100.0 * static_cast<double>(count_)));
-  uint64_t seen = 0;
-  for (size_t i = 0; i < buckets_.size(); ++i) {
-    seen += buckets_[i];
-    if (seen >= target && buckets_[i] > 0) {
-      return std::clamp(BucketMidpoint(static_cast<int>(i)), min_, max_);
-    }
-  }
-  return max_;
-}
 
 uint64_t Histogram::Quantile(double q) const {
   if (count_ == 0) {
@@ -184,9 +155,9 @@ std::string Histogram::Summary() const {
   std::snprintf(buf, sizeof(buf),
                 "n=%llu mean=%.1f p50=%llu p90=%llu p99=%llu min=%llu max=%llu",
                 static_cast<unsigned long long>(count_), mean(),
-                static_cast<unsigned long long>(Percentile(50)),
-                static_cast<unsigned long long>(Percentile(90)),
-                static_cast<unsigned long long>(Percentile(99)),
+                static_cast<unsigned long long>(Quantile(0.50)),
+                static_cast<unsigned long long>(Quantile(0.90)),
+                static_cast<unsigned long long>(Quantile(0.99)),
                 static_cast<unsigned long long>(Min()),
                 static_cast<unsigned long long>(Max()));
   return buf;
@@ -211,10 +182,10 @@ void Histogram::ToJson(JsonWriter& w) const {
   w.Key("mean").Value(mean());
   w.Key("min").Value(Min());
   w.Key("max").Value(Max());
-  w.Key("p50").Value(Percentile(50));
-  w.Key("p90").Value(Percentile(90));
-  w.Key("p99").Value(Percentile(99));
-  w.Key("p999").Value(Percentile(99.9));
+  w.Key("p50").Value(Quantile(0.50));
+  w.Key("p90").Value(Quantile(0.90));
+  w.Key("p99").Value(Quantile(0.99));
+  w.Key("p999").Value(Quantile(0.999));
   w.EndObject();
 }
 

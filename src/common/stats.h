@@ -40,8 +40,8 @@ class RunningStat {
 };
 
 // Log-bucketed latency histogram (power-of-two buckets with linear sub-buckets)
-// supporting approximate percentiles. Good enough for cycle latencies spanning
-// 1..10^7.
+// with one quantile estimator, Quantile(). Good enough for cycle latencies
+// spanning 1..10^7.
 class Histogram {
  public:
   Histogram();
@@ -51,17 +51,14 @@ class Histogram {
 
   uint64_t count() const { return count_; }
   double mean() const;
-  // p in [0, 100]. Returns 0 on an empty histogram — callers that must
-  // distinguish "no samples" from "0-cycle latency" check count() first
-  // (ToJson emits nulls for exactly this reason).
-  uint64_t Percentile(double p) const;
   // Exact-rank quantile extraction, q in [0, 1]: locates the bucket holding
   // the sample of rank ceil(q * count) and interpolates the rank's position
   // linearly across the bucket's value span. Values below 16 land in
   // single-value buckets, so quantiles over them are exact; wider buckets
-  // bound the error by the sub-bucket resolution (1/16 relative). Returns 0
-  // on an empty histogram (check count(), as with Percentile). q=0 yields
-  // Min(), q=1 yields Max().
+  // bound the error by the sub-bucket resolution (1/16 relative). q=0 yields
+  // Min(), q=1 yields Max(). Returns 0 on an empty histogram — callers that
+  // must distinguish "no samples" from "0-cycle latency" check count() first
+  // (ToJson emits nulls for exactly this reason).
   uint64_t Quantile(double q) const;
   uint64_t Min() const { return count_ ? min_ : 0; }
   uint64_t Max() const { return count_ ? max_ : 0; }
@@ -70,7 +67,7 @@ class Histogram {
 
   std::string Summary() const;
 
-  // Count/mean/min/max plus the standard percentile ladder (p50..p999).
+  // Count/mean/min/max plus the standard quantile ladder (p50..p999).
   // An empty histogram serializes as count:0 with null statistics.
   void ToJson(JsonWriter& w) const;
   std::string ToJson() const;
@@ -81,7 +78,6 @@ class Histogram {
   static constexpr int kOctaves = 40;
 
   static int BucketFor(uint64_t value);
-  static uint64_t BucketMidpoint(int bucket);
 
   std::vector<uint64_t> buckets_;
   uint64_t count_ = 0;

@@ -6,7 +6,7 @@
 //   sojourn    = completion - arrival     (what the client experiences)
 // The exact totals satisfy sojourn == wait + service per request, so the
 // summed identity is gated by tests. Tail percentiles (p50/p99/p999) come
-// from Histogram::Quantile, the exact-rank extraction added for this tier.
+// from Histogram::Quantile, the histogram's one exact-rank estimator.
 
 #ifndef SRC_SERVE_SERVICE_STATS_H_
 #define SRC_SERVE_SERVICE_STATS_H_

@@ -165,9 +165,9 @@ std::string AttributionCollector::CriticalPathTable() const {
                   static_cast<unsigned long long>(stage_total_[s]),
                   100.0 * static_cast<double>(stage_total_[s]) / total,
                   static_cast<unsigned long long>(stage_hist_[s].count()),
-                  static_cast<unsigned long long>(stage_hist_[s].Percentile(50)),
-                  static_cast<unsigned long long>(stage_hist_[s].Percentile(90)),
-                  static_cast<unsigned long long>(stage_hist_[s].Percentile(99)));
+                  static_cast<unsigned long long>(stage_hist_[s].Quantile(0.50)),
+                  static_cast<unsigned long long>(stage_hist_[s].Quantile(0.90)),
+                  static_cast<unsigned long long>(stage_hist_[s].Quantile(0.99)));
     out += line;
   }
   if (async_accept_hist_.count() > 0) {
@@ -175,8 +175,8 @@ std::string AttributionCollector::CriticalPathTable() const {
         line, sizeof(line),
         "async wpq_accept: n=%llu p50=%llu p99=%llu (outside conservation)\n",
         static_cast<unsigned long long>(async_accept_hist_.count()),
-        static_cast<unsigned long long>(async_accept_hist_.Percentile(50)),
-        static_cast<unsigned long long>(async_accept_hist_.Percentile(99)));
+        static_cast<unsigned long long>(async_accept_hist_.Quantile(0.50)),
+        static_cast<unsigned long long>(async_accept_hist_.Quantile(0.99)));
     out += line;
   }
   return out;

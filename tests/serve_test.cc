@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/core/platform.h"
@@ -150,6 +151,37 @@ TEST(ServiceTierTest, OpenLoopTightQueueShedsDeterministically) {
   EXPECT_EQ(global->Find("offered")->AsUint(), cfg.ops * cfg.shards);
   EXPECT_EQ(global->Find("offered")->AsUint(),
             global->Find("completed")->AsUint() + global->Find("rejected")->AsUint());
+}
+
+TEST(ServiceTierTest, SojournLadderMatchesTheFlatTails) {
+  // One quantile definition: the report's flat sojourn_pXX tails and the
+  // latency.sojourn histogram ladder are the same numbers, globally and per
+  // shard.
+  ServeConfig cfg = SmallConfig();
+  cfg.store = StoreKind::kFastFair;
+  cfg.loop = LoopMode::kClosed;
+  cfg.mix = *MixByName("b");
+  cfg.mix_name = "b";
+  cfg.keys = 2000;
+  cfg.ops = 1000;
+  JsonValue parsed;
+  ASSERT_TRUE(JsonValue::Parse(RunTierJson(cfg), &parsed));
+  std::vector<std::pair<std::string, const JsonValue*>> scopes = {
+      {"global", parsed.Find("global")}};
+  for (const JsonValue& shard : parsed.Find("shards")->array) {
+    scopes.emplace_back("shard " + std::to_string(shard.Find("shard")->AsUint()),
+                        shard.Find("stats"));
+  }
+  ASSERT_EQ(scopes.size(), 1u + cfg.shards);
+  for (const auto& [where, stats] : scopes) {
+    ASSERT_NE(stats, nullptr) << where;
+    const JsonValue* ladder = stats->Find("latency")->Find("sojourn");
+    ASSERT_GT(ladder->Find("count")->AsUint(), 0u) << where;
+    for (const char* p : {"p50", "p99", "p999"}) {
+      EXPECT_EQ(ladder->Find(p)->AsUint(), stats->Find(std::string("sojourn_") + p)->AsUint())
+          << where << " " << p;
+    }
+  }
 }
 
 TEST(ServiceTierTest, BatchSizeVariantsAllComplete) {

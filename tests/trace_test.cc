@@ -133,8 +133,10 @@ TEST(Serialization, HistogramRoundTrip) {
   EXPECT_EQ(v.Find("count")->AsUint(), 1000u);
   EXPECT_EQ(v.Find("min")->AsUint(), 1u);
   EXPECT_EQ(v.Find("max")->AsUint(), 1000u);
-  EXPECT_EQ(v.Find("p50")->AsUint(), h.Percentile(50));
-  EXPECT_EQ(v.Find("p999")->AsUint(), h.Percentile(99.9));
+  EXPECT_EQ(v.Find("p50")->AsUint(), h.Quantile(0.50));
+  EXPECT_EQ(v.Find("p90")->AsUint(), h.Quantile(0.90));
+  EXPECT_EQ(v.Find("p99")->AsUint(), h.Quantile(0.99));
+  EXPECT_EQ(v.Find("p999")->AsUint(), h.Quantile(0.999));
 }
 
 TEST(Serialization, EmptyHistogramIsExplicitNotZero) {
@@ -142,7 +144,7 @@ TEST(Serialization, EmptyHistogramIsExplicitNotZero) {
   // empty case must be distinguishable from "measured zero latency".
   Histogram h;
   EXPECT_EQ(h.count(), 0u);
-  EXPECT_EQ(h.Percentile(50), 0u);  // documented fallback; callers check count()
+  EXPECT_EQ(h.Quantile(0.50), 0u);  // documented fallback; callers check count()
   EXPECT_EQ(h.Summary(), "n=0 (empty)");
 
   JsonValue v;
