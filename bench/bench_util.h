@@ -74,6 +74,15 @@ class Flags {
     return parsed;
   }
 
+  // GetU64 for counts that must not be zero (threads, strides, queue sizes).
+  uint64_t GetPositiveU64(const std::string& name, uint64_t def) const {
+    const uint64_t v = GetU64(name, def);
+    if (v == 0) {
+      BadValue(name, Get(name, ""), "positive integer");
+    }
+    return v;
+  }
+
   // A byte count with an optional binary K/M/G suffix: "4096", "64K", "4M".
   uint64_t GetSize(const std::string& name, uint64_t def) const {
     const std::string v = Get(name, "");

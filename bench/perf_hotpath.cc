@@ -80,17 +80,8 @@ WorkloadResult RunRandLoad(uint64_t ops) {
   CounterDelta delta(&system->counters());
   const Cycles start_cycles = ctx.clock();
   const double t0 = Now();
-  // Software-pipelined: the next address is known one op ahead (it only
-  // depends on the RNG), so hint it before issuing the current load and the
-  // host-side fetches of the next op's set blocks and page data overlap this
-  // op's simulation work. The RNG sequence — and thus every simulated result
-  // — is identical to the straight-line loop.
-  Addr next = region.base + rng.NextBelow(lines) * kCacheLineSize;
   for (uint64_t i = 0; i < ops; ++i) {
-    const Addr addr = next;
-    next = region.base + rng.NextBelow(lines) * kCacheLineSize;
-    ctx.HostPrefetchHint(next);
-    ctx.Load64(addr);
+    ctx.Load64(region.base + rng.NextBelow(lines) * kCacheLineSize);
   }
   r.wall_sec = Now() - t0;
   r.ops = ops;

@@ -127,7 +127,6 @@ class WriteBuffer {
 
   size_t occupied_entries() const { return keys_.size(); }
   size_t capacity_entries() const { return capacity_entries_; }
-  size_t partial_capacity_entries() const { return partial_capacity_; }
 
  private:
   struct Entry {

@@ -55,12 +55,9 @@ void CacheHierarchy::AccessInternal(Addr addr, Cycles now, bool is_store, bool o
   // translation cache, and the on-DIMM buffer indexes — all cold in the host
   // caches for the big-working-set shapes. Start those fetches now so they
   // proceed in parallel with the L2/L3 probes (one round of concurrent host
-  // misses instead of a serial dependence chain), unless an explicit hint
-  // already warmed this line one operation ago. No simulated effect.
-  if (line != last_hint_line_) {
-    l3_->PrefetchSet(line);
-    mc_->PrefetchRead(line);
-  }
+  // misses instead of a serial dependence chain). No simulated effect.
+  l3_->PrefetchSet(line);
+  mc_->PrefetchRead(line);
 
   if (l2_.Access(line, now, /*mark_dirty=*/false, &ft, &avail)) {
     ++counters_->l2_hits;

@@ -48,19 +48,6 @@ class CacheHierarchy : public PrefetchSink {
 
   bool ProbeAny(Addr addr, Cycles now) const;
 
-  // Host-side hint that `addr` is about to be accessed: starts fetching the
-  // L2/L3 set blocks and the target DIMM's translation state. No simulated
-  // effect — callers that know their next address (trace replayers, benchmark
-  // loops) issue this one operation ahead so the host DRAM fetches overlap
-  // the current operation's simulation work.
-  void HostPrefetchHint(Addr addr) const {
-    const Addr line = CacheLineBase(addr);
-    l2_.PrefetchSet(line);
-    l3_->PrefetchSet(line);
-    mc_->PrefetchRead(line);
-    last_hint_line_ = line;
-  }
-
   // PrefetchSink: fills a line into L2 (+L3), or L1 for the DCU streamer.
   // Never charged to the thread clock.
   void PrefetchFill(Addr line_addr, Cycles now, bool into_l1) override;
@@ -98,10 +85,6 @@ class CacheHierarchy : public PrefetchSink {
   NodeId node_;
   PrefetchEngine engine_;
   bool in_prefetch_fill_ = false;  // prefetch fills must not re-trigger training
-  // Last line already warmed by an explicit HostPrefetchHint: the miss-path
-  // fan-out skips re-issuing those fetches. Host-only state (mutable so the
-  // const hint entry point can record it); never read by timing code.
-  mutable Addr last_hint_line_ = ~Addr{0};
 };
 
 }  // namespace pmemsim

@@ -96,22 +96,16 @@ void ThreadContext::RecordPersistOp(AttributionCollector::Op op, Cycles t0, Cycl
 // Marked inline: it is on every timed load's path.
 inline const AccessRecord& ThreadContext::TimeLoad(Addr addr, bool train) {
   // A timed load usually ends with backing_->ReadU64(addr), so start the host
-  // fetch of that page first: it overlaps the whole simulated walk. No simulated
-  // effect (dependent-chase shapes cannot hint their next address early, so
-  // this entry-point overlap is all the host parallelism they get). Skipped
-  // when an explicit hint already warmed the line one operation ago.
-  if (CacheLineBase(addr) != hint_line_) {
-    backing_->PrefetchRead(addr);
-  }
+  // fetch of that page first: it overlaps the whole simulated walk. No
+  // simulated effect.
+  backing_->PrefetchRead(addr);
   // Out-of-order early execution: an unordered load targeting a just-flushed
   // line can issue before the flush's invalidation retires and hit the cache.
   if (!loads_ordered_ && recent_flush_count_ != 0) {
     const Addr line = CacheLineBase(addr);
     for (uint32_t i = 0; i < recent_flush_count_; ++i) {
       if (recent_flushes_[i] == line && hier_->ProbeAny(line, /*now=*/0)) {
-        const Cycles latency = ScaleCore(hier_->l1().hit_latency());
-        last_access_ = {1, latency, 0};
-        clock_ += latency;
+        clock_ += ScaleCore(hier_->l1().hit_latency());
         AccessRecord& early = *arena_.Alloc();
         early.hit_level = 1;
         return early;
@@ -124,15 +118,15 @@ inline const AccessRecord& ThreadContext::TimeLoad(Addr addr, bool train) {
   if (r.hit_level >= 1) {
     latency = ScaleCore(latency);  // core-local: subject to SMT sharing
   }
-  last_access_ = {r.hit_level, latency, r.stalled_for};
   clock_ += latency;
   return r;
 }
 
 uint64_t ThreadContext::LoadInternal(Addr addr, bool train) {
+  const Cycles t0 = clock_;
   const AccessRecord& r = TimeLoad(addr, train);
   if (attribution_ != nullptr) {
-    RecordMemAccess(AttributionCollector::kLoad, last_access_.latency, r);
+    RecordMemAccess(AttributionCollector::kLoad, clock_ - t0, r);
   }
   return backing_->ReadU64(addr);
 }
@@ -206,7 +200,6 @@ void ThreadContext::StoreTimed(Addr addr) {
     // cache fills have been accounted); the pipeline pays a fixed cost.
     latency = ScaleCore(cpu_.store_miss_post_cost);
   }
-  last_access_ = {r.hit_level, latency, r.stalled_for};
   clock_ += latency + ScaleCore(cpu_.store_issue_cost);
   if (attribution_ != nullptr) {
     AttributionCollector::StageDurations stages;

@@ -62,17 +62,6 @@ class ThreadContext {
   // A load that does not train the prefetchers (AVX/streaming access path).
   uint64_t Load64NoPrefetch(Addr addr);
 
-  // Host-side hint that `addr` is the next access: warms the cache-model set
-  // blocks, the DIMM translation state, and the backing-store data behind it.
-  // No simulated effect (no clock, counters, or cache-state change) — callers
-  // that know their next address issue it one operation early so the host
-  // memory fetches overlap the current operation's simulation work.
-  void HostPrefetchHint(Addr addr) const {
-    backing_->PrefetchRead(addr);
-    hier_->HostPrefetchHint(addr);
-    hint_line_ = CacheLineBase(addr);
-  }
-
   // Issues independent loads with full memory-level parallelism: the clock
   // advances to the latest completion rather than the sum (helper-thread
   // prefetch loops have no dependent chain across addresses).
@@ -106,12 +95,6 @@ class ThreadContext {
   void StreamCopyXPLine(Addr pm_xpline, Addr dram_buffer);
 
   // --- introspection ---
-  struct LastAccess {
-    uint8_t hit_level = 0;
-    Cycles latency = 0;
-    Cycles stalled_for = 0;
-  };
-  const LastAccess& last_access() const { return last_access_; }
   size_t outstanding_persists() const { return outstanding_.size(); }
 
   CacheHierarchy& hierarchy() { return *hier_; }
@@ -225,7 +208,6 @@ class ThreadContext {
   CacheHierarchy own_hierarchy_;
   CacheHierarchy* hier_;  // == &own_hierarchy_, or the SMT sibling's
   Cycles clock_ = 0;
-  LastAccess last_access_;
 
   PersistObserver* observer_ = nullptr;
   AttributionCollector* attribution_ = nullptr;
@@ -246,9 +228,6 @@ class ThreadContext {
   using FlushFn = void (ThreadContext::*)(Addr);
   FlushFn clwb_impl_ = nullptr;        // bound in the constructors
   FlushFn clflushopt_impl_ = nullptr;  // bound in the constructors
-  // Last line warmed by HostPrefetchHint; the load entry point skips its
-  // backing-data prefetch for it. Host-only state, never read by timing code.
-  mutable Addr hint_line_ = ~Addr{0};
 };
 
 }  // namespace pmemsim

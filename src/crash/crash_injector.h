@@ -1,22 +1,25 @@
 // CrashInjector: deterministic crash-point selection for the crash-consistency
-// subsystem (src/crash/README: tracker -> injector -> validator pipeline).
+// subsystem (tracker -> injector -> validator pipeline).
 //
 // The PersistTracker forwards every persistence event — WPQ acceptance, WPQ
-// drain, fence completion — to the injector once event counting starts. A
-// calibration run leaves the injector unarmed and simply counts the events;
-// an injection run arms one event index, and when that event fires the
-// injector throws CrashSignal out of the simulated store path, abandoning the
-// run exactly at that boundary. The caller catches the signal, asks the
-// tracker to materialize the durable image at `crash_now()`, and validates.
+// drain, fence completion — to the injector once event counting starts. The
+// injector numbers them and runs an action at each targeted index, inside the
+// simulated operation, while the machine is exactly at that boundary.
+// Unarmed, it only counts (calibration). RunCrashPoints (workloads.h) arms a
+// sorted sample and validates every point in one pass. Arm() is the
+// one-target case that throws CrashSignal out of the store path; the caller
+// catches it and materializes the durable image at `crash_now()`.
 //
 // Determinism: events are generated by the (deterministic) simulator in
-// program order, so the same workload + the same armed index always crashes
-// at the same simulated cycle with the same durable image.
+// program order, so the same workload + the same target index always lands
+// on the same simulated cycle with the same durable image.
 
 #ifndef SRC_CRASH_CRASH_INJECTOR_H_
 #define SRC_CRASH_CRASH_INJECTOR_H_
 
 #include <cstdint>
+#include <functional>
+#include <vector>
 
 #include "src/common/types.h"
 
@@ -31,36 +34,49 @@ enum class CrashEventKind : uint8_t {
 
 const char* CrashEventKindName(CrashEventKind kind);
 
-// Thrown from inside a simulated persist operation when the armed crash
-// point fires. Carries no state: the injector records the fired event.
+// Thrown from inside a simulated persist operation when the crash point
+// armed by Arm() fires. Carries no state: the injector records the event.
 struct CrashSignal {};
 
 class CrashInjector {
  public:
-  // Crash when the `event_index`-th event (0-based, counted from
-  // PersistTracker::StartEvents) fires. Call before the run starts.
-  void Arm(uint64_t event_index) {
-    armed_ = true;
-    target_ = event_index;
+  // Runs at a targeted event, inside the simulated operation that produced it.
+  using Action = std::function<void(uint64_t event_index, CrashEventKind kind, Cycles crash_now)>;
+
+  // Runs `action` at each of `targets` (strictly increasing event indexes,
+  // 0-based, counted from PersistTracker::StartEvents). Call before the run
+  // starts.
+  void ArmAll(std::vector<uint64_t> targets, Action action);
+
+  // Crash at the `event_index`-th event: records its kind and cycle, then
+  // throws CrashSignal. Call before the run starts.
+  void Arm(uint64_t event_index);
+
+  // Called by the tracker for every event. Non-target events only count.
+  void OnEvent(CrashEventKind kind, Cycles crash_now) {
+    const uint64_t index = count_++;
+    if (index == next_target_) {
+      ++next_;  // advance first: the action may throw
+      next_target_ = next_ < targets_.size() ? targets_[next_] : kNoTarget;
+      action_(index, kind, crash_now);
+    }
   }
 
-  // Called by the tracker for every event. Throws CrashSignal exactly once,
-  // at the armed index; afterwards (and when unarmed) it only counts.
-  void OnEvent(CrashEventKind kind, Cycles crash_now);
-
   uint64_t events_seen() const { return count_; }
-  bool fired() const { return fired_; }
+  // The event Arm()'s crash landed on.
   CrashEventKind fired_kind() const { return fired_kind_; }
   // The simulated cycle the crash models: the event's persist point. Writes
   // with accepted_at <= crash_now() are durable in the materialized image.
   Cycles crash_now() const { return crash_now_; }
-  uint64_t fired_index() const { return target_; }
 
  private:
-  bool armed_ = false;
-  bool fired_ = false;
-  uint64_t target_ = 0;
+  static constexpr uint64_t kNoTarget = ~uint64_t{0};
+
+  std::vector<uint64_t> targets_;
+  size_t next_ = 0;  // targets_[next_] is the next to fire
+  uint64_t next_target_ = kNoTarget;
   uint64_t count_ = 0;
+  Action action_;
   CrashEventKind fired_kind_ = CrashEventKind::kWpqAccept;
   Cycles crash_now_ = 0;
 };

@@ -120,7 +120,6 @@ void PersistTracker::NoteEvent(CrashEventKind kind, Cycles now) {
   if (injector_ == nullptr) {
     return;  // events only exist once StartEvents() has been called
   }
-  ++stats_.events;
   PurgeMatured(now);
   injector_->OnEvent(kind, now);  // may throw CrashSignal
 }

@@ -52,7 +52,6 @@ class PersistTracker : public PersistObserver {
   };
 
   struct Stats {
-    uint64_t events = 0;                 // crash points seen since StartEvents
     uint64_t samples = 0;                // window samples (every tracked write/fence)
     uint64_t max_in_cache_bytes = 0;     // dirty PM lines not yet at the iMC
     uint64_t max_in_wpq_bytes = 0;       // lines issued to the iMC, not accepted

@@ -23,8 +23,6 @@ class CcehCrashWorkload : public CrashWorkload {
  public:
   explicit CcehCrashWorkload(const CrashWorkloadOptions& opts) : opts_(opts) {}
 
-  const char* name() const override { return "cceh"; }
-
   void Setup(System& system, ThreadContext& ctx) override {
     // Start with 2 segments so the run exercises splits and doubling.
     cceh_ = std::make_unique<Cceh>(&system, ctx, /*initial_depth=*/1, MemoryKind::kOptane);
@@ -64,8 +62,6 @@ class FastFairCrashWorkload : public CrashWorkload {
  public:
   explicit FastFairCrashWorkload(const CrashWorkloadOptions& opts) : opts_(opts) {}
 
-  const char* name() const override { return "fastfair"; }
-
   void Setup(System& system, ThreadContext& ctx) override {
     tree_ = std::make_unique<FastFairTree>(&system, ctx, MemoryKind::kOptane);
   }
@@ -99,8 +95,6 @@ class FastFairCrashWorkload : public CrashWorkload {
 class FlatLogCrashWorkload : public CrashWorkload {
  public:
   explicit FlatLogCrashWorkload(const CrashWorkloadOptions& opts) : opts_(opts) {}
-
-  const char* name() const override { return "flatlog"; }
 
   void Setup(System& system, ThreadContext& ctx) override {
     (void)ctx;
@@ -161,8 +155,6 @@ class RedoCrashWorkload : public CrashWorkload {
   static constexpr uint64_t kUpdatesPerTxn = 4;
 
   explicit RedoCrashWorkload(const CrashWorkloadOptions& opts) : opts_(opts) {}
-
-  const char* name() const override { return "redo"; }
 
   void Setup(System& system, ThreadContext& ctx) override {
     (void)ctx;
@@ -231,8 +223,6 @@ class UndoCrashWorkload : public CrashWorkload {
   static constexpr uint64_t kStoresPerTxn = 4;
 
   explicit UndoCrashWorkload(const CrashWorkloadOptions& opts) : opts_(opts) {}
-
-  const char* name() const override { return "undo"; }
 
   void Setup(System& system, ThreadContext& ctx) override {
     (void)ctx;
@@ -312,6 +302,50 @@ std::unique_ptr<CrashWorkload> CrashWorkload::Create(std::string_view store,
 
 std::vector<std::string> CrashWorkload::StoreNames() {
   return {"cceh", "fastfair", "flatlog", "redo", "undo"};
+}
+
+CrashCalibration CalibrateCrashWorkload(const PlatformConfig& platform, std::string_view store,
+                                        const CrashWorkloadOptions& opts) {
+  return RunCrashPoints(platform, store, opts, {}, 0, PersistTracker::TearGranularity::kWord, {});
+}
+
+uint64_t TearSeedFor(uint64_t seed, uint64_t event_index) {
+  return Mix64(seed ^ (0x9E3779B97F4A7C15ull * (event_index + 1)));
+}
+
+CrashCalibration RunCrashPoints(const PlatformConfig& platform, std::string_view store,
+                                const CrashWorkloadOptions& opts,
+                                const std::vector<uint64_t>& sorted_events, uint64_t tear_seed,
+                                PersistTracker::TearGranularity granularity,
+                                const std::function<void(const CrashPointResult&)>& on_point) {
+  // The tracker records every PM write from the first, Setup() included.
+  System system(platform);
+  PersistTracker tracker(platform.eadr_enabled);
+  tracker.Attach(&system);
+  ThreadContext& ctx = system.CreateThread();
+  auto workload = CrashWorkload::Create(store, opts);
+  PMEMSIM_CHECK_MSG(workload != nullptr, "unknown crash workload store");
+  workload->Setup(system, ctx);
+  size_t fired = 0;
+  CrashInjector injector;
+  injector.ArmAll(sorted_events, [&](uint64_t event, CrashEventKind kind, Cycles crash_now) {
+    CrashPointResult point;
+    point.event = event;
+    point.kind = kind;
+    point.crash_now = crash_now;
+    point.acked_ops = workload->acked_ops();
+    System fresh(platform);
+    point.mat = tracker.Materialize(&fresh.backing(), crash_now, TearSeedFor(tear_seed, event),
+                                    granularity);
+    ThreadContext& vctx = fresh.CreateThread();
+    workload->Validate(fresh, vctx, &point.report);
+    ++fired;
+    on_point(point);
+  });
+  tracker.StartEvents(&injector);
+  workload->Run(ctx);
+  PMEMSIM_CHECK_MSG(fired == sorted_events.size(), "a listed crash event never fired");
+  return {injector.events_seen(), workload->acked_ops(), tracker.stats()};
 }
 
 }  // namespace pmemsim

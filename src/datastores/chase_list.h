@@ -35,12 +35,12 @@ class ChaseList {
 
   uint64_t size() const { return count_; }
   Addr head() const { return order_.front(); }
-  // Traversals resume where the previous call stopped (the list is circular),
-  // so partial measurement passes still walk cold elements.
-  void ResetCursor() { cursor_ = order_.front(); cursor_index_ = 0; }
   // Element addresses in traversal order (used by the pure-write benchmark,
   // which keeps addresses in DRAM and never reads PM).
   const std::vector<Addr>& order() const { return order_; }
+
+  // Traversals resume where the previous call stopped (the list is circular),
+  // so partial measurement passes still walk cold elements.
 
   // Full traversal: chase pointers, update one cacheline per element, persist
   // per `mode`/`persistency`. `epoch_len` applies to Persistency::kEpoch

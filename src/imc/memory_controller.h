@@ -90,7 +90,6 @@ class MemoryController {
   // Per-scope views.
   const Counters& optane_dimm_counters(size_t i) const { return *optane_scope_counters_[i]; }
   const Counters& dram_counters() const { return *dram_scope_counters_; }
-  const Counters& imc_counters() const { return *counters_; }
 
  private:
   size_t OptaneIndexFor(Addr addr) const;

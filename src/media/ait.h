@@ -47,9 +47,6 @@ class Ait {
     }
   }
 
-  // Test hooks. Each Touch either recycles a node in place or appends one,
-  // so the node array's size is the live entry count.
-  size_t entry_count() const { return nodes_.size(); }
   size_t capacity() const { return capacity_; }
 
  private:

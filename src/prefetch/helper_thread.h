@@ -42,8 +42,6 @@ class SpeculativeHelperPair {
   // outlive Scheduler::Run.
   void AppendJobs(std::vector<SimJob>& jobs);
 
-  size_t worker_index() const { return worker_index_; }
-
  private:
   StepResult WorkerStep();
   StepResult HelperStep();

@@ -106,7 +106,6 @@ class TierDispatcher {
   // (future work there is client feedback, visible as undrained domains).
   bool Exhausted() const;
 
-  uint64_t global_keys() const { return global_keys_; }
   uint64_t budget() const { return budget_; }
   uint64_t issued() const { return issued_; }
 

@@ -90,12 +90,10 @@ class AttributionCollector {
   uint64_t stage_total(Stage stage) const { return stage_total_[stage]; }
   uint64_t StageTotalSum() const;
   const Histogram& op_hist(Op op) const { return op_hist_[op]; }
-  const Histogram& stage_hist(Stage stage) const { return stage_hist_[stage]; }
   // Exact-rank tail extraction (Histogram::Quantile, q in [0,1]) over one op
-  // class or stage — how the serving tier reads its per-shard memory-op and
-  // wpq-wait tails out of the attribution layer.
+  // class — how the serving tier reads its per-shard memory-op tails out of
+  // the attribution layer.
   uint64_t OpQuantile(Op op, double q) const { return op_hist_[op].Quantile(q); }
-  uint64_t StageQuantile(Stage stage, double q) const { return stage_hist_[stage].Quantile(q); }
   const Histogram& async_accept_hist() const { return async_accept_hist_; }
 
   // {"accesses":N,"end_to_end_total":..,"ops":{load:{hist}..},

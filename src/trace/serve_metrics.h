@@ -98,7 +98,6 @@ class ServeMetrics {
 
   Cycles origin() const { return origin_; }
   Cycles interval_cycles() const { return interval_; }
-  bool begun() const { return begun_; }
   // Largest event timestamp observed; the truncated-flush finalize point.
   Cycles max_observed() const { return max_observed_; }
   uint64_t total_completed() const { return total_completed_; }

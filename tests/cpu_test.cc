@@ -56,18 +56,24 @@ TEST(ThreadContextTest, CachedLoadIsCheap) {
   Fixture f;
   f.ctx->Load64(f.pm.base);
   const Cycles before = f.ctx->clock();
+  const Counters counters_before = f.system->counters();
   f.ctx->Load64(f.pm.base);
   EXPECT_EQ(f.ctx->clock() - before, G1Platform().cache.l1.hit_latency);
-  EXPECT_EQ(f.ctx->last_access().hit_level, 1);
+  const Counters delta = f.system->counters() - counters_before;
+  EXPECT_EQ(delta.l1_hits, 1u);
+  EXPECT_EQ(delta.cache_misses, 0u);
 }
 
 TEST(ThreadContextTest, MissCostsMemoryLatency) {
   Fixture f;
   f.ctx->Load64(f.pm.base);
   const Cycles before = f.ctx->clock();
+  const Counters counters_before = f.system->counters();
   f.ctx->Load64(f.pm.base + KiB(32));
   EXPECT_GT(f.ctx->clock() - before, G1Platform().optane.media_read_latency);
-  EXPECT_EQ(f.ctx->last_access().hit_level, 0);
+  const Counters delta = f.system->counters() - counters_before;
+  EXPECT_EQ(delta.l1_hits, 0u);
+  EXPECT_EQ(delta.cache_misses, 1u);
 }
 
 TEST(ThreadContextTest, StoreMissIsPosted) {

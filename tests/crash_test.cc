@@ -9,6 +9,7 @@
 #include <string>
 #include <vector>
 
+#include "src/common/check.h"
 #include "src/common/config.h"
 #include "src/common/random.h"
 #include "src/core/system.h"
@@ -21,42 +22,15 @@
 namespace pmemsim {
 namespace {
 
-struct Calibration {
-  uint64_t events = 0;
-  uint64_t acked = 0;
-  PersistTracker::Stats stats;
-};
-
-Calibration Calibrate(const PlatformConfig& platform, const std::string& store,
-                      const CrashWorkloadOptions& opts) {
-  System system(platform);
-  PersistTracker tracker(platform.eadr_enabled);
-  tracker.Attach(&system);
-  ThreadContext& ctx = system.CreateThread();
-  auto workload = CrashWorkload::Create(store, opts);
-  workload->Setup(system, ctx);
-  CrashInjector counter;
-  tracker.StartEvents(&counter);
-  workload->Run(ctx);
-  Calibration result;
-  result.events = counter.events_seen();
-  result.acked = workload->acked_ops();
-  result.stats = tracker.stats();
-  return result;
-}
-
-struct PointResult {
-  bool crashed = false;
-  CrashEventKind kind = CrashEventKind::kWpqAccept;
-  Cycles crash_cycles = 0;
-  ValidationReport report;
-};
-
-PointResult RunPoint(const PlatformConfig& platform, const std::string& store,
-                     const CrashWorkloadOptions& opts, uint64_t event_index,
-                     uint64_t tear_seed,
-                     PersistTracker::TearGranularity granularity =
-                         PersistTracker::TearGranularity::kWord) {
+// The reference crash point: replays the workload from op 0 with Arm(), catches
+// the CrashSignal, then materializes and validates. RunCrashPoints must agree
+// with it field for field. `image`, when given, receives the first MiB of PM.
+CrashPointResult RunPoint(const PlatformConfig& platform, const std::string& store,
+                          const CrashWorkloadOptions& opts, uint64_t event_index,
+                          uint64_t tear_seed,
+                          PersistTracker::TearGranularity granularity =
+                              PersistTracker::TearGranularity::kWord,
+                          std::vector<uint8_t>* image = nullptr) {
   System system(platform);
   PersistTracker tracker(platform.eadr_enabled);
   tracker.Attach(&system);
@@ -66,20 +40,27 @@ PointResult RunPoint(const PlatformConfig& platform, const std::string& store,
   CrashInjector injector;
   injector.Arm(event_index);
   tracker.StartEvents(&injector);
-  PointResult result;
+  bool crashed = false;
   try {
     workload->Run(ctx);
   } catch (const CrashSignal&) {
-    result.crashed = true;
+    crashed = true;
   }
-  EXPECT_TRUE(result.crashed) << store << ": event " << event_index << " never fired";
-  if (!result.crashed) {
+  EXPECT_TRUE(crashed) << store << ": event " << event_index << " never fired";
+  CrashPointResult result;
+  if (!crashed) {
     return result;
   }
+  result.event = event_index;
   result.kind = injector.fired_kind();
-  result.crash_cycles = injector.crash_now();
+  result.crash_now = injector.crash_now();
+  result.acked_ops = workload->acked_ops();
   System fresh(platform);
-  tracker.Materialize(&fresh.backing(), injector.crash_now(), tear_seed, granularity);
+  result.mat = tracker.Materialize(&fresh.backing(), injector.crash_now(), tear_seed, granularity);
+  if (image != nullptr) {
+    image->resize(MiB(1));
+    fresh.backing().Read(kPageSize, image->data(), image->size());
+  }
   ThreadContext& vctx = fresh.CreateThread();
   workload->Validate(fresh, vctx, &result.report);
   return result;
@@ -188,31 +169,13 @@ TEST(PersistTrackerTest, MaterializeIsDeterministicForSameSeed) {
   CrashWorkloadOptions opts;
   opts.ops = 200;
   opts.seed = 11;
-  const Calibration cal = Calibrate(platform, "flatlog", opts);
+  const CrashCalibration cal = CalibrateCrashWorkload(platform, "flatlog", opts);
   ASSERT_GT(cal.events, 0u);
 
   auto image_at = [&](uint64_t tear_seed) {
-    System system(platform);
-    PersistTracker tracker(platform.eadr_enabled);
-    tracker.Attach(&system);
-    ThreadContext& ctx = system.CreateThread();
-    auto workload = CrashWorkload::Create("flatlog", opts);
-    workload->Setup(system, ctx);
-    CrashInjector injector;
-    injector.Arm(cal.events / 2);
-    tracker.StartEvents(&injector);
-    bool crashed = false;
-    try {
-      workload->Run(ctx);
-    } catch (const CrashSignal&) {
-      crashed = true;
-    }
-    EXPECT_TRUE(crashed);
-    System fresh(platform);
-    tracker.Materialize(&fresh.backing(), injector.crash_now(), tear_seed,
-                        PersistTracker::TearGranularity::kWord);
-    std::vector<uint8_t> image(MiB(1));
-    fresh.backing().Read(kPageSize, image.data(), image.size());
+    std::vector<uint8_t> image;
+    RunPoint(platform, "flatlog", opts, cal.events / 2, tear_seed,
+             PersistTracker::TearGranularity::kWord, &image);
     return image;
   };
   EXPECT_EQ(image_at(42), image_at(42));
@@ -223,18 +186,119 @@ TEST(CrashInjectorTest, FiresDeterministicallyAcrossRuns) {
   CrashWorkloadOptions opts;
   opts.ops = 64;
   opts.seed = 5;
-  const Calibration first = Calibrate(platform, "redo", opts);
-  const Calibration second = Calibrate(platform, "redo", opts);
+  const CrashCalibration first = CalibrateCrashWorkload(platform, "redo", opts);
+  const CrashCalibration second = CalibrateCrashWorkload(platform, "redo", opts);
   EXPECT_EQ(first.events, second.events);
   ASSERT_GT(first.events, 4u);
 
   const uint64_t index = first.events / 2;
-  const PointResult a = RunPoint(platform, "redo", opts, index, 3);
-  const PointResult b = RunPoint(platform, "redo", opts, index, 3);
+  const CrashPointResult a = RunPoint(platform, "redo", opts, index, 3);
+  const CrashPointResult b = RunPoint(platform, "redo", opts, index, 3);
   EXPECT_EQ(a.kind, b.kind);
-  EXPECT_EQ(a.crash_cycles, b.crash_cycles);
+  EXPECT_EQ(a.crash_now, b.crash_now);
   EXPECT_EQ(a.report.checks, b.report.checks);
   EXPECT_EQ(a.report.violations, b.report.violations);
+}
+
+constexpr uint64_t kPassTearSeed = 23;
+
+// One RunCrashPoints pass over `events` must see, at each of them, exactly
+// what a run abandoned there by Arm() + CrashSignal sees.
+void ExpectPassMatchesReplay(const PlatformConfig& platform, const std::string& store,
+                             const CrashWorkloadOptions& opts,
+                             PersistTracker::TearGranularity granularity,
+                             const std::vector<uint64_t>& events) {
+  std::vector<CrashPointResult> pass;
+  RunCrashPoints(platform, store, opts, events, kPassTearSeed, granularity,
+                 [&](const CrashPointResult& r) { pass.push_back(r); });
+  ASSERT_EQ(pass.size(), events.size());
+  for (size_t i = 0; i < events.size(); ++i) {
+    SCOPED_TRACE(store + " on " + platform.name + " at event " + std::to_string(events[i]));
+    const CrashPointResult want = RunPoint(platform, store, opts, events[i],
+                                           TearSeedFor(kPassTearSeed, events[i]), granularity);
+    const CrashPointResult& got = pass[i];
+    EXPECT_EQ(got.event, events[i]);
+    EXPECT_EQ(got.kind, want.kind);
+    EXPECT_EQ(got.crash_now, want.crash_now);
+    EXPECT_EQ(got.acked_ops, want.acked_ops);
+    EXPECT_EQ(got.mat.durable_writes, want.mat.durable_writes);
+    EXPECT_EQ(got.mat.inflight_writes, want.mat.inflight_writes);
+    EXPECT_EQ(got.mat.survived_writes, want.mat.survived_writes);
+    EXPECT_EQ(got.mat.lost_writes, want.mat.lost_writes);
+    EXPECT_EQ(got.mat.torn_writes, want.mat.torn_writes);
+    EXPECT_EQ(got.report.checks, want.report.checks);
+    EXPECT_EQ(got.report.violations, want.report.violations);
+    EXPECT_EQ(got.report.messages, want.report.messages);
+  }
+}
+
+// The same at events {0, n/4, n/2, n-1}.
+void ExpectPassMatchesReplay(const PlatformConfig& platform, const std::string& store,
+                             const CrashWorkloadOptions& opts,
+                             PersistTracker::TearGranularity granularity) {
+  const uint64_t n = CalibrateCrashWorkload(platform, store, opts).events;
+  ASSERT_GT(n, 4u) << store << " on " << platform.name;
+  ExpectPassMatchesReplay(platform, store, opts, granularity, {0, n / 4, n / 2, n - 1});
+}
+
+TEST(CrashPointsTest, SinglePassMatchesArmedReplay) {
+  CrashWorkloadOptions opts;
+  opts.ops = 240;
+  opts.seed = 17;
+  for (const char* platform : {"g1", "g2-eadr"}) {
+    for (const std::string& store : CrashWorkload::StoreNames()) {
+      ExpectPassMatchesReplay(*PlatformByName(platform), store, opts,
+                              PersistTracker::TearGranularity::kWord);
+    }
+  }
+  ExpectPassMatchesReplay(G1Platform(), "fastfair", opts,
+                          PersistTracker::TearGranularity::kSubword);
+  // Violations too: their counts and messages must match. Without the commit
+  // barrier CCEH only persists once its lines start leaving the L3.
+  opts.ops = 2000;
+  opts.break_persist = true;
+  ExpectPassMatchesReplay(G1Platform(), "cceh", opts, PersistTracker::TearGranularity::kWord);
+}
+
+TEST(CrashPointsTest, SinglePassMatchesArmedReplayWhereWritesAreInFlight) {
+  // Most points have no write in flight, so the tear seed goes unused. Find
+  // the points of a short FAST&FAIR run that do, and compare those.
+  CrashWorkloadOptions opts;
+  opts.ops = 120;
+  opts.seed = 17;
+  const PlatformConfig platform = G1Platform();
+  const auto granularity = PersistTracker::TearGranularity::kSubword;
+  std::vector<uint64_t> every(CalibrateCrashWorkload(platform, "fastfair", opts).events);
+  for (uint64_t i = 0; i < every.size(); ++i) {
+    every[i] = i;
+  }
+  std::vector<uint64_t> in_flight;
+  uint64_t torn = 0;
+  RunCrashPoints(platform, "fastfair", opts, every, kPassTearSeed, granularity,
+                 [&](const CrashPointResult& r) {
+                   if (r.mat.inflight_writes > 0) {
+                     in_flight.push_back(r.event);
+                     torn += r.mat.torn_writes;
+                   }
+                 });
+  ASSERT_FALSE(in_flight.empty());
+  EXPECT_GT(torn, 0u);
+  ExpectPassMatchesReplay(platform, "fastfair", opts, granularity, in_flight);
+}
+
+TEST(CrashPointsTest, UnreachedEventFailsTheCheck) {
+  // An event past the end of the run never fires; RunCrashPoints must say so.
+  CrashWorkloadOptions opts;
+  opts.ops = 64;
+  const PlatformConfig platform = G1Platform();
+  const uint64_t n = CalibrateCrashWorkload(platform, "redo", opts).events;
+  ScopedCheckCapture capture;
+  size_t points = 0;
+  EXPECT_THROW(RunCrashPoints(platform, "redo", opts, {n / 2, n}, 1,
+                              PersistTracker::TearGranularity::kWord,
+                              [&](const CrashPointResult&) { ++points; }),
+               CheckFailure);
+  EXPECT_EQ(points, 1u);
 }
 
 TEST(RecoveryValidatorTest, AllStoresPassAtSampledCrashPoints) {
@@ -244,10 +308,10 @@ TEST(RecoveryValidatorTest, AllStoresPassAtSampledCrashPoints) {
   for (const std::string& platform_name : {std::string("g1"), std::string("g2-eadr")}) {
     const PlatformConfig platform = *PlatformByName(platform_name);
     for (const std::string& store : CrashWorkload::StoreNames()) {
-      const Calibration cal = Calibrate(platform, store, opts);
+      const CrashCalibration cal = CalibrateCrashWorkload(platform, store, opts);
       ASSERT_GT(cal.events, 4u) << store << " on " << platform_name;
       for (const uint64_t index : {cal.events / 4, cal.events / 2, cal.events - 1}) {
-        const PointResult r =
+        const CrashPointResult r =
             RunPoint(platform, store, opts, index, Mix64(opts.seed ^ index));
         EXPECT_EQ(r.report.violations, 0u)
             << store << " on " << platform_name << " at event " << index << ": "
@@ -266,9 +330,9 @@ TEST(RecoveryValidatorTest, SubwordTearsAlsoPass) {
   opts.ops = 240;
   opts.seed = 13;
   for (const std::string& store : CrashWorkload::StoreNames()) {
-    const Calibration cal = Calibrate(platform, store, opts);
+    const CrashCalibration cal = CalibrateCrashWorkload(platform, store, opts);
     ASSERT_GT(cal.events, 2u);
-    const PointResult r =
+    const CrashPointResult r =
         RunPoint(platform, store, opts, cal.events / 2, Mix64(opts.seed),
                  PersistTracker::TearGranularity::kSubword);
     EXPECT_EQ(r.report.violations, 0u)
@@ -284,9 +348,9 @@ TEST(RecoveryValidatorTest, BrokenPersistVariantIsCaught) {
   opts.ops = 2000;
   opts.seed = 7;
   opts.break_persist = true;
-  const Calibration cal = Calibrate(platform, "cceh", opts);
+  const CrashCalibration cal = CalibrateCrashWorkload(platform, "cceh", opts);
   ASSERT_GT(cal.events, 0u);
-  const PointResult r = RunPoint(platform, "cceh", opts, cal.events - 1, 7);
+  const CrashPointResult r = RunPoint(platform, "cceh", opts, cal.events - 1, 7);
   EXPECT_GT(r.report.violations, 0u);
 }
 
@@ -366,13 +430,14 @@ TEST(PersistTrackerTest, EadrVulnerableWindowStrictlySmaller) {
   CrashWorkloadOptions opts;
   opts.ops = 240;
   opts.seed = 21;
-  const Calibration adr = Calibrate(*PlatformByName("g2"), "cceh", opts);
-  const Calibration eadr = Calibrate(*PlatformByName("g2-eadr"), "cceh", opts);
-  EXPECT_GT(adr.stats.max_vulnerable_bytes, 0u);
-  EXPECT_EQ(eadr.stats.max_vulnerable_bytes, 0u);
-  EXPECT_LT(eadr.stats.max_vulnerable_bytes, adr.stats.max_vulnerable_bytes);
-  EXPECT_GT(adr.stats.events, 0u);
-  EXPECT_GT(eadr.stats.events, 0u);
+  const CrashCalibration adr = CalibrateCrashWorkload(*PlatformByName("g2"), "cceh", opts);
+  const CrashCalibration eadr =
+      CalibrateCrashWorkload(*PlatformByName("g2-eadr"), "cceh", opts);
+  EXPECT_GT(adr.window.max_vulnerable_bytes, 0u);
+  EXPECT_EQ(eadr.window.max_vulnerable_bytes, 0u);
+  EXPECT_LT(eadr.window.max_vulnerable_bytes, adr.window.max_vulnerable_bytes);
+  EXPECT_GT(adr.events, 0u);
+  EXPECT_GT(eadr.events, 0u);
 }
 
 }  // namespace

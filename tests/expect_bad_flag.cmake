@@ -1,0 +1,12 @@
+# Runs EXE with the single argument ARG and passes only when it exits 2
+# naming --FLAG in its "invalid value" error (Flags::BadValue). A crash, a
+# clean run or a message naming another flag all fail.
+#
+#   cmake -DEXE=<binary> -DARG=--threads=0 -DFLAG=threads -P expect_bad_flag.cmake
+execute_process(COMMAND ${EXE} ${ARG} RESULT_VARIABLE rc OUTPUT_QUIET ERROR_VARIABLE err)
+if(NOT rc STREQUAL "2")
+  message(FATAL_ERROR "${EXE} ${ARG}: exit '${rc}', want 2\n${err}")
+endif()
+if(NOT err MATCHES "invalid value for --${FLAG}:")
+  message(FATAL_ERROR "${EXE} ${ARG}: stderr does not name --${FLAG}\n${err}")
+endif()

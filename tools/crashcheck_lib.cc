@@ -10,30 +10,23 @@
 #include "bench/sweep_runner.h"
 #include "src/common/config.h"
 #include "src/common/random.h"
-#include "src/core/system.h"
 #include "src/crash/crash_injector.h"
 #include "src/crash/persist_tracker.h"
-#include "src/crash/recovery_validator.h"
 #include "src/crash/workloads.h"
 
 namespace pmemsim_crashcheck {
 
 namespace {
 
-using pmemsim::CrashEventKind;
+using pmemsim::CrashCalibration;
 using pmemsim::CrashEventKindName;
-using pmemsim::CrashInjector;
-using pmemsim::CrashSignal;
+using pmemsim::CrashPointResult;
 using pmemsim::CrashWorkload;
 using pmemsim::CrashWorkloadOptions;
-using pmemsim::Cycles;
 using pmemsim::Mix64;
 using pmemsim::PersistTracker;
 using pmemsim::PlatformConfig;
 using pmemsim::Rng;
-using pmemsim::System;
-using pmemsim::ThreadContext;
-using pmemsim::ValidationReport;
 using pmemsim_bench::BenchReport;
 using pmemsim_bench::Flags;
 using pmemsim_bench::SweepRunner;
@@ -48,21 +41,35 @@ constexpr char kUsage[] =
     "  --tear=<mode>        word|subword in-flight tear granularity\n"
     "  --break_persist      drop the cceh commit barrier (self-test: must\n"
     "                       produce violations)\n"
-    "  --jobs=<n>           worker threads (output is identical at any -j)\n";
+    "  --jobs=<n>           worker threads, one workload pass each (output is\n"
+    "                       identical at any -j)\n";
 
-struct PointOutcome {
-  bool crashed = false;
-  CrashEventKind kind = CrashEventKind::kWpqAccept;
-  Cycles crash_cycles = 0;
-  uint64_t acked_ops = 0;
+// Validation totals of one chunk of the sample.
+struct ChunkTotals {
   uint64_t checks = 0;
   uint64_t violations = 0;
-  PersistTracker::MaterializeResult mat;
-  std::string first_message;
 };
 
-uint64_t TearSeedFor(uint64_t seed, uint64_t event_index) {
-  return Mix64(seed ^ (0x9E3779B97F4A7C15ull * (event_index + 1)));
+// Prints one crash point's CSV row and adds its --stats_json row.
+void EmitPoint(const CrashPointResult& r, pmemsim_bench::SweepPoint& point) {
+  point.Printf("%llu,%s,%llu,%llu,%llu,%llu,%llu\n", static_cast<unsigned long long>(r.event),
+               CrashEventKindName(r.kind), static_cast<unsigned long long>(r.crash_now),
+               static_cast<unsigned long long>(r.acked_ops),
+               static_cast<unsigned long long>(r.mat.inflight_writes),
+               static_cast<unsigned long long>(r.report.checks),
+               static_cast<unsigned long long>(r.report.violations));
+  point.AddRow()
+      .Set("point", r.event)
+      .Set("event_kind", CrashEventKindName(r.kind))
+      .Set("crash_cycles", r.crash_now)
+      .Set("acked_ops", r.acked_ops)
+      .Set("durable_writes", r.mat.durable_writes)
+      .Set("inflight_writes", r.mat.inflight_writes)
+      .Set("torn_writes", r.mat.torn_writes)
+      .Set("checks", r.report.checks)
+      .Set("violations", r.report.violations)
+      .Set("first_violation",
+           r.report.messages.empty() ? std::string() : r.report.messages.front());
 }
 
 }  // namespace
@@ -114,32 +121,16 @@ int RunCrashcheck(int argc, char** argv) {
 
   // Calibration: count the crash events one uninterrupted run generates and
   // collect the vulnerable-byte statistics along the way.
-  uint64_t total_events = 0;
-  uint64_t acked_total = 0;
-  PersistTracker::Stats window;
-  {
-    System system(platform);
-    PersistTracker tracker(platform.eadr_enabled);
-    tracker.Attach(&system);
-    ThreadContext& ctx = system.CreateThread();
-    auto workload = CrashWorkload::Create(store, opts);
-    workload->Setup(system, ctx);
-    CrashInjector counter;
-    tracker.StartEvents(&counter);
-    workload->Run(ctx);
-    total_events = counter.events_seen();
-    acked_total = workload->acked_ops();
-    window = tracker.stats();
-  }
+  const CrashCalibration cal = pmemsim::CalibrateCrashWorkload(platform, store, opts);
 
   // Sample distinct event indexes: exhaustive when they fit the budget,
   // otherwise a seeded shuffle (replayable for any --points/--seed pair).
   std::vector<uint64_t> sample;
-  sample.reserve(total_events);
-  for (uint64_t i = 0; i < total_events; ++i) {
+  sample.reserve(cal.events);
+  for (uint64_t i = 0; i < cal.events; ++i) {
     sample.push_back(i);
   }
-  if (points_requested < total_events) {
+  if (points_requested < cal.events) {
     Rng rng(Mix64(seed ^ 0xC4A5C4EC));
     rng.Shuffle(sample);
     sample.resize(points_requested);
@@ -147,85 +138,42 @@ int RunCrashcheck(int argc, char** argv) {
   }
 
   std::printf("# events_total=%llu sampled=%zu acked_ops=%llu\n",
-              static_cast<unsigned long long>(total_events), sample.size(),
-              static_cast<unsigned long long>(acked_total));
+              static_cast<unsigned long long>(cal.events), sample.size(),
+              static_cast<unsigned long long>(cal.acked_ops));
   std::printf("point,event_kind,crash_cycles,acked_ops,inflight_writes,checks,violations\n");
 
-  std::vector<PointOutcome> outcomes(sample.size());
-  for (size_t p = 0; p < sample.size(); ++p) {
-    const uint64_t event_index = sample[p];
-    runner.Add("point" + std::to_string(event_index),
-               [&outcomes, p, event_index, platform, store, opts, seed,
+  // One pass per chunk: --jobs contiguous slices of the sorted sample, each
+  // a sweep point, so rows still come out in sample order at any --jobs.
+  const size_t chunks = std::min<size_t>(runner.jobs(), sample.size());
+  std::vector<ChunkTotals> totals(chunks);
+  for (size_t c = 0; c < chunks; ++c) {
+    const std::vector<uint64_t> events(sample.begin() + c * sample.size() / chunks,
+                                       sample.begin() + (c + 1) * sample.size() / chunks);
+    runner.Add("points" + std::to_string(events.front()) + "-" + std::to_string(events.back()),
+               [&totals, c, events, platform, store, opts, seed,
                 granularity](pmemsim_bench::SweepPoint& point) {
-                 PointOutcome out;
-                 System system(platform);
-                 PersistTracker tracker(platform.eadr_enabled);
-                 tracker.Attach(&system);
-                 ThreadContext& ctx = system.CreateThread();
-                 auto workload = CrashWorkload::Create(store, opts);
-                 workload->Setup(system, ctx);
-                 CrashInjector injector;
-                 injector.Arm(event_index);
-                 tracker.StartEvents(&injector);
-                 try {
-                   workload->Run(ctx);
-                 } catch (const CrashSignal&) {
-                   out.crashed = true;
-                 }
-                 ValidationReport rep;
-                 if (!out.crashed) {
-                   rep.Fail([event_index] {
-                     return "crash point " + std::to_string(event_index) + " never fired";
-                   });
-                 } else {
-                   out.kind = injector.fired_kind();
-                   out.crash_cycles = injector.crash_now();
-                   out.acked_ops = workload->acked_ops();
-                   System fresh(platform);
-                   out.mat = tracker.Materialize(&fresh.backing(), injector.crash_now(),
-                                                 TearSeedFor(seed, event_index), granularity);
-                   ThreadContext& vctx = fresh.CreateThread();
-                   workload->Validate(fresh, vctx, &rep);
-                 }
-                 out.checks = rep.checks;
-                 out.violations = rep.violations;
-                 if (!rep.messages.empty()) {
-                   out.first_message = rep.messages.front();
-                 }
-                 point.Printf("%llu,%s,%llu,%llu,%llu,%llu,%llu\n",
-                              static_cast<unsigned long long>(event_index),
-                              CrashEventKindName(out.kind),
-                              static_cast<unsigned long long>(out.crash_cycles),
-                              static_cast<unsigned long long>(out.acked_ops),
-                              static_cast<unsigned long long>(out.mat.inflight_writes),
-                              static_cast<unsigned long long>(out.checks),
-                              static_cast<unsigned long long>(out.violations));
-                 point.AddRow()
-                     .Set("point", event_index)
-                     .Set("event_kind", CrashEventKindName(out.kind))
-                     .Set("crash_cycles", out.crash_cycles)
-                     .Set("acked_ops", out.acked_ops)
-                     .Set("durable_writes", out.mat.durable_writes)
-                     .Set("inflight_writes", out.mat.inflight_writes)
-                     .Set("torn_writes", out.mat.torn_writes)
-                     .Set("checks", out.checks)
-                     .Set("violations", out.violations)
-                     .Set("first_violation", out.first_message);
-                 outcomes[p] = std::move(out);
+                 ChunkTotals sum;
+                 pmemsim::RunCrashPoints(platform, store, opts, events, seed, granularity,
+                                         [&](const CrashPointResult& r) {
+                                           sum.checks += r.report.checks;
+                                           sum.violations += r.report.violations;
+                                           EmitPoint(r, point);
+                                         });
+                 totals[c] = sum;  // a failed chunk contributes no rows and no totals
                });
   }
 
   const int failed_points = runner.Run(report);
 
   uint64_t total_violations = 0, total_checks = 0;
-  for (const PointOutcome& out : outcomes) {
-    total_violations += out.violations;
-    total_checks += out.checks;
+  for (const ChunkTotals& sum : totals) {
+    total_violations += sum.violations;
+    total_checks += sum.checks;
   }
   std::printf("summary,%s,%s,%zu,%llu,%llu,%llu\n", store.c_str(), platform.name.c_str(),
               sample.size(), static_cast<unsigned long long>(total_checks),
               static_cast<unsigned long long>(total_violations),
-              static_cast<unsigned long long>(window.max_vulnerable_bytes));
+              static_cast<unsigned long long>(cal.window.max_vulnerable_bytes));
   report.AddRow()
       .Set("summary", uint64_t{1})
       .Set("store", store)
@@ -234,16 +182,16 @@ int RunCrashcheck(int argc, char** argv) {
       .Set("ops", ops)
       .Set("seed", seed)
       .Set("break_persist", static_cast<uint64_t>(break_persist ? 1 : 0))
-      .Set("events_total", total_events)
+      .Set("events_total", cal.events)
       .Set("points", static_cast<uint64_t>(sample.size()))
-      .Set("acked_ops", acked_total)
+      .Set("acked_ops", cal.acked_ops)
       .Set("total_checks", total_checks)
       .Set("total_violations", total_violations)
       .Set("failed_points", static_cast<uint64_t>(failed_points))
-      .Set("max_vulnerable_bytes", window.max_vulnerable_bytes)
-      .Set("mean_vulnerable_bytes", window.MeanVulnerableBytes())
-      .Set("max_in_cache_bytes", window.max_in_cache_bytes)
-      .Set("max_in_wpq_bytes", window.max_in_wpq_bytes);
+      .Set("max_vulnerable_bytes", cal.window.max_vulnerable_bytes)
+      .Set("mean_vulnerable_bytes", cal.window.MeanVulnerableBytes())
+      .Set("max_in_cache_bytes", cal.window.max_in_cache_bytes)
+      .Set("max_in_wpq_bytes", cal.window.max_in_wpq_bytes);
 
   const int rc = report.Finish();
   if (failed_points > 0 || total_violations > 0) {

@@ -3,11 +3,10 @@
 //
 // Flow: one calibration run counts the crash events a workload generates and
 // measures the vulnerable-byte window; `--points` event indexes are then
-// sampled (seeded, replayable) and each becomes one sweep point: re-run the
-// workload with the injector armed, materialize the durable image at the
-// crash cycle into a fresh System, run recovery, and validate the store's
-// crash-consistency contract. Output is CSV on stdout plus the standard
-// --stats_json report; rows are byte-identical at any --jobs.
+// sampled (seeded, replayable) and cut into --jobs contiguous chunks. Each
+// chunk is one sweep point: one RunCrashPoints pass that materializes and
+// validates every sampled event it reaches. Output is CSV on stdout plus the
+// standard --stats_json report; rows are byte-identical at any --jobs.
 
 #ifndef TOOLS_CRASHCHECK_LIB_H_
 #define TOOLS_CRASHCHECK_LIB_H_

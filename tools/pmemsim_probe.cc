@@ -204,11 +204,15 @@ int main(int argc, char** argv) {
   cfg.pattern = flags.Get("pattern", "rand");
   cfg.persist = flags.Get("persist", "none");
   cfg.wss = flags.GetSize("wss", MiB(64));
-  cfg.stride = flags.GetU64("stride", kCacheLineSize);
-  cfg.threads = static_cast<uint32_t>(flags.GetU64("threads", 1));
+  cfg.stride = flags.GetPositiveU64("stride", kCacheLineSize);
+  cfg.threads = static_cast<uint32_t>(flags.GetPositiveU64("threads", 1));
   cfg.ops = flags.GetU64("ops", 100000);
   cfg.distance = flags.GetU64("distance", 0);
   cfg.dimms = static_cast<uint32_t>(flags.GetU64("dimms", 1));
+  if (cfg.wss < cfg.stride) {
+    pmemsim_bench::Flags::BadValue("wss", flags.Get("wss", "64M"),
+                                   "working set of at least one stride");
+  }
   cfg.prefetch = !flags.Has("no_prefetch");
   cfg.remote = flags.Has("remote");
   pmemsim_bench::BenchReport report(flags, "pmemsim_probe");

@@ -279,15 +279,15 @@ int main(int argc, char** argv) {
     pmemsim_bench::Flags::BadValue("loop", loop, "closed|open|both");
   }
 
-  cli.serve.shards = static_cast<uint32_t>(flags.GetU64("shards", 4));
-  cli.serve.workers_per_shard = static_cast<uint32_t>(flags.GetU64("workers", 2));
-  cli.serve.queue_depth = flags.GetU64("queue_depth", 64);
-  cli.serve.batch = flags.GetU64("batch", 8);
+  cli.serve.shards = static_cast<uint32_t>(flags.GetPositiveU64("shards", 4));
+  cli.serve.workers_per_shard = static_cast<uint32_t>(flags.GetPositiveU64("workers", 2));
+  cli.serve.queue_depth = flags.GetPositiveU64("queue_depth", 64);
+  cli.serve.batch = flags.GetPositiveU64("batch", 8);
   cli.serve.clients = static_cast<uint32_t>(flags.GetU64("clients", 8));
   cli.serve.think_cycles = flags.GetDouble("think", 4000);
   cli.serve.interarrival_cycles = flags.GetDouble("arrival_interval", 1500);
   cli.serve.ops = flags.GetU64("ops", 20000);
-  cli.serve.keys = flags.GetU64("keys", 20000);
+  cli.serve.keys = flags.GetPositiveU64("keys", 20000);
   cli.serve.theta = flags.GetDouble("theta", 0.99);
   cli.serve.scan_len = static_cast<uint32_t>(flags.GetU64("scan_len", 16));
   cli.serve.seed = flags.GetU64("seed", 42);
@@ -298,10 +298,7 @@ int main(int argc, char** argv) {
   // --engine_threads.
   cli.partitioned = !flags.Get("engine_threads", "").empty();
   if (cli.partitioned) {
-    cli.serve.engine_threads = static_cast<uint32_t>(flags.GetU64("engine_threads", 1));
-    if (cli.serve.engine_threads == 0) {
-      pmemsim_bench::Flags::BadValue("engine_threads", "0", "host thread count >= 1");
-    }
+    cli.serve.engine_threads = static_cast<uint32_t>(flags.GetPositiveU64("engine_threads", 1));
     cli.serve.dispatch_latency = flags.GetU64("dispatch_latency", 2048);
     if (!flags.Get("trace_out", "").empty() && cli.serve.engine_threads > 1) {
       std::fprintf(stderr,
@@ -314,10 +311,6 @@ int main(int argc, char** argv) {
                                    "--engine_threads to be set (private-System domains only)");
   }
   cli.quiet = flags.Has("quiet");
-  if (cli.serve.shards == 0 || cli.serve.workers_per_shard == 0 || cli.serve.queue_depth == 0 ||
-      cli.serve.batch == 0 || cli.serve.keys == 0) {
-    pmemsim_bench::Flags::BadValue("shards", "0", "positive counts");
-  }
 
   // Serve observability: any of the flags below switches the timeline on for
   // every sweep point. --timeline_json / span export imply windowing with a

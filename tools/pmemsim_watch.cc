@@ -247,17 +247,18 @@ int main(int argc, char** argv) {
   cfg.workload = flags.Get("workload", "seq_store");
   cfg.wss = flags.GetSize("wss", MiB(4));
   cfg.stride = flags.GetU64("stride", kCacheLineSize);
-  cfg.threads = static_cast<uint32_t>(flags.GetU64("threads", 1));
+  cfg.threads = static_cast<uint32_t>(flags.GetPositiveU64("threads", 1));
   cfg.ops = flags.GetU64("ops", 200000);
   cfg.distance = flags.GetU64("distance", 4);
   cfg.dimms = static_cast<uint32_t>(flags.GetU64("dimms", 1));
-  cfg.interval = flags.GetU64("sample_interval_cycles", 20000);
+  cfg.interval = flags.GetPositiveU64("sample_interval_cycles", 20000);
   cfg.breakdown = flags.Has("breakdown");
   cfg.quiet = flags.Has("quiet");
-  if (cfg.interval == 0) {
-    pmemsim_bench::Flags::BadValue("sample_interval_cycles", "0", "positive cycle count");
+  if (cfg.stride < kCacheLineSize) {
+    pmemsim_bench::Flags::BadValue("stride", flags.Get("stride", ""),
+                                   "at least one cacheline (64)");
   }
-  if (cfg.wss < cfg.stride || cfg.stride < kCacheLineSize) {
+  if (cfg.wss < cfg.stride) {
     pmemsim_bench::Flags::BadValue("wss", flags.Get("wss", "4M"),
                                    "working set of at least one stride");
   }
