@@ -4,11 +4,15 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <ostream>
+#include <string>
 
 #include "src/api/pmem.h"
 #include "src/core/platform.h"
 #include "src/cpu/scheduler.h"
 #include "src/trace/attribution.h"
+#include "src/trace/recorder.h"
+#include "src/trace/sampler.h"
 
 namespace pmemsim {
 namespace {
@@ -505,6 +509,129 @@ TEST(EadrTest, PmemHasAutoFlushAgreesWithFlushBehavior) {
   }
 }
 
+// ---------- one persist instruction, observed from outside the core ----------
+
+// Everything one flush or nt-store changes that a caller can see.
+struct PersistEffect {
+  Cycles clock_delta = 0;
+  size_t outstanding = 0;
+  uint64_t imc_write_bytes = 0;
+  bool cached_after_dispatch = false;  // ProbeAny once the dispatch window passed
+  uint64_t attributed = 0;             // attribution count of the op's class
+  uint64_t wpq_wait = 0;
+  TraceOp recorded = TraceOp::kOpCount;  // the op's one trace record
+
+  bool operator==(const PersistEffect& o) const {
+    return clock_delta == o.clock_delta && outstanding == o.outstanding &&
+           imc_write_bytes == o.imc_write_bytes &&
+           cached_after_dispatch == o.cached_after_dispatch && attributed == o.attributed &&
+           wpq_wait == o.wpq_wait && recorded == o.recorded;
+  }
+};
+
+std::ostream& operator<<(std::ostream& os, const PersistEffect& e) {
+  return os << "{clock+" << e.clock_delta << " outstanding=" << e.outstanding
+            << " imc_write_bytes=" << e.imc_write_bytes
+            << " cached=" << e.cached_after_dispatch << " attributed=" << e.attributed
+            << " wpq_wait=" << e.wpq_wait << " op=" << TraceOpName(e.recorded) << "}";
+}
+
+// Prepares the line at pm.base (dirty via a store, or clean via a load), then
+// runs `op` with attribution and a recorder installed and reports its effect.
+template <typename Op>
+PersistEffect ObservePersistOp(const PlatformConfig& platform, bool dirty,
+                               AttributionCollector::Op kind, Op&& op) {
+  System system(platform, 1);
+  ThreadContext& ctx = system.CreateThread();
+  SetPrefetchers(ctx, false, false, false);
+  const PmRegion pm = system.AllocatePm(KiB(4));
+  if (dirty) {
+    ctx.Store64(pm.base, 0x5A);
+  } else {
+    ctx.Load64(pm.base);
+  }
+  AttributionCollector attribution;
+  TraceRecorder recorder;
+  ctx.SetAttribution(&attribution);
+  ctx.SetTraceRecorder(&recorder, 0);
+  const Counters before = system.counters();
+  const Cycles t0 = ctx.clock();
+  op(ctx, pm.base);
+
+  PersistEffect e;
+  e.clock_delta = ctx.clock() - t0;
+  e.outstanding = ctx.outstanding_persists();
+  e.imc_write_bytes = (system.counters() - before).imc_write_bytes;
+  e.cached_after_dispatch =
+      ctx.hierarchy().ProbeAny(pm.base, t0 + platform.cache.clwb_dispatch_delay);
+  e.attributed = attribution.op_hist(kind).count();
+  e.wpq_wait = attribution.stage_total(AttributionCollector::kWpqWait);
+  const TraceSegment segment = recorder.Take("persist_op", {});
+  EXPECT_EQ(segment.records.size(), 1u);
+  if (!segment.records.empty()) {
+    e.recorded = segment.records.back().op;
+  }
+  return e;
+}
+
+TEST(PersistOpTest, FlushEffectPerPlatformOpAndLineState) {
+  // clwb and clflushopt differ only in whether the line stays cached: G1
+  // invalidates after the dispatch window for both, G2's clwb retains the
+  // line, and under eADR both retire in one cycle with no write-back.
+  struct Case {
+    const char* platform;
+    bool clwb;
+    bool dirty;
+    PersistEffect want;
+  };
+  const Case cases[] = {
+      {"g1", true, true, {2, 1, 64, false, 1, 0, TraceOp::kClwb}},
+      {"g1", true, false, {2, 0, 0, false, 1, 0, TraceOp::kClwb}},
+      {"g1", false, true, {2, 1, 64, false, 1, 0, TraceOp::kClflushopt}},
+      {"g1", false, false, {2, 0, 0, false, 1, 0, TraceOp::kClflushopt}},
+      {"g2", true, true, {2, 1, 64, true, 1, 0, TraceOp::kClwb}},
+      {"g2", true, false, {2, 0, 0, true, 1, 0, TraceOp::kClwb}},
+      {"g2", false, true, {2, 1, 64, false, 1, 0, TraceOp::kClflushopt}},
+      {"g2", false, false, {2, 0, 0, false, 1, 0, TraceOp::kClflushopt}},
+      {"g2-eadr", true, true, {1, 0, 0, true, 1, 0, TraceOp::kClwb}},
+      {"g2-eadr", true, false, {1, 0, 0, true, 1, 0, TraceOp::kClwb}},
+      {"g2-eadr", false, true, {1, 0, 0, true, 1, 0, TraceOp::kClflushopt}},
+      {"g2-eadr", false, false, {1, 0, 0, true, 1, 0, TraceOp::kClflushopt}},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(std::string(c.platform) + (c.clwb ? " clwb" : " clflushopt") +
+                 (c.dirty ? " dirty" : " clean"));
+    const auto platform = PlatformByName(c.platform);
+    ASSERT_TRUE(platform.has_value());
+    auto flush = [&c](ThreadContext& ctx, Addr a) {
+      if (c.clwb) {
+        ctx.Clwb(a);
+      } else {
+        ctx.Clflushopt(a);
+      }
+    };
+    EXPECT_EQ(ObservePersistOp(*platform, c.dirty, AttributionCollector::kFlush, flush), c.want);
+  }
+}
+
+TEST(PersistOpTest, NtStoreEffectPerEntryPoint) {
+  // Every nt-store entry point times each covered line the same way: the
+  // line leaves the caches and one 64 B write enters the WPQ.
+  const PlatformConfig g1 = G1Platform();
+  uint8_t line[kCacheLineSize];
+  std::memset(line, 0xC3, sizeof(line));
+  auto nt_line = [&line](ThreadContext& ctx, Addr a) { ctx.NtStoreLine(a, line); };
+  auto nt_word = [](ThreadContext& ctx, Addr a) { ctx.NtStore64(a + 8, 7); };
+  // 60 bytes from offset 32 straddle two lines: two timed line writes.
+  auto nt_range = [&line](ThreadContext& ctx, Addr a) { ctx.NtWrite(a + 32, line, 60); };
+  EXPECT_EQ(ObservePersistOp(g1, true, AttributionCollector::kNtStore, nt_line),
+            (PersistEffect{6, 1, 64, false, 1, 0, TraceOp::kNtStoreLine}));
+  EXPECT_EQ(ObservePersistOp(g1, false, AttributionCollector::kNtStore, nt_word),
+            (PersistEffect{6, 1, 64, false, 1, 0, TraceOp::kNtStore64}));
+  EXPECT_EQ(ObservePersistOp(g1, true, AttributionCollector::kNtStore, nt_range),
+            (PersistEffect{12, 2, 128, false, 2, 0, TraceOp::kNtWrite}));
+}
+
 // --- RunUntil (epoch-window) form of the scheduler -------------------------
 
 // Builds a deterministic multi-job workload whose jobs advance by differing,
@@ -638,6 +765,73 @@ TEST(SchedulerTest, RunUntilJobWithNoWorkDoesNotStallWindow) {
   }
   EXPECT_EQ(busy_steps, 50);
   EXPECT_EQ(idle_steps, 1);  // parked at 10000; windows up to 500 skip it
+}
+
+// One sampled job issuing loads, stores and flushes; logs the clock and the
+// sample count seen at the start of every step.
+struct SampledOneJob {
+  std::unique_ptr<System> system = MakeG1System(1);
+  ThreadContext* ctx = &system->CreateThread();
+  PmRegion pm = system->AllocatePm(KiB(64));
+  Sampler sampler{&system->counters(), /*interval_cycles=*/5000};
+  std::vector<std::pair<Cycles, size_t>> steps;
+  std::vector<SimJob> jobs;
+
+  SampledOneJob() {
+    jobs.push_back({ctx, [this]() {
+                      const uint64_t n = steps.size();
+                      if (n == 300) {
+                        return StepResult::kDone;
+                      }
+                      steps.emplace_back(ctx->clock(), sampler.samples().size());
+                      const Addr a = pm.At((n * 7 % 1024) * kCacheLineSize);
+                      ctx->Store64(a, n);
+                      if (n % 3 == 0) {
+                        ctx->Clwb(a);
+                        ctx->Sfence();
+                      } else {
+                        ctx->Load64(pm.At((n * 13 % 1024) * kCacheLineSize));
+                      }
+                      return StepResult::kProgress;
+                    }});
+  }
+};
+
+TEST(SchedulerTest, OneJobRunUntilWindowsMatchRunStepForStep) {
+  // With a single job, RunUntil must still observe the sampler before every
+  // step, park the job at each window edge and pop it on kDone: any window
+  // split replays Run() step for step, sample series included.
+  SampledOneJob golden;
+  Scheduler::Run(golden.jobs, &golden.sampler);
+  golden.sampler.Finalize(golden.ctx->clock());
+  ASSERT_EQ(golden.steps.size(), 300u);
+  ASSERT_GT(golden.sampler.samples().size(), 3u);
+  // The sampler saw each step's start clock: every boundary at or below it
+  // has closed its interval.
+  for (const auto& [clock, samples] : golden.steps) {
+    ASSERT_EQ(samples, clock / golden.sampler.interval_cycles()) << "clock=" << clock;
+  }
+
+  for (const Cycles window : {Cycles{1}, Cycles{333}, Cycles{5000}, Cycles{100000}}) {
+    SampledOneJob split;
+    Scheduler scheduler(&split.jobs);
+    Cycles limit = window;
+    size_t started = 0;
+    while (!scheduler.AllDone()) {
+      scheduler.RunUntil(limit, &split.sampler);
+      // Exactly the steps that start below the window edge have run.
+      while (started < golden.steps.size() && golden.steps[started].first < limit) {
+        ++started;
+      }
+      ASSERT_EQ(split.steps.size(), started) << "window=" << window << " limit=" << limit;
+      EXPECT_TRUE(scheduler.AllDone() || scheduler.NextEventTime() >= limit);
+      limit += window;
+    }
+    split.sampler.Finalize(split.ctx->clock());
+    EXPECT_EQ(split.steps, golden.steps) << "window=" << window;
+    EXPECT_EQ(split.ctx->clock(), golden.ctx->clock()) << "window=" << window;
+    EXPECT_EQ(split.sampler.ToJson(), golden.sampler.ToJson()) << "window=" << window;
+  }
 }
 
 }  // namespace
