@@ -119,37 +119,18 @@ void CacheHierarchy::FillInto(SetAssocCache& level, int level_idx, Addr line, Cy
   }
 }
 
-FlushResult CacheHierarchy::Clwb(Addr addr, Cycles now) {
+FlushResult CacheHierarchy::Flush(Addr addr, Cycles now, bool invalidate) {
   const Addr line = CacheLineBase(addr);
   FlushResult result;
   result.cost = 2;  // issue cost; draining is asynchronous
 
-  const bool retain = config_.clwb_retains_line;
+  // A line that is not retained is invalidated after the dispatch window.
+  const bool retain = !invalidate && config_.clwb_retains_line;
   const Cycles invalidate_at = now + config_.clwb_dispatch_delay;
   bool dirty = false;
   dirty |= l1_.WriteBack(line, invalidate_at, retain).was_dirty;
   dirty |= l2_.WriteBack(line, invalidate_at, retain).was_dirty;
   dirty |= l3_->WriteBack(line, invalidate_at, retain).was_dirty;
-  if (dirty) {
-    const McWriteResult w = mc_->Write(line, now, node_);
-    result.wrote = true;
-    result.accepted_at = w.accepted_at;
-  }
-  return result;
-}
-
-FlushResult CacheHierarchy::Clflushopt(Addr addr, Cycles now) {
-  const Addr line = CacheLineBase(addr);
-  FlushResult result;
-  result.cost = 2;
-
-  // clflushopt always invalidates (both generations); the invalidation is
-  // subject to the same dispatch window as clwb on the way out.
-  const Cycles invalidate_at = now + config_.clwb_dispatch_delay;
-  bool dirty = false;
-  dirty |= l1_.WriteBack(line, invalidate_at, /*retain=*/false).was_dirty;
-  dirty |= l2_.WriteBack(line, invalidate_at, /*retain=*/false).was_dirty;
-  dirty |= l3_->WriteBack(line, invalidate_at, /*retain=*/false).was_dirty;
   if (dirty) {
     const McWriteResult w = mc_->Write(line, now, node_);
     result.wrote = true;

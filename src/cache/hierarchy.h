@@ -21,7 +21,7 @@ struct FlushResult {
   Cycles cost = 0;         // cycles charged to the issuing thread
 };
 
-class CacheHierarchy : public PrefetchSink {
+class CacheHierarchy {
  public:
   CacheHierarchy(const CacheConfig& config, SetAssocCache* shared_l3, MemoryController* mc,
                  Counters* counters, NodeId node, uint64_t rng_seed = 0xFEEDF00D);
@@ -34,11 +34,11 @@ class CacheHierarchy : public PrefetchSink {
   void Load(Addr addr, Cycles now, bool ordered, bool train, AccessRecord* out);
   void Store(Addr addr, Cycles now, AccessRecord* out);
 
-  // clwb: writes back a dirty copy; G1 schedules invalidation after the
-  // dispatch window, G2 retains the line clean.
-  FlushResult Clwb(Addr addr, Cycles now);
-  // clflushopt: writes back a dirty copy and invalidates (same lazy window).
-  FlushResult Clflushopt(Addr addr, Cycles now);
+  // clwb (`invalidate` = false) or clflushopt (true): writes back a dirty
+  // copy and schedules the line's invalidation after the dispatch window.
+  // Only a clwb on a platform whose clwb retains the line (G2) keeps it
+  // cached, clean.
+  FlushResult Flush(Addr addr, Cycles now, bool invalidate);
 
   // Removes the line everywhere immediately (nt-store snoop-invalidate).
   void InvalidateAll(Addr addr);
@@ -48,9 +48,9 @@ class CacheHierarchy : public PrefetchSink {
 
   bool ProbeAny(Addr addr, Cycles now) const;
 
-  // PrefetchSink: fills a line into L2 (+L3), or L1 for the DCU streamer.
-  // Never charged to the thread clock.
-  void PrefetchFill(Addr line_addr, Cycles now, bool into_l1) override;
+  // The prefetch engine's fill: a line into L2 (+L3), or L1 for the DCU
+  // streamer. Never charged to the thread clock.
+  void PrefetchFill(Addr line_addr, Cycles now, bool into_l1);
 
   PrefetchEngine& prefetch_engine() { return engine_; }
   SetAssocCache& l1() { return l1_; }

@@ -2,18 +2,20 @@
 
 #include <cstdlib>
 
+#include "src/cache/hierarchy.h"
 #include "src/common/check.h"
 
 namespace pmemsim {
 
-PrefetchEngine::PrefetchEngine(const CacheConfig& config, PrefetchSink* sink, uint64_t rng_seed)
-    : sink_(sink),
+PrefetchEngine::PrefetchEngine(const CacheConfig& config, CacheHierarchy* hierarchy,
+                               uint64_t rng_seed)
+    : hierarchy_(hierarchy),
       rng_(rng_seed),
       adjacent_enabled_(config.adjacent_line_prefetch),
       dcu_enabled_(config.dcu_streamer_prefetch),
       stream_enabled_(config.l2_stream_prefetch),
       stream_degree_(config.stream_prefetch_degree) {
-  PMEMSIM_CHECK(sink_ != nullptr);
+  PMEMSIM_CHECK(hierarchy_ != nullptr);
 }
 
 void PrefetchEngine::SetEnabled(bool adjacent, bool dcu, bool stream) {
@@ -27,14 +29,14 @@ void PrefetchEngine::OnDemandAccess(const DemandInfo& info) {
 
   if (dcu_enabled_ && last_demand_line_ != ~0ull &&
       line == last_demand_line_ + kCacheLineSize) {
-    sink_->PrefetchFill(line + kCacheLineSize, info.now, /*into_l1=*/true);
+    hierarchy_->PrefetchFill(line + kCacheLineSize, info.now, /*into_l1=*/true);
   }
   last_demand_line_ = line;
 
   if (adjacent_enabled_) {
     const bool l2_demand_miss = !info.l1_hit && !info.l2_hit;
     if (l2_demand_miss || info.first_touch_prefetched) {
-      sink_->PrefetchFill(line + kCacheLineSize, info.now, /*into_l1=*/false);
+      hierarchy_->PrefetchFill(line + kCacheLineSize, info.now, /*into_l1=*/false);
     }
   }
 
@@ -91,7 +93,7 @@ void PrefetchEngine::StreamTrain(Addr line, Cycles now) {
     for (uint32_t d = 1; d <= stream_degree_; ++d) {
       const int64_t target = static_cast<int64_t>(line) + entry->stride * static_cast<int64_t>(d);
       if (target >= 0) {
-        sink_->PrefetchFill(static_cast<Addr>(target), now, /*into_l1=*/false);
+        hierarchy_->PrefetchFill(static_cast<Addr>(target), now, /*into_l1=*/false);
       }
     }
   }

@@ -30,16 +30,13 @@
 
 namespace pmemsim {
 
-// Where a prefetch engine deposits its fills (implemented by CacheHierarchy).
-class PrefetchSink {
- public:
-  virtual ~PrefetchSink() = default;
-  virtual void PrefetchFill(Addr line_addr, Cycles now, bool into_l1) = 0;
-};
+class CacheHierarchy;
 
+// Deposits its fills straight into the owning CacheHierarchy (PrefetchFill).
 class PrefetchEngine {
  public:
-  PrefetchEngine(const CacheConfig& config, PrefetchSink* sink, uint64_t rng_seed = 0xFEEDF00D);
+  PrefetchEngine(const CacheConfig& config, CacheHierarchy* hierarchy,
+                 uint64_t rng_seed = 0xFEEDF00D);
 
   struct DemandInfo {
     Addr line = 0;
@@ -75,7 +72,7 @@ class PrefetchEngine {
 
   void StreamTrain(Addr line, Cycles now);
 
-  PrefetchSink* sink_;
+  CacheHierarchy* hierarchy_;
   Rng rng_;
   bool adjacent_enabled_;
   bool dcu_enabled_;

@@ -1,6 +1,7 @@
 #include "src/cpu/scheduler.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <utility>
 
 #include "src/common/check.h"
@@ -38,12 +39,12 @@ class JobHeap {
   Cycles top_clock() const { return clocks_[heap_[0]]; }
 
   // Smallest key among all jobs except the top; the top stays the scheduling
-  // pick while its key is <= this. Call only with size() >= 2.
-  // In a binary heap the runner-up is one of the root's children.
+  // pick while its key is below this. In a binary heap the runner-up is one
+  // of the root's children; a lone job has none and never yields.
   std::pair<Cycles, size_t> RunnerUp() const {
-    std::pair<Cycles, size_t> best = Key(heap_[1]);
-    if (heap_.size() > 2) {
-      best = std::min(best, Key(heap_[2]));
+    std::pair<Cycles, size_t> best = {Scheduler::kNoLimit, SIZE_MAX};
+    for (size_t child = 1; child <= 2 && child < heap_.size(); ++child) {
+      best = std::min(best, Key(heap_[child]));
     }
     return best;
   }
@@ -119,34 +120,6 @@ void Scheduler::RunUntil(Cycles limit, Sampler* sampler) {
     SimJob& job = (*jobs_)[i];
     ThreadContext* const ctx = job.ctx;
 
-    if (heap.size() == 1) {
-      // Sole runnable job: run it with no heap or runner-up maintenance at
-      // all (the single-thread benches live entirely here).
-      while (true) {
-        const Cycles before = ctx->clock();
-        if (sampler != nullptr) {
-          sampler->AdvanceTo(before);
-        }
-        if (job.step() == StepResult::kDone) {
-          heap.PopTop();
-          stuck_guard_ = 0;
-          break;
-        }
-        // Livelock guard: steps must advance time.
-        if (ctx->clock() == before) {
-          PMEMSIM_CHECK_MSG(++stuck_guard_ < 1000000,
-                            "scheduler livelock: step did not advance clock");
-        } else {
-          stuck_guard_ = 0;
-        }
-        if (ctx->clock() >= limit) {
-          heap.UpdateTop(ctx->clock());
-          return;
-        }
-      }
-      continue;
-    }
-
     // Batch-advance invariant: while the top job runs, every other job is
     // parked, so no other clock can move and the runner-up key is constant
     // for the whole batch. Compute it once and keep stepping the top job
@@ -154,7 +127,8 @@ void Scheduler::RunUntil(Cycles limit, Sampler* sampler) {
     // as the per-step heap check did) — the heap is touched once per batch
     // instead of once per step. The window limit joins the batch-exit check:
     // a job at or past `limit` parks exactly where the unbounded run would
-    // have yielded it.
+    // have yielded it. A lone job's runner-up is {kNoLimit, SIZE_MAX}, so it
+    // runs until the window edge or kDone.
     const std::pair<Cycles, size_t> runner_up = heap.RunnerUp();
     while (true) {
       const Cycles before = ctx->clock();
@@ -170,6 +144,7 @@ void Scheduler::RunUntil(Cycles limit, Sampler* sampler) {
         stuck_guard_ = 0;
         break;
       }
+      // Livelock guard: steps must advance time.
       if (ctx->clock() == before) {
         PMEMSIM_CHECK_MSG(++stuck_guard_ < 1000000,
                           "scheduler livelock: step did not advance clock");

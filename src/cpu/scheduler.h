@@ -13,7 +13,9 @@
 //
 // Run() advances the minimum-clock job in batches: while the top job runs,
 // every other job is parked, so the runner-up heap key is constant and is
-// computed once per batch rather than once per step (see DESIGN.md §9).
+// computed once per batch rather than once per step (see DESIGN.md §9). One
+// loop serves any job count: a lone job's runner-up is an unreachable key, so
+// its batch ends only at the window edge or kDone.
 //
 // The engine also exists in instantiable form for the serving tier's epoch
 // loop (DESIGN.md §10): a Scheduler object keeps its heap across calls, and

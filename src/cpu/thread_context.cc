@@ -20,7 +20,7 @@ ThreadContext::ThreadContext(const PlatformConfig& config, BackingStore* backing
       hier_(&own_hierarchy_) {
   PMEMSIM_CHECK(backing != nullptr);
   PMEMSIM_CHECK(mc != nullptr);
-  BindPlatformDispatch();
+  outstanding_.Init(cpu_.store_buffer_depth);
 }
 
 ThreadContext::ThreadContext(const PlatformConfig& config, BackingStore* backing,
@@ -37,14 +37,6 @@ ThreadContext::ThreadContext(const PlatformConfig& config, BackingStore* backing
   PMEMSIM_CHECK(backing != nullptr);
   PMEMSIM_CHECK(mc != nullptr);
   clock_ = sibling->clock_;
-  BindPlatformDispatch();
-}
-
-void ThreadContext::BindPlatformDispatch() {
-  // Resolve the per-platform flush paths once: eADR presets retire flushes as
-  // cheap no-ops, ADR presets run the real write-back machinery.
-  clwb_impl_ = eadr_ ? &ThreadContext::ClwbEadr : &ThreadContext::ClwbAdr;
-  clflushopt_impl_ = eadr_ ? &ThreadContext::ClflushoptEadr : &ThreadContext::ClflushoptAdr;
   outstanding_.Init(cpu_.store_buffer_depth);
 }
 
@@ -296,67 +288,47 @@ void ThreadContext::NoteRecentFlush(Addr line) {
   }
 }
 
-void ThreadContext::ClwbEadr(Addr addr) {
-  // eADR (paper §6): the CPU caches are inside the persistence domain —
-  // stores are durable once globally visible, so clwb degenerates to a
-  // cheap no-op and programs simply stop flushing.
-  clock_ += 1;
-  if (attribution_ != nullptr) {
-    attribution_->RecordAccess(AttributionCollector::kFlush, 1, {});
+void ThreadContext::Flush(Addr addr, bool invalidate) {
+  if (eadr_) {
+    // eADR (paper §6): the CPU caches are inside the persistence domain —
+    // stores are durable once globally visible, so a flush (including its
+    // invalidation) buys nothing and retires as a cheap no-op.
+    clock_ += 1;
+    if (attribution_ != nullptr) {
+      attribution_->RecordAccess(AttributionCollector::kFlush, 1, {});
+    }
+  } else {
+    const Addr line = CacheLineBase(addr);
+    const Cycles t0 = clock_;
+    const FlushResult r = hier_->Flush(line, clock_, invalidate);
+    clock_ += std::max<Cycles>(r.cost, cpu_.flush_issue_cost);
+    NoteRecentFlush(line);
+    const Cycles pre_track = clock_;
+    if (r.wrote) {
+      TrackPersist(line, r.accepted_at, /*is_flush=*/true);
+    }
+    if (attribution_ != nullptr) {
+      // Any clock advance inside TrackPersist is store-buffer back-pressure:
+      // waiting on the oldest outstanding persist's WPQ acceptance.
+      RecordPersistOp(AttributionCollector::kFlush, t0, clock_ - pre_track,
+                      r.wrote ? r.accepted_at : 0);
+    }
   }
   if (recorder_ != nullptr) {
-    recorder_->Record(trace_tid_, TraceOp::kClwb, addr, 0, clock_);
+    recorder_->Record(trace_tid_, invalidate ? TraceOp::kClflushopt : TraceOp::kClwb, addr, 0,
+                      clock_);
   }
 }
 
-void ThreadContext::ClflushoptEadr(Addr addr) {
-  // Same as Clwb under eADR: the caches are already persistent, so the
-  // flush (including its invalidation) buys nothing and retires as a
-  // cheap no-op.
-  clock_ += 1;
-  if (attribution_ != nullptr) {
-    attribution_->RecordAccess(AttributionCollector::kFlush, 1, {});
-  }
-  if (recorder_ != nullptr) {
-    recorder_->Record(trace_tid_, TraceOp::kClflushopt, addr, 0, clock_);
-  }
-}
-
-void ThreadContext::ClwbAdr(Addr addr) {
+void ThreadContext::NtStoreTimed(Addr line) {
   const Cycles t0 = clock_;
-  const FlushResult r = hier_->Clwb(addr, clock_);
-  clock_ += std::max<Cycles>(r.cost, cpu_.flush_issue_cost);
-  NoteRecentFlush(CacheLineBase(addr));
+  hier_->InvalidateAll(line);
+  const McWriteResult w = mc_->Write(line, clock_, node_);
+  clock_ += cpu_.nt_store_issue_cost;
   const Cycles pre_track = clock_;
-  if (r.wrote) {
-    TrackPersist(CacheLineBase(addr), r.accepted_at, /*is_flush=*/true);
-  }
+  TrackPersist(line, w.accepted_at, /*is_flush=*/false);
   if (attribution_ != nullptr) {
-    // Any clock advance inside TrackPersist is store-buffer back-pressure:
-    // waiting on the oldest outstanding persist's WPQ acceptance.
-    RecordPersistOp(AttributionCollector::kFlush, t0, clock_ - pre_track,
-                    r.wrote ? r.accepted_at : 0);
-  }
-  if (recorder_ != nullptr) {
-    recorder_->Record(trace_tid_, TraceOp::kClwb, addr, 0, clock_);
-  }
-}
-
-void ThreadContext::ClflushoptAdr(Addr addr) {
-  const Cycles t0 = clock_;
-  const FlushResult r = hier_->Clflushopt(addr, clock_);
-  clock_ += std::max<Cycles>(r.cost, cpu_.flush_issue_cost);
-  NoteRecentFlush(CacheLineBase(addr));
-  const Cycles pre_track = clock_;
-  if (r.wrote) {
-    TrackPersist(CacheLineBase(addr), r.accepted_at, /*is_flush=*/true);
-  }
-  if (attribution_ != nullptr) {
-    RecordPersistOp(AttributionCollector::kFlush, t0, clock_ - pre_track,
-                    r.wrote ? r.accepted_at : 0);
-  }
-  if (recorder_ != nullptr) {
-    recorder_->Record(trace_tid_, TraceOp::kClflushopt, addr, 0, clock_);
+    RecordPersistOp(AttributionCollector::kNtStore, t0, clock_ - pre_track, w.accepted_at);
   }
 }
 
@@ -367,15 +339,7 @@ void ThreadContext::NtStoreLine(Addr addr, const void* data64) {
   if (data64 != nullptr) {
     backing_->Write(line, data64, kCacheLineSize);
   }
-  const Cycles t0 = clock_;
-  hier_->InvalidateAll(line);
-  const McWriteResult w = mc_->Write(line, clock_, node_);
-  clock_ += cpu_.nt_store_issue_cost;
-  const Cycles pre_track = clock_;
-  TrackPersist(line, w.accepted_at, /*is_flush=*/false);
-  if (attribution_ != nullptr) {
-    RecordPersistOp(AttributionCollector::kNtStore, t0, clock_ - pre_track, w.accepted_at);
-  }
+  NtStoreTimed(line);
   if (recorder_ != nullptr) {
     recorder_->Record(trace_tid_, TraceOp::kNtStoreLine, addr, 0, clock_);
   }
@@ -383,17 +347,8 @@ void ThreadContext::NtStoreLine(Addr addr, const void* data64) {
 
 void ThreadContext::NtStore64(Addr addr, uint64_t value) {
   // Timing is line-granular (write-combining buffers merge within the line).
-  const Addr line = CacheLineBase(addr);
   backing_->WriteU64(addr, value);
-  const Cycles t0 = clock_;
-  hier_->InvalidateAll(line);
-  const McWriteResult w = mc_->Write(line, clock_, node_);
-  clock_ += cpu_.nt_store_issue_cost;
-  const Cycles pre_track = clock_;
-  TrackPersist(line, w.accepted_at, /*is_flush=*/false);
-  if (attribution_ != nullptr) {
-    RecordPersistOp(AttributionCollector::kNtStore, t0, clock_ - pre_track, w.accepted_at);
-  }
+  NtStoreTimed(CacheLineBase(addr));
   if (recorder_ != nullptr) {
     recorder_->Record(trace_tid_, TraceOp::kNtStore64, addr, 0, clock_);
   }
@@ -402,15 +357,7 @@ void ThreadContext::NtStore64(Addr addr, uint64_t value) {
 void ThreadContext::NtWrite(Addr addr, const void* data, size_t len) {
   backing_->Write(addr, data, len);
   for (Addr line = CacheLineBase(addr); line < addr + len; line += kCacheLineSize) {
-    const Cycles t0 = clock_;
-    hier_->InvalidateAll(line);
-    const McWriteResult w = mc_->Write(line, clock_, node_);
-    clock_ += cpu_.nt_store_issue_cost;
-    const Cycles pre_track = clock_;
-    TrackPersist(line, w.accepted_at, /*is_flush=*/false);
-    if (attribution_ != nullptr) {
-      RecordPersistOp(AttributionCollector::kNtStore, t0, clock_ - pre_track, w.accepted_at);
-    }
+    NtStoreTimed(line);
   }
   if (recorder_ != nullptr) {
     recorder_->Record(trace_tid_, TraceOp::kNtWrite, addr, len, clock_);

@@ -74,12 +74,11 @@ class ThreadContext {
   double smt_scale() const { return smt_scale_; }
 
   // --- persistence ops ---
-  // Both flushes dispatch through a member-function pointer bound once at
-  // construction: the eADR presets route to a no-op retire (caches are in the
-  // persistence domain), ADR platforms to the real write-back path — no
-  // per-call branch on the platform flag.
-  void Clwb(Addr addr) { (this->*clwb_impl_)(addr); }
-  void Clflushopt(Addr addr) { (this->*clflushopt_impl_)(addr); }
+  // clwb and clflushopt are one flush that differs only in whether the
+  // written-back line may stay cached (see Flush). Under eADR both retire as
+  // one-cycle no-ops: the caches are in the persistence domain.
+  void Clwb(Addr addr) { Flush(addr, /*invalidate=*/false); }
+  void Clflushopt(Addr addr) { Flush(addr, /*invalidate=*/true); }
   // Non-temporal 64 B store: bypasses (and snoop-invalidates) the caches,
   // heads straight for the WPQ.
   void NtStoreLine(Addr addr, const void* data64);
@@ -180,14 +179,12 @@ class ThreadContext {
   const AccessRecord& TimeLoad(Addr addr, bool train);
   // TimeLoad plus attribution; returns the loaded word.
   uint64_t LoadInternal(Addr addr, bool train);
-  // Binds the flush member-function pointers and sizes the persist ring
-  // (shared tail of both constructors).
-  void BindPlatformDispatch();
-  // Flush-dispatch targets (see Clwb/Clflushopt above).
-  void ClwbAdr(Addr addr);
-  void ClflushoptAdr(Addr addr);
-  void ClwbEadr(Addr addr);
-  void ClflushoptEadr(Addr addr);
+  // The one flush: the eADR no-op retire, or the cache write-back (see
+  // CacheHierarchy::Flush) tracked as an outstanding persist.
+  void Flush(Addr addr, bool invalidate);
+  // Times one nt-store of `line`: snoop-invalidate, WPQ write, issue cost,
+  // persist tracking and attribution. Callers write the data and the trace.
+  void NtStoreTimed(Addr line);
   void FenceCommon(bool is_mfence);
   Cycles ScaleCore(Cycles c) const;
   void StoreTimed(Addr addr);
@@ -225,9 +222,6 @@ class ThreadContext {
   // Per-thread arena for access-result records: every timed load/store
   // allocates its record here and the memory layers fill it in place.
   AccessArena arena_;
-  using FlushFn = void (ThreadContext::*)(Addr);
-  FlushFn clwb_impl_ = nullptr;        // bound in the constructors
-  FlushFn clflushopt_impl_ = nullptr;  // bound in the constructors
 };
 
 }  // namespace pmemsim

@@ -95,20 +95,4 @@ std::string Counters::ToJson() const {
   return w.str();
 }
 
-bool CountersFromJson(const JsonValue& v, Counters* out) {
-  if (v.type != JsonValue::Type::kObject) {
-    return false;
-  }
-  bool ok = true;
-  ForEachCounterField(*out, [&](const char* name, uint64_t& field) {
-    const JsonValue* f = v.Find(name);
-    if (f == nullptr || f->type != JsonValue::Type::kNumber || !f->is_integer) {
-      ok = false;
-      return;
-    }
-    field = f->integer;
-  });
-  return ok;
-}
-
 }  // namespace pmemsim

@@ -61,7 +61,6 @@ namespace pmemsim {
 
 class CounterRegistry;
 class JsonWriter;
-struct JsonValue;
 
 struct Counters {
   // Field semantics (beyond the section comments in the list above):
@@ -130,10 +129,6 @@ void ForEachCounterField(CountersT& c, Fn&& fn) {
   PMEMSIM_COUNTER_FIELDS(PMEMSIM_VISIT_FIELD)
 #undef PMEMSIM_VISIT_FIELD
 }
-
-// Restores raw fields from a JSON object produced by ToJson(). Returns false
-// when `v` is not an object or a field is missing/non-integer.
-bool CountersFromJson(const JsonValue& v, Counters* out);
 
 // RAII snapshot: captures `*counters` at construction; Delta() returns the
 // difference accumulated since. Works on both plain counters and the

@@ -85,16 +85,6 @@ void TraceEmitter::CounterEvent(int track, const std::string& name, Cycles ts, d
   Push(Event{'C', track, name, ts, /*has_arg=*/true, "value", value});
 }
 
-size_t TraceEmitter::event_count() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return events_.size();
-}
-
-uint64_t TraceEmitter::dropped_events() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return dropped_;
-}
-
 bool TraceEmitter::Flush() {
   std::lock_guard<std::mutex> lock(mu_);
   return FlushLocked();

@@ -54,9 +54,6 @@ class TraceEmitter {
   // Writes the buffered events as {"traceEvents": [...]}; keeps emitting.
   bool Flush();
 
-  size_t event_count() const;
-  uint64_t dropped_events() const;
-
  private:
   struct Event {
     char phase;  // 'i' or 'C'
@@ -76,7 +73,7 @@ class TraceEmitter {
 
   // Guards tracks_, events_, dropped_, path_ against concurrent sweep-point
   // workers (System construction registers per-DIMM tracks).
-  mutable std::mutex mu_;
+  std::mutex mu_;
   std::atomic<bool> enabled_{false};
   std::string path_;
   std::vector<std::string> tracks_;

@@ -244,26 +244,26 @@ TEST(HierarchyTest, MissFillsAllLevels) {
 TEST(HierarchyTest, StoreMakesDirtyAndClwbWritesBack) {
   HierFixture f;
   f.Store(0, 1000);
-  const FlushResult flush = f.hier->Clwb(0, 2000);
+  const FlushResult flush = f.hier->Flush(0, 2000, /*invalidate=*/false);
   EXPECT_TRUE(flush.wrote);
   EXPECT_GT(flush.accepted_at, 2000u);
   EXPECT_EQ(f.counters().imc_write_bytes, kCacheLineSize);
   // Second clwb: line now clean, nothing written.
-  const FlushResult again = f.hier->Clwb(0, 3000);
+  const FlushResult again = f.hier->Flush(0, 3000, /*invalidate=*/false);
   EXPECT_FALSE(again.wrote);
 }
 
 TEST(HierarchyTest, CleanFlushSendsNothing) {
   HierFixture f;
   f.Load(0, 1000);
-  EXPECT_FALSE(f.hier->Clflushopt(0, 2000).wrote);
+  EXPECT_FALSE(f.hier->Flush(0, 2000, /*invalidate=*/true).wrote);
   EXPECT_EQ(f.counters().imc_write_bytes, 0u);
 }
 
 TEST(HierarchyTest, G1ClwbEventuallyInvalidates) {
   HierFixture f;
   f.Store(0, 1000);
-  f.hier->Clwb(0, 2000);
+  f.hier->Flush(0, 2000, /*invalidate=*/false);
   EXPECT_TRUE(f.hier->ProbeAny(0, 2100));  // within the dispatch window
   EXPECT_FALSE(f.hier->ProbeAny(0, 2000 + f.platform.cache.clwb_dispatch_delay));
 }
@@ -271,7 +271,7 @@ TEST(HierarchyTest, G1ClwbEventuallyInvalidates) {
 TEST(HierarchyTest, G2ClwbRetains) {
   HierFixture f(/*g2=*/true);
   f.Store(0, 1000);
-  f.hier->Clwb(0, 2000);
+  f.hier->Flush(0, 2000, /*invalidate=*/false);
   EXPECT_TRUE(f.hier->ProbeAny(0, 1000000));
 }
 

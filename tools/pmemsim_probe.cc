@@ -88,8 +88,7 @@ void RunProbe(const ProbeConfig& cfg, pmemsim_bench::SweepPoint& point) {
       ctx.Store64(addr, w.done);
       ctx.Clwb(addr);
       ctx.Mfence();
-      const uint64_t back =
-          (index + lines - cfg.distance) % lines;
+      const uint64_t back = (index + lines - (cfg.distance % lines)) % lines;
       ctx.Load64(region.base + back * cfg.stride);
     } else if (cfg.op == "copy") {
       ctx.StreamCopyXPLine(XPLineBase(addr), bounce.base);
