@@ -10,12 +10,9 @@
 // and reports cycles/record and the ipmwatch write amplification. The
 // guideline holds when the WSS exceeds the write buffer: in-place WA tends
 // toward 4 while the coalesced log stays at ~1 and runs faster.
-//
-// Output: CSV  layout,records,cycles_per_record,write_amplification
 
-#include <cstdio>
+#include <vector>
 
-#include "bench/bench_util.h"
 #include "bench/sweep_runner.h"
 #include "src/common/random.h"
 #include "src/core/platform.h"
@@ -76,20 +73,11 @@ Result RunCoalesced(uint64_t records) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  pmemsim_bench::Flags flags(argc, argv);
-  if (flags.Has("help")) {
-    std::printf("usage: ablation_coalescing [--records=200000]\n%s",
-                pmemsim_bench::kTelemetryFlagsHelp);
-    return 0;
-  }
-  const uint64_t records = flags.GetU64("records", 200000);
-  pmemsim_bench::BenchReport report(flags, "ablation_coalescing");
-  pmemsim_bench::SweepRunner runner(flags);
-  flags.RejectUnknown();
-
-  pmemsim_bench::PrintHeader("Ablation",
-                             "coalescing small writes into XPLines (FlatStore guideline)");
-  std::printf("layout,records,cycles_per_record,write_amplification\n");
+  pmemsim_bench::Sweep sweep(argc, argv, "ablation_coalescing", " [--records=200000]");
+  const uint64_t records = sweep.flags().GetU64("records", 200000);
+  pmemsim_bench::SweepRunner& runner =
+      sweep.Start("Ablation", "coalescing small writes into XPLines (FlatStore guideline)",
+                  {"layout", "records", "cycles_per_record", "write_amplification"});
   struct Layout {
     const char* name;
     Result (*run)(uint64_t);
@@ -98,14 +86,12 @@ int main(int argc, char** argv) {
   for (const Layout& layout : kLayouts) {
     runner.Add(layout.name, [=](pmemsim_bench::SweepPoint& point) {
       const Result r = layout.run(records);
-      point.Printf("%s,%llu,%.1f,%.3f\n", layout.name,
-                   static_cast<unsigned long long>(records), r.cycles, r.wa);
-      point.AddRow()
-          .Set("layout", layout.name)
-          .Set("records", records)
-          .Set("cycles_per_record", r.cycles)
-          .Set("write_amplification", r.wa);
+      point.Emit(pmemsim_bench::Row()
+                     .Set("layout", layout.name)
+                     .Set("records", records)
+                     .Set("cycles_per_record", r.cycles, 1)
+                     .Set("write_amplification", r.wa, 3));
     });
   }
-  return runner.Finish(report);
+  return sweep.Finish();
 }

@@ -7,14 +7,11 @@
 //   * the Fig. 12 in-place B+-tree insert (a flush per key shift)
 // Under eADR the flush cost disappears and with it most of the remaining
 // persistency overhead — the in-place B+-tree no longer needs redo logging.
-//
-// Output: CSV  workload,platform,value_cycles
 
-#include <cstdio>
+#include <memory>
 #include <string>
 #include <vector>
 
-#include "bench/bench_util.h"
 #include "bench/sweep_runner.h"
 #include "src/common/config.h"
 #include "src/core/system.h"
@@ -52,30 +49,15 @@ double BtreeInsert(const PlatformConfig& cfg) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  pmemsim_bench::Flags flags(argc, argv);
-  if (flags.Has("help")) {
-    std::printf("usage: ablation_eadr [--platform=g1|g2|g2-eadr]\n%s",
-                pmemsim_bench::kTelemetryFlagsHelp);
-    return 0;
-  }
+  pmemsim_bench::Sweep sweep(argc, argv, "ablation_eadr", " [--platform=g1|g2|g2-eadr]");
   // Default: the paper's contrast pair (G2 vs G2+eADR). --platform narrows
-  // the run to one named preset; unknown names exit(2) via the flag path.
-  const std::string platform_arg = flags.Get("platform", "");
-  pmemsim_bench::BenchReport report(flags, "ablation_eadr");
-  pmemsim_bench::SweepRunner runner(flags);
-  flags.RejectUnknown();
-  std::vector<PlatformConfig> platforms;
-  if (platform_arg.empty()) {
-    platforms = {G2Platform(), G2EadrPlatform()};
-  } else {
-    const auto platform = PlatformByName(platform_arg);
-    if (!platform) {
-      pmemsim_bench::Flags::BadValue("platform", platform_arg, "g1|g2|g2-eadr");
-    }
-    platforms = {*platform};
+  // the run to one named preset.
+  std::vector<PlatformConfig> platforms = {G2Platform(), G2EadrPlatform()};
+  if (!sweep.flags().Get("platform", "").empty()) {
+    platforms = {sweep.flags().GetPlatform("platform", "")};
   }
-  pmemsim_bench::PrintHeader("Ablation", "G2 with and without eADR (paper §6)");
-  std::printf("workload,platform,cycles\n");
+  pmemsim_bench::SweepRunner& runner = sweep.Start(
+      "Ablation", "G2 with and without eADR (paper §6)", {"workload", "platform", "cycles"});
   struct Case {
     const char* workload;
     double (*run)(const PlatformConfig&);
@@ -88,14 +70,12 @@ int main(int argc, char** argv) {
     for (const PlatformConfig& platform : platforms) {
       const std::string label = std::string(c.workload) + "/" + platform.name;
       runner.Add(label, [=](pmemsim_bench::SweepPoint& point) {
-        const double cycles = c.run(platform);
-        point.Printf("%s,%s,%.1f\n", c.workload, platform.name.c_str(), cycles);
-        point.AddRow()
-            .Set("workload", c.workload)
-            .Set("platform", platform.name)
-            .Set("cycles", cycles);
+        point.Emit(pmemsim_bench::Row()
+                       .Set("workload", c.workload)
+                       .Set("platform", platform.name)
+                       .Set("cycles", c.run(platform), 1));
       });
     }
   }
-  return runner.Finish(report);
+  return sweep.Finish();
 }

@@ -6,12 +6,9 @@
 // takeaway — reducing persists to the same XPLine matters more than reducing
 // the number of XPLines persisted, and all models converge once the media is
 // the bottleneck — shows up as the curves collapsing at large WSS.
-//
-// Output: CSV  wss_kb,epoch_len,cycles_per_element
 
-#include <cstdio>
+#include <string>
 
-#include "bench/bench_util.h"
 #include "bench/sweep_runner.h"
 #include "src/core/platform.h"
 #include "src/datastores/chase_list.h"
@@ -34,28 +31,20 @@ double Measure(uint64_t wss, uint64_t epoch_len) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  pmemsim_bench::Flags flags(argc, argv);
-  if (flags.Has("help")) {
-    std::printf("usage: ablation_persistency\n%s", pmemsim_bench::kTelemetryFlagsHelp);
-    return 0;
-  }
-  pmemsim_bench::BenchReport report(flags, "ablation_persistency");
-  pmemsim_bench::SweepRunner runner(flags);
-  flags.RejectUnknown();
-  pmemsim_bench::PrintHeader("Ablation", "persistency spectrum: strict -> epoch -> relaxed");
-  std::printf("wss_kb,epoch_len,cycles_per_element\n");
+  pmemsim_bench::Sweep sweep(argc, argv, "ablation_persistency", "");
+  pmemsim_bench::SweepRunner& runner =
+      sweep.Start("Ablation", "persistency spectrum: strict -> epoch -> relaxed",
+                  {"wss_kb", "epoch_len", "cycles_per_element"});
   for (const uint64_t kb : {8ull, 64ull, 1024ull, 16384ull}) {
     for (const uint64_t epoch : {1ull, 4ull, 16ull, 64ull, 1024ull}) {
-      const std::string label =
-          std::to_string(kb) + "kb/epoch" + std::to_string(epoch);
+      const std::string label = std::to_string(kb) + "kb/epoch" + std::to_string(epoch);
       runner.Add(label, [=](pmemsim_bench::SweepPoint& point) {
-        const double cycles = Measure(KiB(kb), epoch);
-        point.Printf("%llu,%llu,%.1f\n", static_cast<unsigned long long>(kb),
-                     static_cast<unsigned long long>(epoch), cycles);
-        point.AddRow().Set("wss_kb", kb).Set("epoch_len", epoch).Set("cycles_per_element",
-                                                                     cycles);
+        point.Emit(pmemsim_bench::Row()
+                       .Set("wss_kb", kb)
+                       .Set("epoch_len", epoch)
+                       .Set("cycles_per_element", Measure(KiB(kb), epoch), 1));
       });
     }
   }
-  return runner.Finish(report);
+  return sweep.Finish();
 }

@@ -7,61 +7,21 @@
 //   * inclusive buffer -> RA drops below 1 when the WSS fits (recurring reads
 //                         hit the buffer instead of the media)
 // Only FIFO+exclusive matches the measurements.
-//
-// Output: CSV  policy,wss_kb,cpx,read_amplification
 
-#include <cstdio>
+#include <string>
 
-#include "bench/bench_util.h"
+#include "bench/buffer_probes.h"
 #include "bench/sweep_runner.h"
 #include "src/common/config.h"
-#include "src/core/platform.h"
-#include "src/trace/counters.h"
-
-namespace {
 
 using namespace pmemsim;
 
-double MeasureRa(const OptaneDimmConfig& dimm_cfg, uint64_t wss, uint32_t cpx) {
-  PlatformConfig cfg = G1Platform();
-  cfg.optane = dimm_cfg;
-  auto system = std::make_unique<System>(cfg, 1);
-  ThreadContext& ctx = system->CreateThread();
-  SetPrefetchers(ctx, false, false, false);
-
-  const PmRegion region = system->AllocatePm(wss, kXPLineSize);
-  const uint64_t xplines = wss / kXPLineSize;
-  auto run = [&](int passes) {
-    for (int p = 0; p < passes; ++p) {
-      for (uint32_t cl = 0; cl < cpx; ++cl) {
-        for (uint64_t xp = 0; xp < xplines; ++xp) {
-          const Addr a = region.base + xp * kXPLineSize + cl * kCacheLineSize;
-          ctx.LoadLine(a);
-          ctx.Clflushopt(a);
-        }
-        ctx.Sfence();
-      }
-    }
-  };
-  run(3);
-  CounterDelta d(&system->counters());
-  run(8);
-  return d.Delta().ReadAmplification();
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
-  pmemsim_bench::Flags flags(argc, argv);
-  if (flags.Has("help")) {
-    std::printf("usage: ablation_read_buffer [--max_kb=32]\n%s",
-                pmemsim_bench::kTelemetryFlagsHelp);
-    return 0;
-  }
-  const uint64_t max_kb = flags.GetU64("max_kb", 32);
-  pmemsim_bench::BenchReport report(flags, "ablation_read_buffer");
-  pmemsim_bench::SweepRunner runner(flags);
-  flags.RejectUnknown();
+  pmemsim_bench::Sweep sweep(argc, argv, "ablation_read_buffer", " [--max_kb=32]");
+  const uint64_t max_kb = sweep.flags().GetU64("max_kb", 32);
+  pmemsim_bench::SweepRunner& runner =
+      sweep.Start("Ablation", "read-buffer eviction & exclusivity vs Figure 2",
+                  {"policy", "wss_kb", "cpx", "read_amplification"});
 
   struct Policy {
     const char* name;
@@ -73,29 +33,24 @@ int main(int argc, char** argv) {
       {"lru-exclusive", 1, true},
       {"fifo-inclusive", 0, false},
   };
-
-  pmemsim_bench::PrintHeader("Ablation", "read-buffer eviction & exclusivity vs Figure 2");
-  std::printf("policy,wss_kb,cpx,read_amplification\n");
   for (const Policy& p : kPolicies) {
-    OptaneDimmConfig dimm = G1Platform().optane;
-    dimm.read_buffer_eviction = p.eviction;
-    dimm.read_buffer_exclusive = p.exclusive;
+    PlatformConfig platform = G1Platform();
+    platform.optane.read_buffer_eviction = p.eviction;
+    platform.optane.read_buffer_exclusive = p.exclusive;
     for (uint64_t kb = 4; kb <= max_kb; kb += 4) {
       for (uint32_t cpx = 1; cpx <= 4; cpx += 3) {
         const std::string label =
             std::string(p.name) + "/" + std::to_string(kb) + "kb/cpx" + std::to_string(cpx);
         runner.Add(label, [=](pmemsim_bench::SweepPoint& point) {
-          const double ra = MeasureRa(dimm, KiB(kb), cpx);
-          point.Printf("%s,%llu,%u,%.3f\n", p.name, static_cast<unsigned long long>(kb), cpx,
-                       ra);
-          point.AddRow()
-              .Set("policy", p.name)
-              .Set("wss_kb", kb)
-              .Set("cpx", cpx)
-              .Set("read_amplification", ra);
+          const double ra = pmemsim_bench::MeasureReadAmplification(platform, KiB(kb), cpx);
+          point.Emit(pmemsim_bench::Row()
+                         .Set("policy", p.name)
+                         .Set("wss_kb", kb)
+                         .Set("cpx", cpx)
+                         .Set("read_amplification", ra, 3));
         });
       }
     }
   }
-  return runner.Finish(report);
+  return sweep.Finish();
 }

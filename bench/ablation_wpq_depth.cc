@@ -5,12 +5,10 @@
 // keeps per-element write latency flat across WSS (acceptance is the persist
 // point); a shallow WPQ exposes the media write latency as soon as the
 // working set spills the write buffer.
-//
-// Output: CSV  wpq_entries,wss_kb,cycles_per_element
 
-#include <cstdio>
+#include <memory>
+#include <string>
 
-#include "bench/bench_util.h"
 #include "bench/sweep_runner.h"
 #include "src/common/config.h"
 #include "src/core/system.h"
@@ -35,27 +33,20 @@ double Measure(uint32_t wpq_entries, uint64_t wss) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  pmemsim_bench::Flags flags(argc, argv);
-  if (flags.Has("help")) {
-    std::printf("usage: ablation_wpq_depth\n%s", pmemsim_bench::kTelemetryFlagsHelp);
-    return 0;
-  }
-  pmemsim_bench::BenchReport report(flags, "ablation_wpq_depth");
-  pmemsim_bench::SweepRunner runner(flags);
-  flags.RejectUnknown();
-  pmemsim_bench::PrintHeader("Ablation", "WPQ depth vs write-latency consistency (Fig. 8c)");
-  std::printf("wpq_entries,wss_kb,cycles_per_element\n");
+  pmemsim_bench::Sweep sweep(argc, argv, "ablation_wpq_depth", "");
+  pmemsim_bench::SweepRunner& runner =
+      sweep.Start("Ablation", "WPQ depth vs write-latency consistency (Fig. 8c)",
+                  {"wpq_entries", "wss_kb", "cycles_per_element"});
   for (const uint32_t entries : {1u, 4u, 16u, 64u}) {
     for (const uint64_t kb : {4ull, 16ull, 64ull, 256ull, 1024ull, 4096ull}) {
-      const std::string label =
-          "wpq" + std::to_string(entries) + "/" + std::to_string(kb) + "kb";
+      const std::string label = "wpq" + std::to_string(entries) + "/" + std::to_string(kb) + "kb";
       runner.Add(label, [=](pmemsim_bench::SweepPoint& point) {
-        const double cycles = Measure(entries, KiB(kb));
-        point.Printf("%u,%llu,%.1f\n", entries, static_cast<unsigned long long>(kb), cycles);
-        point.AddRow().Set("wpq_entries", entries).Set("wss_kb", kb).Set("cycles_per_element",
-                                                                         cycles);
+        point.Emit(pmemsim_bench::Row()
+                       .Set("wpq_entries", entries)
+                       .Set("wss_kb", kb)
+                       .Set("cycles_per_element", Measure(entries, KiB(kb)), 1));
       });
     }
   }
-  return runner.Finish(report);
+  return sweep.Finish();
 }

@@ -7,15 +7,12 @@
 //   * oldest-first eviction -> under a cyclic write pattern the hit ratio
 //     collapses to ~0 past capacity (no graceful decay)
 //   * periodic write-back off -> full-write WA stays 0 below capacity
-//
-// Output: CSV  experiment,policy,wss_kb,value
 
-#include <cstdio>
+#include <string>
 
-#include "bench/bench_util.h"
+#include "bench/buffer_probes.h"
 #include "bench/sweep_runner.h"
 #include "src/common/config.h"
-#include "src/common/random.h"
 #include "src/core/platform.h"
 #include "src/trace/counters.h"
 
@@ -23,21 +20,21 @@ namespace {
 
 using namespace pmemsim;
 
-std::unique_ptr<System> MakeAblatedSystem(uint8_t wb_eviction, bool periodic) {
+PlatformConfig AblatedPlatform(uint8_t wb_eviction, bool periodic) {
   PlatformConfig cfg = G1Platform();
   cfg.optane.write_buffer_eviction = wb_eviction;
   cfg.optane.periodic_full_writeback = periodic;
   cfg.optane.batch_evict = false;  // isolate the victim-choice policy
-  return std::make_unique<System>(cfg, 1);
+  return cfg;
 }
 
 // Cyclic single-line writes: random eviction decays gracefully, oldest-first
 // (FIFO) thrashes exactly like Fig. 2's read cliff.
 double CyclicHitRatio(uint8_t wb_eviction, uint64_t wss) {
-  auto system = MakeAblatedSystem(wb_eviction, false);
-  ThreadContext& ctx = system->CreateThread();
+  System system(AblatedPlatform(wb_eviction, false), 1);
+  ThreadContext& ctx = system.CreateThread();
   SetPrefetchers(ctx, false, false, false);
-  const PmRegion region = system->AllocatePm(wss, kXPLineSize);
+  const PmRegion region = system.AllocatePm(wss, kXPLineSize);
   const uint64_t xplines = wss / kXPLineSize;
   auto run = [&](uint64_t writes) {
     for (uint64_t i = 0; i < writes; ++i) {
@@ -46,55 +43,32 @@ double CyclicHitRatio(uint8_t wb_eviction, uint64_t wss) {
     ctx.Sfence();
   };
   run(4 * xplines);
-  CounterDelta d(&system->counters());
+  CounterDelta d(&system.counters());
   run(12 * xplines);
   return d.Delta().WriteBufferHitRatio();
 }
 
+// Fig. 3's full-XPLine write pattern (every cacheline, address order).
 double FullWriteWa(bool periodic, uint64_t wss) {
-  auto system = MakeAblatedSystem(0, periodic);
-  ThreadContext& ctx = system->CreateThread();
-  SetPrefetchers(ctx, false, false, false);
-  const PmRegion region = system->AllocatePm(wss, kXPLineSize);
-  auto run = [&](int passes) {
-    for (int p = 0; p < passes; ++p) {
-      for (Addr a = region.base; a < region.end(); a += kCacheLineSize) {
-        ctx.NtStore64(a, p);
-      }
-      ctx.Sfence();
-    }
-  };
-  run(3);
-  CounterDelta d(&system->counters());
-  run(8);
-  return d.Delta().WriteAmplification();
+  return pmemsim_bench::MeasureWriteAmplification(AblatedPlatform(0, periodic), wss,
+                                                  kLinesPerXPLine, /*random=*/false);
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  pmemsim_bench::Flags flags(argc, argv);
-  if (flags.Has("help")) {
-    std::printf("usage: ablation_write_buffer [--max_kb=32]\n%s",
-                pmemsim_bench::kTelemetryFlagsHelp);
-    return 0;
-  }
-  const uint64_t max_kb = flags.GetU64("max_kb", 32);
-  pmemsim_bench::BenchReport report(flags, "ablation_write_buffer");
-  pmemsim_bench::SweepRunner runner(flags);
-  flags.RejectUnknown();
-
-  pmemsim_bench::PrintHeader("Ablation", "write-buffer eviction & periodic write-back");
-  std::printf("experiment,policy,wss_kb,value\n");
+  pmemsim_bench::Sweep sweep(argc, argv, "ablation_write_buffer", " [--max_kb=32]");
+  const uint64_t max_kb = sweep.flags().GetU64("max_kb", 32);
+  pmemsim_bench::SweepRunner& runner =
+      sweep.Start("Ablation", "write-buffer eviction & periodic write-back",
+                  {"experiment", "policy", "wss_kb", "value"});
   auto emit = [](pmemsim_bench::SweepPoint& point, const char* experiment, const char* policy,
                  uint64_t kb, double value) {
-    point.Printf("%s,%s,%llu,%.3f\n", experiment, policy, static_cast<unsigned long long>(kb),
-                 value);
-    point.AddRow()
-        .Set("experiment", experiment)
-        .Set("policy", policy)
-        .Set("wss_kb", kb)
-        .Set("value", value);
+    point.Emit(pmemsim_bench::Row()
+                   .Set("experiment", experiment)
+                   .Set("policy", policy)
+                   .Set("wss_kb", kb)
+                   .Set("value", value, 3));
   };
   for (uint64_t kb = 4; kb <= max_kb; kb += 4) {
     runner.Add("cyclic-hit-ratio/" + std::to_string(kb) + "kb",
@@ -112,5 +86,5 @@ int main(int argc, char** argv) {
                       FullWriteWa(false, KiB(kb)));
                });
   }
-  return runner.Finish(report);
+  return sweep.Finish();
 }

@@ -11,6 +11,9 @@
 #ifndef BENCH_BENCH_UTIL_H_
 #define BENCH_BENCH_UTIL_H_
 
+#include <strings.h>
+
+#include <algorithm>
 #include <cerrno>
 #include <cstdint>
 #include <cstdio>
@@ -21,6 +24,9 @@
 #include <utility>
 #include <vector>
 
+#include "src/common/check.h"
+#include "src/common/config.h"
+#include "src/common/types.h"
 #include "src/trace/counters.h"
 #include "src/trace/json.h"
 #include "src/trace/trace_events.h"
@@ -133,9 +139,52 @@ class Flags {
     return parsed;
   }
 
+  // One of an enumerated set of values, matched case-insensitively and
+  // returned in the spelling of `choices`. Anything else (including an empty
+  // value) exits(2) listing the choices, before the caller prints anything.
+  std::string GetChoice(const std::string& name, const std::string& def,
+                        const std::vector<std::string>& choices) const {
+    const std::string v = Get(name, def);
+    std::string expected;
+    for (const std::string& choice : choices) {
+      if (strcasecmp(v.c_str(), choice.c_str()) == 0) {
+        return choice;
+      }
+      expected += (expected.empty() ? "" : "|") + choice;
+    }
+    BadValue(name, v, expected.c_str());
+  }
+
+  // A platform preset by PlatformByName name (--platform=g1|g2|g2-eadr).
+  pmemsim::PlatformConfig GetPlatform(const std::string& name, const std::string& def) const {
+    return *pmemsim::PlatformByName(GetChoice(name, def, PlatformNames()));
+  }
+  static std::vector<std::string> PlatformNames() { return {"g1", "g2", "g2-eadr"}; }
+
+  // --gen as the generations a sweep iterates, in G1, G2 order, each with its
+  // "G1"/"G2" row label. `allow_both` = false limits the flag to g1|g2.
+  struct GenerationChoice {
+    pmemsim::Generation gen;
+    const char* name;
+  };
+  std::vector<GenerationChoice> GetGenerations(const std::string& def,
+                                               bool allow_both = true) const {
+    const std::string v =
+        GetChoice("gen", def, allow_both ? std::vector<std::string>{"g1", "g2", "both"}
+                                         : std::vector<std::string>{"g1", "g2"});
+    std::vector<GenerationChoice> gens;
+    if (v != "g2") {
+      gens.push_back({pmemsim::Generation::kG1, "G1"});
+    }
+    if (v != "g1") {
+      gens.push_back({pmemsim::Generation::kG2, "G2"});
+    }
+    return gens;
+  }
+
   // Exits(2) naming a flag with an unusable value. Public so benches can
-  // reject domain-invalid values (e.g. an unknown --platform name) through
-  // the same error path as malformed numbers.
+  // reject domain-invalid values (e.g. a working set below one stride)
+  // through the same error path as malformed numbers.
   [[noreturn]] static void BadValue(const std::string& name, const std::string& v,
                                     const char* expected) {
     std::fprintf(stderr, "error: invalid value for --%s: '%s' (expected %s)\n", name.c_str(),
@@ -195,30 +244,74 @@ inline bool WriteFile(const std::string& path, const std::string& text) {
 //   return report.Finish();   // from main()
 class BenchReport {
  public:
+  // One result row: named, typed cells in column order. The JSON report
+  // writes every cell; Csv() renders the same cells as one CSV line.
   class Row {
    public:
     Row& Set(const char* name, const std::string& v) {
-      cells_.emplace_back(name, Cell{Cell::kString, 0, 0.0, v});
+      cells_.emplace_back(name, Cell{Cell::kString, 0, 0.0, kNoPrecision, v});
       return *this;
     }
     Row& Set(const char* name, const char* v) { return Set(name, std::string(v)); }
-    Row& Set(const char* name, double v) {
-      cells_.emplace_back(name, Cell{Cell::kDouble, 0, v, {}});
+    // A double for the JSON report only. Rows for SweepPoint::Emit use the
+    // overload below, which also fixes the CSV digits.
+    Row& Set(const char* name, double v) { return Set(name, v, kNoPrecision); }
+    // A double that prints in CSV as %.<precision>f.
+    Row& Set(const char* name, double v, int precision) {
+      cells_.emplace_back(name, Cell{Cell::kDouble, 0, v, precision, {}});
       return *this;
     }
     Row& Set(const char* name, uint64_t v) {
-      cells_.emplace_back(name, Cell{Cell::kUint, v, 0.0, {}});
+      cells_.emplace_back(name, Cell{Cell::kUint, v, 0.0, kNoPrecision, {}});
       return *this;
     }
     Row& Set(const char* name, int v) { return Set(name, static_cast<uint64_t>(v)); }
     Row& Set(const char* name, uint32_t v) { return Set(name, static_cast<uint64_t>(v)); }
 
+    // True when the cell names are exactly `columns`, in order.
+    bool HasColumns(const std::vector<std::string>& columns) const {
+      return std::equal(cells_.begin(), cells_.end(), columns.begin(), columns.end(),
+                        [](const auto& cell, const std::string& c) { return cell.first == c; });
+    }
+
+    // The cells as one CSV line: a uint as %llu, a string as %s, a double as
+    // %.<precision>f. A double cell without a precision fails a CHECK.
+    std::string Csv() const {
+      std::string line;
+      for (const auto& [name, cell] : cells_) {
+        if (&cell != &cells_.front().second) {
+          line.push_back(',');
+        }
+        switch (cell.kind) {
+          case Cell::kUint:
+            line += std::to_string(cell.u);
+            break;
+          case Cell::kDouble: {
+            PMEMSIM_CHECK_MSG(cell.precision != kNoPrecision, name.c_str());
+            const int n = std::snprintf(nullptr, 0, "%.*f", cell.precision, cell.d);
+            const size_t old = line.size();
+            line.resize(old + static_cast<size_t>(n) + 1);
+            std::snprintf(&line[old], static_cast<size_t>(n) + 1, "%.*f", cell.precision, cell.d);
+            line.resize(old + static_cast<size_t>(n));  // drop the NUL
+            break;
+          }
+          case Cell::kString:
+            line += cell.s;
+            break;
+        }
+      }
+      line.push_back('\n');
+      return line;
+    }
+
    private:
     friend class BenchReport;
+    static constexpr int kNoPrecision = -1;
     struct Cell {
       enum Kind { kUint, kDouble, kString } kind;
       uint64_t u;
       double d;
+      int precision;
       std::string s;
     };
     std::vector<std::pair<std::string, Cell>> cells_;
@@ -329,6 +422,8 @@ class BenchReport {
   std::vector<std::pair<std::string, pmemsim::Counters>> counters_;
   std::vector<std::pair<std::string, std::string>> sections_;
 };
+
+using Row = BenchReport::Row;
 
 inline const char* kTelemetryFlagsHelp =
     "  --stats_json=<path>    write rows as JSON (for scripts/check_figures.py)\n"

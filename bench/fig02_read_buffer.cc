@@ -2,89 +2,38 @@
 // reads touching 1..4 cachelines per XPLine (CpX). Demonstrates the 16 KB
 // (G1) / 22 KB (G2) on-DIMM read buffer with FIFO eviction and exclusive
 // delivery: RA = 4/CpX while the WSS fits, then a sharp jump to 4.
-//
-// Output: CSV  gen,wss_kb,cpx,read_amplification
 
-#include <cstdio>
-#include <memory>
+#include <string>
 
-#include "bench/bench_util.h"
+#include "bench/buffer_probes.h"
 #include "bench/sweep_runner.h"
-#include "src/core/platform.h"
-#include "src/trace/counters.h"
-
-namespace {
 
 using namespace pmemsim;
 
-double MeasureRa(Generation gen, uint64_t wss_bytes, uint32_t cpx) {
-  // Single non-interleaved DIMM, as in the paper's buffer probes.
-  auto system = MakeSystem(gen, /*optane_dimm_count=*/1);
-  ThreadContext& ctx = system->CreateThread();
-  SetPrefetchers(ctx, false, false, false);
-
-  const PmRegion region = system->AllocatePm(wss_bytes, kXPLineSize);
-  const uint64_t xplines = wss_bytes / kXPLineSize;
-
-  auto run_pattern = [&](int passes) {
-    for (int p = 0; p < passes; ++p) {
-      for (uint32_t cl = 0; cl < cpx; ++cl) {
-        for (uint64_t xp = 0; xp < xplines; ++xp) {
-          const Addr addr = region.base + xp * kXPLineSize + cl * kCacheLineSize;
-          ctx.LoadLine(addr);
-          // Invalidate so the next visit must leave the CPU caches (§3.1).
-          ctx.Clflushopt(addr);
-        }
-        ctx.Sfence();
-      }
-    }
-  };
-
-  run_pattern(3);  // warm up buffers
-  CounterDelta delta(&system->counters());
-  run_pattern(8);
-  return delta.Delta().ReadAmplification();
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
-  pmemsim_bench::Flags flags(argc, argv);
-  if (flags.Has("help")) {
-    std::printf("usage: fig02_read_buffer [--gen=g1|g2|both] [--max_kb=36]\n%s",
-                pmemsim_bench::kTelemetryFlagsHelp);
-    return 0;
-  }
-  const std::string gen_flag = flags.Get("gen", "both");
-  const uint64_t max_kb = flags.GetU64("max_kb", 36);
-  pmemsim_bench::BenchReport report(flags, "fig02_read_buffer");
-  pmemsim_bench::SweepRunner runner(flags);
-  flags.RejectUnknown();
-
-  pmemsim_bench::PrintHeader("Figure 2", "read amplification vs WSS (strided reads, CpX=1..4)");
-  std::printf("gen,wss_kb,cpx,read_amplification\n");
-  for (Generation gen : {Generation::kG1, Generation::kG2}) {
-    if ((gen == Generation::kG1 && gen_flag == "g2") ||
-        (gen == Generation::kG2 && gen_flag == "g1")) {
-      continue;
-    }
-    const char* gen_name = gen == Generation::kG1 ? "G1" : "G2";
+  pmemsim_bench::Sweep sweep(argc, argv, "fig02_read_buffer", " [--gen=g1|g2|both] [--max_kb=36]");
+  const auto gens = sweep.flags().GetGenerations("both");
+  const uint64_t max_kb = sweep.flags().GetU64("max_kb", 36);
+  pmemsim_bench::SweepRunner& runner =
+      sweep.Start("Figure 2", "read amplification vs WSS (strided reads, CpX=1..4)",
+                  {"gen", "wss_kb", "cpx", "read_amplification"});
+  for (const auto& g : gens) {
     for (uint64_t kb = 1; kb <= max_kb; ++kb) {
       for (uint32_t cpx = 1; cpx <= 4; ++cpx) {
         const std::string label =
-            std::string(gen_name) + "/" + std::to_string(kb) + "kb/cpx" + std::to_string(cpx);
+            std::string(g.name) + "/" + std::to_string(kb) + "kb/cpx" + std::to_string(cpx);
         runner.Add(label, [=](pmemsim_bench::SweepPoint& point) {
-          const double ra = MeasureRa(gen, KiB(kb), cpx);
-          point.Printf("%s,%llu,%u,%.3f\n", gen_name, static_cast<unsigned long long>(kb), cpx,
-                       ra);
-          point.AddRow()
-              .Set("gen", gen_name)
-              .Set("wss_kb", kb)
-              .Set("cpx", cpx)
-              .Set("read_amplification", ra);
+          // Single non-interleaved DIMM, as in the paper's buffer probes.
+          const double ra =
+              pmemsim_bench::MeasureReadAmplification(PlatformFor(g.gen), KiB(kb), cpx);
+          point.Emit(pmemsim_bench::Row()
+                         .Set("gen", g.name)
+                         .Set("wss_kb", kb)
+                         .Set("cpx", cpx)
+                         .Set("read_amplification", ra, 3));
         });
       }
     }
   }
-  return runner.Finish(report);
+  return sweep.Finish();
 }

@@ -5,100 +5,41 @@
 // write-buffer capacity, then WA climbs toward the theoretical 4/2/1.33;
 // full writes are written back periodically, so WA ≈ 1 from small WSS.
 // On G2 all four curves rise gracefully past a >12 KB knee.
-//
-// Output: CSV  gen,wss_kb,write_pct,write_amplification
 
-#include <cstdio>
+#include <string>
 
-#include "bench/bench_util.h"
+#include "bench/buffer_probes.h"
 #include "bench/sweep_runner.h"
-#include "src/common/random.h"
-#include "src/core/platform.h"
-#include "src/trace/counters.h"
-
-namespace {
 
 using namespace pmemsim;
 
-double MeasureWa(Generation gen, uint64_t wss_bytes, uint32_t lines_per_xpline, bool random) {
-  auto system = MakeSystem(gen, /*optane_dimm_count=*/1);
-  ThreadContext& ctx = system->CreateThread();
-  SetPrefetchers(ctx, false, false, false);
-
-  const PmRegion region = system->AllocatePm(wss_bytes, kXPLineSize);
-  const uint64_t xplines = wss_bytes / kXPLineSize;
-
-  std::vector<uint64_t> order(xplines);
-  for (uint64_t i = 0; i < xplines; ++i) {
-    order[i] = i;
-  }
-  Rng rng(0x5EED + wss_bytes);
-  if (random) {
-    rng.Shuffle(order);
-  }
-
-  auto run_pass = [&](int passes) {
-    for (int p = 0; p < passes; ++p) {
-      for (const uint64_t xp : order) {
-        const Addr base = region.base + xp * kXPLineSize;
-        // Sequentially update the first `lines_per_xpline` cachelines.
-        for (uint32_t cl = 0; cl < lines_per_xpline; ++cl) {
-          ctx.NtStore64(base + cl * kCacheLineSize, p);
-        }
-      }
-      ctx.Sfence();
-    }
-  };
-
-  run_pass(3);
-  CounterDelta delta(&system->counters());
-  run_pass(8);
-  return delta.Delta().WriteAmplification();
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
-  pmemsim_bench::Flags flags(argc, argv);
-  if (flags.Has("help")) {
-    std::printf(
-        "usage: fig03_write_amplification [--gen=g1|g2|both] [--max_kb=32] [--random]\n"
-        "The paper notes WA is independent of the cross-XPLine pattern; --random verifies.\n%s",
-        pmemsim_bench::kTelemetryFlagsHelp);
-    return 0;
-  }
-  const std::string gen_flag = flags.Get("gen", "both");
-  const uint64_t max_kb = flags.GetU64("max_kb", 32);
-  const bool random = flags.Has("random");
-  pmemsim_bench::BenchReport report(flags, "fig03_write_amplification");
-  pmemsim_bench::SweepRunner runner(flags);
-  flags.RejectUnknown();
-
-  pmemsim_bench::PrintHeader("Figure 3", "write amplification vs WSS (nt-store partial/full)");
-  std::printf("gen,wss_kb,write_pct,write_amplification\n");
-  for (Generation gen : {Generation::kG1, Generation::kG2}) {
-    if ((gen == Generation::kG1 && gen_flag == "g2") ||
-        (gen == Generation::kG2 && gen_flag == "g1")) {
-      continue;
-    }
-    const char* gen_name = gen == Generation::kG1 ? "G1" : "G2";
+  pmemsim_bench::Sweep sweep(
+      argc, argv, "fig03_write_amplification",
+      " [--gen=g1|g2|both] [--max_kb=32] [--random]\n"
+      "The paper notes WA is independent of the cross-XPLine pattern; --random verifies.");
+  const auto gens = sweep.flags().GetGenerations("both");
+  const uint64_t max_kb = sweep.flags().GetU64("max_kb", 32);
+  const bool random = sweep.flags().Has("random");
+  pmemsim_bench::SweepRunner& runner =
+      sweep.Start("Figure 3", "write amplification vs WSS (nt-store partial/full)",
+                  {"gen", "wss_kb", "write_pct", "write_amplification"});
+  for (const auto& g : gens) {
     for (uint64_t kb = 1; kb <= max_kb; ++kb) {
       for (uint32_t lines = 1; lines <= 4; ++lines) {
-        const std::string label =
-            std::string(gen_name) + "/" + std::to_string(kb) + "kb/" +
-            std::to_string(lines * 25) + "pct";
+        const std::string label = std::string(g.name) + "/" + std::to_string(kb) + "kb/" +
+                                  std::to_string(lines * 25) + "pct";
         runner.Add(label, [=](pmemsim_bench::SweepPoint& point) {
-          const double wa = MeasureWa(gen, KiB(kb), lines, random);
-          point.Printf("%s,%llu,%u,%.3f\n", gen_name, static_cast<unsigned long long>(kb),
-                       lines * 25, wa);
-          point.AddRow()
-              .Set("gen", gen_name)
-              .Set("wss_kb", kb)
-              .Set("write_pct", lines * 25)
-              .Set("write_amplification", wa);
+          const double wa = pmemsim_bench::MeasureWriteAmplification(PlatformFor(g.gen), KiB(kb),
+                                                                     lines, random);
+          point.Emit(pmemsim_bench::Row()
+                         .Set("gen", g.name)
+                         .Set("wss_kb", kb)
+                         .Set("write_pct", lines * 25)
+                         .Set("write_amplification", wa, 3));
         });
       }
     }
   }
-  return runner.Finish(report);
+  return sweep.Finish();
 }

@@ -1,77 +1,41 @@
 // Figure 4 (paper §3.2): write-buffer hit ratio vs working set size under
 // random partial nt-stores. G1's batch eviction produces a sudden drop at
 // 12 KB; G2's single-victim random eviction decays gracefully past 16 KB.
-//
-// Output: CSV  gen,wss_kb,hit_ratio
 
-#include <cstdio>
+#include <optional>
+#include <string>
 
-#include "bench/bench_util.h"
+#include "bench/buffer_probes.h"
 #include "bench/sweep_runner.h"
-#include "src/common/random.h"
 #include "src/core/platform.h"
 #include "src/trace/counters.h"
 
-namespace {
-
 using namespace pmemsim;
 
-double MeasureHitRatio(Generation gen, uint64_t wss_bytes) {
-  auto system = MakeSystem(gen, /*optane_dimm_count=*/1);
-  ThreadContext& ctx = system->CreateThread();
-  SetPrefetchers(ctx, false, false, false);
-
-  const PmRegion region = system->AllocatePm(wss_bytes, kXPLineSize);
-  const uint64_t xplines = wss_bytes / kXPLineSize;
-  Rng rng(0xBEEF + wss_bytes);
-
-  auto run_writes = [&](uint64_t writes) {
-    for (uint64_t i = 0; i < writes; ++i) {
-      const uint64_t xp = rng.NextBelow(xplines);
-      // Random partial write: one cacheline of the XPLine.
-      const uint64_t cl = rng.NextBelow(kLinesPerXPLine);
-      ctx.NtStore64(region.base + xp * kXPLineSize + cl * kCacheLineSize, i);
-    }
-    ctx.Sfence();
-  };
-
-  run_writes(4 * xplines + 512);
-  CounterDelta delta(&system->counters());
-  run_writes(16 * xplines + 2048);
-  return delta.Delta().WriteBufferHitRatio();
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
-  pmemsim_bench::Flags flags(argc, argv);
-  if (flags.Has("help")) {
-    std::printf("usage: fig04_write_buffer_hit [--gen=g1|g2|both] [--max_kb=32]\n%s",
-                pmemsim_bench::kTelemetryFlagsHelp);
-    return 0;
-  }
-  const std::string gen_flag = flags.Get("gen", "both");
-  const uint64_t max_kb = flags.GetU64("max_kb", 32);
-  pmemsim_bench::BenchReport report(flags, "fig04_write_buffer_hit");
-  pmemsim_bench::SweepRunner runner(flags);
-  flags.RejectUnknown();
-
-  pmemsim_bench::PrintHeader("Figure 4", "write-buffer hit ratio vs WSS (random partial writes)");
-  std::printf("gen,wss_kb,hit_ratio\n");
-  for (Generation gen : {Generation::kG1, Generation::kG2}) {
-    if ((gen == Generation::kG1 && gen_flag == "g2") ||
-        (gen == Generation::kG2 && gen_flag == "g1")) {
-      continue;
-    }
-    const char* gen_name = gen == Generation::kG1 ? "G1" : "G2";
+  pmemsim_bench::Sweep sweep(argc, argv, "fig04_write_buffer_hit",
+                             " [--gen=g1|g2|both] [--max_kb=32]");
+  const auto gens = sweep.flags().GetGenerations("both");
+  const uint64_t max_kb = sweep.flags().GetU64("max_kb", 32);
+  pmemsim_bench::SweepRunner& runner =
+      sweep.Start("Figure 4", "write-buffer hit ratio vs WSS (random partial writes)",
+                  {"gen", "wss_kb", "hit_ratio"});
+  for (const auto& g : gens) {
     for (uint64_t kb = 2; kb <= max_kb; ++kb) {
-      const std::string label = std::string(gen_name) + "/" + std::to_string(kb) + "kb";
+      const std::string label = std::string(g.name) + "/" + std::to_string(kb) + "kb";
       runner.Add(label, [=](pmemsim_bench::SweepPoint& point) {
-        const double ratio = MeasureHitRatio(gen, KiB(kb));
-        point.Printf("%s,%llu,%.3f\n", gen_name, static_cast<unsigned long long>(kb), ratio);
-        point.AddRow().Set("gen", gen_name).Set("wss_kb", kb).Set("hit_ratio", ratio);
+        auto system = MakeSystem(g.gen, /*optane_dimm_count=*/1);
+        std::optional<CounterDelta> measured;
+        pmemsim_bench::RunRandomPartialWrites(*system, KiB(kb), [&](ThreadContext&) {
+          measured.emplace(&system->counters());
+        });
+        const double ratio = measured->Delta().WriteBufferHitRatio();
+        point.Emit(pmemsim_bench::Row()
+                       .Set("gen", g.name)
+                       .Set("wss_kb", kb)
+                       .Set("hit_ratio", ratio, 3));
       });
     }
   }
-  return runner.Finish(report);
+  return sweep.Finish();
 }

@@ -10,14 +10,10 @@
 //    buffer; the PM ratio rises while the iMC ratio stays ~1 while the WSS
 //    fits the LLC; both rise beyond the LLC, with the PM ratio far higher
 //    (a mispredicted cacheline costs 64 B at the iMC but 256 B at the media).
-//
-// Output: CSV  gen,prefetcher,wss_kb,pm_ratio,imc_ratio
 
-#include <cstdio>
 #include <string>
 #include <vector>
 
-#include "bench/bench_util.h"
 #include "bench/sweep_runner.h"
 #include "src/common/random.h"
 #include "src/core/platform.h"
@@ -93,21 +89,16 @@ Ratios MeasureRatios(Generation gen, uint64_t wss, const PrefetcherConfig& pf,
 }  // namespace
 
 int main(int argc, char** argv) {
-  pmemsim_bench::Flags flags(argc, argv);
-  if (flags.Has("help")) {
-    std::printf(
-        "usage: fig06_prefetch [--gen=g1|g2|both] [--max_mb=1024] [--max_visits=60000] "
-        "[--repeats=4]\n%s",
-        pmemsim_bench::kTelemetryFlagsHelp);
-    return 0;
-  }
-  const std::string gen_flag = flags.Get("gen", "both");
-  const uint64_t max_mb = flags.GetU64("max_mb", 1024);
-  const uint64_t max_visits = flags.GetU64("max_visits", 60000);
-  const uint32_t repeats = static_cast<uint32_t>(flags.GetU64("repeats", 4));
-  pmemsim_bench::BenchReport report(flags, "fig06_prefetch");
-  pmemsim_bench::SweepRunner runner(flags);
-  flags.RejectUnknown();
+  pmemsim_bench::Sweep sweep(argc, argv, "fig06_prefetch",
+                             " [--gen=g1|g2|both] [--max_mb=1024] [--max_visits=60000] "
+                             "[--repeats=4]");
+  const auto gens = sweep.flags().GetGenerations("both");
+  const uint64_t max_mb = sweep.flags().GetU64("max_mb", 1024);
+  const uint64_t max_visits = sweep.flags().GetU64("max_visits", 60000);
+  const uint32_t repeats = static_cast<uint32_t>(sweep.flags().GetU64("repeats", 4));
+  pmemsim_bench::SweepRunner& runner =
+      sweep.Start("Figure 6", "media & iMC read ratios under CPU prefetchers",
+                  {"gen", "prefetcher", "wss_kb", "pm_ratio", "imc_ratio"});
 
   static const PrefetcherConfig kConfigs[] = {
       {"none", false, false, false},
@@ -115,32 +106,22 @@ int main(int argc, char** argv) {
       {"adjacent", true, false, false},
       {"dcu", false, true, false},
   };
-
-  pmemsim_bench::PrintHeader("Figure 6", "media & iMC read ratios under CPU prefetchers");
-  std::printf("gen,prefetcher,wss_kb,pm_ratio,imc_ratio\n");
-  for (Generation gen : {Generation::kG1, Generation::kG2}) {
-    if ((gen == Generation::kG1 && gen_flag == "g2") ||
-        (gen == Generation::kG2 && gen_flag == "g1")) {
-      continue;
-    }
+  for (const auto& g : gens) {
     for (const PrefetcherConfig& pf : kConfigs) {
       for (uint64_t kb = 4; kb <= max_mb * 1024; kb *= 4) {
-        const char* gen_name = gen == Generation::kG1 ? "G1" : "G2";
         const std::string label =
-            std::string(gen_name) + "/" + pf.name + "/" + std::to_string(kb) + "kb";
+            std::string(g.name) + "/" + pf.name + "/" + std::to_string(kb) + "kb";
         runner.Add(label, [=](pmemsim_bench::SweepPoint& point) {
-          const Ratios r = MeasureRatios(gen, KiB(kb), pf, max_visits, repeats);
-          point.Printf("%s,%s,%llu,%.3f,%.3f\n", gen_name, pf.name,
-                       static_cast<unsigned long long>(kb), r.pm, r.imc);
-          point.AddRow()
-              .Set("gen", gen_name)
-              .Set("prefetcher", pf.name)
-              .Set("wss_kb", kb)
-              .Set("pm_ratio", r.pm)
-              .Set("imc_ratio", r.imc);
+          const Ratios r = MeasureRatios(g.gen, KiB(kb), pf, max_visits, repeats);
+          point.Emit(pmemsim_bench::Row()
+                         .Set("gen", g.name)
+                         .Set("prefetcher", pf.name)
+                         .Set("wss_kb", kb)
+                         .Set("pm_ratio", r.pm, 3)
+                         .Set("imc_ratio", r.imc, 3));
         });
       }
     }
   }
-  return runner.Finish(report);
+  return sweep.Finish();
 }

@@ -10,13 +10,9 @@
 //  * G2 PM: clwb curves flatten to DRAM-like levels (clwb retains the line);
 //    nt-store still shows the full RAP.
 //  * DRAM: the same shapes compressed (~700-cycle peak).
-//
-// Output: CSV  gen,device,locality,mode,distance,cycles_per_iteration
 
-#include <cstdio>
 #include <string>
 
-#include "bench/bench_util.h"
 #include "bench/sweep_runner.h"
 #include "src/core/platform.h"
 
@@ -81,28 +77,18 @@ double MeasureRap(Generation gen, bool dram, bool remote, RapMode mode, uint64_t
 }  // namespace
 
 int main(int argc, char** argv) {
-  pmemsim_bench::Flags flags(argc, argv);
-  if (flags.Has("help")) {
-    std::printf(
-        "usage: fig07_rap [--gen=g1|g2|both] [--max_distance=40] [--panel=pm-local|pm-remote|"
-        "dram-local|dram-remote|all]\n%s",
-        pmemsim_bench::kTelemetryFlagsHelp);
-    return 0;
-  }
-  const std::string gen_flag = flags.Get("gen", "both");
-  const std::string panel = flags.Get("panel", "all");
-  const uint64_t max_distance = flags.GetU64("max_distance", 40);
-  pmemsim_bench::BenchReport report(flags, "fig07_rap");
-  pmemsim_bench::SweepRunner runner(flags);
-  flags.RejectUnknown();
-
-  pmemsim_bench::PrintHeader("Figure 7", "read-after-persist latency vs distance (Algorithm 1)");
-  std::printf("gen,device,locality,mode,distance,cycles\n");
-  for (Generation gen : {Generation::kG1, Generation::kG2}) {
-    if ((gen == Generation::kG1 && gen_flag == "g2") ||
-        (gen == Generation::kG2 && gen_flag == "g1")) {
-      continue;
-    }
+  pmemsim_bench::Sweep sweep(
+      argc, argv, "fig07_rap",
+      " [--gen=g1|g2|both] [--max_distance=40] [--panel=pm-local|pm-remote|"
+      "dram-local|dram-remote|all]");
+  const auto gens = sweep.flags().GetGenerations("both");
+  const std::string panel = sweep.flags().GetChoice(
+      "panel", "all", {"pm-local", "pm-remote", "dram-local", "dram-remote", "all"});
+  const uint64_t max_distance = sweep.flags().GetU64("max_distance", 40);
+  pmemsim_bench::SweepRunner& runner =
+      sweep.Start("Figure 7", "read-after-persist latency vs distance (Algorithm 1)",
+                  {"gen", "device", "locality", "mode", "distance", "cycles"});
+  for (const auto& g : gens) {
     for (const bool dram : {false, true}) {
       for (const bool remote : {false, true}) {
         const std::string key =
@@ -116,26 +102,22 @@ int main(int argc, char** argv) {
             continue;  // the paper's DRAM panels plot only the clwb variants
           }
           for (uint64_t d = 0; d <= max_distance; ++d) {
-            const char* gen_name = gen == Generation::kG1 ? "G1" : "G2";
-            const std::string label = std::string(gen_name) + "/" + key + "/" + ModeName(mode) +
+            const std::string label = std::string(g.name) + "/" + key + "/" + ModeName(mode) +
                                       "/d" + std::to_string(d);
             runner.Add(label, [=](pmemsim_bench::SweepPoint& point) {
-              const double cycles = MeasureRap(gen, dram, remote, mode, d);
-              point.Printf("%s,%s,%s,%s,%llu,%.1f\n", gen_name, dram ? "DRAM" : "PM",
-                           remote ? "remote" : "local", ModeName(mode),
-                           static_cast<unsigned long long>(d), cycles);
-              point.AddRow()
-                  .Set("gen", gen_name)
-                  .Set("device", dram ? "DRAM" : "PM")
-                  .Set("locality", remote ? "remote" : "local")
-                  .Set("mode", ModeName(mode))
-                  .Set("distance", d)
-                  .Set("cycles", cycles);
+              const double cycles = MeasureRap(g.gen, dram, remote, mode, d);
+              point.Emit(pmemsim_bench::Row()
+                             .Set("gen", g.name)
+                             .Set("device", dram ? "DRAM" : "PM")
+                             .Set("locality", remote ? "remote" : "local")
+                             .Set("mode", ModeName(mode))
+                             .Set("distance", d)
+                             .Set("cycles", cycles, 1));
             });
           }
         }
       }
     }
   }
-  return runner.Finish(report);
+  return sweep.Finish();
 }

@@ -9,13 +9,10 @@
 // on-DIMM buffers, a ~400-cycle plateau up to ~16 MB, then a steep climb to
 // ~1000+ for random access as the AIT and L3 overflow. Write latency stays
 // flat at any WSS; reads dominate beyond the LLC.
-//
-// Output: CSV  gen,panel,series,wss_kb,cycles_per_element
 
-#include <cstdio>
 #include <string>
+#include <vector>
 
-#include "bench/bench_util.h"
 #include "bench/sweep_runner.h"
 #include "src/core/platform.h"
 #include "src/datastores/chase_list.h"
@@ -77,20 +74,15 @@ double MeasurePureWrite(Generation gen, uint64_t wss, bool sequential, PersistMo
 }  // namespace
 
 int main(int argc, char** argv) {
-  pmemsim_bench::Flags flags(argc, argv);
-  if (flags.Has("help")) {
-    std::printf(
-        "usage: fig08_latency [--gen=g1|g2|both] [--max_mb=1024] [--max_ops=200000]\n"
-        "Panels: strict, relaxed, breakdown (pure read / pure write).\n%s",
-        pmemsim_bench::kTelemetryFlagsHelp);
-    return 0;
-  }
-  const std::string gen_flag = flags.Get("gen", "g1");
-  const uint64_t max_mb = flags.GetU64("max_mb", 1024);
-  const uint64_t max_ops = flags.GetU64("max_ops", 120000);
-  pmemsim_bench::BenchReport report(flags, "fig08_latency");
-  pmemsim_bench::SweepRunner runner(flags);
-  flags.RejectUnknown();
+  pmemsim_bench::Sweep sweep(argc, argv, "fig08_latency",
+                             " [--gen=g1|g2|both] [--max_mb=1024] [--max_ops=120000]\n"
+                             "Panels: strict, relaxed, breakdown (pure read / pure write).");
+  const auto gens = sweep.flags().GetGenerations("g1");
+  const uint64_t max_mb = sweep.flags().GetU64("max_mb", 1024);
+  const uint64_t max_ops = sweep.flags().GetU64("max_ops", 120000);
+  pmemsim_bench::SweepRunner& runner =
+      sweep.Start("Figure 8", "per-element latency vs WSS (linked-list elements)",
+                  {"gen", "panel", "series", "wss_kb", "cycles"});
 
   static const Series kWriteSeries[] = {
       {"seq_clwb", true, PersistMode::kClwbSfence},
@@ -104,51 +96,38 @@ int main(int argc, char** argv) {
     wss_points.push_back(KiB(kb));
   }
 
-  pmemsim_bench::PrintHeader("Figure 8", "per-element latency vs WSS (linked-list elements)");
-  std::printf("gen,panel,series,wss_kb,cycles\n");
-  for (Generation gen : {Generation::kG1, Generation::kG2}) {
-    if ((gen == Generation::kG1 && gen_flag == "g2") ||
-        (gen == Generation::kG2 && gen_flag == "g1")) {
-      continue;
-    }
-    const char* gname = gen == Generation::kG1 ? "G1" : "G2";
+  for (const auto& g : gens) {
+    auto emit = [gname = g.name](pmemsim_bench::SweepPoint& point, const char* panel,
+                                 const std::string& series, uint64_t wss, double cycles) {
+      point.Emit(pmemsim_bench::Row()
+                     .Set("gen", gname)
+                     .Set("panel", panel)
+                     .Set("series", series)
+                     .Set("wss_kb", wss / 1024)
+                     .Set("cycles", cycles, 1));
+    };
     for (const uint64_t wss : wss_points) {
       for (const Series& s : kWriteSeries) {
-        const std::string label = std::string(gname) + "/" + s.name + "/" +
-                                  std::to_string(wss / 1024) + "kb";
+        const std::string label =
+            std::string(g.name) + "/" + s.name + "/" + std::to_string(wss / 1024) + "kb";
         runner.Add(label, [=](pmemsim_bench::SweepPoint& point) {
-          const double strict =
-              MeasureUpdate(gen, wss, s.sequential, s.mode, Persistency::kStrict, max_ops);
-          point.Printf("%s,strict,%s,%llu,%.1f\n", gname, s.name,
-                       static_cast<unsigned long long>(wss / 1024), strict);
-          point.AddRow().Set("gen", gname).Set("panel", "strict").Set("series", s.name)
-              .Set("wss_kb", wss / 1024).Set("cycles", strict);
-          const double relaxed =
-              MeasureUpdate(gen, wss, s.sequential, s.mode, Persistency::kRelaxed, max_ops);
-          point.Printf("%s,relaxed,%s,%llu,%.1f\n", gname, s.name,
-                       static_cast<unsigned long long>(wss / 1024), relaxed);
-          point.AddRow().Set("gen", gname).Set("panel", "relaxed").Set("series", s.name)
-              .Set("wss_kb", wss / 1024).Set("cycles", relaxed);
-          const double pure = MeasurePureWrite(gen, wss, s.sequential, s.mode, max_ops);
-          point.Printf("%s,breakdown,%s,%llu,%.1f\n", gname, s.name,
-                       static_cast<unsigned long long>(wss / 1024), pure);
-          point.AddRow().Set("gen", gname).Set("panel", "breakdown").Set("series", s.name)
-              .Set("wss_kb", wss / 1024).Set("cycles", pure);
+          emit(point, "strict", s.name, wss,
+               MeasureUpdate(g.gen, wss, s.sequential, s.mode, Persistency::kStrict, max_ops));
+          emit(point, "relaxed", s.name, wss,
+               MeasureUpdate(g.gen, wss, s.sequential, s.mode, Persistency::kRelaxed, max_ops));
+          emit(point, "breakdown", s.name, wss,
+               MeasurePureWrite(g.gen, wss, s.sequential, s.mode, max_ops));
         });
       }
       for (const bool sequential : {true, false}) {
-        const std::string label = std::string(gname) + "/" + (sequential ? "seq" : "rand") +
-                                  "_rd/" + std::to_string(wss / 1024) + "kb";
+        const std::string series = std::string(sequential ? "seq" : "rand") + "_rd";
+        const std::string label =
+            std::string(g.name) + "/" + series + "/" + std::to_string(wss / 1024) + "kb";
         runner.Add(label, [=](pmemsim_bench::SweepPoint& point) {
-          const double read = MeasureRead(gen, wss, sequential, max_ops);
-          point.Printf("%s,breakdown,%s_rd,%llu,%.1f\n", gname, sequential ? "seq" : "rand",
-                       static_cast<unsigned long long>(wss / 1024), read);
-          point.AddRow().Set("gen", gname).Set("panel", "breakdown")
-              .Set("series", std::string(sequential ? "seq" : "rand") + "_rd")
-              .Set("wss_kb", wss / 1024).Set("cycles", read);
+          emit(point, "breakdown", series, wss, MeasureRead(g.gen, wss, sequential, max_ops));
         });
       }
     }
   }
-  return runner.Finish(report);
+  return sweep.Finish();
 }

@@ -6,14 +6,10 @@
 // and throughput by up to ~34% consistently across worker counts; on DRAM it
 // yields no improvement and mild degradation (random DRAM reads are already
 // cheap; the helper only costs SMT resources and bandwidth).
-//
-// Output: CSV  device,variant,workers,cycles_per_insert,mops
 
-#include <cstdio>
 #include <memory>
 #include <string>
 
-#include "bench/bench_util.h"
 #include "bench/sweep_runner.h"
 #include "src/common/config.h"
 #include "src/core/platform.h"
@@ -99,10 +95,9 @@ Result RunCceh(Generation gen, MemoryKind kind, uint32_t workers, bool prefetch,
     worker_cycles += ctxs[w]->clock();
     end_max = std::max(end_max, ctxs[w]->clock());
   }
-  const double ghz = gen == Generation::kG1 ? 2.1 : 3.0;
   Result r;
   r.cycles_per_insert = static_cast<double>(worker_cycles) / static_cast<double>(total_keys);
-  r.mops = static_cast<double>(inserted) * ghz * 1e3 /
+  r.mops = static_cast<double>(inserted) * system->config().cpu_ghz * 1e3 /
            static_cast<double>(end_max - start_max);
   return r;
 }
@@ -110,26 +105,18 @@ Result RunCceh(Generation gen, MemoryKind kind, uint32_t workers, bool prefetch,
 }  // namespace
 
 int main(int argc, char** argv) {
-  pmemsim_bench::Flags flags(argc, argv);
-  if (flags.Has("help")) {
-    std::printf(
-        "usage: fig10_cceh_prefetch [--gen=g1|g2] [--keys=600000] [--depth=8] [--dimms=6] "
-        "[--max_workers=10]\n%s",
-        pmemsim_bench::kTelemetryFlagsHelp);
-    return 0;
-  }
-  const Generation gen = flags.Get("gen", "g1") == "g2" ? Generation::kG2 : Generation::kG1;
-  const uint64_t keys = flags.GetU64("keys", 600000);
-  const uint32_t depth = static_cast<uint32_t>(flags.GetU64("depth", 8));
-  const uint32_t max_workers = static_cast<uint32_t>(flags.GetU64("max_workers", 8));
-  const bool scaled_cache = !flags.Has("full_cache");
-  const uint32_t dimms = static_cast<uint32_t>(flags.GetU64("dimms", 6));
-  pmemsim_bench::BenchReport report(flags, "fig10_cceh_prefetch");
-  pmemsim_bench::SweepRunner runner(flags);
-  flags.RejectUnknown();
-
-  pmemsim_bench::PrintHeader("Figure 10", "CCEH with helper-thread prefetching (PM vs DRAM)");
-  std::printf("device,variant,workers,cycles_per_insert,mops\n");
+  pmemsim_bench::Sweep sweep(argc, argv, "fig10_cceh_prefetch",
+                             " [--gen=g1|g2] [--keys=600000] [--depth=8] [--dimms=6] "
+                             "[--max_workers=8] [--full_cache]");
+  const Generation gen = sweep.flags().GetGenerations("g1", /*allow_both=*/false).front().gen;
+  const uint64_t keys = sweep.flags().GetU64("keys", 600000);
+  const uint32_t depth = static_cast<uint32_t>(sweep.flags().GetU64("depth", 8));
+  const uint32_t max_workers = static_cast<uint32_t>(sweep.flags().GetU64("max_workers", 8));
+  const bool scaled_cache = !sweep.flags().Has("full_cache");
+  const uint32_t dimms = static_cast<uint32_t>(sweep.flags().GetU64("dimms", 6));
+  pmemsim_bench::SweepRunner& runner =
+      sweep.Start("Figure 10", "CCEH with helper-thread prefetching (PM vs DRAM)",
+                  {"device", "variant", "workers", "cycles_per_insert", "mops"});
   for (const MemoryKind kind : {MemoryKind::kOptane, MemoryKind::kDram}) {
     for (const bool prefetch : {false, true}) {
       for (uint32_t w = 1; w <= max_workers; ++w) {
@@ -139,16 +126,15 @@ int main(int argc, char** argv) {
             std::string(device) + "/" + variant + "/w" + std::to_string(w);
         runner.Add(label, [=](pmemsim_bench::SweepPoint& point) {
           const Result r = RunCceh(gen, kind, w, prefetch, keys, depth, scaled_cache, dimms);
-          point.Printf("%s,%s,%u,%.0f,%.2f\n", device, variant, w, r.cycles_per_insert, r.mops);
-          point.AddRow()
-              .Set("device", device)
-              .Set("variant", variant)
-              .Set("workers", w)
-              .Set("cycles_per_insert", r.cycles_per_insert)
-              .Set("mops", r.mops);
+          point.Emit(pmemsim_bench::Row()
+                         .Set("device", device)
+                         .Set("variant", variant)
+                         .Set("workers", w)
+                         .Set("cycles_per_insert", r.cycles_per_insert, 0)
+                         .Set("mops", r.mops, 2));
         });
       }
     }
   }
-  return runner.Finish(report);
+  return sweep.Finish();
 }

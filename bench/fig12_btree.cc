@@ -7,13 +7,10 @@
 // contend for Optane bandwidth); on G2 (clwb retains the line, same-line
 // persists merge) there is no benefit and a slight slowdown at high thread
 // counts from the doubled PM writes.
-//
-// Output: CSV  gen,mode,threads,cycles_per_insert,mops
 
-#include <cstdio>
 #include <memory>
+#include <string>
 
-#include "bench/bench_util.h"
 #include "bench/sweep_runner.h"
 #include "src/core/platform.h"
 #include "src/cpu/scheduler.h"
@@ -71,54 +68,39 @@ Result RunTree(Generation gen, BTreeUpdateMode mode, uint32_t threads, uint64_t 
     worker_cycles += c->clock();
     end_max = std::max(end_max, c->clock());
   }
-  const double ghz = gen == Generation::kG1 ? 2.1 : 3.0;
   return {static_cast<double>(worker_cycles) / static_cast<double>(total_keys),
-          static_cast<double>(total_keys) * ghz * 1e3 / static_cast<double>(end_max - start_max)};
+          static_cast<double>(total_keys) * system->config().cpu_ghz * 1e3 /
+              static_cast<double>(end_max - start_max)};
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  pmemsim_bench::Flags flags(argc, argv);
-  if (flags.Has("help")) {
-    std::printf("usage: fig12_btree [--gen=g1|g2|both] [--keys=200000] [--max_threads=9]\n%s",
-                pmemsim_bench::kTelemetryFlagsHelp);
-    return 0;
-  }
-  const std::string gen_flag = flags.Get("gen", "both");
-  const uint64_t keys = flags.GetU64("keys", 120000);
-  const uint32_t max_threads = static_cast<uint32_t>(flags.GetU64("max_threads", 9));
-  pmemsim_bench::BenchReport report(flags, "fig12_btree");
-  pmemsim_bench::SweepRunner runner(flags);
-  flags.RejectUnknown();
-
-  pmemsim_bench::PrintHeader("Figure 12",
-                             "FAST&FAIR inserts: in-place vs out-of-place redo logging");
-  std::printf("gen,mode,threads,cycles_per_insert,mops\n");
-  for (Generation gen : {Generation::kG1, Generation::kG2}) {
-    if ((gen == Generation::kG1 && gen_flag == "g2") ||
-        (gen == Generation::kG2 && gen_flag == "g1")) {
-      continue;
-    }
+  pmemsim_bench::Sweep sweep(argc, argv, "fig12_btree",
+                             " [--gen=g1|g2|both] [--keys=120000] [--max_threads=9]");
+  const auto gens = sweep.flags().GetGenerations("both");
+  const uint64_t keys = sweep.flags().GetU64("keys", 120000);
+  const uint32_t max_threads = static_cast<uint32_t>(sweep.flags().GetU64("max_threads", 9));
+  pmemsim_bench::SweepRunner& runner =
+      sweep.Start("Figure 12", "FAST&FAIR inserts: in-place vs out-of-place redo logging",
+                  {"gen", "mode", "threads", "cycles_per_insert", "mops"});
+  for (const auto& g : gens) {
     for (const BTreeUpdateMode mode : {BTreeUpdateMode::kInPlace, BTreeUpdateMode::kRedoLog}) {
       for (uint32_t t = 1; t <= max_threads; t += 2) {
-        const char* gen_name = gen == Generation::kG1 ? "G1" : "G2";
         const char* mode_name = mode == BTreeUpdateMode::kInPlace ? "in-place" : "out-of-place";
         const std::string label =
-            std::string(gen_name) + "/" + mode_name + "/t" + std::to_string(t);
+            std::string(g.name) + "/" + mode_name + "/t" + std::to_string(t);
         runner.Add(label, [=](pmemsim_bench::SweepPoint& point) {
-          const Result r = RunTree(gen, mode, t, keys);
-          point.Printf("%s,%s,%u,%.0f,%.3f\n", gen_name, mode_name, t, r.cycles_per_insert,
-                       r.mops);
-          point.AddRow()
-              .Set("gen", gen_name)
-              .Set("mode", mode_name)
-              .Set("threads", t)
-              .Set("cycles_per_insert", r.cycles_per_insert)
-              .Set("mops", r.mops);
+          const Result r = RunTree(g.gen, mode, t, keys);
+          point.Emit(pmemsim_bench::Row()
+                         .Set("gen", g.name)
+                         .Set("mode", mode_name)
+                         .Set("threads", t)
+                         .Set("cycles_per_insert", r.cycles_per_insert, 0)
+                         .Set("mops", r.mops, 3));
         });
       }
     }
   }
-  return runner.Finish(report);
+  return sweep.Finish();
 }

@@ -4,14 +4,10 @@
 // across block boundaries and the media reads up to ~2x the demanded data;
 // the redirect path never trains the prefetchers and brings the ratio back
 // to ~1.
-//
-// Output: CSV  gen,variant,wss_kb,pm_ratio,imc_ratio
 
-#include <cstdio>
 #include <string>
 #include <vector>
 
-#include "bench/bench_util.h"
 #include "bench/sweep_runner.h"
 #include "src/common/random.h"
 #include "src/core/platform.h"
@@ -92,46 +88,31 @@ Ratios MeasureRedirect(Generation gen, uint64_t wss, bool optimized, uint64_t ma
 }  // namespace
 
 int main(int argc, char** argv) {
-  pmemsim_bench::Flags flags(argc, argv);
-  if (flags.Has("help")) {
-    std::printf(
-        "usage: fig13_redirect_ratio [--gen=g1|g2|both] [--max_mb=1024] [--max_visits=60000]\n%s",
-        pmemsim_bench::kTelemetryFlagsHelp);
-    return 0;
-  }
-  const std::string gen_flag = flags.Get("gen", "both");
-  const uint64_t max_mb = flags.GetU64("max_mb", 1024);
-  const uint64_t max_visits = flags.GetU64("max_visits", 60000);
-  pmemsim_bench::BenchReport report(flags, "fig13_redirect_ratio");
-  pmemsim_bench::SweepRunner runner(flags);
-  flags.RejectUnknown();
-
-  pmemsim_bench::PrintHeader("Figure 13", "misprefetch reduction via AVX redirect (Algorithm 2)");
-  std::printf("gen,variant,wss_kb,pm_ratio,imc_ratio\n");
-  for (Generation gen : {Generation::kG1, Generation::kG2}) {
-    if ((gen == Generation::kG1 && gen_flag == "g2") ||
-        (gen == Generation::kG2 && gen_flag == "g1")) {
-      continue;
-    }
+  pmemsim_bench::Sweep sweep(argc, argv, "fig13_redirect_ratio",
+                             " [--gen=g1|g2|both] [--max_mb=1024] [--max_visits=60000]");
+  const auto gens = sweep.flags().GetGenerations("both");
+  const uint64_t max_mb = sweep.flags().GetU64("max_mb", 1024);
+  const uint64_t max_visits = sweep.flags().GetU64("max_visits", 60000);
+  pmemsim_bench::SweepRunner& runner =
+      sweep.Start("Figure 13", "misprefetch reduction via AVX redirect (Algorithm 2)",
+                  {"gen", "variant", "wss_kb", "pm_ratio", "imc_ratio"});
+  for (const auto& g : gens) {
     for (const bool optimized : {false, true}) {
       for (uint64_t kb = 4; kb <= max_mb * 1024; kb *= 4) {
-        const char* gen_name = gen == Generation::kG1 ? "G1" : "G2";
         const char* variant = optimized ? "optimized" : "prefetching";
         const std::string label =
-            std::string(gen_name) + "/" + variant + "/" + std::to_string(kb) + "kb";
+            std::string(g.name) + "/" + variant + "/" + std::to_string(kb) + "kb";
         runner.Add(label, [=](pmemsim_bench::SweepPoint& point) {
-          const Ratios r = MeasureRedirect(gen, KiB(kb), optimized, max_visits, /*repeats=*/4);
-          point.Printf("%s,%s,%llu,%.3f,%.3f\n", gen_name, variant,
-                       static_cast<unsigned long long>(kb), r.pm, r.imc);
-          point.AddRow()
-              .Set("gen", gen_name)
-              .Set("variant", variant)
-              .Set("wss_kb", kb)
-              .Set("pm_ratio", r.pm)
-              .Set("imc_ratio", r.imc);
+          const Ratios r = MeasureRedirect(g.gen, KiB(kb), optimized, max_visits, /*repeats=*/4);
+          point.Emit(pmemsim_bench::Row()
+                         .Set("gen", g.name)
+                         .Set("variant", variant)
+                         .Set("wss_kb", kb)
+                         .Set("pm_ratio", r.pm, 3)
+                         .Set("imc_ratio", r.imc, 3));
         });
       }
     }
   }
-  return runner.Finish(report);
+  return sweep.Finish();
 }

@@ -3,14 +3,10 @@
 // counts; once the threads contend for media read bandwidth, the halved media
 // traffic (no misprefetched XPLines) wins both latency and throughput — the
 // paper sees the crossover at ~12 threads.
-//
-// Output: CSV  gen,variant,threads,cycles_per_block,throughput_gbps
 
-#include <cstdio>
 #include <string>
 #include <vector>
 
-#include "bench/bench_util.h"
 #include "bench/sweep_runner.h"
 #include "src/common/random.h"
 #include "src/core/platform.h"
@@ -100,59 +96,44 @@ Result RunScaling(Generation gen, bool optimized, uint32_t threads, uint64_t wss
   for (Worker& w : workers) {
     total_cycles += static_cast<double>(w.ctx->clock() - start_max);
   }
-  const double ghz = gen == Generation::kG1 ? 2.1 : 3.0;
   const double total_blocks = static_cast<double>(threads) * static_cast<double>(blocks_per_thread);
   Result r;
   r.cycles_per_block = total_cycles / total_blocks;
   // Program-demanded bytes per second (the paper plots GB/s of useful data).
-  r.gbps = total_blocks * kXPLineSize * ghz / static_cast<double>(end_max - start_max);
+  r.gbps = total_blocks * kXPLineSize * system->config().cpu_ghz /
+           static_cast<double>(end_max - start_max);
   return r;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  pmemsim_bench::Flags flags(argc, argv);
-  if (flags.Has("help")) {
-    std::printf(
-        "usage: fig14_redirect_scaling [--gen=g1|g2|both] [--wss_mb=256] [--blocks=4000]\n%s",
-        pmemsim_bench::kTelemetryFlagsHelp);
-    return 0;
-  }
-  const std::string gen_flag = flags.Get("gen", "both");
-  const uint64_t wss = MiB(flags.GetU64("wss_mb", 256));
-  const uint64_t blocks = flags.GetU64("blocks", 4000);
-  pmemsim_bench::BenchReport report(flags, "fig14_redirect_scaling");
-  pmemsim_bench::SweepRunner runner(flags);
-  flags.RejectUnknown();
-
-  pmemsim_bench::PrintHeader("Figure 14", "redirect latency/throughput vs thread count");
-  std::printf("gen,variant,threads,cycles_per_block,throughput_gbps\n");
-  for (Generation gen : {Generation::kG1, Generation::kG2}) {
-    if ((gen == Generation::kG1 && gen_flag == "g2") ||
-        (gen == Generation::kG2 && gen_flag == "g1")) {
-      continue;
-    }
-    const uint32_t max_threads = gen == Generation::kG1 ? 16 : 24;
+  pmemsim_bench::Sweep sweep(argc, argv, "fig14_redirect_scaling",
+                             " [--gen=g1|g2|both] [--wss_mb=256] [--blocks=4000]");
+  const auto gens = sweep.flags().GetGenerations("both");
+  const uint64_t wss = MiB(sweep.flags().GetU64("wss_mb", 256));
+  const uint64_t blocks = sweep.flags().GetU64("blocks", 4000);
+  pmemsim_bench::SweepRunner& runner =
+      sweep.Start("Figure 14", "redirect latency/throughput vs thread count",
+                  {"gen", "variant", "threads", "cycles_per_block", "throughput_gbps"});
+  for (const auto& g : gens) {
+    const uint32_t max_threads = g.gen == Generation::kG1 ? 16 : 24;
     for (const bool optimized : {false, true}) {
       for (uint32_t t = 1; t <= max_threads; t += (t < 4 ? 1 : 2)) {
-        const char* gen_name = gen == Generation::kG1 ? "G1" : "G2";
         const char* variant = optimized ? "optimized" : "prefetching";
         const std::string label =
-            std::string(gen_name) + "/" + variant + "/t" + std::to_string(t);
+            std::string(g.name) + "/" + variant + "/t" + std::to_string(t);
         runner.Add(label, [=](pmemsim_bench::SweepPoint& point) {
-          const Result r = RunScaling(gen, optimized, t, wss, blocks);
-          point.Printf("%s,%s,%u,%.0f,%.3f\n", gen_name, variant, t, r.cycles_per_block,
-                       r.gbps);
-          point.AddRow()
-              .Set("gen", gen_name)
-              .Set("variant", variant)
-              .Set("threads", t)
-              .Set("cycles_per_block", r.cycles_per_block)
-              .Set("throughput_gbps", r.gbps);
+          const Result r = RunScaling(g.gen, optimized, t, wss, blocks);
+          point.Emit(pmemsim_bench::Row()
+                         .Set("gen", g.name)
+                         .Set("variant", variant)
+                         .Set("threads", t)
+                         .Set("cycles_per_block", r.cycles_per_block, 0)
+                         .Set("throughput_gbps", r.gbps, 3));
         });
       }
     }
   }
-  return runner.Finish(report);
+  return sweep.Finish();
 }

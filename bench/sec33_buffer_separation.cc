@@ -13,11 +13,11 @@
 // reads hit the write buffer, writes update read-buffer-resident XPLines
 // (counted by the read_write_transitions counter) and avoid RMW media reads.
 //
-// Output: measurements plus PASS/FAIL verdicts against the paper's claims.
+// Prints free-form measurement lines with a verdict against the paper's
+// claims, so it declares no CSV columns.
 
-#include <cstdio>
+#include <string>
 
-#include "bench/bench_util.h"
 #include "bench/sweep_runner.h"
 #include "src/core/platform.h"
 #include "src/trace/counters.h"
@@ -26,7 +26,7 @@ namespace {
 
 using namespace pmemsim;
 
-void RunSeparation(Generation gen, pmemsim_bench::SweepPoint& point) {
+void RunSeparation(Generation gen, const char* gen_name, pmemsim_bench::SweepPoint& point) {
   auto system = MakeSystem(gen, /*optane_dimm_count=*/1);
   ThreadContext& ctx = system->CreateThread();
   SetPrefetchers(ctx, false, false, false);
@@ -56,7 +56,6 @@ void RunSeparation(Generation gen, pmemsim_bench::SweepPoint& point) {
   const Counters d = delta.Delta();
   const double ra = d.ReadAmplification();
   const bool no_media_write = d.media_write_bytes == 0;
-  const char* gen_name = gen == Generation::kG1 ? "G1" : "G2";
   const char* verdict = (ra < 1.05 && no_media_write) ? "SEPARATE-BUFFERS" : "SHARED-BUFFERS";
   point.Printf("%s,separation,RA=%.3f,media_write_bytes=%llu,verdict=%s\n", gen_name, ra,
                static_cast<unsigned long long>(d.media_write_bytes), verdict);
@@ -68,7 +67,7 @@ void RunSeparation(Generation gen, pmemsim_bench::SweepPoint& point) {
       .Set("verdict", verdict);
 }
 
-void RunTransition(Generation gen, pmemsim_bench::SweepPoint& point) {
+void RunTransition(Generation gen, const char* gen_name, pmemsim_bench::SweepPoint& point) {
   auto system = MakeSystem(gen, /*optane_dimm_count=*/1);
   ThreadContext& ctx = system->CreateThread();
   SetPrefetchers(ctx, false, false, false);
@@ -100,7 +99,6 @@ void RunTransition(Generation gen, pmemsim_bench::SweepPoint& point) {
   const double media_vs_imc_write =
       static_cast<double>(d.media_write_bytes) /
       static_cast<double>(d.imc_write_bytes ? d.imc_write_bytes : 1);
-  const char* gen_name = gen == Generation::kG1 ? "G1" : "G2";
   const char* verdict =
       (media_vs_imc_read < 0.5 && media_vs_imc_write < 1.2) ? "BUFFER-HITS" : "MEDIA-BOUND";
   point.Printf(
@@ -119,22 +117,17 @@ void RunTransition(Generation gen, pmemsim_bench::SweepPoint& point) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  pmemsim_bench::Flags flags(argc, argv);
-  if (flags.Has("help")) {
-    std::printf("usage: sec33_buffer_separation [--gen=g1|g2|both]\n%s",
-                pmemsim_bench::kTelemetryFlagsHelp);
-    return 0;
+  pmemsim_bench::Sweep sweep(argc, argv, "sec33_buffer_separation", " [--gen=g1|g2|both]");
+  const auto gens = sweep.flags().GetGenerations("both");
+  pmemsim_bench::SweepRunner& runner =
+      sweep.Start("Section 3.3", "read/write buffer separation and XPLine transition", {});
+  for (const auto& g : gens) {
+    runner.Add(std::string(g.name) + "/separation", [=](pmemsim_bench::SweepPoint& point) {
+      RunSeparation(g.gen, g.name, point);
+    });
+    runner.Add(std::string(g.name) + "/transition", [=](pmemsim_bench::SweepPoint& point) {
+      RunTransition(g.gen, g.name, point);
+    });
   }
-  pmemsim_bench::BenchReport report(flags, "sec33_buffer_separation");
-  pmemsim_bench::SweepRunner runner(flags);
-  flags.RejectUnknown();
-  pmemsim_bench::PrintHeader("Section 3.3", "read/write buffer separation and XPLine transition");
-  for (Generation gen : {Generation::kG1, Generation::kG2}) {
-    const char* gen_name = gen == Generation::kG1 ? "G1" : "G2";
-    runner.Add(std::string(gen_name) + "/separation",
-               [=](pmemsim_bench::SweepPoint& point) { RunSeparation(gen, point); });
-    runner.Add(std::string(gen_name) + "/transition",
-               [=](pmemsim_bench::SweepPoint& point) { RunTransition(gen, point); });
-  }
-  return runner.Finish(report);
+  return sweep.Finish();
 }

@@ -5,9 +5,11 @@
 #include <condition_variable>
 #include <cstdarg>
 #include <cstdio>
+#include <cstdlib>
 #include <exception>
 #include <mutex>
 #include <thread>
+#include <utility>
 
 #include "src/common/check.h"
 
@@ -34,6 +36,13 @@ BenchReport::Row& SweepPoint::AddRow() {
   return rows_.back();
 }
 
+void SweepPoint::Emit(const BenchReport::Row& row) {
+  PMEMSIM_CHECK_MSG(columns_ != nullptr && row.HasColumns(*columns_),
+                    "row keys differ from the declared columns");
+  text_ += row.Csv();
+  rows_.push_back(row);
+}
+
 SweepRunner::SweepRunner(const Flags& flags) {
   const uint64_t jobs = flags.GetU64("jobs", 1);
   jobs_ = jobs == 0 ? 1 : static_cast<uint32_t>(jobs);
@@ -47,6 +56,15 @@ SweepRunner::SweepRunner(const Flags& flags) {
 
 void SweepRunner::Add(std::string label, std::function<void(SweepPoint&)> fn) {
   points_.push_back(Point{std::move(label), std::move(fn)});
+}
+
+void SweepRunner::DeclareColumns(std::vector<std::string> columns) {
+  columns_ = std::move(columns);
+  std::string line;
+  for (const std::string& column : columns_) {
+    line += (line.empty() ? "" : ",") + column;
+  }
+  std::printf("%s\n", line.c_str());
 }
 
 namespace {
@@ -82,6 +100,9 @@ int SweepRunner::Run(BenchReport& report) {
   ran_ = true;
 
   std::vector<PointState> states(points_.size());
+  for (PointState& state : states) {
+    state.output.columns_ = &columns_;
+  }
 
   // Deterministic emission: submission order, whatever the completion order.
   int failures = 0;
@@ -165,5 +186,27 @@ int SweepRunner::Finish(BenchReport& report) {
   }
   return report_rc;
 }
+
+Sweep::Sweep(int argc, char** argv, std::string bench_name, const char* usage_args)
+    : flags_(argc, argv), bench_name_(std::move(bench_name)) {
+  if (flags_.Has("help")) {
+    std::printf("usage: %s%s\n%s", bench_name_.c_str(), usage_args, kTelemetryFlagsHelp);
+    std::exit(0);
+  }
+}
+
+SweepRunner& Sweep::Start(const char* figure, const char* description,
+                          std::vector<std::string> columns) {
+  report_.emplace(flags_, bench_name_);
+  runner_.emplace(flags_);
+  flags_.RejectUnknown();
+  PrintHeader(figure, description);
+  if (!columns.empty()) {
+    runner_->DeclareColumns(std::move(columns));
+  }
+  return *runner_;
+}
+
+int Sweep::Finish() { return runner_->Finish(*report_); }
 
 }  // namespace pmemsim_bench

@@ -16,24 +16,35 @@
 // Tracing (--trace_out) uses the process-wide TraceEmitter whose event order
 // would depend on worker interleaving, so tracing runs are pinned to one job.
 //
-// Usage, from a bench main() after parsing flags:
+// A bench declares its CSV columns once; SweepPoint::Emit renders each row as
+// the CSV line and the --stats_json row together, so the two cannot drift. A
+// row whose cell names differ from the declared columns fails a CHECK, which
+// the runner turns into that point's error row.
 //
-//   pmemsim_bench::BenchReport report(flags, "fig04_write_buffer_hit");
-//   pmemsim_bench::SweepRunner runner(flags);   // reads --jobs (default 1)
-//   flags.RejectUnknown();
-//   for (...)
-//     runner.Add(label, [=](pmemsim_bench::SweepPoint& point) {
-//       const double v = Measure(...);          // builds its own System
-//       point.Printf("%s,%.3f\n", label.c_str(), v);
-//       point.AddRow().Set("value", v);
-//     });
-//   return runner.Finish(report);               // from main()
+// Usage: a sweep bench's main() goes through the Sweep front end.
+//
+//   int main(int argc, char** argv) {
+//     pmemsim_bench::Sweep sweep(argc, argv, "fig04_write_buffer_hit",
+//                                " [--gen=g1|g2|both] [--max_kb=32]");
+//     const auto gens = sweep.flags().GetGenerations("both");
+//     const uint64_t max_kb = sweep.flags().GetU64("max_kb", 32);
+//     pmemsim_bench::SweepRunner& runner = sweep.Start(
+//         "Figure 4", "write-buffer hit ratio vs WSS", {"gen", "wss_kb", "hit_ratio"});
+//     for (...)
+//       runner.Add(label, [=](pmemsim_bench::SweepPoint& point) {
+//         const double ratio = Measure(...);    // builds its own System
+//         point.Emit(pmemsim_bench::Row().Set("gen", g.name).Set("wss_kb", kb)
+//                        .Set("hit_ratio", ratio, /*precision=*/3));
+//       });
+//     return sweep.Finish();
+//   }
 
 #ifndef BENCH_SWEEP_RUNNER_H_
 #define BENCH_SWEEP_RUNNER_H_
 
 #include <cstdint>
 #include <functional>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -51,10 +62,15 @@ class SweepPoint {
   // Buffers a row destined for the bench's --stats_json report.
   BenchReport::Row& AddRow();
 
+  // Buffers `row` as both the CSV line (Row::Csv) and the report row. The
+  // row's cell names must equal the runner's declared columns.
+  void Emit(const BenchReport::Row& row);
+
  private:
   friend class SweepRunner;
   std::string text_;
   std::vector<BenchReport::Row> rows_;
+  const std::vector<std::string>* columns_ = nullptr;
 };
 
 class SweepRunner {
@@ -68,6 +84,10 @@ class SweepRunner {
   // failure summary; `fn` runs on a worker thread and must only touch state
   // it creates (each point constructs its own System).
   void Add(std::string label, std::function<void(SweepPoint&)> fn);
+
+  // Declares the CSV columns every SweepPoint::Emit row must carry, and
+  // prints them as the column line.
+  void DeclareColumns(std::vector<std::string> columns);
 
   // Runs all queued points across the worker threads; emits text and rows in
   // submission order. Returns the number of failed points.
@@ -87,7 +107,34 @@ class SweepRunner {
 
   uint32_t jobs_ = 1;
   std::vector<Point> points_;
+  std::vector<std::string> columns_;
   bool ran_ = false;
+};
+
+// The front end every sweep bench's main() shares. The constructor answers
+// --help (usage line plus kTelemetryFlagsHelp, exit 0); the bench then reads
+// its own flags through flags(); Start() builds the BenchReport (first, so
+// --trace_out pins --jobs) and the SweepRunner, rejects unknown flags and
+// prints the "# <figure> — <description>" header and the column line.
+class Sweep {
+ public:
+  // `usage_args` follows "usage: <bench_name>" in the --help text.
+  Sweep(int argc, char** argv, std::string bench_name, const char* usage_args);
+
+  const Flags& flags() const { return flags_; }
+
+  // `columns` empty: the bench prints free-form lines and declares none.
+  SweepRunner& Start(const char* figure, const char* description,
+                     std::vector<std::string> columns);
+
+  // Runs the points and writes the report; returns the process exit code.
+  int Finish();
+
+ private:
+  Flags flags_;
+  std::string bench_name_;
+  std::optional<BenchReport> report_;
+  std::optional<SweepRunner> runner_;
 };
 
 }  // namespace pmemsim_bench

@@ -7,12 +7,10 @@
 // write-intensive workload regardless of thread or DIMM count. Our simulator
 // separates the segment-header read from the bucket-probe read (both random
 // media reads that perf-level attribution lumps together; see EXPERIMENTS.md).
-//
-// Output: rows of percentages per configuration.
 
-#include <cstdio>
+#include <memory>
+#include <vector>
 
-#include "bench/bench_util.h"
 #include "bench/sweep_runner.h"
 #include "src/common/config.h"
 #include "src/core/platform.h"
@@ -24,11 +22,11 @@ namespace {
 
 using namespace pmemsim;
 
-struct Row {
+struct Breakdown {
   double directory, segment_meta, bucket, persist, split, total_cycles_per_insert;
 };
 
-Row RunBreakdown(uint32_t threads, uint32_t dimms, uint64_t total_keys, bool scaled_cache) {
+Breakdown RunBreakdown(uint32_t threads, uint32_t dimms, uint64_t total_keys, bool scaled_cache) {
   PlatformConfig cfg = G1Platform();
   if (scaled_cache) {
     cfg.cache.l3.size_bytes = MiB(3);  // scaled testbed: see EXPERIMENTS.md
@@ -81,22 +79,14 @@ Row RunBreakdown(uint32_t threads, uint32_t dimms, uint64_t total_keys, bool sca
 }  // namespace
 
 int main(int argc, char** argv) {
-  pmemsim_bench::Flags flags(argc, argv);
-  if (flags.Has("help")) {
-    std::printf("usage: table1_cceh_breakdown [--keys=400000]\n%s",
-                pmemsim_bench::kTelemetryFlagsHelp);
-    return 0;
-  }
-  const uint64_t keys = flags.GetU64("keys", 2000000);
-  const bool scaled_cache = !flags.Has("full_cache");
-  pmemsim_bench::BenchReport report(flags, "table1_cceh_breakdown");
-  pmemsim_bench::SweepRunner runner(flags);
-  flags.RejectUnknown();
-
-  pmemsim_bench::PrintHeader("Table 1", "time breakdown of key insertion in CCEH (G1)");
-  std::printf(
-      "config,directory_pct,segment_meta_pct,bucket_probe_pct,persist_pct,split_pct,"
-      "cycles_per_insert\n");
+  pmemsim_bench::Sweep sweep(argc, argv, "table1_cceh_breakdown",
+                             " [--keys=2000000] [--full_cache]");
+  const uint64_t keys = sweep.flags().GetU64("keys", 2000000);
+  const bool scaled_cache = !sweep.flags().Has("full_cache");
+  pmemsim_bench::SweepRunner& runner =
+      sweep.Start("Table 1", "time breakdown of key insertion in CCEH (G1)",
+                  {"config", "directory_pct", "segment_meta_pct", "bucket_probe_pct",
+                   "persist_pct", "split_pct", "cycles_per_insert"});
   struct Config {
     uint32_t threads, dimms;
     const char* name;
@@ -105,18 +95,16 @@ int main(int argc, char** argv) {
       {1, 1, "1T/1-DIMM"}, {5, 1, "5T/1-DIMM"}, {1, 6, "1T/6-DIMM"}, {5, 6, "5T/6-DIMM"}};
   for (const Config& c : kConfigs) {
     runner.Add(c.name, [=](pmemsim_bench::SweepPoint& point) {
-      const Row r = RunBreakdown(c.threads, c.dimms, keys, scaled_cache);
-      point.Printf("%s,%.1f,%.1f,%.1f,%.1f,%.1f,%.0f\n", c.name, r.directory, r.segment_meta,
-                   r.bucket, r.persist, r.split, r.total_cycles_per_insert);
-      point.AddRow()
-          .Set("config", c.name)
-          .Set("directory_pct", r.directory)
-          .Set("segment_meta_pct", r.segment_meta)
-          .Set("bucket_probe_pct", r.bucket)
-          .Set("persist_pct", r.persist)
-          .Set("split_pct", r.split)
-          .Set("cycles_per_insert", r.total_cycles_per_insert);
+      const Breakdown b = RunBreakdown(c.threads, c.dimms, keys, scaled_cache);
+      point.Emit(pmemsim_bench::Row()
+                     .Set("config", c.name)
+                     .Set("directory_pct", b.directory, 1)
+                     .Set("segment_meta_pct", b.segment_meta, 1)
+                     .Set("bucket_probe_pct", b.bucket, 1)
+                     .Set("persist_pct", b.persist, 1)
+                     .Set("split_pct", b.split, 1)
+                     .Set("cycles_per_insert", b.total_cycles_per_insert, 0));
     });
   }
-  return runner.Finish(report);
+  return sweep.Finish();
 }

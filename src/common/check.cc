@@ -11,17 +11,13 @@ namespace {
 // Per-thread capture depth: sweep-runner workers enable capture around each
 // point; everything else keeps the abort-on-failure contract.
 thread_local int g_capture_depth = 0;
-// Process-wide unwind hook (atomic: Enable may race sweep workers failing).
-std::atomic<void (*)()> g_unwind_hook{nullptr};
-// Additive hook table for RegisterCaptureUnwindHook. CAS-appended, never
-// cleared; hooks are trampolines that consult their own (clearable) state.
+// Hook table for RegisterCaptureUnwindHook. CAS-appended (registration may
+// race sweep workers failing), never cleared; hooks are trampolines that
+// consult their own (clearable) state.
 constexpr int kMaxUnwindHooks = 4;
 std::atomic<void (*)()> g_unwind_hooks[kMaxUnwindHooks]{};
 
 void RunUnwindHook() {
-  if (void (*hook)() = g_unwind_hook.load(std::memory_order_acquire)) {
-    hook();
-  }
   for (auto& slot : g_unwind_hooks) {
     if (void (*hook)() = slot.load(std::memory_order_acquire)) {
       hook();
@@ -41,10 +37,6 @@ ScopedCheckCapture::~ScopedCheckCapture() {
   if (std::uncaught_exceptions() > uncaught_) {
     RunUnwindHook();
   }
-}
-
-void SetCaptureUnwindHook(void (*hook)()) {
-  g_unwind_hook.store(hook, std::memory_order_release);
 }
 
 bool RegisterCaptureUnwindHook(void (*hook)()) {

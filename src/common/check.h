@@ -35,24 +35,20 @@ class ScopedCheckCapture {
 
  private:
   // Uncaught-exception count at construction: a higher count at destruction
-  // means this scope is unwinding from a failure (see SetCaptureUnwindHook).
+  // means this scope is unwinding from a failure (see RegisterCaptureUnwindHook).
   int uncaught_ = 0;
 };
 
-// Registers a process-wide hook (nullptr clears) invoked whenever invariant
-// failure tears execution down: when a ScopedCheckCapture unwinds because an
-// exception is propagating through it, and just before a non-captured CHECK
-// failure aborts. Debug sinks holding buffered state use it to get that state
-// onto disk before it is lost — the trace emitter flushes its event buffer so
-// a failed sweep point's trace survives the failure-isolation catch (and a
-// hard abort). Hooks must be safe to call multiple times.
-void SetCaptureUnwindHook(void (*hook)());
-
-// Additive registration for additional unwind hooks (the single
-// SetCaptureUnwindHook slot stays owned by the trace emitter): appends `hook`
-// to a small fixed table unless already present (idempotent). Returns false
-// when the table is full. Registered hooks cannot be removed — register a
-// trampoline that consults its own state rather than a state-owning function.
+// Registers a process-wide hook invoked whenever invariant failure tears
+// execution down: when a ScopedCheckCapture unwinds because an exception is
+// propagating through it, and just before a non-captured CHECK failure
+// aborts. Debug sinks holding buffered state use it to get that state onto
+// disk before it is lost — the trace emitter flushes its event buffer so a
+// failed sweep point's trace survives the failure-isolation catch (and a hard
+// abort). Appends `hook` to a small fixed table unless already present
+// (idempotent); returns false when the table is full. Hooks cannot be
+// removed, so register a trampoline that consults its own state rather than
+// a state-owning function. Hooks must be safe to call multiple times.
 bool RegisterCaptureUnwindHook(void (*hook)());
 
 namespace internal {

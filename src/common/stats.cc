@@ -9,45 +9,6 @@
 
 namespace pmemsim {
 
-void RunningStat::Add(double x) {
-  if (count_ == 0) {
-    min_ = max_ = x;
-  } else {
-    min_ = std::min(min_, x);
-    max_ = std::max(max_, x);
-  }
-  ++count_;
-  sum_ += x;
-  const double delta = x - mean_;
-  mean_ += delta / static_cast<double>(count_);
-  m2_ += delta * (x - mean_);
-}
-
-double RunningStat::variance() const {
-  return count_ > 1 ? m2_ / static_cast<double>(count_ - 1) : 0.0;
-}
-
-double RunningStat::stddev() const { return std::sqrt(variance()); }
-
-void RunningStat::Reset() { *this = RunningStat(); }
-
-void RunningStat::ToJson(JsonWriter& w) const {
-  w.BeginObject();
-  w.Key("count").Value(count_);
-  w.Key("mean").Value(mean());
-  w.Key("stddev").Value(stddev());
-  w.Key("min").Value(min());
-  w.Key("max").Value(max());
-  w.Key("sum").Value(sum());
-  w.EndObject();
-}
-
-std::string RunningStat::ToJson() const {
-  JsonWriter w;
-  ToJson(w);
-  return w.str();
-}
-
 Histogram::Histogram() : buckets_(static_cast<size_t>(kOctaves) * kSubBuckets, 0) {}
 
 int Histogram::BucketFor(uint64_t value) {

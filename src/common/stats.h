@@ -1,4 +1,4 @@
-// Streaming statistics helpers used by benchmarks and tests.
+// Latency statistics used by the tools, the serving tier and tests.
 
 #ifndef SRC_COMMON_STATS_H_
 #define SRC_COMMON_STATS_H_
@@ -10,34 +10,6 @@
 namespace pmemsim {
 
 class JsonWriter;
-
-// Welford running mean/variance with min/max tracking.
-class RunningStat {
- public:
-  void Add(double x);
-
-  uint64_t count() const { return count_; }
-  double mean() const { return count_ ? mean_ : 0.0; }
-  double variance() const;
-  double stddev() const;
-  double min() const { return count_ ? min_ : 0.0; }
-  double max() const { return count_ ? max_ : 0.0; }
-  double sum() const { return sum_; }
-
-  void Reset();
-
-  // {"count":N,"mean":...,"stddev":...,"min":...,"max":...,"sum":...}
-  void ToJson(JsonWriter& w) const;
-  std::string ToJson() const;
-
- private:
-  uint64_t count_ = 0;
-  double mean_ = 0.0;
-  double m2_ = 0.0;
-  double min_ = 0.0;
-  double max_ = 0.0;
-  double sum_ = 0.0;
-};
 
 // Log-bucketed latency histogram (power-of-two buckets with linear sub-buckets)
 // with one quantile estimator, Quantile(). Good enough for cycle latencies

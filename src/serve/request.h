@@ -25,7 +25,7 @@ struct Request {
   uint32_t client = 0;
   Cycles arrival = 0;
   // Admission time: the worker clock at which the queue accepted this
-  // request (== arrival when admitted by the legacy one-argument Offer).
+  // request (RequestQueue::Offer's `now`).
   Cycles admit = 0;
 };
 

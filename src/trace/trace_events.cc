@@ -27,7 +27,7 @@ TraceEmitter& TraceEmitter::Global() {
 
 void TraceEmitter::Enable(const std::string& path) {
   // Installed for the process lifetime; the hook no-ops while disabled.
-  SetCaptureUnwindHook(&FlushTraceOnUnwind);
+  RegisterCaptureUnwindHook(&FlushTraceOnUnwind);
   std::lock_guard<std::mutex> lock(mu_);
   path_ = path;
   enabled_.store(true, std::memory_order_relaxed);

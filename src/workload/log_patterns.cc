@@ -1,6 +1,7 @@
 #include "src/workload/log_patterns.h"
 
 #include <algorithm>
+#include <vector>
 
 #include "src/common/check.h"
 #include "src/common/random.h"
@@ -28,8 +29,6 @@ class LogStoreWorkload final : public LogPatternWorkload {
     PMEMSIM_CHECK_MSG(opts_.log_bytes >= stride_, "log arena smaller than one entry");
   }
 
-  const char* name() const override { return "log_store"; }
-
   void Setup(System& system) override {
     counters_ = system.AllocatePm(opts_.counter_slots * kCacheLineSize, kXPLineSize);
     log_ = system.AllocatePm(opts_.log_bytes, kXPLineSize);
@@ -49,8 +48,6 @@ class LogStoreWorkload final : public LogPatternWorkload {
     ctx.Sfence();
   }
 
-  uint64_t payload_bytes() const override { return opts_.ops * opts_.value_bytes; }
-
  private:
   LogPatternOptions opts_;
   Rng rng_;
@@ -69,8 +66,6 @@ class CircularWritesWorkload final : public LogPatternWorkload {
     stride_ = AlignUp(opts_.write_bytes, kXPLineSize);
   }
 
-  const char* name() const override { return "circular_writes"; }
-
   void Setup(System& system) override {
     header_ = system.AllocatePm(kCacheLineSize, kXPLineSize);
     ring_ = system.AllocatePm(opts_.num_buffers * stride_, kXPLineSize);
@@ -87,8 +82,6 @@ class CircularWritesWorkload final : public LogPatternWorkload {
     ctx.Sfence();
   }
 
-  uint64_t payload_bytes() const override { return opts_.ops * opts_.write_bytes; }
-
  private:
   LogPatternOptions opts_;
   Rng rng_;
@@ -104,8 +97,6 @@ class CachelineVersionsWorkload final : public LogPatternWorkload {
       : LogPatternWorkload(opts.ops), opts_(opts), rng_(opts.seed), payload_(opts.buffer_bytes) {
     PMEMSIM_CHECK(opts_.buffer_bytes >= kCacheLineSize);
   }
-
-  const char* name() const override { return "cacheline_versions"; }
 
   void Setup(System& system) override {
     arena_ = system.AllocatePm(AlignUp(opts_.buffer_bytes, kXPLineSize), kXPLineSize);
@@ -129,8 +120,6 @@ class CachelineVersionsWorkload final : public LogPatternWorkload {
     }
     ctx.Sfence();
   }
-
-  uint64_t payload_bytes() const override { return opts_.ops * opts_.buffer_bytes; }
 
  private:
   LogPatternOptions opts_;
@@ -159,10 +148,6 @@ std::unique_ptr<LogPatternWorkload> LogPatternWorkload::Create(std::string_view 
     return std::make_unique<CachelineVersionsWorkload>(opts);
   }
   return nullptr;
-}
-
-std::vector<std::string> LogPatternWorkload::Names() {
-  return {"log_store", "circular_writes", "cacheline_versions"};
 }
 
 }  // namespace pmemsim

@@ -25,9 +25,7 @@
 
 #include <cstdint>
 #include <memory>
-#include <string>
 #include <string_view>
-#include <vector>
 
 #include "src/core/system.h"
 #include "src/cpu/thread_context.h"
@@ -49,7 +47,6 @@ class LogPatternWorkload {
  public:
   virtual ~LogPatternWorkload() = default;
 
-  virtual const char* name() const = 0;
   // Allocates this instance's PM regions. Call once, before Run/RunOne.
   virtual void Setup(System& system) = 0;
   // Performs operation `i` (call with i = 0, 1, ... opts.ops-1 in order; the
@@ -61,13 +58,10 @@ class LogPatternWorkload {
 
   uint64_t ops() const { return ops_; }
 
-  // Total payload bytes written per Run (for MB/s-style reporting).
-  virtual uint64_t payload_bytes() const = 0;
-
-  // Factory over Names(); returns nullptr for unknown names.
+  // Factory: log_store, circular_writes or cacheline_versions; returns
+  // nullptr for unknown names.
   static std::unique_ptr<LogPatternWorkload> Create(std::string_view name,
                                                     const LogPatternOptions& opts);
-  static std::vector<std::string> Names();
 
  protected:
   explicit LogPatternWorkload(uint64_t ops) : ops_(ops) {}

@@ -101,22 +101,6 @@ TEST(RandomTest, Mix64Distinct) {
   EXPECT_EQ(out.size(), 1000u);
 }
 
-TEST(StatsTest, RunningStatBasics) {
-  RunningStat s;
-  EXPECT_EQ(s.count(), 0u);
-  EXPECT_EQ(s.mean(), 0.0);
-  for (double x : {2.0, 4.0, 6.0}) {
-    s.Add(x);
-  }
-  EXPECT_EQ(s.count(), 3u);
-  EXPECT_DOUBLE_EQ(s.mean(), 4.0);
-  EXPECT_DOUBLE_EQ(s.min(), 2.0);
-  EXPECT_DOUBLE_EQ(s.max(), 6.0);
-  EXPECT_DOUBLE_EQ(s.sum(), 12.0);
-  EXPECT_NEAR(s.variance(), 4.0, 1e-9);
-  EXPECT_NEAR(s.stddev(), 2.0, 1e-9);
-}
-
 TEST(StatsTest, HistogramPercentiles) {
   Histogram h;
   for (uint64_t i = 1; i <= 1000; ++i) {

@@ -5,9 +5,11 @@
 
 #include <cstdio>
 #include <fstream>
+#include <functional>
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench/sweep_runner.h"
@@ -142,6 +144,139 @@ TEST(SweepRunnerTest, UnqueriedEngineThreadsFlagExitsTwo) {
   SweepRunner runner(flags);  // queries --jobs; --engine_threads stays unknown
   EXPECT_EXIT(flags.RejectUnknown(), testing::ExitedWithCode(2),
               "unrecognized flag '--engine_threads'");
+}
+
+// The CSV line and stats row of one emitted point, captured from a
+// single-point sweep with the given declared columns.
+SweepResult RunOnePoint(const std::vector<std::string>& columns,
+                        const std::function<void(SweepPoint&)>& fn,
+                        const std::string& stats_path) {
+  const Flags flags = MakeFlags({"--stats_json=" + stats_path});
+  BenchReport report(flags, "sweep_runner_test");
+  SweepRunner runner(flags);
+  testing::internal::CaptureStdout();
+  testing::internal::CaptureStderr();
+  if (!columns.empty()) {
+    runner.DeclareColumns(columns);
+  }
+  runner.Add("point", fn);
+  SweepResult r;
+  r.rc = runner.Finish(report);
+  r.out = testing::internal::GetCapturedStdout();
+  testing::internal::GetCapturedStderr();
+  r.stats = ReadFile(stats_path);
+  return r;
+}
+
+TEST(SweepPointTest, EmitRendersEachCellKindAsTheOldPrintfAndRow) {
+  const char* gen = "G2";
+  const uint64_t big = ~uint64_t{0};
+  const uint32_t cpx = 3;
+  const double ratio = 0.0005;  // a %.3f rounding edge
+  const double cycles = 1234.25;
+  const double mops = 2.5;
+  const std::string dir = testing::TempDir();
+  const SweepResult old_style = RunOnePoint(
+      {},
+      [&](SweepPoint& point) {
+        point.Printf("gen,wss_kb,cpx,ratio,cycles,mops\n");
+        point.Printf("%s,%llu,%u,%.3f,%.1f,%.0f\n", gen, static_cast<unsigned long long>(big),
+                     cpx, ratio, cycles, mops);
+        point.AddRow()
+            .Set("gen", gen)
+            .Set("wss_kb", big)
+            .Set("cpx", cpx)
+            .Set("ratio", ratio)
+            .Set("cycles", cycles)
+            .Set("mops", mops);
+      },
+      dir + "/emit_old.json");
+  const SweepResult emitted = RunOnePoint(
+      {"gen", "wss_kb", "cpx", "ratio", "cycles", "mops"},
+      [&](SweepPoint& point) {
+        point.Emit(Row()
+                       .Set("gen", gen)
+                       .Set("wss_kb", big)
+                       .Set("cpx", cpx)
+                       .Set("ratio", ratio, 3)
+                       .Set("cycles", cycles, 1)
+                       .Set("mops", mops, 0));
+      },
+      dir + "/emit_new.json");
+  EXPECT_EQ(old_style.rc, 0);
+  EXPECT_EQ(emitted.rc, 0);
+  // The declared columns are the header line; the row prints as printf did.
+  EXPECT_EQ(emitted.out, old_style.out);
+  EXPECT_EQ(emitted.out.substr(0, emitted.out.find('\n')), "gen,wss_kb,cpx,ratio,cycles,mops");
+  EXPECT_EQ(emitted.stats, old_style.stats);
+}
+
+TEST(SweepPointTest, RowNotMatchingTheColumnsBecomesAnErrorRow) {
+  const std::string dir = testing::TempDir();
+  const std::vector<std::string> columns = {"gen", "value"};
+  const std::vector<std::pair<std::string, Row>> bad_rows = {
+      {"renamed", Row().Set("gen", "G1").Set("val", 1.0, 3)},
+      {"missing", Row().Set("gen", "G1")},
+      {"extra", Row().Set("gen", "G1").Set("value", 1.0, 3).Set("more", 1)},
+      {"reordered", Row().Set("value", 1.0, 3).Set("gen", "G1")},
+      {"no_precision", Row().Set("gen", "G1").Set("value", 1.0)},
+  };
+  for (const auto& [name, row] : bad_rows) {
+    const SweepResult r = RunOnePoint(
+        columns, [&row](SweepPoint& point) { point.Emit(row); }, dir + "/emit_bad.json");
+    EXPECT_EQ(r.rc, 1) << name;
+    EXPECT_EQ(r.out, "gen,value\nerror,point\n") << name;
+    EXPECT_NE(r.stats.find("\"error\""), std::string::npos) << name;
+  }
+  const SweepResult good = RunOnePoint(
+      columns,
+      [](SweepPoint& point) { point.Emit(Row().Set("gen", "G1").Set("value", 1.0, 3)); },
+      dir + "/emit_good.json");
+  EXPECT_EQ(good.rc, 0);
+  EXPECT_EQ(good.out, "gen,value\nG1,1.000\n");
+}
+
+TEST(SweepTest, HelpPrintsUsageAndExitsZero) {
+  char arg0[] = "fig99";
+  char help[] = "--help";
+  char* argv[] = {arg0, help};
+  EXPECT_EXIT(Sweep(2, argv, "fig99", " [--max_kb=4]"), testing::ExitedWithCode(0), "");
+}
+
+TEST(FlagsTest, GetChoiceReturnsTheChoiceSpellingOrExitsTwo) {
+  const Flags flags = MakeFlags({"--gen=G2", "--panel=bogus", "--empty="});
+  EXPECT_EQ(flags.GetChoice("gen", "both", {"g1", "g2", "both"}), "g2");
+  EXPECT_EQ(flags.GetChoice("absent", "both", {"g1", "g2", "both"}), "both");
+  EXPECT_EXIT(flags.GetChoice("panel", "all", {"pm-local", "all"}), testing::ExitedWithCode(2),
+              "invalid value for --panel: 'bogus' \\(expected pm-local\\|all\\)");
+  EXPECT_EXIT(flags.GetChoice("empty", "all", {"all"}), testing::ExitedWithCode(2),
+              "invalid value for --empty");
+}
+
+TEST(FlagsTest, GetGenerationsListsTheSelectedGenerationsInOrder) {
+  auto names = [](const std::vector<std::string>& args, const char* def, bool allow_both) {
+    std::string out;
+    for (const auto& g : MakeFlags(args).GetGenerations(def, allow_both)) {
+      out += g.name;
+    }
+    return out;
+  };
+  EXPECT_EQ(names({}, "both", true), "G1G2");
+  EXPECT_EQ(names({}, "g1", true), "G1");
+  EXPECT_EQ(names({"--gen=g2"}, "both", true), "G2");
+  EXPECT_EQ(names({"--gen=both"}, "g1", true), "G1G2");
+  EXPECT_EXIT(names({"--gen=both"}, "g1", false), testing::ExitedWithCode(2),
+              "invalid value for --gen: 'both'");
+  EXPECT_EXIT(names({"--gen=g3"}, "both", true), testing::ExitedWithCode(2),
+              "invalid value for --gen: 'g3'");
+}
+
+TEST(FlagsTest, GetPlatformTakesThePresetNames) {
+  const Flags flags = MakeFlags({"--platform=G2-eADR", "--bad=g3"});
+  EXPECT_TRUE(flags.GetPlatform("platform", "g1").eadr_enabled);
+  EXPECT_EQ(flags.GetPlatform("absent", "g2").generation, pmemsim::Generation::kG2);
+  EXPECT_EXIT(flags.GetPlatform("bad", "g1"), testing::ExitedWithCode(2),
+              "invalid value for --bad: 'g3' \\(expected g1\\|g2\\|g2-eadr\\)");
 }
 
 TEST(FlagsTest, GetSizeTakesBinarySuffixes) {

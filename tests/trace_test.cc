@@ -105,20 +105,6 @@ TEST(Serialization, CountersRoundTrip) {
   EXPECT_DOUBLE_EQ(derived->Find("read_buffer_hit_ratio")->AsDouble(), c.ReadBufferHitRatio());
 }
 
-TEST(Serialization, RunningStatRoundTrip) {
-  RunningStat s;
-  for (const double x : {1.0, 2.0, 3.0, 10.0}) {
-    s.Add(x);
-  }
-  JsonValue v;
-  ASSERT_TRUE(JsonValue::Parse(s.ToJson(), &v));
-  EXPECT_EQ(v.Find("count")->AsUint(), 4u);
-  EXPECT_DOUBLE_EQ(v.Find("mean")->AsDouble(), s.mean());
-  EXPECT_DOUBLE_EQ(v.Find("stddev")->AsDouble(), s.stddev());
-  EXPECT_DOUBLE_EQ(v.Find("min")->AsDouble(), 1.0);
-  EXPECT_DOUBLE_EQ(v.Find("max")->AsDouble(), 10.0);
-}
-
 TEST(Serialization, HistogramRoundTrip) {
   Histogram h;
   for (uint64_t i = 1; i <= 1000; ++i) {

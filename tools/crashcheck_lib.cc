@@ -80,32 +80,20 @@ int RunCrashcheck(int argc, char** argv) {
     std::printf("%s%s", kUsage, pmemsim_bench::kTelemetryFlagsHelp);
     return 0;
   }
-  const std::string store = flags.Get("store", "cceh");
-  const std::string platform_name = flags.Get("platform", "g1");
+  const std::string store = flags.GetChoice("store", "cceh", CrashWorkload::StoreNames());
+  const PlatformConfig platform = flags.GetPlatform("platform", "g1");
   const uint64_t points_requested = flags.GetU64("points", 200);
   const uint64_t seed = flags.GetU64("seed", 7);
   const uint64_t ops = flags.GetU64("ops", 2000);
-  const std::string tear = flags.Get("tear", "word");
+  const std::string tear = flags.GetChoice("tear", "word", {"word", "subword"});
   const bool break_persist = flags.Has("break_persist");
   BenchReport report(flags, "pmemsim_crashcheck");
   SweepRunner runner(flags);
   flags.RejectUnknown();
 
-  const auto platform_opt = pmemsim::PlatformByName(platform_name);
-  if (!platform_opt) {
-    Flags::BadValue("platform", platform_name, "g1|g2|g2-eadr");
-  }
-  const PlatformConfig platform = *platform_opt;
-  const auto names = CrashWorkload::StoreNames();
-  if (std::find(names.begin(), names.end(), store) == names.end()) {
-    Flags::BadValue("store", store, "cceh|fastfair|flatlog|redo|undo");
-  }
-  PersistTracker::TearGranularity granularity = PersistTracker::TearGranularity::kWord;
-  if (tear == "subword") {
-    granularity = PersistTracker::TearGranularity::kSubword;
-  } else if (tear != "word") {
-    Flags::BadValue("tear", tear, "word|subword");
-  }
+  const PersistTracker::TearGranularity granularity =
+      tear == "subword" ? PersistTracker::TearGranularity::kSubword
+                        : PersistTracker::TearGranularity::kWord;
 
   CrashWorkloadOptions opts;
   opts.ops = ops;

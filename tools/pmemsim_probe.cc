@@ -12,7 +12,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
-#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -90,10 +89,8 @@ void RunProbe(const ProbeConfig& cfg, pmemsim_bench::SweepPoint& point) {
       ctx.Mfence();
       const uint64_t back = (index + lines - (cfg.distance % lines)) % lines;
       ctx.Load64(region.base + back * cfg.stride);
-    } else if (cfg.op == "copy") {
+    } else {  // copy
       ctx.StreamCopyXPLine(XPLineBase(addr), bounce.base);
-    } else {
-      throw std::runtime_error("unknown --op=" + cfg.op);
     }
     w.latency.Add(ctx.clock() - t0);
   };
@@ -190,18 +187,10 @@ int main(int argc, char** argv) {
   // --platform selects the preset by name; --gen remains a legacy alias for
   // the two paper testbeds (--platform wins when both are given).
   const std::string gen = flags.Get("gen", "");
-  std::string platform_name = flags.Get("platform", "");
-  if (platform_name.empty()) {
-    platform_name = gen.empty() ? "g1" : gen;
-  }
-  const auto platform = PlatformByName(platform_name);
-  if (!platform) {
-    pmemsim_bench::Flags::BadValue("platform", platform_name, "g1|g2|g2-eadr");
-  }
-  cfg.platform = *platform;
-  cfg.op = flags.Get("op", "read");
-  cfg.pattern = flags.Get("pattern", "rand");
-  cfg.persist = flags.Get("persist", "none");
+  cfg.platform = flags.GetPlatform("platform", gen.empty() ? "g1" : gen);
+  cfg.op = flags.GetChoice("op", "read", {"read", "write", "ntstore", "rap", "copy"});
+  cfg.pattern = flags.GetChoice("pattern", "rand", {"seq", "rand"});
+  cfg.persist = flags.GetChoice("persist", "none", {"none", "clwb", "clwb+mfence"});
   cfg.wss = flags.GetSize("wss", MiB(64));
   cfg.stride = flags.GetPositiveU64("stride", kCacheLineSize);
   cfg.threads = static_cast<uint32_t>(flags.GetPositiveU64("threads", 1));

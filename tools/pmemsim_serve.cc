@@ -243,12 +243,7 @@ int main(int argc, char** argv) {
   }
 
   ServeCliConfig cli;
-  const std::string platform_name = flags.Get("platform", "g1");
-  const auto platform = PlatformByName(platform_name);
-  if (!platform) {
-    pmemsim_bench::Flags::BadValue("platform", platform_name, "g1|g2|g2-eadr");
-  }
-  cli.platform = *platform;
+  cli.platform = flags.GetPlatform("platform", "g1");
   cli.dimms = static_cast<uint32_t>(flags.GetU64("dimms", 0));
 
   const std::string store_name = flags.Get("store", "fastfair");
@@ -268,15 +263,12 @@ int main(int argc, char** argv) {
     }
   }
 
-  const std::string loop = flags.Get("loop", "both");
-  if (loop == "closed") {
-    cli.loops = {LoopMode::kClosed};
-  } else if (loop == "open") {
-    cli.loops = {LoopMode::kOpen};
-  } else if (loop == "both") {
-    cli.loops = {LoopMode::kClosed, LoopMode::kOpen};
-  } else {
-    pmemsim_bench::Flags::BadValue("loop", loop, "closed|open|both");
+  const std::string loop = flags.GetChoice("loop", "both", {"closed", "open", "both"});
+  if (loop != "open") {
+    cli.loops.push_back(LoopMode::kClosed);
+  }
+  if (loop != "closed") {
+    cli.loops.push_back(LoopMode::kOpen);
   }
 
   cli.serve.shards = static_cast<uint32_t>(flags.GetPositiveU64("shards", 4));

@@ -30,8 +30,8 @@
 #include <vector>
 
 #include "bench/bench_util.h"
+#include "bench/buffer_probes.h"
 #include "bench/sweep_runner.h"
-#include "src/common/random.h"
 #include "src/core/platform.h"
 #include "src/cpu/scheduler.h"
 #include "src/trace/recorder.h"
@@ -72,30 +72,11 @@ struct Snapshots {
 
 using MarkFn = std::function<void(ThreadContext&, uint32_t)>;
 
-// The Figure 4 measurement loop: random partial nt-stores over a working set,
-// warm-up then a marker then the measured phase (bench/fig04_write_buffer_hit
-// keeps the same constants; the marker makes the phase split replayable).
+// The Figure 4 probe (bench/fig04_write_buffer_hit runs the same op stream);
+// the marker between its phases makes the warm-up/measured split replayable.
 Cycles RunFig04(System& system, const TraceSegment& seg, const MarkFn& mark) {
-  const uint64_t wss_bytes = KiB(MetaU64(seg, "wss_kb"));
-  ThreadContext& ctx = system.CreateThread();
-  SetPrefetchers(ctx, false, false, false);
-
-  const PmRegion region = system.AllocatePm(wss_bytes, kXPLineSize);
-  const uint64_t xplines = wss_bytes / kXPLineSize;
-  Rng rng(0xBEEF + wss_bytes);
-  auto run_writes = [&](uint64_t writes) {
-    for (uint64_t i = 0; i < writes; ++i) {
-      const uint64_t xp = rng.NextBelow(xplines);
-      const uint64_t cl = rng.NextBelow(kLinesPerXPLine);
-      ctx.NtStore64(region.base + xp * kXPLineSize + cl * kCacheLineSize, i);
-    }
-    ctx.Sfence();
-  };
-
-  run_writes(4 * xplines + 512);
-  mark(ctx, 0);
-  run_writes(16 * xplines + 2048);
-  return ctx.clock();
+  return pmemsim_bench::RunRandomPartialWrites(system, KiB(MetaU64(seg, "wss_kb")),
+                                               [&](ThreadContext& ctx) { mark(ctx, 0); });
 }
 
 LogPatternOptions OptionsFromMeta(const TraceSegment& seg) {
@@ -171,86 +152,50 @@ Cycles RunScenarioPoint(System& system, const TraceSegment& seg, const MarkFn& m
 // Stats emission — shared verbatim by record and replay.
 // ---------------------------------------------------------------------------
 
-const char* CsvHeader(const std::string& scenario) {
+std::vector<std::string> Columns(const std::string& scenario) {
   if (scenario == "fig04") {
-    return "scenario,wss_kb,hit_ratio,records,end_clock\n";
+    return {"scenario", "wss_kb", "hit_ratio", "records", "end_clock"};
   }
   if (scenario == "log_store") {
-    return "scenario,counter_slots,threads,ops,write_amplification,buffer_hit_ratio,records,"
-           "end_clock\n";
+    return {"scenario",           "counter_slots",    "threads", "ops",
+            "write_amplification", "buffer_hit_ratio", "records", "end_clock"};
   }
   if (scenario == "circular_writes") {
-    return "scenario,write_bytes,num_buffers,write_amplification,buffer_hit_ratio,records,"
-           "end_clock\n";
+    return {"scenario",         "write_bytes", "num_buffers", "write_amplification",
+            "buffer_hit_ratio", "records",     "end_clock"};
   }
-  return "scenario,buffer_kb,write_amplification,buffer_hit_ratio,records,end_clock\n";
+  return {"scenario",         "buffer_kb", "write_amplification",
+          "buffer_hit_ratio", "records",   "end_clock"};
 }
 
 void EmitRow(pmemsim_bench::SweepPoint& point, const TraceSegment& seg, const Snapshots& snaps) {
   const std::string scenario = MetaStr(seg, "scenario");
+  pmemsim_bench::Row row;
+  row.Set("scenario", scenario);
   if (scenario == "fig04") {
     if (snaps.at_marker.empty()) {
       throw std::runtime_error("fig04 segment carries no phase marker");
     }
-    const uint64_t wss_kb = MetaU64(seg, "wss_kb");
-    const double ratio = (snaps.final_counters - snaps.at_marker[0]).WriteBufferHitRatio();
-    point.Printf("fig04,%" PRIu64 ",%.3f,%" PRIu64 ",%" PRIu64 "\n", wss_kb, ratio, snaps.records,
-                 static_cast<uint64_t>(snaps.end_clock));
-    point.AddRow()
-        .Set("scenario", "fig04")
-        .Set("wss_kb", wss_kb)
-        .Set("hit_ratio", ratio)
-        .Set("records", snaps.records)
-        .Set("end_clock", static_cast<uint64_t>(snaps.end_clock));
-    return;
-  }
-  const double wa = snaps.final_counters.WriteAmplification();
-  const double hit = snaps.final_counters.WriteBufferHitRatio();
-  if (scenario == "log_store") {
-    const uint64_t slots = MetaU64(seg, "counter_slots");
-    const uint64_t threads = MetaU64(seg, "threads");
-    const uint64_t ops = MetaU64(seg, "ops");
-    point.Printf("log_store,%" PRIu64 ",%" PRIu64 ",%" PRIu64 ",%.3f,%.3f,%" PRIu64 ",%" PRIu64
-                 "\n",
-                 slots, threads, ops, wa, hit, snaps.records,
-                 static_cast<uint64_t>(snaps.end_clock));
-    point.AddRow()
-        .Set("scenario", "log_store")
-        .Set("counter_slots", slots)
-        .Set("threads", threads)
-        .Set("ops", ops)
-        .Set("write_amplification", wa)
-        .Set("buffer_hit_ratio", hit)
-        .Set("records", snaps.records)
-        .Set("end_clock", static_cast<uint64_t>(snaps.end_clock));
-  } else if (scenario == "circular_writes") {
-    const uint64_t write_bytes = MetaU64(seg, "write_bytes");
-    const uint64_t num_buffers = MetaU64(seg, "num_buffers");
-    point.Printf("circular_writes,%" PRIu64 ",%" PRIu64 ",%.3f,%.3f,%" PRIu64 ",%" PRIu64 "\n",
-                 write_bytes, num_buffers, wa, hit, snaps.records,
-                 static_cast<uint64_t>(snaps.end_clock));
-    point.AddRow()
-        .Set("scenario", "circular_writes")
-        .Set("write_bytes", write_bytes)
-        .Set("num_buffers", num_buffers)
-        .Set("write_amplification", wa)
-        .Set("buffer_hit_ratio", hit)
-        .Set("records", snaps.records)
-        .Set("end_clock", static_cast<uint64_t>(snaps.end_clock));
-  } else if (scenario == "cacheline_versions") {
-    const uint64_t buffer_kb = MetaU64(seg, "buffer_kb");
-    point.Printf("cacheline_versions,%" PRIu64 ",%.3f,%.3f,%" PRIu64 ",%" PRIu64 "\n", buffer_kb,
-                 wa, hit, snaps.records, static_cast<uint64_t>(snaps.end_clock));
-    point.AddRow()
-        .Set("scenario", "cacheline_versions")
-        .Set("buffer_kb", buffer_kb)
-        .Set("write_amplification", wa)
-        .Set("buffer_hit_ratio", hit)
-        .Set("records", snaps.records)
-        .Set("end_clock", static_cast<uint64_t>(snaps.end_clock));
+    row.Set("wss_kb", MetaU64(seg, "wss_kb"))
+        .Set("hit_ratio", (snaps.final_counters - snaps.at_marker[0]).WriteBufferHitRatio(), 3);
   } else {
-    throw std::runtime_error("unknown scenario '" + scenario + "' in segment metadata");
+    if (scenario == "log_store") {
+      row.Set("counter_slots", MetaU64(seg, "counter_slots"))
+          .Set("threads", MetaU64(seg, "threads"))
+          .Set("ops", MetaU64(seg, "ops"));
+    } else if (scenario == "circular_writes") {
+      row.Set("write_bytes", MetaU64(seg, "write_bytes"))
+          .Set("num_buffers", MetaU64(seg, "num_buffers"));
+    } else if (scenario == "cacheline_versions") {
+      row.Set("buffer_kb", MetaU64(seg, "buffer_kb"));
+    } else {
+      throw std::runtime_error("unknown scenario '" + scenario + "' in segment metadata");
+    }
+    row.Set("write_amplification", snaps.final_counters.WriteAmplification(), 3)
+        .Set("buffer_hit_ratio", snaps.final_counters.WriteBufferHitRatio(), 3);
   }
+  row.Set("records", snaps.records).Set("end_clock", static_cast<uint64_t>(snaps.end_clock));
+  point.Emit(row);
 }
 
 // ---------------------------------------------------------------------------
@@ -330,12 +275,10 @@ void PrintUsage() {
 int RunRecord(pmemsim_bench::Flags& flags) {
   const std::string scenario = flags.Get("scenario", "");
   const std::string out_path = flags.Get("out", "");
-  const std::string platform_name = flags.Get("platform", "g1");
+  const std::string platform_name =
+      flags.GetChoice("platform", "g1", pmemsim_bench::Flags::PlatformNames());
   const uint32_t dimms = static_cast<uint32_t>(flags.GetU64("dimms", 1));
   const auto config = PlatformByName(platform_name);
-  if (config == std::nullopt) {
-    pmemsim_bench::Flags::BadValue("platform", platform_name, "g1, g2, or g2-eadr");
-  }
   const std::vector<PointSpec> points = BuildPoints(scenario, flags);
   if (points.empty()) {
     pmemsim_bench::Flags::BadValue("scenario", scenario,
@@ -362,7 +305,7 @@ int RunRecord(pmemsim_bench::Flags& flags) {
   // Header text is subcommand-neutral so record and replay stdout (and the
   // stats reports) are comparable byte-for-byte.
   std::printf("# pmemsim_trace — scenario %s on %s\n", scenario.c_str(), platform_name.c_str());
-  std::printf("%s", CsvHeader(scenario));
+  runner.DeclareColumns(Columns(scenario));
   for (size_t i = 0; i < points.size(); ++i) {
     // Each point owns segment slot `i`: the trace file layout is submission
     // order, byte-identical at any --jobs, exactly like the stats rows.
@@ -449,7 +392,7 @@ int RunReplay(pmemsim_bench::Flags& flags) {
 
   std::printf("# pmemsim_trace — scenario %s on %s\n", file.header.scenario.c_str(),
               file.header.platform_name.c_str());
-  std::printf("%s", CsvHeader(file.header.scenario));
+  runner.DeclareColumns(Columns(file.header.scenario));
   for (const TraceSegment& seg : file.segments) {
     runner.Add(seg.label, [&](pmemsim_bench::SweepPoint& point) {
       System system(config, file.header.dimm_count);

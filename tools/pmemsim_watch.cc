@@ -60,8 +60,8 @@ struct Worker {
   uint64_t pos = 0;
 };
 
-// One operation of the named workload; returns false for an unknown name.
-bool RunOneOp(const WatchConfig& cfg, const PmRegion& region, uint64_t lines, Worker& w) {
+// One operation of the named workload (--workload, validated by GetChoice).
+void RunOneOp(const WatchConfig& cfg, const PmRegion& region, uint64_t lines, Worker& w) {
   ThreadContext& ctx = *w.ctx;
   const bool seq = cfg.workload.rfind("seq_", 0) == 0 || cfg.workload == "ntstore";
   const uint64_t index = seq ? (w.pos++ % lines) : w.rng.NextBelow(lines);
@@ -75,16 +75,13 @@ bool RunOneOp(const WatchConfig& cfg, const PmRegion& region, uint64_t lines, Wo
   } else if (cfg.workload == "ntstore") {
     ctx.NtStore64(addr, w.done);
     ctx.Sfence();
-  } else if (cfg.workload == "rap") {
+  } else {  // rap
     ctx.Store64(addr, w.done);
     ctx.Clwb(addr);
     ctx.Mfence();
     const uint64_t back = (index + lines - (cfg.distance % lines)) % lines;
     ctx.Load64(region.At(back * cfg.stride));
-  } else {
-    return false;
   }
-  return true;
 }
 
 void PrintColumns() {
@@ -238,13 +235,9 @@ int main(int argc, char** argv) {
   }
 
   WatchConfig cfg;
-  const std::string platform_name = flags.Get("platform", "g1");
-  const auto platform = PlatformByName(platform_name);
-  if (!platform) {
-    pmemsim_bench::Flags::BadValue("platform", platform_name, "g1|g2|g2-eadr");
-  }
-  cfg.platform = *platform;
-  cfg.workload = flags.Get("workload", "seq_store");
+  cfg.platform = flags.GetPlatform("platform", "g1");
+  cfg.workload = flags.GetChoice(
+      "workload", "seq_store", {"seq_load", "rand_load", "seq_store", "rand_store", "ntstore", "rap"});
   cfg.wss = flags.GetSize("wss", MiB(4));
   cfg.stride = flags.GetU64("stride", kCacheLineSize);
   cfg.threads = static_cast<uint32_t>(flags.GetPositiveU64("threads", 1));
@@ -295,26 +288,18 @@ int main(int argc, char** argv) {
   }
 
   const uint64_t per_thread = cfg.ops / cfg.threads + (cfg.ops % cfg.threads != 0 ? 1 : 0);
-  bool bad_workload = false;
   std::vector<SimJob> jobs;
   for (Worker& w : workers) {
-    jobs.push_back({w.ctx, [&cfg, &region, lines, &w, per_thread, &bad_workload]() {
-                      if (bad_workload || w.done >= per_thread) {
+    jobs.push_back({w.ctx, [&cfg, &region, lines, &w, per_thread]() {
+                      if (w.done >= per_thread) {
                         return StepResult::kDone;
                       }
-                      if (!RunOneOp(cfg, region, lines, w)) {
-                        bad_workload = true;
-                        return StepResult::kDone;
-                      }
+                      RunOneOp(cfg, region, lines, w);
                       ++w.done;
                       return StepResult::kProgress;
                     }});
   }
   const Cycles end = Scheduler::Run(jobs, &sampler);
-  if (bad_workload) {
-    pmemsim_bench::Flags::BadValue("workload", cfg.workload,
-                                   "seq_load|rand_load|seq_store|rand_store|ntstore|rap");
-  }
   sampler.Finalize(end);
 
   const Counters global = global_delta.Delta();
