@@ -157,21 +157,17 @@ class Flags {
 
   // A platform preset by PlatformByName name (--platform=g1|g2|g2-eadr).
   pmemsim::PlatformConfig GetPlatform(const std::string& name, const std::string& def) const {
-    return *pmemsim::PlatformByName(GetChoice(name, def, PlatformNames()));
+    return *pmemsim::PlatformByName(GetChoice(name, def, pmemsim::PlatformNames()));
   }
-  static std::vector<std::string> PlatformNames() { return {"g1", "g2", "g2-eadr"}; }
 
   // --gen as the generations a sweep iterates, in G1, G2 order, each with its
-  // "G1"/"G2" row label. `allow_both` = false limits the flag to g1|g2.
+  // "G1"/"G2" row label (--gen=g1|g2|both).
   struct GenerationChoice {
     pmemsim::Generation gen;
     const char* name;
   };
-  std::vector<GenerationChoice> GetGenerations(const std::string& def,
-                                               bool allow_both = true) const {
-    const std::string v =
-        GetChoice("gen", def, allow_both ? std::vector<std::string>{"g1", "g2", "both"}
-                                         : std::vector<std::string>{"g1", "g2"});
+  std::vector<GenerationChoice> GetGenerations(const std::string& def) const {
+    const std::string v = GetChoice("gen", def, {"g1", "g2", "both"});
     std::vector<GenerationChoice> gens;
     if (v != "g2") {
       gens.push_back({pmemsim::Generation::kG1, "G1"});

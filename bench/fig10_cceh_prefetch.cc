@@ -108,7 +108,9 @@ int main(int argc, char** argv) {
   pmemsim_bench::Sweep sweep(argc, argv, "fig10_cceh_prefetch",
                              " [--gen=g1|g2] [--keys=600000] [--depth=8] [--dimms=6] "
                              "[--max_workers=8] [--full_cache]");
-  const Generation gen = sweep.flags().GetGenerations("g1", /*allow_both=*/false).front().gen;
+  const Generation gen = sweep.flags().GetChoice("gen", "g1", {"g1", "g2"}) == "g2"
+                             ? Generation::kG2
+                             : Generation::kG1;
   const uint64_t keys = sweep.flags().GetU64("keys", 600000);
   const uint32_t depth = static_cast<uint32_t>(sweep.flags().GetU64("depth", 8));
   const uint32_t max_workers = static_cast<uint32_t>(sweep.flags().GetU64("max_workers", 8));

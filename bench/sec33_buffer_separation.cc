@@ -26,7 +26,7 @@ namespace {
 
 using namespace pmemsim;
 
-void RunSeparation(Generation gen, const char* gen_name, pmemsim_bench::SweepPoint& point) {
+void RunSeparation(Generation gen, pmemsim_bench::SweepPoint& point) {
   auto system = MakeSystem(gen, /*optane_dimm_count=*/1);
   ThreadContext& ctx = system->CreateThread();
   SetPrefetchers(ctx, false, false, false);
@@ -56,6 +56,7 @@ void RunSeparation(Generation gen, const char* gen_name, pmemsim_bench::SweepPoi
   const Counters d = delta.Delta();
   const double ra = d.ReadAmplification();
   const bool no_media_write = d.media_write_bytes == 0;
+  const char* gen_name = gen == Generation::kG1 ? "G1" : "G2";
   const char* verdict = (ra < 1.05 && no_media_write) ? "SEPARATE-BUFFERS" : "SHARED-BUFFERS";
   point.Printf("%s,separation,RA=%.3f,media_write_bytes=%llu,verdict=%s\n", gen_name, ra,
                static_cast<unsigned long long>(d.media_write_bytes), verdict);
@@ -67,7 +68,7 @@ void RunSeparation(Generation gen, const char* gen_name, pmemsim_bench::SweepPoi
       .Set("verdict", verdict);
 }
 
-void RunTransition(Generation gen, const char* gen_name, pmemsim_bench::SweepPoint& point) {
+void RunTransition(Generation gen, pmemsim_bench::SweepPoint& point) {
   auto system = MakeSystem(gen, /*optane_dimm_count=*/1);
   ThreadContext& ctx = system->CreateThread();
   SetPrefetchers(ctx, false, false, false);
@@ -99,6 +100,7 @@ void RunTransition(Generation gen, const char* gen_name, pmemsim_bench::SweepPoi
   const double media_vs_imc_write =
       static_cast<double>(d.media_write_bytes) /
       static_cast<double>(d.imc_write_bytes ? d.imc_write_bytes : 1);
+  const char* gen_name = gen == Generation::kG1 ? "G1" : "G2";
   const char* verdict =
       (media_vs_imc_read < 0.5 && media_vs_imc_write < 1.2) ? "BUFFER-HITS" : "MEDIA-BOUND";
   point.Printf(
@@ -117,17 +119,15 @@ void RunTransition(Generation gen, const char* gen_name, pmemsim_bench::SweepPoi
 }  // namespace
 
 int main(int argc, char** argv) {
-  pmemsim_bench::Sweep sweep(argc, argv, "sec33_buffer_separation", " [--gen=g1|g2|both]");
-  const auto gens = sweep.flags().GetGenerations("both");
+  pmemsim_bench::Sweep sweep(argc, argv, "sec33_buffer_separation", "");
   pmemsim_bench::SweepRunner& runner =
       sweep.Start("Section 3.3", "read/write buffer separation and XPLine transition", {});
-  for (const auto& g : gens) {
-    runner.Add(std::string(g.name) + "/separation", [=](pmemsim_bench::SweepPoint& point) {
-      RunSeparation(g.gen, g.name, point);
-    });
-    runner.Add(std::string(g.name) + "/transition", [=](pmemsim_bench::SweepPoint& point) {
-      RunTransition(g.gen, g.name, point);
-    });
+  for (Generation gen : {Generation::kG1, Generation::kG2}) {
+    const char* gen_name = gen == Generation::kG1 ? "G1" : "G2";
+    runner.Add(std::string(gen_name) + "/separation",
+               [=](pmemsim_bench::SweepPoint& point) { RunSeparation(gen, point); });
+    runner.Add(std::string(gen_name) + "/transition",
+               [=](pmemsim_bench::SweepPoint& point) { RunTransition(gen, point); });
   }
   return sweep.Finish();
 }

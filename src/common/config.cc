@@ -97,20 +97,40 @@ PlatformConfig PlatformFor(Generation gen) {
   return gen == Generation::kG1 ? G1Platform() : G2Platform();
 }
 
+namespace {
+
+struct NamedPlatform {
+  const char* name;
+  PlatformConfig (*make)();
+};
+
+// The command-line preset names, in PlatformNames() order.
+constexpr NamedPlatform kNamedPlatforms[] = {
+    {"g1", G1Platform},
+    {"g2", G2Platform},
+    {"g2-eadr", G2EadrPlatform},
+};
+
+}  // namespace
+
+std::vector<std::string> PlatformNames() {
+  std::vector<std::string> names;
+  for (const NamedPlatform& p : kNamedPlatforms) {
+    names.emplace_back(p.name);
+  }
+  return names;
+}
+
 std::optional<PlatformConfig> PlatformByName(std::string_view name) {
   std::string lower;
   lower.reserve(name.size());
   for (const char c : name) {
     lower.push_back(static_cast<char>(std::tolower(static_cast<unsigned char>(c))));
   }
-  if (lower == "g1") {
-    return G1Platform();
-  }
-  if (lower == "g2") {
-    return G2Platform();
-  }
-  if (lower == "g2-eadr") {
-    return G2EadrPlatform();
+  for (const NamedPlatform& p : kNamedPlatforms) {
+    if (lower == p.name) {
+      return p.make();
+    }
   }
   return std::nullopt;
 }

@@ -15,6 +15,7 @@
 #include <optional>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "src/common/types.h"
 
@@ -177,10 +178,13 @@ PlatformConfig G2EadrPlatform();
 // Convenience: preset selected by generation.
 PlatformConfig PlatformFor(Generation gen);
 
-// Preset selected by a command-line name: "g1", "g2", or "g2-eadr"
+// Preset selected by a command-line name, one of PlatformNames()
 // (case-insensitive). Returns nullopt for unknown names so callers can route
 // the error through their own flag-rejection path.
 std::optional<PlatformConfig> PlatformByName(std::string_view name);
+
+// The names PlatformByName accepts, in lower case: "g1", "g2", "g2-eadr".
+std::vector<std::string> PlatformNames();
 
 }  // namespace pmemsim
 

@@ -76,6 +76,7 @@ TEST(PlatformByNameTest, ResolvesPresetsCaseInsensitively) {
   ASSERT_TRUE(PlatformByName("G2-eADR").has_value());
   EXPECT_FALSE(PlatformByName("g3").has_value());
   EXPECT_FALSE(PlatformByName("").has_value());
+  EXPECT_EQ(PlatformNames(), (std::vector<std::string>{"g1", "g2", "g2-eadr"}));
 }
 
 TEST(PersistTrackerTest, AdrUnflushedStoreIsLost) {

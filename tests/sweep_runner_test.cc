@@ -254,20 +254,18 @@ TEST(FlagsTest, GetChoiceReturnsTheChoiceSpellingOrExitsTwo) {
 }
 
 TEST(FlagsTest, GetGenerationsListsTheSelectedGenerationsInOrder) {
-  auto names = [](const std::vector<std::string>& args, const char* def, bool allow_both) {
+  auto names = [](const std::vector<std::string>& args, const char* def) {
     std::string out;
-    for (const auto& g : MakeFlags(args).GetGenerations(def, allow_both)) {
+    for (const auto& g : MakeFlags(args).GetGenerations(def)) {
       out += g.name;
     }
     return out;
   };
-  EXPECT_EQ(names({}, "both", true), "G1G2");
-  EXPECT_EQ(names({}, "g1", true), "G1");
-  EXPECT_EQ(names({"--gen=g2"}, "both", true), "G2");
-  EXPECT_EQ(names({"--gen=both"}, "g1", true), "G1G2");
-  EXPECT_EXIT(names({"--gen=both"}, "g1", false), testing::ExitedWithCode(2),
-              "invalid value for --gen: 'both'");
-  EXPECT_EXIT(names({"--gen=g3"}, "both", true), testing::ExitedWithCode(2),
+  EXPECT_EQ(names({}, "both"), "G1G2");
+  EXPECT_EQ(names({}, "g1"), "G1");
+  EXPECT_EQ(names({"--gen=g2"}, "both"), "G2");
+  EXPECT_EQ(names({"--gen=both"}, "g1"), "G1G2");
+  EXPECT_EXIT(names({"--gen=g3"}, "both"), testing::ExitedWithCode(2),
               "invalid value for --gen: 'g3'");
 }
 

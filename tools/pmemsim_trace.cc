@@ -275,8 +275,7 @@ void PrintUsage() {
 int RunRecord(pmemsim_bench::Flags& flags) {
   const std::string scenario = flags.Get("scenario", "");
   const std::string out_path = flags.Get("out", "");
-  const std::string platform_name =
-      flags.GetChoice("platform", "g1", pmemsim_bench::Flags::PlatformNames());
+  const std::string platform_name = flags.GetChoice("platform", "g1", PlatformNames());
   const uint32_t dimms = static_cast<uint32_t>(flags.GetU64("dimms", 1));
   const auto config = PlatformByName(platform_name);
   const std::vector<PointSpec> points = BuildPoints(scenario, flags);
