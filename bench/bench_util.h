@@ -68,16 +68,7 @@ class Flags {
 
   uint64_t GetU64(const std::string& name, uint64_t def) const {
     const std::string v = Get(name, "");
-    if (v.empty()) {
-      return def;
-    }
-    errno = 0;
-    char* end = nullptr;
-    const unsigned long long parsed = std::strtoull(v.c_str(), &end, 10);
-    if (errno != 0 || end == v.c_str() || *end != '\0' || v[0] == '-') {
-      BadValue(name, v, "unsigned integer");
-    }
-    return parsed;
+    return v.empty() ? def : ParseU64(name, v);
   }
 
   // GetU64 for counts that must not be zero (threads, strides, queue sizes).
@@ -87,6 +78,38 @@ class Flags {
       BadValue(name, Get(name, ""), "positive integer");
     }
     return v;
+  }
+
+  // A comma-separated list (--mixes=a,b,e). An empty list or an empty
+  // element exits(2).
+  std::vector<std::string> GetList(const std::string& name, const std::string& def) const {
+    const std::string v = Get(name, def);
+    std::vector<std::string> items;
+    for (size_t start = 0;;) {
+      const size_t comma = v.find(',', start);
+      const size_t end = comma == std::string::npos ? v.size() : comma;
+      if (end == start) {
+        BadValue(name, v, "comma-separated list without empty elements");
+      }
+      items.push_back(v.substr(start, end - start));
+      if (comma == std::string::npos) {
+        return items;
+      }
+      start = comma + 1;
+    }
+  }
+
+  // GetList of counts that must not be zero (--threads=1,2,4), each element
+  // validated as GetPositiveU64 validates one value.
+  std::vector<uint64_t> GetPositiveU64List(const std::string& name, const std::string& def) const {
+    std::vector<uint64_t> values;
+    for (const std::string& item : GetList(name, def)) {
+      values.push_back(ParseU64(name, item));
+      if (values.back() == 0) {
+        BadValue(name, item, "positive integer");
+      }
+    }
+    return values;
   }
 
   // A byte count with an optional binary K/M/G suffix: "4096", "64K", "4M".
@@ -207,6 +230,18 @@ class Flags {
   }
 
  private:
+  // A decimal unsigned integer; anything else (a sign, a suffix, overflow)
+  // exits(2) naming the flag.
+  static uint64_t ParseU64(const std::string& name, const std::string& v) {
+    errno = 0;
+    char* end = nullptr;
+    const unsigned long long parsed = std::strtoull(v.c_str(), &end, 10);
+    if (errno != 0 || end == v.c_str() || *end != '\0' || v[0] == '-') {
+      BadValue(name, v, "unsigned integer");
+    }
+    return parsed;
+  }
+
   std::vector<std::string> args_;
   // Names queried so far; mutable because Get/Has are logically const reads.
   mutable std::set<std::string> known_;

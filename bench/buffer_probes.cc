@@ -1,5 +1,7 @@
 #include "bench/buffer_probes.h"
 
+#include <algorithm>
+#include <numeric>
 #include <vector>
 
 #include "src/common/random.h"
@@ -93,6 +95,59 @@ Cycles RunRandomPartialWrites(System& system, uint64_t wss_bytes,
   between_phases(ctx);
   run_writes(16 * xplines + 2048);
   return ctx.clock();
+}
+
+ReadRatios MeasureBlockReadRatios(Generation gen, uint64_t wss_bytes,
+                                  const BlockVisitProbe& probe, uint64_t max_visits,
+                                  uint32_t repeats) {
+  auto system = MakeSystem(gen, /*optane_dimm_count=*/1);
+  ThreadContext& ctx = system->CreateThread();
+  SetPrefetchers(ctx, probe.adjacent, probe.dcu, probe.stream);
+
+  const PmRegion region = system->AllocatePm(wss_bytes, kXPLineSize);
+  const PmRegion bounce = system->AllocateDram(kXPLineSize, kXPLineSize);
+  const uint64_t blocks = wss_bytes / kXPLineSize;
+  std::vector<uint64_t> order(blocks);
+  std::iota(order.begin(), order.end(), 0);
+  Rng rng(probe.seed + wss_bytes);
+
+  auto visit_blocks = [&](uint64_t visits) {
+    uint64_t done = 0;
+    while (done < visits) {
+      rng.Shuffle(order);
+      for (const uint64_t b : order) {
+        const Addr base = region.base + b * kXPLineSize;
+        Addr loaded = base;
+        if (probe.redirect) {
+          ctx.StreamCopyXPLine(base, bounce.base);
+          loaded = bounce.base;
+        }
+        for (uint32_t r = 0; r < repeats; ++r) {
+          for (uint64_t cl = 0; cl < kLinesPerXPLine; ++cl) {
+            ctx.LoadLine(loaded + cl * kCacheLineSize);
+          }
+        }
+        // Flush the block so the next visit must leave the CPU caches.
+        for (uint64_t cl = 0; cl < kLinesPerXPLine; ++cl) {
+          ctx.Clflushopt(base + cl * kCacheLineSize);
+        }
+        ctx.Sfence();
+        if (++done >= visits) {
+          break;
+        }
+      }
+    }
+  };
+
+  const uint64_t warm = std::max<uint64_t>(std::min<uint64_t>(blocks, max_visits), 4096);
+  const uint64_t measured = std::max<uint64_t>(std::min<uint64_t>(2 * blocks, max_visits), 8192);
+  visit_blocks(warm);
+  CounterDelta delta(&system->counters());
+  visit_blocks(measured);
+  const Counters d = delta.Delta();
+  const double demand = static_cast<double>(measured) * kXPLineSize;
+  return {static_cast<double>(d.media_read_bytes) / demand,
+          static_cast<double>(d.imc_read_bytes) / demand};
 }
 
 }  // namespace pmemsim_bench

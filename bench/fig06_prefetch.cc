@@ -12,81 +12,9 @@
 //    (a mispredicted cacheline costs 64 B at the iMC but 256 B at the media).
 
 #include <string>
-#include <vector>
 
+#include "bench/buffer_probes.h"
 #include "bench/sweep_runner.h"
-#include "src/common/random.h"
-#include "src/core/platform.h"
-#include "src/trace/counters.h"
-
-namespace {
-
-using namespace pmemsim;
-
-struct PrefetcherConfig {
-  const char* name;
-  bool adjacent;
-  bool dcu;
-  bool stream;
-};
-
-struct Ratios {
-  double pm = 0;
-  double imc = 0;
-};
-
-Ratios MeasureRatios(Generation gen, uint64_t wss, const PrefetcherConfig& pf,
-                     uint64_t max_visits, uint32_t repeats) {
-  auto system = MakeSystem(gen, /*optane_dimm_count=*/1);
-  ThreadContext& ctx = system->CreateThread();
-  SetPrefetchers(ctx, pf.adjacent, pf.dcu, pf.stream);
-
-  const PmRegion region = system->AllocatePm(wss, kXPLineSize);
-  const uint64_t blocks = wss / kXPLineSize;
-
-  std::vector<uint64_t> order(blocks);
-  for (uint64_t i = 0; i < blocks; ++i) {
-    order[i] = i;
-  }
-  Rng rng(0xF16 + wss);
-
-  uint64_t visited = 0;
-  auto visit_blocks = [&](uint64_t visits) {
-    uint64_t done = 0;
-    while (done < visits) {
-      rng.Shuffle(order);
-      for (const uint64_t b : order) {
-        const Addr base = region.base + b * kXPLineSize;
-        for (uint32_t r = 0; r < repeats; ++r) {
-          for (uint64_t cl = 0; cl < kLinesPerXPLine; ++cl) {
-            ctx.LoadLine(base + cl * kCacheLineSize);
-          }
-        }
-        // Flush the block so the next visit must leave the CPU caches.
-        for (uint64_t cl = 0; cl < kLinesPerXPLine; ++cl) {
-          ctx.Clflushopt(base + cl * kCacheLineSize);
-        }
-        ctx.Sfence();
-        if (++done >= visits) {
-          break;
-        }
-      }
-    }
-    visited += done;
-  };
-
-  const uint64_t warm = std::max<uint64_t>(std::min<uint64_t>(blocks, max_visits), 4096);
-  const uint64_t measured = std::max<uint64_t>(std::min<uint64_t>(2 * blocks, max_visits), 8192);
-  visit_blocks(warm);
-  CounterDelta delta(&system->counters());
-  visit_blocks(measured);
-  const Counters d = delta.Delta();
-  const double demand = static_cast<double>(measured) * kXPLineSize;
-  return {static_cast<double>(d.media_read_bytes) / demand,
-          static_cast<double>(d.imc_read_bytes) / demand};
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   pmemsim_bench::Sweep sweep(argc, argv, "fig06_prefetch",
@@ -100,19 +28,25 @@ int main(int argc, char** argv) {
       sweep.Start("Figure 6", "media & iMC read ratios under CPU prefetchers",
                   {"gen", "prefetcher", "wss_kb", "pm_ratio", "imc_ratio"});
 
-  static const PrefetcherConfig kConfigs[] = {
-      {"none", false, false, false},
-      {"hw-stream", false, false, true},
-      {"adjacent", true, false, false},
-      {"dcu", false, true, false},
+  // Each CPU prefetcher on in isolation.
+  struct Prefetcher {
+    const char* name;
+    pmemsim_bench::BlockVisitProbe probe;
+  };
+  static const Prefetcher kConfigs[] = {
+      {"none", {.seed = 0xF16}},
+      {"hw-stream", {.seed = 0xF16, .stream = true}},
+      {"adjacent", {.seed = 0xF16, .adjacent = true}},
+      {"dcu", {.seed = 0xF16, .dcu = true}},
   };
   for (const auto& g : gens) {
-    for (const PrefetcherConfig& pf : kConfigs) {
+    for (const Prefetcher& pf : kConfigs) {
       for (uint64_t kb = 4; kb <= max_mb * 1024; kb *= 4) {
         const std::string label =
             std::string(g.name) + "/" + pf.name + "/" + std::to_string(kb) + "kb";
         runner.Add(label, [=](pmemsim_bench::SweepPoint& point) {
-          const Ratios r = MeasureRatios(g.gen, KiB(kb), pf, max_visits, repeats);
+          const pmemsim_bench::ReadRatios r = pmemsim_bench::MeasureBlockReadRatios(
+              g.gen, pmemsim::KiB(kb), pf.probe, max_visits, repeats);
           point.Emit(pmemsim_bench::Row()
                          .Set("gen", g.name)
                          .Set("prefetcher", pf.name)

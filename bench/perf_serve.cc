@@ -14,6 +14,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -49,30 +50,6 @@ RunResult RunOnce(const PlatformConfig& platform, const ServeConfig& cfg) {
   return r;
 }
 
-std::vector<uint32_t> ParseThreads(const std::string& csv) {
-  std::vector<uint32_t> out;
-  size_t start = 0;
-  while (start < csv.size()) {
-    const size_t comma = csv.find(',', start);
-    const size_t end = comma == std::string::npos ? csv.size() : comma;
-    if (end > start) {
-      const unsigned long v = std::strtoul(csv.substr(start, end - start).c_str(), nullptr, 10);
-      if (v == 0) {
-        pmemsim_bench::Flags::BadValue("threads", csv, "comma list of thread counts >= 1");
-      }
-      out.push_back(static_cast<uint32_t>(v));
-    }
-    if (comma == std::string::npos) {
-      break;
-    }
-    start = comma + 1;
-  }
-  if (out.empty()) {
-    pmemsim_bench::Flags::BadValue("threads", csv, "comma list of thread counts >= 1");
-  }
-  return out;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -96,7 +73,13 @@ int main(int argc, char** argv) {
   const bool quick = flags.Has("quick");
   const uint64_t ops_scale = flags.GetU64("ops_scale", quick ? 100 / 8 : 100);
   const uint64_t reps = std::max<uint64_t>(1, flags.GetU64("reps", 3));
-  const std::vector<uint32_t> threads = ParseThreads(flags.Get("threads", "1,4"));
+  std::vector<uint32_t> threads;
+  for (const uint64_t t : flags.GetPositiveU64List("threads", "1,4")) {
+    if (t > UINT32_MAX) {
+      pmemsim_bench::Flags::BadValue("threads", std::to_string(t), "thread count below 2^32");
+    }
+    threads.push_back(static_cast<uint32_t>(t));
+  }
   pmemsim_bench::BenchReport report(flags, "perf_serve", "BENCH_serve.json");
   flags.RejectUnknown();
 

@@ -1,7 +1,5 @@
 #include "src/cache/cache.h"
 
-#include <bit>
-
 #if defined(__linux__)
 #include <sys/mman.h>
 #endif
@@ -66,63 +64,50 @@ SetAssocCache::SetAssocCache(const CacheLevelConfig& config) : config_(config) {
 }
 
 SetAssocCache::InvalidateResult SetAssocCache::Invalidate(Addr line_addr) {
-  // Invalidation is unconditional: even lines with scheduled (not yet due)
-  // invalidations are found by the valid-way scan.
+  // Invalidation is unconditional: a line whose scheduled invalidation is
+  // not yet due (or is due but not yet applied) is found all the same.
   const Addr line = CacheLineBase(line_addr);
   const size_t set = SetIndex(line);
-  const size_t base = set * stride_;
-  for (uint32_t m = valid_mask_[set]; m != 0; m &= m - 1) {
-    const uint32_t i = static_cast<uint32_t>(std::countr_zero(m));
-    Addr& t = Tag(base + i);
-    if (TagMatches(t, line)) {
-      InvalidateResult r{true, (t & kDirty) != 0};
-      t &= ~kDirty;
-      ClearValid(set, base + i);
-      ClearPending(set, base + i);
-      return r;
-    }
+  const size_t w = Find(set, line);
+  if (w == kNone) {
+    return {};
   }
-  return {};
+  const InvalidateResult r{true, (Tag(w) & kDirty) != 0};
+  Tag(w) &= ~kDirty;
+  ClearValid(set, w);
+  ClearPending(set, w);
+  return r;
 }
 
 SetAssocCache::InvalidateResult SetAssocCache::WriteBack(Addr line_addr, Cycles invalidate_at,
                                                          bool retain) {
   const Addr line = CacheLineBase(line_addr);
   const size_t set = SetIndex(line);
-  const size_t base = set * stride_;
-  for (uint32_t m = valid_mask_[set]; m != 0; m &= m - 1) {
-    const uint32_t i = static_cast<uint32_t>(std::countr_zero(m));
-    Addr& t = Tag(base + i);
-    if (TagMatches(t, line)) {
-      InvalidateResult r{true, (t & kDirty) != 0};
-      t &= ~kDirty;
-      if (!retain) {
-        if (invalidate_at != 0) {
-          PendingAt(base + i) = invalidate_at;
-          pending_mask_[set] |= 1u << i;
-        } else {
-          pending_mask_[set] &= ~(1u << i);
-        }
-      }
-      return r;
+  const size_t w = Find(set, line);
+  if (w == kNone) {
+    return {};
+  }
+  const InvalidateResult r{true, (Tag(w) & kDirty) != 0};
+  Tag(w) &= ~kDirty;
+  if (!retain) {
+    if (invalidate_at != 0) {
+      PendingAt(w) = invalidate_at;
+      pending_mask_[set] |= Bit(set, w);
+    } else {
+      ClearPending(set, w);
     }
   }
-  return {};
+  return r;
 }
 
 void SetAssocCache::ApplyPendingInvalidate(Addr line_addr) {
   const Addr line = CacheLineBase(line_addr);
   const size_t set = SetIndex(line);
-  const size_t base = set * stride_;
-  for (uint32_t m = valid_mask_[set] & pending_mask_[set]; m != 0; m &= m - 1) {
-    const uint32_t i = static_cast<uint32_t>(std::countr_zero(m));
-    Addr& t = Tag(base + i);
-    if (TagMatches(t, line)) {
-      t &= ~kDirty;
-      ClearValid(set, base + i);
-      ClearPending(set, base + i);
-      return;
-    }
+  const size_t w = Find(set, line);
+  if (w != kNone && (pending_mask_[set] & Bit(set, w)) != 0) {
+    Tag(w) &= ~kDirty;
+    ClearValid(set, w);
+    ClearPending(set, w);
   }
 }
 

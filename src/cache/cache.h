@@ -148,18 +148,31 @@ class SetAssocCache {
   Cycles PendingAt(size_t w) const { return blocks_[w + 3 * config_.ways]; }
 
   static constexpr size_t kNone = ~size_t{0};
-  // Returns the block-coordinate way handle holding the line or kNone;
-  // applies lazy invalidation. `set_out` receives the set index.
-  size_t FindWay(Addr line_addr, Cycles now, size_t* set_out);
-  size_t FindWayConst(Addr line_addr, Cycles now) const;
+  // The one tag scan: returns the block-coordinate way handle holding `line`
+  // (a CacheLineBase value) among `set`'s valid ways, or kNone. A line sits
+  // in at most one valid way (Insert refreshes a present line in place).
+  size_t Find(size_t set, Addr line) const {
+    const size_t base = set * stride_;
+    for (uint32_t m = valid_mask_[set]; m != 0; m &= m - 1) {
+      const size_t w = base + static_cast<uint32_t>(std::countr_zero(m));
+      if (TagMatches(Tag(w), line)) {
+        return w;
+      }
+    }
+    return kNone;
+  }
+  uint32_t Bit(size_t set, size_t w) const { return 1u << (w - set * stride_); }
+  // True iff way `w`'s scheduled invalidation has taken effect by `now`: the
+  // demand path then treats the way as invalid.
+  bool InvalidationDue(size_t set, size_t w, Cycles now) const {
+    return (pending_mask_[set] & Bit(set, w)) != 0 && now >= PendingAt(w);
+  }
   // The mask bit is the truth for pending/ready state; the block words are
   // only meaningful while their bit is set, so clearing is a bit operation.
-  void ClearPending(size_t set, size_t w) {
-    pending_mask_[set] &= ~(1u << (w - set * stride_));
-  }
+  void ClearPending(size_t set, size_t w) { pending_mask_[set] &= ~Bit(set, w); }
   void ClearValid(size_t set, size_t w) {
     Tag(w) &= ~kValid;
-    valid_mask_[set] &= ~(1u << (w - set * stride_));
+    valid_mask_[set] &= ~Bit(set, w);
   }
 
   struct Aligned64Delete {
@@ -181,59 +194,28 @@ class SetAssocCache {
   uint64_t tick_ = 0;
 };
 
-// Inline definitions for the four members on the per-access hot path
+// Inline definitions for the three members on the per-access hot path
 // (probe, touch, fill). They are called several times per simulated load —
 // once per level — from other translation units; defining them here lets
 // those call sites fold the set-index math and mask loads together instead
 // of paying an opaque cross-TU call per level.
 
-inline size_t SetAssocCache::FindWay(Addr line_addr, Cycles now, size_t* set_out) {
-  const Addr line = CacheLineBase(line_addr);
-  const size_t set = SetIndex(line);
-  *set_out = set;
-  const size_t base = set * stride_;
-  const uint32_t pending = pending_mask_[set];
-  for (uint32_t m = valid_mask_[set]; m != 0; m &= m - 1) {
-    const uint32_t i = static_cast<uint32_t>(std::countr_zero(m));
-    if (TagMatches(Tag(base + i), line)) {
-      if ((pending & (1u << i)) != 0 && now >= PendingAt(base + i)) {
-        ClearValid(set, base + i);  // the scheduled invalidation has taken effect
-        return kNone;
-      }
-      return base + i;
-    }
-  }
-  return kNone;
-}
-
-inline size_t SetAssocCache::FindWayConst(Addr line_addr, Cycles now) const {
-  const Addr line = CacheLineBase(line_addr);
-  const size_t set = SetIndex(line);
-  const size_t base = set * stride_;
-  const uint32_t pending = pending_mask_[set];
-  for (uint32_t m = valid_mask_[set]; m != 0; m &= m - 1) {
-    const uint32_t i = static_cast<uint32_t>(std::countr_zero(m));
-    if (TagMatches(Tag(base + i), line)) {
-      if ((pending & (1u << i)) != 0 && now >= PendingAt(base + i)) {
-        return kNone;
-      }
-      return base + i;
-    }
-  }
-  return kNone;
-}
-
 inline bool SetAssocCache::Access(Addr line_addr, Cycles now, bool mark_dirty,
                                   bool* was_prefetched, Cycles* available_at) {
-  size_t set;
-  const size_t w = FindWay(line_addr, now, &set);
+  const Addr line = CacheLineBase(line_addr);
+  const size_t set = SetIndex(line);
+  size_t w = Find(set, line);
+  if (w != kNone && InvalidationDue(set, w, now)) {
+    ClearValid(set, w);  // the scheduled invalidation has taken effect
+    w = kNone;
+  }
   if (w == kNone) {
     if (was_prefetched != nullptr) {
       *was_prefetched = false;
     }
     return false;
   }
-  const uint32_t bit = 1u << (w - set * stride_);
+  const uint32_t bit = Bit(set, w);
   Lru(w) = ++tick_;
   if (mark_dirty) {
     Tag(w) |= kDirty;
@@ -252,7 +234,10 @@ inline bool SetAssocCache::Access(Addr line_addr, Cycles now, bool mark_dirty,
 }
 
 inline bool SetAssocCache::Probe(Addr line_addr, Cycles now) const {
-  return FindWayConst(line_addr, now) != kNone;
+  const Addr line = CacheLineBase(line_addr);
+  const size_t set = SetIndex(line);
+  const size_t w = Find(set, line);
+  return w != kNone && !InvalidationDue(set, w, now);
 }
 
 inline EvictedLine SetAssocCache::Insert(Addr line_addr, Cycles now, bool dirty, bool prefetched,
@@ -261,21 +246,17 @@ inline EvictedLine SetAssocCache::Insert(Addr line_addr, Cycles now, bool dirty,
   const size_t set = SetIndex(line);
   const size_t base = set * stride_;
 
-  // Already present: refresh in place.
-  for (uint32_t m = valid_mask_[set]; m != 0; m &= m - 1) {
-    const uint32_t i = static_cast<uint32_t>(std::countr_zero(m));
-    Addr& t = Tag(base + i);
-    if (TagMatches(t, line)) {
-      Lru(base + i) = ++tick_;
-      if (dirty) {
-        t |= kDirty;
-      }
-      if (!prefetched) {
-        t &= ~kPrefetched;
-      }
-      pending_mask_[set] &= ~(1u << i);
-      return {};
+  // Already present (even with its invalidation due): refresh in place.
+  if (const size_t w = Find(set, line); w != kNone) {
+    Lru(w) = ++tick_;
+    if (dirty) {
+      Tag(w) |= kDirty;
     }
+    if (!prefetched) {
+      Tag(w) &= ~kPrefetched;
+    }
+    ClearPending(set, w);
+    return {};
   }
 
   // Pick the first invalid-or-expired way in way order (expired pending

@@ -5,6 +5,8 @@
 #ifndef SRC_CACHE_HIERARCHY_H_
 #define SRC_CACHE_HIERARCHY_H_
 
+#include <array>
+
 #include "src/cache/cache.h"
 #include "src/cache/prefetcher.h"
 #include "src/common/access_record.h"
@@ -61,6 +63,8 @@ class CacheHierarchy {
   void ClearPrivate();
 
  private:
+  static constexpr int kLevels = 3;
+
   void AccessInternal(Addr addr, Cycles now, bool is_store, bool ordered, bool train,
                       AccessRecord* out);
   // Trains the prefetch engine on a demand access; with every prefetcher
@@ -72,14 +76,19 @@ class CacheHierarchy {
       engine_.NoteDemandOnly(info.line);
     }
   }
-  // Inserts into a level, cascading dirty evictions downward.
-  void FillInto(SetAssocCache& level, int level_idx, Addr line, Cycles now, bool dirty,
-                bool prefetched, Cycles ready_at = 0);
+  // Fills levels k-1 ... top (0 = L1), nearest to memory first, after a hit
+  // at level k (k == kLevels: memory). Only the L1 copy of a store is dirty.
+  void FillAbove(int k, int top, Addr line, Cycles now, bool store, bool prefetched,
+                 Cycles ready_at);
+  // Inserts into level k, cascading a dirty victim into level k+1 or, past
+  // the L3, into the iMC.
+  void FillInto(int k, Addr line, Cycles now, bool dirty, bool prefetched, Cycles ready_at);
 
   CacheConfig config_;
   SetAssocCache l1_;
   SetAssocCache l2_;
   SetAssocCache* l3_;
+  std::array<SetAssocCache*, kLevels> levels_;  // {L1, L2, L3}: the walk order
   MemoryController* mc_;
   Counters* counters_;
   NodeId node_;

@@ -34,13 +34,13 @@ void PrefetchEngine::OnDemandAccess(const DemandInfo& info) {
   last_demand_line_ = line;
 
   if (adjacent_enabled_) {
-    const bool l2_demand_miss = !info.l1_hit && !info.l2_hit;
+    const bool l2_demand_miss = info.hit_level == 0 || info.hit_level > 2;
     if (l2_demand_miss || info.first_touch_prefetched) {
       hierarchy_->PrefetchFill(line + kCacheLineSize, info.now, /*into_l1=*/false);
     }
   }
 
-  if (stream_enabled_ && !info.l1_hit) {
+  if (stream_enabled_ && info.hit_level != 1) {
     StreamTrain(line, info.now);
   }
 }

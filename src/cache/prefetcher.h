@@ -41,8 +41,7 @@ class PrefetchEngine {
   struct DemandInfo {
     Addr line = 0;
     Cycles now = 0;
-    bool l1_hit = false;
-    bool l2_hit = false;
+    uint8_t hit_level = 0;  // AccessRecord::hit_level: 1..3 = cache level, 0 = memory
     bool first_touch_prefetched = false;  // first demand touch of a prefetched line
   };
 

@@ -7,6 +7,17 @@
 
 namespace pmemsim {
 
+namespace {
+
+// The attribution stage of a cache hit at AccessRecord::hit_level 1..3.
+AttributionCollector::Stage CacheHitStage(uint8_t hit_level) {
+  static constexpr AttributionCollector::Stage kStages[] = {
+      AttributionCollector::kL1Hit, AttributionCollector::kL2Hit, AttributionCollector::kL3Hit};
+  return kStages[hit_level - 1];
+}
+
+}  // namespace
+
 ThreadContext::ThreadContext(const PlatformConfig& config, BackingStore* backing,
                              MemoryController* mc, SetAssocCache* shared_l3, Counters* counters,
                              NodeId node, uint64_t rng_seed)
@@ -49,26 +60,17 @@ Cycles ThreadContext::ScaleCore(Cycles c) const {
 void ThreadContext::RecordMemAccess(AttributionCollector::Op op, Cycles end_to_end,
                                     const AccessRecord& r) {
   AttributionCollector::StageDurations stages;
-  switch (r.hit_level) {
-    case 1:
-      stages.v[AttributionCollector::kL1Hit] = end_to_end;
-      break;
-    case 2:
-      stages.v[AttributionCollector::kL2Hit] = end_to_end;
-      break;
-    case 3:
-      stages.v[AttributionCollector::kL3Hit] = end_to_end;
-      break;
-    default:
-      // Full miss: the memory side reported where the span went; the fields
-      // sum exactly to end_to_end, so nothing lands in the core remainder.
-      stages.v[AttributionCollector::kImcTransit] = r.mem.imc_transit;
-      stages.v[AttributionCollector::kRapStall] = r.mem.rap_stall;
-      stages.v[AttributionCollector::kReadBuffer] = r.mem.buffer;
-      stages.v[AttributionCollector::kAitLookup] = r.mem.ait;
-      stages.v[AttributionCollector::kMediaRead] = r.mem.media;
-      stages.v[AttributionCollector::kDram] = r.mem.dram;
-      break;
+  if (r.hit_level != 0) {
+    stages.v[CacheHitStage(r.hit_level)] = end_to_end;
+  } else {
+    // Full miss: the memory side reported where the span went; the fields
+    // sum exactly to end_to_end, so nothing lands in the core remainder.
+    stages.v[AttributionCollector::kImcTransit] = r.mem.imc_transit;
+    stages.v[AttributionCollector::kRapStall] = r.mem.rap_stall;
+    stages.v[AttributionCollector::kReadBuffer] = r.mem.buffer;
+    stages.v[AttributionCollector::kAitLookup] = r.mem.ait;
+    stages.v[AttributionCollector::kMediaRead] = r.mem.media;
+    stages.v[AttributionCollector::kDram] = r.mem.dram;
   }
   attribution_->RecordAccess(op, end_to_end, stages);
 }
@@ -194,22 +196,12 @@ void ThreadContext::StoreTimed(Addr addr) {
   }
   clock_ += latency + ScaleCore(cpu_.store_issue_cost);
   if (attribution_ != nullptr) {
+    // A hit's latency is its level's stage. A posted miss's RFO memory
+    // latency is off the critical path, so its pipeline cost stays in core
+    // (the background traffic is visible in the bandwidth counters, not here).
     AttributionCollector::StageDurations stages;
-    switch (r.hit_level) {
-      case 1:
-        stages.v[AttributionCollector::kL1Hit] = latency;
-        break;
-      case 2:
-        stages.v[AttributionCollector::kL2Hit] = latency;
-        break;
-      case 3:
-        stages.v[AttributionCollector::kL3Hit] = latency;
-        break;
-      default:
-        // Posted miss: the RFO's memory latency is off the critical path, so
-        // the pipeline cost stays in core (the background traffic is visible
-        // in the bandwidth counters, not here).
-        break;
+    if (r.hit_level != 0) {
+      stages.v[CacheHitStage(r.hit_level)] = latency;
     }
     attribution_->RecordAccess(AttributionCollector::kStore, clock_ - t0, stages);
   }

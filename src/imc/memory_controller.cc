@@ -67,7 +67,7 @@ McWriteResult MemoryController::Write(Addr addr, Cycles now, NodeId requester) {
 
   if (KindOf(addr) == MemoryKind::kDram) {
     // DRAM never back-pressures the WPQ: it has no media write ports to fill.
-    const Wpq::AcceptResult accept = dram_wpq_->Accept(arrival, /*dimm_backpressure_until=*/0);
+    const Wpq::AcceptResult accept = dram_wpq_->Accept(arrival);
     result.accepted_at = accept.accepted_at + hop;
     result.visible_at = dram_dimm_->Write(addr, accept.drained_at).visible_at;
     return result;
@@ -82,7 +82,7 @@ McWriteResult MemoryController::Write(Addr addr, Cycles now, NodeId requester) {
     counters_->wpq_stall_cycles += same_line_until - effective_arrival;
     effective_arrival = same_line_until;
   }
-  const Wpq::AcceptResult accept = wpq.Accept(effective_arrival, /*dimm_backpressure_until=*/0);
+  const Wpq::AcceptResult accept = wpq.Accept(effective_arrival);
   const DimmWriteResult w = dimm.Write(addr, accept.drained_at);
   if (w.backpressure_until > accept.drained_at) {
     wpq.DelayDrain(w.backpressure_until);

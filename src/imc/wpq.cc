@@ -12,7 +12,7 @@ Wpq::Wpq(const WpqConfig& config, Counters* counters) : config_(config), counter
   PMEMSIM_CHECK(counters_ != nullptr);
 }
 
-Wpq::AcceptResult Wpq::Accept(Cycles now, Cycles dimm_backpressure_until) {
+Wpq::AcceptResult Wpq::Accept(Cycles now) {
   // Retire entries that have drained by now.
   while (!inflight_.empty() && inflight_.front() <= now) {
     inflight_.pop_front();
@@ -34,8 +34,7 @@ Wpq::AcceptResult Wpq::Accept(Cycles now, Cycles dimm_backpressure_until) {
   AcceptResult r;
   r.accepted_at = start + config_.accept_latency;
 
-  const Cycles drain_start =
-      std::max({r.accepted_at, drain_free_at_, dimm_backpressure_until});
+  const Cycles drain_start = std::max(r.accepted_at, drain_free_at_);
   r.drained_at = drain_start + config_.drain_latency;
   drain_free_at_ = r.drained_at;
   inflight_.push_back(r.drained_at);

@@ -34,9 +34,8 @@ class Wpq {
 
   // Accepts a 64 B entry arriving at `now`. If the queue is full, acceptance
   // waits for the oldest entry to drain (counted as wpq_stall_cycles).
-  // `dimm_backpressure_until` lets the owner delay this entry's drain start
-  // (e.g. the DIMM's media write ports are saturated).
-  AcceptResult Accept(Cycles now, Cycles dimm_backpressure_until);
+  // DIMM back-pressure on the drain start arrives through DelayDrain.
+  AcceptResult Accept(Cycles now);
 
   // Registers extra back-pressure discovered after the previous drain (the
   // DIMM reports eviction pressure only once the write lands).

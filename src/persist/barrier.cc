@@ -8,12 +8,6 @@ void FlushRange(ThreadContext& ctx, Addr addr, uint64_t len) {
   }
 }
 
-void FlushInvalidateRange(ThreadContext& ctx, Addr addr, uint64_t len) {
-  for (Addr line = CacheLineBase(addr); line < addr + len; line += kCacheLineSize) {
-    ctx.Clflushopt(line);
-  }
-}
-
 void Persist(ThreadContext& ctx, Addr addr, uint64_t len, bool use_mfence) {
   FlushRange(ctx, addr, len);
   if (use_mfence) {

@@ -31,9 +31,6 @@ enum class Persistency : uint8_t {
 // Issues clwb for every cacheline covering [addr, addr+len).
 void FlushRange(ThreadContext& ctx, Addr addr, uint64_t len);
 
-// Issues clflushopt for every cacheline covering [addr, addr+len).
-void FlushInvalidateRange(ThreadContext& ctx, Addr addr, uint64_t len);
-
 // FlushRange + fence: the canonical persistence barrier.
 void Persist(ThreadContext& ctx, Addr addr, uint64_t len, bool use_mfence = false);
 

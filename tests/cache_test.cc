@@ -239,6 +239,68 @@ TEST(HierarchyTest, MissFillsAllLevels) {
   const AccessRecord r2 = f.Load(0, 3000);
   EXPECT_EQ(r2.hit_level, 1);
   EXPECT_EQ(r2.complete_at, 3000 + f.platform.cache.l1.hit_latency);
+  const Counters n = f.counters();
+  EXPECT_EQ(n.cache_misses, 1u);
+  EXPECT_EQ(n.l1_hits, 1u);
+  EXPECT_EQ(n.l2_hits + n.l3_hits, 0u);
+}
+
+// A hit at L2 or L3 completes after that level's latency, fills every level
+// above it, counts one hit at its own level, and leaves only the L1 copy
+// dirty when the access is a store.
+TEST(HierarchyTest, HitBelowL1FillsTheLevelsAbove) {
+  for (const int level : {2, 3}) {
+    for (const bool store : {false, true}) {
+      SCOPED_TRACE(testing::Message() << "L" << level << (store ? " store" : " load"));
+      HierFixture f;
+      SetAssocCache& l1 = f.hier->l1();
+      SetAssocCache& l2 = f.hier->l2();
+      f.Load(0, 1000);  // miss: line 0 clean in every level
+      // Clean loads aliasing line 0's set in the level above the hit level
+      // push it out of that level; the L2 set span is a multiple of L1's, so
+      // the L3 case empties both. The lower levels spread them over sets.
+      const SetAssocCache& above = level == 2 ? l1 : l2;
+      const uint64_t stride = above.sets() * kCacheLineSize;
+      for (uint32_t i = 1; i <= above.ways(); ++i) {
+        f.Load(i * stride, 1000 + 10 * i);
+      }
+      ASSERT_FALSE(l1.Probe(0, 2000));
+      ASSERT_EQ(l2.Probe(0, 2000), level == 2);
+      ASSERT_TRUE(f.l3->Probe(0, 2000));
+
+      const AccessRecord r = store ? f.Store(0, 5000) : f.Load(0, 5000);
+      EXPECT_EQ(r.hit_level, level);
+      const CacheLevelConfig& hit = level == 2 ? f.platform.cache.l2 : f.platform.cache.l3;
+      EXPECT_EQ(r.complete_at, 5000 + hit.hit_latency);
+      const Counters n = f.counters();
+      EXPECT_EQ(n.l1_hits, 0u);
+      EXPECT_EQ(n.l2_hits, level == 2 ? 1u : 0u);
+      EXPECT_EQ(n.l3_hits, level == 3 ? 1u : 0u);
+      EXPECT_EQ(n.cache_misses, 1u + above.ways());
+      EXPECT_TRUE(l1.Probe(0, 6000));
+      EXPECT_TRUE(l2.Probe(0, 6000));
+      // Invalidate reports each level's dirty bit.
+      EXPECT_EQ(l1.Invalidate(0).was_dirty, store);
+      EXPECT_FALSE(l2.Invalidate(0).was_dirty);
+      EXPECT_FALSE(f.l3->Invalidate(0).was_dirty);
+    }
+  }
+}
+
+TEST(HierarchyTest, DirtyL1VictimMarksPresentL2CopyDirty) {
+  HierFixture f;
+  f.Store(0, 1000);  // miss: clean in L3 and L2, dirty in L1
+  SetAssocCache& l1 = f.hier->l1();
+  const uint64_t stride = l1.sets() * kCacheLineSize;
+  for (uint32_t i = 1; i <= l1.ways(); ++i) {
+    f.Load(i * stride, 1000 + 10 * i);
+  }
+  EXPECT_FALSE(l1.Probe(0, 2000));
+  const SetAssocCache::InvalidateResult l2 = f.hier->l2().Invalidate(0);
+  EXPECT_TRUE(l2.was_present);
+  EXPECT_TRUE(l2.was_dirty);
+  EXPECT_FALSE(f.l3->Invalidate(0).was_dirty);
+  EXPECT_EQ(f.counters().imc_write_bytes, 0u);  // the dirty data stayed cached
 }
 
 TEST(HierarchyTest, StoreMakesDirtyAndClwbWritesBack) {

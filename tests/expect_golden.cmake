@@ -1,0 +1,20 @@
+# Runs EXE with ARGS (a ;-separated list) and passes only when it exits RC
+# (default 0) and the file it wrote to OUT is byte-identical to GOLDEN.
+#
+#   cmake -DEXE=<binary> "-DARGS=--store=cceh;--stats_json=/tmp/cceh.json" \
+#         -DOUT=/tmp/cceh.json -DGOLDEN=bench/expectations/crashcheck/cceh.json \
+#         [-DRC=1] -P expect_golden.cmake
+if(NOT DEFINED RC)
+  set(RC 0)
+endif()
+get_filename_component(out_dir ${OUT} DIRECTORY)
+file(MAKE_DIRECTORY ${out_dir})
+file(REMOVE ${OUT})
+execute_process(COMMAND ${EXE} ${ARGS} RESULT_VARIABLE rc OUTPUT_QUIET ERROR_VARIABLE err)
+if(NOT rc STREQUAL RC)
+  message(FATAL_ERROR "${EXE} ${ARGS}: exit '${rc}', want ${RC}\n${err}")
+endif()
+execute_process(COMMAND ${CMAKE_COMMAND} -E compare_files ${OUT} ${GOLDEN} RESULT_VARIABLE diff)
+if(NOT diff EQUAL 0)
+  message(FATAL_ERROR "${EXE} ${ARGS}: ${OUT} differs from ${GOLDEN}")
+endif()

@@ -26,7 +26,7 @@ struct McFixture {
 TEST(WpqTest, AcceptanceBeforeDrain) {
   Counters c;
   Wpq wpq({16, 150, 30}, &c);
-  const Wpq::AcceptResult r = wpq.Accept(1000, 0);
+  const Wpq::AcceptResult r = wpq.Accept(1000);
   EXPECT_EQ(r.accepted_at, 1150u);
   EXPECT_EQ(r.drained_at, 1180u);
 }
@@ -34,8 +34,8 @@ TEST(WpqTest, AcceptanceBeforeDrain) {
 TEST(WpqTest, DrainSerializes) {
   Counters c;
   Wpq wpq({16, 150, 30}, &c);
-  const Wpq::AcceptResult a = wpq.Accept(0, 0);
-  const Wpq::AcceptResult b = wpq.Accept(0, 0);
+  const Wpq::AcceptResult a = wpq.Accept(0);
+  const Wpq::AcceptResult b = wpq.Accept(0);
   EXPECT_EQ(b.drained_at, a.drained_at + 30);
 }
 
@@ -44,10 +44,10 @@ TEST(WpqTest, FullQueueStallsAcceptance) {
   Wpq wpq({4, 10, 100}, &c);
   Cycles last_accept = 0;
   for (int i = 0; i < 4; ++i) {
-    last_accept = wpq.Accept(0, 0).accepted_at;
+    last_accept = wpq.Accept(0).accepted_at;
   }
   EXPECT_EQ(c.wpq_stall_cycles, 0u);
-  const Wpq::AcceptResult r = wpq.Accept(0, 0);  // 5th entry: queue full
+  const Wpq::AcceptResult r = wpq.Accept(0);  // 5th entry: queue full
   EXPECT_GT(c.wpq_stall_cycles, 0u);
   EXPECT_GT(r.accepted_at, last_accept);
 }
@@ -59,15 +59,15 @@ TEST(WpqTest, FullQueueRetainsEntriesUntilDrainTime) {
   // most. Entries must retire at their drain time, not at stall start.
   Counters c;
   Wpq wpq({2, 10, 100}, &c);
-  const Wpq::AcceptResult a = wpq.Accept(0, 0);  // drains at 110
-  const Wpq::AcceptResult b = wpq.Accept(0, 0);  // drains at 210
+  const Wpq::AcceptResult a = wpq.Accept(0);  // drains at 110
+  const Wpq::AcceptResult b = wpq.Accept(0);  // drains at 210
   EXPECT_EQ(a.drained_at, 110u);
   EXPECT_EQ(b.drained_at, 210u);
   EXPECT_EQ(wpq.OccupancyAt(50), 2u);
 
   // Third store at t=0: the queue is full, so acceptance waits for the front
   // entry's drain at 110 and exactly that entry retires then.
-  const Wpq::AcceptResult r = wpq.Accept(0, 0);
+  const Wpq::AcceptResult r = wpq.Accept(0);
   EXPECT_EQ(c.wpq_stall_cycles, 110u);
   EXPECT_EQ(r.accepted_at, 120u);   // stall end + accept latency
   EXPECT_EQ(r.drained_at, 310u);    // serialized behind entry b's drain
@@ -84,12 +84,12 @@ TEST(WpqTest, StallTimingUnchangedByRetireAtDrain) {
   // stores still pipeline at one drain per drain_latency.
   Counters c;
   Wpq wpq({2, 10, 100}, &c);
-  wpq.Accept(0, 0);
-  wpq.Accept(0, 0);
+  wpq.Accept(0);
+  wpq.Accept(0);
   Cycles prev_accept = 0;
   Cycles prev_drain = 0;
   for (int i = 0; i < 4; ++i) {
-    const Wpq::AcceptResult r = wpq.Accept(0, 0);
+    const Wpq::AcceptResult r = wpq.Accept(0);
     if (i > 0) {
       EXPECT_EQ(r.accepted_at - prev_accept, 100u) << i;  // one drain period
       EXPECT_EQ(r.drained_at - prev_drain, 100u) << i;
@@ -102,16 +102,16 @@ TEST(WpqTest, StallTimingUnchangedByRetireAtDrain) {
 TEST(WpqTest, BackpressureDelaysDrains) {
   Counters c;
   Wpq wpq({16, 10, 30}, &c);
-  wpq.Accept(0, 0);
+  wpq.Accept(0);
   wpq.DelayDrain(5000);
-  const Wpq::AcceptResult r = wpq.Accept(0, 0);
+  const Wpq::AcceptResult r = wpq.Accept(0);
   EXPECT_GE(r.drained_at, 5030u);
 }
 
 TEST(WpqTest, OccupancyTracksTime) {
   Counters c;
   Wpq wpq({16, 10, 100}, &c);
-  const Wpq::AcceptResult r = wpq.Accept(0, 0);
+  const Wpq::AcceptResult r = wpq.Accept(0);
   EXPECT_EQ(wpq.OccupancyAt(0), 1u);
   EXPECT_EQ(wpq.OccupancyAt(r.drained_at), 0u);
 }

@@ -114,23 +114,6 @@ class TimelineSlotGuard {
   std::string* slot_;
 };
 
-std::vector<std::string> SplitCsv(const std::string& s) {
-  std::vector<std::string> out;
-  size_t start = 0;
-  while (start <= s.size()) {
-    const size_t comma = s.find(',', start);
-    const size_t end = comma == std::string::npos ? s.size() : comma;
-    if (end > start) {
-      out.push_back(s.substr(start, end - start));
-    }
-    if (comma == std::string::npos) {
-      break;
-    }
-    start = comma + 1;
-  }
-  return out;
-}
-
 void EmitScope(pmemsim_bench::SweepPoint& point, const ServeCliConfig& cli,
                const std::string& mix, LoopMode loop, const std::string& scope,
                const ServiceStats& stats, Cycles serve_start) {
@@ -253,10 +236,7 @@ int main(int argc, char** argv) {
   }
   cli.serve.store = *store;
 
-  cli.mixes = SplitCsv(flags.Get("mixes", "a,b,c,d,e,f"));
-  if (cli.mixes.empty()) {
-    pmemsim_bench::Flags::BadValue("mixes", flags.Get("mixes", ""), "comma list of a..f");
-  }
+  cli.mixes = flags.GetList("mixes", "a,b,c,d,e,f");
   for (const std::string& mix : cli.mixes) {
     if (!MixByName(mix)) {
       pmemsim_bench::Flags::BadValue("mixes", mix, "YCSB core mix a..f");
