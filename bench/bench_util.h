@@ -1,12 +1,13 @@
-// Shared helpers for the figure-regeneration benches: tiny flag parsing, CSV
-// emission, and the structured-telemetry flags every bench accepts:
+// Shared helpers for the benches and tools: tiny flag parsing, the typed
+// result rows, and the structured-telemetry flags every binary accepts:
 //
-//   --stats_json=<path>    write the bench's rows as machine-readable JSON
+//   --stats_json=<path>    write the binary's rows as machine-readable JSON
 //                          (consumed by scripts/check_figures.py in CI)
 //   --trace_out=<path>     emit a chrome://tracing event file for the run
 //
-// Every bench prints a header comment naming the paper figure, then CSV rows
-// matching the figure's axes; the same rows go into the JSON report.
+// Every binary prints a "# <name> — <description>" header, then declares its
+// CSV columns and emits typed rows against them: BenchReport renders each row
+// as the CSV line on stdout and the --stats_json row from the same cells.
 
 #ifndef BENCH_BENCH_UTIL_H_
 #define BENCH_BENCH_UTIL_H_
@@ -267,12 +268,16 @@ inline bool WriteFile(const std::string& path, const std::string& text) {
   return true;
 }
 
-// Collects the bench's result rows and writes them as JSON when the user
+// Collects the binary's result rows and writes them as JSON when the user
 // passed --stats_json. Also enables the chrome-trace emitter for --trace_out.
 //
-//   BenchReport report(flags, "fig02_read_buffer");
-//   report.AddRow().Set("gen", "G1").Set("wss_kb", kb).Set("read_amplification", ra);
+//   BenchReport report(flags, "perf_serve");
+//   report.DeclareColumns({"workload", "threads", "speedup_vs_1t"});
+//   report.Emit(Row().Set("workload", name).Set("threads", t).Set("speedup_vs_1t", x, 2));
 //   return report.Finish();   // from main()
+//
+// Rows made inside a sweep point go through SweepPoint::Emit instead, which
+// the sweep runner hands to Emit in submission order.
 class BenchReport {
  public:
   // One result row: named, typed cells in column order. The JSON report
@@ -280,20 +285,19 @@ class BenchReport {
   class Row {
    public:
     Row& Set(const char* name, const std::string& v) {
-      cells_.emplace_back(name, Cell{Cell::kString, 0, 0.0, kNoPrecision, v});
+      cells_.emplace_back(name, Cell{Cell::kString, 0, 0.0, 0, v});
       return *this;
     }
     Row& Set(const char* name, const char* v) { return Set(name, std::string(v)); }
-    // A double for the JSON report only. Rows for SweepPoint::Emit use the
-    // overload below, which also fixes the CSV digits.
-    Row& Set(const char* name, double v) { return Set(name, v, kNoPrecision); }
-    // A double that prints in CSV as %.<precision>f.
+    // A double that prints in CSV as %.<precision>f. A double always names
+    // its precision: there is no overload without one.
     Row& Set(const char* name, double v, int precision) {
       cells_.emplace_back(name, Cell{Cell::kDouble, 0, v, precision, {}});
       return *this;
     }
+    Row& Set(const char* name, double v) = delete;
     Row& Set(const char* name, uint64_t v) {
-      cells_.emplace_back(name, Cell{Cell::kUint, v, 0.0, kNoPrecision, {}});
+      cells_.emplace_back(name, Cell{Cell::kUint, v, 0.0, 0, {}});
       return *this;
     }
     Row& Set(const char* name, int v) { return Set(name, static_cast<uint64_t>(v)); }
@@ -305,8 +309,9 @@ class BenchReport {
                         [](const auto& cell, const std::string& c) { return cell.first == c; });
     }
 
-    // The cells as one CSV line: a uint as %llu, a string as %s, a double as
-    // %.<precision>f. A double cell without a precision fails a CHECK.
+    // The cells as one CSV line: a uint as %llu, a double as %.<precision>f
+    // and a string as is, or (RFC 4180) in double quotes with each inner
+    // quote doubled when it holds a comma, a quote or a line break.
     std::string Csv() const {
       std::string line;
       for (const auto& [name, cell] : cells_) {
@@ -318,7 +323,6 @@ class BenchReport {
             line += std::to_string(cell.u);
             break;
           case Cell::kDouble: {
-            PMEMSIM_CHECK_MSG(cell.precision != kNoPrecision, name.c_str());
             const int n = std::snprintf(nullptr, 0, "%.*f", cell.precision, cell.d);
             const size_t old = line.size();
             line.resize(old + static_cast<size_t>(n) + 1);
@@ -327,7 +331,18 @@ class BenchReport {
             break;
           }
           case Cell::kString:
-            line += cell.s;
+            if (cell.s.find_first_of(",\"\r\n") == std::string::npos) {
+              line += cell.s;
+              break;
+            }
+            line.push_back('"');
+            for (const char c : cell.s) {
+              if (c == '"') {
+                line.push_back('"');
+              }
+              line.push_back(c);
+            }
+            line.push_back('"');
             break;
         }
       }
@@ -337,7 +352,6 @@ class BenchReport {
 
    private:
     friend class BenchReport;
-    static constexpr int kNoPrecision = -1;
     struct Cell {
       enum Kind { kUint, kDouble, kString } kind;
       uint64_t u;
@@ -362,18 +376,27 @@ class BenchReport {
     }
   }
 
-  Row& AddRow() {
-    rows_.emplace_back();
-    return rows_.back();
+  // Declares the columns of the rows Emit() takes from here on and prints
+  // them as the CSV column line. A binary with two row shapes declares each
+  // before its rows.
+  void DeclareColumns(std::vector<std::string> columns) {
+    columns_ = std::move(columns);
+    std::string line;
+    for (const std::string& column : columns_) {
+      line += (line.empty() ? "" : ",") + column;
+    }
+    std::printf("%s\n", line.c_str());
   }
 
-  // Appends rows built elsewhere (the sweep runner collects each point's rows
-  // on a worker thread and splices them in deterministic point order).
-  void AppendRows(std::vector<Row>&& rows) {
-    for (Row& row : rows) {
-      rows_.push_back(std::move(row));
-    }
-    rows.clear();
+  const std::vector<std::string>& columns() const { return columns_; }
+
+  // Prints `row` as its CSV line and adds it to the report. The row's cell
+  // names must equal the declared columns.
+  void Emit(Row row) {
+    PMEMSIM_CHECK_MSG(row.HasColumns(columns_), "row keys differ from the declared columns");
+    const std::string line = row.Csv();
+    std::fwrite(line.data(), 1, line.size(), stdout);
+    rows_.push_back(std::move(row));
   }
 
   // Attaches a labelled counter snapshot (e.g. the final system counters).
@@ -446,8 +469,19 @@ class BenchReport {
   }
 
  private:
+  friend class SweepRunner;
+
+  // The sweep runner's row for a failed point, outside the declared
+  // columns: "error,<label>" on stdout, {"point", "error"} in the report.
+  void EmitError(const std::string& label, const std::string& message) {
+    std::printf("error,%s\n", label.c_str());
+    rows_.emplace_back();
+    rows_.back().Set("point", label).Set("error", message);
+  }
+
   std::string bench_name_;
   std::string stats_path_;
+  std::vector<std::string> columns_;
   bool trace_enabled_ = false;
   std::vector<Row> rows_;
   std::vector<std::pair<std::string, pmemsim::Counters>> counters_;

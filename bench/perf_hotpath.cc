@@ -7,11 +7,11 @@
 // baseline (BENCH_hotpath.json at the repo root) that CI's perf-smoke job
 // gates against scripts/check_perf.py with a generous regression margin.
 //
-// Output: CSV  workload,ops,wall_ms,sim_mops_per_sec,cycles_per_op
-//
-// Per-layer context goes into the JSON rows: simulated cycles, stall-cycle
-// shares (RAP + WPQ), and the media/AIT traffic the ops generated — enough to
-// see *where* simulated time and wall time go when the trajectory moves.
+// One row per workload, the same cells in the CSV and the JSON: the median
+// wall time and throughput plus per-layer context — simulated cycles,
+// stall-cycle shares (RAP + WPQ), and the media/AIT traffic the ops
+// generated — enough to see *where* simulated time and wall time go when the
+// trajectory moves.
 
 #include <algorithm>
 #include <chrono>
@@ -175,7 +175,8 @@ int main(int argc, char** argv) {
         "usage: perf_hotpath [--quick] [--ops_scale=<pct>] [--workload=<name>] [--reps=<n>]\n"
         "  --quick          1/16 of the default op counts (the CI perf-smoke mode)\n"
         "  --ops_scale=N    scale default op counts to N%% (overrides --quick)\n"
-        "  --workload=name  run only one of: seq_load rand_load chase ntstore cceh_mixed\n"
+        "  --workload=name  all (default) or one of: seq_load rand_load chase ntstore\n"
+        "                   cceh_mixed\n"
         "  --reps=N         repetitions per workload (default 5), interleaved\n"
         "                   round-robin so ambient host load drifts across all\n"
         "                   workloads equally; reported throughput is the median\n"
@@ -183,13 +184,6 @@ int main(int argc, char** argv) {
         pmemsim_bench::kTelemetryFlagsHelp);
     return 0;
   }
-  const bool quick = flags.Has("quick");
-  const uint64_t ops_scale = flags.GetU64("ops_scale", quick ? 100 / 16 : 100);
-  const uint64_t reps = std::max<uint64_t>(1, flags.GetU64("reps", 5));
-  const std::string only = flags.Get("workload", "");
-  pmemsim_bench::BenchReport report(flags, "perf_hotpath", "BENCH_hotpath.json");
-  flags.RejectUnknown();
-
   struct Spec {
     const char* name;
     uint64_t default_ops;
@@ -200,18 +194,22 @@ int main(int argc, char** argv) {
       {"chase", 1'000'000, RunChase},            {"ntstore", 2'000'000, RunNtStore},
       {"cceh_mixed", 1'000'000, RunCcehMixed},
   };
-  if (!only.empty()) {
-    bool known = false;
-    for (const Spec& s : specs) {
-      known |= only == s.name;
-    }
-    if (!known) {
-      pmemsim_bench::Flags::BadValue("workload", only, "a known workload name");
-    }
+  std::vector<std::string> names = {"all"};
+  for (const Spec& s : specs) {
+    names.push_back(s.name);
   }
+  const bool quick = flags.Has("quick");
+  const uint64_t ops_scale = flags.GetU64("ops_scale", quick ? 100 / 16 : 100);
+  const uint64_t reps = flags.GetPositiveU64("reps", 5);
+  const std::string only = flags.GetChoice("workload", "all", names);
+  pmemsim_bench::BenchReport report(flags, "perf_hotpath", "BENCH_hotpath.json");
+  flags.RejectUnknown();
 
   pmemsim_bench::PrintHeader("perf_hotpath", "simulated-ops-per-wall-second engine throughput");
-  std::printf("workload,ops,wall_ms,sim_mops_per_sec,cycles_per_op\n");
+  report.DeclareColumns({"workload", "ops", "reps", "wall_ms", "sim_mops_per_sec", "sim_cycles",
+                         "cycles_per_op", "rap_stall_share", "wpq_stall_share",
+                         "media_read_bytes", "media_write_bytes", "ait_misses",
+                         "read_buffer_hit_ratio", "write_buffer_hit_ratio"});
   int rc = 0;
 
   // Interleaved repetitions: run rep 0 of every workload, then rep 1, and so
@@ -222,7 +220,7 @@ int main(int argc, char** argv) {
   std::vector<std::vector<WorkloadResult>> samples(specs.size());
   for (uint64_t rep = 0; rep < reps; ++rep) {
     for (size_t si = 0; si < specs.size(); ++si) {
-      if (!only.empty() && only != specs[si].name) {
+      if (only != "all" && only != specs[si].name) {
         continue;
       }
       const uint64_t ops = std::max<uint64_t>(1, specs[si].default_ops * ops_scale / 100);
@@ -260,28 +258,28 @@ int main(int argc, char** argv) {
     const double mops = static_cast<double>(r.ops) / wall_sec / 1e6;
     const double cycles_per_op =
         static_cast<double>(r.sim_cycles) / static_cast<double>(r.ops);
-    std::printf("%s,%llu,%.1f,%.3f,%.1f\n", spec.name, static_cast<unsigned long long>(r.ops),
-                wall_sec * 1e3, mops, cycles_per_op);
     const double sim_cycles = static_cast<double>(r.sim_cycles);
-    report.AddRow()
-        .Set("workload", spec.name)
-        .Set("ops", r.ops)
-        .Set("reps", reps)
-        .Set("wall_ms", wall_sec * 1e3)
-        .Set("sim_mops_per_sec", mops)
-        .Set("sim_cycles", r.sim_cycles)
-        .Set("cycles_per_op", cycles_per_op)
-        .Set("rap_stall_share", sim_cycles > 0
-                                    ? static_cast<double>(r.delta.rap_stall_cycles) / sim_cycles
-                                    : 0.0)
-        .Set("wpq_stall_share", sim_cycles > 0
-                                    ? static_cast<double>(r.delta.wpq_stall_cycles) / sim_cycles
-                                    : 0.0)
-        .Set("media_read_bytes", r.delta.media_read_bytes)
-        .Set("media_write_bytes", r.delta.media_write_bytes)
-        .Set("ait_misses", r.delta.ait_misses)
-        .Set("read_buffer_hit_ratio", r.delta.ReadBufferHitRatio())
-        .Set("write_buffer_hit_ratio", r.delta.WriteBufferHitRatio());
+    report.Emit(pmemsim_bench::Row()
+                    .Set("workload", spec.name)
+                    .Set("ops", r.ops)
+                    .Set("reps", reps)
+                    .Set("wall_ms", wall_sec * 1e3, 1)
+                    .Set("sim_mops_per_sec", mops, 3)
+                    .Set("sim_cycles", r.sim_cycles)
+                    .Set("cycles_per_op", cycles_per_op, 1)
+                    .Set("rap_stall_share",
+                         sim_cycles > 0 ? static_cast<double>(r.delta.rap_stall_cycles) / sim_cycles
+                                        : 0.0,
+                         4)
+                    .Set("wpq_stall_share",
+                         sim_cycles > 0 ? static_cast<double>(r.delta.wpq_stall_cycles) / sim_cycles
+                                        : 0.0,
+                         4)
+                    .Set("media_read_bytes", r.delta.media_read_bytes)
+                    .Set("media_write_bytes", r.delta.media_write_bytes)
+                    .Set("ait_misses", r.delta.ait_misses)
+                    .Set("read_buffer_hit_ratio", r.delta.ReadBufferHitRatio(), 4)
+                    .Set("write_buffer_hit_ratio", r.delta.WriteBufferHitRatio(), 4));
   }
   const int finish_rc = report.Finish();
   return rc != 0 ? rc : finish_rc;

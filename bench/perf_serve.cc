@@ -5,7 +5,8 @@
 // (BENCH_serve.json at the repo root) that CI's perf-smoke job gates with
 // scripts/check_perf.py.
 //
-// Output: CSV  workload,threads,ops,wall_ms,sim_mops_per_sec,speedup_vs_1t
+// One row per thread count, the same cells in the CSV and the JSON:
+// workload,threads,reps,ops,wall_ms,sim_mops_per_sec,speedup_vs_1t
 //
 // The harness is also a determinism gate in its own right: every rep at every
 // thread count must produce a byte-identical tier report (DomainTier::ToJson),
@@ -72,7 +73,7 @@ int main(int argc, char** argv) {
   }
   const bool quick = flags.Has("quick");
   const uint64_t ops_scale = flags.GetU64("ops_scale", quick ? 100 / 8 : 100);
-  const uint64_t reps = std::max<uint64_t>(1, flags.GetU64("reps", 3));
+  const uint64_t reps = flags.GetPositiveU64("reps", 3);
   std::vector<uint32_t> threads;
   for (const uint64_t t : flags.GetPositiveU64List("threads", "1,4")) {
     if (t > UINT32_MAX) {
@@ -97,7 +98,8 @@ int main(int argc, char** argv) {
 
   pmemsim_bench::PrintHeader("perf_serve",
                              "partitioned-engine scaling: simulated serving ops per wall second");
-  std::printf("workload,threads,ops,wall_ms,sim_mops_per_sec,speedup_vs_1t\n");
+  report.DeclareColumns(
+      {"workload", "threads", "reps", "ops", "wall_ms", "sim_mops_per_sec", "speedup_vs_1t"});
   int rc = 0;
 
   // Interleaved repetitions (rep 0 of every thread count, then rep 1, ...) so
@@ -148,16 +150,14 @@ int main(int argc, char** argv) {
     const double speedup = base_mops > 0.0 ? mops / base_mops : 0.0;
     char name[32];
     std::snprintf(name, sizeof(name), "serve_et%u", threads[ti]);
-    std::printf("%s,%u,%llu,%.1f,%.3f,%.2f\n", name, threads[ti],
-                static_cast<unsigned long long>(first.completed), wall_sec * 1e3, mops, speedup);
-    report.AddRow()
-        .Set("workload", name)
-        .Set("threads", threads[ti])
-        .Set("reps", reps)
-        .Set("ops", first.completed)
-        .Set("wall_ms", wall_sec * 1e3)
-        .Set("sim_mops_per_sec", mops)
-        .Set("speedup_vs_1t", speedup);
+    report.Emit(pmemsim_bench::Row()
+                    .Set("workload", name)
+                    .Set("threads", threads[ti])
+                    .Set("reps", reps)
+                    .Set("ops", first.completed)
+                    .Set("wall_ms", wall_sec * 1e3, 1)
+                    .Set("sim_mops_per_sec", mops, 3)
+                    .Set("speedup_vs_1t", speedup, 2));
   }
   const int finish_rc = report.Finish();
   return rc != 0 ? rc : finish_rc;

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <condition_variable>
-#include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
 #include <exception>
@@ -15,32 +14,10 @@
 
 namespace pmemsim_bench {
 
-void SweepPoint::Printf(const char* fmt, ...) {
-  va_list args;
-  va_start(args, fmt);
-  va_list args_copy;
-  va_copy(args_copy, args);
-  const int n = std::vsnprintf(nullptr, 0, fmt, args);
-  va_end(args);
-  if (n > 0) {
-    const size_t old = text_.size();
-    text_.resize(old + static_cast<size_t>(n) + 1);
-    std::vsnprintf(&text_[old], static_cast<size_t>(n) + 1, fmt, args_copy);
-    text_.resize(old + static_cast<size_t>(n));  // drop the NUL
-  }
-  va_end(args_copy);
-}
-
-BenchReport::Row& SweepPoint::AddRow() {
-  rows_.emplace_back();
-  return rows_.back();
-}
-
-void SweepPoint::Emit(const BenchReport::Row& row) {
+void SweepPoint::Emit(BenchReport::Row row) {
   PMEMSIM_CHECK_MSG(columns_ != nullptr && row.HasColumns(*columns_),
                     "row keys differ from the declared columns");
-  text_ += row.Csv();
-  rows_.push_back(row);
+  rows_.push_back(std::move(row));
 }
 
 SweepRunner::SweepRunner(const Flags& flags) {
@@ -56,15 +33,6 @@ SweepRunner::SweepRunner(const Flags& flags) {
 
 void SweepRunner::Add(std::string label, std::function<void(SweepPoint&)> fn) {
   points_.push_back(Point{std::move(label), std::move(fn)});
-}
-
-void SweepRunner::DeclareColumns(std::vector<std::string> columns) {
-  columns_ = std::move(columns);
-  std::string line;
-  for (const std::string& column : columns_) {
-    line += (line.empty() ? "" : ",") + column;
-  }
-  std::printf("%s\n", line.c_str());
 }
 
 namespace {
@@ -101,7 +69,7 @@ int SweepRunner::Run(BenchReport& report) {
 
   std::vector<PointState> states(points_.size());
   for (PointState& state : states) {
-    state.output.columns_ = &columns_;
+    state.output.columns_ = &report.columns();
   }
 
   // Deterministic emission: submission order, whatever the completion order.
@@ -112,13 +80,11 @@ int SweepRunner::Run(BenchReport& report) {
       ++failures;
       std::fprintf(stderr, "sweep point failed: %s: %s\n", points_[i].label.c_str(),
                    state.error.c_str());
-      std::printf("error,%s\n", points_[i].label.c_str());
-      report.AddRow().Set("point", points_[i].label).Set("error", state.error);
+      report.EmitError(points_[i].label, state.error);
     } else {
-      if (!state.output.text_.empty()) {
-        std::fwrite(state.output.text_.data(), 1, state.output.text_.size(), stdout);
+      for (BenchReport::Row& row : state.output.rows_) {
+        report.Emit(std::move(row));
       }
-      report.AppendRows(std::move(state.output.rows_));
     }
     std::fflush(stdout);
   };
@@ -173,15 +139,17 @@ int SweepRunner::Run(BenchReport& report) {
       t.join();
     }
   }
+  failures_ = failures;
   return failures;
 }
 
 int SweepRunner::Finish(BenchReport& report) {
-  const size_t total = points_.size();
-  const int failures = Run(report);
+  if (!ran_) {
+    Run(report);
+  }
   const int report_rc = report.Finish();
-  if (failures > 0) {
-    std::fprintf(stderr, "sweep: %d of %zu points failed\n", failures, total);
+  if (failures_ > 0) {
+    std::fprintf(stderr, "sweep: %d of %zu points failed\n", failures_, points_.size());
     return 1;
   }
   return report_rc;
@@ -201,9 +169,7 @@ SweepRunner& Sweep::Start(const char* figure, const char* description,
   runner_.emplace(flags_);
   flags_.RejectUnknown();
   PrintHeader(figure, description);
-  if (!columns.empty()) {
-    runner_->DeclareColumns(std::move(columns));
-  }
+  report_->DeclareColumns(std::move(columns));
   return *runner_;
 }
 

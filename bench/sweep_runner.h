@@ -1,13 +1,14 @@
-// Work-sharded sweep runner for the figure benches.
+// Work-sharded sweep runner for the benches and tools.
 //
-// Every fig*/ablation_*/sec33_* bench is a sweep over independent points
-// (one simulated System per point, fixed seeds), so the points can run on
+// Every fig*/ablation_*/sec33_* bench, and the probe, crashcheck, serve and
+// trace record|replay tools, is a sweep over independent points (one
+// simulated System per point, fixed seeds), so the points can run on
 // --jobs=N OS worker threads. The runner keeps the observable outputs
 // identical to a serial run:
 //
-//  * each point's stdout text and report rows are buffered on the worker and
-//    emitted in submission order, regardless of completion order — the CSV
-//    stream and the --stats_json file are byte-identical at any --jobs;
+//  * each point's rows are buffered on the worker and emitted in submission
+//    order, regardless of completion order — the CSV stream and the
+//    --stats_json file are byte-identical at any --jobs;
 //  * a point that throws (or fails a PMEMSIM_CHECK — workers run inside a
 //    ScopedCheckCapture) is isolated: the sweep continues, the point emits an
 //    error row {"point": label, "error": message}, an "error," CSV line, and
@@ -16,12 +17,13 @@
 // Tracing (--trace_out) uses the process-wide TraceEmitter whose event order
 // would depend on worker interleaving, so tracing runs are pinned to one job.
 //
-// A bench declares its CSV columns once; SweepPoint::Emit renders each row as
-// the CSV line and the --stats_json row together, so the two cannot drift. A
-// row whose cell names differ from the declared columns fails a CHECK, which
-// the runner turns into that point's error row.
+// A binary declares its CSV columns once; SweepPoint::Emit buffers each row,
+// and the runner hands it to BenchReport::Emit, which prints the CSV line and
+// keeps the --stats_json row, so the two cannot drift. A row whose cell names
+// differ from the declared columns fails a CHECK on the worker, which the
+// runner turns into that point's error row.
 //
-// Usage: a sweep bench's main() goes through the Sweep front end.
+// Usage: a sweep binary's main() goes through the Sweep front end.
 //
 //   int main(int argc, char** argv) {
 //     pmemsim_bench::Sweep sweep(argc, argv, "fig04_write_buffer_hit",
@@ -38,6 +40,10 @@
 //       });
 //     return sweep.Finish();
 //   }
+//
+// A binary that also has rows made outside any point (crashcheck's summary)
+// runs the points with runner.Run(sweep.report()), then declares the second
+// column set and emits those rows on sweep.report(), then calls Finish().
 
 #ifndef BENCH_SWEEP_RUNNER_H_
 #define BENCH_SWEEP_RUNNER_H_
@@ -52,23 +58,16 @@
 
 namespace pmemsim_bench {
 
-// Per-point output collector. Methods are called from the worker running the
-// point; the runner emits the buffered output in submission order.
+// Per-point output collector. Emit is called from the worker running the
+// point; the runner emits the buffered rows in submission order.
 class SweepPoint {
  public:
-  // Buffers printf-formatted text destined for stdout (the CSV rows).
-  void Printf(const char* fmt, ...) __attribute__((format(printf, 2, 3)));
-
-  // Buffers a row destined for the bench's --stats_json report.
-  BenchReport::Row& AddRow();
-
-  // Buffers `row` as both the CSV line (Row::Csv) and the report row. The
-  // row's cell names must equal the runner's declared columns.
-  void Emit(const BenchReport::Row& row);
+  // Buffers `row` for the CSV stream and the --stats_json report. The row's
+  // cell names must equal the declared columns.
+  void Emit(BenchReport::Row row);
 
  private:
   friend class SweepRunner;
-  std::string text_;
   std::vector<BenchReport::Row> rows_;
   const std::vector<std::string>* columns_ = nullptr;
 };
@@ -85,16 +84,14 @@ class SweepRunner {
   // it creates (each point constructs its own System).
   void Add(std::string label, std::function<void(SweepPoint&)> fn);
 
-  // Declares the CSV columns every SweepPoint::Emit row must carry, and
-  // prints them as the column line.
-  void DeclareColumns(std::vector<std::string> columns);
-
-  // Runs all queued points across the worker threads; emits text and rows in
-  // submission order. Returns the number of failed points.
+  // Runs all queued points across the worker threads and emits their rows
+  // on `report`, against its declared columns, in submission order. Returns
+  // the number of failed points.
   int Run(BenchReport& report);
 
-  // Run() + failure summary + report.Finish(). Returns the process exit code:
-  // nonzero when any point failed or the report could not be written.
+  // Run() unless it already ran, then the failure summary and
+  // report.Finish(). Returns the process exit code: nonzero when any point
+  // failed or the report could not be written.
   int Finish(BenchReport& report);
 
   uint32_t jobs() const { return jobs_; }
@@ -107,15 +104,15 @@ class SweepRunner {
 
   uint32_t jobs_ = 1;
   std::vector<Point> points_;
-  std::vector<std::string> columns_;
   bool ran_ = false;
+  int failures_ = 0;
 };
 
-// The front end every sweep bench's main() shares. The constructor answers
-// --help (usage line plus kTelemetryFlagsHelp, exit 0); the bench then reads
+// The front end every sweep binary's main() shares. The constructor answers
+// --help (usage line plus kTelemetryFlagsHelp, exit 0); the binary then reads
 // its own flags through flags(); Start() builds the BenchReport (first, so
-// --trace_out pins --jobs) and the SweepRunner, rejects unknown flags and
-// prints the "# <figure> — <description>" header and the column line.
+// --trace_out pins --jobs) and the SweepRunner, rejects unknown flags, prints
+// the "# <figure> — <description>" header and declares the columns.
 class Sweep {
  public:
   // `usage_args` follows "usage: <bench_name>" in the --help text.
@@ -123,11 +120,14 @@ class Sweep {
 
   const Flags& flags() const { return flags_; }
 
-  // `columns` empty: the bench prints free-form lines and declares none.
   SweepRunner& Start(const char* figure, const char* description,
                      std::vector<std::string> columns);
 
-  // Runs the points and writes the report; returns the process exit code.
+  // The report, for JSON sections and for rows made outside a point.
+  BenchReport& report() { return *report_; }
+
+  // Runs the points unless the runner already ran them and writes the
+  // report; returns the process exit code.
   int Finish();
 
  private:

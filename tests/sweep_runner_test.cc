@@ -59,11 +59,11 @@ SweepResult RunStaggeredSweep(uint32_t jobs, const std::string& stats_path) {
       for (uint64_t k = 0; k < (12u - static_cast<uint64_t>(i)) * 20000u; ++k) {
         sink = sink + k;
       }
-      point.Printf("point,%d,%llu\n", i, static_cast<unsigned long long>(sink % 7));
-      point.AddRow().Set("index", i).Set("label", "p" + std::to_string(i));
+      point.Emit(Row().Set("kind", "point").Set("index", i).Set("sink", sink % 7));
     });
   }
   testing::internal::CaptureStdout();
+  report.DeclareColumns({"kind", "index", "sink"});
   const int rc = runner.Finish(report);
   SweepResult r;
   r.out = testing::internal::GetCapturedStdout();
@@ -78,12 +78,18 @@ TEST(SweepRunnerTest, ParallelOutputMatchesSerialByteForByte) {
   const SweepResult sharded = RunStaggeredSweep(4, dir + "/sweep_j4.json");
   EXPECT_EQ(serial.rc, 0);
   EXPECT_EQ(sharded.rc, 0);
-  EXPECT_FALSE(serial.out.empty());
-  EXPECT_EQ(serial.out, sharded.out);
-  EXPECT_FALSE(serial.stats.empty());
-  EXPECT_EQ(serial.stats, sharded.stats);
   // Submission order, not completion order: p0 (slowest) still prints first.
-  EXPECT_EQ(serial.out.rfind("point,0,", 0), 0u);
+  // The rows print as "point,%d,%llu" did.
+  EXPECT_EQ(serial.out,
+            "kind,index,sink\n"
+            "point,0,3\npoint,1,6\npoint,2,3\npoint,3,1\npoint,4,0\npoint,5,0\n"
+            "point,6,1\npoint,7,3\npoint,8,6\npoint,9,3\npoint,10,1\npoint,11,0\n");
+  EXPECT_EQ(serial.out, sharded.out);
+  EXPECT_EQ(serial.stats.rfind("{\"schema_version\":1,\"bench\":\"sweep_runner_test\",\"rows\":"
+                               "[{\"kind\":\"point\",\"index\":0,\"sink\":3},",
+                               0),
+            0u);
+  EXPECT_EQ(serial.stats, sharded.stats);
 }
 
 TEST(SweepRunnerTest, ThrowingPointIsIsolated) {
@@ -92,24 +98,23 @@ TEST(SweepRunnerTest, ThrowingPointIsIsolated) {
   SweepRunner runner(flags);
   int survivors = 0;
   runner.Add("ok_before", [&](SweepPoint& point) {
-    point.Printf("ok_before\n");
+    point.Emit(Row().Set("name", "ok_before"));
     ++survivors;
   });
   runner.Add("boom", [](SweepPoint&) { throw std::runtime_error("deliberate"); });
   runner.Add("ok_after", [&](SweepPoint& point) {
-    point.Printf("ok_after\n");
+    point.Emit(Row().Set("name", "ok_after"));
     ++survivors;
   });
   testing::internal::CaptureStdout();
   testing::internal::CaptureStderr();
+  report.DeclareColumns({"name"});
   const int rc = runner.Finish(report);
   const std::string out = testing::internal::GetCapturedStdout();
   const std::string err = testing::internal::GetCapturedStderr();
   EXPECT_NE(rc, 0);
   EXPECT_EQ(survivors, 2);  // the failure did not stop the sweep
-  EXPECT_NE(out.find("ok_before\n"), std::string::npos);
-  EXPECT_NE(out.find("error,boom\n"), std::string::npos);
-  EXPECT_NE(out.find("ok_after\n"), std::string::npos);
+  EXPECT_EQ(out, "name\nok_before\nerror,boom\nok_after\n");
   EXPECT_NE(err.find("deliberate"), std::string::npos);
 }
 
@@ -118,15 +123,15 @@ TEST(SweepRunnerTest, CheckFailureBecomesErrorRowNotAbort) {
   BenchReport report(flags, "sweep_runner_test");
   SweepRunner runner(flags);
   runner.Add("check_fails", [](SweepPoint&) { PMEMSIM_CHECK_MSG(false, "tripped"); });
-  runner.Add("fine", [](SweepPoint& point) { point.Printf("fine\n"); });
+  runner.Add("fine", [](SweepPoint& point) { point.Emit(Row().Set("name", "fine")); });
   testing::internal::CaptureStdout();
   testing::internal::CaptureStderr();
+  report.DeclareColumns({"name"});
   const int rc = runner.Finish(report);
   const std::string out = testing::internal::GetCapturedStdout();
   testing::internal::GetCapturedStderr();
   EXPECT_NE(rc, 0);
-  EXPECT_NE(out.find("error,check_fails\n"), std::string::npos);
-  EXPECT_NE(out.find("fine\n"), std::string::npos);
+  EXPECT_EQ(out, "name\nerror,check_fails\nfine\n");
 }
 
 TEST(SweepRunnerTest, JobsZeroClampsToOne) {
@@ -156,9 +161,7 @@ SweepResult RunOnePoint(const std::vector<std::string>& columns,
   SweepRunner runner(flags);
   testing::internal::CaptureStdout();
   testing::internal::CaptureStderr();
-  if (!columns.empty()) {
-    runner.DeclareColumns(columns);
-  }
+  report.DeclareColumns(columns);
   runner.Add("point", fn);
   SweepResult r;
   r.rc = runner.Finish(report);
@@ -175,22 +178,6 @@ TEST(SweepPointTest, EmitRendersEachCellKindAsTheOldPrintfAndRow) {
   const double ratio = 0.0005;  // a %.3f rounding edge
   const double cycles = 1234.25;
   const double mops = 2.5;
-  const std::string dir = testing::TempDir();
-  const SweepResult old_style = RunOnePoint(
-      {},
-      [&](SweepPoint& point) {
-        point.Printf("gen,wss_kb,cpx,ratio,cycles,mops\n");
-        point.Printf("%s,%llu,%u,%.3f,%.1f,%.0f\n", gen, static_cast<unsigned long long>(big),
-                     cpx, ratio, cycles, mops);
-        point.AddRow()
-            .Set("gen", gen)
-            .Set("wss_kb", big)
-            .Set("cpx", cpx)
-            .Set("ratio", ratio)
-            .Set("cycles", cycles)
-            .Set("mops", mops);
-      },
-      dir + "/emit_old.json");
   const SweepResult emitted = RunOnePoint(
       {"gen", "wss_kb", "cpx", "ratio", "cycles", "mops"},
       [&](SweepPoint& point) {
@@ -202,13 +189,37 @@ TEST(SweepPointTest, EmitRendersEachCellKindAsTheOldPrintfAndRow) {
                        .Set("cycles", cycles, 1)
                        .Set("mops", mops, 0));
       },
-      dir + "/emit_new.json");
-  EXPECT_EQ(old_style.rc, 0);
+      testing::TempDir() + "/emit_new.json");
   EXPECT_EQ(emitted.rc, 0);
-  // The declared columns are the header line; the row prints as printf did.
-  EXPECT_EQ(emitted.out, old_style.out);
-  EXPECT_EQ(emitted.out.substr(0, emitted.out.find('\n')), "gen,wss_kb,cpx,ratio,cycles,mops");
-  EXPECT_EQ(emitted.stats, old_style.stats);
+  // The declared columns are the header line; the row prints as
+  // printf("%s,%llu,%u,%.3f,%.1f,%.0f\n", ...) did, and the JSON row keeps
+  // every double at full precision.
+  EXPECT_EQ(emitted.out,
+            "gen,wss_kb,cpx,ratio,cycles,mops\n"
+            "G2,18446744073709551615,3,0.001,1234.2,2\n");
+  EXPECT_EQ(emitted.stats,
+            "{\"schema_version\":1,\"bench\":\"sweep_runner_test\",\"rows\":[{\"gen\":\"G2\","
+            "\"wss_kb\":18446744073709551615,\"cpx\":3,\"ratio\":0.00050000000000000001,"
+            "\"cycles\":1234.25,\"mops\":2.5}]}");
+}
+
+TEST(SweepPointTest, StringCellsAreQuotedAsRfc4180) {
+  const SweepResult r = RunOnePoint(
+      {"store", "first_violation", "note"},
+      [](SweepPoint& point) {
+        point.Emit(Row()
+                       .Set("store", "redo")
+                       .Set("first_violation", "redo: target 3 holds 7, want committed 9")
+                       .Set("note", "say \"hi\"\nbye"));
+      },
+      testing::TempDir() + "/emit_quoted.json");
+  EXPECT_EQ(r.rc, 0);
+  EXPECT_EQ(r.out,
+            "store,first_violation,note\n"
+            "redo,\"redo: target 3 holds 7, want committed 9\",\"say \"\"hi\"\"\nbye\"\n");
+  // The JSON keeps the string as is.
+  EXPECT_NE(r.stats.find("\"first_violation\":\"redo: target 3 holds 7, want committed 9\""),
+            std::string::npos);
 }
 
 TEST(SweepPointTest, RowNotMatchingTheColumnsBecomesAnErrorRow) {
@@ -219,7 +230,6 @@ TEST(SweepPointTest, RowNotMatchingTheColumnsBecomesAnErrorRow) {
       {"missing", Row().Set("gen", "G1")},
       {"extra", Row().Set("gen", "G1").Set("value", 1.0, 3).Set("more", 1)},
       {"reordered", Row().Set("value", 1.0, 3).Set("gen", "G1")},
-      {"no_precision", Row().Set("gen", "G1").Set("value", 1.0)},
   };
   for (const auto& [name, row] : bad_rows) {
     const SweepResult r = RunOnePoint(
@@ -234,6 +244,28 @@ TEST(SweepPointTest, RowNotMatchingTheColumnsBecomesAnErrorRow) {
       dir + "/emit_good.json");
   EXPECT_EQ(good.rc, 0);
   EXPECT_EQ(good.out, "gen,value\nG1,1.000\n");
+}
+
+TEST(BenchReportTest, RowsMadeOutsideAPointEmitAgainstTheirOwnColumns) {
+  // A binary with two row shapes (crashcheck's points, then its summary)
+  // declares each column set before its rows.
+  const std::string path = testing::TempDir() + "/report_emit.json";
+  const Flags flags = MakeFlags({"--stats_json=" + path});
+  BenchReport report(flags, "sweep_runner_test");
+  SweepRunner runner(flags);
+  runner.Add("point", [](SweepPoint& point) { point.Emit(Row().Set("point", 7)); });
+  testing::internal::CaptureStdout();
+  report.DeclareColumns({"point"});
+  EXPECT_EQ(runner.Run(report), 0);
+  report.DeclareColumns({"summary", "ratio"});
+  report.Emit(Row().Set("summary", 1).Set("ratio", 0.25, 2));
+  const int rc = runner.Finish(report);  // the points already ran
+  EXPECT_EQ(testing::internal::GetCapturedStdout(), "point\n7\nsummary,ratio\n1,0.25\n");
+  EXPECT_EQ(rc, 0);
+  EXPECT_EQ(ReadFile(path),
+            "{\"schema_version\":1,\"bench\":\"sweep_runner_test\",\"rows\":[{\"point\":7},"
+            "{\"summary\":1,\"ratio\":0.25}]}");
+  EXPECT_DEATH(report.Emit(Row().Set("point", 8)), "row keys differ from the declared columns");
 }
 
 TEST(SweepTest, HelpPrintsUsageAndExitsZero) {

@@ -27,12 +27,12 @@ using pmemsim::Mix64;
 using pmemsim::PersistTracker;
 using pmemsim::PlatformConfig;
 using pmemsim::Rng;
-using pmemsim_bench::BenchReport;
 using pmemsim_bench::Flags;
+using pmemsim_bench::Row;
 using pmemsim_bench::SweepRunner;
 
-constexpr char kUsage[] =
-    "pmemsim_crashcheck: crash-point injection + recovery validation\n"
+constexpr char kUsageArgs[] =
+    " [flags]: crash-point injection + recovery validation\n"
     "  --store=<name>       cceh|fastfair|flatlog|redo|undo (default cceh)\n"
     "  --platform=<name>    g1|g2|g2-eadr (default g1)\n"
     "  --points=<n>         crash points to sample (default 200)\n"
@@ -40,9 +40,7 @@ constexpr char kUsage[] =
     "  --ops=<n>            workload operations (default 2000)\n"
     "  --tear=<mode>        word|subword in-flight tear granularity\n"
     "  --break_persist      drop the cceh commit barrier (self-test: must\n"
-    "                       produce violations)\n"
-    "  --jobs=<n>           worker threads, one workload pass each (output is\n"
-    "                       identical at any -j)\n";
+    "                       produce violations)";
 
 // Validation totals of one chunk of the sample.
 struct ChunkTotals {
@@ -50,15 +48,9 @@ struct ChunkTotals {
   uint64_t violations = 0;
 };
 
-// Prints one crash point's CSV row and adds its --stats_json row.
-void EmitPoint(const CrashPointResult& r, pmemsim_bench::SweepPoint& point) {
-  point.Printf("%llu,%s,%llu,%llu,%llu,%llu,%llu\n", static_cast<unsigned long long>(r.event),
-               CrashEventKindName(r.kind), static_cast<unsigned long long>(r.crash_now),
-               static_cast<unsigned long long>(r.acked_ops),
-               static_cast<unsigned long long>(r.mat.inflight_writes),
-               static_cast<unsigned long long>(r.report.checks),
-               static_cast<unsigned long long>(r.report.violations));
-  point.AddRow()
+// One crash point's row.
+Row PointRow(const CrashPointResult& r) {
+  return Row()
       .Set("point", r.event)
       .Set("event_kind", CrashEventKindName(r.kind))
       .Set("crash_cycles", r.crash_now)
@@ -75,21 +67,19 @@ void EmitPoint(const CrashPointResult& r, pmemsim_bench::SweepPoint& point) {
 }  // namespace
 
 int RunCrashcheck(int argc, char** argv) {
-  Flags flags(argc, argv);
-  if (flags.Has("help")) {
-    std::printf("%s%s", kUsage, pmemsim_bench::kTelemetryFlagsHelp);
-    return 0;
-  }
+  pmemsim_bench::Sweep sweep(argc, argv, "pmemsim_crashcheck", kUsageArgs);
+  const Flags& flags = sweep.flags();
   const std::string store = flags.GetChoice("store", "cceh", CrashWorkload::StoreNames());
   const PlatformConfig platform = flags.GetPlatform("platform", "g1");
-  const uint64_t points_requested = flags.GetU64("points", 200);
+  const uint64_t points_requested = flags.GetPositiveU64("points", 200);
   const uint64_t seed = flags.GetU64("seed", 7);
-  const uint64_t ops = flags.GetU64("ops", 2000);
+  const uint64_t ops = flags.GetPositiveU64("ops", 2000);
   const std::string tear = flags.GetChoice("tear", "word", {"word", "subword"});
   const bool break_persist = flags.Has("break_persist");
-  BenchReport report(flags, "pmemsim_crashcheck");
-  SweepRunner runner(flags);
-  flags.RejectUnknown();
+  SweepRunner& runner =
+      sweep.Start("pmemsim_crashcheck", "durable-image crash injection + recovery validation",
+                  {"point", "event_kind", "crash_cycles", "acked_ops", "durable_writes",
+                   "inflight_writes", "torn_writes", "checks", "violations", "first_violation"});
 
   const PersistTracker::TearGranularity granularity =
       tear == "subword" ? PersistTracker::TearGranularity::kSubword
@@ -99,13 +89,6 @@ int RunCrashcheck(int argc, char** argv) {
   opts.ops = ops;
   opts.seed = seed;
   opts.break_persist = break_persist;
-
-  pmemsim_bench::PrintHeader("pmemsim_crashcheck",
-                             "durable-image crash injection + recovery validation");
-  std::printf("# store=%s platform=%s ops=%llu seed=%llu tear=%s%s\n", store.c_str(),
-              platform.name.c_str(), static_cast<unsigned long long>(ops),
-              static_cast<unsigned long long>(seed), tear.c_str(),
-              break_persist ? " break_persist" : "");
 
   // Calibration: count the crash events one uninterrupted run generates and
   // collect the vulnerable-byte statistics along the way.
@@ -125,11 +108,6 @@ int RunCrashcheck(int argc, char** argv) {
     std::sort(sample.begin(), sample.end());
   }
 
-  std::printf("# events_total=%llu sampled=%zu acked_ops=%llu\n",
-              static_cast<unsigned long long>(cal.events), sample.size(),
-              static_cast<unsigned long long>(cal.acked_ops));
-  std::printf("point,event_kind,crash_cycles,acked_ops,inflight_writes,checks,violations\n");
-
   // One pass per chunk: --jobs contiguous slices of the sorted sample, each
   // a sweep point, so rows still come out in sample order at any --jobs.
   const size_t chunks = std::min<size_t>(runner.jobs(), sample.size());
@@ -145,44 +123,45 @@ int RunCrashcheck(int argc, char** argv) {
                                          [&](const CrashPointResult& r) {
                                            sum.checks += r.report.checks;
                                            sum.violations += r.report.violations;
-                                           EmitPoint(r, point);
+                                           point.Emit(PointRow(r));
                                          });
                  totals[c] = sum;  // a failed chunk contributes no rows and no totals
                });
   }
 
-  const int failed_points = runner.Run(report);
+  const int failed_points = runner.Run(sweep.report());
 
   uint64_t total_violations = 0, total_checks = 0;
   for (const ChunkTotals& sum : totals) {
     total_violations += sum.violations;
     total_checks += sum.checks;
   }
-  std::printf("summary,%s,%s,%zu,%llu,%llu,%llu\n", store.c_str(), platform.name.c_str(),
-              sample.size(), static_cast<unsigned long long>(total_checks),
-              static_cast<unsigned long long>(total_violations),
-              static_cast<unsigned long long>(cal.window.max_vulnerable_bytes));
-  report.AddRow()
-      .Set("summary", uint64_t{1})
-      .Set("store", store)
-      .Set("platform", platform.name)
-      .Set("tear", tear)
-      .Set("ops", ops)
-      .Set("seed", seed)
-      .Set("break_persist", static_cast<uint64_t>(break_persist ? 1 : 0))
-      .Set("events_total", cal.events)
-      .Set("points", static_cast<uint64_t>(sample.size()))
-      .Set("acked_ops", cal.acked_ops)
-      .Set("total_checks", total_checks)
-      .Set("total_violations", total_violations)
-      .Set("failed_points", static_cast<uint64_t>(failed_points))
-      .Set("max_vulnerable_bytes", cal.window.max_vulnerable_bytes)
-      .Set("mean_vulnerable_bytes", cal.window.MeanVulnerableBytes())
-      .Set("max_in_cache_bytes", cal.window.max_in_cache_bytes)
-      .Set("max_in_wpq_bytes", cal.window.max_in_wpq_bytes);
+  pmemsim_bench::BenchReport& report = sweep.report();
+  report.DeclareColumns({"summary", "store", "platform", "tear", "ops", "seed", "break_persist",
+                         "events_total", "points", "acked_ops", "total_checks",
+                         "total_violations", "failed_points", "max_vulnerable_bytes",
+                         "mean_vulnerable_bytes", "max_in_cache_bytes", "max_in_wpq_bytes"});
+  report.Emit(Row()
+                  .Set("summary", uint64_t{1})
+                  .Set("store", store)
+                  .Set("platform", platform.name)
+                  .Set("tear", tear)
+                  .Set("ops", ops)
+                  .Set("seed", seed)
+                  .Set("break_persist", static_cast<uint64_t>(break_persist ? 1 : 0))
+                  .Set("events_total", cal.events)
+                  .Set("points", static_cast<uint64_t>(sample.size()))
+                  .Set("acked_ops", cal.acked_ops)
+                  .Set("total_checks", total_checks)
+                  .Set("total_violations", total_violations)
+                  .Set("failed_points", static_cast<uint64_t>(failed_points))
+                  .Set("max_vulnerable_bytes", cal.window.max_vulnerable_bytes)
+                  .Set("mean_vulnerable_bytes", cal.window.MeanVulnerableBytes(), 1)
+                  .Set("max_in_cache_bytes", cal.window.max_in_cache_bytes)
+                  .Set("max_in_wpq_bytes", cal.window.max_in_wpq_bytes));
 
-  const int rc = report.Finish();
-  if (failed_points > 0 || total_violations > 0) {
+  const int rc = sweep.Finish();
+  if (total_violations > 0) {
     std::fprintf(stderr, "crashcheck: %llu violation(s) across %zu point(s)\n",
                  static_cast<unsigned long long>(total_violations), sample.size());
     return 1;

@@ -6,16 +6,14 @@
 //   $ pmemsim_probe --op=write --persist=clwb --pattern=seq --wss=8K
 //   $ pmemsim_probe --op=rap --distance=2
 //
-// Prints per-op latency percentiles, achieved bandwidth, and the ipmwatch-
-// equivalent counters (amplifications, buffer hit ratios, stalls).
+// Prints one row: the configuration, per-op latency percentiles, achieved
+// bandwidth, and the ipmwatch-equivalent counters (amplifications, buffer
+// hit ratios, stalls).
 
-#include <cstdio>
-#include <cstdlib>
 #include <memory>
 #include <string>
 #include <vector>
 
-#include "bench/bench_util.h"
 #include "bench/sweep_runner.h"
 #include "src/common/random.h"
 #include "src/common/stats.h"
@@ -143,46 +141,53 @@ void RunProbe(const ProbeConfig& cfg, pmemsim_bench::SweepPoint& point) {
   const double touched =
       static_cast<double>(total_ops) * (cfg.op == "copy" ? kXPLineSize : kCacheLineSize);
 
-  const double mops = static_cast<double>(total_ops) / seconds / 1e6;
-  const double gbps = touched / seconds / 1e9;
-  point.Printf("op=%s pattern=%s wss=%llu KB stride=%llu threads=%u platform=%s dimms=%u\n",
-               cfg.op.c_str(), cfg.pattern.c_str(),
-               static_cast<unsigned long long>(cfg.wss / 1024),
-               static_cast<unsigned long long>(cfg.stride), cfg.threads,
-               cfg.platform.name.c_str(), cfg.dimms);
-  point.Printf("latency (cycles): %s\n", all.Summary().c_str());
-  point.Printf("throughput: %.2f Mops/s, %.3f GB/s of demanded data\n", mops, gbps);
   const Counters d = delta.Delta();
-  point.Printf("counters: %s\n", d.ToString().c_str());
-  point.Printf("rap stalls: %llu loads, %llu cycles; wpq stalls: %llu cycles\n",
-               static_cast<unsigned long long>(d.rap_stalled_loads),
-               static_cast<unsigned long long>(d.rap_stall_cycles),
-               static_cast<unsigned long long>(d.wpq_stall_cycles));
-  point.AddRow()
-      .Set("op", cfg.op)
-      .Set("pattern", cfg.pattern)
-      .Set("wss_kb", cfg.wss / 1024)
-      .Set("threads", cfg.threads)
-      .Set("mops", mops)
-      .Set("gbps", gbps)
-      .Set("rap_stall_cycles", d.rap_stall_cycles)
-      .Set("wpq_stall_cycles", d.wpq_stall_cycles);
+  point.Emit(pmemsim_bench::Row()
+                 .Set("op", cfg.op)
+                 .Set("pattern", cfg.pattern)
+                 .Set("wss_kb", cfg.wss / 1024)
+                 .Set("stride", cfg.stride)
+                 .Set("threads", cfg.threads)
+                 .Set("platform", cfg.platform.name)
+                 .Set("dimms", cfg.dimms)
+                 .Set("ops", all.count())
+                 .Set("latency_mean", all.mean(), 1)
+                 .Set("latency_p50", all.Quantile(0.50))
+                 .Set("latency_p90", all.Quantile(0.90))
+                 .Set("latency_p99", all.Quantile(0.99))
+                 .Set("latency_min", all.Min())
+                 .Set("latency_max", all.Max())
+                 .Set("mops", static_cast<double>(total_ops) / seconds / 1e6, 2)
+                 .Set("gbps", touched / seconds / 1e9, 3)
+                 .Set("imc_read_bytes", d.imc_read_bytes)
+                 .Set("imc_write_bytes", d.imc_write_bytes)
+                 .Set("media_read_bytes", d.media_read_bytes)
+                 .Set("media_write_bytes", d.media_write_bytes)
+                 .Set("read_amplification", d.ReadAmplification(), 2)
+                 .Set("write_amplification", d.WriteAmplification(), 2)
+                 .Set("read_buffer_hits", d.read_buffer_hits)
+                 .Set("read_buffer_misses", d.read_buffer_misses)
+                 .Set("write_buffer_hits", d.write_buffer_hits)
+                 .Set("write_buffer_misses", d.write_buffer_misses)
+                 .Set("write_buffer_evictions", d.write_buffer_evictions)
+                 .Set("ait_hits", d.ait_hits)
+                 .Set("ait_misses", d.ait_misses)
+                 .Set("rap_stalled_loads", d.rap_stalled_loads)
+                 .Set("rap_stall_cycles", d.rap_stall_cycles)
+                 .Set("wpq_stall_cycles", d.wpq_stall_cycles));
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  pmemsim_bench::Flags flags(argc, argv);
-  if (flags.Has("help")) {
-    std::printf(
-        "usage: pmemsim_probe [--platform=g1|g2|g2-eadr] [--op=read|write|ntstore|rap|copy]\n"
-        "                     [--pattern=seq|rand] [--persist=none|clwb|clwb+mfence]\n"
-        "                     [--wss=64M] [--stride=64] [--threads=1] [--ops=100000]\n"
-        "                     [--distance=0] [--dimms=1] [--no_prefetch] [--remote]\n"
-        "                     (--gen=g1|g2 is accepted as a legacy alias)\n%s",
-        pmemsim_bench::kTelemetryFlagsHelp);
-    return 0;
-  }
+  pmemsim_bench::Sweep sweep(
+      argc, argv, "pmemsim_probe",
+      " [--platform=g1|g2|g2-eadr] [--op=read|write|ntstore|rap|copy]\n"
+      "                     [--pattern=seq|rand] [--persist=none|clwb|clwb+mfence]\n"
+      "                     [--wss=64M] [--stride=64] [--threads=1] [--ops=100000]\n"
+      "                     [--distance=0] [--dimms=1] [--no_prefetch] [--remote]\n"
+      "                     (--gen=g1|g2 is accepted as a legacy alias)");
+  const pmemsim_bench::Flags& flags = sweep.flags();
   ProbeConfig cfg;
   // --platform selects the preset by name; --gen remains a legacy alias for
   // the two paper testbeds (--platform wins when both are given).
@@ -203,9 +208,14 @@ int main(int argc, char** argv) {
   }
   cfg.prefetch = !flags.Has("no_prefetch");
   cfg.remote = flags.Has("remote");
-  pmemsim_bench::BenchReport report(flags, "pmemsim_probe");
-  pmemsim_bench::SweepRunner runner(flags);
-  flags.RejectUnknown();
+  pmemsim_bench::SweepRunner& runner = sweep.Start(
+      "pmemsim_probe", "per-op latency, bandwidth and ipmwatch counters of one access pattern",
+      {"op", "pattern", "wss_kb", "stride", "threads", "platform", "dimms", "ops", "latency_mean",
+       "latency_p50", "latency_p90", "latency_p99", "latency_min", "latency_max", "mops", "gbps",
+       "imc_read_bytes", "imc_write_bytes", "media_read_bytes", "media_write_bytes",
+       "read_amplification", "write_amplification", "read_buffer_hits", "read_buffer_misses",
+       "write_buffer_hits", "write_buffer_misses", "write_buffer_evictions", "ait_hits",
+       "ait_misses", "rap_stalled_loads", "rap_stall_cycles", "wpq_stall_cycles"});
   runner.Add(cfg.op, [=](pmemsim_bench::SweepPoint& point) { RunProbe(cfg, point); });
-  return runner.Finish(report);
+  return sweep.Finish();
 }

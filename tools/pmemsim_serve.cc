@@ -17,7 +17,6 @@
 // seed-derived randomness, so --jobs=N parallelism keeps stdout and the JSON
 // report byte-identical to a serial run.
 
-#include <cinttypes>
 #include <cstdio>
 #include <exception>
 #include <memory>
@@ -45,7 +44,6 @@ struct ServeCliConfig {
   std::vector<std::string> mixes;
   std::vector<LoopMode> loops;
   bool partitioned = false;  // --engine_threads present: one System per shard domain
-  bool quiet = false;
   // Serve observability (all off by default: the hot path pays nothing).
   Cycles sample_interval = 0;     // telemetry window width; 0 = windowing off
   uint64_t slo_p99 = 0;           // per-window p99 SLO threshold; 0 = monitor off
@@ -117,31 +115,20 @@ class TimelineSlotGuard {
 void EmitScope(pmemsim_bench::SweepPoint& point, const ServeCliConfig& cli,
                const std::string& mix, LoopMode loop, const std::string& scope,
                const ServiceStats& stats, Cycles serve_start) {
-  const double ghz = cli.platform.cpu_ghz;
-  const double ops_sec = stats.OpsPerSec(ghz, serve_start);
-  const uint64_t p50 = stats.sojourn.Quantile(0.50);
-  const uint64_t p99 = stats.sojourn.Quantile(0.99);
-  const uint64_t p999 = stats.sojourn.Quantile(0.999);
-  if (!cli.quiet) {
-    point.Printf("%s,%s,%s,%s,%.0f,%" PRIu64 ",%" PRIu64 ",%" PRIu64 ",%" PRIu64 ",%" PRIu64
-                 ",%" PRIu64 "\n",
-                 mix.c_str(), LoopModeName(loop), StoreName(cli.serve.store), scope.c_str(),
-                 ops_sec, p50, p99, p999, stats.offered, stats.rejected, stats.completed);
-  }
-  point.AddRow()
-      .Set("mix", mix)
-      .Set("loop", LoopModeName(loop))
-      .Set("store", StoreName(cli.serve.store))
-      .Set("scope", scope)
-      .Set("shards", cli.serve.shards)
-      .Set("workers_per_shard", cli.serve.workers_per_shard)
-      .Set("ops_per_sec", ops_sec)
-      .Set("sojourn_p50", p50)
-      .Set("sojourn_p99", p99)
-      .Set("sojourn_p999", p999)
-      .Set("offered", stats.offered)
-      .Set("rejected", stats.rejected)
-      .Set("completed", stats.completed);
+  point.Emit(pmemsim_bench::Row()
+                 .Set("mix", mix)
+                 .Set("loop", LoopModeName(loop))
+                 .Set("store", StoreName(cli.serve.store))
+                 .Set("scope", scope)
+                 .Set("shards", cli.serve.shards)
+                 .Set("workers_per_shard", cli.serve.workers_per_shard)
+                 .Set("ops_per_sec", stats.OpsPerSec(cli.platform.cpu_ghz, serve_start), 0)
+                 .Set("sojourn_p50", stats.sojourn.Quantile(0.50))
+                 .Set("sojourn_p99", stats.sojourn.Quantile(0.99))
+                 .Set("sojourn_p999", stats.sojourn.Quantile(0.999))
+                 .Set("offered", stats.offered)
+                 .Set("rejected", stats.rejected)
+                 .Set("completed", stats.completed));
 }
 
 void RunPoint(const ServeCliConfig& cli, const std::string& mix, LoopMode loop,
@@ -175,55 +162,47 @@ void RunPoint(const ServeCliConfig& cli, const std::string& mix, LoopMode loop,
   }
 }
 
-int Usage() {
-  std::fprintf(
-      stderr,
-      "usage: pmemsim_serve [--store=cceh|fastfair|flatlog] [--mixes=a,b,c,d,e,f]\n"
-      "                     [--loop=closed|open|both] [--shards=4] [--workers=2]\n"
-      "                     [--queue_depth=64] [--batch=8] [--clients=8] [--think=4000]\n"
-      "                     [--arrival_interval=1500] [--ops=20000] [--keys=20000]\n"
-      "                     [--theta=0.99] [--scan_len=16] [--seed=42]\n"
-      "                     [--platform=g1|g2|g2-eadr] [--dimms=0] [--jobs=1]\n"
-      "                     [--engine_threads=N] [--dispatch_latency=2048] [--quiet]\n"
-      "                     [--sample_interval_cycles=C] [--timeline_json=<path>]\n"
-      "                     [--slo_p99_cycles=C] [--spans_json=<path>]\n"
-      "                     [--span_trace=<path>]\n"
-      "%s"
-      "serve observability (off by default; the serve hot path pays nothing):\n"
-      "  --sample_interval_cycles=C  windowed serve telemetry: per-C-cycle\n"
-      "                      throughput/shed/queue-depth/windowed tails\n"
-      "  --timeline_json=<path>  write the per-window timeline artifact\n"
-      "                      (enables windowing; default window 20000 cycles)\n"
-      "  --slo_p99_cycles=C  per-window p99 sojourn SLO monitor (violations +\n"
-      "                      burn rate in the timeline and a 'slo' stats\n"
-      "                      section); requires windowing\n"
-      "  --spans_json=<path>  per-request spans, columnar JSON (single sweep\n"
-      "                      point only: one mix x one loop)\n"
-      "  --span_trace=<path>  per-request spans as chrome://tracing events\n"
-      "                      (single sweep point only)\n"
-      "parallelism (two independent axes; both keep output byte-identical):\n"
-      "  --jobs=N            ACROSS sweep points: run N (mix,loop) points\n"
-      "                      concurrently, each on its own simulated machine\n"
-      "  --engine_threads=N  WITHIN one sweep point: give every shard domain\n"
-      "                      its own simulated machine (default: all shards\n"
-      "                      share one) and advance the domains on N host\n"
-      "                      threads. Changes the simulated model (private\n"
-      "                      machines + client dispatch latency), never the\n"
-      "                      results for a given model: any N compares equal\n"
-      "  --dispatch_latency=C  with --engine_threads only: client->shard\n"
-      "                      dispatch latency in cycles (the epoch window;\n"
-      "                      0 = one lockstep run, no host parallelism)\n",
-      pmemsim_bench::kTelemetryFlagsHelp);
-  return 2;
-}
+constexpr char kUsageArgs[] =
+    " [--store=cceh|fastfair|flatlog] [--mixes=a,b,c,d,e,f]\n"
+    "                     [--loop=closed|open|both] [--shards=4] [--workers=2]\n"
+    "                     [--queue_depth=64] [--batch=8] [--clients=8] [--think=4000]\n"
+    "                     [--arrival_interval=1500] [--ops=20000] [--keys=20000]\n"
+    "                     [--theta=0.99] [--scan_len=16] [--seed=42]\n"
+    "                     [--platform=g1|g2|g2-eadr] [--dimms=0] [--jobs=1]\n"
+    "                     [--engine_threads=N] [--dispatch_latency=2048]\n"
+    "                     [--sample_interval_cycles=C] [--timeline_json=<path>]\n"
+    "                     [--slo_p99_cycles=C] [--spans_json=<path>]\n"
+    "                     [--span_trace=<path>]\n"
+    "serve observability (off by default; the serve hot path pays nothing):\n"
+    "  --sample_interval_cycles=C  windowed serve telemetry: per-C-cycle\n"
+    "                      throughput/shed/queue-depth/windowed tails\n"
+    "  --timeline_json=<path>  write the per-window timeline artifact\n"
+    "                      (enables windowing; default window 20000 cycles)\n"
+    "  --slo_p99_cycles=C  per-window p99 sojourn SLO monitor (violations +\n"
+    "                      burn rate in the timeline and a 'slo' stats\n"
+    "                      section); requires windowing\n"
+    "  --spans_json=<path>  per-request spans, columnar JSON (single sweep\n"
+    "                      point only: one mix x one loop)\n"
+    "  --span_trace=<path>  per-request spans as chrome://tracing events\n"
+    "                      (single sweep point only)\n"
+    "parallelism (two independent axes; both keep output byte-identical):\n"
+    "  --jobs=N            ACROSS sweep points: run N (mix,loop) points\n"
+    "                      concurrently, each on its own simulated machine\n"
+    "  --engine_threads=N  WITHIN one sweep point: give every shard domain\n"
+    "                      its own simulated machine (default: all shards\n"
+    "                      share one) and advance the domains on N host\n"
+    "                      threads. Changes the simulated model (private\n"
+    "                      machines + client dispatch latency), never the\n"
+    "                      results for a given model: any N compares equal\n"
+    "  --dispatch_latency=C  with --engine_threads only: client->shard\n"
+    "                      dispatch latency in cycles (the epoch window;\n"
+    "                      0 = one lockstep run, no host parallelism)";
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  pmemsim_bench::Flags flags(argc, argv);
-  if (flags.Has("help")) {
-    return Usage();
-  }
+  pmemsim_bench::Sweep sweep(argc, argv, "pmemsim_serve", kUsageArgs);
+  const pmemsim_bench::Flags& flags = sweep.flags();
 
   ServeCliConfig cli;
   cli.platform = flags.GetPlatform("platform", "g1");
@@ -282,7 +261,6 @@ int main(int argc, char** argv) {
     pmemsim_bench::Flags::BadValue("dispatch_latency", flags.Get("dispatch_latency", ""),
                                    "--engine_threads to be set (private-System domains only)");
   }
-  cli.quiet = flags.Has("quiet");
 
   // Serve observability: any of the flags below switches the timeline on for
   // every sweep point. --timeline_json / span export imply windowing with a
@@ -309,14 +287,10 @@ int main(int argc, char** argv) {
         "a single sweep point (one mix, --loop=closed|open)");
   }
 
-  pmemsim_bench::BenchReport report(flags, "pmemsim_serve");
-  pmemsim_bench::SweepRunner runner(flags);
-  flags.RejectUnknown();
-
-  pmemsim_bench::PrintHeader("pmemsim_serve",
-                             "sharded KV serving tier: YCSB mixes, admission, tail latency");
-  std::printf("mix,loop,store,scope,ops_per_sec,sojourn_p50,sojourn_p99,sojourn_p999,offered,"
-              "rejected,completed\n");
+  pmemsim_bench::SweepRunner& runner = sweep.Start(
+      "pmemsim_serve", "sharded KV serving tier: YCSB mixes, admission, tail latency",
+      {"mix", "loop", "store", "scope", "shards", "workers_per_shard", "ops_per_sec",
+       "sojourn_p50", "sojourn_p99", "sojourn_p999", "offered", "rejected", "completed"});
 
   // One sweep point per (mix, loop): its own System, deterministic per seed.
   // Per-point tier JSON lands in a pre-sized slot so --jobs parallelism keeps
@@ -359,7 +333,8 @@ int main(int argc, char** argv) {
     }
   }
 
-  const int failed = runner.Run(report);
+  runner.Run(sweep.report());
+  pmemsim_bench::BenchReport& report = sweep.report();
   pmemsim::JsonWriter serve;
   serve.BeginArray();
   for (const std::string& section : serve_sections) {
@@ -424,10 +399,6 @@ int main(int argc, char** argv) {
     io_rc = 1;
   }
 
-  const int rc = report.Finish();
-  if (failed > 0) {
-    std::fprintf(stderr, "pmemsim_serve: %d point(s) failed\n", failed);
-    return 1;
-  }
+  const int rc = sweep.Finish();
   return rc != 0 ? rc : io_rc;
 }

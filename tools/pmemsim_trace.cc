@@ -260,19 +260,29 @@ std::vector<PointSpec> BuildPoints(const std::string& scenario, const pmemsim_be
 // Subcommands.
 // ---------------------------------------------------------------------------
 
+constexpr char kUsageArgs[] =
+    " <record|replay|info> [flags]\n"
+    "  record --scenario=fig04|log_store|circular_writes|cacheline_versions\n"
+    "         --out=<file.pmtrace> [--platform=g1|g2|g2-eadr] [--dimms=1]\n"
+    "         [--max_kb=8] [--ops=N] [--threads=N] [--value_bytes=128]\n"
+    "         [--buffers=16] [--seed=1] [--jobs=N]\n"
+    "  replay --in=<file.pmtrace> [--jobs=N]\n"
+    "  info   --in=<file.pmtrace>";
+
 void PrintUsage() {
-  std::printf(
-      "usage: pmemsim_trace <record|replay|info> [flags]\n"
-      "  record --scenario=fig04|log_store|circular_writes|cacheline_versions\n"
-      "         --out=<file.pmtrace> [--platform=g1|g2|g2-eadr] [--dimms=1]\n"
-      "         [--max_kb=8] [--ops=N] [--threads=N] [--value_bytes=128]\n"
-      "         [--buffers=16] [--seed=1] [--jobs=N]\n"
-      "  replay --in=<file.pmtrace> [--jobs=N]\n"
-      "  info   --in=<file.pmtrace>\n%s",
-      pmemsim_bench::kTelemetryFlagsHelp);
+  std::printf("usage: pmemsim_trace%s\n%s", kUsageArgs, pmemsim_bench::kTelemetryFlagsHelp);
 }
 
-int RunRecord(pmemsim_bench::Flags& flags) {
+// The header text is subcommand-neutral so record and replay stdout (and the
+// stats reports) are comparable byte-for-byte.
+pmemsim_bench::SweepRunner& StartSweep(pmemsim_bench::Sweep& sweep, const std::string& scenario,
+                                       const std::string& platform_name) {
+  const std::string description = "scenario " + scenario + " on " + platform_name;
+  return sweep.Start("pmemsim_trace", description.c_str(), Columns(scenario));
+}
+
+int RunRecord(pmemsim_bench::Sweep& sweep) {
+  const pmemsim_bench::Flags& flags = sweep.flags();
   const std::string scenario = flags.Get("scenario", "");
   const std::string out_path = flags.Get("out", "");
   const std::string platform_name = flags.GetChoice("platform", "g1", PlatformNames());
@@ -287,10 +297,7 @@ int RunRecord(pmemsim_bench::Flags& flags) {
     std::fprintf(stderr, "error: record requires --out=<file.pmtrace>\n");
     return 2;
   }
-
-  pmemsim_bench::BenchReport report(flags, "pmemsim_trace");
-  pmemsim_bench::SweepRunner runner(flags);
-  flags.RejectUnknown();
+  pmemsim_bench::SweepRunner& runner = StartSweep(sweep, scenario, platform_name);
 
   TraceFile file;
   file.header.fingerprint = PlatformFingerprint(*config, dimms);
@@ -301,10 +308,6 @@ int RunRecord(pmemsim_bench::Flags& flags) {
   file.header.scenario = scenario;
   file.segments.resize(points.size());
 
-  // Header text is subcommand-neutral so record and replay stdout (and the
-  // stats reports) are comparable byte-for-byte.
-  std::printf("# pmemsim_trace — scenario %s on %s\n", scenario.c_str(), platform_name.c_str());
-  runner.DeclareColumns(Columns(scenario));
   for (size_t i = 0; i < points.size(); ++i) {
     // Each point owns segment slot `i`: the trace file layout is submission
     // order, byte-identical at any --jobs, exactly like the stats rows.
@@ -330,11 +333,10 @@ int RunRecord(pmemsim_bench::Flags& flags) {
       EmitRow(point, spec, snaps);
     });
   }
-  const int failed = runner.Run(report);
+  const int failed = runner.Run(sweep.report());
   if (failed != 0) {
     std::fprintf(stderr, "error: %d point(s) failed; trace not written\n", failed);
-    report.Finish();
-    return 1;
+    return sweep.Finish();
   }
 
   std::string error;
@@ -344,12 +346,12 @@ int RunRecord(pmemsim_bench::Flags& flags) {
   }
   std::fprintf(stderr, "wrote %s: %zu segment(s), %" PRIu64 " records\n", out_path.c_str(),
                file.segments.size(), file.TotalRecords());
-  return report.Finish();
+  return sweep.Finish();
 }
 
 // Loads --in and validates its header against the current build's platform
 // presets. Exits 2 directly on any file-level problem.
-TraceFile LoadOrDie(pmemsim_bench::Flags& flags, PlatformConfig* config_out) {
+TraceFile LoadOrDie(const pmemsim_bench::Flags& flags, PlatformConfig* config_out) {
   const std::string in_path = flags.Get("in", "");
   if (in_path.empty()) {
     std::fprintf(stderr, "error: --in=<file.pmtrace> is required\n");
@@ -381,17 +383,11 @@ TraceFile LoadOrDie(pmemsim_bench::Flags& flags, PlatformConfig* config_out) {
   return file;
 }
 
-int RunReplay(pmemsim_bench::Flags& flags) {
+int RunReplay(pmemsim_bench::Sweep& sweep) {
   PlatformConfig config;
-  const TraceFile file = LoadOrDie(flags, &config);
-
-  pmemsim_bench::BenchReport report(flags, "pmemsim_trace");
-  pmemsim_bench::SweepRunner runner(flags);
-  flags.RejectUnknown();
-
-  std::printf("# pmemsim_trace — scenario %s on %s\n", file.header.scenario.c_str(),
-              file.header.platform_name.c_str());
-  runner.DeclareColumns(Columns(file.header.scenario));
+  const TraceFile file = LoadOrDie(sweep.flags(), &config);
+  pmemsim_bench::SweepRunner& runner =
+      StartSweep(sweep, file.header.scenario, file.header.platform_name);
   for (const TraceSegment& seg : file.segments) {
     runner.Add(seg.label, [&](pmemsim_bench::SweepPoint& point) {
       System system(config, file.header.dimm_count);
@@ -413,7 +409,7 @@ int RunReplay(pmemsim_bench::Flags& flags) {
       EmitRow(point, seg, snaps);
     });
   }
-  return runner.Finish(report);
+  return sweep.Finish();
 }
 
 int RunInfo(pmemsim_bench::Flags& flags) {
@@ -457,18 +453,16 @@ int main(int argc, char** argv) {
     return argc < 2 ? 2 : 0;
   }
   const std::string cmd = argv[1];
-  pmemsim_bench::Flags flags(argc - 1, argv + 1);
-  if (flags.Has("help")) {
-    PrintUsage();
-    return 0;
-  }
-  if (cmd == "record") {
-    return RunRecord(flags);
-  }
-  if (cmd == "replay") {
-    return RunReplay(flags);
+  if (cmd == "record" || cmd == "replay") {
+    pmemsim_bench::Sweep sweep(argc - 1, argv + 1, "pmemsim_trace", kUsageArgs);
+    return cmd == "record" ? RunRecord(sweep) : RunReplay(sweep);
   }
   if (cmd == "info") {
+    pmemsim_bench::Flags flags(argc - 1, argv + 1);
+    if (flags.Has("help")) {
+      PrintUsage();
+      return 0;
+    }
     return RunInfo(flags);
   }
   std::fprintf(stderr, "error: unknown subcommand '%s' (record|replay|info)\n", cmd.c_str());

@@ -317,20 +317,23 @@ int main(int argc, char** argv) {
                  sum.ToString().c_str());
   }
 
+  report.DeclareColumns({"workload", "platform", "threads", "interval_cycles", "samples",
+                         "end_cycles", "wa", "ra"});
+  report.Emit(pmemsim_bench::Row()
+                  .Set("workload", cfg.workload)
+                  .Set("platform", cfg.platform.name)
+                  .Set("threads", cfg.threads)
+                  .Set("interval_cycles", static_cast<uint64_t>(cfg.interval))
+                  .Set("samples", static_cast<uint64_t>(sampler.samples().size()))
+                  .Set("end_cycles", static_cast<uint64_t>(end))
+                  .Set("wa", global.WriteAmplification(), 3)
+                  .Set("ra", global.ReadAmplification(), 3));
+
   if (cfg.breakdown) {
     std::printf("\n%s", attribution.CriticalPathTable().c_str());
     report.AddSection("attribution", attribution.ToJson());
   }
 
-  report.AddRow()
-      .Set("workload", cfg.workload)
-      .Set("platform", cfg.platform.name)
-      .Set("threads", cfg.threads)
-      .Set("interval_cycles", static_cast<uint64_t>(cfg.interval))
-      .Set("samples", static_cast<uint64_t>(sampler.samples().size()))
-      .Set("end_cycles", static_cast<uint64_t>(end))
-      .Set("wa", global.WriteAmplification())
-      .Set("ra", global.ReadAmplification());
   report.AddCounters("global_delta", global);
   const bool samples_ok =
       samples_path.empty() || pmemsim_bench::WriteFile(samples_path, sampler.ToJson());
