@@ -48,12 +48,14 @@ void RunProbe(const ProbeConfig& cfg, pmemsim_bench::SweepPoint& point) {
   struct Worker {
     ThreadContext* ctx;
     Rng rng{0};
+    uint64_t quota = 0;  // measured ops: the threads split --ops exactly
     uint64_t done = 0;
     uint64_t pos = 0;
     Histogram latency;
   };
   std::vector<Worker> workers(cfg.threads);
   for (uint32_t t = 0; t < cfg.threads; ++t) {
+    workers[t].quota = cfg.ops / cfg.threads + (t < cfg.ops % cfg.threads ? 1 : 0);
     workers[t].ctx = &system->CreateThread(cfg.remote ? 1 : 0);
     workers[t].rng = Rng(0x9E0B + t);
     SetPrefetchers(*workers[t].ctx, cfg.prefetch, cfg.prefetch, cfg.prefetch);
@@ -93,12 +95,11 @@ void RunProbe(const ProbeConfig& cfg, pmemsim_bench::SweepPoint& point) {
     w.latency.Add(ctx.clock() - t0);
   };
 
-  // Warmup, then measured phase.
-  const uint64_t per_thread = cfg.ops / cfg.threads + 1;
+  // Warmup of a quarter of each thread's quota, then the measured phase.
   std::vector<SimJob> jobs;
   for (Worker& w : workers) {
-    jobs.push_back({w.ctx, [&w, &one_op, per_thread]() {
-                      if (w.done >= per_thread / 4) {
+    jobs.push_back({w.ctx, [&w, &one_op]() {
+                      if (w.done >= w.quota / 4) {
                         return StepResult::kDone;
                       }
                       one_op(w);
@@ -119,8 +120,8 @@ void RunProbe(const ProbeConfig& cfg, pmemsim_bench::SweepPoint& point) {
   }
   std::vector<SimJob> measured;
   for (Worker& w : workers) {
-    measured.push_back({w.ctx, [&w, &one_op, per_thread]() {
-                          if (w.done >= per_thread) {
+    measured.push_back({w.ctx, [&w, &one_op]() {
+                          if (w.done >= w.quota) {
                             return StepResult::kDone;
                           }
                           one_op(w);
@@ -199,7 +200,7 @@ int main(int argc, char** argv) {
   cfg.wss = flags.GetSize("wss", MiB(64));
   cfg.stride = flags.GetPositiveU64("stride", kCacheLineSize);
   cfg.threads = static_cast<uint32_t>(flags.GetPositiveU64("threads", 1));
-  cfg.ops = flags.GetU64("ops", 100000);
+  cfg.ops = flags.GetPositiveU64("ops", 100000);
   cfg.distance = flags.GetU64("distance", 0);
   cfg.dimms = static_cast<uint32_t>(flags.GetU64("dimms", 1));
   if (cfg.wss < cfg.stride) {
