@@ -388,8 +388,6 @@ class BenchReport {
     std::printf("%s\n", line.c_str());
   }
 
-  const std::vector<std::string>& columns() const { return columns_; }
-
   // Prints `row` as its CSV line and adds it to the report. The row's cell
   // names must equal the declared columns.
   void Emit(Row row) {

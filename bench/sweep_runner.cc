@@ -69,7 +69,7 @@ int SweepRunner::Run(BenchReport& report) {
 
   std::vector<PointState> states(points_.size());
   for (PointState& state : states) {
-    state.output.columns_ = &report.columns();
+    state.output.columns_ = &report.columns_;
   }
 
   // Deterministic emission: submission order, whatever the completion order.
