@@ -114,6 +114,36 @@ TEST(PersistTrackerTest, AdrStoreDurableAtWpqAccept) {
   EXPECT_EQ(tracker.recorded_writes(), 1u);
 }
 
+TEST(PersistTrackerTest, AdrWindowStatsArePinned) {
+  // A seeded G1 ADR stream over a few hot lines that re-dirties lines while
+  // their write-backs are still in flight, so the in-cache and in-WPQ sets
+  // overlap. The window stats are pinned as literals.
+  const PlatformConfig platform = G1Platform();
+  System system(platform);
+  PersistTracker tracker(platform.eadr_enabled);
+  tracker.Attach(&system);
+  ThreadContext& ctx = system.CreateThread();
+  const PmRegion pm = system.AllocatePm(KiB(4));
+  Rng rng(77);
+  for (int i = 0; i < 3000; ++i) {
+    const Addr line = pm.base + rng.NextBelow(6) * kCacheLineSize;
+    const uint64_t op = rng.NextBelow(10);
+    if (op < 5) {
+      ctx.Store64(line + 8 * rng.NextBelow(8), rng.Next());
+    } else if (op < 8) {
+      ctx.Clwb(line);
+    } else {
+      ctx.Sfence();
+    }
+  }
+  const PersistTracker::Stats& stats = tracker.stats();
+  EXPECT_EQ(stats.samples, 2670u);
+  EXPECT_EQ(stats.max_in_cache_bytes, 384u);
+  EXPECT_EQ(stats.max_in_wpq_bytes, 384u);
+  EXPECT_EQ(stats.max_vulnerable_bytes, 384u);
+  EXPECT_EQ(stats.sum_vulnerable_bytes, 766784u);
+}
+
 TEST(PersistTrackerTest, EadrStoreDurableAtRetire) {
   const PlatformConfig platform = G2EadrPlatform();
   System system(platform);
