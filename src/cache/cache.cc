@@ -69,7 +69,7 @@ SetAssocCache::InvalidateResult SetAssocCache::Invalidate(Addr line_addr) {
   const Addr line = CacheLineBase(line_addr);
   const size_t set = SetIndex(line);
   const size_t w = Find(set, line);
-  if (w == kNone) {
+  if (w == kNoWay) {
     return {};
   }
   const InvalidateResult r{true, (Tag(w) & kDirty) != 0};
@@ -84,7 +84,7 @@ SetAssocCache::InvalidateResult SetAssocCache::WriteBack(Addr line_addr, Cycles 
   const Addr line = CacheLineBase(line_addr);
   const size_t set = SetIndex(line);
   const size_t w = Find(set, line);
-  if (w == kNone) {
+  if (w == kNoWay) {
     return {};
   }
   const InvalidateResult r{true, (Tag(w) & kDirty) != 0};
@@ -104,7 +104,7 @@ void SetAssocCache::ApplyPendingInvalidate(Addr line_addr) {
   const Addr line = CacheLineBase(line_addr);
   const size_t set = SetIndex(line);
   const size_t w = Find(set, line);
-  if (w != kNone && (pending_mask_[set] & Bit(set, w)) != 0) {
+  if (w != kNoWay && (pending_mask_[set] & Bit(set, w)) != 0) {
     Tag(w) &= ~kDirty;
     ClearValid(set, w);
     ClearPending(set, w);

@@ -29,6 +29,7 @@
 #include <string>
 #include <vector>
 
+#include "src/common/check.h"
 #include "src/common/config.h"
 #include "src/common/types.h"
 
@@ -53,12 +54,32 @@ class SetAssocCache {
   bool Access(Addr line_addr, Cycles now, bool mark_dirty, bool* was_prefetched = nullptr,
               Cycles* available_at = nullptr);
 
-  // Non-mutating presence check (honors pending invalidations).
-  bool Probe(Addr line_addr, Cycles now) const;
+  static constexpr size_t kNoWay = ~size_t{0};
 
-  // Inserts the line, evicting the set's LRU way if needed. `ready_at` marks
-  // when the fill's data arrives (prefetch fills are issued asynchronously).
-  EvictedLine Insert(Addr line_addr, Cycles now, bool dirty, bool prefetched,
+  // Where a line sits in this level, from its one tag scan. `way` is a handle
+  // only this cache interprets (kNoWay: absent). `live` is true iff the line
+  // is present and its scheduled invalidation is not yet due.
+  struct Located {
+    size_t way = kNoWay;
+    bool live = false;
+  };
+  // What a caller hands Insert for a line its Access just missed: a miss has
+  // already cleared any due invalidation, so the line is in no way.
+  static constexpr Located kAbsent{kNoWay, false};
+
+  // Non-mutating lookup: the line's way, due or not, and whether it is live.
+  Located Locate(Addr line_addr, Cycles now) const;
+
+  // Non-mutating presence check (honors pending invalidations).
+  bool Probe(Addr line_addr, Cycles now) const { return Locate(line_addr, now).live; }
+
+  // Inserts the line. `at` is this level's lookup of it — Locate's result or
+  // kAbsent after a missed Access — and nothing may touch the level between
+  // that lookup and this fill. A present line (even with its invalidation
+  // due) is refreshed in place; otherwise the set's first free way receives
+  // it, evicting the LRU way if there is none. `ready_at` marks when the
+  // fill's data arrives (prefetch fills are issued asynchronously).
+  EvictedLine Insert(Located at, Addr line_addr, Cycles now, bool dirty, bool prefetched,
                      Cycles ready_at = 0);
 
   struct InvalidateResult {
@@ -147,19 +168,26 @@ class SetAssocCache {
   Cycles& PendingAt(size_t w) { return blocks_[w + 3 * config_.ways]; }
   Cycles PendingAt(size_t w) const { return blocks_[w + 3 * config_.ways]; }
 
-  static constexpr size_t kNone = ~size_t{0};
   // The one tag scan: returns the block-coordinate way handle holding `line`
-  // (a CacheLineBase value) among `set`'s valid ways, or kNone. A line sits
-  // in at most one valid way (Insert refreshes a present line in place).
+  // (a CacheLineBase value) among `set`'s valid ways, or kNoWay. A line sits
+  // in at most one valid way (Insert refreshes a present line in place), so
+  // the memo of the last way found, checked first, cannot disagree with the
+  // scan: it is used only while that way is valid and still holds the line.
   size_t Find(size_t set, Addr line) const {
+    if (memo_line_ == line && (valid_mask_[set] & Bit(set, memo_way_)) != 0 &&
+        TagMatches(Tag(memo_way_), line)) {
+      return memo_way_;
+    }
     const size_t base = set * stride_;
     for (uint32_t m = valid_mask_[set]; m != 0; m &= m - 1) {
       const size_t w = base + static_cast<uint32_t>(std::countr_zero(m));
       if (TagMatches(Tag(w), line)) {
+        memo_line_ = line;
+        memo_way_ = w;
         return w;
       }
     }
-    return kNone;
+    return kNoWay;
   }
   uint32_t Bit(size_t set, size_t w) const { return 1u << (w - set * stride_); }
   // True iff way `w`'s scheduled invalidation has taken effect by `now`: the
@@ -192,10 +220,14 @@ class SetAssocCache {
   std::vector<uint32_t> pending_mask_;  // per set: bit i = way i has a
                                         // scheduled invalidation
   uint64_t tick_ = 0;
+  // Find's memo: the last line it found and its way. kTagMask's low bits
+  // make the initial line unequal to every CacheLineBase value.
+  mutable Addr memo_line_ = ~Addr{0};
+  mutable size_t memo_way_ = 0;
 };
 
 // Inline definitions for the three members on the per-access hot path
-// (probe, touch, fill). They are called several times per simulated load —
+// (lookup, touch, fill). They are called several times per simulated load —
 // once per level — from other translation units; defining them here lets
 // those call sites fold the set-index math and mask loads together instead
 // of paying an opaque cross-TU call per level.
@@ -205,11 +237,11 @@ inline bool SetAssocCache::Access(Addr line_addr, Cycles now, bool mark_dirty,
   const Addr line = CacheLineBase(line_addr);
   const size_t set = SetIndex(line);
   size_t w = Find(set, line);
-  if (w != kNone && InvalidationDue(set, w, now)) {
+  if (w != kNoWay && InvalidationDue(set, w, now)) {
     ClearValid(set, w);  // the scheduled invalidation has taken effect
-    w = kNone;
+    w = kNoWay;
   }
-  if (w == kNone) {
+  if (w == kNoWay) {
     if (was_prefetched != nullptr) {
       *was_prefetched = false;
     }
@@ -233,21 +265,22 @@ inline bool SetAssocCache::Access(Addr line_addr, Cycles now, bool mark_dirty,
   return true;
 }
 
-inline bool SetAssocCache::Probe(Addr line_addr, Cycles now) const {
+inline SetAssocCache::Located SetAssocCache::Locate(Addr line_addr, Cycles now) const {
   const Addr line = CacheLineBase(line_addr);
   const size_t set = SetIndex(line);
   const size_t w = Find(set, line);
-  return w != kNone && !InvalidationDue(set, w, now);
+  return {w, w != kNoWay && !InvalidationDue(set, w, now)};
 }
 
-inline EvictedLine SetAssocCache::Insert(Addr line_addr, Cycles now, bool dirty, bool prefetched,
-                                         Cycles ready_at) {
+inline EvictedLine SetAssocCache::Insert(Located at, Addr line_addr, Cycles now, bool dirty,
+                                         bool prefetched, Cycles ready_at) {
   const Addr line = CacheLineBase(line_addr);
   const size_t set = SetIndex(line);
   const size_t base = set * stride_;
+  PMEMSIM_DCHECK(at.way == Find(set, line));
 
   // Already present (even with its invalidation due): refresh in place.
-  if (const size_t w = Find(set, line); w != kNone) {
+  if (const size_t w = at.way; w != kNoWay) {
     Lru(w) = ++tick_;
     if (dirty) {
       Tag(w) |= kDirty;

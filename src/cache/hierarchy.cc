@@ -10,6 +10,10 @@ namespace {
 constexpr uint64_t Counters::*kHitCounters[] = {&Counters::l1_hits, &Counters::l2_hits,
                                                 &Counters::l3_hits};
 
+// A demand walk's lookups: every level it fills missed its Access.
+constexpr std::array kMissedEverywhere{SetAssocCache::kAbsent, SetAssocCache::kAbsent,
+                                       SetAssocCache::kAbsent};
+
 }  // namespace
 
 CacheHierarchy::CacheHierarchy(const CacheConfig& config, SetAssocCache* shared_l3,
@@ -72,22 +76,22 @@ void CacheHierarchy::AccessInternal(Addr addr, Cycles now, bool is_store, bool o
     mc_->Read(line, now, node_, ordered, out);
     out->hit_level = 0;
   }
-  FillAbove(k, 0, line, now, is_store, /*prefetched=*/false, /*ready_at=*/0);
+  FillAbove(k, 0, kMissedEverywhere, line, now, is_store, /*prefetched=*/false, /*ready_at=*/0);
   if (train) {
     TrainEngine({line, now, out->hit_level, first_touch_prefetched});
   }
 }
 
-void CacheHierarchy::FillAbove(int k, int top, Addr line, Cycles now, bool store, bool prefetched,
-                               Cycles ready_at) {
+void CacheHierarchy::FillAbove(int k, int top, const LevelLookups& at, Addr line, Cycles now,
+                               bool store, bool prefetched, Cycles ready_at) {
   for (int j = k - 1; j >= top; --j) {
-    FillInto(j, line, now, store && j == 0, prefetched, ready_at);
+    FillInto(j, at[j], line, now, store && j == 0, prefetched, ready_at);
   }
 }
 
-void CacheHierarchy::FillInto(int k, Addr line, Cycles now, bool dirty, bool prefetched,
-                              Cycles ready_at) {
-  const EvictedLine evicted = levels_[k]->Insert(line, now, dirty, prefetched, ready_at);
+void CacheHierarchy::FillInto(int k, SetAssocCache::Located at, Addr line, Cycles now,
+                              bool dirty, bool prefetched, Cycles ready_at) {
+  const EvictedLine evicted = levels_[k]->Insert(at, line, now, dirty, prefetched, ready_at);
   if (!evicted.valid || !evicted.dirty) {
     return;
   }
@@ -95,7 +99,8 @@ void CacheHierarchy::FillInto(int k, Addr line, Cycles now, bool dirty, bool pre
     // Dirty L3 eviction: a write-back enters the persist path (ADR on PM).
     mc_->Write(evicted.line, now, node_);
   } else if (!levels_[k + 1]->Access(evicted.line, now, /*mark_dirty=*/true)) {
-    FillInto(k + 1, evicted.line, now, /*dirty=*/true, /*prefetched=*/false, /*ready_at=*/0);
+    FillInto(k + 1, SetAssocCache::kAbsent, evicted.line, now, /*dirty=*/true,
+             /*prefetched=*/false, /*ready_at=*/0);
   }
 }
 
@@ -148,14 +153,21 @@ void CacheHierarchy::PrefetchFill(Addr line_addr, Cycles now, bool into_l1) {
     return;  // prefetch fills never cascade into more prefetches
   }
   const Addr line = CacheLineBase(line_addr);
-  if (ProbeAny(line, now)) {
-    return;
+  // One lookup per level serves both the presence check and the fill: a
+  // present way whose invalidation is due is not live, but the fill still
+  // refreshes it in place.
+  LevelLookups at;
+  for (int k = 0; k < kLevels; ++k) {
+    at[k] = levels_[k]->Locate(line, now);
+    if (at[k].live) {
+      return;
+    }
   }
   in_prefetch_fill_ = true;
   ++counters_->prefetch_requests;
   AccessRecord fill;
   mc_->Read(line, now, node_, /*ordered=*/false, &fill);
-  FillAbove(kLevels, into_l1 ? 0 : 1, line, now, /*store=*/false, /*prefetched=*/true,
+  FillAbove(kLevels, into_l1 ? 0 : 1, at, line, now, /*store=*/false, /*prefetched=*/true,
             fill.complete_at);
   in_prefetch_fill_ = false;
 }

@@ -76,13 +76,17 @@ class CacheHierarchy {
       engine_.NoteDemandOnly(info.line);
     }
   }
+  using LevelLookups = std::array<SetAssocCache::Located, kLevels>;
   // Fills levels k-1 ... top (0 = L1), nearest to memory first, after a hit
-  // at level k (k == kLevels: memory). Only the L1 copy of a store is dirty.
-  void FillAbove(int k, int top, Addr line, Cycles now, bool store, bool prefetched,
-                 Cycles ready_at);
-  // Inserts into level k, cascading a dirty victim into level k+1 or, past
-  // the L3, into the iMC.
-  void FillInto(int k, Addr line, Cycles now, bool dirty, bool prefetched, Cycles ready_at);
+  // at level k (k == kLevels: memory). `at[j]` is level j's lookup of the
+  // line; fills only cascade to higher levels, so each lookup is still
+  // current when its level is filled. Only the L1 copy of a store is dirty.
+  void FillAbove(int k, int top, const LevelLookups& at, Addr line, Cycles now, bool store,
+                 bool prefetched, Cycles ready_at);
+  // Inserts into level k at `at`, cascading a dirty victim into level k+1
+  // or, past the L3, into the iMC.
+  void FillInto(int k, SetAssocCache::Located at, Addr line, Cycles now, bool dirty,
+                bool prefetched, Cycles ready_at);
 
   CacheConfig config_;
   SetAssocCache l1_;

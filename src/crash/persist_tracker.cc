@@ -42,7 +42,9 @@ void PersistTracker::OnStore(Addr addr, uint64_t len, Cycles now) {
   const Addr first = CacheLineBase(addr);
   const Addr last = CacheLineBase(addr + len - 1);
   for (Addr line = first; line <= last; line += kCacheLineSize) {
-    dirty_lines_.Insert(line, true);
+    if (dirty_lines_.Insert(line, true) && inflight_.Contains(line)) {
+      ++overlap_lines_;  // re-dirtied while still in flight
+    }
   }
   PurgeMatured(now);
   SampleWindow();
@@ -64,7 +66,11 @@ void PersistTracker::OnPmWrite(Addr line, Cycles issue, Cycles accepted_at,
   AddRecord(line, kCacheLineSize, /*retired_store=*/false, accepted_at);
 
   if (!eadr_) {
-    dirty_lines_.Erase(line);  // the line left the cache hierarchy
+    // The line left the cache hierarchy. It is now in flight and not dirty,
+    // so it adds no overlap.
+    if (dirty_lines_.Erase(line) && inflight_.Contains(line)) {
+      --overlap_lines_;
+    }
     ++inflight_[line];
     pending_accepts_.emplace(accepted_at, line);
   }
@@ -93,23 +99,19 @@ void PersistTracker::PurgeMatured(Cycles now) {
     uint32_t* count = inflight_.Find(line);
     if (count != nullptr && --*count == 0) {
       inflight_.Erase(line);
+      if (dirty_lines_.Contains(line)) {
+        --overlap_lines_;
+      }
     }
   }
 }
 
 void PersistTracker::SampleWindow() {
   ++stats_.samples;
-  uint64_t in_cache = 0, in_wpq = 0, overlap = 0;
-  if (!eadr_) {
-    in_cache = kCacheLineSize * dirty_lines_.size();
-    in_wpq = kCacheLineSize * inflight_.size();
-    inflight_.ForEach([&](Addr addr, uint32_t) {
-      if (dirty_lines_.Contains(addr)) {
-        overlap += kCacheLineSize;  // re-dirtied while still in flight
-      }
-    });
-  }
-  const uint64_t vulnerable = in_cache + in_wpq - overlap;
+  // Under eADR the sets stay empty, so every term is zero.
+  const uint64_t in_cache = kCacheLineSize * dirty_lines_.size();
+  const uint64_t in_wpq = kCacheLineSize * inflight_.size();
+  const uint64_t vulnerable = in_cache + in_wpq - kCacheLineSize * overlap_lines_;
   stats_.max_in_cache_bytes = std::max(stats_.max_in_cache_bytes, in_cache);
   stats_.max_in_wpq_bytes = std::max(stats_.max_in_wpq_bytes, in_wpq);
   stats_.max_vulnerable_bytes = std::max(stats_.max_vulnerable_bytes, vulnerable);

@@ -134,6 +134,9 @@ class PersistTracker : public PersistObserver {
   // maxima over these sets, never ordered output, so hash order is safe.
   FlatMap<Addr, bool> dirty_lines_;   // written, not yet at the iMC
   FlatMap<Addr, uint32_t> inflight_;  // at the iMC, not yet accepted (count)
+  // Lines in both sets (re-dirtied while in flight), kept current at every
+  // insert and erase above so a window sample is constant time.
+  uint64_t overlap_lines_ = 0;
   // Pending accepts as (accepted_at, line), earliest on top.
   using PendingAccept = std::pair<Cycles, Addr>;
   std::priority_queue<PendingAccept, std::vector<PendingAccept>, std::greater<>> pending_accepts_;

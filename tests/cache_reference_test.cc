@@ -157,11 +157,11 @@ class ReferenceCache {
 // level (the line is known absent), or unconditionally (the prefetch fill,
 // which may find the line present, its invalidation due or not).
 EvictedLine FillAfterMiss(SetAssocCache& cache, Addr addr, Cycles now, bool dirty) {
-  return cache.Insert(addr, now, dirty, /*prefetched=*/false);
+  return cache.Insert(SetAssocCache::kAbsent, addr, now, dirty, /*prefetched=*/false);
 }
 EvictedLine Fill(SetAssocCache& cache, Addr addr, Cycles now, bool dirty, bool prefetched,
                  Cycles ready_at) {
-  return cache.Insert(addr, now, dirty, prefetched, ready_at);
+  return cache.Insert(cache.Locate(addr, now), addr, now, dirty, prefetched, ready_at);
 }
 
 // The G1 and G2 L1/L2/L3 way counts at a few sets each. The L3s keep their

@@ -21,10 +21,16 @@ namespace {
 
 CacheLevelConfig SmallCache() { return {KiB(4), 4, 4}; }  // 16 sets x 4 ways
 
+// A fill that looks the line up first, as the prefetch fill does.
+EvictedLine Fill(SetAssocCache& cache, Addr line, Cycles now, bool dirty, bool prefetched,
+                 Cycles ready_at = 0) {
+  return cache.Insert(cache.Locate(line, now), line, now, dirty, prefetched, ready_at);
+}
+
 TEST(SetAssocCacheTest, MissThenHit) {
   SetAssocCache cache(SmallCache());
   EXPECT_FALSE(cache.Access(0, 0, false));
-  cache.Insert(0, 0, false, false);
+  Fill(cache, 0, 0, false, false);
   EXPECT_TRUE(cache.Access(0, 1, false));
 }
 
@@ -32,10 +38,10 @@ TEST(SetAssocCacheTest, LruEvictionWithinSet) {
   SetAssocCache cache(SmallCache());
   const uint64_t stride = cache.sets() * kCacheLineSize;  // same set
   for (uint64_t i = 0; i < 4; ++i) {
-    cache.Insert(i * stride, 0, false, false);
+    Fill(cache, i * stride, 0, false, false);
   }
   cache.Access(0, 10, false);  // refresh way 0
-  const EvictedLine e = cache.Insert(4 * stride, 11, false, false);
+  const EvictedLine e = Fill(cache, 4 * stride, 11, false, false);
   EXPECT_TRUE(e.valid);
   EXPECT_EQ(e.line, 1 * stride);  // LRU victim, not the refreshed one
   EXPECT_TRUE(cache.Probe(0, 12));
@@ -44,9 +50,9 @@ TEST(SetAssocCacheTest, LruEvictionWithinSet) {
 TEST(SetAssocCacheTest, DirtyEvictionReported) {
   SetAssocCache cache(SmallCache());
   const uint64_t stride = cache.sets() * kCacheLineSize;
-  cache.Insert(0, 0, /*dirty=*/true, false);
+  Fill(cache, 0, 0, /*dirty=*/true, false);
   for (uint64_t i = 1; i <= 4; ++i) {
-    const EvictedLine e = cache.Insert(i * stride, static_cast<Cycles>(i), false, false);
+    const EvictedLine e = Fill(cache, i * stride, static_cast<Cycles>(i), false, false);
     if (e.valid && e.line == 0) {
       EXPECT_TRUE(e.dirty);
       return;
@@ -57,7 +63,7 @@ TEST(SetAssocCacheTest, DirtyEvictionReported) {
 
 TEST(SetAssocCacheTest, InvalidateReturnsDirtiness) {
   SetAssocCache cache(SmallCache());
-  cache.Insert(0, 0, true, false);
+  Fill(cache, 0, 0, true, false);
   const auto r = cache.Invalidate(0);
   EXPECT_TRUE(r.was_present);
   EXPECT_TRUE(r.was_dirty);
@@ -66,7 +72,7 @@ TEST(SetAssocCacheTest, InvalidateReturnsDirtiness) {
 
 TEST(SetAssocCacheTest, WriteBackRetainKeepsLineClean) {
   SetAssocCache cache(SmallCache());
-  cache.Insert(0, 0, true, false);
+  Fill(cache, 0, 0, true, false);
   const auto r = cache.WriteBack(0, /*invalidate_at=*/1000, /*retain=*/true);
   EXPECT_TRUE(r.was_dirty);
   EXPECT_TRUE(cache.Probe(0, 100000));  // stays valid forever (G2 clwb)
@@ -76,7 +82,7 @@ TEST(SetAssocCacheTest, WriteBackRetainKeepsLineClean) {
 
 TEST(SetAssocCacheTest, TimedPendingInvalidation) {
   SetAssocCache cache(SmallCache());
-  cache.Insert(0, 0, true, false);
+  Fill(cache, 0, 0, true, false);
   cache.WriteBack(0, /*invalidate_at=*/1000, /*retain=*/false);
   EXPECT_TRUE(cache.Probe(0, 999));    // still visible inside the window
   EXPECT_FALSE(cache.Probe(0, 1000));  // gone at the deadline
@@ -84,7 +90,7 @@ TEST(SetAssocCacheTest, TimedPendingInvalidation) {
 
 TEST(SetAssocCacheTest, StoreCancelsPendingInvalidation) {
   SetAssocCache cache(SmallCache());
-  cache.Insert(0, 0, true, false);
+  Fill(cache, 0, 0, true, false);
   cache.WriteBack(0, 1000, false);
   EXPECT_TRUE(cache.Access(0, 500, /*mark_dirty=*/true));  // re-store
   EXPECT_TRUE(cache.Probe(0, 5000));                        // invalidation gone
@@ -92,7 +98,7 @@ TEST(SetAssocCacheTest, StoreCancelsPendingInvalidation) {
 
 TEST(SetAssocCacheTest, ApplyPendingInvalidateIsImmediate) {
   SetAssocCache cache(SmallCache());
-  cache.Insert(0, 0, true, false);
+  Fill(cache, 0, 0, true, false);
   cache.WriteBack(0, 100000, false);
   cache.ApplyPendingInvalidate(0);  // mfence ordering
   EXPECT_FALSE(cache.Probe(0, 1));
@@ -100,7 +106,7 @@ TEST(SetAssocCacheTest, ApplyPendingInvalidateIsImmediate) {
 
 TEST(SetAssocCacheTest, PrefetchedFirstTouchFlag) {
   SetAssocCache cache(SmallCache());
-  cache.Insert(0, 0, false, /*prefetched=*/true);
+  Fill(cache, 0, 0, false, /*prefetched=*/true);
   bool was_prefetched = false;
   EXPECT_TRUE(cache.Access(0, 1, false, &was_prefetched));
   EXPECT_TRUE(was_prefetched);
@@ -110,7 +116,7 @@ TEST(SetAssocCacheTest, PrefetchedFirstTouchFlag) {
 
 TEST(SetAssocCacheTest, FillReadyAtDelaysAvailability) {
   SetAssocCache cache(SmallCache());
-  cache.Insert(0, 0, false, true, /*ready_at=*/500);
+  Fill(cache, 0, 0, false, true, /*ready_at=*/500);
   Cycles avail = 0;
   EXPECT_TRUE(cache.Access(0, 100, false, nullptr, &avail));
   EXPECT_EQ(avail, 500u);
@@ -139,7 +145,7 @@ std::array<uint64_t, 3> RandomCacheOp(SetAssocCache& cache, Rng& rng, Cycles now
       break;
     case 1:
     case 2:
-      evicted = cache.Insert(addr, now, flag_a, flag_b, later);
+      evicted = Fill(cache, addr, now, flag_a, flag_b, later);
       break;
     case 3:
       invalidated = cache.WriteBack(addr, later, /*retain=*/flag_a);
@@ -181,12 +187,12 @@ TEST(SetAssocCacheTest, ExpiredPendingWayIsReusedWithoutEviction) {
   SetAssocCache cache(SmallCache());
   const uint64_t stride = cache.sets() * kCacheLineSize;  // same set
   for (uint64_t i = 0; i < 4; ++i) {
-    cache.Insert(i * stride, i, /*dirty=*/true, false);
+    Fill(cache, i * stride, i, /*dirty=*/true, false);
   }
   // Line 2's clwb invalidation is due at 100; by 200 its way is the set's
   // only free way (every other way is valid, and line 0 is the LRU way).
   cache.WriteBack(2 * stride, /*invalidate_at=*/100, /*retain=*/false);
-  const EvictedLine e = cache.Insert(4 * stride, 200, false, false);
+  const EvictedLine e = Fill(cache, 4 * stride, 200, false, false);
   EXPECT_FALSE(e.valid);  // dropped, not evicted: its write-back already left
   EXPECT_FALSE(cache.Probe(2 * stride, 201));
   EXPECT_TRUE(cache.Probe(4 * stride, 201));

@@ -78,7 +78,7 @@ TEST_P(CacheEquivalence, MatchesReferenceLru) {
         break;
       }
       case 1:
-        cache.Insert(line, now, rng.NextBelow(2) == 0, false);
+        cache.Insert(cache.Locate(line, now), line, now, rng.NextBelow(2) == 0, false);
         ref.Insert(line);
         break;
       default:
