@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <unordered_map>
 
 #include "src/common/random.h"
 #include "src/datastores/cceh.h"
@@ -66,7 +67,7 @@ void ValidateCceh(const BackingStore& image, const CcehExpectation& exp, Validat
       const Addr bucket_addr = segment + Cceh::kSegmentHeaderSize + b * kCacheLineSize;
       for (uint64_t slot = 0; slot < Cceh::kSlotsPerBucket; ++slot) {
         const uint64_t key = image.ReadU64(bucket_addr + slot * Cceh::kSlotSize);
-        if (key != Cceh::kInvalidKey && exp.attempted.count(key) == 0) {
+        if (key != Cceh::kInvalidKey && !exp.attempted.Contains(key)) {
           report->Fail(
               [&] { return "cceh: phantom key " + U64(key) + " in segment " + U64(segment); });
         }
@@ -153,13 +154,13 @@ void ValidateFastFair(const BackingStore& image, const FastFairExpectation& exp,
       }
       prev_key = keys[i];
       have_prev = true;
-      auto it = exp.attempted.find(keys[i]);
-      if (it == exp.attempted.end()) {
+      const uint64_t* planned = exp.attempted.Find(keys[i]);
+      if (planned == nullptr) {
         report->Fail([&] { return "fastfair: phantom key " + U64(keys[i]); });
       } else {
-        report->Check(it->second == vals[i], [&] {
+        report->Check(*planned == vals[i], [&] {
           return "fastfair: key " + U64(keys[i]) + " has value " + U64(vals[i]) + ", want " +
-                 U64(it->second);
+                 U64(*planned);
         });
         found.emplace(keys[i], vals[i]);
       }
@@ -207,7 +208,7 @@ void ValidateFlatLog(System* fresh, ThreadContext& ctx, const FlatLogExpectation
     if (magic != FlatLog::kRecordMagic) {
       continue;
     }
-    if (key != 0 && exp.attempted.count(key) == 0) {
+    if (key != 0 && !exp.attempted.Contains(key)) {
       report->Fail(
           [&] { return "flatlog: phantom key " + U64(key) + " in unacked slot " + U64(slot); });
     }

@@ -25,12 +25,11 @@
 #include <array>
 #include <cstdint>
 #include <string>
-#include <unordered_map>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
 #include "src/common/backing_store.h"
+#include "src/common/flat_map.h"
 #include "src/common/types.h"
 #include "src/core/system.h"
 #include "src/cpu/thread_context.h"
@@ -73,7 +72,7 @@ struct CcehExpectation {
   Addr directory = 0;
   uint32_t global_depth = 0;
   std::vector<std::pair<uint64_t, uint64_t>> acked;  // key -> value, ack order
-  std::unordered_set<uint64_t> attempted;            // every key ever attempted
+  FlatMap<uint64_t, bool> attempted;                 // every key ever attempted
 };
 void ValidateCceh(const BackingStore& image, const CcehExpectation& exp, ValidationReport* report);
 
@@ -85,7 +84,7 @@ void ValidateCceh(const BackingStore& image, const CcehExpectation& exp, Validat
 struct FastFairExpectation {
   Addr meta = 0;
   std::vector<std::pair<uint64_t, uint64_t>> acked;
-  std::unordered_map<uint64_t, uint64_t> attempted;  // key -> planned value
+  FlatMap<uint64_t, uint64_t> attempted;             // key -> planned value
   uint64_t max_nodes = 0;                            // chain-walk budget (cycle guard)
 };
 void ValidateFastFair(const BackingStore& image, const FastFairExpectation& exp,
@@ -102,7 +101,7 @@ struct FlatLogExpectation {
   uint64_t acked_slots = 0;  // slots [0, acked_slots) were batch-flushed
   std::vector<std::array<uint8_t, 64>> slot_images;  // expected, per appended slot
   std::vector<std::pair<uint64_t, std::vector<uint8_t>>> acked_kv;  // ack order
-  std::unordered_set<uint64_t> attempted;
+  FlatMap<uint64_t, bool> attempted;
 };
 void ValidateFlatLog(System* fresh, ThreadContext& ctx, const FlatLogExpectation& exp,
                      ValidationReport* report);

@@ -33,7 +33,7 @@ class CcehCrashWorkload : public CrashWorkload {
     for (uint64_t i = 0; i < opts_.ops; ++i) {
       const uint64_t key = KeyAt(opts_.seed, i);
       const uint64_t value = ValueAt(key);
-      exp_.attempted.insert(key);
+      exp_.attempted.Insert(key, true);
       cceh_->Insert(ctx, key, value);
       exp_.acked.emplace_back(key, value);
     }
@@ -70,7 +70,7 @@ class FastFairCrashWorkload : public CrashWorkload {
     for (uint64_t i = 0; i < opts_.ops; ++i) {
       const uint64_t key = KeyAt(opts_.seed, i);
       const uint64_t value = ValueAt(key);
-      exp_.attempted.emplace(key, value);
+      exp_.attempted.Insert(key, value);
       tree_->Insert(ctx, key, value, BTreeUpdateMode::kInPlace);
       exp_.acked.emplace_back(key, value);
     }
@@ -120,7 +120,7 @@ class FlatLogCrashWorkload : public CrashWorkload {
       std::memcpy(image.data() + 12, &magic, sizeof(magic));
       std::memcpy(image.data() + 16, payload.data(), len);
       exp_.slot_images.push_back(image);
-      exp_.attempted.insert(key);
+      exp_.attempted.Insert(key, true);
       pending_kv_.emplace_back(key, payload);
 
       PMEMSIM_CHECK(log_->Put(ctx, key, payload.data(), len));

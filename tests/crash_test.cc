@@ -430,7 +430,7 @@ TEST(RecoveryValidatorTest, CcehReportsCorruptedAckedValue) {
     const uint64_t key = Mix64(i) | 1;
     const uint64_t value = Mix64(key) | 1;
     ASSERT_TRUE(cceh.Insert(ctx, key, value));
-    exp.attempted.insert(key);
+    exp.attempted.Insert(key, true);
     exp.acked.emplace_back(key, value);
   }
   exp.directory = cceh.directory_addr();
