@@ -1,14 +1,13 @@
 // Heavier randomized property suites: reference-model equivalence for the
-// cache and backing store, whole-system determinism, and crash-point fuzzing
-// of the redo log's atomicity contract.
+// backing store, whole-system determinism, and crash-point fuzzing of the
+// redo log's atomicity contract. The cache's reference model is in
+// cache_reference_test.cc.
 
 #include <gtest/gtest.h>
 
-#include <list>
 #include <map>
 #include <unordered_map>
 
-#include "src/cache/cache.h"
 #include "src/common/backing_store.h"
 #include "src/common/random.h"
 #include "src/core/platform.h"
@@ -18,78 +17,6 @@
 
 namespace pmemsim {
 namespace {
-
-// ---------- SetAssocCache vs a reference LRU model ----------
-
-class ReferenceLru {
- public:
-  ReferenceLru(size_t sets, size_t ways) : sets_(sets), ways_(ways), lists_(sets) {}
-
-  bool Access(Addr line) {
-    auto& lru = lists_[Index(line)];
-    for (auto it = lru.begin(); it != lru.end(); ++it) {
-      if (*it == line) {
-        lru.erase(it);
-        lru.push_front(line);
-        return true;
-      }
-    }
-    return false;
-  }
-
-  void Insert(Addr line) {
-    auto& lru = lists_[Index(line)];
-    if (Access(line)) {
-      return;
-    }
-    if (lru.size() >= ways_) {
-      lru.pop_back();
-    }
-    lru.push_front(line);
-  }
-
-  void Invalidate(Addr line) {
-    auto& lru = lists_[Index(line)];
-    lru.remove(line);
-  }
-
- private:
-  size_t Index(Addr line) const { return static_cast<size_t>((line / kCacheLineSize) % sets_); }
-
-  size_t sets_, ways_;
-  std::vector<std::list<Addr>> lists_;
-};
-
-class CacheEquivalence : public ::testing::TestWithParam<uint64_t> {};
-
-TEST_P(CacheEquivalence, MatchesReferenceLru) {
-  const CacheLevelConfig cfg{KiB(8), 4, 4};  // 32 sets x 4 ways
-  SetAssocCache cache(cfg);
-  ReferenceLru ref(cache.sets(), cfg.ways);
-  Rng rng(GetParam());
-  Cycles now = 0;
-  for (int i = 0; i < 50000; ++i) {
-    const Addr line = rng.NextBelow(512) * kCacheLineSize;
-    ++now;
-    switch (rng.NextBelow(3)) {
-      case 0: {
-        const bool hit = cache.Access(line, now, false);
-        ASSERT_EQ(hit, ref.Access(line)) << "op " << i;
-        break;
-      }
-      case 1:
-        cache.Insert(cache.Locate(line, now), line, now, rng.NextBelow(2) == 0, false);
-        ref.Insert(line);
-        break;
-      default:
-        cache.Invalidate(line);
-        ref.Invalidate(line);
-        break;
-    }
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, CacheEquivalence, ::testing::Values(101u, 202u, 303u));
 
 // ---------- BackingStore vs a reference byte map ----------
 
