@@ -220,8 +220,8 @@ class SetAssocCache {
   std::vector<uint32_t> pending_mask_;  // per set: bit i = way i has a
                                         // scheduled invalidation
   uint64_t tick_ = 0;
-  // Find's memo: the last line it found and its way. kTagMask's low bits
-  // make the initial line unequal to every CacheLineBase value.
+  // Find's memo: the last line it found and its way. The initial line has
+  // its low bits set, so it equals no CacheLineBase value.
   mutable Addr memo_line_ = ~Addr{0};
   mutable size_t memo_way_ = 0;
 };
