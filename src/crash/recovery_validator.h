@@ -84,8 +84,8 @@ void ValidateCceh(const BackingStore& image, const CcehExpectation& exp, Validat
 struct FastFairExpectation {
   Addr meta = 0;
   std::vector<std::pair<uint64_t, uint64_t>> acked;
-  FlatMap<uint64_t, uint64_t> attempted;             // key -> planned value
-  uint64_t max_nodes = 0;                            // chain-walk budget (cycle guard)
+  FlatMap<uint64_t, uint64_t> attempted;  // key -> planned value
+  uint64_t max_nodes = 0;                 // chain-walk budget (cycle guard)
 };
 void ValidateFastFair(const BackingStore& image, const FastFairExpectation& exp,
                       ValidationReport* report);

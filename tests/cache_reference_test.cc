@@ -172,8 +172,12 @@ struct Geometry {
   size_t sets;
 };
 constexpr Geometry kGeometries[] = {
-    {"G1L1", 8, 8},  {"G2L1", 12, 4}, {"G1L2", 16, 8},
-    {"G2L2", 20, 4}, {"G1L3", 11, 10}, {"G2L3", 12, 6},
+    {"G1L1", 8, 8},
+    {"G2L1", 12, 4},
+    {"G1L2", 16, 8},
+    {"G2L2", 20, 4},
+    {"G1L3", 11, 10},
+    {"G2L3", 12, 6},
 };
 
 class CacheReference : public ::testing::TestWithParam<std::tuple<Geometry, uint64_t>> {};
