@@ -15,26 +15,13 @@
 
 #include "bench/sweep_runner.h"
 #include "src/core/platform.h"
+#include "src/persist/barrier.h"
 
 namespace {
 
 using namespace pmemsim;
 
-enum class RapMode { kClwbMfence, kClwbSfence, kNtStoreMfence };
-
-const char* ModeName(RapMode m) {
-  switch (m) {
-    case RapMode::kClwbMfence:
-      return "clwb+mfence";
-    case RapMode::kClwbSfence:
-      return "clwb+sfence";
-    case RapMode::kNtStoreMfence:
-      return "nt-store+mfence";
-  }
-  return "?";
-}
-
-double MeasureRap(Generation gen, bool dram, bool remote, RapMode mode, uint64_t distance,
+double MeasureRap(Generation gen, bool dram, bool remote, PersistMode mode, uint64_t distance,
                   uint64_t wss = KiB(4)) {
   auto system = MakeSystem(gen, /*optane_dimm_count=*/1);
   ThreadContext& ctx = system->CreateThread(remote ? 1 : 0);
@@ -49,18 +36,7 @@ double MeasureRap(Generation gen, bool dram, bool remote, RapMode mode, uint64_t
     uint64_t offset = 0;
     for (uint64_t i = 0; i < iterations; ++i) {
       const Addr addr = region.base + offset;
-      if (mode == RapMode::kNtStoreMfence) {
-        ctx.NtStore64(addr, i);
-        ctx.Mfence();
-      } else {
-        ctx.Store64(addr, i);
-        ctx.Clwb(addr);
-        if (mode == RapMode::kClwbMfence) {
-          ctx.Mfence();
-        } else {
-          ctx.Sfence();
-        }
-      }
+      PersistentStore64(ctx, addr, i, mode);
       // Read a previously persisted cacheline `distance` lines back.
       const uint64_t back = (offset + wss - distance * kCacheLineSize) % wss;
       (void)ctx.Load64(region.base + back);
@@ -96,21 +72,21 @@ int main(int argc, char** argv) {
         if (panel != "all" && panel != key) {
           continue;
         }
-        for (const RapMode mode :
-             {RapMode::kClwbMfence, RapMode::kClwbSfence, RapMode::kNtStoreMfence}) {
-          if (dram && mode == RapMode::kNtStoreMfence) {
+        for (const PersistMode mode :
+             {PersistMode::kClwbMfence, PersistMode::kClwbSfence, PersistMode::kNtStoreMfence}) {
+          if (dram && mode == PersistMode::kNtStoreMfence) {
             continue;  // the paper's DRAM panels plot only the clwb variants
           }
           for (uint64_t d = 0; d <= max_distance; ++d) {
-            const std::string label = std::string(g.name) + "/" + key + "/" + ModeName(mode) +
-                                      "/d" + std::to_string(d);
+            const std::string label = std::string(g.name) + "/" + key + "/" +
+                                      PersistModeName(mode) + "/d" + std::to_string(d);
             runner.Add(label, [=](pmemsim_bench::SweepPoint& point) {
               const double cycles = MeasureRap(g.gen, dram, remote, mode, d);
               point.Emit(pmemsim_bench::Row()
                              .Set("gen", g.name)
                              .Set("device", dram ? "DRAM" : "PM")
                              .Set("locality", remote ? "remote" : "local")
-                             .Set("mode", ModeName(mode))
+                             .Set("mode", PersistModeName(mode))
                              .Set("distance", d)
                              .Set("cycles", cycles, 1));
             });

@@ -5,6 +5,28 @@
 
 namespace pmemsim {
 
+namespace {
+
+// Writes the pass's i-th pad word and puts it on the persist path. Strict
+// persistency fences every element, epoch persistency every epoch_len-th.
+void PersistPad(ThreadContext& ctx, Addr pad, uint64_t i, PersistMode mode,
+                Persistency persistency, uint64_t epoch_len) {
+  StoreAndFlush64(ctx, pad, i, mode);
+  if (persistency == Persistency::kStrict ||
+      (persistency == Persistency::kEpoch && (i + 1) % epoch_len == 0)) {
+    PersistFence(ctx, mode);
+  }
+}
+
+// Closes a relaxed pass, or an epoch pass's trailing epoch, with one sfence.
+void ClosePass(ThreadContext& ctx, Persistency persistency) {
+  if (persistency != Persistency::kStrict) {
+    ctx.Sfence();
+  }
+}
+
+}  // namespace
+
 ChaseList::ChaseList(System* system, PmRegion region, bool sequential, uint64_t seed)
     : system_(system), region_(region), count_(region.size / kElementSize) {
   PMEMSIM_CHECK(system != nullptr);
@@ -38,26 +60,10 @@ Cycles ChaseList::TraverseUpdate(ThreadContext& ctx, uint64_t elements, PersistM
   Addr element = cursor_;
   for (uint64_t i = 0; i < elements; ++i) {
     const Addr next = ctx.Load64(element);
-    const Addr pad = element + kPadOffset;
-    if (UsesClwb(mode)) {
-      ctx.Store64(pad, i);
-      ctx.Clwb(pad);
-    } else {
-      ctx.NtStore64(pad, i);
-    }
-    if (persistency == Persistency::kStrict ||
-        (persistency == Persistency::kEpoch && (i + 1) % epoch_len == 0)) {
-      if (UsesMfence(mode)) {
-        ctx.Mfence();
-      } else {
-        ctx.Sfence();
-      }
-    }
+    PersistPad(ctx, element + kPadOffset, i, mode, persistency, epoch_len);
     element = next;
   }
-  if (persistency != Persistency::kStrict) {
-    ctx.Sfence();  // close the pass (relaxed) or the trailing epoch
-  }
+  ClosePass(ctx, persistency);
   cursor_ = element;
   return ctx.clock() - start;
 }
@@ -76,25 +82,10 @@ Cycles ChaseList::PureWrite(ThreadContext& ctx, uint64_t elements, PersistMode m
                             Persistency persistency, uint64_t epoch_len) {
   const Cycles start = ctx.clock();
   for (uint64_t i = 0; i < elements; ++i) {
-    const Addr pad = order_[(cursor_index_ + i) % count_] + kPadOffset;
-    if (UsesClwb(mode)) {
-      ctx.Store64(pad, i);
-      ctx.Clwb(pad);
-    } else {
-      ctx.NtStore64(pad, i);
-    }
-    if (persistency == Persistency::kStrict ||
-        (persistency == Persistency::kEpoch && (i + 1) % epoch_len == 0)) {
-      if (UsesMfence(mode)) {
-        ctx.Mfence();
-      } else {
-        ctx.Sfence();
-      }
-    }
+    PersistPad(ctx, order_[(cursor_index_ + i) % count_] + kPadOffset, i, mode, persistency,
+               epoch_len);
   }
-  if (persistency != Persistency::kStrict) {
-    ctx.Sfence();
-  }
+  ClosePass(ctx, persistency);
   cursor_index_ = (cursor_index_ + elements) % count_;
   return ctx.clock() - start;
 }

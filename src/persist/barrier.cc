@@ -17,18 +17,40 @@ void Persist(ThreadContext& ctx, Addr addr, uint64_t len, bool use_mfence) {
   }
 }
 
-void PersistentStore64(ThreadContext& ctx, Addr addr, uint64_t value, PersistMode mode) {
+const char* PersistModeName(PersistMode mode) {
+  switch (mode) {
+    case PersistMode::kClwbSfence:
+      return "clwb+sfence";
+    case PersistMode::kClwbMfence:
+      return "clwb+mfence";
+    case PersistMode::kNtStoreSfence:
+      return "nt-store+sfence";
+    case PersistMode::kNtStoreMfence:
+      return "nt-store+mfence";
+  }
+  return "?";
+}
+
+void StoreAndFlush64(ThreadContext& ctx, Addr addr, uint64_t value, PersistMode mode) {
   if (UsesClwb(mode)) {
     ctx.Store64(addr, value);
     ctx.Clwb(addr);
   } else {
     ctx.NtStore64(addr, value);
   }
+}
+
+void PersistFence(ThreadContext& ctx, PersistMode mode) {
   if (UsesMfence(mode)) {
     ctx.Mfence();
   } else {
     ctx.Sfence();
   }
+}
+
+void PersistentStore64(ThreadContext& ctx, Addr addr, uint64_t value, PersistMode mode) {
+  StoreAndFlush64(ctx, addr, value, mode);
+  PersistFence(ctx, mode);
 }
 
 }  // namespace pmemsim

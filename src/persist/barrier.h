@@ -34,7 +34,20 @@ void FlushRange(ThreadContext& ctx, Addr addr, uint64_t len);
 // FlushRange + fence: the canonical persistence barrier.
 void Persist(ThreadContext& ctx, Addr addr, uint64_t len, bool use_mfence = false);
 
-// Stores a 64-bit value and makes it durable per `mode`.
+// The mode's spelling in bench rows: "clwb+sfence", "clwb+mfence",
+// "nt-store+sfence" or "nt-store+mfence".
+const char* PersistModeName(PersistMode mode);
+
+// The first half of a persist: store a 64-bit value and put its line on the
+// persist path (store + clwb, or nt-store).
+void StoreAndFlush64(ThreadContext& ctx, Addr addr, uint64_t value, PersistMode mode);
+
+// The second half: the mode's fence (sfence or mfence). Under relaxed or
+// epoch persistency one fence closes several StoreAndFlush64 calls.
+void PersistFence(ThreadContext& ctx, PersistMode mode);
+
+// Stores a 64-bit value and makes it durable per `mode`: StoreAndFlush64
+// followed by PersistFence.
 void PersistentStore64(ThreadContext& ctx, Addr addr, uint64_t value, PersistMode mode);
 
 // True if the mode flushes via clwb (vs nt-store).

@@ -5,10 +5,14 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <functional>
+#include <vector>
 
 #include "src/core/platform.h"
+#include "src/datastores/chase_list.h"
 #include "src/persist/barrier.h"
 #include "src/persist/redo_log.h"
+#include "src/trace/recorder.h"
 
 namespace pmemsim {
 namespace {
@@ -37,18 +41,93 @@ TEST(BarrierTest, FlushRangeHandlesUnalignedSpans) {
   EXPECT_EQ(f.system->counters().imc_write_bytes, 2 * kCacheLineSize);
 }
 
-TEST(BarrierTest, PersistentStoreModes) {
+// The TraceOp sequence `run` issues on a fresh G1 thread.
+std::vector<TraceOp> RecordOps(const std::function<void(Fixture&)>& run) {
   Fixture f;
-  for (const PersistMode mode :
-       {PersistMode::kClwbSfence, PersistMode::kClwbMfence, PersistMode::kNtStoreSfence,
-        PersistMode::kNtStoreMfence}) {
-    Fixture g;
-    PersistentStore64(*g.ctx, g.pm.base, 99, mode);
-    EXPECT_EQ(g.ctx->Load64(g.pm.base), 99u);
-    EXPECT_EQ(g.ctx->outstanding_persists(), 0u);
-    (void)mode;
+  TraceRecorder recorder;
+  f.ctx->SetTraceRecorder(&recorder, 0);
+  run(f);
+  std::vector<TraceOp> ops;
+  for (const TraceRecord& r : recorder.Take("ops", {}).records) {
+    ops.push_back(r.op);
   }
-  (void)f;
+  return ops;
+}
+
+TEST(BarrierTest, PersistentStoreModes) {
+  struct Case {
+    PersistMode mode;
+    const char* name;
+    std::vector<TraceOp> ops;
+  };
+  const Case cases[] = {
+      {PersistMode::kClwbSfence, "clwb+sfence",
+       {TraceOp::kStore64, TraceOp::kClwb, TraceOp::kSfence}},
+      {PersistMode::kClwbMfence, "clwb+mfence",
+       {TraceOp::kStore64, TraceOp::kClwb, TraceOp::kMfence}},
+      {PersistMode::kNtStoreSfence, "nt-store+sfence", {TraceOp::kNtStore64, TraceOp::kSfence}},
+      {PersistMode::kNtStoreMfence, "nt-store+mfence", {TraceOp::kNtStore64, TraceOp::kMfence}},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    EXPECT_STREQ(PersistModeName(c.mode), c.name);
+    EXPECT_EQ(RecordOps([&](Fixture& f) { PersistentStore64(*f.ctx, f.pm.base, 99, c.mode); }),
+              c.ops);
+    // The two halves issue exactly what PersistentStore64 issues.
+    EXPECT_EQ(RecordOps([&](Fixture& f) {
+                StoreAndFlush64(*f.ctx, f.pm.base, 99, c.mode);
+                PersistFence(*f.ctx, c.mode);
+              }),
+              c.ops);
+    Fixture g;
+    PersistentStore64(*g.ctx, g.pm.base, 99, c.mode);
+    EXPECT_EQ(g.ctx->outstanding_persists(), 0u);
+    EXPECT_EQ(g.ctx->Load64(g.pm.base), 99u);
+  }
+}
+
+// Six updates under each persistency model, fenced as ChaseList fences them:
+// the mode's fence after every update (strict) or every 4th (epoch 4), and a
+// closing sfence for a relaxed pass or a trailing epoch.
+TEST(BarrierTest, PersistencyPlacesTheModesFence) {
+  constexpr uint64_t kUpdates = 6;
+  constexpr uint64_t kEpoch = 4;
+  const TraceOp st = TraceOp::kNtStore64;
+  const TraceOp mf = TraceOp::kMfence;
+  const TraceOp sf = TraceOp::kSfence;
+  struct Case {
+    const char* name;
+    Persistency persistency;
+    std::vector<TraceOp> ops;  // under nt-store+mfence
+  };
+  const Case cases[] = {
+      {"strict", Persistency::kStrict, {st, mf, st, mf, st, mf, st, mf, st, mf, st, mf}},
+      {"epoch-4", Persistency::kEpoch, {st, st, st, st, mf, st, st, sf}},
+      {"relaxed", Persistency::kRelaxed, {st, st, st, st, st, st, sf}},
+  };
+  const PersistMode mode = PersistMode::kNtStoreMfence;
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    EXPECT_EQ(RecordOps([&](Fixture& f) {
+                for (uint64_t i = 0; i < kUpdates; ++i) {
+                  StoreAndFlush64(*f.ctx, f.pm.At(i * kXPLineSize), i, mode);
+                  if (c.persistency == Persistency::kStrict ||
+                      (c.persistency == Persistency::kEpoch && (i + 1) % kEpoch == 0)) {
+                    PersistFence(*f.ctx, mode);
+                  }
+                }
+                if (c.persistency != Persistency::kStrict) {
+                  f.ctx->Sfence();
+                }
+              }),
+              c.ops);
+    EXPECT_EQ(RecordOps([&](Fixture& f) {
+                ChaseList list(f.system.get(), f.system->AllocatePm(KiB(4), kXPLineSize),
+                               /*sequential=*/true, /*seed=*/0);
+                list.PureWrite(*f.ctx, kUpdates, mode, c.persistency, kEpoch);
+              }),
+              c.ops);
+  }
 }
 
 TEST(BarrierTest, ModePredicates) {
