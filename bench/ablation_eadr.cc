@@ -12,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "bench/buffer_probes.h"
 #include "bench/sweep_runner.h"
 #include "src/common/config.h"
 #include "src/core/system.h"
@@ -24,14 +25,11 @@ namespace {
 using namespace pmemsim;
 
 double ElementUpdate(const PlatformConfig& cfg) {
-  auto system = std::make_unique<System>(cfg, 1);
-  ThreadContext& ctx = system->CreateThread();
-  const PmRegion region = system->AllocatePm(MiB(1), kXPLineSize);
-  ChaseList list(system.get(), region, false, 0xEAD);
-  list.TraverseUpdate(ctx, 4000, PersistMode::kClwbSfence, Persistency::kStrict);
-  const Cycles t =
-      list.TraverseUpdate(ctx, 8000, PersistMode::kClwbSfence, Persistency::kStrict);
-  return static_cast<double>(t) / 8000.0;
+  return pmemsim_bench::MeasureChaseList(
+      cfg, MiB(1), /*sequential=*/false, 0xEAD, 4000, 8000,
+      [](ThreadContext& ctx, ChaseList& list, uint64_t n) {
+        return list.TraverseUpdate(ctx, n, PersistMode::kClwbSfence, Persistency::kStrict);
+      });
 }
 
 double BtreeInsert(const PlatformConfig& cfg) {

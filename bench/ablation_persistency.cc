@@ -9,23 +9,20 @@
 
 #include <string>
 
+#include "bench/buffer_probes.h"
 #include "bench/sweep_runner.h"
-#include "src/core/platform.h"
-#include "src/datastores/chase_list.h"
 
 namespace {
 
 using namespace pmemsim;
 
 double Measure(uint64_t wss, uint64_t epoch_len) {
-  auto system = MakeG1System(1);
-  ThreadContext& ctx = system->CreateThread();
-  const PmRegion region = system->AllocatePm(wss, kXPLineSize);
-  ChaseList list(system.get(), region, /*sequential=*/false, 0xE9);
   const Persistency model = epoch_len == 1 ? Persistency::kStrict : Persistency::kEpoch;
-  list.TraverseUpdate(ctx, 4000, PersistMode::kClwbSfence, model, epoch_len);
-  const Cycles t = list.TraverseUpdate(ctx, 8000, PersistMode::kClwbSfence, model, epoch_len);
-  return static_cast<double>(t) / 8000.0;
+  return pmemsim_bench::MeasureChaseList(
+      G1Platform(), wss, /*sequential=*/false, 0xE9, 4000, 8000,
+      [=](ThreadContext& ctx, ChaseList& list, uint64_t n) {
+        return list.TraverseUpdate(ctx, n, PersistMode::kClwbSfence, model, epoch_len);
+      });
 }
 
 }  // namespace

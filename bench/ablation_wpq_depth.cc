@@ -6,13 +6,11 @@
 // point); a shallow WPQ exposes the media write latency as soon as the
 // working set spills the write buffer.
 
-#include <memory>
 #include <string>
 
+#include "bench/buffer_probes.h"
 #include "bench/sweep_runner.h"
 #include "src/common/config.h"
-#include "src/core/system.h"
-#include "src/datastores/chase_list.h"
 
 namespace {
 
@@ -21,13 +19,11 @@ using namespace pmemsim;
 double Measure(uint32_t wpq_entries, uint64_t wss) {
   PlatformConfig cfg = G1Platform();
   cfg.imc.wpq_entries = wpq_entries;
-  auto system = std::make_unique<System>(cfg, 1);
-  ThreadContext& ctx = system->CreateThread();
-  const PmRegion region = system->AllocatePm(wss, kXPLineSize);
-  ChaseList list(system.get(), region, /*sequential=*/false, 0xAB);
-  list.PureWrite(ctx, 4000, PersistMode::kClwbSfence, Persistency::kStrict);
-  const Cycles t = list.PureWrite(ctx, 8000, PersistMode::kClwbSfence, Persistency::kStrict);
-  return static_cast<double>(t) / 8000.0;
+  return pmemsim_bench::MeasureChaseList(
+      cfg, wss, /*sequential=*/false, 0xAB, 4000, 8000,
+      [](ThreadContext& ctx, ChaseList& list, uint64_t n) {
+        return list.PureWrite(ctx, n, PersistMode::kClwbSfence, Persistency::kStrict);
+      });
 }
 
 }  // namespace

@@ -150,4 +150,14 @@ ReadRatios MeasureBlockReadRatios(Generation gen, uint64_t wss_bytes,
           static_cast<double>(d.imc_read_bytes) / demand};
 }
 
+double MeasureChaseList(const PlatformConfig& platform, uint64_t wss_bytes, bool sequential,
+                        uint64_t seed, uint64_t warm, uint64_t measured, const ChasePass& pass) {
+  System system(platform, /*optane_dimm_count=*/1);
+  ThreadContext& ctx = system.CreateThread();
+  ChaseList list(&system, system.AllocatePm(wss_bytes, kXPLineSize), sequential, seed);
+  pass(ctx, list, warm);
+  const Cycles cycles = pass(ctx, list, measured);
+  return static_cast<double>(cycles) / static_cast<double>(measured);
+}
+
 }  // namespace pmemsim_bench

@@ -11,6 +11,7 @@
 
 #include "src/common/config.h"
 #include "src/core/system.h"
+#include "src/datastores/chase_list.h"
 
 namespace pmemsim_bench {
 
@@ -54,6 +55,17 @@ struct ReadRatios {
 ReadRatios MeasureBlockReadRatios(pmemsim::Generation gen, uint64_t wss_bytes,
                                   const BlockVisitProbe& probe, uint64_t max_visits,
                                   uint32_t repeats);
+
+// Figure 8 and its ablations (§3.6): a ChaseList over `wss_bytes` (elements
+// in address order with `sequential`, else shuffled by `seed`) on a new
+// single-DIMM `platform` System with one thread. Runs `pass` over `warm`
+// elements, then over `measured` ones, and returns the measured pass's cycles
+// per element.
+using ChasePass = std::function<pmemsim::Cycles(pmemsim::ThreadContext&, pmemsim::ChaseList&,
+                                                uint64_t elements)>;
+double MeasureChaseList(const pmemsim::PlatformConfig& platform, uint64_t wss_bytes,
+                        bool sequential, uint64_t seed, uint64_t warm, uint64_t measured,
+                        const ChasePass& pass);
 
 }  // namespace pmemsim_bench
 

@@ -10,11 +10,12 @@
 // ~1000+ for random access as the AIT and L3 overflow. Write latency stays
 // flat at any WSS; reads dominate beyond the LLC.
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
+#include "bench/buffer_probes.h"
 #include "bench/sweep_runner.h"
-#include "src/core/platform.h"
 #include "src/datastores/chase_list.h"
 
 namespace {
@@ -27,48 +28,38 @@ struct Series {
   PersistMode mode;
 };
 
-double MeasureUpdate(Generation gen, uint64_t wss, bool sequential, PersistMode mode,
-                     Persistency persistency, uint64_t max_ops) {
-  auto system = MakeSystem(gen, /*optane_dimm_count=*/1);
-  ThreadContext& ctx = system->CreateThread();
-  const PmRegion region = system->AllocatePm(wss, kXPLineSize);
-  ChaseList list(system.get(), region, sequential, /*seed=*/0x11 + wss);
-
-  const uint64_t count = list.size();
+// One fig08 series point: warm-up over the list once (at least 2000
+// elements), then measure two passes (at least 4000), both capped at max_ops.
+double Measure(Generation gen, uint64_t wss, bool sequential, uint64_t seed, uint64_t max_ops,
+               const pmemsim_bench::ChasePass& pass) {
+  const uint64_t count = wss / ChaseList::kElementSize;
   const uint64_t warm = std::max<uint64_t>(std::min<uint64_t>(count, max_ops), 2000);
   const uint64_t measured = std::max<uint64_t>(std::min<uint64_t>(2 * count, max_ops), 4000);
-  list.TraverseUpdate(ctx, warm, mode, persistency);
-  const Cycles cycles = list.TraverseUpdate(ctx, measured, mode, persistency);
-  return static_cast<double>(cycles) / static_cast<double>(measured);
+  return pmemsim_bench::MeasureChaseList(PlatformFor(gen), wss, sequential, seed, warm, measured,
+                                         pass);
+}
+
+double MeasureUpdate(Generation gen, uint64_t wss, bool sequential, PersistMode mode,
+                     Persistency persistency, uint64_t max_ops) {
+  return Measure(gen, wss, sequential, 0x11 + wss, max_ops,
+                 [=](ThreadContext& ctx, ChaseList& list, uint64_t n) {
+                   return list.TraverseUpdate(ctx, n, mode, persistency);
+                 });
 }
 
 double MeasureRead(Generation gen, uint64_t wss, bool sequential, uint64_t max_ops) {
-  auto system = MakeSystem(gen, /*optane_dimm_count=*/1);
-  ThreadContext& ctx = system->CreateThread();
-  const PmRegion region = system->AllocatePm(wss, kXPLineSize);
-  ChaseList list(system.get(), region, sequential, /*seed=*/0x22 + wss);
-
-  const uint64_t count = list.size();
-  const uint64_t warm = std::max<uint64_t>(std::min<uint64_t>(count, max_ops), 2000);
-  const uint64_t measured = std::max<uint64_t>(std::min<uint64_t>(2 * count, max_ops), 4000);
-  list.TraverseRead(ctx, warm);
-  const Cycles cycles = list.TraverseRead(ctx, measured);
-  return static_cast<double>(cycles) / static_cast<double>(measured);
+  return Measure(gen, wss, sequential, 0x22 + wss, max_ops,
+                 [](ThreadContext& ctx, ChaseList& list, uint64_t n) {
+                   return list.TraverseRead(ctx, n);
+                 });
 }
 
 double MeasurePureWrite(Generation gen, uint64_t wss, bool sequential, PersistMode mode,
                         uint64_t max_ops) {
-  auto system = MakeSystem(gen, /*optane_dimm_count=*/1);
-  ThreadContext& ctx = system->CreateThread();
-  const PmRegion region = system->AllocatePm(wss, kXPLineSize);
-  ChaseList list(system.get(), region, sequential, /*seed=*/0x33 + wss);
-
-  const uint64_t count = list.size();
-  const uint64_t warm = std::max<uint64_t>(std::min<uint64_t>(count, max_ops), 2000);
-  const uint64_t measured = std::max<uint64_t>(std::min<uint64_t>(2 * count, max_ops), 4000);
-  list.PureWrite(ctx, warm, mode, Persistency::kStrict);
-  const Cycles cycles = list.PureWrite(ctx, measured, mode, Persistency::kStrict);
-  return static_cast<double>(cycles) / static_cast<double>(measured);
+  return Measure(gen, wss, sequential, 0x33 + wss, max_ops,
+                 [=](ThreadContext& ctx, ChaseList& list, uint64_t n) {
+                   return list.PureWrite(ctx, n, mode, Persistency::kStrict);
+                 });
 }
 
 }  // namespace
