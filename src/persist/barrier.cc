@@ -8,27 +8,15 @@ void FlushRange(ThreadContext& ctx, Addr addr, uint64_t len) {
   }
 }
 
-void Persist(ThreadContext& ctx, Addr addr, uint64_t len, bool use_mfence) {
+void Persist(ThreadContext& ctx, Addr addr, uint64_t len) {
   FlushRange(ctx, addr, len);
-  if (use_mfence) {
-    ctx.Mfence();
-  } else {
-    ctx.Sfence();
-  }
+  ctx.Sfence();
 }
 
 const char* PersistModeName(PersistMode mode) {
-  switch (mode) {
-    case PersistMode::kClwbSfence:
-      return "clwb+sfence";
-    case PersistMode::kClwbMfence:
-      return "clwb+mfence";
-    case PersistMode::kNtStoreSfence:
-      return "nt-store+sfence";
-    case PersistMode::kNtStoreMfence:
-      return "nt-store+mfence";
-  }
-  return "?";
+  static constexpr const char* kNames[] = {"clwb+sfence", "clwb+mfence", "nt-store+sfence",
+                                           "nt-store+mfence"};
+  return kNames[static_cast<int>(mode)];
 }
 
 void StoreAndFlush64(ThreadContext& ctx, Addr addr, uint64_t value, PersistMode mode) {

@@ -31,24 +31,19 @@ enum class Persistency : uint8_t {
 // Issues clwb for every cacheline covering [addr, addr+len).
 void FlushRange(ThreadContext& ctx, Addr addr, uint64_t len);
 
-// FlushRange + fence: the canonical persistence barrier.
-void Persist(ThreadContext& ctx, Addr addr, uint64_t len, bool use_mfence = false);
+// FlushRange + sfence: the canonical persistence barrier.
+void Persist(ThreadContext& ctx, Addr addr, uint64_t len);
 
-// The mode's spelling in bench rows: "clwb+sfence", "clwb+mfence",
+// The mode as bench rows spell it: "clwb+sfence", "clwb+mfence",
 // "nt-store+sfence" or "nt-store+mfence".
 const char* PersistModeName(PersistMode mode);
 
-// The first half of a persist: store a 64-bit value and put its line on the
-// persist path (store + clwb, or nt-store).
-void StoreAndFlush64(ThreadContext& ctx, Addr addr, uint64_t value, PersistMode mode);
-
-// The second half: the mode's fence (sfence or mfence). Under relaxed or
-// epoch persistency one fence closes several StoreAndFlush64 calls.
-void PersistFence(ThreadContext& ctx, PersistMode mode);
-
 // Stores a 64-bit value and makes it durable per `mode`: StoreAndFlush64
-// followed by PersistFence.
+// (store + clwb, or nt-store), then PersistFence (sfence or mfence). Relaxed
+// and epoch persistency call the halves, one fence closing several stores.
 void PersistentStore64(ThreadContext& ctx, Addr addr, uint64_t value, PersistMode mode);
+void StoreAndFlush64(ThreadContext& ctx, Addr addr, uint64_t value, PersistMode mode);
+void PersistFence(ThreadContext& ctx, PersistMode mode);
 
 // True if the mode flushes via clwb (vs nt-store).
 constexpr bool UsesClwb(PersistMode mode) {
