@@ -160,4 +160,40 @@ double MeasureChaseList(const PlatformConfig& platform, uint64_t wss_bytes, bool
   return static_cast<double>(cycles) / static_cast<double>(measured);
 }
 
+void AccessKernel::operator()(AccessWorker& w) const {
+  ThreadContext& ctx = *w.ctx;
+  const uint64_t lines = region.size / stride;
+  const uint64_t index =
+      spec.pattern == AccessPattern::kSeq ? (w.pos++ % lines) : w.rng.NextBelow(lines);
+  const Addr addr = region.At(index * stride);
+  const Cycles t0 = ctx.clock();
+  switch (spec.op) {
+    case AccessOp::kLoadLine:
+      ctx.LoadLine(addr);
+      break;
+    case AccessOp::kStore:
+      ctx.Store64(addr, w.done);
+      break;
+    case AccessOp::kPersist:
+      PersistentStore64(ctx, addr, w.done, spec.mode);
+      break;
+    case AccessOp::kRap:
+      PersistentStore64(ctx, addr, w.done, spec.mode);
+      ctx.Load64(region.At((index + lines - spec.distance % lines) % lines * stride));
+      break;
+    case AccessOp::kStreamCopy:
+      ctx.StreamCopyXPLine(XPLineBase(addr), bounce);
+      break;
+  }
+  w.latency.Add(ctx.clock() - t0);
+}
+
+std::vector<uint64_t> SplitOps(uint64_t ops, uint32_t threads) {
+  std::vector<uint64_t> quotas(threads);
+  for (uint32_t t = 0; t < threads; ++t) {
+    quotas[t] = ops / threads + (t < ops % threads ? 1 : 0);
+  }
+  return quotas;
+}
+
 }  // namespace pmemsim_bench

@@ -8,10 +8,15 @@
 
 #include <cstdint>
 #include <functional>
+#include <vector>
 
 #include "src/common/config.h"
+#include "src/common/random.h"
+#include "src/common/stats.h"
 #include "src/core/system.h"
+#include "src/cpu/scheduler.h"
 #include "src/datastores/chase_list.h"
+#include "src/persist/barrier.h"
 
 namespace pmemsim_bench {
 
@@ -66,6 +71,70 @@ using ChasePass = std::function<pmemsim::Cycles(pmemsim::ThreadContext&, pmemsim
 double MeasureChaseList(const pmemsim::PlatformConfig& platform, uint64_t wss_bytes,
                         bool sequential, uint64_t seed, uint64_t warm, uint64_t measured,
                         const ChasePass& pass);
+
+// The access kernel pmemsim_probe and pmemsim_watch drive: one op kind over
+// the region.size / stride lines of a region, each worker a simulated thread
+// with its own sequential cursor or seeded random index.
+enum class AccessOp : uint8_t {
+  kLoadLine,    // LoadLine
+  kStore,       // Store64, left in the caches
+  kPersist,     // PersistentStore64 per the spec's mode
+  kRap,         // kPersist, then Load64 of the line `distance` strides back (Algorithm 1)
+  kStreamCopy,  // stream-copy the line's XPLine into the bounce buffer
+};
+enum class AccessPattern : uint8_t { kSeq, kRand };
+
+struct AccessSpec {
+  AccessOp op = AccessOp::kLoadLine;
+  AccessPattern pattern = AccessPattern::kRand;
+  pmemsim::PersistMode mode = pmemsim::PersistMode::kClwbSfence;  // kPersist, kRap
+  uint64_t distance = 0;  // kRap, in strides, modulo the region's line count
+};
+
+struct AccessWorker {
+  pmemsim::ThreadContext* ctx = nullptr;
+  pmemsim::Rng rng{0};         // the kRand index
+  uint64_t pos = 0;            // the kSeq cursor
+  uint64_t done = 0;           // ops of the current phase; each store writes this value
+  pmemsim::Histogram latency;  // per-op cycles
+};
+
+struct AccessKernel {
+  AccessSpec spec;
+  pmemsim::PmRegion region;
+  uint64_t stride = pmemsim::kCacheLineSize;
+  pmemsim::Addr bounce = 0;  // kStreamCopy's target, a DRAM XPLine
+
+  // The RunWorkers step: issues `w`'s next op and records its latency.
+  void operator()(AccessWorker& w) const;
+};
+
+// One phase of a multi-threaded probe: worker i (a struct with a `ctx` and a
+// `done` count, restarted at zero) takes quotas[i] steps of step(worker), all
+// workers interleaved by one Scheduler::Run (which drives `sampler`, if any).
+// Returns the phase's end cycle.
+template <typename Worker, typename Step>
+pmemsim::Cycles RunWorkers(std::vector<Worker>& workers, const std::vector<uint64_t>& quotas,
+                           const Step& step, pmemsim::Sampler* sampler = nullptr) {
+  std::vector<pmemsim::SimJob> jobs;
+  for (size_t i = 0; i < workers.size(); ++i) {
+    Worker& w = workers[i];
+    w.done = 0;
+    jobs.push_back({w.ctx, [&w, &step, quota = quotas[i]]() {
+                      if (w.done >= quota) {
+                        return pmemsim::StepResult::kDone;
+                      }
+                      step(w);
+                      ++w.done;
+                      return pmemsim::StepResult::kProgress;
+                    }});
+  }
+  return pmemsim::Scheduler::Run(jobs, sampler);
+}
+
+// `ops` split exactly across `threads`: the first ops % threads threads take
+// one op more than the rest.
+std::vector<uint64_t> SplitOps(uint64_t ops, uint32_t threads);
 
 }  // namespace pmemsim_bench
 

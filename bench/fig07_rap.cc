@@ -12,10 +12,11 @@
 //  * DRAM: the same shapes compressed (~700-cycle peak).
 
 #include <string>
+#include <vector>
 
+#include "bench/buffer_probes.h"
 #include "bench/sweep_runner.h"
 #include "src/core/platform.h"
-#include "src/persist/barrier.h"
 
 namespace {
 
@@ -24,29 +25,20 @@ using namespace pmemsim;
 double MeasureRap(Generation gen, bool dram, bool remote, PersistMode mode, uint64_t distance,
                   uint64_t wss = KiB(4)) {
   auto system = MakeSystem(gen, /*optane_dimm_count=*/1);
-  ThreadContext& ctx = system->CreateThread(remote ? 1 : 0);
-  SetPrefetchers(ctx, false, false, false);
+  std::vector<pmemsim_bench::AccessWorker> thread(1);
+  thread[0].ctx = &system->CreateThread(remote ? 1 : 0);
+  SetPrefetchers(*thread[0].ctx, false, false, false);
 
+  // Persist the lines in address order, each followed by a load of the line
+  // `distance` back.
   const PmRegion region =
       dram ? system->AllocateDram(wss, kXPLineSize) : system->AllocatePm(wss, kXPLineSize);
+  const pmemsim_bench::AccessKernel kernel{
+      {pmemsim_bench::AccessOp::kRap, pmemsim_bench::AccessPattern::kSeq, mode, distance},
+      region};
   const uint64_t lines = wss / kCacheLineSize;
-
-  auto run = [&](uint64_t iterations) -> Cycles {
-    const Cycles start = ctx.clock();
-    uint64_t offset = 0;
-    for (uint64_t i = 0; i < iterations; ++i) {
-      const Addr addr = region.base + offset;
-      PersistentStore64(ctx, addr, i, mode);
-      // Read a previously persisted cacheline `distance` lines back.
-      const uint64_t back = (offset + wss - distance * kCacheLineSize) % wss;
-      (void)ctx.Load64(region.base + back);
-      offset = (offset + kCacheLineSize) % wss;
-    }
-    return ctx.clock() - start;
-  };
-
-  run(3 * lines);  // warm up: all lines persisted at least once
-  const Cycles total = run(6 * lines);
+  const Cycles start = pmemsim_bench::RunWorkers(thread, {3 * lines}, kernel);  // warm up
+  const Cycles total = pmemsim_bench::RunWorkers(thread, {6 * lines}, kernel) - start;
   return static_cast<double>(total) / static_cast<double>(6 * lines);
 }
 

@@ -28,38 +28,15 @@ struct Series {
   PersistMode mode;
 };
 
-// One fig08 series point: warm-up over the list once (at least 2000
-// elements), then measure two passes (at least 4000), both capped at max_ops.
-double Measure(Generation gen, uint64_t wss, bool sequential, uint64_t seed, uint64_t max_ops,
+// Warms up over the list once (at least 2000 elements), then measures two
+// passes (at least 4000), both capped at max_ops. The list's seed is salt + wss.
+double Measure(Generation gen, uint64_t wss, bool sequential, uint64_t salt, uint64_t max_ops,
                const pmemsim_bench::ChasePass& pass) {
   const uint64_t count = wss / ChaseList::kElementSize;
-  const uint64_t warm = std::max<uint64_t>(std::min<uint64_t>(count, max_ops), 2000);
-  const uint64_t measured = std::max<uint64_t>(std::min<uint64_t>(2 * count, max_ops), 4000);
-  return pmemsim_bench::MeasureChaseList(PlatformFor(gen), wss, sequential, seed, warm, measured,
-                                         pass);
-}
-
-double MeasureUpdate(Generation gen, uint64_t wss, bool sequential, PersistMode mode,
-                     Persistency persistency, uint64_t max_ops) {
-  return Measure(gen, wss, sequential, 0x11 + wss, max_ops,
-                 [=](ThreadContext& ctx, ChaseList& list, uint64_t n) {
-                   return list.TraverseUpdate(ctx, n, mode, persistency);
-                 });
-}
-
-double MeasureRead(Generation gen, uint64_t wss, bool sequential, uint64_t max_ops) {
-  return Measure(gen, wss, sequential, 0x22 + wss, max_ops,
-                 [](ThreadContext& ctx, ChaseList& list, uint64_t n) {
-                   return list.TraverseRead(ctx, n);
-                 });
-}
-
-double MeasurePureWrite(Generation gen, uint64_t wss, bool sequential, PersistMode mode,
-                        uint64_t max_ops) {
-  return Measure(gen, wss, sequential, 0x33 + wss, max_ops,
-                 [=](ThreadContext& ctx, ChaseList& list, uint64_t n) {
-                   return list.PureWrite(ctx, n, mode, Persistency::kStrict);
-                 });
+  return pmemsim_bench::MeasureChaseList(
+      PlatformFor(gen), wss, sequential, salt + wss,
+      std::max<uint64_t>(std::min<uint64_t>(count, max_ops), 2000),
+      std::max<uint64_t>(std::min<uint64_t>(2 * count, max_ops), 4000), pass);
 }
 
 }  // namespace
@@ -102,12 +79,18 @@ int main(int argc, char** argv) {
         const std::string label =
             std::string(g.name) + "/" + s.name + "/" + std::to_string(wss / 1024) + "kb";
         runner.Add(label, [=](pmemsim_bench::SweepPoint& point) {
-          emit(point, "strict", s.name, wss,
-               MeasureUpdate(g.gen, wss, s.sequential, s.mode, Persistency::kStrict, max_ops));
-          emit(point, "relaxed", s.name, wss,
-               MeasureUpdate(g.gen, wss, s.sequential, s.mode, Persistency::kRelaxed, max_ops));
+          for (const Persistency p : {Persistency::kStrict, Persistency::kRelaxed}) {
+            emit(point, p == Persistency::kStrict ? "strict" : "relaxed", s.name, wss,
+                 Measure(g.gen, wss, s.sequential, 0x11, max_ops,
+                         [&](ThreadContext& ctx, ChaseList& list, uint64_t n) {
+                           return list.TraverseUpdate(ctx, n, s.mode, p);
+                         }));
+          }
           emit(point, "breakdown", s.name, wss,
-               MeasurePureWrite(g.gen, wss, s.sequential, s.mode, max_ops));
+               Measure(g.gen, wss, s.sequential, 0x33, max_ops,
+                       [&](ThreadContext& ctx, ChaseList& list, uint64_t n) {
+                         return list.PureWrite(ctx, n, s.mode, Persistency::kStrict);
+                       }));
         });
       }
       for (const bool sequential : {true, false}) {
@@ -115,7 +98,11 @@ int main(int argc, char** argv) {
         const std::string label =
             std::string(g.name) + "/" + series + "/" + std::to_string(wss / 1024) + "kb";
         runner.Add(label, [=](pmemsim_bench::SweepPoint& point) {
-          emit(point, "breakdown", series, wss, MeasureRead(g.gen, wss, sequential, max_ops));
+          emit(point, "breakdown", series, wss,
+               Measure(g.gen, wss, sequential, 0x22, max_ops,
+                       [](ThreadContext& ctx, ChaseList& list, uint64_t n) {
+                         return list.TraverseRead(ctx, n);
+                       }));
         });
       }
     }

@@ -7,14 +7,15 @@
 #include <string>
 #include <vector>
 
+#include "bench/buffer_probes.h"
 #include "bench/sweep_runner.h"
 #include "src/common/random.h"
 #include "src/core/platform.h"
-#include "src/cpu/scheduler.h"
 
 namespace {
 
 using namespace pmemsim;
+using pmemsim_bench::RunWorkers;
 
 struct Result {
   double cycles_per_block = 0;
@@ -59,38 +60,14 @@ Result RunScaling(Generation gen, bool optimized, uint32_t threads, uint64_t wss
     w.ctx->Sfence();
   };
 
-  // Warmup.
-  std::vector<SimJob> warm_jobs;
-  for (Worker& w : workers) {
-    warm_jobs.push_back({w.ctx, [&w, &visit, blocks_per_thread]() {
-                           if (w.done >= blocks_per_thread / 4) {
-                             return StepResult::kDone;
-                           }
-                           visit(w);
-                           ++w.done;
-                           return StepResult::kProgress;
-                         }});
-  }
-  Scheduler::Run(warm_jobs);
-
+  RunWorkers(workers, std::vector<uint64_t>(threads, blocks_per_thread / 4), visit);  // warmup
   Cycles start_max = 0;
   for (Worker& w : workers) {
-    w.done = 0;
     start_max = std::max(start_max, w.ctx->clock());
     w.ctx->AdvanceTo(start_max);
   }
-  std::vector<SimJob> jobs;
-  for (Worker& w : workers) {
-    jobs.push_back({w.ctx, [&w, &visit, blocks_per_thread]() {
-                      if (w.done >= blocks_per_thread) {
-                        return StepResult::kDone;
-                      }
-                      visit(w);
-                      ++w.done;
-                      return StepResult::kProgress;
-                    }});
-  }
-  const Cycles end_max = Scheduler::Run(jobs);
+  const Cycles end_max =
+      RunWorkers(workers, std::vector<uint64_t>(threads, blocks_per_thread), visit);
 
   double total_cycles = 0;
   for (Worker& w : workers) {

@@ -10,16 +10,16 @@
 // bandwidth, and the ipmwatch-equivalent counters (amplifications, buffer
 // hit ratios, stalls).
 
+#include <algorithm>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "bench/buffer_probes.h"
 #include "bench/sweep_runner.h"
 #include "src/common/random.h"
 #include "src/common/stats.h"
 #include "src/core/platform.h"
-#include "src/cpu/scheduler.h"
-#include "src/persist/barrier.h"
 
 namespace {
 
@@ -29,118 +29,79 @@ struct ProbeConfig {
   PlatformConfig platform;        // selected by --platform (or legacy --gen)
   std::string op = "read";        // read | write | ntstore | rap | copy
   std::string pattern = "rand";   // seq | rand
-  std::string persist = "none";   // none | clwb | clwb+mfence
+  pmemsim_bench::AccessSpec spec;  // --op, --pattern, --persist and --distance
   uint64_t wss = MiB(64);
   uint64_t stride = kCacheLineSize;
   uint32_t threads = 1;
   uint64_t ops = 100000;
-  uint64_t distance = 0;  // rap distance
   uint32_t dimms = 1;
   bool prefetch = true;
   bool remote = false;
 };
 
+// The kernel op of --op (and of a write's --persist); rap is Algorithm 1's
+// clwb+mfence read-after-persist.
+pmemsim_bench::AccessSpec ProbeSpec(const std::string& op, const std::string& persist) {
+  using pmemsim_bench::AccessOp;
+  if (op == "write" && persist == "none") {
+    return {.op = AccessOp::kStore};
+  }
+  if (op == "write") {
+    return {.op = AccessOp::kPersist,
+            .mode = persist == "clwb" ? PersistMode::kClwbSfence : PersistMode::kClwbMfence};
+  }
+  if (op == "ntstore") {
+    return {.op = AccessOp::kPersist, .mode = PersistMode::kNtStoreSfence};
+  }
+  if (op == "rap") {
+    return {.op = AccessOp::kRap, .mode = PersistMode::kClwbMfence};
+  }
+  return {.op = op == "read" ? AccessOp::kLoadLine : AccessOp::kStreamCopy};
+}
+
 void RunProbe(const ProbeConfig& cfg, pmemsim_bench::SweepPoint& point) {
   auto system = std::make_unique<System>(cfg.platform, cfg.dimms);
   const PmRegion region = system->AllocatePm(cfg.wss, kXPLineSize);
-  const uint64_t lines = cfg.wss / cfg.stride;
 
-  struct Worker {
-    ThreadContext* ctx;
-    Rng rng{0};
-    uint64_t quota = 0;  // measured ops: the threads split --ops exactly
-    uint64_t done = 0;
-    uint64_t pos = 0;
-    Histogram latency;
-  };
-  std::vector<Worker> workers(cfg.threads);
+  std::vector<pmemsim_bench::AccessWorker> workers(cfg.threads);
   for (uint32_t t = 0; t < cfg.threads; ++t) {
-    workers[t].quota = cfg.ops / cfg.threads + (t < cfg.ops % cfg.threads ? 1 : 0);
     workers[t].ctx = &system->CreateThread(cfg.remote ? 1 : 0);
     workers[t].rng = Rng(0x9E0B + t);
     SetPrefetchers(*workers[t].ctx, cfg.prefetch, cfg.prefetch, cfg.prefetch);
   }
-
   const PmRegion bounce = system->AllocateDram(kXPLineSize, kXPLineSize);
-  auto one_op = [&](Worker& w) {
-    ThreadContext& ctx = *w.ctx;
-    const uint64_t index =
-        cfg.pattern == "seq" ? (w.pos++ % lines) : w.rng.NextBelow(lines);
-    const Addr addr = region.base + index * cfg.stride;
-    const Cycles t0 = ctx.clock();
-    if (cfg.op == "read") {
-      ctx.LoadLine(addr);
-    } else if (cfg.op == "write") {
-      ctx.Store64(addr, w.done);
-      if (cfg.persist != "none") {
-        ctx.Clwb(addr);
-        if (cfg.persist == "clwb+mfence") {
-          ctx.Mfence();
-        } else {
-          ctx.Sfence();
-        }
-      }
-    } else if (cfg.op == "ntstore") {
-      ctx.NtStore64(addr, w.done);
-      ctx.Sfence();
-    } else if (cfg.op == "rap") {
-      ctx.Store64(addr, w.done);
-      ctx.Clwb(addr);
-      ctx.Mfence();
-      const uint64_t back = (index + lines - (cfg.distance % lines)) % lines;
-      ctx.Load64(region.base + back * cfg.stride);
-    } else {  // copy
-      ctx.StreamCopyXPLine(XPLineBase(addr), bounce.base);
-    }
-    w.latency.Add(ctx.clock() - t0);
-  };
+  const pmemsim_bench::AccessKernel kernel{cfg.spec, region, cfg.stride, bounce.base};
 
-  // Warmup of a quarter of each thread's quota, then the measured phase.
-  std::vector<SimJob> jobs;
-  for (Worker& w : workers) {
-    jobs.push_back({w.ctx, [&w, &one_op]() {
-                      if (w.done >= w.quota / 4) {
-                        return StepResult::kDone;
-                      }
-                      one_op(w);
-                      ++w.done;
-                      return StepResult::kProgress;
-                    }});
+  // The threads split --ops exactly. Warmup of a quarter of each thread's
+  // quota, then the measured phase from a common start clock.
+  const std::vector<uint64_t> quotas = pmemsim_bench::SplitOps(cfg.ops, cfg.threads);
+  std::vector<uint64_t> warm;
+  for (const uint64_t q : quotas) {
+    warm.push_back(q / 4);
   }
-  Scheduler::Run(jobs);
+  pmemsim_bench::RunWorkers(workers, warm, kernel);
   CounterDelta delta(&system->counters());
   Cycles start_max = 0;
-  for (Worker& w : workers) {
-    w.done = 0;
-    w.latency.Reset();
+  for (const pmemsim_bench::AccessWorker& w : workers) {
     start_max = std::max(start_max, w.ctx->clock());
   }
-  for (Worker& w : workers) {
+  for (pmemsim_bench::AccessWorker& w : workers) {
     w.ctx->AdvanceTo(start_max);
+    w.latency.Reset();
   }
-  std::vector<SimJob> measured;
-  for (Worker& w : workers) {
-    measured.push_back({w.ctx, [&w, &one_op]() {
-                          if (w.done >= w.quota) {
-                            return StepResult::kDone;
-                          }
-                          one_op(w);
-                          ++w.done;
-                          return StepResult::kProgress;
-                        }});
-  }
-  const Cycles end = Scheduler::Run(measured);
+  const Cycles end = pmemsim_bench::RunWorkers(workers, quotas, kernel);
 
   Histogram all;
   uint64_t total_ops = 0;
-  for (Worker& w : workers) {
+  for (const pmemsim_bench::AccessWorker& w : workers) {
     all.Merge(w.latency);
     total_ops += w.done;
   }
   const double seconds =
       static_cast<double>(end - start_max) / (cfg.platform.cpu_ghz * 1e9);
   const double touched =
-      static_cast<double>(total_ops) * (cfg.op == "copy" ? kXPLineSize : kCacheLineSize);
+      static_cast<double>(total_ops) *
+      (cfg.spec.op == pmemsim_bench::AccessOp::kStreamCopy ? kXPLineSize : kCacheLineSize);
 
   const Counters d = delta.Delta();
   point.Emit(pmemsim_bench::Row()
@@ -196,12 +157,16 @@ int main(int argc, char** argv) {
   cfg.platform = flags.GetPlatform("platform", gen.empty() ? "g1" : gen);
   cfg.op = flags.GetChoice("op", "read", {"read", "write", "ntstore", "rap", "copy"});
   cfg.pattern = flags.GetChoice("pattern", "rand", {"seq", "rand"});
-  cfg.persist = flags.GetChoice("persist", "none", {"none", "clwb", "clwb+mfence"});
+  const std::string persist =
+      flags.GetChoice("persist", "none", {"none", "clwb", "clwb+mfence"});
   cfg.wss = flags.GetSize("wss", MiB(64));
   cfg.stride = flags.GetPositiveU64("stride", kCacheLineSize);
   cfg.threads = static_cast<uint32_t>(flags.GetPositiveU64("threads", 1));
   cfg.ops = flags.GetPositiveU64("ops", 100000);
-  cfg.distance = flags.GetU64("distance", 0);
+  cfg.spec = ProbeSpec(cfg.op, persist);
+  cfg.spec.pattern = cfg.pattern == "seq" ? pmemsim_bench::AccessPattern::kSeq
+                                          : pmemsim_bench::AccessPattern::kRand;
+  cfg.spec.distance = flags.GetU64("distance", 0);
   cfg.dimms = static_cast<uint32_t>(flags.GetU64("dimms", 1));
   if (cfg.wss < cfg.stride) {
     pmemsim_bench::Flags::BadValue("wss", flags.Get("wss", "64M"),

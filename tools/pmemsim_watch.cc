@@ -28,9 +28,9 @@
 #include <vector>
 
 #include "bench/bench_util.h"
+#include "bench/buffer_probes.h"
 #include "src/common/random.h"
 #include "src/core/platform.h"
-#include "src/cpu/scheduler.h"
 #include "src/trace/attribution.h"
 #include "src/trace/json.h"
 #include "src/trace/sampler.h"
@@ -39,50 +39,36 @@ namespace {
 
 using namespace pmemsim;
 
+using pmemsim_bench::AccessOp;
+using pmemsim_bench::AccessPattern;
+
+// Each --workload names a fixed access-kernel pattern; --distance sets rap's.
+struct Workload {
+  const char* name;
+  pmemsim_bench::AccessSpec spec;
+};
+const Workload kWorkloads[] = {
+    {"seq_load", {AccessOp::kLoadLine, AccessPattern::kSeq}},
+    {"rand_load", {AccessOp::kLoadLine, AccessPattern::kRand}},
+    {"seq_store", {AccessOp::kPersist, AccessPattern::kSeq, PersistMode::kClwbSfence}},
+    {"rand_store", {AccessOp::kPersist, AccessPattern::kRand, PersistMode::kClwbSfence}},
+    {"ntstore", {AccessOp::kPersist, AccessPattern::kSeq, PersistMode::kNtStoreSfence}},
+    {"rap", {AccessOp::kRap, AccessPattern::kRand, PersistMode::kClwbMfence}},
+};
+
 struct WatchConfig {
   PlatformConfig platform;
   std::string workload = "seq_store";
+  pmemsim_bench::AccessSpec spec;  // the workload's pattern, with --distance
   uint64_t wss = MiB(4);
   uint64_t stride = kCacheLineSize;
   uint32_t threads = 1;
   uint64_t ops = 200000;
-  uint64_t distance = 4;  // rap workload: load-behind distance
   uint32_t dimms = 1;
   Cycles interval = 20000;
   bool breakdown = false;
   bool quiet = false;  // suppress per-interval rows (CI smoke with huge runs)
 };
-
-struct Worker {
-  ThreadContext* ctx = nullptr;
-  Rng rng{0};
-  uint64_t done = 0;
-  uint64_t pos = 0;
-};
-
-// One operation of the named workload (--workload, validated by GetChoice).
-void RunOneOp(const WatchConfig& cfg, const PmRegion& region, uint64_t lines, Worker& w) {
-  ThreadContext& ctx = *w.ctx;
-  const bool seq = cfg.workload.rfind("seq_", 0) == 0 || cfg.workload == "ntstore";
-  const uint64_t index = seq ? (w.pos++ % lines) : w.rng.NextBelow(lines);
-  const Addr addr = region.At(index * cfg.stride);
-  if (cfg.workload == "seq_load" || cfg.workload == "rand_load") {
-    ctx.LoadLine(addr);
-  } else if (cfg.workload == "seq_store" || cfg.workload == "rand_store") {
-    ctx.Store64(addr, w.done);
-    ctx.Clwb(addr);
-    ctx.Sfence();
-  } else if (cfg.workload == "ntstore") {
-    ctx.NtStore64(addr, w.done);
-    ctx.Sfence();
-  } else {  // rap
-    ctx.Store64(addr, w.done);
-    ctx.Clwb(addr);
-    ctx.Mfence();
-    const uint64_t back = (index + lines - (cfg.distance % lines)) % lines;
-    ctx.Load64(region.At(back * cfg.stride));
-  }
-}
 
 void PrintColumns() {
   std::printf("%8s %12s %10s %10s %10s %10s %6s %6s %7s %7s %6s %7s %7s %9s %5s\n",
@@ -236,13 +222,21 @@ int main(int argc, char** argv) {
 
   WatchConfig cfg;
   cfg.platform = flags.GetPlatform("platform", "g1");
-  cfg.workload = flags.GetChoice(
-      "workload", "seq_store", {"seq_load", "rand_load", "seq_store", "rand_store", "ntstore", "rap"});
+  std::vector<std::string> names;
+  for (const Workload& w : kWorkloads) {
+    names.push_back(w.name);
+  }
+  cfg.workload = flags.GetChoice("workload", "seq_store", names);
+  for (const Workload& w : kWorkloads) {
+    if (cfg.workload == w.name) {
+      cfg.spec = w.spec;
+    }
+  }
   cfg.wss = flags.GetSize("wss", MiB(4));
   cfg.stride = flags.GetU64("stride", kCacheLineSize);
   cfg.threads = static_cast<uint32_t>(flags.GetPositiveU64("threads", 1));
   cfg.ops = flags.GetU64("ops", 200000);
-  cfg.distance = flags.GetU64("distance", 4);
+  cfg.spec.distance = flags.GetU64("distance", 4);
   cfg.dimms = static_cast<uint32_t>(flags.GetU64("dimms", 1));
   cfg.interval = flags.GetPositiveU64("sample_interval_cycles", 20000);
   cfg.breakdown = flags.Has("breakdown");
@@ -266,12 +260,12 @@ int main(int argc, char** argv) {
   }
 
   const PmRegion region = system->AllocatePm(cfg.wss, kXPLineSize);
-  const uint64_t lines = cfg.wss / cfg.stride;
-  std::vector<Worker> workers(cfg.threads);
+  std::vector<pmemsim_bench::AccessWorker> workers(cfg.threads);
   for (uint32_t t = 0; t < cfg.threads; ++t) {
     workers[t].ctx = &system->CreateThread(0);
     workers[t].rng = Rng(0x3A7C + t * 0x51ED);
   }
+  const pmemsim_bench::AccessKernel kernel{cfg.spec, region, cfg.stride};
 
   // The sampler and the cross-check delta snapshot the same (zero) state, so
   // SumOfDeltas() must reproduce the global delta field-for-field.
@@ -288,18 +282,8 @@ int main(int argc, char** argv) {
   }
 
   const uint64_t per_thread = cfg.ops / cfg.threads + (cfg.ops % cfg.threads != 0 ? 1 : 0);
-  std::vector<SimJob> jobs;
-  for (Worker& w : workers) {
-    jobs.push_back({w.ctx, [&cfg, &region, lines, &w, per_thread]() {
-                      if (w.done >= per_thread) {
-                        return StepResult::kDone;
-                      }
-                      RunOneOp(cfg, region, lines, w);
-                      ++w.done;
-                      return StepResult::kProgress;
-                    }});
-  }
-  const Cycles end = Scheduler::Run(jobs, &sampler);
+  const Cycles end = pmemsim_bench::RunWorkers(
+      workers, std::vector<uint64_t>(cfg.threads, per_thread), kernel, &sampler);
   sampler.Finalize(end);
 
   const Counters global = global_delta.Delta();
