@@ -60,6 +60,7 @@ ThreadContext& System::AdoptThread(std::unique_ptr<ThreadContext> thread) {
 
 void System::SetPersistObserver(PersistObserver* observer) {
   persist_observer_ = observer;
+  mc_->SetPersistObserver(observer);
   for (auto& t : threads_) {
     t->SetPersistObserver(observer);
   }

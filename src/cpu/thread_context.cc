@@ -326,7 +326,7 @@ void ThreadContext::NtStoreTimed(Addr line) {
 
 void ThreadContext::NtStoreLine(Addr addr, const void* data64) {
   // Data lands in the backing store before the iMC write so persist-path
-  // observers (MemoryController::SetPersistWriteHook) capture the new bytes.
+  // observers (PersistObserver::OnPmWrite) capture the new bytes.
   const Addr line = CacheLineBase(addr);
   if (data64 != nullptr) {
     backing_->Write(line, data64, kCacheLineSize);

@@ -11,7 +11,6 @@ namespace pmemsim {
 PersistTracker::~PersistTracker() {
   if (system_ != nullptr) {
     system_->SetPersistObserver(nullptr);
-    system_->mc().SetPersistWriteHook({});
   }
 }
 
@@ -20,10 +19,6 @@ void PersistTracker::Attach(System* system) {
   PMEMSIM_CHECK_MSG(system_ == nullptr, "tracker is already attached");
   system_ = system;
   system_->SetPersistObserver(this);
-  system_->mc().SetPersistWriteHook(
-      [this](Addr line, Cycles issue, Cycles accepted_at, Cycles drained_at) {
-        OnPmWrite(line, issue, accepted_at, drained_at);
-      });
 }
 
 void PersistTracker::OnStore(Addr addr, uint64_t len, Cycles now) {

@@ -1,9 +1,9 @@
 // PersistTracker: a shadow durable image of persistent memory.
 //
-// The tracker observes the store path from two hooks:
-//  - ThreadContext's PersistObserver (every retired store + every fence), and
-//  - MemoryController's persist-write hook (every cacheline that reaches an
-//    Optane iMC: clwb/clflushopt write-backs, nt-stores, dirty L3 evictions).
+// The tracker is the System's PersistObserver, which sees
+//  - every retired store and every fence of each ThreadContext, and
+//  - every cacheline that reaches an Optane iMC (clwb/clflushopt write-backs,
+//    nt-stores, dirty L3 evictions).
 //
 // From those it keeps an ordered record of every PM write with the cycle at
 // which the write becomes crash-proof:
@@ -77,7 +77,7 @@ class PersistTracker : public PersistObserver {
   PersistTracker(const PersistTracker&) = delete;
   PersistTracker& operator=(const PersistTracker&) = delete;
 
-  // Installs this tracker as `system`'s persist observer and iMC write hook.
+  // Installs this tracker as `system`'s persist observer.
   // Attach before the workload's first PM write (ideally right after
   // constructing the System) so the durable image is complete.
   void Attach(System* system);
@@ -90,6 +90,7 @@ class PersistTracker : public PersistObserver {
   // PersistObserver:
   void OnStore(Addr addr, uint64_t len, Cycles now) override;
   void OnFence(Cycles now) override;
+  void OnPmWrite(Addr line, Cycles issue, Cycles accepted_at, Cycles drained_at) override;
 
   // Replays the record list into `out`, modeling a power failure at simulated
   // cycle `crash_now`. Deterministic for a given (records, crash_now,
@@ -115,8 +116,6 @@ class PersistTracker : public PersistObserver {
   // Appends a record of [addr, addr + len) with its current bytes.
   void AddRecord(Addr addr, uint32_t len, bool retired_store, Cycles accepted_at);
 
-  // MemoryController hook: an Optane-bound cacheline write.
-  void OnPmWrite(Addr line, Cycles issue, Cycles accepted_at, Cycles drained_at);
   // Forwards one crash point to the injector (may throw CrashSignal).
   void NoteEvent(CrashEventKind kind, Cycles now);
   // Retires pending writes the WPQ has accepted by `now`.

@@ -90,8 +90,8 @@ McWriteResult MemoryController::Write(Addr addr, Cycles now, NodeId requester) {
   // The store's persist point includes the interconnect crossing.
   result.accepted_at = accept.accepted_at + hop;
   result.visible_at = w.visible_at;
-  if (persist_hook_) {
-    persist_hook_(CacheLineBase(addr), now, result.accepted_at, accept.drained_at);
+  if (persist_observer_ != nullptr) {
+    persist_observer_->OnPmWrite(CacheLineBase(addr), now, result.accepted_at, accept.drained_at);
   }
   return result;
 }

@@ -9,13 +9,13 @@
 #ifndef SRC_IMC_MEMORY_CONTROLLER_H_
 #define SRC_IMC_MEMORY_CONTROLLER_H_
 
-#include <functional>
 #include <memory>
 #include <vector>
 
 #include "src/common/access_record.h"
 #include "src/common/config.h"
 #include "src/common/types.h"
+#include "src/cpu/persist_observer.h"
 #include "src/dimm/dram_dimm.h"
 #include "src/dimm/optane_dimm.h"
 #include "src/imc/wpq.h"
@@ -71,14 +71,10 @@ class MemoryController {
     }
   }
 
-  // Observes every persist-path write that reaches an Optane WPQ (DRAM writes
-  // are not reported): `line` is the cacheline base, `issue` the cycle the
-  // write left the core, `accepted_at` its ADR persist point, `drained_at`
-  // when it lands in media. Used by the crash-consistency subsystem; at most
-  // one hook at a time (set an empty function to clear).
-  using PersistWriteHook = std::function<void(Addr line, Cycles issue, Cycles accepted_at,
-                                              Cycles drained_at)>;
-  void SetPersistWriteHook(PersistWriteHook hook) { persist_hook_ = std::move(hook); }
+  // The observer told of every persist-path write that reaches an Optane WPQ
+  // (PersistObserver::OnPmWrite; DRAM writes are not reported). System's
+  // SetPersistObserver installs it here and on every thread; null clears it.
+  void SetPersistObserver(PersistObserver* observer) { persist_observer_ = observer; }
 
   void Reset();
 
@@ -109,7 +105,7 @@ class MemoryController {
   std::vector<const Counters*> optane_scope_counters_;
   const Counters* dram_scope_counters_ = nullptr;
 
-  PersistWriteHook persist_hook_;
+  PersistObserver* persist_observer_ = nullptr;
 };
 
 }  // namespace pmemsim
