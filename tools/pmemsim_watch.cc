@@ -235,7 +235,7 @@ int main(int argc, char** argv) {
   cfg.wss = flags.GetSize("wss", MiB(4));
   cfg.stride = flags.GetU64("stride", kCacheLineSize);
   cfg.threads = static_cast<uint32_t>(flags.GetPositiveU64("threads", 1));
-  cfg.ops = flags.GetU64("ops", 200000);
+  cfg.ops = flags.GetPositiveU64("ops", 200000);
   cfg.spec.distance = flags.GetU64("distance", 4);
   cfg.dimms = static_cast<uint32_t>(flags.GetU64("dimms", 1));
   cfg.interval = flags.GetPositiveU64("sample_interval_cycles", 20000);
@@ -281,9 +281,8 @@ int main(int argc, char** argv) {
     sampler.SetOnSample(PrintRow);
   }
 
-  const uint64_t per_thread = cfg.ops / cfg.threads + (cfg.ops % cfg.threads != 0 ? 1 : 0);
   const Cycles end = pmemsim_bench::RunWorkers(
-      workers, std::vector<uint64_t>(cfg.threads, per_thread), kernel, &sampler);
+      workers, pmemsim_bench::SplitOps(cfg.ops, cfg.threads), kernel, &sampler);
   sampler.Finalize(end);
 
   const Counters global = global_delta.Delta();
@@ -301,12 +300,17 @@ int main(int argc, char** argv) {
                  sum.ToString().c_str());
   }
 
-  report.DeclareColumns({"workload", "platform", "threads", "interval_cycles", "samples",
+  uint64_t ops = 0;
+  for (const pmemsim_bench::AccessWorker& w : workers) {
+    ops += w.done;
+  }
+  report.DeclareColumns({"workload", "platform", "threads", "ops", "interval_cycles", "samples",
                          "end_cycles", "wa", "ra"});
   report.Emit(pmemsim_bench::Row()
                   .Set("workload", cfg.workload)
                   .Set("platform", cfg.platform.name)
                   .Set("threads", cfg.threads)
+                  .Set("ops", ops)
                   .Set("interval_cycles", static_cast<uint64_t>(cfg.interval))
                   .Set("samples", static_cast<uint64_t>(sampler.samples().size()))
                   .Set("end_cycles", static_cast<uint64_t>(end))
