@@ -159,9 +159,7 @@ bool Cceh::Erase(ThreadContext& ctx, uint64_t key) {
       const Addr slot_addr = bucket_addr + slot * kSlotSize;
       if (ctx.Load64(slot_addr) == key) {
         // The 8-byte key write is the atomic commit point, as for inserts.
-        ctx.Store64(slot_addr, kInvalidKey);
-        ctx.Clwb(slot_addr);
-        ctx.Sfence();
+        PersistentStore64(ctx, slot_addr, kInvalidKey, PersistMode::kClwbSfence);
         --size_;
         return true;
       }
@@ -239,10 +237,9 @@ void Cceh::Split(ThreadContext& ctx, Addr segment, uint64_t hash) {
   const uint64_t span = 1ull << (global_depth_ - local_depth);
   const uint64_t first = pattern << (global_depth_ - local_depth);
   for (uint64_t i = first + span / 2; i < first + span; ++i) {
-    ctx.Store64(directory_ + i * 8, new_seg.base);
-    ctx.Clwb(directory_ + i * 8);
+    StoreAndFlush64(ctx, directory_ + i * 8, new_seg.base, PersistMode::kClwbSfence);
   }
-  ctx.Sfence();
+  PersistFence(ctx, PersistMode::kClwbSfence);
 
   // Cleanup: now that the directory routes 1-branch hashes to the sibling,
   // lazily invalidate the moved copies. A crash mid-cleanup only leaves

@@ -88,33 +88,22 @@ void FastFairTree::ShiftInsert(ThreadContext& ctx, Addr node, uint64_t count, ui
     // Appending: publish the entry, then the count (entry invisible until the
     // count grows, so a crash in between simply drops the unacked insert).
     ctx.Store64(EntryAddr(node, pos), key);
-    ctx.Store64(EntryAddr(node, pos) + 8, value);
-    ctx.Clwb(EntryAddr(node, pos));
-    ctx.Sfence();
-    ctx.Store64(node, count + 1);
-    ctx.Clwb(node);
-    ctx.Sfence();
+    PersistentStore64(ctx, EntryAddr(node, pos) + 8, value, PersistMode::kClwbSfence);
+    PersistentStore64(ctx, node, count + 1, PersistMode::kClwbSfence);
     return;
   }
   ctx.Store64(EntryAddr(node, count), ctx.Load64(EntryAddr(node, count - 1)));
-  ctx.Store64(EntryAddr(node, count) + 8, ctx.Load64(EntryAddr(node, count - 1) + 8));
-  ctx.Clwb(EntryAddr(node, count));
-  ctx.Sfence();
-  ctx.Store64(node, count + 1);
-  ctx.Clwb(node);
-  ctx.Sfence();
+  PersistentStore64(ctx, EntryAddr(node, count) + 8, ctx.Load64(EntryAddr(node, count - 1) + 8),
+                    PersistMode::kClwbSfence);
+  PersistentStore64(ctx, node, count + 1, PersistMode::kClwbSfence);
   for (uint64_t j = count - 1; j > pos; --j) {
     const uint64_t k = ctx.Load64(EntryAddr(node, j - 1));
     const uint64_t v = ctx.Load64(EntryAddr(node, j - 1) + 8);
     ctx.Store64(EntryAddr(node, j), k);
-    ctx.Store64(EntryAddr(node, j) + 8, v);
-    ctx.Clwb(EntryAddr(node, j));
-    ctx.Sfence();
+    PersistentStore64(ctx, EntryAddr(node, j) + 8, v, PersistMode::kClwbSfence);
   }
   ctx.Store64(EntryAddr(node, pos), key);
-  ctx.Store64(EntryAddr(node, pos) + 8, value);
-  ctx.Clwb(EntryAddr(node, pos));
-  ctx.Sfence();
+  PersistentStore64(ctx, EntryAddr(node, pos) + 8, value, PersistMode::kClwbSfence);
 }
 
 FastFairTree::Promoted FastFairTree::SplitNode(ThreadContext& ctx, Addr node, bool leaf) {
@@ -157,13 +146,9 @@ FastFairTree::Promoted FastFairTree::SplitNode(ThreadContext& ctx, Addr node, bo
   // drop the second copies); shrinking first would leave those entries
   // unreachable — committed keys silently lost — for a whole barrier window.
   if (leaf) {
-    ctx.Store64(node + 16, right);
-    ctx.Clwb(node + 16);
-    ctx.Sfence();
+    PersistentStore64(ctx, node + 16, right, PersistMode::kClwbSfence);
   }
-  ctx.Store64(node, half);
-  ctx.Clwb(node);
-  ctx.Sfence();
+  PersistentStore64(ctx, node, half, PersistMode::kClwbSfence);
   return {separator, right};
 }
 
