@@ -6,6 +6,7 @@
 
 #include <cstring>
 #include <functional>
+#include <ostream>
 #include <vector>
 
 #include "src/core/platform.h"
@@ -15,6 +16,10 @@
 #include "src/trace/recorder.h"
 
 namespace pmemsim {
+
+// Failure messages name trace ops (gtest finds this by argument lookup).
+void PrintTo(TraceOp op, std::ostream* os) { *os << TraceOpName(op); }
+
 namespace {
 
 struct Fixture {
