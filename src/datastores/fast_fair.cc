@@ -75,7 +75,8 @@ void FastFairTree::ShiftInsert(ThreadContext& ctx, Addr node, uint64_t count, ui
   }
 
   // Baseline: in-place shifts, one persistence barrier per 16 B move. Moves
-  // within one cacheline repeatedly flush and reload that line.
+  // within one cacheline repeatedly flush and reload that line. A 16 B entry
+  // never straddles a line, so persisting its value word persists its key.
   //
   // Crash-safe order (FAST): first duplicate the last entry one slot right
   // and grow the count over it, THEN shift the remaining entries. Every
