@@ -72,9 +72,9 @@ class System {
   // and counters. Used between benchmark configurations.
   void ResetMicroarchState();
 
-  // Installs (or clears, with nullptr) a store/fence observer on every
-  // existing thread and every thread created afterwards. Used by the
-  // crash-consistency subsystem's PersistTracker.
+  // Installs (or clears, with nullptr) the persist-path observer on the
+  // memory controller, every existing thread and every thread created
+  // afterwards. Used by the crash-consistency subsystem's PersistTracker.
   void SetPersistObserver(PersistObserver* observer);
 
   // Installs (or clears, with nullptr) the latency-attribution collector on
