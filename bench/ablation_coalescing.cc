@@ -17,6 +17,7 @@
 #include "src/common/random.h"
 #include "src/core/platform.h"
 #include "src/datastores/flat_log.h"
+#include "src/persist/barrier.h"
 #include "src/trace/counters.h"
 
 namespace {
@@ -46,8 +47,7 @@ Result RunInPlace(uint64_t records) {
     const Addr addr = table.base + slot * 64;
     ctx.Store64(addr, slot);       // key
     ctx.Store64(addr + 8, ~slot);  // value
-    ctx.Clwb(addr);
-    ctx.Sfence();
+    Persist(ctx, addr, 16);
   }
   return {static_cast<double>(ctx.clock() - t0) / static_cast<double>(records),
           delta.Delta().WriteAmplification()};
