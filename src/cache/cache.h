@@ -118,6 +118,10 @@ class SetAssocCache {
   void Clear();
 
  private:
+  // Writes raw block words, to stage states no public operation produces
+  // (a stale tag word in a lower way naming a line live in a higher one).
+  friend struct SetAssocCacheTestPeer;
+
   // Hot per-way word: 64-aligned line tag | flags (line addresses leave the
   // low 6 bits free).
   static constexpr Addr kValid = 1;

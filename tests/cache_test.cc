@@ -17,9 +17,23 @@
 #include "src/trace/registry.h"
 
 namespace pmemsim {
+
+struct SetAssocCacheTestPeer {
+  static constexpr Addr kValid = SetAssocCache::kValid;
+  static constexpr Addr kPrefetched = SetAssocCache::kPrefetched;
+
+  // Overwrites way `way`'s tag word in `line`'s set, leaving its mask bits.
+  static void SetTagWord(SetAssocCache& cache, Addr line, uint32_t way, Addr word) {
+    cache.Tag(cache.SetIndex(CacheLineBase(line)) * cache.stride_ + way) = word;
+  }
+};
+
 namespace {
 
 CacheLevelConfig SmallCache() { return {KiB(4), 4, 4}; }  // 16 sets x 4 ways
+// The G1 L3's way count at a non-power-of-two set count: an odd way count
+// leaves the set's tag words followed by way 0's LRU word.
+CacheLevelConfig ElevenWayCache() { return {6 * 11 * kCacheLineSize, 11, 4}; }  // 6 sets
 
 // A fill that looks the line up first, as the prefetch fill does.
 EvictedLine Fill(SetAssocCache& cache, Addr line, Cycles now, bool dirty, bool prefetched,
@@ -125,11 +139,13 @@ TEST(SetAssocCacheTest, FillReadyAtDelaysAvailability) {
   EXPECT_EQ(avail, 600u);
 }
 
-// Applies one seeded random operation over a few lines per set, so sets fill,
-// evict, and carry pending invalidations and fill-ready times. Returns every
-// observable result of the operation: its flags, ready time and evicted line.
+// Applies one seeded random operation over two more lines per set than it has
+// ways, so sets fill, evict, and carry pending invalidations and fill-ready
+// times. Returns every observable result of the operation: its flags, ready
+// time and evicted line.
 std::array<uint64_t, 3> RandomCacheOp(SetAssocCache& cache, Rng& rng, Cycles now) {
-  const Addr addr = rng.NextBelow(cache.sets() * 6) * kCacheLineSize + rng.NextBelow(64);
+  const uint64_t lines = cache.sets() * (cache.ways() + 2);
+  const Addr addr = rng.NextBelow(lines) * kCacheLineSize + rng.NextBelow(64);
   const uint64_t op = rng.NextBelow(7);
   const bool flag_a = rng.NextBelow(2) == 0;
   const bool flag_b = rng.NextBelow(3) == 0;
@@ -166,20 +182,35 @@ std::array<uint64_t, 3> RandomCacheOp(SetAssocCache& cache, Rng& rng, Cycles now
 }
 
 // The block array is never zeroed, so a cleared (or freshly built) cache must
-// behave exactly like a fresh one whatever stale words its blocks hold.
+// behave exactly like a fresh one whatever stale words its blocks hold. The
+// lines filled before the clear are re-inserted after it in the reverse
+// order, so each lands in a different way than its stale word.
 TEST(SetAssocCacheTest, ClearedCacheBehavesLikeFreshCache) {
-  SetAssocCache cleared(SmallCache());
-  Rng fill(11);
-  for (Cycles now = 1; now <= 2000; ++now) {
-    (void)RandomCacheOp(cleared, fill, now);
-  }
-  cleared.Clear();
+  for (const CacheLevelConfig& config : {SmallCache(), ElevenWayCache()}) {
+    SCOPED_TRACE(::testing::Message() << config.ways << " ways");
+    SetAssocCache cleared(config);
+    const uint64_t lines = cleared.sets() * cleared.ways();
+    for (uint64_t k = 0; k < lines; ++k) {
+      Fill(cleared, k * kCacheLineSize, k, /*dirty=*/k % 3 == 0, /*prefetched=*/k % 5 == 0);
+    }
+    Rng fill(11);
+    for (Cycles now = lines; now < lines + 2000; ++now) {
+      (void)RandomCacheOp(cleared, fill, now);
+    }
+    cleared.Clear();
 
-  SetAssocCache fresh(SmallCache());
-  Rng a(29), b(29);
-  for (Cycles now = 3000; now < 8000; ++now) {
-    const std::array<uint64_t, 3> want = RandomCacheOp(fresh, a, now);
-    ASSERT_EQ(RandomCacheOp(cleared, b, now), want) << "diverged at cycle " << now;
+    SetAssocCache fresh(config);
+    for (uint64_t k = lines; k-- > 0;) {
+      const Cycles now = 3000 + lines - k;
+      const EvictedLine want = Fill(fresh, k * kCacheLineSize, now, k % 2 == 0, false);
+      const EvictedLine got = Fill(cleared, k * kCacheLineSize, now, k % 2 == 0, false);
+      ASSERT_EQ(got.valid, want.valid) << "line " << k;
+    }
+    Rng a(29), b(29);
+    for (Cycles now = 4000; now < 9000; ++now) {
+      const std::array<uint64_t, 3> want = RandomCacheOp(fresh, a, now);
+      ASSERT_EQ(RandomCacheOp(cleared, b, now), want) << "diverged at cycle " << now;
+    }
   }
 }
 
@@ -199,6 +230,71 @@ TEST(SetAssocCacheTest, ExpiredPendingWayIsReusedWithoutEviction) {
   for (const uint64_t i : {0u, 1u, 3u}) {
     EXPECT_TRUE(cache.Probe(i * stride, 201)) << "line " << i;
   }
+}
+
+// Ways below a live line's way hold its tag in stale words: one invalidated
+// (valid bit clear), one as a never-written word may (valid bit set). Both
+// carry the prefetched flag the live way lacks. Every lookup must find the
+// live way and use its flags and LRU tick.
+TEST(SetAssocCacheTest, StaleLowerWaysNamingALiveLineAreIgnored) {
+  SetAssocCache cache(ElevenWayCache());
+  const uint64_t stride = cache.sets() * kCacheLineSize;  // same set
+  const auto line = [&](uint64_t k) { return kCacheLineSize + k * stride; };
+  for (uint64_t k = 0; k < 11; ++k) {
+    Fill(cache, line(k), k, /*dirty=*/k == 4, false);  // line(k) in way k
+  }
+  // Refresh every line but line(4), which becomes the set's LRU line.
+  for (uint64_t k = 0; k < 11; ++k) {
+    if (k != 4) {
+      cache.Access(line(k), 20 + k, false);
+    }
+  }
+  const SetAssocCache::Located live = cache.Locate(line(4), 40);
+  ASSERT_TRUE(live.live);
+  cache.Invalidate(line(1));
+  cache.Invalidate(line(2));
+  using Peer = SetAssocCacheTestPeer;
+  Peer::SetTagWord(cache, line(4), 1, line(4) | Peer::kPrefetched);
+  Peer::SetTagWord(cache, line(4), 2, line(4) | Peer::kValid | Peer::kPrefetched);
+  cache.Probe(line(0), 40);  // the lookups below scan, not hit a memo
+
+  EXPECT_EQ(cache.Locate(line(4), 41).way, live.way);
+  cache.Probe(line(0), 41);
+  bool was_prefetched = true;
+  EXPECT_TRUE(cache.Access(line(4), 42, false, &was_prefetched));
+  EXPECT_FALSE(was_prefetched);
+  // The access made line(4) the most recent line: the fills after it take
+  // the two free ways, then evict line(0), the oldest of the refreshed lines.
+  EXPECT_FALSE(Fill(cache, line(11), 43, false, false).valid);
+  EXPECT_FALSE(Fill(cache, line(12), 44, false, false).valid);
+  const EvictedLine e = Fill(cache, line(13), 45, false, false);
+  EXPECT_TRUE(e.valid);
+  EXPECT_EQ(e.line, line(0));
+  const auto r = cache.Invalidate(line(4));
+  EXPECT_TRUE(r.was_present);
+  EXPECT_TRUE(r.was_dirty);
+}
+
+// Line 0 sits in set 0. An 11-way set's tag words are followed by way 0's LRU
+// word, and a tick below 64 has a line-0 tag once the flag bits are masked
+// off: that word is no way, so line 0 must still miss.
+TEST(SetAssocCacheTest, LineZeroMissesWhileWayZeroLruTickIsSmall) {
+  SetAssocCache cache(ElevenWayCache());
+  const uint64_t stride = cache.sets() * kCacheLineSize;  // set 0
+  for (uint64_t k = 1; k <= 11; ++k) {
+    Fill(cache, k * stride, k, /*dirty=*/true, false);  // ticks 1..11
+  }
+  EXPECT_FALSE(cache.Probe(0, 20));
+  EXPECT_EQ(cache.Locate(0, 20).way, SetAssocCache::kNoWay);
+  EXPECT_FALSE(cache.Access(0, 20, /*mark_dirty=*/true));
+  EXPECT_FALSE(cache.WriteBack(0, 30, /*retain=*/false).was_present);
+  EXPECT_FALSE(cache.Invalidate(0).was_present);
+  cache.ApplyPendingInvalidate(0);
+  const EvictedLine e = cache.Insert(SetAssocCache::kAbsent, 0, 21, false, false);
+  EXPECT_TRUE(e.valid);
+  EXPECT_EQ(e.line, 1 * stride);  // way 0's line, the LRU one
+  EXPECT_TRUE(e.dirty);
+  EXPECT_TRUE(cache.Probe(0, 22));
 }
 
 // ---------- Hierarchy + prefetchers ----------
