@@ -61,9 +61,12 @@ Result RunScaling(Generation gen, bool optimized, uint32_t threads, uint64_t wss
   };
 
   RunWorkers(workers, std::vector<uint64_t>(threads, blocks_per_thread / 4), visit);  // warmup
+  // Every worker starts the measured phase at the latest warm-up clock.
   Cycles start_max = 0;
-  for (Worker& w : workers) {
+  for (const Worker& w : workers) {
     start_max = std::max(start_max, w.ctx->clock());
+  }
+  for (Worker& w : workers) {
     w.ctx->AdvanceTo(start_max);
   }
   const Cycles end_max =
