@@ -18,6 +18,15 @@
 // misses on these arrays, not instructions. Way-order semantics — victim
 // choice, LRU updates, lazy invalidation — are identical to the
 // straightforward array-of-structs implementation this replaces.
+//
+// The tag match (Find) has no per-way branch on x86-64: it compares every
+// tag word of the set against the line with SSE2, two ways a step, and ANDs
+// the hit bits with the valid mask. Invalid ways' words are stale or were
+// never written, so they may match; the mask drops them, and nothing zeroes
+// the array. With an odd way count the last step also reads way 0's LRU
+// word, which lies inside the set's block; its bit is never valid. Other
+// targets use the scalar walk over the valid bits, and Debug builds check
+// every vector result against it.
 
 #ifndef SRC_CACHE_CACHE_H_
 #define SRC_CACHE_CACHE_H_
@@ -28,6 +37,10 @@
 #include <new>
 #include <string>
 #include <vector>
+
+#if defined(__SSE2__)
+#include <emmintrin.h>
+#endif
 
 #include "src/common/check.h"
 #include "src/common/config.h"
@@ -177,17 +190,48 @@ class SetAssocCache {
   // in at most one valid way (Insert refreshes a present line in place), so
   // the memo of the last way found, checked first, cannot disagree with the
   // scan: it is used only while that way is valid and still holds the line.
+  // The scan is the SSE2 compare described atop this file wherever SSE2 is
+  // baseline (x86-64: no -march or dispatch, so Find stays inlinable into
+  // Access), and FindScalar elsewhere.
   size_t Find(size_t set, Addr line) const {
     if (memo_line_ == line && (valid_mask_[set] & Bit(set, memo_way_)) != 0 &&
         TagMatches(Tag(memo_way_), line)) {
       return memo_way_;
     }
+    const uint32_t valid = valid_mask_[set];
+    if (valid == 0) {
+      return kNoWay;  // an empty set's block is not touched at all
+    }
+#if defined(__SSE2__)
+    const size_t base = set * stride_;
+    const __m128i want = _mm_set1_epi64x(static_cast<long long>(line));
+    const __m128i tag_mask = _mm_set1_epi64x(static_cast<long long>(kTagMask));
+    uint32_t hits = 0;
+    for (uint32_t i = 0; i < config_.ways; i += 2) {
+      const __m128i tags = _mm_load_si128(reinterpret_cast<const __m128i*>(&blocks_[base + i]));
+      // SSE2 has no 64-bit equality: a word matches iff both its halves do.
+      const __m128i eq32 = _mm_cmpeq_epi32(_mm_and_si128(tags, tag_mask), want);
+      const __m128i eq64 = _mm_and_si128(eq32, _mm_shuffle_epi32(eq32, _MM_SHUFFLE(2, 3, 0, 1)));
+      hits |= static_cast<uint32_t>(_mm_movemask_pd(_mm_castsi128_pd(eq64))) << i;
+    }
+    hits &= valid;
+    const size_t w = hits == 0 ? kNoWay : base + static_cast<uint32_t>(std::countr_zero(hits));
+    PMEMSIM_DCHECK(w == FindScalar(set, line));
+#else
+    const size_t w = FindScalar(set, line);
+#endif
+    if (w != kNoWay) {
+      memo_line_ = line;
+      memo_way_ = w;
+    }
+    return w;
+  }
+  // The bit walk over the valid ways, one TagMatches each; no memo.
+  size_t FindScalar(size_t set, Addr line) const {
     const size_t base = set * stride_;
     for (uint32_t m = valid_mask_[set]; m != 0; m &= m - 1) {
       const size_t w = base + static_cast<uint32_t>(std::countr_zero(m));
       if (TagMatches(Tag(w), line)) {
-        memo_line_ = line;
-        memo_way_ = w;
         return w;
       }
     }
