@@ -20,11 +20,12 @@
 // straightforward array-of-structs implementation this replaces.
 //
 // The tag match (Find) has no per-way branch on x86-64: it compares every
-// tag word of the set against the line with SSE2, two ways a step, and ANDs
+// tag word of the set against the line with SSE2, four ways a step, and ANDs
 // the hit bits with the valid mask. Invalid ways' words are stale or were
 // never written, so they may match; the mask drops them, and nothing zeroes
-// the array. With an odd way count the last step also reads way 0's LRU
-// word, which lies inside the set's block; its bit is never valid. Other
+// the array. With a way count that is not a multiple of four the last step
+// also reads the LRU words of ways 0-2 (way 0's alone for the 11-way L3),
+// which lie inside the set's block; their bits are never valid. Other
 // targets use the scalar walk over the valid bits, and Debug builds check
 // every vector result against it.
 
@@ -206,13 +207,16 @@ class SetAssocCache {
     const size_t base = set * stride_;
     const __m128i want = _mm_set1_epi64x(static_cast<long long>(line));
     const __m128i tag_mask = _mm_set1_epi64x(static_cast<long long>(kTagMask));
+    const __m128i ones = _mm_set1_epi32(-1);
     uint32_t hits = 0;
-    for (uint32_t i = 0; i < config_.ways; i += 2) {
-      const __m128i tags = _mm_load_si128(reinterpret_cast<const __m128i*>(&blocks_[base + i]));
-      // SSE2 has no 64-bit equality: a word matches iff both its halves do.
-      const __m128i eq32 = _mm_cmpeq_epi32(_mm_and_si128(tags, tag_mask), want);
-      const __m128i eq64 = _mm_and_si128(eq32, _mm_shuffle_epi32(eq32, _MM_SHUFFLE(2, 3, 0, 1)));
-      hits |= static_cast<uint32_t>(_mm_movemask_pd(_mm_castsi128_pd(eq64))) << i;
+    for (uint32_t i = 0; i < config_.ways; i += 4) {
+      const __m128i* tags = reinterpret_cast<const __m128i*>(&blocks_[base + i]);
+      const __m128i lo = _mm_cmpeq_epi32(_mm_and_si128(_mm_load_si128(tags), tag_mask), want);
+      const __m128i hi = _mm_cmpeq_epi32(_mm_and_si128(_mm_load_si128(tags + 1), tag_mask), want);
+      // SSE2 has no 64-bit equality: a word matches iff both its 32-bit
+      // halves do, i.e. iff its lane of the packed halves is all ones.
+      const __m128i eq64 = _mm_cmpeq_epi32(_mm_packs_epi32(lo, hi), ones);
+      hits |= static_cast<uint32_t>(_mm_movemask_ps(_mm_castsi128_ps(eq64))) << i;
     }
     hits &= valid;
     const size_t w = hits == 0 ? kNoWay : base + static_cast<uint32_t>(std::countr_zero(hits));
