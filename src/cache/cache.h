@@ -24,10 +24,10 @@
 // the hit bits with the valid mask. Invalid ways' words are stale or were
 // never written, so they may match; the mask drops them, and nothing zeroes
 // the array. With a way count that is not a multiple of four the last step
-// also reads the LRU words of ways 0-2 (way 0's alone for the 11-way L3),
-// which lie inside the set's block; their bits are never valid. Other
-// targets use the scalar walk over the valid bits, and Debug builds check
-// every vector result against it.
+// also reads up to three words past the tags (way 0's LRU word for the
+// 11-way L3), which lie inside the set's block; their bits are never valid.
+// Other targets use the scalar walk over the valid bits, and Debug builds
+// check every vector result against it.
 
 #ifndef SRC_CACHE_CACHE_H_
 #define SRC_CACHE_CACHE_H_
