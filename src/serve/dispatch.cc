@@ -103,19 +103,6 @@ void TierDispatcher::ProcessEvents(std::vector<DomainEvent>* events) {
   events->clear();
 }
 
-void TierDispatcher::Pump(Cycles now) {
-  if (cfg_.loop != LoopMode::kOpen) {
-    return;
-  }
-  while (issued_ < budget_ && next_open_issue_ + latency_ <= now) {
-    Deliver(Materialize(next_open_issue_ + latency_, open_seq_++));
-    ++issued_;
-    if (issued_ < budget_) {
-      next_open_issue_ = serve_start_ + arrivals_.Next();
-    }
-  }
-}
-
 void TierDispatcher::OnEvent(Cycles time, uint32_t client) {
   if (cfg_.loop != LoopMode::kClosed || issued_ >= budget_) {
     return;  // budget spent: the client retires

@@ -24,7 +24,7 @@
 // issues each live client's next request at event.time + think + D — always
 // at least one epoch ahead, which is exactly why barrier-time delivery never
 // misses an admission. With zero lookahead (D == 0, the sequential fallback)
-// the tier instead calls Pump/OnEvent synchronously from inside the one
+// the tier instead calls DeliverUpTo/OnEvent synchronously from inside the one
 // combined lockstep run, where global clock order plays the coordinator.
 
 #ifndef SRC_SERVE_DISPATCH_H_
@@ -78,9 +78,11 @@ class TierDispatcher {
   // Poisson cursor.
   void StartServing(Cycles t0);
 
-  // Epoch mode, open loop: generates and delivers every arrival with
-  // admission-eligible time < epoch_end. Closed-loop issues come from
-  // ProcessEvents instead. Call once before each epoch.
+  // Open loop: generates and delivers every arrival with admission-eligible
+  // time < epoch_end. Closed-loop issues come from ProcessEvents (or OnEvent)
+  // instead. Epoch mode calls it once before each epoch; the eager fallback
+  // calls DeliverUpTo(now + 1) from inside the combined lockstep run, at the
+  // globally minimal clock, to deliver every arrival <= now.
   void DeliverUpTo(Cycles epoch_end);
 
   // Epoch barrier: folds one epoch's domain events from all domains — sorted
@@ -89,11 +91,9 @@ class TierDispatcher {
   // budget lasts. `events` is sorted in place and consumed.
   void ProcessEvents(std::vector<DomainEvent>* events);
 
-  // Eager (zero-lookahead) fallback, called from inside the combined
-  // lockstep run at the globally minimal clock:
-  // open loop — deliver every arrival <= now;
-  void Pump(Cycles now);
-  // closed loop — fold one event (completion/shed) synchronously.
+  // Closed loop, eager (zero-lookahead) fallback: folds one event
+  // (completion/shed) synchronously, from inside the combined lockstep run
+  // at the globally minimal clock.
   void OnEvent(Cycles time, uint32_t client);
 
   // Eager mode: the admission-eligible time of the next open-loop arrival

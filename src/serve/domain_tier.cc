@@ -233,9 +233,9 @@ StepResult ServeDomain::WorkerStep(Worker& wk) {
     wk.next = 0;
     if (eager_dispatcher_ != nullptr) {
       // Zero lookahead: this step begins at the globally minimal clock
-      // (lockstep invariant across ALL domains), so pumping the dispatcher
-      // here delivers open-loop arrivals in exact admission order.
-      eager_dispatcher_->Pump(ctx.clock());
+      // (lockstep invariant across ALL domains), so delivering every arrival
+      // <= now here delivers open-loop arrivals in exact admission order.
+      eager_dispatcher_->DeliverUpTo(ctx.clock() + 1);
       if (mem_sampler_ != nullptr) {
         // No private scheduler in eager mode; the global lockstep minimum is
         // this step's clock, so it is a valid (non-decreasing) observation
@@ -314,13 +314,7 @@ void ServeDomain::CatchUpAdmissions(Cycles now) {
     // signal, and `now < epoch_end` (workers only step below the window edge)
     // keeps the re-dispatch at now + think + D conservatively beyond the
     // epoch horizon.
-    if (cfg_.loop == LoopMode::kClosed) {
-      if (eager_dispatcher_ != nullptr) {
-        eager_dispatcher_->OnEvent(now, r.client);
-      } else {
-        events_.push_back(DomainEvent{now, r.client});
-      }
-    }
+    ReportToClient(now, r.client);
   }
   if (folded && metrics_ != nullptr) {
     metrics_->ObserveQueueDepth(now, queue_.size());
@@ -396,12 +390,17 @@ void ServeDomain::CompleteRequest(const Request& r, Cycles start, Cycles end) {
     span_recorder_->Record(r.client, static_cast<uint8_t>(r.op), r.arrival, r.admit, start, end,
                            deltas);
   }
-  if (cfg_.loop == LoopMode::kClosed) {
-    if (eager_dispatcher_ != nullptr) {
-      eager_dispatcher_->OnEvent(end, r.client);
-    } else {
-      events_.push_back(DomainEvent{end, r.client});
-    }
+  ReportToClient(end, r.client);
+}
+
+void ServeDomain::ReportToClient(Cycles time, uint32_t client) {
+  if (cfg_.loop != LoopMode::kClosed) {
+    return;
+  }
+  if (eager_dispatcher_ != nullptr) {
+    eager_dispatcher_->OnEvent(time, client);
+  } else {
+    events_.push_back(DomainEvent{time, client});
   }
 }
 

@@ -149,6 +149,10 @@ class ServeDomain {
   void CatchUpAdmissions(Cycles now);
   void Execute(ThreadContext& ctx, const Request& r);
   void CompleteRequest(const Request& r, Cycles start, Cycles end);
+  // Closed loop: client `client`'s request resolved (completed or shed) at
+  // `time`. Eager mode folds it into the dispatcher now; epoch mode stages
+  // it for the barrier.
+  void ReportToClient(Cycles time, uint32_t client);
   void Scan(ThreadContext& ctx, uint64_t from, uint32_t len);
   std::optional<Cycles> NextArrivalTime() const;
 
