@@ -2,7 +2,7 @@
 // simulated DIMM interactively, the way the paper's authors probed real
 // hardware with ipmwatch.
 //
-//   $ pmemsim_probe --gen=g1 --op=read --pattern=rand --wss=64M --threads=4
+//   $ pmemsim_probe --platform=g1 --op=read --pattern=rand --wss=64M --threads=4
 //   $ pmemsim_probe --op=write --persist=clwb --pattern=seq --wss=8K
 //   $ pmemsim_probe --op=rap --distance=2
 //
@@ -26,7 +26,7 @@ namespace {
 using namespace pmemsim;
 
 struct ProbeConfig {
-  PlatformConfig platform;        // selected by --platform (or legacy --gen)
+  PlatformConfig platform;        // selected by --platform
   std::string op = "read";        // read | write | ntstore | rap | copy
   std::string pattern = "rand";   // seq | rand
   pmemsim_bench::AccessSpec spec;  // --op, --pattern, --persist and --distance
@@ -147,14 +147,10 @@ int main(int argc, char** argv) {
       " [--platform=g1|g2|g2-eadr] [--op=read|write|ntstore|rap|copy]\n"
       "                     [--pattern=seq|rand] [--persist=none|clwb|clwb+mfence]\n"
       "                     [--wss=64M] [--stride=64] [--threads=1] [--ops=100000]\n"
-      "                     [--distance=0] [--dimms=1] [--no_prefetch] [--remote]\n"
-      "                     (--gen=g1|g2 is accepted as a legacy alias)");
+      "                     [--distance=0] [--dimms=1] [--no_prefetch] [--remote]");
   const pmemsim_bench::Flags& flags = sweep.flags();
   ProbeConfig cfg;
-  // --platform selects the preset by name; --gen remains a legacy alias for
-  // the two paper testbeds (--platform wins when both are given).
-  const std::string gen = flags.Get("gen", "");
-  cfg.platform = flags.GetPlatform("platform", gen.empty() ? "g1" : gen);
+  cfg.platform = flags.GetPlatform("platform", "g1");
   cfg.op = flags.GetChoice("op", "read", {"read", "write", "ntstore", "rap", "copy"});
   cfg.pattern = flags.GetChoice("pattern", "rand", {"seq", "rand"});
   const std::string persist =
