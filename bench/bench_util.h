@@ -16,6 +16,7 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -247,6 +248,19 @@ class Flags {
   // Names queried so far; mutable because Get/Has are logically const reads.
   mutable std::set<std::string> known_;
 };
+
+// Host wall-clock seconds on the steady clock: what the perf_* harnesses time.
+inline double Now() {
+  return std::chrono::duration<double>(std::chrono::steady_clock::now().time_since_epoch())
+      .count();
+}
+
+// The median of `v`: the middle value, or the mean of the middle two.
+inline double Median(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  const size_t mid = v.size() / 2;
+  return v.size() % 2 == 1 ? v[mid] : 0.5 * (v[mid - 1] + v[mid]);
+}
 
 inline void PrintHeader(const char* figure, const char* description) {
   std::printf("# %s — %s\n", figure, description);

@@ -14,7 +14,6 @@
 // trajectory moves.
 
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <functional>
 #include <string>
@@ -40,11 +39,6 @@ struct WorkloadResult {
 
 using WorkloadFn = std::function<WorkloadResult(uint64_t ops)>;
 
-double Now() {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
 // Sequential 64 B-strided loads over a read-buffer/L3-exceeding region.
 WorkloadResult RunSeqLoad(uint64_t ops) {
   auto system = MakeG1System(/*optane_dimm_count=*/1);
@@ -55,11 +49,11 @@ WorkloadResult RunSeqLoad(uint64_t ops) {
   WorkloadResult r;
   CounterDelta delta(&system->counters());
   const Cycles start_cycles = ctx.clock();
-  const double t0 = Now();
+  const double t0 = pmemsim_bench::Now();
   for (uint64_t i = 0; i < ops; ++i) {
     ctx.Load64(region.base + (i % lines) * kCacheLineSize);
   }
-  r.wall_sec = Now() - t0;
+  r.wall_sec = pmemsim_bench::Now() - t0;
   r.ops = ops;
   r.sim_cycles = ctx.clock() - start_cycles;
   r.delta = delta.Delta();
@@ -79,11 +73,11 @@ WorkloadResult RunRandLoad(uint64_t ops) {
   WorkloadResult r;
   CounterDelta delta(&system->counters());
   const Cycles start_cycles = ctx.clock();
-  const double t0 = Now();
+  const double t0 = pmemsim_bench::Now();
   for (uint64_t i = 0; i < ops; ++i) {
     ctx.Load64(region.base + rng.NextBelow(lines) * kCacheLineSize);
   }
-  r.wall_sec = Now() - t0;
+  r.wall_sec = pmemsim_bench::Now() - t0;
   r.ops = ops;
   r.sim_cycles = ctx.clock() - start_cycles;
   r.delta = delta.Delta();
@@ -102,9 +96,9 @@ WorkloadResult RunChase(uint64_t ops) {
   WorkloadResult r;
   CounterDelta delta(&system->counters());
   const Cycles start_cycles = ctx.clock();
-  const double t0 = Now();
+  const double t0 = pmemsim_bench::Now();
   list.TraverseRead(ctx, ops);
-  r.wall_sec = Now() - t0;
+  r.wall_sec = pmemsim_bench::Now() - t0;
   r.ops = ops;
   r.sim_cycles = ctx.clock() - start_cycles;
   r.delta = delta.Delta();
@@ -123,7 +117,7 @@ WorkloadResult RunNtStore(uint64_t ops) {
   WorkloadResult r;
   CounterDelta delta(&system->counters());
   const Cycles start_cycles = ctx.clock();
-  const double t0 = Now();
+  const double t0 = pmemsim_bench::Now();
   for (uint64_t i = 0; i < ops; ++i) {
     ctx.NtStore64(region.base + rng.NextBelow(lines) * kCacheLineSize, i);
     if ((i & 3) == 3) {
@@ -131,7 +125,7 @@ WorkloadResult RunNtStore(uint64_t ops) {
     }
   }
   ctx.Sfence();
-  r.wall_sec = Now() - t0;
+  r.wall_sec = pmemsim_bench::Now() - t0;
   r.ops = ops;
   r.sim_cycles = ctx.clock() - start_cycles;
   r.delta = delta.Delta();
@@ -149,7 +143,7 @@ WorkloadResult RunCcehMixed(uint64_t ops) {
   WorkloadResult r;
   CounterDelta delta(&system->counters());
   const Cycles start_cycles = ctx.clock();
-  const double t0 = Now();
+  const double t0 = pmemsim_bench::Now();
   uint64_t next_key = 1;
   for (uint64_t i = 0; i < ops; ++i) {
     if ((i & 3) == 0) {
@@ -159,7 +153,7 @@ WorkloadResult RunCcehMixed(uint64_t ops) {
       (void)table.Get(ctx, 1 + rng.NextBelow(next_key), &value);
     }
   }
-  r.wall_sec = Now() - t0;
+  r.wall_sec = pmemsim_bench::Now() - t0;
   r.ops = ops;
   r.sim_cycles = ctx.clock() - start_cycles;
   r.delta = delta.Delta();
@@ -251,10 +245,7 @@ int main(int argc, char** argv) {
       rc = 1;
       continue;
     }
-    std::sort(walls.begin(), walls.end());
-    const double wall_sec = walls.size() % 2 == 1
-                                ? walls[walls.size() / 2]
-                                : 0.5 * (walls[walls.size() / 2 - 1] + walls[walls.size() / 2]);
+    const double wall_sec = pmemsim_bench::Median(walls);
     const double mops = static_cast<double>(r.ops) / wall_sec / 1e6;
     const double cycles_per_op =
         static_cast<double>(r.sim_cycles) / static_cast<double>(r.ops);

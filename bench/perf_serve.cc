@@ -14,7 +14,6 @@
 // host threading may change.
 
 #include <algorithm>
-#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <string>
@@ -29,11 +28,6 @@ namespace {
 
 using namespace pmemsim;
 
-double Now() {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
 struct RunResult {
   double wall_sec = 0.0;
   uint64_t completed = 0;
@@ -42,10 +36,10 @@ struct RunResult {
 
 RunResult RunOnce(const PlatformConfig& platform, const ServeConfig& cfg) {
   RunResult r;
-  const double t0 = Now();
+  const double t0 = pmemsim_bench::Now();
   DomainTier tier(platform, /*dimms_per_domain=*/1, cfg);
   tier.Run();
-  r.wall_sec = Now() - t0;
+  r.wall_sec = pmemsim_bench::Now() - t0;
   r.completed = tier.GlobalStats().completed;
   r.report_json = tier.ToJson();
   return r;
@@ -134,10 +128,7 @@ int main(int argc, char** argv) {
     for (const RunResult& s : samples[ti]) {
       walls.push_back(s.wall_sec);
     }
-    std::sort(walls.begin(), walls.end());
-    const double wall_sec = walls.size() % 2 == 1
-                                ? walls[walls.size() / 2]
-                                : 0.5 * (walls[walls.size() / 2 - 1] + walls[walls.size() / 2]);
+    const double wall_sec = pmemsim_bench::Median(walls);
     if (wall_sec <= 0.0 || first.completed == 0) {
       std::fprintf(stderr, "error: measured nothing at --engine_threads=%u\n", threads[ti]);
       rc = 1;
