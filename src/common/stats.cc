@@ -11,29 +11,6 @@ namespace pmemsim {
 
 Histogram::Histogram() : buckets_(static_cast<size_t>(kOctaves) * kSubBuckets, 0) {}
 
-int Histogram::BucketFor(uint64_t value) {
-  if (value < kSubBuckets) {
-    return static_cast<int>(value);
-  }
-  const int msb = 63 - __builtin_clzll(value);
-  const int octave = msb - kSubBucketBits + 1;
-  const int sub = static_cast<int>((value >> (msb - kSubBucketBits)) & (kSubBuckets - 1));
-  int bucket = (octave + 1) * kSubBuckets + sub;
-  return std::min<int>(bucket, kOctaves * kSubBuckets - 1);
-}
-
-void Histogram::Add(uint64_t value) {
-  if (count_ == 0) {
-    min_ = max_ = value;
-  } else {
-    min_ = std::min(min_, value);
-    max_ = std::max(max_, value);
-  }
-  ++count_;
-  sum_ += static_cast<double>(value);
-  ++buckets_[static_cast<size_t>(BucketFor(value))];
-}
-
 void Histogram::Merge(const Histogram& other) {
   if (other.count_ == 0) {
     return;

@@ -3,9 +3,12 @@
 #ifndef SRC_COMMON_STATS_H_
 #define SRC_COMMON_STATS_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <vector>
+
+#include "src/common/check.h"
 
 namespace pmemsim {
 
@@ -18,8 +21,16 @@ class Histogram {
  public:
   Histogram();
 
-  void Add(uint64_t value);
+  // Inline: the attribution layer adds several samples per simulated access.
+  void Add(uint64_t value) { Add(value, BucketFor(value)); }
+  // Add with the bucket already computed, `bucket` == BucketFor(value), for a
+  // caller filing one value into several histograms.
+  void Add(uint64_t value, int bucket);
   void Merge(const Histogram& other);
+
+  // The bucket of `value`: values below 16 get one bucket each, then 16
+  // linear sub-buckets per octave; values of 2^42 and up share the last one.
+  static int BucketFor(uint64_t value);
 
   uint64_t count() const { return count_; }
   double mean() const;
@@ -49,14 +60,36 @@ class Histogram {
   static constexpr int kSubBuckets = 1 << kSubBucketBits;
   static constexpr int kOctaves = 40;
 
-  static int BucketFor(uint64_t value);
-
   std::vector<uint64_t> buckets_;
   uint64_t count_ = 0;
   uint64_t min_ = 0;
   uint64_t max_ = 0;
   double sum_ = 0.0;
 };
+
+inline int Histogram::BucketFor(uint64_t value) {
+  if (value < kSubBuckets) {
+    return static_cast<int>(value);
+  }
+  const int msb = 63 - __builtin_clzll(value);
+  const int octave = msb - kSubBucketBits + 1;
+  const int sub = static_cast<int>((value >> (msb - kSubBucketBits)) & (kSubBuckets - 1));
+  int bucket = (octave + 1) * kSubBuckets + sub;
+  return std::min<int>(bucket, kOctaves * kSubBuckets - 1);
+}
+
+inline void Histogram::Add(uint64_t value, int bucket) {
+  PMEMSIM_DCHECK(bucket == BucketFor(value));
+  if (count_ == 0) {
+    min_ = max_ = value;
+  } else {
+    min_ = std::min(min_, value);
+    max_ = std::max(max_, value);
+  }
+  ++count_;
+  sum_ += static_cast<double>(value);
+  ++buckets_[static_cast<size_t>(bucket)];
+}
 
 }  // namespace pmemsim
 

@@ -135,6 +135,74 @@ TEST(StatsTest, HistogramLargeValues) {
   EXPECT_EQ(h.Quantile(1.0), 1ull << 40);  // the top rank is the exact maximum
 }
 
+TEST(StatsTest, HistogramSmallValuesLandInExactBuckets) {
+  EXPECT_EQ(Histogram::BucketFor(0), 0);
+  EXPECT_EQ(Histogram::BucketFor(15), 15);
+  EXPECT_GT(Histogram::BucketFor(16), Histogram::BucketFor(15));
+  // Interior ranks (not the tracked min/max) read back exactly too.
+  Histogram h;
+  for (uint64_t v : {0, 0, 0, 15, 15, 15}) {
+    h.Add(v);
+  }
+  EXPECT_EQ(h.Quantile(0.4), 0u);
+  EXPECT_EQ(h.Quantile(0.6), 15u);
+}
+
+TEST(StatsTest, HistogramHugeValuesClampIntoLastBucket) {
+  const int last = Histogram::BucketFor(~0ull);
+  EXPECT_EQ(Histogram::BucketFor(1ull << 42), last);
+  EXPECT_EQ(Histogram::BucketFor((1ull << 42) + 12345), last);
+  EXPECT_EQ(Histogram::BucketFor(1ull << 50), last);
+  EXPECT_EQ(Histogram::BucketFor(1ull << 63), last);
+  // The octave below still has its own sub-buckets.
+  EXPECT_LT(Histogram::BucketFor(1ull << 41), last);
+  Histogram h;
+  h.Add(1ull << 42);
+  h.Add(1ull << 60);
+  h.Add(~0ull);
+  EXPECT_EQ(h.count(), 3u);
+  EXPECT_EQ(h.Min(), 1ull << 42);
+  EXPECT_EQ(h.Max(), ~0ull);
+  EXPECT_EQ(h.Quantile(0.5), 1ull << 42);  // clamped to [min, max]
+}
+
+TEST(StatsTest, HistogramMergeWithEmptyChangesNothing) {
+  Histogram h;
+  for (uint64_t v : {3, 700, 41, 90000}) {
+    h.Add(v);
+  }
+  const Histogram empty;
+  h.Merge(empty);
+  EXPECT_EQ(h.count(), 4u);
+  EXPECT_EQ(h.Min(), 3u);
+  EXPECT_EQ(h.Max(), 90000u);
+  EXPECT_EQ(h.mean(), (3.0 + 700.0 + 41.0 + 90000.0) / 4.0);
+  // Merging into an empty histogram copies it.
+  Histogram into;
+  into.Merge(h);
+  EXPECT_EQ(into.count(), 4u);
+  EXPECT_EQ(into.Min(), 3u);
+  EXPECT_EQ(into.Max(), 90000u);
+  EXPECT_EQ(into.mean(), h.mean());
+  EXPECT_EQ(into.ToJson(), h.ToJson());
+}
+
+TEST(StatsTest, HistogramMeanIsExactIntegerSumOverCount) {
+  // Values below 2^32 keep every partial sum of 10^6 of them below 2^53, where
+  // the double sum is exact.
+  Histogram h;
+  Rng rng(2024);
+  uint64_t sum = 0;
+  constexpr uint64_t kAdds = 1000000;
+  for (uint64_t i = 0; i < kAdds; ++i) {
+    const uint64_t v = rng.NextBelow(1ull << (1 + i % 32));
+    h.Add(v);
+    sum += v;
+  }
+  EXPECT_EQ(h.count(), kAdds);
+  EXPECT_EQ(h.mean(), static_cast<double>(sum) / static_cast<double>(kAdds));
+}
+
 // Reference model for Quantile: the exact rank-ceil(q*n) order statistic.
 uint64_t ExactQuantile(std::vector<uint64_t> values, double q) {
   std::sort(values.begin(), values.end());
