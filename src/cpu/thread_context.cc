@@ -9,11 +9,13 @@ namespace pmemsim {
 
 namespace {
 
-// The attribution stage of a cache hit at AccessRecord::hit_level 1..3.
+// The attribution stage of a cache hit at AccessRecord::hit_level 1..3;
+// kCore for a miss (hit_level 0).
 AttributionCollector::Stage CacheHitStage(uint8_t hit_level) {
   static constexpr AttributionCollector::Stage kStages[] = {
-      AttributionCollector::kL1Hit, AttributionCollector::kL2Hit, AttributionCollector::kL3Hit};
-  return kStages[hit_level - 1];
+      AttributionCollector::kCore, AttributionCollector::kL1Hit, AttributionCollector::kL2Hit,
+      AttributionCollector::kL3Hit};
+  return kStages[hit_level];
 }
 
 }  // namespace
@@ -57,29 +59,20 @@ Cycles ThreadContext::ScaleCore(Cycles c) const {
   return smt_scale_ == 1.0 ? c : static_cast<Cycles>(static_cast<double>(c) * smt_scale_);
 }
 
-void ThreadContext::RecordMemAccess(AttributionCollector::Op op, Cycles end_to_end,
-                                    const AccessRecord& r) {
-  AttributionCollector::StageDurations stages;
+void ThreadContext::RecordLoad(Cycles end_to_end, const AccessRecord& r) {
   if (r.hit_level != 0) {
-    stages.v[CacheHitStage(r.hit_level)] = end_to_end;
+    attribution_->RecordStage(AttributionCollector::kLoad, end_to_end, CacheHitStage(r.hit_level),
+                              end_to_end);
   } else {
     // Full miss: the memory side reported where the span went; the fields
     // sum exactly to end_to_end, so nothing lands in the core remainder.
-    stages.v[AttributionCollector::kImcTransit] = r.mem.imc_transit;
-    stages.v[AttributionCollector::kRapStall] = r.mem.rap_stall;
-    stages.v[AttributionCollector::kReadBuffer] = r.mem.buffer;
-    stages.v[AttributionCollector::kAitLookup] = r.mem.ait;
-    stages.v[AttributionCollector::kMediaRead] = r.mem.media;
-    stages.v[AttributionCollector::kDram] = r.mem.dram;
+    attribution_->RecordMiss(AttributionCollector::kLoad, end_to_end, r.mem);
   }
-  attribution_->RecordAccess(op, end_to_end, stages);
 }
 
 void ThreadContext::RecordPersistOp(AttributionCollector::Op op, Cycles t0, Cycles wpq_wait,
                                     Cycles accepted_at) {
-  AttributionCollector::StageDurations stages;
-  stages.v[AttributionCollector::kWpqWait] = wpq_wait;
-  attribution_->RecordAccess(op, clock_ - t0, stages);
+  attribution_->RecordStage(op, clock_ - t0, AttributionCollector::kWpqWait, wpq_wait);
   // The acceptance delay itself is asynchronous — it surfaces at the next
   // fence — so it is tracked outside the conservation identity.
   if (accepted_at > t0) {
@@ -120,7 +113,7 @@ uint64_t ThreadContext::LoadInternal(Addr addr, bool train) {
   const Cycles t0 = clock_;
   const AccessRecord& r = TimeLoad(addr, train);
   if (attribution_ != nullptr) {
-    RecordMemAccess(AttributionCollector::kLoad, clock_ - t0, r);
+    RecordLoad(clock_ - t0, r);
   }
   return backing_->ReadU64(addr);
 }
@@ -142,7 +135,7 @@ void ThreadContext::LoadMulti(const Addr* addrs, size_t count) {
   }
   clock_ = latest;
   if (attribution_ != nullptr && count != 0) {
-    RecordMemAccess(AttributionCollector::kLoad, latest - start, critical);
+    RecordLoad(latest - start, critical);
   }
   if (recorder_ != nullptr) {
     recorder_->RecordMulti(trace_tid_, addrs, count, clock_);
@@ -199,11 +192,8 @@ void ThreadContext::StoreTimed(Addr addr) {
     // A hit's latency is its level's stage. A posted miss's RFO memory
     // latency is off the critical path, so its pipeline cost stays in core
     // (the background traffic is visible in the bandwidth counters, not here).
-    AttributionCollector::StageDurations stages;
-    if (r.hit_level != 0) {
-      stages.v[CacheHitStage(r.hit_level)] = latency;
-    }
-    attribution_->RecordAccess(AttributionCollector::kStore, clock_ - t0, stages);
+    attribution_->RecordStage(AttributionCollector::kStore, clock_ - t0, CacheHitStage(r.hit_level),
+                              r.hit_level != 0 ? latency : 0);
   }
 }
 
@@ -287,7 +277,7 @@ void ThreadContext::Flush(Addr addr, bool invalidate) {
     // invalidation) buys nothing and retires as a cheap no-op.
     clock_ += 1;
     if (attribution_ != nullptr) {
-      attribution_->RecordAccess(AttributionCollector::kFlush, 1, {});
+      attribution_->RecordStage(AttributionCollector::kFlush, 1, AttributionCollector::kCore, 0);
     }
   } else {
     const Addr line = CacheLineBase(addr);
@@ -377,9 +367,8 @@ void ThreadContext::FenceCommon(bool is_mfence) {
   if (attribution_ != nullptr) {
     // The wait for outstanding WPQ acceptances is where the asynchronous
     // persist delays become synchronous: the fence's wpq_wait stage.
-    AttributionCollector::StageDurations stages;
-    stages.v[AttributionCollector::kWpqWait] = wait_until - t0;
-    attribution_->RecordAccess(AttributionCollector::kFence, clock_ - t0, stages);
+    attribution_->RecordStage(AttributionCollector::kFence, clock_ - t0,
+                              AttributionCollector::kWpqWait, wait_until - t0);
   }
   if (observer_ != nullptr) {
     observer_->OnFence(clock_);

@@ -190,7 +190,7 @@ class ThreadContext {
   void StoreTimed(Addr addr);
   void NoteRecentFlush(Addr line);
   // Attribution recording (called only with attribution_ != nullptr).
-  void RecordMemAccess(AttributionCollector::Op op, Cycles end_to_end, const AccessRecord& r);
+  void RecordLoad(Cycles end_to_end, const AccessRecord& r);
   void RecordPersistOp(AttributionCollector::Op op, Cycles t0, Cycles wpq_wait, Cycles accepted_at);
   // Trace recording for AddCompute (called only with recorder_ != nullptr).
   void RecordCompute(Cycles c);

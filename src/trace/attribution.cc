@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstdio>
 
-#include "src/common/check.h"
 #include "src/trace/json.h"
 
 namespace pmemsim {
@@ -51,30 +50,6 @@ const char* AttributionCollector::StageName(Stage stage) {
       return "wpq_wait";
     default:
       return "?";
-  }
-}
-
-void AttributionCollector::RecordAccess(Op op, Cycles end_to_end,
-                                        const StageDurations& stages) {
-  Cycles attributed = 0;
-  for (int s = 0; s < kStageCount; ++s) {
-    attributed += stages.v[s];
-  }
-  PMEMSIM_CHECK_MSG(attributed <= end_to_end,
-                    "attribution: stage sum exceeds end-to-end latency");
-  ++access_count_;
-  end_to_end_total_ += end_to_end;
-  op_hist_[op].Add(end_to_end);
-  for (int s = 0; s < kStageCount; ++s) {
-    Cycles v = stages.v[s];
-    if (s == kCore) {
-      v += end_to_end - attributed;  // conservation: remainder -> core
-    }
-    if (v == 0) {
-      continue;
-    }
-    stage_total_[s] += v;
-    stage_hist_[s].Add(v);
   }
 }
 

@@ -19,6 +19,15 @@
 // conservation identity tests/attribution_test.cc gates on. When no collector
 // is installed the only cost is one pointer test per operation.
 //
+// With a collector installed, recording costs what the access has. A cache
+// hit, a store, an nt-store/flush persist and a fence each have one non-core
+// stage and take the header-inline RecordStage: one op-histogram sample and
+// at most two stage samples, the bucket computed once when one stage takes
+// the whole latency (every load hit). Only a full miss (RecordMiss) reads the
+// six MemStageBreakdown fields. Serving always records (each shard's stats
+// embed its collector); there recording takes ~3.5% of sampled host time
+// (perfbench serve on a 4-core host, DESIGN.md section 7).
+//
 // Synchronous vs asynchronous: DDR-T persists are accepted long after the
 // issuing store retires, so WPQ acceptance delay is *not* part of a store's
 // end-to-end latency — it surfaces at fences (recorded as the wpq_wait stage
@@ -32,6 +41,7 @@
 #include <cstdint>
 #include <string>
 
+#include "src/common/check.h"
 #include "src/common/stats.h"
 #include "src/common/types.h"
 
@@ -73,13 +83,17 @@ class AttributionCollector {
   static const char* OpName(Op op);
   static const char* StageName(Stage stage);
 
-  struct StageDurations {
-    Cycles v[kStageCount] = {};
-  };
-
-  // Records one completed operation. Stages must not exceed `end_to_end`;
-  // the difference is credited to kCore so conservation holds per access.
-  void RecordAccess(Op op, Cycles end_to_end, const StageDurations& stages);
+  // The two recording paths. Each records one completed operation of
+  // `end_to_end` cycles and credits what its stages leave unattributed to
+  // kCore, so conservation holds per access.
+  //
+  // An operation with one non-core stage: a cache hit, a store, an
+  // nt-store/flush persist or a fence. `stage` takes `cycles` (at most
+  // `end_to_end`); a pure-core operation passes kCore with 0 cycles.
+  void RecordStage(Op op, Cycles end_to_end, Stage stage, Cycles cycles);
+  // A full cache miss: the memory stages are the fields of `mem`, whose sum
+  // must not exceed `end_to_end`.
+  void RecordMiss(Op op, Cycles end_to_end, const MemStageBreakdown& mem);
 
   // Records an asynchronous persist-acceptance delay (nt-store/flush issue to
   // WPQ acceptance). Outside the conservation identity by design.
@@ -107,6 +121,16 @@ class AttributionCollector {
   std::string CriticalPathTable() const;
 
  private:
+  friend struct AttributionCollectorTestPeer;
+
+  // The bookkeeping both recording paths share. CountOp counts the operation
+  // and files its end-to-end latency, returning that latency's histogram
+  // bucket so a stage taking the whole latency reuses it; Credit adds
+  // `cycles` (non-zero, in histogram bucket `bucket`) to `stage`.
+  int CountOp(Op op, Cycles end_to_end);
+  void Credit(Stage stage, Cycles cycles, int bucket);
+  void Credit(Stage stage, Cycles cycles);
+
   Histogram op_hist_[kOpCount];
   Histogram stage_hist_[kStageCount];
   Histogram async_accept_hist_;
@@ -114,6 +138,59 @@ class AttributionCollector {
   uint64_t end_to_end_total_ = 0;
   uint64_t access_count_ = 0;
 };
+
+inline int AttributionCollector::CountOp(Op op, Cycles end_to_end) {
+  ++access_count_;
+  end_to_end_total_ += end_to_end;
+  const int bucket = Histogram::BucketFor(end_to_end);
+  op_hist_[op].Add(end_to_end, bucket);
+  return bucket;
+}
+
+inline void AttributionCollector::Credit(Stage stage, Cycles cycles, int bucket) {
+  stage_total_[stage] += cycles;
+  stage_hist_[stage].Add(cycles, bucket);
+}
+
+inline void AttributionCollector::Credit(Stage stage, Cycles cycles) {
+  if (cycles != 0) {
+    Credit(stage, cycles, Histogram::BucketFor(cycles));
+  }
+}
+
+inline void AttributionCollector::RecordStage(Op op, Cycles end_to_end, Stage stage,
+                                              Cycles cycles) {
+  PMEMSIM_DCHECK(stage != kCore || cycles == 0);
+  PMEMSIM_CHECK_MSG(cycles <= end_to_end, "attribution: stage exceeds end-to-end latency");
+  const int bucket = CountOp(op, end_to_end);
+  const Cycles core = end_to_end - cycles;
+  if (core == 0) {
+    if (cycles != 0) {
+      Credit(stage, cycles, bucket);  // a load hit: the stage is the whole latency
+    }
+  } else if (cycles == 0) {
+    Credit(kCore, core, bucket);
+  } else {
+    Credit(kCore, core);
+    Credit(stage, cycles);
+  }
+}
+
+inline void AttributionCollector::RecordMiss(Op op, Cycles end_to_end,
+                                             const MemStageBreakdown& mem) {
+  const Cycles attributed =
+      mem.imc_transit + mem.rap_stall + mem.buffer + mem.ait + mem.media + mem.dram;
+  PMEMSIM_CHECK_MSG(attributed <= end_to_end,
+                    "attribution: stage sum exceeds end-to-end latency");
+  CountOp(op, end_to_end);
+  Credit(kCore, end_to_end - attributed);
+  Credit(kImcTransit, mem.imc_transit);
+  Credit(kRapStall, mem.rap_stall);
+  Credit(kReadBuffer, mem.buffer);
+  Credit(kAitLookup, mem.ait);
+  Credit(kMediaRead, mem.media);
+  Credit(kDram, mem.dram);
+}
 
 }  // namespace pmemsim
 

@@ -1,26 +1,148 @@
 // Latency-attribution tests: the conservation identity (per-stage cycle
 // totals sum exactly to end-to-end latency, which sums exactly to the clock
-// advance of the recorded operations), remainder crediting, and the JSON /
-// critical-path renderings.
+// advance of the recorded operations), remainder crediting, the recording
+// paths against the reference loop, and the JSON / critical-path renderings.
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <string>
 
+#include "src/common/check.h"
+#include "src/common/random.h"
 #include "src/core/platform.h"
 #include "src/trace/attribution.h"
 #include "src/trace/json.h"
 
 namespace pmemsim {
+
+struct AttributionCollectorTestPeer {
+  using C = AttributionCollector;
+
+  // The reference specification of recording one operation: each stage's
+  // cycles sit in one of the 11 slots, the slots sum to at most end_to_end,
+  // the remainder joins kCore, and every non-zero slot adds its cycles to its
+  // stage total and one sample to its stage histogram.
+  static void RecordReference(C& c, C::Op op, Cycles end_to_end,
+                              const Cycles (&slots)[C::kStageCount]) {
+    Cycles attributed = 0;
+    for (int s = 0; s < C::kStageCount; ++s) {
+      attributed += slots[s];
+    }
+    PMEMSIM_CHECK(attributed <= end_to_end);
+    ++c.access_count_;
+    c.end_to_end_total_ += end_to_end;
+    c.op_hist_[op].Add(end_to_end);
+    for (int s = 0; s < C::kStageCount; ++s) {
+      Cycles v = slots[s];
+      if (s == C::kCore) {
+        v += end_to_end - attributed;
+      }
+      if (v == 0) {
+        continue;
+      }
+      c.stage_total_[s] += v;
+      c.stage_hist_[s].Add(v);
+    }
+  }
+};
+
 namespace {
+
+// Records one seeded random stream of operations twice: into `paths` the way
+// ThreadContext records each kind of operation, and into `reference` through
+// the reference loop with the same stages in their slots.
+void RecordRandomStream(uint64_t seed, AttributionCollector* paths,
+                        AttributionCollector* reference) {
+  using C = AttributionCollector;
+  Rng rng(seed);
+  for (int i = 0; i < 20000; ++i) {
+    Cycles slots[C::kStageCount] = {};
+    C::Op op = C::kLoad;
+    Cycles end_to_end = 0;
+    switch (rng.NextBelow(8)) {
+      case 0: {  // load hit: the level's stage is the whole latency (0 included)
+        const auto stage = static_cast<C::Stage>(C::kL1Hit + rng.NextBelow(3));
+        end_to_end = rng.NextBelow(80);
+        paths->RecordStage(op, end_to_end, stage, end_to_end);
+        slots[stage] = end_to_end;
+        break;
+      }
+      case 1: {  // store hit: the level's latency, then the issue cost in core
+        const auto stage = static_cast<C::Stage>(C::kL1Hit + rng.NextBelow(3));
+        const Cycles hit = 1 + rng.NextBelow(80);
+        op = C::kStore;
+        end_to_end = hit + 1 + rng.NextBelow(4);
+        paths->RecordStage(op, end_to_end, stage, hit);
+        slots[stage] = hit;
+        break;
+      }
+      case 2:  // posted store miss: all core
+        op = C::kStore;
+        end_to_end = 1 + rng.NextBelow(40);
+        paths->RecordStage(op, end_to_end, C::kCore, 0);
+        break;
+      case 3: {  // nt-store or flush persist, maybe stalled on the store buffer
+        op = rng.NextBelow(2) != 0 ? C::kNtStore : C::kFlush;
+        const Cycles wpq = rng.NextBelow(2) != 0 ? 0 : rng.NextBelow(5000);
+        end_to_end = wpq + 1 + rng.NextBelow(10);
+        paths->RecordStage(op, end_to_end, C::kWpqWait, wpq);
+        slots[C::kWpqWait] = wpq;
+        if (rng.NextBelow(2) != 0) {
+          const Cycles accept = 1 + rng.NextBelow(3000);
+          paths->RecordAsyncAccept(accept);
+          reference->RecordAsyncAccept(accept);
+        }
+        break;
+      }
+      case 4:  // eADR flush: a one-cycle no-op
+        op = C::kFlush;
+        end_to_end = 1;
+        paths->RecordStage(op, end_to_end, C::kCore, 0);
+        break;
+      case 5: {  // fence: the wait for outstanding acceptances, then its cost
+        op = C::kFence;
+        const Cycles wait = rng.NextBelow(3) == 0 ? 0 : rng.NextBelow(20000);
+        end_to_end = wait + 1 + rng.NextBelow(30);
+        paths->RecordStage(op, end_to_end, C::kWpqWait, wait);
+        slots[C::kWpqWait] = wait;
+        break;
+      }
+      default: {  // full miss: any subset of the six memory stages
+        MemStageBreakdown mem;
+        const auto draw = [&rng](uint64_t bound) {
+          return rng.NextBelow(2) != 0 ? 0 : rng.NextBelow(bound);
+        };
+        mem.imc_transit = draw(200);
+        mem.rap_stall = draw(3000);
+        mem.buffer = draw(400);
+        mem.ait = draw(600);
+        mem.media = draw(100000);
+        mem.dram = draw(300);
+        slots[C::kImcTransit] = mem.imc_transit;
+        slots[C::kRapStall] = mem.rap_stall;
+        slots[C::kReadBuffer] = mem.buffer;
+        slots[C::kAitLookup] = mem.ait;
+        slots[C::kMediaRead] = mem.media;
+        slots[C::kDram] = mem.dram;
+        end_to_end = rng.NextBelow(4) == 0 ? rng.NextBelow(50) : 0;  // the core remainder
+        for (const Cycles v : slots) {
+          end_to_end += v;
+        }
+        paths->RecordMiss(op, end_to_end, mem);
+        break;
+      }
+    }
+    AttributionCollectorTestPeer::RecordReference(*reference, op, end_to_end, slots);
+  }
+}
 
 TEST(Attribution, RemainderIsCreditedToCore) {
   AttributionCollector attr;
-  AttributionCollector::StageDurations stages;
-  stages.v[AttributionCollector::kMediaRead] = 60;
-  stages.v[AttributionCollector::kAitLookup] = 10;
-  attr.RecordAccess(AttributionCollector::kLoad, 100, stages);
+  MemStageBreakdown mem;
+  mem.media = 60;
+  mem.ait = 10;
+  attr.RecordMiss(AttributionCollector::kLoad, 100, mem);
 
   EXPECT_EQ(attr.access_count(), 1u);
   EXPECT_EQ(attr.end_to_end_total(), 100u);
@@ -33,12 +155,32 @@ TEST(Attribution, RemainderIsCreditedToCore) {
 
 TEST(Attribution, AsyncAcceptStaysOutsideConservation) {
   AttributionCollector attr;
-  attr.RecordAccess(AttributionCollector::kNtStore, 10, {});
+  attr.RecordStage(AttributionCollector::kNtStore, 10, AttributionCollector::kWpqWait, 0);
   attr.RecordAsyncAccept(500);
   EXPECT_EQ(attr.end_to_end_total(), 10u);
   EXPECT_EQ(attr.StageTotalSum(), 10u);
   EXPECT_EQ(attr.async_accept_hist().count(), 1u);
   EXPECT_EQ(attr.async_accept_hist().Max(), 500u);
+}
+
+// The two inline recording paths against the reference loop: the same
+// random streams must give byte-identical renderings.
+TEST(Attribution, RecordingPathsMatchTheReferenceLoop) {
+  for (uint64_t seed : {1, 2, 3, 4}) {
+    AttributionCollector paths;
+    AttributionCollector reference;
+    RecordRandomStream(seed, &paths, &reference);
+    // The stream reached every op and every stage.
+    for (int op = 0; op < AttributionCollector::kOpCount; ++op) {
+      EXPECT_GT(paths.op_hist(static_cast<AttributionCollector::Op>(op)).count(), 0u) << op;
+    }
+    for (int s = 0; s < AttributionCollector::kStageCount; ++s) {
+      EXPECT_GT(paths.stage_total(static_cast<AttributionCollector::Stage>(s)), 0u) << s;
+    }
+    EXPECT_EQ(paths.ToJson(), reference.ToJson()) << "seed " << seed;
+    EXPECT_EQ(paths.CriticalPathTable(), reference.CriticalPathTable()) << "seed " << seed;
+    EXPECT_EQ(paths.StageTotalSum(), paths.end_to_end_total()) << "seed " << seed;
+  }
 }
 
 // The identity the module exists for: drive a mixed trace through a real G1
