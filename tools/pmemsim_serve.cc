@@ -162,53 +162,66 @@ void RunPoint(const ServeCliConfig& cli, const std::string& mix, LoopMode loop,
   }
 }
 
-constexpr char kUsageArgs[] =
-    " [--store=cceh|fastfair|flatlog] [--mixes=a,b,c,d,e,f]\n"
-    "                     [--loop=closed|open|both] [--shards=4] [--workers=2]\n"
-    "                     [--queue_depth=64] [--batch=8] [--clients=8] [--think=4000]\n"
-    "                     [--arrival_interval=1500] [--ops=20000] [--keys=20000]\n"
-    "                     [--theta=0.99] [--scan_len=16] [--seed=42]\n"
-    "                     [--platform=g1|g2|g2-eadr] [--dimms=0] [--jobs=1]\n"
-    "                     [--engine_threads=N] [--dispatch_latency=2048]\n"
-    "                     [--sample_interval_cycles=C] [--timeline_json=<path>]\n"
-    "                     [--slo_p99_cycles=C] [--spans_json=<path>]\n"
-    "                     [--span_trace=<path>]\n"
-    "serve observability (off by default; the serve hot path pays nothing):\n"
-    "  --sample_interval_cycles=C  windowed serve telemetry: per-C-cycle\n"
-    "                      throughput/shed/queue-depth/windowed tails\n"
-    "  --timeline_json=<path>  write the per-window timeline artifact\n"
-    "                      (enables windowing; default window 20000 cycles)\n"
-    "  --slo_p99_cycles=C  per-window p99 sojourn SLO monitor (violations +\n"
-    "                      burn rate in the timeline and a 'slo' stats\n"
-    "                      section); requires windowing\n"
-    "  --spans_json=<path>  per-request spans, columnar JSON (single sweep\n"
-    "                      point only: one mix x one loop)\n"
-    "  --span_trace=<path>  per-request spans as chrome://tracing events\n"
-    "                      (single sweep point only)\n"
-    "parallelism (two independent axes; both keep output byte-identical):\n"
-    "  --jobs=N            ACROSS sweep points: run N (mix,loop) points\n"
-    "                      concurrently, each on its own simulated machine\n"
-    "  --engine_threads=N  WITHIN one sweep point: give every shard domain\n"
-    "                      its own simulated machine (default: all shards\n"
-    "                      share one) and advance the domains on N host\n"
-    "                      threads. Changes the simulated model (private\n"
-    "                      machines + client dispatch latency), never the\n"
-    "                      results for a given model: any N compares equal\n"
-    "  --dispatch_latency=C  with --engine_threads only: client->shard\n"
-    "                      dispatch latency in cycles (the epoch window;\n"
-    "                      0 = one lockstep run, no host parallelism)";
+// The usage text; each default it names is `d`'s, a default-constructed
+// ServeConfig, the same value main() passes as the flag's default.
+std::string UsageArgs(const ServeConfig& d) {
+  char usage[3072];
+  std::snprintf(
+      usage, sizeof(usage),
+      " [--store=cceh|fastfair|flatlog] [--mixes=a,b,c,d,e,f]\n"
+      "                     [--loop=closed|open|both] [--shards=%u] [--workers=%u]\n"
+      "                     [--queue_depth=%llu] [--batch=%llu] [--clients=%u] [--think=%g]\n"
+      "                     [--arrival_interval=%g] [--ops=%llu] [--keys=%llu]\n"
+      "                     [--theta=%g] [--scan_len=%u] [--seed=%llu]\n"
+      "                     [--platform=g1|g2|g2-eadr] [--dimms=0] [--jobs=1]\n"
+      "                     [--engine_threads=N] [--dispatch_latency=%llu]\n"
+      "                     [--sample_interval_cycles=C] [--timeline_json=<path>]\n"
+      "                     [--slo_p99_cycles=C] [--spans_json=<path>]\n"
+      "                     [--span_trace=<path>]\n"
+      "serve observability (off by default; the serve hot path pays nothing):\n"
+      "  --sample_interval_cycles=C  windowed serve telemetry: per-C-cycle\n"
+      "                      throughput/shed/queue-depth/windowed tails\n"
+      "  --timeline_json=<path>  write the per-window timeline artifact\n"
+      "                      (enables windowing; default window 20000 cycles)\n"
+      "  --slo_p99_cycles=C  per-window p99 sojourn SLO monitor (violations +\n"
+      "                      burn rate in the timeline and a 'slo' stats\n"
+      "                      section); requires windowing\n"
+      "  --spans_json=<path>  per-request spans, columnar JSON (single sweep\n"
+      "                      point only: one mix x one loop)\n"
+      "  --span_trace=<path>  per-request spans as chrome://tracing events\n"
+      "                      (single sweep point only)\n"
+      "parallelism (two independent axes; both keep output byte-identical):\n"
+      "  --jobs=N            ACROSS sweep points: run N (mix,loop) points\n"
+      "                      concurrently, each on its own simulated machine\n"
+      "  --engine_threads=N  WITHIN one sweep point: give every shard domain\n"
+      "                      its own simulated machine (default: all shards\n"
+      "                      share one) and advance the domains on N host\n"
+      "                      threads. Changes the simulated model (private\n"
+      "                      machines + client dispatch latency), never the\n"
+      "                      results for a given model: any N compares equal\n"
+      "  --dispatch_latency=C  with --engine_threads only: client->shard\n"
+      "                      dispatch latency in cycles (the epoch window;\n"
+      "                      0 = one lockstep run, no host parallelism)",
+      d.shards, d.workers_per_shard, static_cast<unsigned long long>(d.queue_depth),
+      static_cast<unsigned long long>(d.batch), d.clients, d.think_cycles, d.interarrival_cycles,
+      static_cast<unsigned long long>(d.ops), static_cast<unsigned long long>(d.keys), d.theta,
+      d.scan_len, static_cast<unsigned long long>(d.seed),
+      static_cast<unsigned long long>(d.dispatch_latency));
+  return usage;
+}
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  pmemsim_bench::Sweep sweep(argc, argv, "pmemsim_serve", kUsageArgs);
+  const ServeConfig defaults;
+  pmemsim_bench::Sweep sweep(argc, argv, "pmemsim_serve", UsageArgs(defaults).c_str());
   const pmemsim_bench::Flags& flags = sweep.flags();
 
   ServeCliConfig cli;
   cli.platform = flags.GetPlatform("platform", "g1");
   cli.dimms = static_cast<uint32_t>(flags.GetU64("dimms", 0));
 
-  const std::string store_name = flags.Get("store", "fastfair");
+  const std::string store_name = flags.Get("store", StoreName(defaults.store));
   const auto store = StoreByName(store_name);
   if (!store) {
     pmemsim_bench::Flags::BadValue("store", store_name, "cceh|fastfair|flatlog");
@@ -230,18 +243,19 @@ int main(int argc, char** argv) {
     cli.loops.push_back(LoopMode::kOpen);
   }
 
-  cli.serve.shards = static_cast<uint32_t>(flags.GetPositiveU64("shards", 4));
-  cli.serve.workers_per_shard = static_cast<uint32_t>(flags.GetPositiveU64("workers", 2));
-  cli.serve.queue_depth = flags.GetPositiveU64("queue_depth", 64);
-  cli.serve.batch = flags.GetPositiveU64("batch", 8);
-  cli.serve.clients = static_cast<uint32_t>(flags.GetU64("clients", 8));
-  cli.serve.think_cycles = flags.GetDouble("think", 4000);
-  cli.serve.interarrival_cycles = flags.GetDouble("arrival_interval", 1500);
-  cli.serve.ops = flags.GetU64("ops", 20000);
-  cli.serve.keys = flags.GetPositiveU64("keys", 20000);
-  cli.serve.theta = flags.GetDouble("theta", 0.99);
-  cli.serve.scan_len = static_cast<uint32_t>(flags.GetU64("scan_len", 16));
-  cli.serve.seed = flags.GetU64("seed", 42);
+  cli.serve.shards = static_cast<uint32_t>(flags.GetPositiveU64("shards", defaults.shards));
+  cli.serve.workers_per_shard =
+      static_cast<uint32_t>(flags.GetPositiveU64("workers", defaults.workers_per_shard));
+  cli.serve.queue_depth = flags.GetPositiveU64("queue_depth", defaults.queue_depth);
+  cli.serve.batch = flags.GetPositiveU64("batch", defaults.batch);
+  cli.serve.clients = static_cast<uint32_t>(flags.GetU64("clients", defaults.clients));
+  cli.serve.think_cycles = flags.GetDouble("think", defaults.think_cycles);
+  cli.serve.interarrival_cycles = flags.GetDouble("arrival_interval", defaults.interarrival_cycles);
+  cli.serve.ops = flags.GetU64("ops", defaults.ops);
+  cli.serve.keys = flags.GetPositiveU64("keys", defaults.keys);
+  cli.serve.theta = flags.GetDouble("theta", defaults.theta);
+  cli.serve.scan_len = static_cast<uint32_t>(flags.GetU64("scan_len", defaults.scan_len));
+  cli.serve.seed = flags.GetU64("seed", defaults.seed);
 
   // --engine_threads gives every shard domain a private System; its value is
   // host threads per sweep point. --dispatch_latency belongs to that
@@ -249,8 +263,9 @@ int main(int argc, char** argv) {
   // --engine_threads.
   cli.partitioned = !flags.Get("engine_threads", "").empty();
   if (cli.partitioned) {
-    cli.serve.engine_threads = static_cast<uint32_t>(flags.GetPositiveU64("engine_threads", 1));
-    cli.serve.dispatch_latency = flags.GetU64("dispatch_latency", 2048);
+    cli.serve.engine_threads =
+        static_cast<uint32_t>(flags.GetPositiveU64("engine_threads", defaults.engine_threads));
+    cli.serve.dispatch_latency = flags.GetU64("dispatch_latency", defaults.dispatch_latency);
     if (!flags.Get("trace_out", "").empty() && cli.serve.engine_threads > 1) {
       std::fprintf(stderr,
                    "note: --trace_out forces --engine_threads=1 (the trace "
