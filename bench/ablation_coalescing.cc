@@ -73,7 +73,7 @@ Result RunCoalesced(uint64_t records) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  pmemsim_bench::Sweep sweep(argc, argv, "ablation_coalescing", " [--records=200000]");
+  pmemsim_bench::Sweep sweep(argc, argv, "ablation_coalescing");
   const uint64_t records = sweep.flags().GetU64("records", 200000);
   pmemsim_bench::SweepRunner& runner =
       sweep.Start("Ablation", "coalescing small writes into XPLines (FlatStore guideline)",

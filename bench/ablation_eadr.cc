@@ -9,6 +9,7 @@
 // persistency overhead — the in-place B+-tree no longer needs redo logging.
 
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -47,12 +48,16 @@ double BtreeInsert(const PlatformConfig& cfg) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  pmemsim_bench::Sweep sweep(argc, argv, "ablation_eadr", " [--platform=g1|g2|g2-eadr]");
-  // Default: the paper's contrast pair (G2 vs G2+eADR). --platform narrows
-  // the run to one named preset.
-  std::vector<PlatformConfig> platforms = {G2Platform(), G2EadrPlatform()};
-  if (!sweep.flags().Get("platform", "").empty()) {
-    platforms = {sweep.flags().GetPlatform("platform", "")};
+  pmemsim_bench::Sweep sweep(argc, argv, "ablation_eadr");
+  // Default: the paper's contrast pair (G2 vs G2+eADR). --platform=g2 (or
+  // any list of presets) narrows or reorders the run.
+  std::vector<PlatformConfig> platforms;
+  for (const std::string& name : sweep.flags().GetList("platform", "g2,g2-eadr")) {
+    const std::optional<PlatformConfig> platform = PlatformByName(name);
+    if (!platform) {
+      pmemsim_bench::Flags::BadValue("platform", name, "comma-separated g1, g2 or g2-eadr");
+    }
+    platforms.push_back(*platform);
   }
   pmemsim_bench::SweepRunner& runner = sweep.Start(
       "Ablation", "G2 with and without eADR (paper §6)", {"workload", "platform", "cycles"});

@@ -28,7 +28,7 @@ double Measure(uint64_t wss, uint64_t epoch_len) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  pmemsim_bench::Sweep sweep(argc, argv, "ablation_persistency", "");
+  pmemsim_bench::Sweep sweep(argc, argv, "ablation_persistency");
   pmemsim_bench::SweepRunner& runner =
       sweep.Start("Ablation", "persistency spectrum: strict -> epoch -> relaxed",
                   {"wss_kb", "epoch_len", "cycles_per_element"});

@@ -17,7 +17,7 @@
 using namespace pmemsim;
 
 int main(int argc, char** argv) {
-  pmemsim_bench::Sweep sweep(argc, argv, "ablation_read_buffer", " [--max_kb=32]");
+  pmemsim_bench::Sweep sweep(argc, argv, "ablation_read_buffer");
   const uint64_t max_kb = sweep.flags().GetU64("max_kb", 32);
   pmemsim_bench::SweepRunner& runner =
       sweep.Start("Ablation", "read-buffer eviction & exclusivity vs Figure 2",

@@ -29,7 +29,7 @@ double Measure(uint32_t wpq_entries, uint64_t wss) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  pmemsim_bench::Sweep sweep(argc, argv, "ablation_wpq_depth", "");
+  pmemsim_bench::Sweep sweep(argc, argv, "ablation_wpq_depth");
   pmemsim_bench::SweepRunner& runner =
       sweep.Start("Ablation", "WPQ depth vs write-latency consistency (Fig. 8c)",
                   {"wpq_entries", "wss_kb", "cycles_per_element"});

@@ -57,7 +57,7 @@ double FullWriteWa(bool periodic, uint64_t wss) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  pmemsim_bench::Sweep sweep(argc, argv, "ablation_write_buffer", " [--max_kb=32]");
+  pmemsim_bench::Sweep sweep(argc, argv, "ablation_write_buffer");
   const uint64_t max_kb = sweep.flags().GetU64("max_kb", 32);
   pmemsim_bench::SweepRunner& runner =
       sweep.Start("Ablation", "write-buffer eviction & periodic write-back",

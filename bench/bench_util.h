@@ -21,7 +21,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <set>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -35,20 +35,40 @@
 
 namespace pmemsim_bench {
 
-// Tiny --name / --name=value parser. Every Has/Get* call registers the name
-// as recognized; after querying all its flags, a bench calls RejectUnknown()
-// so a typo (--stats-json for --stats_json) fails loudly instead of silently
-// no-opping. Malformed numeric values exit(2) with the offending flag named.
+inline const char* kTelemetryFlagsHelp =
+    "  --stats_json=<path>    write rows as JSON (for scripts/check_figures.py)\n"
+    "  --trace_out=<path>     write a chrome://tracing event file\n"
+    "  --jobs=N               host parallelism ACROSS sweep points: N points\n"
+    "                         run concurrently, each a complete independent\n"
+    "                         simulation; output stays byte-identical to\n"
+    "                         --jobs=1. Not to be confused with\n"
+    "                         --engine_threads, the host parallelism WITHIN\n"
+    "                         one point that benches with a partitioned\n"
+    "                         serving tier (pmemsim_serve) accept; benches\n"
+    "                         without a domain partition reject it.\n";
+
+// Tiny --name / --name=value parser. Every Has/Get* call declares its flag:
+// the first read of a name records its --help entry (the default as the
+// code uses it, and the choices of an enumerated flag), so the reads are the
+// only place a flag or its default is written down. After querying all its
+// flags, a binary calls RejectUnknown(), which answers --help from those
+// entries and makes a typo (--stats-json for --stats_json) fail loudly
+// instead of silently no-opping. Malformed values exit(2) with the
+// offending flag named.
 class Flags {
  public:
-  Flags(int argc, char** argv) {
+  // `notes` is the binary's --help prose after the flag list; it names no
+  // default (the flag list shows each).
+  Flags(int argc, char** argv, std::string notes = "") : notes_(std::move(notes)) {
+    const std::string arg0 = argc > 0 ? argv[0] : "";
+    program_ = arg0.substr(arg0.rfind('/') + 1);
     for (int i = 1; i < argc; ++i) {
       args_.emplace_back(argv[i]);
     }
   }
 
   bool Has(const std::string& name) const {
-    known_.insert(name);
+    Declare(name, "--" + name);
     for (const std::string& a : args_) {
       if (a == "--" + name) {
         return true;
@@ -58,18 +78,13 @@ class Flags {
   }
 
   std::string Get(const std::string& name, const std::string& def) const {
-    known_.insert(name);
-    const std::string prefix = "--" + name + "=";
-    for (const std::string& a : args_) {
-      if (a.rfind(prefix, 0) == 0) {
-        return a.substr(prefix.size());
-      }
-    }
-    return def;
+    Declare(name, "--" + name + "=" + def);
+    return Find(name).value_or(def);
   }
 
   uint64_t GetU64(const std::string& name, uint64_t def) const {
-    const std::string v = Get(name, "");
+    Declare(name, "--" + name + "=" + std::to_string(def));
+    const std::string v = Find(name).value_or("");
     return v.empty() ? def : ParseU64(name, v);
   }
 
@@ -77,7 +92,7 @@ class Flags {
   uint64_t GetPositiveU64(const std::string& name, uint64_t def) const {
     const uint64_t v = GetU64(name, def);
     if (v == 0) {
-      BadValue(name, Get(name, ""), "positive integer");
+      BadValue(name, Find(name).value_or(""), "positive integer");
     }
     return v;
   }
@@ -115,8 +130,17 @@ class Flags {
   }
 
   // A byte count with an optional binary K/M/G suffix: "4096", "64K", "4M".
+  // --help shows the default with the largest suffix that divides it.
   uint64_t GetSize(const std::string& name, uint64_t def) const {
-    const std::string v = Get(name, "");
+    std::string shown = std::to_string(def);
+    for (int shift = 30; shift >= 10; shift -= 10) {
+      if (def != 0 && def % (1ull << shift) == 0) {
+        shown = std::to_string(def >> shift) + "KMG"[shift / 10 - 1];
+        break;
+      }
+    }
+    Declare(name, "--" + name + "=" + shown);
+    const std::string v = Find(name).value_or("");
     if (v.empty()) {
       return def;
     }
@@ -151,7 +175,10 @@ class Flags {
   }
 
   double GetDouble(const std::string& name, double def) const {
-    const std::string v = Get(name, "");
+    char shown[32];
+    std::snprintf(shown, sizeof(shown), "%g", def);
+    Declare(name, "--" + name + "=" + shown);
+    const std::string v = Find(name).value_or("");
     if (v.empty()) {
       return def;
     }
@@ -169,13 +196,16 @@ class Flags {
   // value) exits(2) listing the choices, before the caller prints anything.
   std::string GetChoice(const std::string& name, const std::string& def,
                         const std::vector<std::string>& choices) const {
-    const std::string v = Get(name, def);
     std::string expected;
+    for (const std::string& choice : choices) {
+      expected += (expected.empty() ? "" : "|") + choice;
+    }
+    Declare(name, "--" + name + "=" + def, expected);
+    const std::string v = Find(name).value_or(def);
     for (const std::string& choice : choices) {
       if (strcasecmp(v.c_str(), choice.c_str()) == 0) {
         return choice;
       }
-      expected += (expected.empty() ? "" : "|") + choice;
     }
     BadValue(name, v, expected.c_str());
   }
@@ -213,9 +243,31 @@ class Flags {
     std::exit(2);
   }
 
-  // Exits(2) naming any --flag whose name was never queried. Call after the
-  // last Get/Has (flag queries register names, so order matters).
+  // The --help text: "usage: <program>", then one "[--name=default]" line
+  // per flag read so far, in first-read order ("[--name]" for a Has flag,
+  // followed by the choices of an enumerated one), then the notes and the
+  // telemetry flags' help.
+  std::string Usage() const {
+    std::string text = "usage: " + program_ + "\n";
+    for (const auto& [name, line] : declared_) {
+      text += "  " + line + "\n";
+    }
+    if (!notes_.empty()) {
+      text += notes_ + "\n";
+    }
+    return text + kTelemetryFlagsHelp;
+  }
+
+  // Call after the last Get/Has (flag queries declare names, so order
+  // matters). --help prints Usage() and exits(0); otherwise exits(2) naming
+  // any --flag whose name was never queried.
   void RejectUnknown() const {
+    for (const std::string& a : args_) {
+      if (a == "--help") {
+        std::fputs(Usage().c_str(), stdout);
+        std::exit(0);
+      }
+    }
     for (const std::string& a : args_) {
       if (a.rfind("--", 0) != 0) {
         std::fprintf(stderr, "error: unexpected argument '%s'\n", a.c_str());
@@ -224,7 +276,7 @@ class Flags {
       const size_t eq = a.find('=');
       const std::string name =
           eq == std::string::npos ? a.substr(2) : a.substr(2, eq - 2);
-      if (known_.count(name) == 0) {
+      if (!Declared(name)) {
         std::fprintf(stderr, "error: unrecognized flag '--%s' (see --help)\n", name.c_str());
         std::exit(2);
       }
@@ -232,6 +284,37 @@ class Flags {
   }
 
  private:
+  bool Declared(const std::string& name) const {
+    return std::any_of(declared_.begin(), declared_.end(),
+                       [&](const auto& entry) { return entry.first == name; });
+  }
+
+  // Records `usage` ("--name" or "--name=default") and the accepted `form`
+  // as the flag's --help line on the first read of `name`.
+  void Declare(const std::string& name, const std::string& usage,
+               const std::string& form = "") const {
+    if (Declared(name)) {
+      return;
+    }
+    std::string line = "[" + usage + "]";
+    if (!form.empty()) {
+      line.resize(std::max<size_t>(line.size() + 2, 26), ' ');
+      line += form;
+    }
+    declared_.emplace_back(name, std::move(line));
+  }
+
+  // The value of --name=value (possibly empty), or nullopt when absent.
+  std::optional<std::string> Find(const std::string& name) const {
+    const std::string prefix = "--" + name + "=";
+    for (const std::string& a : args_) {
+      if (a.rfind(prefix, 0) == 0) {
+        return a.substr(prefix.size());
+      }
+    }
+    return std::nullopt;
+  }
+
   // A decimal unsigned integer; anything else (a sign, a suffix, overflow)
   // exits(2) naming the flag.
   static uint64_t ParseU64(const std::string& name, const std::string& v) {
@@ -245,8 +328,11 @@ class Flags {
   }
 
   std::vector<std::string> args_;
-  // Names queried so far; mutable because Get/Has are logically const reads.
-  mutable std::set<std::string> known_;
+  std::string program_;
+  std::string notes_;
+  // (name, --help line) per flag read so far, in first-read order; mutable
+  // because Get/Has are logically const reads.
+  mutable std::vector<std::pair<std::string, std::string>> declared_;
 };
 
 // Host wall-clock seconds on the steady clock: what the perf_* harnesses time.
@@ -501,18 +587,6 @@ class BenchReport {
 };
 
 using Row = BenchReport::Row;
-
-inline const char* kTelemetryFlagsHelp =
-    "  --stats_json=<path>    write rows as JSON (for scripts/check_figures.py)\n"
-    "  --trace_out=<path>     write a chrome://tracing event file\n"
-    "  --jobs=N               host parallelism ACROSS sweep points: N points\n"
-    "                         run concurrently, each a complete independent\n"
-    "                         simulation; output stays byte-identical to\n"
-    "                         --jobs=1. Not to be confused with\n"
-    "                         --engine_threads, the host parallelism WITHIN\n"
-    "                         one point that benches with a partitioned\n"
-    "                         serving tier (pmemsim_serve) accept; benches\n"
-    "                         without a domain partition reject it.\n";
 
 }  // namespace pmemsim_bench
 

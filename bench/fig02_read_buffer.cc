@@ -11,7 +11,7 @@
 using namespace pmemsim;
 
 int main(int argc, char** argv) {
-  pmemsim_bench::Sweep sweep(argc, argv, "fig02_read_buffer", " [--gen=g1|g2|both] [--max_kb=36]");
+  pmemsim_bench::Sweep sweep(argc, argv, "fig02_read_buffer");
   const auto gens = sweep.flags().GetGenerations("both");
   const uint64_t max_kb = sweep.flags().GetU64("max_kb", 36);
   pmemsim_bench::SweepRunner& runner =

@@ -16,7 +16,6 @@ using namespace pmemsim;
 int main(int argc, char** argv) {
   pmemsim_bench::Sweep sweep(
       argc, argv, "fig03_write_amplification",
-      " [--gen=g1|g2|both] [--max_kb=32] [--random]\n"
       "The paper notes WA is independent of the cross-XPLine pattern; --random verifies.");
   const auto gens = sweep.flags().GetGenerations("both");
   const uint64_t max_kb = sweep.flags().GetU64("max_kb", 32);

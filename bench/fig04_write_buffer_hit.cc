@@ -13,8 +13,7 @@
 using namespace pmemsim;
 
 int main(int argc, char** argv) {
-  pmemsim_bench::Sweep sweep(argc, argv, "fig04_write_buffer_hit",
-                             " [--gen=g1|g2|both] [--max_kb=32]");
+  pmemsim_bench::Sweep sweep(argc, argv, "fig04_write_buffer_hit");
   const auto gens = sweep.flags().GetGenerations("both");
   const uint64_t max_kb = sweep.flags().GetU64("max_kb", 32);
   pmemsim_bench::SweepRunner& runner =

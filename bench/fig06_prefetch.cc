@@ -17,9 +17,7 @@
 #include "bench/sweep_runner.h"
 
 int main(int argc, char** argv) {
-  pmemsim_bench::Sweep sweep(argc, argv, "fig06_prefetch",
-                             " [--gen=g1|g2|both] [--max_mb=1024] [--max_visits=60000] "
-                             "[--repeats=4]");
+  pmemsim_bench::Sweep sweep(argc, argv, "fig06_prefetch");
   const auto gens = sweep.flags().GetGenerations("both");
   const uint64_t max_mb = sweep.flags().GetU64("max_mb", 1024);
   const uint64_t max_visits = sweep.flags().GetU64("max_visits", 60000);

@@ -45,10 +45,7 @@ double MeasureRap(Generation gen, bool dram, bool remote, PersistMode mode, uint
 }  // namespace
 
 int main(int argc, char** argv) {
-  pmemsim_bench::Sweep sweep(
-      argc, argv, "fig07_rap",
-      " [--gen=g1|g2|both] [--max_distance=40] [--panel=pm-local|pm-remote|"
-      "dram-local|dram-remote|all]");
+  pmemsim_bench::Sweep sweep(argc, argv, "fig07_rap");
   const auto gens = sweep.flags().GetGenerations("both");
   const std::string panel = sweep.flags().GetChoice(
       "panel", "all", {"pm-local", "pm-remote", "dram-local", "dram-remote", "all"});

@@ -43,7 +43,6 @@ double Measure(Generation gen, uint64_t wss, bool sequential, uint64_t salt, uin
 
 int main(int argc, char** argv) {
   pmemsim_bench::Sweep sweep(argc, argv, "fig08_latency",
-                             " [--gen=g1|g2|both] [--max_mb=1024] [--max_ops=120000]\n"
                              "Panels: strict, relaxed, breakdown (pure read / pure write).");
   const auto gens = sweep.flags().GetGenerations("g1");
   const uint64_t max_mb = sweep.flags().GetU64("max_mb", 1024);

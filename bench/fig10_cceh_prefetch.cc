@@ -105,9 +105,7 @@ Result RunCceh(Generation gen, MemoryKind kind, uint32_t workers, bool prefetch,
 }  // namespace
 
 int main(int argc, char** argv) {
-  pmemsim_bench::Sweep sweep(argc, argv, "fig10_cceh_prefetch",
-                             " [--gen=g1|g2] [--keys=600000] [--depth=8] [--dimms=6] "
-                             "[--max_workers=8] [--full_cache]");
+  pmemsim_bench::Sweep sweep(argc, argv, "fig10_cceh_prefetch");
   const Generation gen = sweep.flags().GetChoice("gen", "g1", {"g1", "g2"}) == "g2"
                              ? Generation::kG2
                              : Generation::kG1;

@@ -76,8 +76,7 @@ Result RunTree(Generation gen, BTreeUpdateMode mode, uint32_t threads, uint64_t 
 }  // namespace
 
 int main(int argc, char** argv) {
-  pmemsim_bench::Sweep sweep(argc, argv, "fig12_btree",
-                             " [--gen=g1|g2|both] [--keys=120000] [--max_threads=9]");
+  pmemsim_bench::Sweep sweep(argc, argv, "fig12_btree");
   const auto gens = sweep.flags().GetGenerations("both");
   const uint64_t keys = sweep.flags().GetU64("keys", 120000);
   const uint32_t max_threads = static_cast<uint32_t>(sweep.flags().GetU64("max_threads", 9));

@@ -88,8 +88,7 @@ Result RunScaling(Generation gen, bool optimized, uint32_t threads, uint64_t wss
 }  // namespace
 
 int main(int argc, char** argv) {
-  pmemsim_bench::Sweep sweep(argc, argv, "fig14_redirect_scaling",
-                             " [--gen=g1|g2|both] [--wss_mb=256] [--blocks=4000]");
+  pmemsim_bench::Sweep sweep(argc, argv, "fig14_redirect_scaling");
   const auto gens = sweep.flags().GetGenerations("both");
   const uint64_t wss = MiB(sweep.flags().GetU64("wss_mb", 256));
   const uint64_t blocks = sweep.flags().GetU64("blocks", 4000);

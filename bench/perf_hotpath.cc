@@ -163,21 +163,12 @@ WorkloadResult RunCcehMixed(uint64_t ops) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  pmemsim_bench::Flags flags(argc, argv);
-  if (flags.Has("help")) {
-    std::printf(
-        "usage: perf_hotpath [--quick] [--ops_scale=<pct>] [--workload=<name>] [--reps=<n>]\n"
-        "  --quick          1/16 of the default op counts (the CI perf-smoke mode)\n"
-        "  --ops_scale=N    scale default op counts to N%% (overrides --quick)\n"
-        "  --workload=name  all (default) or one of: seq_load rand_load chase ntstore\n"
-        "                   cceh_mixed\n"
-        "  --reps=N         repetitions per workload (default 5), interleaved\n"
-        "                   round-robin so ambient host load drifts across all\n"
-        "                   workloads equally; reported throughput is the median\n"
-        "  --stats_json defaults to BENCH_hotpath.json (pass --stats_json= to disable)\n%s",
-        pmemsim_bench::kTelemetryFlagsHelp);
-    return 0;
-  }
+  pmemsim_bench::Flags flags(
+      argc, argv,
+      "--quick lowers --ops_scale's default to the CI perf-smoke size (see --quick --help);\n"
+      "--ops_scale=N scales every workload's op count to N%. Repetitions run interleaved\n"
+      "round-robin so ambient host load drifts across all workloads equally; reported\n"
+      "throughput is the median. --stats_json= (empty) writes no report.");
   struct Spec {
     const char* name;
     uint64_t default_ops;

@@ -48,23 +48,16 @@ RunResult RunOnce(const PlatformConfig& platform, const ServeConfig& cfg) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  pmemsim_bench::Flags flags(argc, argv);
-  if (flags.Has("help")) {
-    std::printf(
-        "usage: perf_serve [--quick] [--ops_scale=<pct>] [--threads=1,4] [--reps=<n>]\n"
-        "  --quick        1/8 of the default per-shard op budget (CI perf-smoke mode)\n"
-        "  --ops_scale=N  scale the default op budget to N%% (overrides --quick)\n"
-        "  --threads=CSV  --engine_threads values to measure (default 1,4)\n"
-        "  --reps=N       repetitions per thread count (default 3), interleaved\n"
-        "                 round-robin so host-load drift biases every thread\n"
-        "                 count equally; reported throughput is the median\n"
-        "  --stats_json defaults to BENCH_serve.json (pass --stats_json= to disable)\n"
-        "The simulated point: 8-shard open-loop YCSB-B on fastfair, G1 platform.\n"
-        "Every rep at every thread count must byte-match the same tier report;\n"
-        "wall time is the only thing host threading may change.\n%s",
-        pmemsim_bench::kTelemetryFlagsHelp);
-    return 0;
-  }
+  pmemsim_bench::Flags flags(
+      argc, argv,
+      "--quick lowers --ops_scale's default to the CI perf-smoke size (see --quick --help);\n"
+      "--ops_scale=N scales the per-shard op budget to N%. --threads lists the\n"
+      "--engine_threads values to measure. Repetitions run interleaved round-robin so\n"
+      "host-load drift biases every thread count equally; reported throughput is the\n"
+      "median. --stats_json= (empty) writes no report.\n"
+      "The simulated point: 8-shard open-loop YCSB-B on fastfair, G1 platform.\n"
+      "Every rep at every thread count must byte-match the same tier report;\n"
+      "wall time is the only thing host threading may change.");
   const bool quick = flags.Has("quick");
   const uint64_t ops_scale = flags.GetU64("ops_scale", quick ? 100 / 8 : 100);
   const uint64_t reps = flags.GetPositiveU64("reps", 3);

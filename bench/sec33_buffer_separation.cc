@@ -114,7 +114,7 @@ void RunTransition(Generation gen, pmemsim_bench::SweepPoint& point) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  pmemsim_bench::Sweep sweep(argc, argv, "sec33_buffer_separation", "");
+  pmemsim_bench::Sweep sweep(argc, argv, "sec33_buffer_separation");
   pmemsim_bench::SweepRunner& runner =
       sweep.Start("Section 3.3", "read/write buffer separation and XPLine transition", kColumns);
   for (Generation gen : {Generation::kG1, Generation::kG2}) {

@@ -155,24 +155,19 @@ int SweepRunner::Finish(BenchReport& report) {
   return report_rc;
 }
 
-Sweep::Sweep(int argc, char** argv, std::string bench_name, const char* usage_args)
-    : flags_(argc, argv), bench_name_(std::move(bench_name)) {
-  if (flags_.Has("help")) {
-    std::printf("usage: %s%s\n%s", bench_name_.c_str(), usage_args, kTelemetryFlagsHelp);
-    std::exit(0);
-  }
-}
+Sweep::Sweep(int argc, char** argv, std::string bench_name, std::string notes)
+    : flags_(argc, argv, std::move(notes)),
+      report_(flags_, std::move(bench_name)),
+      runner_(flags_) {}
 
 SweepRunner& Sweep::Start(const char* figure, const char* description,
                           std::vector<std::string> columns) {
-  report_.emplace(flags_, bench_name_);
-  runner_.emplace(flags_);
   flags_.RejectUnknown();
   PrintHeader(figure, description);
-  report_->DeclareColumns(std::move(columns));
-  return *runner_;
+  report_.DeclareColumns(std::move(columns));
+  return runner_;
 }
 
-int Sweep::Finish() { return runner_->Finish(*report_); }
+int Sweep::Finish() { return runner_.Finish(report_); }
 
 }  // namespace pmemsim_bench

@@ -26,8 +26,8 @@
 // Usage: a sweep binary's main() goes through the Sweep front end.
 //
 //   int main(int argc, char** argv) {
-//     pmemsim_bench::Sweep sweep(argc, argv, "fig04_write_buffer_hit",
-//                                " [--gen=g1|g2|both] [--max_kb=32]");
+//     pmemsim_bench::Sweep sweep(argc, argv, "fig04_write_buffer_hit");
+//     // Each read is also the flag's --help entry, with this default.
 //     const auto gens = sweep.flags().GetGenerations("both");
 //     const uint64_t max_kb = sweep.flags().GetU64("max_kb", 32);
 //     pmemsim_bench::SweepRunner& runner = sweep.Start(
@@ -50,7 +50,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -108,15 +107,17 @@ class SweepRunner {
   int failures_ = 0;
 };
 
-// The front end every sweep binary's main() shares. The constructor answers
-// --help (usage line plus kTelemetryFlagsHelp, exit 0); the binary then reads
-// its own flags through flags(); Start() builds the BenchReport (first, so
-// --trace_out pins --jobs) and the SweepRunner, rejects unknown flags, prints
-// the "# <figure> — <description>" header and declares the columns.
+// The front end every sweep binary's main() shares. The constructor builds
+// the BenchReport (first, so --trace_out pins --jobs) and the SweepRunner;
+// the binary then reads its own flags through flags(); Start() rejects
+// unknown flags and answers --help (Flags::RejectUnknown), prints the
+// "# <figure> — <description>" header and declares the columns. A binary
+// that must validate its flags before Start() (a required file) calls
+// flags().RejectUnknown() itself after its last read.
 class Sweep {
  public:
-  // `usage_args` follows "usage: <bench_name>" in the --help text.
-  Sweep(int argc, char** argv, std::string bench_name, const char* usage_args);
+  // `notes` is prose for --help after the generated flag list.
+  Sweep(int argc, char** argv, std::string bench_name, std::string notes = "");
 
   const Flags& flags() const { return flags_; }
 
@@ -124,7 +125,7 @@ class Sweep {
                      std::vector<std::string> columns);
 
   // The report, for JSON sections and for rows made outside a point.
-  BenchReport& report() { return *report_; }
+  BenchReport& report() { return report_; }
 
   // Runs the points unless the runner already ran them and writes the
   // report; returns the process exit code.
@@ -132,9 +133,8 @@ class Sweep {
 
  private:
   Flags flags_;
-  std::string bench_name_;
-  std::optional<BenchReport> report_;
-  std::optional<SweepRunner> runner_;
+  BenchReport report_;
+  SweepRunner runner_;
 };
 
 }  // namespace pmemsim_bench

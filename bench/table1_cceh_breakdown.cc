@@ -79,8 +79,7 @@ Breakdown RunBreakdown(uint32_t threads, uint32_t dimms, uint64_t total_keys, bo
 }  // namespace
 
 int main(int argc, char** argv) {
-  pmemsim_bench::Sweep sweep(argc, argv, "table1_cceh_breakdown",
-                             " [--keys=2000000] [--full_cache]");
+  pmemsim_bench::Sweep sweep(argc, argv, "table1_cceh_breakdown");
   const uint64_t keys = sweep.flags().GetU64("keys", 2000000);
   const bool scaled_cache = !sweep.flags().Has("full_cache");
   pmemsim_bench::SweepRunner& runner =

@@ -63,7 +63,7 @@ uint64_t Histogram::Quantile(double q) const {
         lo = static_cast<uint64_t>(b);
         width = 1;
       } else {
-        const int octave = b / kSubBuckets - 1;
+        const int octave = b / kSubBuckets;
         const int sub = b % kSubBuckets;
         lo = (static_cast<uint64_t>(kSubBuckets) | static_cast<uint64_t>(sub)) << (octave - 1);
         width = 1ull << std::max(0, octave - 1);

@@ -58,7 +58,8 @@ class Histogram {
  private:
   static constexpr int kSubBucketBits = 4;  // 16 linear sub-buckets per octave
   static constexpr int kSubBuckets = 1 << kSubBucketBits;
-  static constexpr int kOctaves = 40;
+  // Octave 0 holds 0..15 exactly; octave k >= 1 holds [2^(k+3), 2^(k+4)).
+  static constexpr int kOctaves = 39;
 
   std::vector<uint64_t> buckets_;
   uint64_t count_ = 0;
@@ -74,8 +75,7 @@ inline int Histogram::BucketFor(uint64_t value) {
   const int msb = 63 - __builtin_clzll(value);
   const int octave = msb - kSubBucketBits + 1;
   const int sub = static_cast<int>((value >> (msb - kSubBucketBits)) & (kSubBuckets - 1));
-  int bucket = (octave + 1) * kSubBuckets + sub;
-  return std::min<int>(bucket, kOctaves * kSubBuckets - 1);
+  return std::min<int>(octave * kSubBuckets + sub, kOctaves * kSubBuckets - 1);
 }
 
 inline void Histogram::Add(uint64_t value, int bucket) {

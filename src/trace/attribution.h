@@ -12,7 +12,7 @@
 // the hot path consults a collector — the components are plain field writes
 // already computed by the timing code.
 // ThreadContext is the single recording point: when a collector is installed
-// (System::SetAttribution, the benches' --breakdown flag), each operation
+// (System::SetAttribution, pmemsim_watch's --breakdown flag), each operation
 // records its end-to-end latency and the reported stages; the unattributed
 // remainder (issue costs, cache-walk latency, SMT scaling) lands in the
 // `core` stage, so per-stage totals sum to end-to-end latency EXACTLY — the

@@ -388,48 +388,4 @@ std::string ServeTimeline::SpansToJson() const {
   return w.str();
 }
 
-std::string ServeTimeline::SpansToChromeTrace() const {
-  // chrome://tracing "X" (complete) events; ts/dur are simulated cycles
-  // rendered as microseconds by the viewer — relative shape is what matters.
-  JsonWriter w;
-  w.BeginObject();
-  w.Key("displayTimeUnit").Value("ns");
-  w.Key("traceEvents").BeginArray();
-  for (uint32_t s = 0; s < cfg_.shards; ++s) {
-    w.BeginObject();
-    w.Key("name").Value("process_name");
-    w.Key("ph").Value("M");
-    w.Key("pid").Value(uint64_t{s});
-    w.Key("args").BeginObject().Key("name").Value("shard " + std::to_string(s)).EndObject();
-    w.EndObject();
-  }
-  for (const auto& r : recorders_) {
-    for (const RequestSpan& sp : r->spans()) {
-      w.BeginObject();
-      w.Key("name").Value(ServeOpName(static_cast<ServeOp>(sp.op)));
-      w.Key("ph").Value("X");
-      w.Key("pid").Value(uint64_t{sp.shard});
-      w.Key("tid").Value(uint64_t{sp.client});
-      w.Key("ts").Value(sp.start);
-      w.Key("dur").Value(sp.service());
-      w.Key("args").BeginObject();
-      w.Key("arrival").Value(sp.arrival);
-      w.Key("admit").Value(sp.admit);
-      w.Key("queue_wait").Value(sp.start - sp.arrival);
-      w.Key("stages").BeginObject();
-      for (int st = 0; st < AttributionCollector::kStageCount; ++st) {
-        if (sp.stages[st] == 0) continue;
-        w.Key(AttributionCollector::StageName(static_cast<AttributionCollector::Stage>(st)))
-            .Value(sp.stages[st]);
-      }
-      w.EndObject();
-      w.EndObject();
-      w.EndObject();
-    }
-  }
-  w.EndArray();
-  w.EndObject();
-  return w.str();
-}
-
 }  // namespace pmemsim

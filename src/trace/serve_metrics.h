@@ -194,9 +194,6 @@ class ServeTimeline {
   // Compact span export: columnar arrays, one row per span, shards
   // concatenated in index order.
   std::string SpansToJson() const;
-  // chrome://tracing export: one "X" (complete) event per span, pid = shard,
-  // tid = client, ts/dur in simulated cycles, stage breakdown in args.
-  std::string SpansToChromeTrace() const;
 
  private:
   void MergeGlobal();

@@ -138,7 +138,10 @@ TEST(StatsTest, HistogramLargeValues) {
 TEST(StatsTest, HistogramSmallValuesLandInExactBuckets) {
   EXPECT_EQ(Histogram::BucketFor(0), 0);
   EXPECT_EQ(Histogram::BucketFor(15), 15);
-  EXPECT_GT(Histogram::BucketFor(16), Histogram::BucketFor(15));
+  // The first octave follows on directly: no bucket is skipped.
+  EXPECT_EQ(Histogram::BucketFor(16), 16);
+  EXPECT_EQ(Histogram::BucketFor(31), 31);
+  EXPECT_EQ(Histogram::BucketFor(32), 32);
   // Interior ranks (not the tracked min/max) read back exactly too.
   Histogram h;
   for (uint64_t v : {0, 0, 0, 15, 15, 15}) {
@@ -150,6 +153,7 @@ TEST(StatsTest, HistogramSmallValuesLandInExactBuckets) {
 
 TEST(StatsTest, HistogramHugeValuesClampIntoLastBucket) {
   const int last = Histogram::BucketFor(~0ull);
+  EXPECT_EQ(last, 623);  // 39 octaves of 16 sub-buckets
   EXPECT_EQ(Histogram::BucketFor(1ull << 42), last);
   EXPECT_EQ(Histogram::BucketFor((1ull << 42) + 12345), last);
   EXPECT_EQ(Histogram::BucketFor(1ull << 50), last);

@@ -272,7 +272,68 @@ TEST(SweepTest, HelpPrintsUsageAndExitsZero) {
   char arg0[] = "fig99";
   char help[] = "--help";
   char* argv[] = {arg0, help};
-  EXPECT_EXIT(Sweep(2, argv, "fig99", " [--max_kb=4]"), testing::ExitedWithCode(0), "");
+  Sweep sweep(2, argv, "fig99");
+  sweep.flags().GetU64("max_kb", 4);
+  EXPECT_EXIT(sweep.Start("Figure 99", "help", {"wss_kb"}), testing::ExitedWithCode(0), "");
+}
+
+TEST(FlagsTest, UsageShowsEachGettersDefaultAndForm) {
+  // A given value does not change the shown default.
+  const Flags flags = MakeFlags({"--ops=7", "--wss=1K"});
+  flags.GetU64("ops", 600000);
+  flags.GetPositiveU64("threads", 1);
+  flags.GetSize("wss", 64ull << 20);
+  flags.GetSize("odd", 4097);
+  flags.GetDouble("theta", 0.99);
+  flags.Get("store", "cceh");
+  flags.Get("out", "");
+  flags.GetList("mixes", "a,b");
+  flags.GetPositiveU64List("sizes", "1,4");
+  flags.GetChoice("panel", "all", {"pm-local", "all"});
+  flags.GetPlatform("platform", "g1");
+  flags.GetGenerations("both");
+  flags.Has("random");
+  const std::string want =
+      "usage: test\n"
+      "  [--ops=600000]\n"
+      "  [--threads=1]\n"
+      "  [--wss=64M]\n"
+      "  [--odd=4097]\n"
+      "  [--theta=0.99]\n"
+      "  [--store=cceh]\n"
+      "  [--out=]\n"
+      "  [--mixes=a,b]\n"
+      "  [--sizes=1,4]\n"
+      "  [--panel=all]             pm-local|all\n"
+      "  [--platform=g1]           g1|g2|g2-eadr\n"
+      "  [--gen=both]              g1|g2|both\n"
+      "  [--random]\n";
+  EXPECT_EQ(flags.Usage(), want + kTelemetryFlagsHelp);
+}
+
+TEST(FlagsTest, UsageListsFlagsInFirstReadOrderOnce) {
+  char arg0[] = "/path/to/fig99";
+  char* argv[] = {arg0};
+  const Flags flags(1, argv, "Prose about the run.");
+  flags.GetU64("b", 2);
+  flags.Get("a", "x");
+  flags.GetU64("b", 3);  // a second read keeps the first entry
+  flags.Has("a");
+  const std::string want =
+      "usage: fig99\n"
+      "  [--b=2]\n"
+      "  [--a=x]\n"
+      "Prose about the run.\n";
+  EXPECT_EQ(flags.Usage(), want + kTelemetryFlagsHelp);
+}
+
+TEST(FlagsTest, HelpAnswersAtRejectUnknownAfterTheReads) {
+  const Flags flags = MakeFlags({"--help", "--not_a_flag"});
+  flags.GetU64("max_kb", 32);
+  EXPECT_EXIT(flags.RejectUnknown(), testing::ExitedWithCode(0), "");
+  const Flags typo = MakeFlags({"--max-kb=4"});
+  typo.GetU64("max_kb", 32);
+  EXPECT_EXIT(typo.RejectUnknown(), testing::ExitedWithCode(2), "unrecognized flag '--max-kb'");
 }
 
 TEST(FlagsTest, GetChoiceReturnsTheChoiceSpellingOrExitsTwo) {

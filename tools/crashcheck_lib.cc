@@ -31,17 +31,6 @@ using pmemsim_bench::Flags;
 using pmemsim_bench::Row;
 using pmemsim_bench::SweepRunner;
 
-constexpr char kUsageArgs[] =
-    " [flags]: crash-point injection + recovery validation\n"
-    "  --store=<name>       cceh|fastfair|flatlog|redo|undo (default cceh)\n"
-    "  --platform=<name>    g1|g2|g2-eadr (default g1)\n"
-    "  --points=<n>         crash points to sample (default 200)\n"
-    "  --seed=<n>           sampling + tear seed (default 7)\n"
-    "  --ops=<n>            workload operations (default 2000)\n"
-    "  --tear=<mode>        word|subword in-flight tear granularity\n"
-    "  --break_persist      drop the cceh commit barrier (self-test: must\n"
-    "                       produce violations)";
-
 // Validation totals of one chunk of the sample.
 struct ChunkTotals {
   uint64_t checks = 0;
@@ -67,15 +56,22 @@ Row PointRow(const CrashPointResult& r) {
 }  // namespace
 
 int RunCrashcheck(int argc, char** argv) {
-  pmemsim_bench::Sweep sweep(argc, argv, "pmemsim_crashcheck", kUsageArgs);
+  pmemsim_bench::Sweep sweep(
+      argc, argv, "pmemsim_crashcheck",
+      "Crash-point injection + recovery validation: --points crash points sampled by\n"
+      "--seed (which also seeds the tears) from --ops workload operations; --tear is the\n"
+      "in-flight tear granularity. --break_persist drops the cceh commit barrier\n"
+      "(self-test: must produce violations).");
   const Flags& flags = sweep.flags();
+  CrashWorkloadOptions opts;
   const std::string store = flags.GetChoice("store", "cceh", CrashWorkload::StoreNames());
   const PlatformConfig platform = flags.GetPlatform("platform", "g1");
   const uint64_t points_requested = flags.GetPositiveU64("points", 200);
   const uint64_t seed = flags.GetU64("seed", 7);
-  const uint64_t ops = flags.GetPositiveU64("ops", 2000);
+  opts.ops = flags.GetPositiveU64("ops", opts.ops);
   const std::string tear = flags.GetChoice("tear", "word", {"word", "subword"});
-  const bool break_persist = flags.Has("break_persist");
+  opts.break_persist = flags.Has("break_persist");
+  opts.seed = seed;
   SweepRunner& runner =
       sweep.Start("pmemsim_crashcheck", "durable-image crash injection + recovery validation",
                   {"point", "event_kind", "crash_cycles", "acked_ops", "durable_writes",
@@ -84,11 +80,6 @@ int RunCrashcheck(int argc, char** argv) {
   const PersistTracker::TearGranularity granularity =
       tear == "subword" ? PersistTracker::TearGranularity::kSubword
                         : PersistTracker::TearGranularity::kWord;
-
-  CrashWorkloadOptions opts;
-  opts.ops = ops;
-  opts.seed = seed;
-  opts.break_persist = break_persist;
 
   // Calibration: count the crash events one uninterrupted run generates and
   // collect the vulnerable-byte statistics along the way.
@@ -146,9 +137,9 @@ int RunCrashcheck(int argc, char** argv) {
                   .Set("store", store)
                   .Set("platform", platform.name)
                   .Set("tear", tear)
-                  .Set("ops", ops)
+                  .Set("ops", opts.ops)
                   .Set("seed", seed)
-                  .Set("break_persist", static_cast<uint64_t>(break_persist ? 1 : 0))
+                  .Set("break_persist", static_cast<uint64_t>(opts.break_persist ? 1 : 0))
                   .Set("events_total", cal.events)
                   .Set("points", static_cast<uint64_t>(sample.size()))
                   .Set("acked_ops", cal.acked_ops)

@@ -26,9 +26,11 @@ namespace {
 using namespace pmemsim;
 
 struct ProbeConfig {
-  PlatformConfig platform;        // selected by --platform
-  std::string op = "read";        // read | write | ntstore | rap | copy
-  std::string pattern = "rand";   // seq | rand
+  // The defaults below are the flags' defaults: main() reads each flag with
+  // its field as the default.
+  PlatformConfig platform;         // selected by --platform
+  std::string op = "read";         // read | write | ntstore | rap | copy
+  std::string pattern = "rand";    // seq | rand
   pmemsim_bench::AccessSpec spec;  // --op, --pattern, --persist and --distance
   uint64_t wss = MiB(64);
   uint64_t stride = kCacheLineSize;
@@ -142,30 +144,25 @@ void RunProbe(const ProbeConfig& cfg, pmemsim_bench::SweepPoint& point) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  pmemsim_bench::Sweep sweep(
-      argc, argv, "pmemsim_probe",
-      " [--platform=g1|g2|g2-eadr] [--op=read|write|ntstore|rap|copy]\n"
-      "                     [--pattern=seq|rand] [--persist=none|clwb|clwb+mfence]\n"
-      "                     [--wss=64M] [--stride=64] [--threads=1] [--ops=100000]\n"
-      "                     [--distance=0] [--dimms=1] [--no_prefetch] [--remote]");
+  pmemsim_bench::Sweep sweep(argc, argv, "pmemsim_probe");
   const pmemsim_bench::Flags& flags = sweep.flags();
   ProbeConfig cfg;
   cfg.platform = flags.GetPlatform("platform", "g1");
-  cfg.op = flags.GetChoice("op", "read", {"read", "write", "ntstore", "rap", "copy"});
-  cfg.pattern = flags.GetChoice("pattern", "rand", {"seq", "rand"});
+  cfg.op = flags.GetChoice("op", cfg.op, {"read", "write", "ntstore", "rap", "copy"});
+  cfg.pattern = flags.GetChoice("pattern", cfg.pattern, {"seq", "rand"});
   const std::string persist =
       flags.GetChoice("persist", "none", {"none", "clwb", "clwb+mfence"});
-  cfg.wss = flags.GetSize("wss", MiB(64));
-  cfg.stride = flags.GetPositiveU64("stride", kCacheLineSize);
-  cfg.threads = static_cast<uint32_t>(flags.GetPositiveU64("threads", 1));
-  cfg.ops = flags.GetPositiveU64("ops", 100000);
+  cfg.wss = flags.GetSize("wss", cfg.wss);
+  cfg.stride = flags.GetPositiveU64("stride", cfg.stride);
+  cfg.threads = static_cast<uint32_t>(flags.GetPositiveU64("threads", cfg.threads));
+  cfg.ops = flags.GetPositiveU64("ops", cfg.ops);
   cfg.spec = ProbeSpec(cfg.op, persist);
   cfg.spec.pattern = cfg.pattern == "seq" ? pmemsim_bench::AccessPattern::kSeq
                                           : pmemsim_bench::AccessPattern::kRand;
-  cfg.spec.distance = flags.GetU64("distance", 0);
-  cfg.dimms = static_cast<uint32_t>(flags.GetU64("dimms", 1));
+  cfg.spec.distance = flags.GetU64("distance", cfg.spec.distance);
+  cfg.dimms = static_cast<uint32_t>(flags.GetU64("dimms", cfg.dimms));
   if (cfg.wss < cfg.stride) {
-    pmemsim_bench::Flags::BadValue("wss", flags.Get("wss", "64M"),
+    pmemsim_bench::Flags::BadValue("wss", std::to_string(cfg.wss),
                                    "working set of at least one stride");
   }
   cfg.prefetch = !flags.Has("no_prefetch");

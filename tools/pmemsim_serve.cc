@@ -49,7 +49,6 @@ struct ServeCliConfig {
   uint64_t slo_p99 = 0;           // per-window p99 SLO threshold; 0 = monitor off
   std::string timeline_path;      // --timeline_json artifact
   std::string spans_path;         // --spans_json compact columnar span export
-  std::string span_trace_path;    // --span_trace chrome://tracing span export
   bool observe = false;           // any of the above requested
 };
 
@@ -162,71 +161,45 @@ void RunPoint(const ServeCliConfig& cli, const std::string& mix, LoopMode loop,
   }
 }
 
-// The usage text; each default it names is `d`'s, a default-constructed
-// ServeConfig, the same value main() passes as the flag's default.
-std::string UsageArgs(const ServeConfig& d) {
-  char usage[3072];
-  std::snprintf(
-      usage, sizeof(usage),
-      " [--store=cceh|fastfair|flatlog] [--mixes=a,b,c,d,e,f]\n"
-      "                     [--loop=closed|open|both] [--shards=%u] [--workers=%u]\n"
-      "                     [--queue_depth=%llu] [--batch=%llu] [--clients=%u] [--think=%g]\n"
-      "                     [--arrival_interval=%g] [--ops=%llu] [--keys=%llu]\n"
-      "                     [--theta=%g] [--scan_len=%u] [--seed=%llu]\n"
-      "                     [--platform=g1|g2|g2-eadr] [--dimms=0] [--jobs=1]\n"
-      "                     [--engine_threads=N] [--dispatch_latency=%llu]\n"
-      "                     [--sample_interval_cycles=C] [--timeline_json=<path>]\n"
-      "                     [--slo_p99_cycles=C] [--spans_json=<path>]\n"
-      "                     [--span_trace=<path>]\n"
-      "serve observability (off by default; the serve hot path pays nothing):\n"
-      "  --sample_interval_cycles=C  windowed serve telemetry: per-C-cycle\n"
-      "                      throughput/shed/queue-depth/windowed tails\n"
-      "  --timeline_json=<path>  write the per-window timeline artifact\n"
-      "                      (enables windowing; default window 20000 cycles)\n"
-      "  --slo_p99_cycles=C  per-window p99 sojourn SLO monitor (violations +\n"
-      "                      burn rate in the timeline and a 'slo' stats\n"
-      "                      section); requires windowing\n"
-      "  --spans_json=<path>  per-request spans, columnar JSON (single sweep\n"
-      "                      point only: one mix x one loop)\n"
-      "  --span_trace=<path>  per-request spans as chrome://tracing events\n"
-      "                      (single sweep point only)\n"
-      "parallelism (two independent axes; both keep output byte-identical):\n"
-      "  --jobs=N            ACROSS sweep points: run N (mix,loop) points\n"
-      "                      concurrently, each on its own simulated machine\n"
-      "  --engine_threads=N  WITHIN one sweep point: give every shard domain\n"
-      "                      its own simulated machine (default: all shards\n"
-      "                      share one) and advance the domains on N host\n"
-      "                      threads. Changes the simulated model (private\n"
-      "                      machines + client dispatch latency), never the\n"
-      "                      results for a given model: any N compares equal\n"
-      "  --dispatch_latency=C  with --engine_threads only: client->shard\n"
-      "                      dispatch latency in cycles (the epoch window;\n"
-      "                      0 = one lockstep run, no host parallelism)",
-      d.shards, d.workers_per_shard, static_cast<unsigned long long>(d.queue_depth),
-      static_cast<unsigned long long>(d.batch), d.clients, d.think_cycles, d.interarrival_cycles,
-      static_cast<unsigned long long>(d.ops), static_cast<unsigned long long>(d.keys), d.theta,
-      d.scan_len, static_cast<unsigned long long>(d.seed),
-      static_cast<unsigned long long>(d.dispatch_latency));
-  return usage;
-}
+// The --help prose after the generated flag list.
+constexpr char kNotes[] =
+    "serve observability (off by default; the serve hot path pays nothing):\n"
+    "  --sample_interval_cycles=C  windowed serve telemetry: per-C-cycle\n"
+    "                      throughput/shed/queue-depth/windowed tails\n"
+    "  --timeline_json=<path>  write the per-window timeline artifact\n"
+    "                      (enables windowing at a default window width)\n"
+    "  --slo_p99_cycles=C  per-window p99 sojourn SLO monitor (violations +\n"
+    "                      burn rate in the timeline and a 'slo' stats\n"
+    "                      section); requires windowing\n"
+    "  --spans_json=<path>  per-request spans, columnar JSON (single sweep\n"
+    "                      point only: one mix x one loop)\n"
+    "parallelism (two independent axes; both keep output byte-identical):\n"
+    "  --jobs=N            ACROSS sweep points: run N (mix,loop) points\n"
+    "                      concurrently, each on its own simulated machine\n"
+    "  --engine_threads=N  WITHIN one sweep point: give every shard domain\n"
+    "                      its own simulated machine (default: all shards\n"
+    "                      share one) and advance the domains on N host\n"
+    "                      threads. Changes the simulated model (private\n"
+    "                      machines + client dispatch latency), never the\n"
+    "                      results for a given model: any N compares equal\n"
+    "  --dispatch_latency=C  with --engine_threads only: client->shard\n"
+    "                      dispatch latency in cycles (the epoch window;\n"
+    "                      0 = one lockstep run, no host parallelism)";
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  const ServeConfig defaults;
-  pmemsim_bench::Sweep sweep(argc, argv, "pmemsim_serve", UsageArgs(defaults).c_str());
+  pmemsim_bench::Sweep sweep(argc, argv, "pmemsim_serve", kNotes);
   const pmemsim_bench::Flags& flags = sweep.flags();
 
+  // A flag that fills a field takes the field's initializer (ServeConfig's or
+  // ServeCliConfig's) as its default.
   ServeCliConfig cli;
   cli.platform = flags.GetPlatform("platform", "g1");
-  cli.dimms = static_cast<uint32_t>(flags.GetU64("dimms", 0));
-
-  const std::string store_name = flags.Get("store", StoreName(defaults.store));
-  const auto store = StoreByName(store_name);
-  if (!store) {
-    pmemsim_bench::Flags::BadValue("store", store_name, "cceh|fastfair|flatlog");
-  }
-  cli.serve.store = *store;
+  cli.dimms = static_cast<uint32_t>(flags.GetU64("dimms", cli.dimms));
+  const std::string store =
+      flags.GetChoice("store", StoreName(cli.serve.store), {"cceh", "fastfair", "flatlog"});
+  cli.serve.store = *StoreByName(store);
 
   cli.mixes = flags.GetList("mixes", "a,b,c,d,e,f");
   for (const std::string& mix : cli.mixes) {
@@ -243,63 +216,59 @@ int main(int argc, char** argv) {
     cli.loops.push_back(LoopMode::kOpen);
   }
 
-  cli.serve.shards = static_cast<uint32_t>(flags.GetPositiveU64("shards", defaults.shards));
-  cli.serve.workers_per_shard =
-      static_cast<uint32_t>(flags.GetPositiveU64("workers", defaults.workers_per_shard));
-  cli.serve.queue_depth = flags.GetPositiveU64("queue_depth", defaults.queue_depth);
-  cli.serve.batch = flags.GetPositiveU64("batch", defaults.batch);
-  cli.serve.clients = static_cast<uint32_t>(flags.GetU64("clients", defaults.clients));
-  cli.serve.think_cycles = flags.GetDouble("think", defaults.think_cycles);
-  cli.serve.interarrival_cycles = flags.GetDouble("arrival_interval", defaults.interarrival_cycles);
-  cli.serve.ops = flags.GetU64("ops", defaults.ops);
-  cli.serve.keys = flags.GetPositiveU64("keys", defaults.keys);
-  cli.serve.theta = flags.GetDouble("theta", defaults.theta);
-  cli.serve.scan_len = static_cast<uint32_t>(flags.GetU64("scan_len", defaults.scan_len));
-  cli.serve.seed = flags.GetU64("seed", defaults.seed);
+  ServeConfig& cfg = cli.serve;
+  cfg.shards = static_cast<uint32_t>(flags.GetPositiveU64("shards", cfg.shards));
+  cfg.workers_per_shard =
+      static_cast<uint32_t>(flags.GetPositiveU64("workers", cfg.workers_per_shard));
+  cfg.queue_depth = flags.GetPositiveU64("queue_depth", cfg.queue_depth);
+  cfg.batch = flags.GetPositiveU64("batch", cfg.batch);
+  cfg.clients = static_cast<uint32_t>(flags.GetU64("clients", cfg.clients));
+  cfg.think_cycles = flags.GetDouble("think", cfg.think_cycles);
+  cfg.interarrival_cycles = flags.GetDouble("arrival_interval", cfg.interarrival_cycles);
+  cfg.ops = flags.GetU64("ops", cfg.ops);
+  cfg.keys = flags.GetPositiveU64("keys", cfg.keys);
+  cfg.theta = flags.GetDouble("theta", cfg.theta);
+  cfg.scan_len = static_cast<uint32_t>(flags.GetU64("scan_len", cfg.scan_len));
+  cfg.seed = flags.GetU64("seed", cfg.seed);
 
   // --engine_threads gives every shard domain a private System; its value is
-  // host threads per sweep point. --dispatch_latency belongs to that
-  // configuration's simulated model, so it is rejected without
-  // --engine_threads.
+  // host threads per sweep point, and without it all shards share one
+  // System. --dispatch_latency belongs to that configuration's simulated
+  // model, so it is rejected without --engine_threads.
   cli.partitioned = !flags.Get("engine_threads", "").empty();
-  if (cli.partitioned) {
-    cli.serve.engine_threads =
-        static_cast<uint32_t>(flags.GetPositiveU64("engine_threads", defaults.engine_threads));
-    cli.serve.dispatch_latency = flags.GetU64("dispatch_latency", defaults.dispatch_latency);
-    if (!flags.Get("trace_out", "").empty() && cli.serve.engine_threads > 1) {
-      std::fprintf(stderr,
-                   "note: --trace_out forces --engine_threads=1 (the trace "
-                   "emitter is a global sink; order must stay deterministic)\n");
-      cli.serve.engine_threads = 1;
-    }
-  } else if (!flags.Get("dispatch_latency", "").empty()) {
+  cfg.engine_threads =
+      static_cast<uint32_t>(flags.GetPositiveU64("engine_threads", cfg.engine_threads));
+  cfg.dispatch_latency = flags.GetU64("dispatch_latency", cfg.dispatch_latency);
+  if (!cli.partitioned && !flags.Get("dispatch_latency", "").empty()) {
     pmemsim_bench::Flags::BadValue("dispatch_latency", flags.Get("dispatch_latency", ""),
                                    "--engine_threads to be set (private-System domains only)");
+  }
+  if (cli.partitioned && !flags.Get("trace_out", "").empty() && cfg.engine_threads > 1) {
+    std::fprintf(stderr,
+                 "note: --trace_out forces --engine_threads=1 (the trace "
+                 "emitter is a global sink; order must stay deterministic)\n");
+    cfg.engine_threads = 1;
   }
 
   // Serve observability: any of the flags below switches the timeline on for
   // every sweep point. --timeline_json / span export imply windowing with a
   // default interval; --slo_p99_cycles is meaningless without windows.
-  cli.sample_interval = flags.GetU64("sample_interval_cycles", 0);
-  cli.slo_p99 = flags.GetU64("slo_p99_cycles", 0);
-  cli.timeline_path = flags.Get("timeline_json", "");
-  cli.spans_path = flags.Get("spans_json", "");
-  cli.span_trace_path = flags.Get("span_trace", "");
-  const bool spans_requested = !cli.spans_path.empty() || !cli.span_trace_path.empty();
-  cli.observe =
-      cli.sample_interval > 0 || !cli.timeline_path.empty() || spans_requested;
+  cli.sample_interval = flags.GetU64("sample_interval_cycles", cli.sample_interval);
+  cli.slo_p99 = flags.GetU64("slo_p99_cycles", cli.slo_p99);
+  cli.timeline_path = flags.Get("timeline_json", cli.timeline_path);
+  cli.spans_path = flags.Get("spans_json", cli.spans_path);
+  cli.observe = cli.sample_interval > 0 || !cli.timeline_path.empty() || !cli.spans_path.empty();
   if (cli.slo_p99 > 0 && !cli.observe) {
     pmemsim_bench::Flags::BadValue(
-        "slo_p99_cycles", flags.Get("slo_p99_cycles", ""),
+        "slo_p99_cycles", std::to_string(cli.slo_p99),
         "windowing to be enabled (--timeline_json or --sample_interval_cycles)");
   }
   if (cli.observe && cli.sample_interval == 0) {
     cli.sample_interval = 20000;  // default telemetry window
   }
-  if (spans_requested && cli.mixes.size() * cli.loops.size() != 1) {
-    pmemsim_bench::Flags::BadValue(
-        "spans_json", !cli.spans_path.empty() ? cli.spans_path : cli.span_trace_path,
-        "a single sweep point (one mix, --loop=closed|open)");
+  if (!cli.spans_path.empty() && cli.mixes.size() * cli.loops.size() != 1) {
+    pmemsim_bench::Flags::BadValue("spans_json", cli.spans_path,
+                                   "a single sweep point (one mix, --loop=closed|open)");
   }
 
   pmemsim_bench::SweepRunner& runner = sweep.Start(
@@ -333,7 +302,7 @@ int main(int argc, char** argv) {
         tcfg.interval_cycles = cli.sample_interval;
         tcfg.slo_p99_cycles = cli.slo_p99;
         timelines[index] = std::make_unique<ServeTimeline>(tcfg);
-        if (spans_requested) {
+        if (!cli.spans_path.empty()) {
           timelines[index]->EnableSpans();
         }
         timeline = timelines[index].get();
@@ -407,10 +376,6 @@ int main(int argc, char** argv) {
   }
   if (!cli.spans_path.empty() &&
       !pmemsim_bench::WriteFile(cli.spans_path, timelines[0]->SpansToJson())) {
-    io_rc = 1;
-  }
-  if (!cli.span_trace_path.empty() &&
-      !pmemsim_bench::WriteFile(cli.span_trace_path, timelines[0]->SpansToChromeTrace())) {
     io_rc = 1;
   }
 

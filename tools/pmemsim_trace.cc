@@ -207,20 +207,26 @@ struct PointSpec {
   Meta meta;
 };
 
+// Reads every scenario's flags whatever --scenario is, so --help lists them
+// all; each scenario uses its own subset. --ops=0 runs the scenario's own op
+// count.
 std::vector<PointSpec> BuildPoints(const std::string& scenario, const pmemsim_bench::Flags& flags) {
   std::vector<PointSpec> points;
   const uint64_t seed = flags.GetU64("seed", 1);
+  const uint64_t max_kb = flags.GetU64("max_kb", 8);
+  const uint64_t ops_flag = flags.GetU64("ops", 0);
+  const uint64_t threads = flags.GetU64("threads", 2);
+  const uint64_t value_bytes = flags.GetU64("value_bytes", 128);
+  const uint64_t num_buffers = flags.GetU64("buffers", 16);
+  auto ops_or = [ops_flag](uint64_t own) { return ops_flag != 0 ? ops_flag : own; };
   auto u64s = [](uint64_t v) { return std::to_string(v); };
   if (scenario == "fig04") {
-    const uint64_t max_kb = flags.GetU64("max_kb", 8);
     for (uint64_t kb = 2; kb <= max_kb; ++kb) {
       points.push_back({"fig04/" + u64s(kb) + "kb",
                         {{"scenario", "fig04"}, {"wss_kb", u64s(kb)}, {"prefetchers", "off"}}});
     }
   } else if (scenario == "log_store") {
-    const uint64_t ops = flags.GetU64("ops", 400);
-    const uint64_t threads = flags.GetU64("threads", 2);
-    const uint64_t value_bytes = flags.GetU64("value_bytes", 128);
+    const uint64_t ops = ops_or(400);
     for (const uint64_t slots : {uint64_t{1}, uint64_t{2}, uint64_t{8}}) {
       points.push_back({"log_store/slots" + u64s(slots),
                         {{"scenario", "log_store"},
@@ -231,8 +237,7 @@ std::vector<PointSpec> BuildPoints(const std::string& scenario, const pmemsim_be
                          {"seed", u64s(seed)}}});
     }
   } else if (scenario == "circular_writes") {
-    const uint64_t ops = flags.GetU64("ops", 300);
-    const uint64_t num_buffers = flags.GetU64("buffers", 16);
+    const uint64_t ops = ops_or(300);
     for (const uint64_t wb : {uint64_t{64}, uint64_t{256}, uint64_t{1024}}) {
       points.push_back({"circular_writes/" + u64s(wb) + "b",
                         {{"scenario", "circular_writes"},
@@ -243,7 +248,7 @@ std::vector<PointSpec> BuildPoints(const std::string& scenario, const pmemsim_be
                          {"seed", u64s(seed)}}});
     }
   } else if (scenario == "cacheline_versions") {
-    const uint64_t ops = flags.GetU64("ops", 40);
+    const uint64_t ops = ops_or(40);
     for (const uint64_t kb : {uint64_t{4}, uint64_t{16}}) {
       points.push_back({"cacheline_versions/" + u64s(kb) + "kb",
                         {{"scenario", "cacheline_versions"},
@@ -260,18 +265,18 @@ std::vector<PointSpec> BuildPoints(const std::string& scenario, const pmemsim_be
 // Subcommands.
 // ---------------------------------------------------------------------------
 
-constexpr char kUsageArgs[] =
-    " <record|replay|info> [flags]\n"
-    "  record --scenario=fig04|log_store|circular_writes|cacheline_versions\n"
-    "         --out=<file.pmtrace> [--platform=g1|g2|g2-eadr] [--dimms=1]\n"
-    "         [--max_kb=8] [--ops=N] [--threads=N] [--value_bytes=128]\n"
-    "         [--buffers=16] [--seed=1] [--jobs=N]\n"
-    "  replay --in=<file.pmtrace> [--jobs=N]\n"
-    "  info   --in=<file.pmtrace>";
+constexpr char kUsage[] =
+    "usage: pmemsim_trace <record|replay|info> [flags]\n"
+    "  record  run a --scenario and write its trace to --out=<file.pmtrace>\n"
+    "  replay  replay --in=<file.pmtrace>; stdout and stats equal the recording run's\n"
+    "  info    describe --in=<file.pmtrace>\n"
+    "pmemsim_trace <subcommand> --help lists the subcommand's flags.\n";
 
-void PrintUsage() {
-  std::printf("usage: pmemsim_trace%s\n%s", kUsageArgs, pmemsim_bench::kTelemetryFlagsHelp);
-}
+constexpr char kRecordNotes[] =
+    "--scenario (fig04|log_store|circular_writes|cacheline_versions) and --out=<file.pmtrace>\n"
+    "are required. fig04 takes --max_kb; log_store --ops, --threads and --value_bytes;\n"
+    "circular_writes --ops and --buffers; cacheline_versions --ops, where --ops=0 runs the\n"
+    "scenario's own op count. --seed seeds all but fig04.";
 
 // The header text is subcommand-neutral so record and replay stdout (and the
 // stats reports) are comparable byte-for-byte.
@@ -289,6 +294,7 @@ int RunRecord(pmemsim_bench::Sweep& sweep) {
   const uint32_t dimms = static_cast<uint32_t>(flags.GetU64("dimms", 1));
   const auto config = PlatformByName(platform_name);
   const std::vector<PointSpec> points = BuildPoints(scenario, flags);
+  flags.RejectUnknown();  // answers --help ahead of the required-flag checks
   if (points.empty()) {
     pmemsim_bench::Flags::BadValue("scenario", scenario,
                                    "fig04, log_store, circular_writes, or cacheline_versions");
@@ -349,10 +355,9 @@ int RunRecord(pmemsim_bench::Sweep& sweep) {
   return sweep.Finish();
 }
 
-// Loads --in and validates its header against the current build's platform
+// Loads the --in file and validates its header against the current build's platform
 // presets. Exits 2 directly on any file-level problem.
-TraceFile LoadOrDie(const pmemsim_bench::Flags& flags, PlatformConfig* config_out) {
-  const std::string in_path = flags.Get("in", "");
+TraceFile LoadOrDie(const std::string& in_path, PlatformConfig* config_out) {
   if (in_path.empty()) {
     std::fprintf(stderr, "error: --in=<file.pmtrace> is required\n");
     std::exit(2);
@@ -384,8 +389,10 @@ TraceFile LoadOrDie(const pmemsim_bench::Flags& flags, PlatformConfig* config_ou
 }
 
 int RunReplay(pmemsim_bench::Sweep& sweep) {
+  const std::string in_path = sweep.flags().Get("in", "");
+  sweep.flags().RejectUnknown();  // answers --help ahead of loading the file
   PlatformConfig config;
-  const TraceFile file = LoadOrDie(sweep.flags(), &config);
+  const TraceFile file = LoadOrDie(in_path, &config);
   pmemsim_bench::SweepRunner& runner =
       StartSweep(sweep, file.header.scenario, file.header.platform_name);
   for (const TraceSegment& seg : file.segments) {
@@ -412,9 +419,10 @@ int RunReplay(pmemsim_bench::Sweep& sweep) {
   return sweep.Finish();
 }
 
-int RunInfo(pmemsim_bench::Flags& flags) {
-  const TraceFile file = LoadOrDie(flags, nullptr);
+int RunInfo(const pmemsim_bench::Flags& flags) {
+  const std::string in_path = flags.Get("in", "");
   flags.RejectUnknown();
+  const TraceFile file = LoadOrDie(in_path, nullptr);
 
   const TraceFileHeader& h = file.header;
   std::printf("format_version: %u\n", h.version);
@@ -448,24 +456,21 @@ int RunInfo(pmemsim_bench::Flags& flags) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (argc < 2 || std::string(argv[1]) == "--help") {
-    PrintUsage();
-    return argc < 2 ? 2 : 0;
-  }
-  const std::string cmd = argv[1];
-  if (cmd == "record" || cmd == "replay") {
-    pmemsim_bench::Sweep sweep(argc - 1, argv + 1, "pmemsim_trace", kUsageArgs);
-    return cmd == "record" ? RunRecord(sweep) : RunReplay(sweep);
-  }
-  if (cmd == "info") {
-    pmemsim_bench::Flags flags(argc - 1, argv + 1);
-    if (flags.Has("help")) {
-      PrintUsage();
-      return 0;
+  const std::string cmd = argc < 2 ? "" : argv[1];
+  if (cmd != "record" && cmd != "replay" && cmd != "info") {
+    if (!cmd.empty() && cmd != "--help") {
+      std::fprintf(stderr, "error: unknown subcommand '%s' (record|replay|info)\n", cmd.c_str());
     }
-    return RunInfo(flags);
+    std::fputs(kUsage, stdout);
+    return cmd == "--help" ? 0 : 2;
   }
-  std::fprintf(stderr, "error: unknown subcommand '%s' (record|replay|info)\n", cmd.c_str());
-  PrintUsage();
-  return 2;
+  // The subcommand's flags follow it; its --help names "pmemsim_trace <cmd>".
+  std::string program = "pmemsim_trace " + cmd;
+  argv[1] = program.data();
+  if (cmd == "info") {
+    return RunInfo(pmemsim_bench::Flags(argc - 1, argv + 1));
+  }
+  pmemsim_bench::Sweep sweep(argc - 1, argv + 1, "pmemsim_trace",
+                             cmd == "record" ? kRecordNotes : "");
+  return cmd == "record" ? RunRecord(sweep) : RunReplay(sweep);
 }

@@ -56,6 +56,8 @@ const Workload kWorkloads[] = {
     {"rap", {AccessOp::kRap, AccessPattern::kRand, PersistMode::kClwbMfence}},
 };
 
+// The defaults below are the flags' defaults: main() reads each flag with its
+// field as the default.
 struct WatchConfig {
   PlatformConfig platform;
   std::string workload = "seq_store";
@@ -199,19 +201,11 @@ int ViewServeTimeline(const std::string& path) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  pmemsim_bench::Flags flags(argc, argv);
-  if (flags.Has("help")) {
-    std::printf(
-        "usage: pmemsim_watch [--workload=seq_load|rand_load|seq_store|rand_store|ntstore|rap]\n"
-        "                     [--platform=g1|g2|g2-eadr] [--dimms=1] [--threads=1]\n"
-        "                     [--wss=4M] [--stride=64] [--ops=200000] [--distance=4]\n"
-        "                     [--sample_interval_cycles=20000] [--breakdown] [--quiet]\n"
-        "                     [--samples_json=<path>]  write the interval series as JSON\n"
-        "       pmemsim_watch --serve_timeline=<path>   render a pmemsim_serve\n"
-        "                     --timeline_json artifact instead of running\n%s",
-        pmemsim_bench::kTelemetryFlagsHelp);
-    return 0;
-  }
+  pmemsim_bench::Flags flags(
+      argc, argv,
+      "--serve_timeline=<path> renders a pmemsim_serve --timeline_json artifact instead of\n"
+      "running a workload, and then takes no other flag.\n"
+      "--samples_json=<path> writes the interval series as JSON.");
 
   // Viewer mode: no workload run, just render the serve timeline artifact.
   const std::string serve_timeline = flags.Get("serve_timeline", "");
@@ -226,27 +220,27 @@ int main(int argc, char** argv) {
   for (const Workload& w : kWorkloads) {
     names.push_back(w.name);
   }
-  cfg.workload = flags.GetChoice("workload", "seq_store", names);
+  cfg.workload = flags.GetChoice("workload", cfg.workload, names);
   for (const Workload& w : kWorkloads) {
     if (cfg.workload == w.name) {
       cfg.spec = w.spec;
     }
   }
-  cfg.wss = flags.GetSize("wss", MiB(4));
-  cfg.stride = flags.GetU64("stride", kCacheLineSize);
-  cfg.threads = static_cast<uint32_t>(flags.GetPositiveU64("threads", 1));
-  cfg.ops = flags.GetPositiveU64("ops", 200000);
+  cfg.wss = flags.GetSize("wss", cfg.wss);
+  cfg.stride = flags.GetU64("stride", cfg.stride);
+  cfg.threads = static_cast<uint32_t>(flags.GetPositiveU64("threads", cfg.threads));
+  cfg.ops = flags.GetPositiveU64("ops", cfg.ops);
   cfg.spec.distance = flags.GetU64("distance", 4);
-  cfg.dimms = static_cast<uint32_t>(flags.GetU64("dimms", 1));
-  cfg.interval = flags.GetPositiveU64("sample_interval_cycles", 20000);
+  cfg.dimms = static_cast<uint32_t>(flags.GetU64("dimms", cfg.dimms));
+  cfg.interval = flags.GetPositiveU64("sample_interval_cycles", cfg.interval);
   cfg.breakdown = flags.Has("breakdown");
   cfg.quiet = flags.Has("quiet");
   if (cfg.stride < kCacheLineSize) {
-    pmemsim_bench::Flags::BadValue("stride", flags.Get("stride", ""),
+    pmemsim_bench::Flags::BadValue("stride", std::to_string(cfg.stride),
                                    "at least one cacheline (64)");
   }
   if (cfg.wss < cfg.stride) {
-    pmemsim_bench::Flags::BadValue("wss", flags.Get("wss", "4M"),
+    pmemsim_bench::Flags::BadValue("wss", std::to_string(cfg.wss),
                                    "working set of at least one stride");
   }
   const std::string samples_path = flags.Get("samples_json", "");
