@@ -4,6 +4,8 @@
 #include <sys/mman.h>
 #endif
 
+#include <bit>
+
 #include "src/common/check.h"
 
 namespace pmemsim {
@@ -52,12 +54,15 @@ SetAssocCache::SetAssocCache(const CacheLevelConfig& config) : config_(config) {
     PMEMSIM_CHECK(sets_ < (size_t{1} << 20));
     mod_mul_ = ~uint64_t{0} / sets_ + 1;
   }
-  stride_ = (4 * config.ways + 7) & ~size_t{7};  // whole 64 B lines per set
+  // The meta line, then the tag, ready_at and pending_at words; whole 64 B
+  // lines per set.
+  stride_ = (kMetaWords + 3 * config.ways + 7) & ~size_t{7};
+  fp_shift_ = 6 + static_cast<uint32_t>(std::bit_width(sets_) - 1);
   ways_mask_ = config.ways == 32 ? ~0u : (1u << config.ways) - 1u;
   const size_t block_bytes = sets_ * stride_ * sizeof(uint64_t);
   blocks_.reset(static_cast<uint64_t*>(::operator new[](block_bytes, std::align_val_t{64})));
   AdviseHugePages(blocks_.get(), block_bytes);
-  // Left uninitialized: the masks below gate every read (see Tag()).
+  // Left uninitialized: the masks below gate every read (see Meta()).
   valid_mask_.assign(sets_, 0);
   ready_mask_.assign(sets_, 0);
   pending_mask_.assign(sets_, 0);
@@ -115,8 +120,6 @@ void SetAssocCache::Clear() {
   valid_mask_.assign(valid_mask_.size(), 0);
   ready_mask_.assign(ready_mask_.size(), 0);
   pending_mask_.assign(pending_mask_.size(), 0);
-  // tick_ deliberately not reset: LRU order is relative, and Clear() between
-  // benchmark configurations must not make two runs' tick streams collide.
 }
 
 }  // namespace pmemsim

@@ -4,35 +4,43 @@
 //
 // Storage is struct-of-arrays, tuned for the scan-dominated access pattern:
 // every simulated load probes (and every nt-store snoops) all ways of a set
-// in each level, and most of those scans miss. The per-way hot word packs the
-// 64-aligned line tag with the valid/dirty/prefetched flags in its low bits,
-// so a whole 8-way set scan reads one host cache line instead of a dozen.
-// A per-set valid-way bitmask drives every scan — probes, snoops and victim
-// picks visit only occupied ways, and an nt-store stream invalidating
-// against caches it never fills (the ntstore hot-path shape) costs one load
-// per level instead of a tag walk. The rest of a set's state (LRU ticks,
-// fill-ready times, scheduled invalidations) lives in the same contiguous
-// per-set block right behind its tag words, so a probe's memory fetch also
-// covers the victim scan and LRU update of the insert that typically
-// follows a miss — the dominant cost at simulation scale is host cache
-// misses on these arrays, not instructions. Way-order semantics — victim
-// choice, LRU updates, lazy invalidation — are identical to the
-// straightforward array-of-structs implementation this replaces.
+// in each level, and most of those scans miss. A set's state is one
+// contiguous 64 B-aligned block whose first host line is its meta line: a
+// 1-byte tag fingerprint and a 1-byte LRU age per way (up to 32 ways each).
+// A lookup compares the fingerprints and reads a tag word only for a way
+// whose fingerprint matches, so a miss reads the meta line alone, and the
+// LRU touch and victim pick that follow a lookup stay on that same line.
+// The per-way tag word behind it packs the 64-aligned line tag with the
+// valid/dirty/prefetched flags in its low bits. A per-set valid-way bitmask
+// drives every scan — probes, snoops and victim picks see only occupied
+// ways, and an nt-store stream invalidating against caches it never fills
+// (the ntstore hot-path shape) costs one load per level instead of a meta
+// line. The dominant cost at simulation scale is host cache misses on these
+// arrays, not instructions. Way-order semantics — victim choice, LRU
+// updates, lazy invalidation — are identical to the straightforward
+// array-of-structs implementation this replaces.
 //
-// The tag match (Find) has no per-way branch on x86-64: it compares every
-// tag word of the set against the line with SSE2, four ways a step, and ANDs
-// the hit bits with the valid mask. Invalid ways' words are stale or were
+// The tag match (Find) has no per-way branch on x86-64: it compares the
+// line's fingerprint with every fingerprint byte of the set with SSE2, 16
+// ways a step, ANDs the hits with the valid mask, and confirms each
+// candidate against its full tag word. Invalid ways' bytes are stale or were
 // never written, so they may match; the mask drops them, and nothing zeroes
-// the array. With a way count that is not a multiple of four the last step
-// also reads up to three words past the tags (way 0's LRU word for the
-// 11-way L3), which lie inside the set's block; their bits are never valid.
-// Other targets use the scalar walk over the valid bits, and Debug builds
-// check every vector result against it.
+// the array. Lanes at `ways` and above (5 for the 11-way L3) are padding in
+// the meta line; their bits are never valid. Other targets use the scalar
+// walk over the valid bits, and Debug builds check every vector result
+// against it.
+//
+// The ages are a permutation of 0..ways-1 over all of a set's ways: a fill
+// into an empty set resets them to the identity, a touch makes its way 0 and
+// ages each younger way by one, and a full set evicts the way of age
+// ways-1. Every valid way has been filled since the last reset, so the
+// ages order the valid ways by last touch, as per-way LRU ticks would.
 
 #ifndef SRC_CACHE_CACHE_H_
 #define SRC_CACHE_CACHE_H_
 
 #include <bit>
+#include <cstring>
 #include <cstdint>
 #include <memory>
 #include <new>
@@ -116,24 +124,21 @@ class SetAssocCache {
   size_t sets() const { return sets_; }
   uint32_t ways() const { return config_.ways; }
 
-  // Host-side hint: start fetching the set's hot words (tags + LRU) ahead of
-  // the probe/insert that is about to scan them. No simulated effect — purely
-  // overlaps the host memory latency of multi-level lookups.
+  // Host-side hint: start fetching the set's meta line (fingerprints and
+  // ages) ahead of the probe/insert that is about to read it. No simulated
+  // effect — purely overlaps the host memory latency of multi-level lookups.
   void PrefetchSet(Addr line_addr) const {
     const size_t set = SetIndex(CacheLineBase(line_addr));
     __builtin_prefetch(&valid_mask_[set]);
-    const uint64_t* block = blocks_.get() + set * stride_;
-    // Cover the tag and LRU words (the demand path's whole footprint).
-    for (uint32_t off = 0; off < 2 * config_.ways; off += 8) {
-      __builtin_prefetch(block + off);
-    }
+    __builtin_prefetch(blocks_.get() + set * stride_);
   }
 
   void Clear();
 
  private:
-  // Writes raw block words, to stage states no public operation produces
-  // (a stale tag word in a lower way naming a line live in a higher one).
+  // Writes raw block words and meta bytes, to stage states no public
+  // operation produces (a stale tag word in a lower way naming a line live
+  // in a higher one, padding lanes whose bytes match a line).
   friend struct SetAssocCacheTestPeer;
 
   // Hot per-way word: 64-aligned line tag | flags (line addresses leave the
@@ -147,6 +152,12 @@ class SetAssocCache {
   static bool TagMatches(Addr hot, Addr line) {
     return ((hot ^ line) & (kTagMask | kValid)) == kValid;
   }
+
+  // The line's fingerprint byte: the low byte of its line number over the
+  // set count rounded down to a power of two. The lines of one set then step
+  // it by at least one each, so lines less than 128 sets' spans apart never
+  // share it.
+  uint8_t Fingerprint(Addr line) const { return static_cast<uint8_t>(line >> fp_shift_); }
 
   size_t SetIndex(Addr line_addr) const {
     const uint64_t n = line_addr / kCacheLineSize;
@@ -168,32 +179,38 @@ class SetAssocCache {
   }
 
   // A set's state is one contiguous 64 B-aligned block of stride_ words —
-  // [tags][lru][ready_at][pending_at] (padded to a whole host line) — so the
-  // probe's fetch of the tag words also pulls (or hardware-prefetches) the
-  // LRU words the insert after a miss scans. The ready_at/pending_at
-  // quarters are cold: per-set ready/pending bitmasks gate every read and
-  // write of them, so the demand path never touches those lines at all.
-  // Likewise a way's tag and LRU words mean something only while its valid
-  // bit is set. Every word is written before its mask bit is set, so the
-  // array is never zeroed: an untouched cache costs no host memory, and
-  // Clear() is a mask reset.
+  // [meta line][tags][ready_at][pending_at] (padded to a whole host line).
+  // The meta line holds the fingerprint bytes (bytes 0-31) and the age bytes
+  // (bytes 32-63), one per way. The ready_at/pending_at words are cold:
+  // per-set ready/pending bitmasks gate every read and write of them, so the
+  // demand path never touches those lines at all. Likewise a way's
+  // fingerprint and tag word mean something only while its valid bit is set,
+  // and the ages only once a fill into the empty set has reset them. Every
+  // byte is written before it is read, so the array is never zeroed: an
+  // untouched cache costs no host memory, and Clear() is a mask reset.
   // `w` below is a block-coordinate way handle: set * stride_ + way.
-  Addr& Tag(size_t w) { return blocks_[w]; }
-  Addr Tag(size_t w) const { return blocks_[w]; }
-  uint64_t& Lru(size_t w) { return blocks_[w + config_.ways]; }
-  Cycles& ReadyAt(size_t w) { return blocks_[w + 2 * config_.ways]; }
-  Cycles ReadyAt(size_t w) const { return blocks_[w + 2 * config_.ways]; }
-  Cycles& PendingAt(size_t w) { return blocks_[w + 3 * config_.ways]; }
-  Cycles PendingAt(size_t w) const { return blocks_[w + 3 * config_.ways]; }
+  static constexpr size_t kMetaWords = 8;  // one 64 B host line
+  static constexpr size_t kAgeOffset = 32;  // bytes: after 32 fingerprints
+  uint8_t* Meta(size_t base) { return reinterpret_cast<uint8_t*>(&blocks_[base]); }
+  const uint8_t* Meta(size_t base) const {
+    return reinterpret_cast<const uint8_t*>(&blocks_[base]);
+  }
+  uint8_t* Ages(size_t base) { return Meta(base) + kAgeOffset; }
+  Addr& Tag(size_t w) { return blocks_[w + kMetaWords]; }
+  Addr Tag(size_t w) const { return blocks_[w + kMetaWords]; }
+  Cycles& ReadyAt(size_t w) { return blocks_[w + kMetaWords + config_.ways]; }
+  Cycles ReadyAt(size_t w) const { return blocks_[w + kMetaWords + config_.ways]; }
+  Cycles& PendingAt(size_t w) { return blocks_[w + kMetaWords + 2 * config_.ways]; }
+  Cycles PendingAt(size_t w) const { return blocks_[w + kMetaWords + 2 * config_.ways]; }
 
   // The one tag scan: returns the block-coordinate way handle holding `line`
   // (a CacheLineBase value) among `set`'s valid ways, or kNoWay. A line sits
   // in at most one valid way (Insert refreshes a present line in place), so
   // the memo of the last way found, checked first, cannot disagree with the
   // scan: it is used only while that way is valid and still holds the line.
-  // The scan is the SSE2 compare described atop this file wherever SSE2 is
-  // baseline (x86-64: no -march or dispatch, so Find stays inlinable into
-  // Access), and FindScalar elsewhere.
+  // The scan is the SSE2 fingerprint compare described atop this file
+  // wherever SSE2 is baseline (x86-64: no -march or dispatch, so Find stays
+  // inlinable into Access), and FindScalar elsewhere.
   size_t Find(size_t set, Addr line) const {
     if (memo_line_ == line && (valid_mask_[set] & Bit(set, memo_way_)) != 0 &&
         TagMatches(Tag(memo_way_), line)) {
@@ -205,21 +222,21 @@ class SetAssocCache {
     }
 #if defined(__SSE2__)
     const size_t base = set * stride_;
-    const __m128i want = _mm_set1_epi64x(static_cast<long long>(line));
-    const __m128i tag_mask = _mm_set1_epi64x(static_cast<long long>(kTagMask));
-    const __m128i ones = _mm_set1_epi32(-1);
+    const __m128i want = _mm_set1_epi8(static_cast<char>(Fingerprint(line)));
+    const __m128i* fps = reinterpret_cast<const __m128i*>(Meta(base));
     uint32_t hits = 0;
-    for (uint32_t i = 0; i < config_.ways; i += 4) {
-      const __m128i* tags = reinterpret_cast<const __m128i*>(&blocks_[base + i]);
-      const __m128i lo = _mm_cmpeq_epi32(_mm_and_si128(_mm_load_si128(tags), tag_mask), want);
-      const __m128i hi = _mm_cmpeq_epi32(_mm_and_si128(_mm_load_si128(tags + 1), tag_mask), want);
-      // SSE2 has no 64-bit equality: a word matches iff both its 32-bit
-      // halves do, i.e. iff its lane of the packed halves is all ones.
-      const __m128i eq64 = _mm_cmpeq_epi32(_mm_packs_epi32(lo, hi), ones);
-      hits |= static_cast<uint32_t>(_mm_movemask_ps(_mm_castsi128_ps(eq64))) << i;
+    for (uint32_t i = 0; i < config_.ways; i += 16) {
+      const __m128i eq = _mm_cmpeq_epi8(_mm_load_si128(fps + i / 16), want);
+      hits |= static_cast<uint32_t>(_mm_movemask_epi8(eq)) << i;
     }
-    hits &= valid;
-    const size_t w = hits == 0 ? kNoWay : base + static_cast<uint32_t>(std::countr_zero(hits));
+    size_t w = kNoWay;
+    for (hits &= valid; hits != 0; hits &= hits - 1) {
+      const size_t c = base + static_cast<uint32_t>(std::countr_zero(hits));
+      if (TagMatches(Tag(c), line)) {
+        w = c;
+        break;
+      }
+    }
     PMEMSIM_DCHECK(w == FindScalar(set, line));
 #else
     const size_t w = FindScalar(set, line);
@@ -254,6 +271,52 @@ class SetAssocCache {
     Tag(w) &= ~kValid;
     valid_mask_[set] &= ~Bit(set, w);
   }
+  // Makes `way` of the set at `base` the most recent: every way younger than
+  // it ages by one, and it becomes age 0.
+  void Touch(size_t base, uint32_t way) {
+    uint8_t* ages = Ages(base);
+    const uint8_t age = ages[way];
+    if (age == 0) {
+      return;
+    }
+#if defined(__SSE2__)
+    const __m128i touched = _mm_set1_epi8(static_cast<char>(age));
+    for (uint32_t i = 0; i < config_.ways; i += 16) {
+      __m128i* lanes = reinterpret_cast<__m128i*>(ages + i);
+      const __m128i v = _mm_load_si128(lanes);
+      // A younger lane's compare is all ones (-1): subtracting it adds one.
+      _mm_store_si128(lanes, _mm_sub_epi8(v, _mm_cmpgt_epi8(touched, v)));
+    }
+#else
+    for (uint32_t i = 0; i < config_.ways; ++i) {
+      ages[i] += ages[i] < age ? 1 : 0;
+    }
+#endif
+    ages[way] = 0;
+  }
+  // The way of the set at `base` whose age is ways - 1: the least recently
+  // touched one.
+  uint32_t OldestWay(size_t base) {
+    const uint8_t* ages = Ages(base);
+    const uint8_t oldest = static_cast<uint8_t>(config_.ways - 1);
+#if defined(__SSE2__)
+    const __m128i want = _mm_set1_epi8(static_cast<char>(oldest));
+    uint32_t hits = 0;
+    for (uint32_t i = 0; i < config_.ways; i += 16) {
+      const __m128i v = _mm_load_si128(reinterpret_cast<const __m128i*>(ages + i));
+      hits |= static_cast<uint32_t>(_mm_movemask_epi8(_mm_cmpeq_epi8(v, want))) << i;
+    }
+    hits &= ways_mask_;
+    PMEMSIM_DCHECK(std::popcount(hits) == 1);
+    return static_cast<uint32_t>(std::countr_zero(hits));
+#else
+    uint32_t way = 0;
+    while (ages[way] != oldest) {
+      ++way;
+    }
+    return way;
+#endif
+  }
 
   struct Aligned64Delete {
     void operator()(uint64_t* p) const { ::operator delete[](p, std::align_val_t{64}); }
@@ -261,7 +324,8 @@ class SetAssocCache {
 
   CacheLevelConfig config_;
   size_t sets_;
-  size_t stride_;         // 4 * ways rounded up to whole 64 B lines
+  size_t stride_;         // 8 + 3 * ways words rounded up to whole 64 B lines
+  uint32_t fp_shift_;     // Fingerprint's shift: 6 + floor(log2(sets_))
   uint64_t set_mask_;     // sets_ - 1 when sets_ is a power of two, else 0
   uint64_t mod_mul_;      // ceil(2^64 / sets_) when set_mask_ == 0, else 0
   uint32_t ways_mask_;    // low config_.ways bits set
@@ -271,7 +335,6 @@ class SetAssocCache {
                                         // nonzero fill-ready time
   std::vector<uint32_t> pending_mask_;  // per set: bit i = way i has a
                                         // scheduled invalidation
-  uint64_t tick_ = 0;
   // Find's memo: the last line it found and its way. The initial line has
   // its low bits set, so it equals no CacheLineBase value.
   mutable Addr memo_line_ = ~Addr{0};
@@ -299,8 +362,9 @@ inline bool SetAssocCache::Access(Addr line_addr, Cycles now, bool mark_dirty,
     }
     return false;
   }
-  const uint32_t bit = Bit(set, w);
-  Lru(w) = ++tick_;
+  const size_t base = set * stride_;
+  const uint32_t bit = 1u << (w - base);
+  Touch(base, static_cast<uint32_t>(w - base));
   if (mark_dirty) {
     Tag(w) |= kDirty;
     // A new store supersedes any scheduled clwb invalidation.
@@ -333,7 +397,7 @@ inline EvictedLine SetAssocCache::Insert(Located at, Addr line_addr, Cycles now,
 
   // Already present (even with its invalidation due): refresh in place.
   if (const size_t w = at.way; w != kNoWay) {
-    Lru(w) = ++tick_;
+    Touch(base, static_cast<uint32_t>(w - base));
     if (dirty) {
       Tag(w) |= kDirty;
     }
@@ -356,20 +420,25 @@ inline EvictedLine SetAssocCache::Insert(Located at, Addr line_addr, Cycles now,
   }
   // A free way's block words are stale (or were never written), so only the
   // all-ways-valid LRU branch reads the line it evicts.
+  if (valid_mask_[set] == 0) {
+    // Every way is free: start the ages over from the identity (lanes past
+    // `ways` then hold ages no touch moves and no victim pick matches).
+    static constexpr uint8_t kIdentity[32] = {0,  1,  2,  3,  4,  5,  6,  7,  8,  9,  10,
+                                              11, 12, 13, 14, 15, 16, 17, 18, 19, 20, 21,
+                                              22, 23, 24, 25, 26, 27, 28, 29, 30, 31};
+    std::memcpy(Ages(base), kIdentity, sizeof(kIdentity));
+  }
   size_t victim;
   EvictedLine evicted;
   if (free != 0) {
     victim = base + static_cast<uint32_t>(std::countr_zero(free));
   } else {
-    victim = base;
-    for (uint32_t i = 1; i < config_.ways; ++i) {
-      if (Lru(base + i) < Lru(victim)) {
-        victim = base + i;
-      }
-    }
+    victim = base + OldestWay(base);
     evicted = {Tag(victim) & kTagMask, true, (Tag(victim) & kDirty) != 0};
   }
-  const uint32_t bit = 1u << (victim - base);
+  const uint32_t way = static_cast<uint32_t>(victim - base);
+  const uint32_t bit = 1u << way;
+  Meta(base)[way] = Fingerprint(line);
   Tag(victim) = line | kValid | (dirty ? kDirty : 0) | (prefetched ? kPrefetched : 0);
   valid_mask_[set] |= bit;
   pending_mask_[set] &= ~bit;
@@ -379,7 +448,7 @@ inline EvictedLine SetAssocCache::Insert(Located at, Addr line_addr, Cycles now,
   } else {
     ready_mask_[set] &= ~bit;
   }
-  Lru(victim) = ++tick_;
+  Touch(base, way);
   return evicted;
 }
 

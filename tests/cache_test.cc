@@ -22,9 +22,23 @@ struct SetAssocCacheTestPeer {
   static constexpr Addr kValid = SetAssocCache::kValid;
   static constexpr Addr kPrefetched = SetAssocCache::kPrefetched;
 
+  static size_t Base(const SetAssocCache& cache, Addr line) {
+    return cache.SetIndex(CacheLineBase(line)) * cache.stride_;
+  }
   // Overwrites way `way`'s tag word in `line`'s set, leaving its mask bits.
   static void SetTagWord(SetAssocCache& cache, Addr line, uint32_t way, Addr word) {
-    cache.Tag(cache.SetIndex(CacheLineBase(line)) * cache.stride_ + way) = word;
+    cache.Tag(Base(cache, line) + way) = word;
+  }
+  static uint8_t Fingerprint(const SetAssocCache& cache, Addr line) {
+    return cache.Fingerprint(CacheLineBase(line));
+  }
+  // Overwrites lane `lane`'s fingerprint or age byte in `line`'s set; lanes
+  // from ways() up to 31 are the meta line's padding.
+  static void SetFingerprint(SetAssocCache& cache, Addr line, uint32_t lane, uint8_t fp) {
+    cache.Meta(Base(cache, line))[lane] = fp;
+  }
+  static void SetAge(SetAssocCache& cache, Addr line, uint32_t lane, uint8_t age) {
+    cache.Ages(Base(cache, line))[lane] = age;
   }
 };
 
@@ -32,7 +46,8 @@ namespace {
 
 CacheLevelConfig SmallCache() { return {KiB(4), 4, 4}; }  // 16 sets x 4 ways
 // The G1 L3's way count at a non-power-of-two set count: an odd way count
-// leaves the set's tag words followed by way 0's LRU word.
+// leaves the set's tag words followed by way 0's fill-ready word, and five
+// padding lanes in each half of the meta line.
 CacheLevelConfig ElevenWayCache() { return {6 * 11 * kCacheLineSize, 11, 4}; }  // 6 sets
 
 // A fill that looks the line up first, as the prefetch fill does.
@@ -232,10 +247,10 @@ TEST(SetAssocCacheTest, ExpiredPendingWayIsReusedWithoutEviction) {
   }
 }
 
-// Ways below a live line's way hold its tag in stale words: one invalidated
-// (valid bit clear), one as a never-written word may (valid bit set). Both
-// carry the prefetched flag the live way lacks. Every lookup must find the
-// live way and use its flags and LRU tick.
+// Ways below a live line's way hold its fingerprint and its tag in stale
+// words: one invalidated (valid bit clear), one as a never-written word may
+// (valid bit set). Both carry the prefetched flag the live way lacks. Every
+// lookup must find the live way and use its flags and LRU age.
 TEST(SetAssocCacheTest, StaleLowerWaysNamingALiveLineAreIgnored) {
   SetAssocCache cache(ElevenWayCache());
   const uint64_t stride = cache.sets() * kCacheLineSize;  // same set
@@ -256,6 +271,9 @@ TEST(SetAssocCacheTest, StaleLowerWaysNamingALiveLineAreIgnored) {
   using Peer = SetAssocCacheTestPeer;
   Peer::SetTagWord(cache, line(4), 1, line(4) | Peer::kPrefetched);
   Peer::SetTagWord(cache, line(4), 2, line(4) | Peer::kValid | Peer::kPrefetched);
+  for (const uint32_t way : {1u, 2u}) {
+    Peer::SetFingerprint(cache, line(4), way, Peer::Fingerprint(cache, line(4)));
+  }
   cache.Probe(line(0), 40);  // the lookups below scan, not hit a memo
 
   EXPECT_EQ(cache.Locate(line(4), 41).way, live.way);
@@ -275,14 +293,21 @@ TEST(SetAssocCacheTest, StaleLowerWaysNamingALiveLineAreIgnored) {
   EXPECT_TRUE(r.was_dirty);
 }
 
-// Line 0 sits in set 0. An 11-way set's tag words are followed by way 0's LRU
-// word, and a tick below 64 has a line-0 tag once the flag bits are masked
-// off: that word is no way, so line 0 must still miss.
-TEST(SetAssocCacheTest, LineZeroMissesWhileWayZeroLruTickIsSmall) {
+// Line 0 sits in set 0, and its fingerprint is 0. Every padding lane of the
+// 11-way meta line (11-15) is made to match it, with the oldest age, and the
+// word a lane 11 tag would be is way 0's fill-ready time 1: line 0's tag with
+// the valid bit. No lane at `ways` or above is a way, so line 0 must still
+// miss and the victim must still be the LRU way.
+TEST(SetAssocCacheTest, LineZeroMissesWhilePaddingLanesMatchIt) {
+  using Peer = SetAssocCacheTestPeer;
   SetAssocCache cache(ElevenWayCache());
   const uint64_t stride = cache.sets() * kCacheLineSize;  // set 0
   for (uint64_t k = 1; k <= 11; ++k) {
-    Fill(cache, k * stride, k, /*dirty=*/true, false);  // ticks 1..11
+    Fill(cache, k * stride, k, /*dirty=*/true, false, /*ready_at=*/k == 1 ? 1 : 0);
+  }
+  for (uint32_t lane = cache.ways(); lane < 16; ++lane) {
+    Peer::SetFingerprint(cache, 0, lane, Peer::Fingerprint(cache, 0));
+    Peer::SetAge(cache, 0, lane, static_cast<uint8_t>(cache.ways() - 1));
   }
   EXPECT_FALSE(cache.Probe(0, 20));
   EXPECT_EQ(cache.Locate(0, 20).way, SetAssocCache::kNoWay);
@@ -295,6 +320,93 @@ TEST(SetAssocCacheTest, LineZeroMissesWhileWayZeroLruTickIsSmall) {
   EXPECT_EQ(e.line, 1 * stride);  // way 0's line, the LRU one
   EXPECT_TRUE(e.dirty);
   EXPECT_TRUE(cache.Probe(0, 22));
+}
+
+// Lines of one set that share a fingerprint byte are told apart by their tag
+// words: each hits only itself, an absent one misses, invalidating one leaves
+// the others, and an eviction reports the LRU one's own line.
+TEST(SetAssocCacheTest, SharedFingerprintsAreToldApartByTag) {
+  using Peer = SetAssocCacheTestPeer;
+  SetAssocCache cache(SmallCache());
+  const uint64_t stride = cache.sets() * kCacheLineSize;  // set 0
+  std::vector<Addr> same;  // set-0 lines sharing line 0's fingerprint
+  for (uint64_t k = 0; same.size() < 4; ++k) {
+    if (Peer::Fingerprint(cache, k * stride) == Peer::Fingerprint(cache, 0)) {
+      same.push_back(k * stride);
+    }
+  }
+  ASSERT_EQ(same[0], 0u);
+  Fill(cache, same[0], 1, /*dirty=*/true, false);
+  Fill(cache, same[1], 2, false, false);
+  Fill(cache, same[2], 3, false, /*prefetched=*/true);
+  EXPECT_FALSE(cache.Probe(same[3], 4));  // a miss despite three matching bytes
+  EXPECT_FALSE(cache.Access(same[3], 4, false));
+  bool was_prefetched = true;
+  EXPECT_TRUE(cache.Access(same[1], 5, false, &was_prefetched));
+  EXPECT_FALSE(was_prefetched);
+  EXPECT_TRUE(cache.Access(same[2], 6, false, &was_prefetched));
+  EXPECT_TRUE(was_prefetched);
+  const SetAssocCache::InvalidateResult r = cache.Invalidate(same[1]);
+  EXPECT_TRUE(r.was_present);
+  EXPECT_FALSE(r.was_dirty);
+  EXPECT_FALSE(cache.Probe(same[1], 7));
+  EXPECT_TRUE(cache.Probe(same[0], 7));
+  EXPECT_TRUE(cache.Probe(same[2], 7));
+  // Refill the freed way, then one more: the set is full and same[0], the
+  // least recently touched, leaves with its dirty bit.
+  EXPECT_FALSE(Fill(cache, same[3], 8, false, false).valid);
+  EXPECT_FALSE(Fill(cache, 1 * stride, 9, false, false).valid);
+  const EvictedLine e = Fill(cache, same[1], 10, false, false);
+  EXPECT_TRUE(e.valid);
+  EXPECT_EQ(e.line, same[0]);
+  EXPECT_TRUE(e.dirty);
+  for (const Addr line : {same[1], same[2], same[3], 1 * stride}) {
+    EXPECT_TRUE(cache.Probe(line, 11)) << "line " << line;
+  }
+  EXPECT_FALSE(cache.Probe(same[0], 11));
+}
+
+// A 20-way set's ages span both 16-lane halves of the meta line. Touches,
+// invalidations, refills and a Clear() must keep the victim the least
+// recently touched valid way in either half.
+TEST(SetAssocCacheTest, TwentyWaySetEvictsInLruOrderAcrossBothHalves) {
+  SetAssocCache cache({2 * 20 * kCacheLineSize, 20, 4});  // 2 sets
+  ASSERT_EQ(cache.sets(), 2u);
+  const auto line = [&](uint64_t k) { return k * cache.sets() * kCacheLineSize; };  // set 0
+  const auto evicts = [&](uint64_t k, Cycles now) {
+    const EvictedLine e = Fill(cache, line(k), now, false, false);
+    return e.valid ? e.line : ~Addr{0};
+  };
+  for (uint64_t k = 0; k < 20; ++k) {
+    Fill(cache, line(k), k, false, false);  // line(k) in way k
+  }
+  for (uint64_t k = 20; k-- > 0;) {
+    EXPECT_TRUE(cache.Access(line(k), 40 - k, false));  // way 19 oldest, way 0 newest
+  }
+  EXPECT_EQ(evicts(20, 50), line(19));
+  EXPECT_EQ(evicts(21, 51), line(18));
+  cache.Invalidate(line(17));
+  cache.Invalidate(line(3));
+  EXPECT_EQ(evicts(22, 52), ~Addr{0});  // into way 3, the lowest free way
+  EXPECT_EQ(evicts(23, 53), ~Addr{0});  // into way 17
+  EXPECT_EQ(evicts(24, 54), line(16));
+  EXPECT_TRUE(cache.Access(line(15), 55, false));
+  EXPECT_EQ(evicts(25, 56), line(14));
+  EXPECT_EQ(evicts(26, 57), line(13));
+
+  // After a Clear() the stale ages of the old lines order nothing: the set
+  // refills in reverse and evicts in that fill order.
+  cache.Clear();
+  for (uint64_t k = 20; k-- > 0;) {
+    Fill(cache, line(k), 100 - k, false, false);  // line(19) in way 0
+  }
+  EXPECT_EQ(evicts(30, 110), line(19));
+  EXPECT_TRUE(cache.Access(line(18), 111, false));
+  EXPECT_EQ(evicts(31, 112), line(17));
+  EXPECT_EQ(evicts(32, 113), line(16));
+  cache.Invalidate(line(0));  // way 19, the newest fill
+  EXPECT_EQ(evicts(33, 114), ~Addr{0});
+  EXPECT_EQ(evicts(34, 115), line(15));
 }
 
 // ---------- Hierarchy + prefetchers ----------
