@@ -35,17 +35,21 @@
 
 namespace pmemsim_bench {
 
-inline const char* kTelemetryFlagsHelp =
-    "  --stats_json=<path>    write rows as JSON (for scripts/check_figures.py)\n"
-    "  --trace_out=<path>     write a chrome://tracing event file\n"
-    "  --jobs=N               host parallelism ACROSS sweep points: N points\n"
-    "                         run concurrently, each a complete independent\n"
-    "                         simulation; output stays byte-identical to\n"
-    "                         --jobs=1. Not to be confused with\n"
-    "                         --engine_threads, the host parallelism WITHIN\n"
-    "                         one point that benches with a partitioned\n"
-    "                         serving tier (pmemsim_serve) accept; benches\n"
-    "                         without a domain partition reject it.\n";
+// The --help notes of the flags that BenchReport and SweepRunner read for
+// a binary, by flag name. Usage() prints each only if the binary read it.
+inline constexpr std::pair<const char*, const char*> kSharedFlagNotes[] = {
+    {"stats_json", "  --stats_json=<path>    write rows as JSON (for scripts/check_figures.py)\n"},
+    {"trace_out", "  --trace_out=<path>     write a chrome://tracing event file\n"},
+    {"jobs",
+     "  --jobs=N               host parallelism ACROSS sweep points: N points\n"
+     "                         run concurrently, each a complete independent\n"
+     "                         simulation; output stays byte-identical to\n"
+     "                         --jobs=1. Not to be confused with\n"
+     "                         --engine_threads, the host parallelism WITHIN\n"
+     "                         one point that benches with a partitioned\n"
+     "                         serving tier (pmemsim_serve) accept; benches\n"
+     "                         without a domain partition reject it.\n"},
+};
 
 // Tiny --name / --name=value parser. Every Has/Get* call declares its flag:
 // the first read of a name records its --help entry (the default as the
@@ -246,7 +250,7 @@ class Flags {
   // The --help text: "usage: <program>", then one "[--name=default]" line
   // per flag read so far, in first-read order ("[--name]" for a Has flag,
   // followed by the choices of an enumerated one), then the notes and the
-  // telemetry flags' help.
+  // kSharedFlagNotes entry of each shared flag read so far.
   std::string Usage() const {
     std::string text = "usage: " + program_ + "\n";
     for (const auto& [name, line] : declared_) {
@@ -255,7 +259,12 @@ class Flags {
     if (!notes_.empty()) {
       text += notes_ + "\n";
     }
-    return text + kTelemetryFlagsHelp;
+    for (const auto& [name, note] : kSharedFlagNotes) {
+      if (Declared(name)) {
+        text += note;
+      }
+    }
+    return text;
   }
 
   // Call after the last Get/Has (flag queries declare names, so order

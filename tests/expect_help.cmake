@@ -1,8 +1,9 @@
 # Runs EXE [SUB] --help and passes only when it exits 0 and prints at least
 # one "[--flag" entry of the usage text Flags generates from the binary's
-# flag reads.
+# flag reads, and no match of ABSENT (a regex, e.g. a flag the binary does
+# not read) when one is given.
 #
-#   cmake -DEXE=<binary> [-DSUB=<subcommand>] -P expect_help.cmake
+#   cmake -DEXE=<binary> [-DSUB=<subcommand>] [-DABSENT=<regex>] -P expect_help.cmake
 execute_process(COMMAND ${EXE} ${SUB} --help RESULT_VARIABLE rc OUTPUT_VARIABLE out
                 ERROR_VARIABLE err)
 if(NOT rc STREQUAL "0")
@@ -10,4 +11,8 @@ if(NOT rc STREQUAL "0")
 endif()
 if(NOT out MATCHES "\\[--")
   message(FATAL_ERROR "${EXE} ${SUB} --help: no [--flag] entry on stdout\n${out}")
+endif()
+if(DEFINED ABSENT AND NOT ABSENT STREQUAL "" AND out MATCHES "${ABSENT}")
+  message(FATAL_ERROR "${EXE} ${SUB} --help: prints '${CMAKE_MATCH_0}', want no match of "
+                      "'${ABSENT}'\n${out}")
 endif()

@@ -308,7 +308,7 @@ TEST(FlagsTest, UsageShowsEachGettersDefaultAndForm) {
       "  [--platform=g1]           g1|g2|g2-eadr\n"
       "  [--gen=both]              g1|g2|both\n"
       "  [--random]\n";
-  EXPECT_EQ(flags.Usage(), want + kTelemetryFlagsHelp);
+  EXPECT_EQ(flags.Usage(), want);
 }
 
 TEST(FlagsTest, UsageListsFlagsInFirstReadOrderOnce) {
@@ -324,7 +324,22 @@ TEST(FlagsTest, UsageListsFlagsInFirstReadOrderOnce) {
       "  [--b=2]\n"
       "  [--a=x]\n"
       "Prose about the run.\n";
-  EXPECT_EQ(flags.Usage(), want + kTelemetryFlagsHelp);
+  EXPECT_EQ(flags.Usage(), want);
+}
+
+TEST(FlagsTest, UsageNotesOnlyTheSharedFlagsItRead) {
+  const Flags flags = MakeFlags({});
+  flags.GetU64("ops", 10);
+  EXPECT_EQ(flags.Usage(), "usage: test\n  [--ops=10]\n");
+  flags.GetU64("jobs", 1);
+  flags.Get("stats_json", "");
+  const std::string usage = flags.Usage();
+  EXPECT_NE(usage.find("\n  --jobs=N "), std::string::npos) << usage;
+  EXPECT_NE(usage.find("\n  --stats_json=<path> "), std::string::npos) << usage;
+  EXPECT_EQ(usage.find("--trace_out"), std::string::npos) << usage;
+  // The notes follow the flag list, in kSharedFlagNotes order.
+  EXPECT_LT(usage.find("[--stats_json=]"), usage.find("  --stats_json=<path>"));
+  EXPECT_LT(usage.find("  --stats_json=<path>"), usage.find("  --jobs=N"));
 }
 
 TEST(FlagsTest, HelpAnswersAtRejectUnknownAfterTheReads) {
