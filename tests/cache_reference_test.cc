@@ -10,7 +10,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <list>
-#include <ostream>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -172,12 +171,6 @@ struct Geometry {
   uint32_t ways;
   size_t sets;
 };
-// gtest prints each parameter into its test's listed name; without this it
-// would dump the struct's bytes, name pointer included, so the name would
-// change with the binary's layout.
-void PrintTo(const Geometry& g, std::ostream* os) {
-  *os << g.name << " " << g.ways << " ways x " << g.sets << " sets";
-}
 constexpr Geometry kGeometries[] = {
     {"G1L1", 8, 8},
     {"G2L1", 12, 4},
