@@ -4,8 +4,9 @@
 The sampler's contract (src/trace/sampler.h) is that the per-interval series
 is a *partition* of the run: the field-wise sum of every sample's counter
 deltas equals the global counter delta over the sampled span exactly, and the
-samples tile simulated time contiguously. This script gates that identity in
-CI from the outside, using only the JSON artifacts:
+samples tile simulated time contiguously. This script gates that identity
+from the outside (the check_samples_watch_* ctests), using only the JSON
+artifacts:
 
   * --samples: the --samples_json file (JSON array of samples);
   * --stats:   the bench's --stats_json report, whose counters section must
@@ -16,7 +17,13 @@ Checks performed:
   1. schema: every sample has index/t_begin/t_end/partial/delta/gauges, with
      sequential indices and contiguous [t_begin, t_end) spans;
   2. only the final sample may be marked partial;
-  3. for every counter field: sum of sample deltas == global delta, exactly.
+  3. for every counter field: sum of sample deltas == global delta, exactly;
+  4. when the stats carry an "attribution" section (pmemsim_watch
+     --breakdown): it recorded accesses, its per-stage totals sum exactly to
+     the end-to-end total, every stage has p50/p90/p99, and a run that
+     recorded loads and read the media has a media_read stage (a store's
+     media read fills the cache off its critical path, so store-only runs
+     have none).
 
 Usage:
     check_samples.py --samples /tmp/watch_samples.json \
@@ -119,6 +126,25 @@ def main():
             file=sys.stderr,
         )
         return 1
+
+    # 4. The latency attribution is present and conserved.
+    attr = stats.get("attribution")
+    if attr is not None:
+        if attr["accesses"] <= 0:
+            fail(f"{args.stats}: attribution recorded no accesses")
+        if attr["stage_total_sum"] != attr["end_to_end_total"]:
+            fail(
+                f"{args.stats}: attribution stage_total_sum {attr['stage_total_sum']} != "
+                f"end_to_end_total {attr['end_to_end_total']}"
+            )
+        stages = attr["stages"]
+        reads_media = global_delta.get("media_read_bytes", 0) > 0
+        if "load" in attr["ops"] and reads_media and "media_read" not in stages:
+            fail(f"{args.stats}: loads read the media, no media_read stage: {sorted(stages)}")
+        for name, stage in stages.items():
+            for pct in ("p50", "p90", "p99"):
+                if stage["hist"][pct] is None:
+                    fail(f"{args.stats}: attribution stage {name!r} has no {pct}")
     print(
         f"{len(samples)} samples over [{samples[0]['t_begin']}, {samples[-1]['t_end']}) cycles: "
         f"all {len(global_delta)} counter fields sum exactly to the global delta"

@@ -21,7 +21,7 @@ Usage:
     check_serve.py --stats /tmp/serve.json [--expect-shed] [--report]
 
 --expect-shed additionally requires at least one point to have shed requests
-(used by the CI overload run, which would silently stop exercising admission
+(used by the check_serve_open_a_shed ctest, which would silently stop exercising admission
 control if a config change made its queue deep enough to never fill).
 """
 

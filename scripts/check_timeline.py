@@ -6,8 +6,8 @@ per-window series is a *partition* of the serve phase: windows tile
 [serve_start, end) contiguously with only the final window partial, every
 completed/admitted/shed event lands in exactly one window, and the global
 per-window view is the exact field-wise merge of the per-shard views. This
-script gates those identities in CI from the outside, using only the JSON
-artifacts:
+script gates those identities from the outside (the check_timeline_* ctests),
+using only the JSON artifacts:
 
   * --timeline: the --timeline_json file ({"points": [...]});
   * --stats:    optionally, the same run's --stats_json report, whose "serve"

@@ -203,13 +203,19 @@ def parse(data):
     return header, segments
 
 
+def unreadable(msg):
+    """Exits 2: a file that cannot be read is not a failed validation (exit 1)."""
+    print(f"error: {msg}", file=sys.stderr)
+    sys.exit(2)
+
+
 def cross_check_stats(segments, stats_path):
     """Reconcile segment record counts against the run's stats rows."""
     try:
         with open(stats_path) as f:
             doc = json.load(f)
     except (OSError, json.JSONDecodeError) as e:
-        sys.exit(f"error: cannot read stats {stats_path}: {e}")
+        unreadable(f"cannot read stats {stats_path}: {e}")
     rows = doc.get("rows", [])
     if len(rows) != len(segments):
         raise TraceError(f"stats has {len(rows)} row(s) but trace has {len(segments)} segment(s)")
@@ -234,7 +240,7 @@ def main():
         with open(args.trace, "rb") as f:
             data = f.read()
     except OSError as e:
-        sys.exit(f"error: cannot read {args.trace}: {e}")
+        unreadable(f"cannot read {args.trace}: {e}")
 
     try:
         header, segments = parse(data)

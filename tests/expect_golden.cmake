@@ -1,5 +1,6 @@
 # Runs EXE with ARGS (a ;-separated list) and passes only when it exits RC
-# (default 0) and the file it wrote to OUT is byte-identical to GOLDEN.
+# (default 0) and, when OUT is given, the file it wrote to OUT is
+# byte-identical to GOLDEN.
 #
 #   cmake -DEXE=<binary> "-DARGS=--store=cceh;--stats_json=/tmp/cceh.json" \
 #         -DOUT=/tmp/cceh.json -DGOLDEN=bench/expectations/crashcheck/cceh.json \
@@ -7,12 +8,17 @@
 if(NOT DEFINED RC)
   set(RC 0)
 endif()
-get_filename_component(out_dir ${OUT} DIRECTORY)
-file(MAKE_DIRECTORY ${out_dir})
-file(REMOVE ${OUT})
+if(DEFINED OUT)
+  get_filename_component(out_dir ${OUT} DIRECTORY)
+  file(MAKE_DIRECTORY ${out_dir})
+  file(REMOVE ${OUT})
+endif()
 execute_process(COMMAND ${EXE} ${ARGS} RESULT_VARIABLE rc OUTPUT_QUIET ERROR_VARIABLE err)
 if(NOT rc STREQUAL RC)
   message(FATAL_ERROR "${EXE} ${ARGS}: exit '${rc}', want ${RC}\n${err}")
+endif()
+if(NOT DEFINED OUT)
+  return()
 endif()
 execute_process(COMMAND ${CMAKE_COMMAND} -E compare_files ${OUT} ${GOLDEN} RESULT_VARIABLE diff)
 if(NOT diff EQUAL 0)
