@@ -34,7 +34,10 @@
 // into an empty set resets them to the identity, a touch makes its way 0 and
 // ages each younger way by one, and a full set evicts the way of age
 // ways-1. Every valid way has been filled since the last reset, so the
-// ages order the valid ways by last touch, as per-way LRU ticks would.
+// ages order the valid ways by last touch, as per-way LRU ticks would. The
+// age update and the victim pick are SSE2 too, with scalar twins
+// (TouchScalar, OldestWayScalar) that other targets run and Debug builds
+// check every vector result against.
 
 #ifndef SRC_CACHE_CACHE_H_
 #define SRC_CACHE_CACHE_H_
@@ -196,6 +199,7 @@ class SetAssocCache {
     return reinterpret_cast<const uint8_t*>(&blocks_[base]);
   }
   uint8_t* Ages(size_t base) { return Meta(base) + kAgeOffset; }
+  const uint8_t* Ages(size_t base) const { return Meta(base) + kAgeOffset; }
   Addr& Tag(size_t w) { return blocks_[w + kMetaWords]; }
   Addr Tag(size_t w) const { return blocks_[w + kMetaWords]; }
   Cycles& ReadyAt(size_t w) { return blocks_[w + kMetaWords + config_.ways]; }
@@ -272,7 +276,8 @@ class SetAssocCache {
     valid_mask_[set] &= ~Bit(set, w);
   }
   // Makes `way` of the set at `base` the most recent: every way younger than
-  // it ages by one, and it becomes age 0.
+  // it ages by one, and it becomes age 0. Debug builds check every SSE2
+  // update against TouchScalar.
   void Touch(size_t base, uint32_t way) {
     uint8_t* ages = Ages(base);
     const uint8_t age = ages[way];
@@ -280,6 +285,11 @@ class SetAssocCache {
       return;
     }
 #if defined(__SSE2__)
+#ifndef NDEBUG
+    uint8_t want[kMetaWords * 8 - kAgeOffset];  // every age byte of the meta line
+    std::memcpy(want, ages, sizeof(want));
+    TouchScalar(want, way);
+#endif
     const __m128i touched = _mm_set1_epi8(static_cast<char>(age));
     for (uint32_t i = 0; i < config_.ways; i += 16) {
       __m128i* lanes = reinterpret_cast<__m128i*>(ages + i);
@@ -287,20 +297,26 @@ class SetAssocCache {
       // A younger lane's compare is all ones (-1): subtracting it adds one.
       _mm_store_si128(lanes, _mm_sub_epi8(v, _mm_cmpgt_epi8(touched, v)));
     }
+    ages[way] = 0;
+    PMEMSIM_DCHECK(std::memcmp(ages, want, sizeof(want)) == 0);
 #else
+    TouchScalar(ages, way);
+#endif
+  }
+  // Touch's age update one way at a time.
+  void TouchScalar(uint8_t* ages, uint32_t way) const {
+    const uint8_t age = ages[way];
     for (uint32_t i = 0; i < config_.ways; ++i) {
       ages[i] += ages[i] < age ? 1 : 0;
     }
-#endif
     ages[way] = 0;
   }
   // The way of the set at `base` whose age is ways - 1: the least recently
-  // touched one.
-  uint32_t OldestWay(size_t base) {
-    const uint8_t* ages = Ages(base);
-    const uint8_t oldest = static_cast<uint8_t>(config_.ways - 1);
+  // touched one. Debug builds check the SSE2 pick against OldestWayScalar.
+  uint32_t OldestWay(size_t base) const {
 #if defined(__SSE2__)
-    const __m128i want = _mm_set1_epi8(static_cast<char>(oldest));
+    const uint8_t* ages = Ages(base);
+    const __m128i want = _mm_set1_epi8(static_cast<char>(config_.ways - 1));
     uint32_t hits = 0;
     for (uint32_t i = 0; i < config_.ways; i += 16) {
       const __m128i v = _mm_load_si128(reinterpret_cast<const __m128i*>(ages + i));
@@ -308,14 +324,21 @@ class SetAssocCache {
     }
     hits &= ways_mask_;
     PMEMSIM_DCHECK(std::popcount(hits) == 1);
-    return static_cast<uint32_t>(std::countr_zero(hits));
+    const uint32_t way = static_cast<uint32_t>(std::countr_zero(hits));
+    PMEMSIM_DCHECK(way == OldestWayScalar(base));
+    return way;
 #else
+    return OldestWayScalar(base);
+#endif
+  }
+  // The first way whose age is ways - 1, by a walk over the age bytes.
+  uint32_t OldestWayScalar(size_t base) const {
+    const uint8_t* ages = Ages(base);
     uint32_t way = 0;
-    while (ages[way] != oldest) {
+    while (ages[way] != config_.ways - 1) {
       ++way;
     }
     return way;
-#endif
   }
 
   struct Aligned64Delete {
