@@ -67,11 +67,10 @@ int RunCrashcheck(int argc, char** argv) {
   const std::string store = flags.GetChoice("store", "cceh", CrashWorkload::StoreNames());
   const PlatformConfig platform = flags.GetPlatform("platform", "g1");
   const uint64_t points_requested = flags.GetPositiveU64("points", 200);
-  const uint64_t seed = flags.GetU64("seed", 7);
+  opts.seed = flags.GetU64("seed", opts.seed);
   opts.ops = flags.GetPositiveU64("ops", opts.ops);
   const std::string tear = flags.GetChoice("tear", "word", {"word", "subword"});
   opts.break_persist = flags.Has("break_persist");
-  opts.seed = seed;
   SweepRunner& runner =
       sweep.Start("pmemsim_crashcheck", "durable-image crash injection + recovery validation",
                   {"point", "event_kind", "crash_cycles", "acked_ops", "durable_writes",
@@ -93,7 +92,7 @@ int RunCrashcheck(int argc, char** argv) {
     sample.push_back(i);
   }
   if (points_requested < cal.events) {
-    Rng rng(Mix64(seed ^ 0xC4A5C4EC));
+    Rng rng(Mix64(opts.seed ^ 0xC4A5C4EC));
     rng.Shuffle(sample);
     sample.resize(points_requested);
     std::sort(sample.begin(), sample.end());
@@ -107,10 +106,10 @@ int RunCrashcheck(int argc, char** argv) {
     const std::vector<uint64_t> events(sample.begin() + c * sample.size() / chunks,
                                        sample.begin() + (c + 1) * sample.size() / chunks);
     runner.Add("points" + std::to_string(events.front()) + "-" + std::to_string(events.back()),
-               [&totals, c, events, platform, store, opts, seed,
+               [&totals, c, events, platform, store, opts,
                 granularity](pmemsim_bench::SweepPoint& point) {
                  ChunkTotals sum;
-                 pmemsim::RunCrashPoints(platform, store, opts, events, seed, granularity,
+                 pmemsim::RunCrashPoints(platform, store, opts, events, opts.seed, granularity,
                                          [&](const CrashPointResult& r) {
                                            sum.checks += r.report.checks;
                                            sum.violations += r.report.violations;
@@ -138,7 +137,7 @@ int RunCrashcheck(int argc, char** argv) {
                   .Set("platform", platform.name)
                   .Set("tear", tear)
                   .Set("ops", opts.ops)
-                  .Set("seed", seed)
+                  .Set("seed", opts.seed)
                   .Set("break_persist", static_cast<uint64_t>(opts.break_persist ? 1 : 0))
                   .Set("events_total", cal.events)
                   .Set("points", static_cast<uint64_t>(sample.size()))
