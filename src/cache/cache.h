@@ -21,23 +21,26 @@
 // array-of-structs implementation this replaces.
 //
 // The tag match (Find) has no per-way branch on x86-64: it compares the
-// line's fingerprint with every fingerprint byte of the set with SSE2, 16
-// ways a step, ANDs the hits with the valid mask, and confirms each
+// line's fingerprint with every fingerprint byte of the set at once
+// (MatchLanes), ANDs the hits with the valid mask, and confirms each
 // candidate against its full tag word. Invalid ways' bytes are stale or were
 // never written, so they may match; the mask drops them, and nothing zeroes
 // the array. Lanes at `ways` and above (5 for the 11-way L3) are padding in
-// the meta line; their bits are never valid. Other targets use the scalar
-// walk over the valid bits, and Debug builds check every vector result
-// against it.
+// the meta line; their bits are never valid. Debug builds check every match
+// against FindScalar, a walk over the valid ways' tag words that reads no
+// fingerprint.
 //
 // The ages are a permutation of 0..ways-1 over all of a set's ways: a fill
 // into an empty set resets them to the identity, a touch makes its way 0 and
-// ages each younger way by one, and a full set evicts the way of age
-// ways-1. Every valid way has been filled since the last reset, so the
-// ages order the valid ways by last touch, as per-way LRU ticks would. The
-// age update and the victim pick are SSE2 too, with scalar twins
-// (TouchScalar, OldestWayScalar) that other targets run and Debug builds
-// check every vector result against.
+// ages each younger way by one (TouchAges), and a full set evicts the way of
+// age ways-1 (OldestLane). Every valid way has been filled since the last
+// reset, so the ages order the valid ways by last touch, as per-way LRU
+// ticks would.
+//
+// The fingerprint match, the age update and the victim pick are the byte-lane
+// primitives of src/cache/byte_lanes.h, which the stream prefetcher's table
+// shares: SSE2 where it is baseline, with scalar twins that other targets
+// run and Debug builds check every vector result against.
 
 #ifndef SRC_CACHE_CACHE_H_
 #define SRC_CACHE_CACHE_H_
@@ -50,10 +53,7 @@
 #include <string>
 #include <vector>
 
-#if defined(__SSE2__)
-#include <emmintrin.h>
-#endif
-
+#include "src/cache/byte_lanes.h"
 #include "src/common/check.h"
 #include "src/common/config.h"
 #include "src/common/types.h"
@@ -212,9 +212,8 @@ class SetAssocCache {
   // in at most one valid way (Insert refreshes a present line in place), so
   // the memo of the last way found, checked first, cannot disagree with the
   // scan: it is used only while that way is valid and still holds the line.
-  // The scan is the SSE2 fingerprint compare described atop this file
-  // wherever SSE2 is baseline (x86-64: no -march or dispatch, so Find stays
-  // inlinable into Access), and FindScalar elsewhere.
+  // The scan is the fingerprint match described atop this file; Debug
+  // builds check it against FindScalar.
   size_t Find(size_t set, Addr line) const {
     if (memo_line_ == line && (valid_mask_[set] & Bit(set, memo_way_)) != 0 &&
         TagMatches(Tag(memo_way_), line)) {
@@ -224,17 +223,10 @@ class SetAssocCache {
     if (valid == 0) {
       return kNoWay;  // an empty set's block is not touched at all
     }
-#if defined(__SSE2__)
     const size_t base = set * stride_;
-    const __m128i want = _mm_set1_epi8(static_cast<char>(Fingerprint(line)));
-    const __m128i* fps = reinterpret_cast<const __m128i*>(Meta(base));
-    uint32_t hits = 0;
-    for (uint32_t i = 0; i < config_.ways; i += 16) {
-      const __m128i eq = _mm_cmpeq_epi8(_mm_load_si128(fps + i / 16), want);
-      hits |= static_cast<uint32_t>(_mm_movemask_epi8(eq)) << i;
-    }
     size_t w = kNoWay;
-    for (hits &= valid; hits != 0; hits &= hits - 1) {
+    for (uint32_t hits = MatchLanes(Meta(base), Fingerprint(line), config_.ways) & valid;
+         hits != 0; hits &= hits - 1) {
       const size_t c = base + static_cast<uint32_t>(std::countr_zero(hits));
       if (TagMatches(Tag(c), line)) {
         w = c;
@@ -242,16 +234,14 @@ class SetAssocCache {
       }
     }
     PMEMSIM_DCHECK(w == FindScalar(set, line));
-#else
-    const size_t w = FindScalar(set, line);
-#endif
     if (w != kNoWay) {
       memo_line_ = line;
       memo_way_ = w;
     }
     return w;
   }
-  // The bit walk over the valid ways, one TagMatches each; no memo.
+  // The bit walk over the valid ways, one TagMatches each; no memo and no
+  // fingerprint.
   size_t FindScalar(size_t set, Addr line) const {
     const size_t base = set * stride_;
     for (uint32_t m = valid_mask_[set]; m != 0; m &= m - 1) {
@@ -275,71 +265,11 @@ class SetAssocCache {
     Tag(w) &= ~kValid;
     valid_mask_[set] &= ~Bit(set, w);
   }
-  // Makes `way` of the set at `base` the most recent: every way younger than
-  // it ages by one, and it becomes age 0. Debug builds check every SSE2
-  // update against TouchScalar.
-  void Touch(size_t base, uint32_t way) {
-    uint8_t* ages = Ages(base);
-    const uint8_t age = ages[way];
-    if (age == 0) {
-      return;
-    }
-#if defined(__SSE2__)
-#ifndef NDEBUG
-    uint8_t want[kMetaWords * 8 - kAgeOffset];  // every age byte of the meta line
-    std::memcpy(want, ages, sizeof(want));
-    TouchScalar(want, way);
-#endif
-    const __m128i touched = _mm_set1_epi8(static_cast<char>(age));
-    for (uint32_t i = 0; i < config_.ways; i += 16) {
-      __m128i* lanes = reinterpret_cast<__m128i*>(ages + i);
-      const __m128i v = _mm_load_si128(lanes);
-      // A younger lane's compare is all ones (-1): subtracting it adds one.
-      _mm_store_si128(lanes, _mm_sub_epi8(v, _mm_cmpgt_epi8(touched, v)));
-    }
-    ages[way] = 0;
-    PMEMSIM_DCHECK(std::memcmp(ages, want, sizeof(want)) == 0);
-#else
-    TouchScalar(ages, way);
-#endif
-  }
-  // Touch's age update one way at a time.
-  void TouchScalar(uint8_t* ages, uint32_t way) const {
-    const uint8_t age = ages[way];
-    for (uint32_t i = 0; i < config_.ways; ++i) {
-      ages[i] += ages[i] < age ? 1 : 0;
-    }
-    ages[way] = 0;
-  }
+  // Makes `way` of the set at `base` the most recent (TouchAges).
+  void Touch(size_t base, uint32_t way) { TouchAges(Ages(base), way, config_.ways); }
   // The way of the set at `base` whose age is ways - 1: the least recently
-  // touched one. Debug builds check the SSE2 pick against OldestWayScalar.
-  uint32_t OldestWay(size_t base) const {
-#if defined(__SSE2__)
-    const uint8_t* ages = Ages(base);
-    const __m128i want = _mm_set1_epi8(static_cast<char>(config_.ways - 1));
-    uint32_t hits = 0;
-    for (uint32_t i = 0; i < config_.ways; i += 16) {
-      const __m128i v = _mm_load_si128(reinterpret_cast<const __m128i*>(ages + i));
-      hits |= static_cast<uint32_t>(_mm_movemask_epi8(_mm_cmpeq_epi8(v, want))) << i;
-    }
-    hits &= ways_mask_;
-    PMEMSIM_DCHECK(std::popcount(hits) == 1);
-    const uint32_t way = static_cast<uint32_t>(std::countr_zero(hits));
-    PMEMSIM_DCHECK(way == OldestWayScalar(base));
-    return way;
-#else
-    return OldestWayScalar(base);
-#endif
-  }
-  // The first way whose age is ways - 1, by a walk over the age bytes.
-  uint32_t OldestWayScalar(size_t base) const {
-    const uint8_t* ages = Ages(base);
-    uint32_t way = 0;
-    while (ages[way] != config_.ways - 1) {
-      ++way;
-    }
-    return way;
-  }
+  // touched one (OldestLane).
+  uint32_t OldestWay(size_t base) const { return OldestLane(Ages(base), config_.ways); }
 
   struct Aligned64Delete {
     void operator()(uint64_t* p) const { ::operator delete[](p, std::align_val_t{64}); }

@@ -1,7 +1,9 @@
 #include "src/cache/prefetcher.h"
 
+#include <bit>
 #include <cstdlib>
 
+#include "src/cache/byte_lanes.h"
 #include "src/cache/hierarchy.h"
 #include "src/common/check.h"
 
@@ -47,26 +49,30 @@ void PrefetchEngine::OnDemandAccess(const DemandInfo& info) {
 
 void PrefetchEngine::StreamTrain(Addr line, Cycles now) {
   const Addr page = PageBase(line);
+  const uint8_t fp = PageFingerprint(page);
   StreamEntry* entry = nullptr;
-  StreamEntry* victim = &streams_[0];
-  for (StreamEntry& e : streams_) {
-    if (e.valid && e.page == page) {
-      entry = &e;
+  uint32_t slot = 0;
+  for (uint32_t hits = MatchLanes(stream_fps_.data(), fp, kStreams) & stream_valid_; hits != 0;
+       hits &= hits - 1) {
+    slot = static_cast<uint32_t>(std::countr_zero(hits));
+    if (streams_[slot].page == page) {
+      entry = &streams_[slot];
       break;
-    }
-    if (!e.valid || e.lru < victim->lru) {
-      victim = &e;
     }
   }
   if (entry == nullptr) {
-    *victim = StreamEntry{};
-    victim->valid = true;
-    victim->page = page;
-    victim->last_line = line;
-    victim->lru = ++stream_tick_;
+    const uint32_t free = ~uint32_t{stream_valid_} & LaneMask(kStreams);
+    slot = free != 0 ? static_cast<uint32_t>(std::countr_zero(free))
+                     : OldestLane(stream_ages_.data(), kStreams);
+    streams_[slot] = StreamEntry{};
+    streams_[slot].page = page;
+    streams_[slot].last_line = line;
+    stream_fps_[slot] = fp;
+    stream_valid_ |= static_cast<uint16_t>(1u << slot);
+    TouchAges(stream_ages_.data(), slot, kStreams);
     return;
   }
-  entry->lru = ++stream_tick_;
+  TouchAges(stream_ages_.data(), slot, kStreams);
 
   const int64_t stride = static_cast<int64_t>(line) - static_cast<int64_t>(entry->last_line);
   entry->last_line = line;
@@ -101,8 +107,8 @@ void PrefetchEngine::StreamTrain(Addr line, Cycles now) {
 
 void PrefetchEngine::Reset() {
   last_demand_line_ = ~0ull;
-  streams_ = {};
-  stream_tick_ = 0;
+  stream_ages_ = kIdentityAges;
+  stream_valid_ = 0;
 }
 
 }  // namespace pmemsim

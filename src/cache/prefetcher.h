@@ -17,6 +17,27 @@
 // fills are not charged to the thread clock but do consume DIMM bandwidth —
 // exactly the waste mechanism the paper measures: a mispredicted cacheline
 // costs 64 B at the iMC but a whole 256 B XPLine at the media.
+//
+// The stream table holds 16 pages and trains on every demand access that
+// misses L1, so its lookup runs on most simulated accesses. It is laid out
+// for that: a 16-byte row of page fingerprints (the low byte of each entry's
+// page number), a 16-byte row of LRU ages and a 16-bit valid mask, beside
+// the entries' training state. A lookup matches the page's fingerprint
+// against all 16 lanes at once, ANDs the hits with the valid mask and reads
+// only a candidate's page word; a miss fills the first free entry, or else
+// evicts the entry of age 15 (the byte-lane primitives of
+// src/cache/byte_lanes.h, shared with SetAssocCache's meta line).
+//
+// The ages order the entries as a tick per touch would. They are a
+// permutation of 0..15 that Reset() sets to the identity, and every fill or
+// hit touches its entry: it becomes 0 and each younger entry ages by one.
+// Touched entries then hold ages 0..k-1 in recency order, ahead of every
+// untouched one; a valid entry has been touched since the reset, and no
+// valid entry is evicted while one is free, so a full table's age-15 entry
+// is its least recently trained page. Which slot a page sits in is not
+// observable (a page is in the table at most once), so the table tracks
+// the same pages, trains them the same way and draws lock arbitration from
+// the generator in the same order as a per-entry tick scan.
 
 #ifndef SRC_CACHE_PREFETCHER_H_
 #define SRC_CACHE_PREFETCHER_H_
@@ -59,15 +80,25 @@ class PrefetchEngine {
   void Reset();
 
  private:
+  // Reads the stream table's entries and ages (tests/stream_reference_test.cc).
+  friend struct PrefetchEngineTestPeer;
+
+  static constexpr uint32_t kStreams = 16;
+
   struct StreamEntry {
     Addr page = 0;
     Addr last_line = 0;
     int64_t stride = 0;
     int steps = 0;
     bool locked = false;
-    uint64_t lru = 0;
-    bool valid = false;
   };
+
+  static constexpr std::array<uint8_t, kStreams> kIdentityAges = {0, 1, 2,  3,  4,  5,  6,  7,
+                                                                   8, 9, 10, 11, 12, 13, 14, 15};
+
+  // The low byte of the page number: pages less than 256 pages apart never
+  // share it.
+  static uint8_t PageFingerprint(Addr page) { return static_cast<uint8_t>(page / kPageSize); }
 
   void StreamTrain(Addr line, Cycles now);
 
@@ -80,8 +111,12 @@ class PrefetchEngine {
   double stream_lock_probability_ = 0.4;
 
   Addr last_demand_line_ = ~0ull;  // DCU ascending-pair detector
-  std::array<StreamEntry, 16> streams_{};
-  uint64_t stream_tick_ = 0;
+  std::array<StreamEntry, kStreams> streams_{};
+  // The stream table's lanes (see the comment atop this file): entry i's
+  // page fingerprint and LRU age, and bit i set iff entry i is valid.
+  alignas(16) std::array<uint8_t, kStreams> stream_fps_{};
+  alignas(16) std::array<uint8_t, kStreams> stream_ages_ = kIdentityAges;
+  uint16_t stream_valid_ = 0;
 };
 
 }  // namespace pmemsim
