@@ -20,11 +20,6 @@ void PmemFlush(ThreadContext& cpu, Addr addr, size_t len) {
 
 void PmemDrain(ThreadContext& cpu) { cpu.Sfence(); }
 
-void PmemPersist(ThreadContext& cpu, Addr addr, size_t len) {
-  PmemFlush(cpu, addr, len);
-  PmemDrain(cpu);
-}
-
 void PmemMemcpyNodrain(ThreadContext& cpu, Addr dst, const void* src, size_t len) {
   if (len == 0) {
     return;

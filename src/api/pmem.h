@@ -7,8 +7,9 @@
 //   PmemFlush(cpu, addr, len);
 //   PmemDrain(cpu);
 //
-// Semantics follow libpmem on an ADR platform: persist = flush + drain, the
-// drain returns at WPQ acceptance, and large copies switch to non-temporal
+// Semantics follow libpmem on an ADR platform: persist = flush + drain
+// (PmemFlush + PmemDrain here; `Persist` in src/persist/barrier.h), the drain
+// returns at WPQ acceptance, and large copies switch to non-temporal
 // stores past a threshold exactly as pmem_memcpy does. On an eADR platform
 // (PlatformConfig::eadr_enabled) flushes are unnecessary and PmemHasAutoFlush
 // reports true.
@@ -40,9 +41,6 @@ void PmemFlush(ThreadContext& cpu, Addr addr, size_t len);
 // pmem_drain: wait until previously initiated flushes are accepted to the
 // power-fail-protected domain.
 void PmemDrain(ThreadContext& cpu);
-
-// pmem_persist = pmem_flush + pmem_drain.
-void PmemPersist(ThreadContext& cpu, Addr addr, size_t len);
 
 // pmem_memcpy_persist: copy into PM and make it durable. Small copies go
 // through the caches and are flushed; large copies stream with nt-stores.

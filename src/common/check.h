@@ -25,31 +25,24 @@ class CheckFailure : public std::runtime_error {
 };
 
 // While alive, failed CHECKs on the constructing thread throw CheckFailure
-// (still printed to stderr) instead of aborting. Nestable.
+// (still printed to stderr) instead of aborting. Nestable. Each holder
+// catches the CheckFailure in the scope that holds the capture, so a captured
+// failure needs no flush hook: the catching frame still owns whatever the
+// failed run left behind.
 class ScopedCheckCapture {
  public:
   ScopedCheckCapture();
   ~ScopedCheckCapture();
   ScopedCheckCapture(const ScopedCheckCapture&) = delete;
   ScopedCheckCapture& operator=(const ScopedCheckCapture&) = delete;
-
- private:
-  // Uncaught-exception count at construction: a higher count at destruction
-  // means this scope is unwinding from a failure (see RegisterCaptureUnwindHook).
-  int uncaught_ = 0;
 };
 
-// Registers a process-wide hook invoked whenever invariant failure tears
-// execution down: when a ScopedCheckCapture unwinds because an exception is
-// propagating through it, and just before a non-captured CHECK failure
-// aborts. Debug sinks holding buffered state use it to get that state onto
-// disk before it is lost — the trace emitter flushes its event buffer so a
-// failed sweep point's trace survives the failure-isolation catch (and a hard
-// abort). Appends `hook` to a small fixed table unless already present
-// (idempotent); returns false when the table is full. Hooks cannot be
-// removed, so register a trampoline that consults its own state rather than
-// a state-owning function. Hooks must be safe to call multiple times.
-bool RegisterCaptureUnwindHook(void (*hook)());
+// Sets the process-wide hook a non-captured CHECK failure calls just before
+// it aborts, so a debug sink holding buffered state gets that state onto disk
+// before the process dies (the trace emitter flushes its event buffer). One
+// hook per process; a later call replaces it. The hook may run at any time
+// after it is set, so install a function that consults its own state.
+void SetCheckAbortHook(void (*hook)());
 
 namespace internal {
 // Prints the failure, then throws CheckFailure (capture active) or aborts.

@@ -11,7 +11,7 @@ PortPool::PortPool(uint32_t ports, Cycles service_latency)
   PMEMSIM_CHECK(ports > 0);
 }
 
-size_t PortPool::PickPort(Cycles /*now*/) const {
+size_t PortPool::PickPort() const {
   size_t best = 0;
   for (size_t i = 1; i < busy_until_.size(); ++i) {
     if (busy_until_[i] < busy_until_[best]) {
@@ -22,22 +22,17 @@ size_t PortPool::PickPort(Cycles /*now*/) const {
 }
 
 Cycles PortPool::Schedule(Cycles now) {
-  const size_t p = PickPort(now);
+  const size_t p = PickPort();
   const Cycles start = std::max(now, busy_until_[p]);
   busy_until_[p] = start + service_latency_;
   return busy_until_[p];
 }
 
 Cycles PortPool::Schedule(Cycles now, Cycles completion_latency) {
-  const size_t p = PickPort(now);
+  const size_t p = PickPort();
   const Cycles start = std::max(now, busy_until_[p]);
   busy_until_[p] = start + service_latency_;
   return start + completion_latency;
-}
-
-Cycles PortPool::PeekCompletion(Cycles now) const {
-  const size_t p = PickPort(now);
-  return std::max(now, busy_until_[p]) + service_latency_;
 }
 
 Cycles PortPool::EarliestFree() const {

@@ -31,9 +31,6 @@ class PortPool {
   // as an issue-bandwidth limit, completion as end-to-end latency).
   Cycles Schedule(Cycles now, Cycles completion_latency);
 
-  // Completion time if scheduled, without mutating state (for probes).
-  Cycles PeekCompletion(Cycles now) const;
-
   // Earliest time any port frees up.
   Cycles EarliestFree() const;
 
@@ -42,7 +39,7 @@ class PortPool {
   Cycles service_latency() const { return service_latency_; }
 
  private:
-  size_t PickPort(Cycles now) const;
+  size_t PickPort() const;
 
   std::vector<Cycles> busy_until_;
   Cycles service_latency_;

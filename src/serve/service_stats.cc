@@ -82,10 +82,4 @@ void ServiceStats::ToJson(JsonWriter& w, double cpu_ghz, Cycles serve_start) con
   w.EndObject();
 }
 
-std::string ServiceStats::ToJson(double cpu_ghz, Cycles serve_start) const {
-  JsonWriter w;
-  ToJson(w, cpu_ghz, serve_start);
-  return w.str();
-}
-
 }  // namespace pmemsim

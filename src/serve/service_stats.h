@@ -12,7 +12,6 @@
 #define SRC_SERVE_SERVICE_STATS_H_
 
 #include <cstdint>
-#include <string>
 
 #include "src/common/stats.h"
 #include "src/common/types.h"
@@ -50,7 +49,6 @@ struct ServiceStats {
   //  "sojourn_p50":..,"sojourn_p99":..,"sojourn_p999":..,   (exact-rank)
   //  "latency":{"sojourn":{hist},"queue_wait":{hist},"service":{hist}}}
   void ToJson(JsonWriter& w, double cpu_ghz, Cycles serve_start) const;
-  std::string ToJson(double cpu_ghz, Cycles serve_start) const;
 };
 
 }  // namespace pmemsim

@@ -27,9 +27,10 @@
 // joined once per System: when shards share one, the first carries it),
 // evaluates the SLO
 // monitor (--slo_p99_cycles), and serializes the --timeline_json artifact.
-// It is also the unwind-flush target: FlushTruncated() finalizes whatever was
-// observed so a failed sweep point still emits a well-formed (marked
-// truncated) timeline.
+// FlushTruncated() closes a timeline whose sweep point failed before the tier
+// finalized it (pmemsim_serve's main calls it on every point after the
+// sweep), so a failed point still emits a well-formed, marked-truncated
+// timeline.
 
 #ifndef SRC_TRACE_SERVE_METRICS_H_
 #define SRC_TRACE_SERVE_METRICS_H_
@@ -91,8 +92,8 @@ class ServeMetrics {
 
   // Materializes the contiguous window list over [origin, end], emitting
   // zero windows for idle intervals and folding the joined mem samples in.
-  // Idempotent (later calls are ignored), so the unwind flush may race a
-  // completed normal finalize without harm.
+  // Idempotent (later calls are ignored), so a truncated flush after a
+  // normal finalize changes nothing.
   void Finalize(Cycles end);
   bool finalized() const { return finalized_; }
 
@@ -176,9 +177,10 @@ class ServeTimeline {
   // window counts line up across shards).
   void Finalize(Cycles end);
 
-  // Unwind-flush path: finalizes at the maximum observed event time so a
-  // failing sweep point still yields a well-formed timeline, marked
-  // truncated. Safe to call at any point in the lifecycle, repeatedly.
+  // Failure path: finalizes at the maximum observed event time so a failed
+  // sweep point still yields a well-formed timeline, marked truncated. Safe
+  // to call at any point in the lifecycle, repeatedly; a no-op after
+  // Finalize.
   void FlushTruncated();
   bool truncated() const { return truncated_; }
 

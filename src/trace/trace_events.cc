@@ -8,11 +8,10 @@
 namespace pmemsim {
 
 namespace {
-// Capture-unwind hook: when a sweep point CHECK-fails under failure isolation
-// (or a hard CHECK aborts the process), flush whatever events were buffered
-// so the partial trace reaches disk instead of dying with the run. A later
-// successful Flush/Disable simply rewrites the file.
-void FlushTraceOnUnwind() {
+// Abort hook: when a CHECK fails outside any capture scope and the process is
+// about to abort, flush whatever events were buffered so the partial trace
+// reaches disk instead of dying with the run.
+void FlushTraceOnAbort() {
   TraceEmitter& trace = TraceEmitter::Global();
   if (trace.enabled()) {
     trace.Flush();
@@ -27,7 +26,7 @@ TraceEmitter& TraceEmitter::Global() {
 
 void TraceEmitter::Enable(const std::string& path) {
   // Installed for the process lifetime; the hook no-ops while disabled.
-  RegisterCaptureUnwindHook(&FlushTraceOnUnwind);
+  SetCheckAbortHook(&FlushTraceOnAbort);
   std::lock_guard<std::mutex> lock(mu_);
   path_ = path;
   enabled_.store(true, std::memory_order_relaxed);

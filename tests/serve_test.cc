@@ -438,7 +438,7 @@ TEST(ServiceTierTest, TimelineMatchesWholeRunTotals) {
 }
 
 TEST(ServeTimelineTest, FlushTruncatedYieldsWellFormedTimeline) {
-  // The unwind-flush path: a sweep point dying mid-serve must still leave a
+  // The failed-point flush: a sweep point dying mid-serve must still leave a
   // contiguous, parseable timeline ending at the last observed event.
   ServeConfig cfg = SmallConfig();
   cfg.mix = *MixByName("a");

@@ -263,6 +263,113 @@ TEST(TraceFormatTest, CorruptionIsRejected) {
   expect_reject(bad_count, "footer count");
 }
 
+// A serialized one-segment trace (two threads, one metadata entry) whose
+// record count, payload length and payload are replaced by `records`,
+// `payload.size()` and `payload`: the payload sits between the two u64
+// fields and the 12-byte footer (u64 total records, "EOTR").
+std::string TraceWithPayload(const std::string& payload, uint64_t records) {
+  TraceFile file;
+  file.header = G1Header("edit");
+  TraceSegment seg;
+  seg.label = "edit";
+  seg.meta = {{"k", "v"}};
+  seg.thread_nodes = {0, 0};
+  file.segments.push_back(seg);
+  const std::string empty = file.Serialize();  // zero records, zero payload bytes
+  auto u64 = [](uint64_t v) {
+    std::string out;
+    for (int i = 0; i < 8; ++i) {
+      out.push_back(static_cast<char>(v >> (8 * i)));
+    }
+    return out;
+  };
+  std::string bytes = empty.substr(0, empty.size() - 12 - 16);
+  bytes += u64(records) + u64(payload.size()) + payload;
+  return bytes + u64(records) + "EOTR";
+}
+
+// Each record-level and metadata rejection, by the message it gives.
+TEST(TraceFormatTest, EditedPayloadsAreRejectedByName) {
+  // Records are u8 op | varint thread | [zigzag addr delta] | [varint aux] |
+  // varint clock delta; sfence (12) carries neither addr nor aux.
+  const struct {
+    std::string payload;
+    uint64_t records;
+    const char* error;
+  } cases[] = {
+      // Op 18 is kOpCount.
+      {std::string("\x12\x00\x00", 3), 1, "bad op code"},
+      // Thread 2 of a two-thread table.
+      {std::string("\x0c\x02\x00", 3), 1, "record thread out of range"},
+      // load_multi (15) has no addr field: its count 65537 is over 65536.
+      {std::string("\x0f\x00\x81\x80\x04\x00", 6), 1, "bad load_multi count"},
+      // read (5), addr delta 0, length 2^26 + 1 (over 64 MiB).
+      {std::string("\x05\x00\x00\x81\x80\x80\x20\x00", 8), 1, "range op length over limit"},
+      // The clock delta byte is missing: it is read from the footer.
+      {std::string("\x0c\x00", 2), 1, "record overruns segment payload"},
+      {std::string("\x0c\x00\x00\x00", 4), 1, "segment payload has trailing bytes"},
+  };
+  for (const auto& c : cases) {
+    TraceFile out;
+    std::string error;
+    const std::string bytes = TraceWithPayload(c.payload, c.records);
+    EXPECT_FALSE(TraceFile::Parse(bytes, &out, &error)) << c.error;
+    EXPECT_NE(error.find(c.error), std::string::npos) << c.error << ": " << error;
+  }
+
+  // A well-formed payload parses: one sfence on thread 1 at clock 5.
+  TraceFile out;
+  std::string error;
+  const std::string sfence = TraceWithPayload(std::string("\x0c\x01\x05", 3), 1);
+  ASSERT_TRUE(TraceFile::Parse(sfence, &out, &error)) << error;
+  ASSERT_EQ(out.segments.size(), 1u);
+  ASSERT_EQ(out.segments[0].records.size(), 1u);
+  EXPECT_EQ(out.segments[0].records[0].thread, 1u);
+  EXPECT_EQ(out.segments[0].records[0].clock, 5u);
+
+  // A metadata key whose u16 length is over the 4096-byte string limit.
+  std::string bad_meta = TraceWithPayload("", 0);
+  const size_t key = bad_meta.find(std::string("\x01\x00k\x01\x00v", 6));
+  ASSERT_NE(key, std::string::npos);
+  bad_meta[key + 1] = '\x20';  // length 0x2001
+  EXPECT_FALSE(TraceFile::Parse(bad_meta, &out, &error));
+  EXPECT_NE(error.find("bad metadata entry"), std::string::npos) << error;
+}
+
+// No library code issues ThreadContext::StoreLine, so no recorded run holds a
+// kStoreLine record; a hand-built segment does. A line store times exactly as
+// Store64 does, so a Store64 run with its store records retagged replays
+// through StoreLine to the same clocks and counters.
+TEST(TraceReplayTest, HandBuiltStoreLineSegmentReplays) {
+  const PlatformConfig config = *PlatformByName("g1");
+  System recorded(config, 1);
+  TraceRecorder recorder;
+  recorded.SetTraceRecorder(&recorder);
+  ThreadContext& ctx = recorded.CreateThread();
+  const PmRegion pm = recorded.AllocatePm(KiB(4), kXPLineSize);
+  for (uint64_t i = 0; i < 4; ++i) {
+    ctx.Store64(pm.At(i * kXPLineSize), i);
+    ctx.Clwb(pm.At(i * kXPLineSize));
+  }
+  ctx.Sfence();
+  TraceSegment seg = recorder.Take("store_line", {});
+  size_t retagged = 0;
+  for (TraceRecord& rec : seg.records) {
+    if (rec.op == TraceOp::kStore64) {
+      rec.op = TraceOp::kStoreLine;
+      ++retagged;
+    }
+  }
+  ASSERT_EQ(retagged, 4u);
+
+  System fresh(config, 1);
+  const ReplayResult res = ReplaySegment(seg, fresh, {});
+  ASSERT_TRUE(res.ok) << res.error;
+  EXPECT_EQ(res.records_applied, seg.records.size());
+  EXPECT_EQ(res.end_clock, ctx.clock());
+  EXPECT_TRUE(fresh.counters() == recorded.counters());
+}
+
 // Fuzz: random op streams round-trip through serialize/parse losslessly and
 // replay to the recorded counters. Seeds are fixed — failures reproduce.
 TEST(TraceReplayTest, FuzzRandomOpStreamsRoundTripAndReplay) {

@@ -50,12 +50,22 @@ TEST(Json, WriterProducesParsableNesting) {
 }
 
 TEST(Json, EscapingRoundTrips) {
-  const std::string nasty = "quote\" backslash\\ newline\n tab\t ctrl\x01 end";
+  // Every escape JsonEscape emits: the six short forms and \u00XX for the
+  // other control characters.
+  const std::string nasty = "quote\" backslash\\ \b\f newline\n\r tab\t ctrl\x01\x1f end";
+  EXPECT_EQ(JsonEscape(nasty),
+            "quote\\\" backslash\\\\ \\b\\f newline\\n\\r tab\\t ctrl\\u0001\\u001f end");
   JsonWriter w;
   w.BeginObject().Key("s").Value(nasty).EndObject();
   JsonValue v;
   ASSERT_TRUE(JsonValue::Parse(w.str(), &v));
   EXPECT_EQ(v.Find("s")->string, nasty);
+
+  // Escapes other writers emit: "\/" and \u code points past ASCII, which
+  // decode to two- and three-byte UTF-8, in either hex case.
+  std::string error;
+  ASSERT_TRUE(JsonValue::Parse("\"\\/\\u00e9\\u20AC\"", &v, &error)) << error;
+  EXPECT_EQ(v.string, "/\xC3\xA9\xE2\x82\xAC");
 }
 
 TEST(Json, LargeIntegersAreLossless) {
@@ -68,16 +78,37 @@ TEST(Json, LargeIntegersAreLossless) {
   EXPECT_EQ(v.Find("v")->AsUint(), big);
 }
 
+// One malformed document per parser error, with the message and the offset
+// it names: pmemsim_watch --serve_timeline feeds the parser files it did not
+// write.
 TEST(Json, ParserRejectsMalformedInput) {
-  JsonValue v;
-  EXPECT_FALSE(JsonValue::Parse("{\"a\":}", &v));
-  EXPECT_FALSE(JsonValue::Parse("{\"a\":1,}", &v));
-  EXPECT_FALSE(JsonValue::Parse("[1 2]", &v));
-  EXPECT_FALSE(JsonValue::Parse("{\"a\":1} extra", &v));
-  EXPECT_FALSE(JsonValue::Parse("\"unterminated", &v));
-  std::string error;
-  EXPECT_FALSE(JsonValue::Parse("", &v, &error));
-  EXPECT_FALSE(error.empty());
+  const struct {
+    const char* text;
+    const char* error;
+  } cases[] = {
+      {"", "unexpected end of input at offset 0"},
+      {"[1,", "unexpected end of input at offset 3"},
+      {"{\"a\":1} extra", "trailing characters at offset 8"},
+      {"nul", "invalid literal at offset 0"},
+      {"[tru]", "invalid literal at offset 1"},
+      {"{\"a\":}", "invalid number at offset 5"},
+      {"1.2.3x", "invalid number at offset 5"},
+      {"{\"a\":1,}", "expected string at offset 7"},
+      {"\"a\\", "unterminated escape at offset 3"},
+      {"\"\\u12", "truncated \\u escape at offset 3"},
+      {"\"\\u12g4\"", "invalid \\u escape at offset 6"},
+      {"\"\\q\"", "invalid escape at offset 3"},
+      {"\"unterminated", "unterminated string at offset 13"},
+      {"[1 2]", "expected ',' or ']' at offset 3"},
+      {"{\"a\" 1}", "expected ':' at offset 5"},
+      {"{\"a\":1 \"b\"}", "expected ',' or '}' at offset 7"},
+  };
+  for (const auto& c : cases) {
+    JsonValue v;
+    std::string error;
+    EXPECT_FALSE(JsonValue::Parse(c.text, &v, &error)) << c.text;
+    EXPECT_EQ(error, c.error) << c.text;
+  }
 }
 
 // --- serialization round-trips ---

@@ -18,14 +18,12 @@
 // report byte-identical to a serial run.
 
 #include <cstdio>
-#include <exception>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "bench/bench_util.h"
 #include "bench/sweep_runner.h"
-#include "src/common/check.h"
 #include "src/core/platform.h"
 #include "src/serve/domain_tier.h"
 #include "src/serve/tier.h"
@@ -52,65 +50,6 @@ struct ServeCliConfig {
   bool observe = false;           // any of the above requested
 };
 
-// The sweep point currently running on this worker thread, for the hard-abort
-// flush below. Captured failures never reach the process-wide hook (the sweep
-// runner catches them in the same frame as its capture scope), so this only
-// matters when a CHECK fails outside any capture and the process is about to
-// abort.
-thread_local ServeTimeline* g_active_timeline = nullptr;
-const std::string* g_timeline_path = nullptr;  // set once before runner.Run
-
-void FlushTimelineOnAbort() {
-  ServeTimeline* timeline = g_active_timeline;
-  if (timeline == nullptr) {
-    return;
-  }
-  timeline->FlushTruncated();
-  if (g_timeline_path == nullptr || g_timeline_path->empty()) {
-    return;
-  }
-  // main() never assembles the multi-point artifact on this path; persist the
-  // failing point alone, at a side path so the real artifact stays absent.
-  const std::string path = *g_timeline_path + ".aborted";
-  if (std::FILE* f = std::fopen(path.c_str(), "w")) {
-    const std::string json = timeline->ToJson();
-    std::fwrite(json.data(), 1, json.size(), f);
-    std::fclose(f);
-  }
-}
-
-// Serializes the point's timeline into its artifact slot on every exit path.
-// Normal completion writes the tier-finalized timeline; a propagating failure
-// first flushes it truncated at the last observed event, so a failed sweep
-// point still yields a well-formed (marked truncated) timeline. The guard
-// must live INSIDE the point body: the sweep runner catches the exception in
-// the same frame that holds its ScopedCheckCapture, so only an object in the
-// point's own frame destructs while the exception is still in flight.
-class TimelineSlotGuard {
- public:
-  TimelineSlotGuard(ServeTimeline* timeline, std::string* slot)
-      : timeline_(timeline), slot_(slot) {
-    if (timeline_ != nullptr) {
-      g_active_timeline = timeline_;
-      RegisterCaptureUnwindHook(&FlushTimelineOnAbort);  // hard-abort cover
-    }
-  }
-  ~TimelineSlotGuard() {
-    if (timeline_ == nullptr) {
-      return;
-    }
-    g_active_timeline = nullptr;
-    timeline_->FlushTruncated();  // no-op after the tier's normal Finalize
-    *slot_ = timeline_->ToJson();
-  }
-  TimelineSlotGuard(const TimelineSlotGuard&) = delete;
-  TimelineSlotGuard& operator=(const TimelineSlotGuard&) = delete;
-
- private:
-  ServeTimeline* timeline_;
-  std::string* slot_;
-};
-
 void EmitScope(pmemsim_bench::SweepPoint& point, const ServeCliConfig& cli,
                const std::string& mix, LoopMode loop, const std::string& scope,
                const ServiceStats& stats, Cycles serve_start) {
@@ -132,8 +71,7 @@ void EmitScope(pmemsim_bench::SweepPoint& point, const ServeCliConfig& cli,
 
 void RunPoint(const ServeCliConfig& cli, const std::string& mix, LoopMode loop,
               pmemsim_bench::SweepPoint& point, std::string* serve_json,
-              ServeTimeline* timeline, std::string* timeline_json) {
-  TimelineSlotGuard flush_guard(timeline, timeline_json);
+              ServeTimeline* timeline) {
   ServeConfig cfg = cli.serve;
   cfg.mix_name = mix;
   cfg.mix = *MixByName(mix);
@@ -279,19 +217,16 @@ int main(int argc, char** argv) {
   // One sweep point per (mix, loop): its own System, deterministic per seed.
   // Per-point tier JSON lands in a pre-sized slot so --jobs parallelism keeps
   // the assembled "serve" section in submission order. Timelines live here in
-  // main's frame — they must outlive a failing point's unwinding so the flush
-  // guard can serialize the truncated artifact into its slot.
+  // main's frame, so a failed point's timeline outlives the point and is
+  // closed below like every other.
   const size_t n_points = cli.mixes.size() * cli.loops.size();
   std::vector<std::string> serve_sections(n_points);
   std::vector<std::unique_ptr<ServeTimeline>> timelines(cli.observe ? n_points : 0);
-  std::vector<std::string> timeline_sections(cli.observe ? n_points : 0);
-  g_timeline_path = &cli.timeline_path;
   size_t index = 0;
   for (const std::string& mix : cli.mixes) {
     for (const LoopMode mode : cli.loops) {
       std::string* slot = &serve_sections[index];
       ServeTimeline* timeline = nullptr;
-      std::string* timeline_slot = nullptr;
       if (cli.observe) {
         ServeTimeline::Config tcfg;
         tcfg.mix = mix;
@@ -306,18 +241,22 @@ int main(int argc, char** argv) {
           timelines[index]->EnableSpans();
         }
         timeline = timelines[index].get();
-        timeline_slot = &timeline_sections[index];
       }
       ++index;
       const std::string label = "mix-" + mix + "/" + LoopModeName(mode);
-      runner.Add(label,
-                 [&cli, mix, mode, slot, timeline, timeline_slot](pmemsim_bench::SweepPoint& point) {
-                   RunPoint(cli, mix, mode, point, slot, timeline, timeline_slot);
-                 });
+      runner.Add(label, [&cli, mix, mode, slot, timeline](pmemsim_bench::SweepPoint& point) {
+        RunPoint(cli, mix, mode, point, slot, timeline);
+      });
     }
   }
 
   runner.Run(sweep.report());
+  // A point that failed before its tier finalized the timeline (even one that
+  // failed before attaching it) is closed here, truncated at its last
+  // observed event and marked so; a finalized timeline is left as it is.
+  for (const std::unique_ptr<ServeTimeline>& timeline : timelines) {
+    timeline->FlushTruncated();
+  }
   pmemsim_bench::BenchReport& report = sweep.report();
   pmemsim::JsonWriter serve;
   serve.BeginArray();
@@ -361,12 +300,8 @@ int main(int argc, char** argv) {
     timeline.Key("schema_version").Value(uint64_t{1});
     timeline.Key("bench").Value("pmemsim_serve");
     timeline.Key("points").BeginArray();
-    for (const std::string& section : timeline_sections) {
-      if (section.empty()) {
-        timeline.Null();  // point never ran; keep indexes aligned with rows
-      } else {
-        timeline.Raw(section);
-      }
+    for (const std::unique_ptr<ServeTimeline>& point : timelines) {
+      point->ToJson(timeline);
     }
     timeline.EndArray();
     timeline.EndObject();
