@@ -1,9 +1,8 @@
 // Shared helpers for the benches and tools: tiny flag parsing, the typed
-// result rows, and the structured-telemetry flags every binary accepts:
+// result rows, and the structured-telemetry flag every binary accepts:
 //
 //   --stats_json=<path>    write the binary's rows as machine-readable JSON
 //                          (consumed by scripts/check_figures.py in CI)
-//   --trace_out=<path>     emit a chrome://tracing event file for the run
 //
 // Every binary prints a "# <name> — <description>" header, then declares its
 // CSV columns and emits typed rows against them: BenchReport renders each row
@@ -31,7 +30,6 @@
 #include "src/common/types.h"
 #include "src/trace/counters.h"
 #include "src/trace/json.h"
-#include "src/trace/trace_events.h"
 
 namespace pmemsim_bench {
 
@@ -39,7 +37,6 @@ namespace pmemsim_bench {
 // a binary, by flag name. Usage() prints each only if the binary read it.
 inline constexpr std::pair<const char*, const char*> kSharedFlagNotes[] = {
     {"stats_json", "  --stats_json=<path>    write rows as JSON (for scripts/check_figures.py)\n"},
-    {"trace_out", "  --trace_out=<path>     write a chrome://tracing event file\n"},
     {"jobs",
      "  --jobs=N               host parallelism ACROSS sweep points: N points\n"
      "                         run concurrently, each a complete independent\n"
@@ -378,7 +375,7 @@ inline bool WriteFile(const std::string& path, const std::string& text) {
 }
 
 // Collects the binary's result rows and writes them as JSON when the user
-// passed --stats_json. Also enables the chrome-trace emitter for --trace_out.
+// passed --stats_json.
 //
 //   BenchReport report(flags, "perf_serve");
 //   report.DeclareColumns({"workload", "threads", "speedup_vs_1t"});
@@ -477,13 +474,7 @@ class BenchReport {
   BenchReport(const Flags& flags, const std::string& bench_name,
               const std::string& default_stats_path = "")
       : bench_name_(bench_name),
-        stats_path_(flags.Get("stats_json", default_stats_path)) {
-    const std::string trace_path = flags.Get("trace_out", "");
-    if (!trace_path.empty()) {
-      pmemsim::TraceEmitter::Global().Enable(trace_path);
-      trace_enabled_ = true;
-    }
-  }
+        stats_path_(flags.Get("stats_json", default_stats_path)) {}
 
   // Declares the columns of the rows Emit() takes from here on and prints
   // them as the CSV column line. A binary with two row shapes declares each
@@ -517,19 +508,11 @@ class BenchReport {
     sections_.emplace_back(key, std::move(raw_json));
   }
 
-  // Writes the JSON report and/or trace if requested. Returns a process exit
-  // code: 0 on success (or nothing to write), 1 on I/O failure.
+  // Writes the JSON report if requested. Returns a process exit code: 0 on
+  // success (or nothing to write), 1 on I/O failure.
   int Finish() {
-    int rc = 0;
-    if (trace_enabled_) {
-      if (!pmemsim::TraceEmitter::Global().Disable()) {
-        std::fprintf(stderr, "error: failed to write trace_out file\n");
-        rc = 1;
-      }
-      trace_enabled_ = false;
-    }
     if (stats_path_.empty()) {
-      return rc;
+      return 0;
     }
     pmemsim::JsonWriter w;
     w.BeginObject();
@@ -572,7 +555,7 @@ class BenchReport {
       return 1;
     }
     stats_path_.clear();
-    return rc;
+    return 0;
   }
 
  private:
@@ -589,7 +572,6 @@ class BenchReport {
   std::string bench_name_;
   std::string stats_path_;
   std::vector<std::string> columns_;
-  bool trace_enabled_ = false;
   std::vector<Row> rows_;
   std::vector<std::pair<std::string, pmemsim::Counters>> counters_;
   std::vector<std::pair<std::string, std::string>> sections_;

@@ -23,12 +23,6 @@ void SweepPoint::Emit(BenchReport::Row row) {
 SweepRunner::SweepRunner(const Flags& flags) {
   const uint64_t jobs = flags.GetU64("jobs", 1);
   jobs_ = jobs == 0 ? 1 : static_cast<uint32_t>(jobs);
-  if (jobs_ > 1 && pmemsim::TraceEmitter::Global().enabled()) {
-    std::fprintf(stderr,
-                 "note: --trace_out uses the process-wide trace buffer; "
-                 "running with --jobs=1 for a deterministic trace\n");
-    jobs_ = 1;
-  }
 }
 
 void SweepRunner::Add(std::string label, std::function<void(SweepPoint&)> fn) {

@@ -14,9 +14,6 @@
 //    error row {"point": label, "error": message}, an "error," CSV line, and
 //    the run exits nonzero with a failure summary on stderr.
 //
-// Tracing (--trace_out) uses the process-wide TraceEmitter whose event order
-// would depend on worker interleaving, so tracing runs are pinned to one job.
-//
 // A binary declares its CSV columns once; SweepPoint::Emit buffers each row,
 // and the runner hands it to BenchReport::Emit, which prints the CSV line and
 // keeps the --stats_json row, so the two cannot drift. A row whose cell names
@@ -73,9 +70,7 @@ class SweepPoint {
 
 class SweepRunner {
  public:
-  // Reads --jobs=N from `flags` (default 1, clamped to >= 1). Tracing runs
-  // (--trace_out, already enabled on the global TraceEmitter by BenchReport)
-  // are clamped to one job with a note on stderr.
+  // Reads --jobs=N from `flags` (default 1, clamped to >= 1).
   explicit SweepRunner(const Flags& flags);
 
   // Queues one sweep point. `label` names the point in error rows and the
@@ -108,7 +103,7 @@ class SweepRunner {
 };
 
 // The front end every sweep binary's main() shares. The constructor builds
-// the BenchReport (first, so --trace_out pins --jobs) and the SweepRunner;
+// the BenchReport and the SweepRunner;
 // the binary then reads its own flags through flags(); Start() rejects
 // unknown flags and answers --help (Flags::RejectUnknown), prints the
 // "# <figure> — <description>" header and declares the columns. A binary

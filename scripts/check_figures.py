@@ -93,7 +93,8 @@ def load_stats(paths):
     """Maps bench name -> parsed stats JSON, from files or directories.
 
     Files named explicitly must be stats files; when scanning a directory,
-    JSON files without a "bench" field (e.g. chrome traces) are skipped.
+    JSON files without a "bench" field (e.g. pmemsim_watch --samples_json
+    files) are skipped.
     """
     stats = {}
     files = []

@@ -1,6 +1,5 @@
 #include "src/common/check.h"
 
-#include <atomic>
 #include <cstdio>
 #include <cstdlib>
 
@@ -10,15 +9,11 @@ namespace {
 // Per-thread capture depth: sweep-runner workers enable capture around each
 // point; everything else keeps the abort-on-failure contract.
 thread_local int g_capture_depth = 0;
-// The SetCheckAbortHook hook; null until a sink installs one.
-std::atomic<void (*)()> g_abort_hook{nullptr};
 }  // namespace
 
 ScopedCheckCapture::ScopedCheckCapture() { ++g_capture_depth; }
 
 ScopedCheckCapture::~ScopedCheckCapture() { --g_capture_depth; }
-
-void SetCheckAbortHook(void (*hook)()) { g_abort_hook.store(hook, std::memory_order_release); }
 
 namespace internal {
 
@@ -32,9 +27,6 @@ void CheckFailed(const char* file, int line, const char* cond, const char* msg) 
   std::fprintf(stderr, "%s\n", buf);
   if (g_capture_depth > 0) {
     throw CheckFailure(buf);
-  }
-  if (void (*hook)() = g_abort_hook.load(std::memory_order_acquire)) {
-    hook();  // the process is going down: last chance to flush
   }
   std::abort();
 }

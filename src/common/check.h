@@ -26,9 +26,8 @@ class CheckFailure : public std::runtime_error {
 
 // While alive, failed CHECKs on the constructing thread throw CheckFailure
 // (still printed to stderr) instead of aborting. Nestable. Each holder
-// catches the CheckFailure in the scope that holds the capture, so a captured
-// failure needs no flush hook: the catching frame still owns whatever the
-// failed run left behind.
+// catches the CheckFailure in the scope that holds the capture, so the
+// catching frame still owns whatever the failed run left behind.
 class ScopedCheckCapture {
  public:
   ScopedCheckCapture();
@@ -36,13 +35,6 @@ class ScopedCheckCapture {
   ScopedCheckCapture(const ScopedCheckCapture&) = delete;
   ScopedCheckCapture& operator=(const ScopedCheckCapture&) = delete;
 };
-
-// Sets the process-wide hook a non-captured CHECK failure calls just before
-// it aborts, so a debug sink holding buffered state gets that state onto disk
-// before the process dies (the trace emitter flushes its event buffer). One
-// hook per process; a later call replaces it. The hook may run at any time
-// after it is set, so install a function that consults its own state.
-void SetCheckAbortHook(void (*hook)());
 
 namespace internal {
 // Prints the failure, then throws CheckFailure (capture active) or aborts.

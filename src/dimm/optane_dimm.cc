@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "src/common/check.h"
-#include "src/trace/trace_events.h"
 
 namespace pmemsim {
 
@@ -108,9 +107,6 @@ void OptaneDimm::ReadImpl(Addr addr, Cycles now, bool ordered, AccessRecord* out
   const Cycles ait_cost = ait_.Access(line);
   const Cycles media_done = media_.ReadXPLine(line, now + ait_cost);
   read_buffer_.FillForDelivery(line);
-  if (trace_track_ != 0) {
-    TraceEmitter::Global().Instant(trace_track_, "read_buffer_fill", now);
-  }
   out->complete_at = media_done + config_.buffer_hit_latency;
   out->mem.ait = ait_cost;
   out->mem.media = media_done - (now + ait_cost);
@@ -138,11 +134,6 @@ DimmWriteResult OptaneDimm::Write(Addr addr, Cycles now) {
     write_buffer_.Write(line, now, visible_at, writeback_scratch_);
   }
 
-  if (trace_track_ != 0) {
-    TraceEmitter::Global().CounterEvent(trace_track_, "write_buffer_entries", now,
-                                        static_cast<double>(write_buffer_.occupied_entries()));
-  }
-
   DimmWriteResult result;
   result.visible_at = visible_at;
   if (!writeback_scratch_.empty()) {
@@ -168,11 +159,6 @@ void OptaneDimm::PerformWritebacks(const std::vector<WritebackRequest>& requests
       t = media_.ReadXPLine(req.xpline, t);
     }
     media_.WriteXPLine(req.xpline, t);
-    if (trace_track_ != 0) {
-      TraceEmitter::Global().Instant(
-          trace_track_, req.periodic ? "periodic_writeback" : "write_buffer_evict", now, "rmw",
-          req.needs_rmw ? 1.0 : 0.0);
-    }
   }
 }
 

@@ -78,9 +78,6 @@ class OptaneDimm {
   const WriteBuffer& write_buffer() const { return write_buffer_; }
   const OptaneDimmConfig& config() const { return config_; }
 
-  // Chrome-trace row for this DIMM's buffer events (0 = emit nothing).
-  void SetTraceTrack(int track) { trace_track_ = track; }
-
  private:
   // Read-path body, specialized on whether this generation runs the periodic
   // full-XPLine write-back (true on G1, false on G2 and eADR presets).
@@ -94,7 +91,6 @@ class OptaneDimm {
 
   OptaneDimmConfig config_;
   Counters* counters_;
-  int trace_track_ = 0;
   Ait ait_;
   XpointMedia media_;
   ReadBuffer read_buffer_;

@@ -4,7 +4,6 @@
 
 #include "src/common/check.h"
 #include "src/trace/registry.h"
-#include "src/trace/trace_events.h"
 
 namespace pmemsim {
 
@@ -15,7 +14,6 @@ MemoryController::MemoryController(const PlatformConfig& platform, CounterRegist
   PMEMSIM_CHECK(n > 0);
   const WpqConfig wpq_config{config_.wpq_entries, config_.wpq_accept_latency,
                              config_.wpq_drain_latency};
-  TraceEmitter& trace = TraceEmitter::Global();
   for (uint32_t i = 0; i < n; ++i) {
     const std::string scope_name = "optane_dimm" + std::to_string(i);
     Counters* scope = registry->CreateScope(scope_name);
@@ -23,11 +21,6 @@ MemoryController::MemoryController(const PlatformConfig& platform, CounterRegist
     optane_dimms_.push_back(
         std::make_unique<OptaneDimm>(platform.optane, scope, 0xD1337 + i * 0x9E37));
     optane_wpqs_.push_back(std::make_unique<Wpq>(wpq_config, scope));
-    if (trace.enabled()) {
-      const int track = trace.RegisterTrack(scope_name);
-      optane_dimms_[i]->SetTraceTrack(track);
-      optane_wpqs_[i]->SetTraceTrack(track);
-    }
   }
   Counters* dram_scope = registry->CreateScope("dram");
   dram_scope_counters_ = dram_scope;

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "src/common/check.h"
-#include "src/trace/trace_events.h"
 
 namespace pmemsim {
 
@@ -22,7 +21,7 @@ Wpq::AcceptResult Wpq::Accept(Cycles now) {
   if (inflight_.size() >= config_.entries) {
     // Queue full: the store waits for the oldest entry to leave. The entry
     // retires at its drain time (not now): popping it early would make
-    // OccupancyAt and the wpq_occupancy trace under-report during the stall.
+    // OccupancyAt and the sampler's wpq_occupancy gauge under-report during the stall.
     const Cycles wait_until = inflight_.front();
     counters_->wpq_stall_cycles += wait_until - start;
     start = wait_until;
@@ -38,10 +37,6 @@ Wpq::AcceptResult Wpq::Accept(Cycles now) {
   r.drained_at = drain_start + config_.drain_latency;
   drain_free_at_ = r.drained_at;
   inflight_.push_back(r.drained_at);
-  if (trace_track_ != 0) {
-    TraceEmitter::Global().CounterEvent(trace_track_, "wpq_occupancy", now,
-                                        static_cast<double>(inflight_.size()));
-  }
   return r;
 }
 

@@ -45,13 +45,9 @@ class Wpq {
 
   void Reset();
 
-  // Chrome-trace row for this queue's occupancy series (0 = emit nothing).
-  void SetTraceTrack(int track) { trace_track_ = track; }
-
  private:
   WpqConfig config_;
   Counters* counters_;
-  int trace_track_ = 0;
 
   // Drain-completion times of entries still logically in the queue.
   std::deque<Cycles> inflight_;

@@ -88,14 +88,6 @@ JsonWriter& JsonWriter::Value(uint64_t v) {
   return *this;
 }
 
-JsonWriter& JsonWriter::Value(int v) {
-  BeforeValue();
-  char buf[16];
-  std::snprintf(buf, sizeof(buf), "%d", v);
-  out_ += buf;
-  return *this;
-}
-
 JsonWriter& JsonWriter::Value(double v) {
   BeforeValue();
   if (!std::isfinite(v)) {

@@ -35,7 +35,6 @@ class JsonWriter {
   JsonWriter& Value(const std::string& s);
   JsonWriter& Value(const char* s);
   JsonWriter& Value(uint64_t v);
-  JsonWriter& Value(int v);
   JsonWriter& Value(double v);
   JsonWriter& Value(bool v);
   JsonWriter& Null();

@@ -157,6 +157,28 @@ TEST(DramDimmTest, RapShorterThanOptane) {
   EXPECT_LT(cfg.write_visible_delay, G1Dimm().write_visible_delay / 4);
 }
 
+// The 65,536th pending write sweeps the lines whose writes are visible: a
+// line still propagating (written just before or by the sweeping write)
+// keeps its read-after-persist stall, and an expired line takes none.
+TEST(DramDimmTest, SweepKeepsOnlyPendingLines) {
+  Counters c;
+  DramConfig cfg = G1Platform().dram;
+  DramDimm dimm(cfg, &c);
+  constexpr uint64_t kSweepAt = 65536;
+  for (uint64_t i = 0; i < kSweepAt - 2; ++i) {
+    dimm.Write(i * kCacheLineSize, 0);
+  }
+  const Addr before = (kSweepAt - 2) * kCacheLineSize;
+  const Addr sweeping = (kSweepAt - 1) * kCacheLineSize;
+  const DimmWriteResult wb = dimm.Write(before, 9990);
+  const DimmWriteResult ws = dimm.Write(sweeping, 10000);
+
+  EXPECT_EQ(ReadLine(dimm, before, 10001, true).stalled_for, wb.visible_at - 10001);
+  EXPECT_EQ(ReadLine(dimm, sweeping, 10002, true).stalled_for, ws.visible_at - 10002);
+  EXPECT_EQ(ReadLine(dimm, 0, 10003, true).stalled_for, 0u);
+  EXPECT_EQ(c.rap_stalled_loads, 2u);
+}
+
 // Property: over any random mixed workload, media read/write bytes are
 // multiples of the XPLine size and iMC bytes multiples of the cacheline size,
 // with amplification bounded by 4 (the paper's §2.4 bound).

@@ -2,6 +2,7 @@
 // strict rejection of damaged files (DESIGN.md §8).
 
 #include <cstdint>
+#include <cstdio>
 #include <string>
 #include <utility>
 #include <vector>
@@ -88,6 +89,41 @@ TEST(TraceFormatTest, SerializeParseRoundTripIsLossless) {
 
   // Re-serializing the parsed file reproduces the bytes exactly.
   EXPECT_EQ(parsed.Serialize(), bytes);
+}
+
+// WriteTo's and Load's I/O failures each name the path they failed on.
+TEST(TraceFileIoTest, CannotOpenNamesThePath) {
+  TraceFile file;
+  file.header = G1Header("io");
+  const std::string path = ::testing::TempDir() + "/no_such_dir/x.pmtrace";
+  std::string error;
+  EXPECT_FALSE(file.WriteTo(path, &error));
+  EXPECT_EQ(error, "cannot open " + path + " for writing");
+  TraceFile out;
+  EXPECT_FALSE(TraceFile::Load(path, &out, &error));
+  EXPECT_EQ(error, "cannot open " + path);
+}
+
+TEST(TraceFileIoTest, ShortWriteNamesThePath) {
+  const std::string path = "/dev/full";
+  std::FILE* probe = std::fopen(path.c_str(), "wb");
+  if (probe == nullptr) {
+    GTEST_SKIP() << path << " is not writable here";
+  }
+  std::fclose(probe);
+  TraceFile file;
+  file.header = G1Header("io");
+  std::string error;
+  EXPECT_FALSE(file.WriteTo(path, &error));
+  EXPECT_EQ(error, "short write to " + path);
+}
+
+TEST(TraceFileIoTest, ReadErrorNamesThePath) {
+  const std::string path = ::testing::TempDir();  // a directory opens but cannot be read
+  TraceFile out;
+  std::string error;
+  EXPECT_FALSE(TraceFile::Load(path, &out, &error));
+  EXPECT_EQ(error, "read error on " + path);
 }
 
 TEST(TraceReplayTest, ReplayReproducesClocksAndCounters) {

@@ -17,7 +17,6 @@
 #include "src/trace/json.h"
 #include "src/trace/registry.h"
 #include "src/trace/sampler.h"
-#include "src/trace/trace_events.h"
 
 namespace pmemsim {
 namespace {
@@ -328,50 +327,6 @@ TEST(SystemScopes, PerThreadCountersSumToGlobal) {
   EXPECT_EQ(s0->demand_loads, 100u);
   EXPECT_EQ(s1->demand_loads, 40u);
   EXPECT_EQ(system->counters().demand_loads, 140u);
-}
-
-// --- trace emitter ---
-
-TEST(TraceEvents, EmitsValidChromeTraceJson) {
-  const std::string path = ::testing::TempDir() + "/pmemsim_trace_test.json";
-  TraceEmitter& te = TraceEmitter::Global();
-  te.Enable(path);
-  const int track = te.RegisterTrack("optane_dimm0");
-  te.CounterEvent(track, "wpq_occupancy", 100, 3.0);
-  te.Instant(track, "write_buffer_evict", 150, "rmw", 1.0);
-  ASSERT_TRUE(te.Disable());
-
-  std::FILE* f = std::fopen(path.c_str(), "r");
-  ASSERT_NE(f, nullptr);
-  std::string text;
-  char buf[4096];
-  size_t n = 0;
-  while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) {
-    text.append(buf, n);
-  }
-  std::fclose(f);
-
-  JsonValue v;
-  std::string error;
-  ASSERT_TRUE(JsonValue::Parse(text, &v, &error)) << error;
-  const JsonValue* events = v.Find("traceEvents");
-  ASSERT_NE(events, nullptr);
-  // Track metadata rows + the two events.
-  bool saw_counter = false;
-  bool saw_instant = false;
-  for (const JsonValue& e : events->array) {
-    if (e.Find("ph")->string == "C" && e.Find("name")->string == "wpq_occupancy") {
-      saw_counter = true;
-      EXPECT_EQ(e.Find("ts")->AsUint(), 100u);
-      EXPECT_DOUBLE_EQ(e.Find("args")->Find("value")->AsDouble(), 3.0);
-    }
-    if (e.Find("ph")->string == "i" && e.Find("name")->string == "write_buffer_evict") {
-      saw_instant = true;
-    }
-  }
-  EXPECT_TRUE(saw_counter);
-  EXPECT_TRUE(saw_instant);
-  std::remove(path.c_str());
 }
 
 // --- interval sampler ---

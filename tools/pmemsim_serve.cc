@@ -181,12 +181,6 @@ int main(int argc, char** argv) {
     pmemsim_bench::Flags::BadValue("dispatch_latency", flags.Get("dispatch_latency", ""),
                                    "--engine_threads to be set (private-System domains only)");
   }
-  if (cli.partitioned && !flags.Get("trace_out", "").empty() && cfg.engine_threads > 1) {
-    std::fprintf(stderr,
-                 "note: --trace_out forces --engine_threads=1 (the trace "
-                 "emitter is a global sink; order must stay deterministic)\n");
-    cfg.engine_threads = 1;
-  }
 
   // Serve observability: any of the flags below switches the timeline on for
   // every sweep point. --timeline_json / span export imply windowing with a
