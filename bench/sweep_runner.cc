@@ -2,15 +2,13 @@
 
 #include <algorithm>
 #include <atomic>
-#include <condition_variable>
 #include <cstdio>
-#include <cstdlib>
 #include <exception>
 #include <mutex>
-#include <thread>
 #include <utility>
 
 #include "src/common/check.h"
+#include "src/common/host_pool.h"
 
 namespace pmemsim_bench {
 
@@ -66,73 +64,37 @@ int SweepRunner::Run(BenchReport& report) {
     state.output.columns_ = &report.columns_;
   }
 
-  // Deterministic emission: submission order, whatever the completion order.
-  int failures = 0;
-  auto emit = [&](size_t i) {
-    PointState& state = states[i];
-    if (state.failed) {
-      ++failures;
-      std::fprintf(stderr, "sweep point failed: %s: %s\n", points_[i].label.c_str(),
-                   state.error.c_str());
-      report.EmitError(points_[i].label, state.error);
-    } else {
-      for (BenchReport::Row& row : state.output.rows_) {
-        report.Emit(std::move(row));
-      }
-    }
-    std::fflush(stdout);
-  };
-
-  if (jobs_ <= 1 || points_.size() <= 1) {
-    // Serial path: run on the calling thread, emitting as each point ends.
-    // Identical to the historical per-bench loops, plus failure isolation.
-    for (size_t i = 0; i < points_.size(); ++i) {
+  // Workers claim points from an atomic cursor. Each point builds its own
+  // System from fixed seeds, so its output is independent of which worker
+  // runs it or when. The worker that finishes a point emits every point of
+  // the finished prefix, in submission order, so rows stream as soon as
+  // every earlier point is out, whatever the completion order.
+  std::atomic<size_t> next{0};
+  std::mutex mu;
+  size_t emitted = 0;  // points [0, emitted) are out; guarded by mu
+  int failures = 0;    // guarded by mu
+  pmemsim::HostPool pool(static_cast<uint32_t>(std::min<size_t>(jobs_, points_.size())));
+  pool.Run([&](uint32_t) {
+    for (size_t i = next.fetch_add(1); i < points_.size(); i = next.fetch_add(1)) {
       RunPoint(points_[i].fn, states[i]);
+      std::lock_guard<std::mutex> lock(mu);
       states[i].done = true;
-      emit(i);
-    }
-  } else {
-    // Sharded path: workers claim points via an atomic cursor; the main
-    // thread streams each point's output as soon as every earlier point has
-    // been emitted. Each point builds its own System from fixed seeds, so
-    // its output is independent of which worker runs it or when.
-    std::atomic<size_t> next{0};
-    std::mutex mu;
-    std::condition_variable cv;
-    auto worker = [&]() {
-      while (true) {
-        const size_t i = next.fetch_add(1);
-        if (i >= points_.size()) {
-          return;
+      for (; emitted < states.size() && states[emitted].done; ++emitted) {
+        PointState& state = states[emitted];
+        if (state.failed) {
+          ++failures;
+          std::fprintf(stderr, "sweep point failed: %s: %s\n", points_[emitted].label.c_str(),
+                       state.error.c_str());
+          report.EmitError(points_[emitted].label, state.error);
+        } else {
+          for (BenchReport::Row& row : state.output.rows_) {
+            report.Emit(std::move(row));
+          }
         }
-        PointState& state = states[i];
-        RunPoint(points_[i].fn, state);
-        {
-          std::lock_guard<std::mutex> lock(mu);
-          state.done = true;
-        }
-        cv.notify_one();
-      }
-    };
-    const uint32_t n = static_cast<uint32_t>(std::min<size_t>(jobs_, points_.size()));
-    std::vector<std::thread> threads;
-    threads.reserve(n);
-    for (uint32_t t = 0; t < n; ++t) {
-      threads.emplace_back(worker);
-    }
-    {
-      std::unique_lock<std::mutex> lock(mu);
-      for (size_t i = 0; i < states.size(); ++i) {
-        cv.wait(lock, [&] { return states[i].done; });
-        lock.unlock();
-        emit(i);  // emission off-lock: workers keep claiming points
-        lock.lock();
+        std::fflush(stdout);
       }
     }
-    for (std::thread& t : threads) {
-      t.join();
-    }
-  }
+  });
   failures_ = failures;
   return failures;
 }

@@ -2,13 +2,15 @@
 //
 // Every fig*/ablation_*/sec33_* bench, and the probe, crashcheck, serve and
 // trace record|replay tools, is a sweep over independent points (one
-// simulated System per point, fixed seeds), so the points can run on
-// --jobs=N OS worker threads. The runner keeps the observable outputs
-// identical to a serial run:
+// simulated System per point, fixed seeds), so the points can run on the
+// --jobs=N workers of one HostPool (src/common/host_pool.h): the calling
+// thread plus N-1 pool threads, each claiming the next point. The runner
+// keeps the observable outputs identical to a serial run:
 //
 //  * each point's rows are buffered on the worker and emitted in submission
-//    order, regardless of completion order — the CSV stream and the
-//    --stats_json file are byte-identical at any --jobs;
+//    order, regardless of completion order, as soon as every earlier point
+//    is out — the CSV stream and the --stats_json file are byte-identical at
+//    any --jobs;
 //  * a point that throws (or fails a PMEMSIM_CHECK — workers run inside a
 //    ScopedCheckCapture) is isolated: the sweep continues, the point emits an
 //    error row {"point": label, "error": message}, an "error," CSV line, and
@@ -78,7 +80,7 @@ class SweepRunner {
   // it creates (each point constructs its own System).
   void Add(std::string label, std::function<void(SweepPoint&)> fn);
 
-  // Runs all queued points across the worker threads and emits their rows
+  // Runs all queued points on min(jobs, points) workers and emits their rows
   // on `report`, against its declared columns, in submission order. Returns
   // the number of failed points.
   int Run(BenchReport& report);

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 
 #include "src/common/check.h"
 #include "src/trace/json.h"
@@ -83,22 +82,6 @@ void Histogram::Reset() {
   count_ = 0;
   min_ = max_ = 0;
   sum_ = 0.0;
-}
-
-std::string Histogram::Summary() const {
-  if (count_ == 0) {
-    return "n=0 (empty)";
-  }
-  char buf[160];
-  std::snprintf(buf, sizeof(buf),
-                "n=%llu mean=%.1f p50=%llu p90=%llu p99=%llu min=%llu max=%llu",
-                static_cast<unsigned long long>(count_), mean(),
-                static_cast<unsigned long long>(Quantile(0.50)),
-                static_cast<unsigned long long>(Quantile(0.90)),
-                static_cast<unsigned long long>(Quantile(0.99)),
-                static_cast<unsigned long long>(Min()),
-                static_cast<unsigned long long>(Max()));
-  return buf;
 }
 
 void Histogram::ToJson(JsonWriter& w) const {

@@ -48,8 +48,6 @@ class Histogram {
 
   void Reset();
 
-  std::string Summary() const;
-
   // Count/mean/min/max plus the standard quantile ladder (p50..p999).
   // An empty histogram serializes as count:0 with null statistics.
   void ToJson(JsonWriter& w) const;

@@ -1,13 +1,10 @@
 #include "src/serve/domain_tier.h"
 
 #include <algorithm>
-#include <condition_variable>
-#include <exception>
-#include <mutex>
-#include <thread>
 #include <utility>
 
 #include "src/common/check.h"
+#include "src/common/host_pool.h"
 #include "src/trace/json.h"
 
 namespace pmemsim {
@@ -24,108 +21,6 @@ ServeConfig WithoutDispatchHop(ServeConfig cfg) {
   cfg.dispatch_latency = 0;
   return cfg;
 }
-
-// Persistent barrier-synchronized pool: N-1 host threads plus the caller
-// (worker 0). Run(body) executes body(w) for every w in [0, N) and returns
-// once all complete; worker exceptions (including captured CHECK failures)
-// are rethrown on the caller. All cross-thread state is published under one
-// mutex, so every domain write inside body() happens-before the coordinator's
-// post-barrier reads — the property that keeps the engine TSan-clean.
-class EpochPool {
- public:
-  explicit EpochPool(uint32_t n) : n_(n) {
-    threads_.reserve(n_ > 0 ? n_ - 1 : 0);
-    for (uint32_t w = 1; w < n_; ++w) {
-      threads_.emplace_back([this, w] { WorkerLoop(w); });
-    }
-  }
-
-  ~EpochPool() {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      stop_ = true;
-      ++generation_;
-    }
-    cv_start_.notify_all();
-    for (std::thread& t : threads_) {
-      t.join();
-    }
-  }
-
-  EpochPool(const EpochPool&) = delete;
-  EpochPool& operator=(const EpochPool&) = delete;
-
-  void Run(const std::function<void(uint32_t)>& body) {
-    if (n_ <= 1) {
-      body(0);  // sequential reference path: no threads, no barrier
-      return;
-    }
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      body_ = &body;
-      remaining_ = n_ - 1;
-      ++generation_;
-    }
-    cv_start_.notify_all();
-    RunBody(0);
-    std::unique_lock<std::mutex> lock(mu_);
-    cv_done_.wait(lock, [this] { return remaining_ == 0; });
-    body_ = nullptr;
-    if (error_ != nullptr) {
-      std::exception_ptr error = std::exchange(error_, nullptr);
-      lock.unlock();
-      std::rethrow_exception(error);
-    }
-  }
-
- private:
-  void WorkerLoop(uint32_t w) {
-    // CHECK failures inside a domain must not abort the process from a pool
-    // thread: capture them as exceptions and let Run() rethrow on the caller
-    // (where the sweep runner's own capture scope can isolate the failure).
-    ScopedCheckCapture capture;
-    uint64_t seen = 0;
-    for (;;) {
-      {
-        std::unique_lock<std::mutex> lock(mu_);
-        cv_start_.wait(lock, [&] { return generation_ != seen; });
-        seen = generation_;
-        if (stop_) {
-          return;
-        }
-      }
-      RunBody(w);
-      {
-        std::lock_guard<std::mutex> lock(mu_);
-        if (--remaining_ == 0) {
-          cv_done_.notify_one();
-        }
-      }
-    }
-  }
-
-  void RunBody(uint32_t w) {
-    try {
-      (*body_)(w);
-    } catch (...) {
-      std::lock_guard<std::mutex> lock(mu_);
-      if (error_ == nullptr) {
-        error_ = std::current_exception();
-      }
-    }
-  }
-
-  const uint32_t n_;
-  std::vector<std::thread> threads_;
-  std::mutex mu_;
-  std::condition_variable cv_start_;
-  std::condition_variable cv_done_;
-  const std::function<void(uint32_t)>* body_ = nullptr;
-  uint32_t remaining_ = 0;
-  uint64_t generation_ = 0;
-  bool stop_ = false;
-  std::exception_ptr error_ = nullptr;
-};
 
 }  // namespace
 
@@ -498,7 +393,7 @@ void DomainTier::RunEpochLoop() {
   const Cycles window = cfg_.dispatch_latency;
   const uint32_t threads =
       std::min<uint32_t>(std::max<uint32_t>(cfg_.engine_threads, 1), cfg_.shards);
-  EpochPool pool(threads);
+  HostPool pool(threads);
 
   // Load phase: domains are fully independent (each on its own System), so
   // they load concurrently with no epoch discipline at all.

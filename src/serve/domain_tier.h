@@ -21,10 +21,15 @@
 //   before E + D are staged at the preceding barrier. So the engine runs
 //
 //     loop:  deliver arrivals < epoch_end       (coordinator)
-//            every domain: RunUntil(epoch_end)  (cfg.engine_threads host
-//                                                threads, no shared state)
+//            every domain: RunUntil(epoch_end)  (a HostPool of
+//                                                cfg.engine_threads workers,
+//                                                no shared state)
 //            barrier: fold domain events sorted by (time, client),
 //                     issue closed-loop re-dispatches  (coordinator)
+//
+//   Domain d always runs on pool worker d mod T, T = min(engine_threads,
+//   shards), the coordinator being worker 0 (src/common/host_pool.h); at
+//   T = 1 the pool spawns no thread and the coordinator runs every domain.
 //
 //   Within a domain the scheduler preserves the exact (clock, job-index)
 //   lockstep order; across domains nothing is shared; and every coordinator

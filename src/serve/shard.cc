@@ -64,7 +64,8 @@ ShardStore::ShardStore(System* system, StoreKind kind, uint64_t preload_keys,
       break;
     case StoreKind::kFlatLog: {
       // Every update/insert/rmw appends one record, so size the log for the
-      // preload plus the full op budget (rounded up to whole batches).
+      // preload plus the full op budget (rounded up to whole batches): no
+      // append can be refused, and Update/Insert CHECK that none is.
       uint64_t slots = preload_keys + append_budget + FlatLog::kSlotsPerBatch;
       slots = (slots + FlatLog::kSlotsPerBatch - 1) / FlatLog::kSlotsPerBatch *
               FlatLog::kSlotsPerBatch;
@@ -101,9 +102,7 @@ bool ShardStore::Update(ThreadContext& ctx, uint64_t key, uint64_t value) {
     case StoreKind::kFastFair:
       return tree_->Update(ctx, key, value);
     case StoreKind::kFlatLog:
-      if (!flat_->Put(ctx, key, &value, sizeof(value))) {
-        ++store_full_;
-      }
+      PMEMSIM_CHECK(flat_->Put(ctx, key, &value, sizeof(value)));
       return true;
   }
   return true;
@@ -118,9 +117,7 @@ void ShardStore::Insert(ThreadContext& ctx, uint64_t key, uint64_t value) {
       tree_->Insert(ctx, key, value, BTreeUpdateMode::kInPlace);
       break;
     case StoreKind::kFlatLog:
-      if (!flat_->Put(ctx, key, &value, sizeof(value))) {
-        ++store_full_;
-      }
+      PMEMSIM_CHECK(flat_->Put(ctx, key, &value, sizeof(value)));
       break;
   }
 }

@@ -72,8 +72,9 @@ class ShardStore {
              ThreadContext& loader);
 
   bool Get(ThreadContext& ctx, uint64_t key, uint64_t* value_out);
-  // False when the key was absent (FAST&FAIR in-place update miss); append
-  // exhaustion on FlatLog is counted in store_full() instead.
+  // False when the key was absent (FAST&FAIR in-place update miss). A FlatLog
+  // append cannot be refused (the log is sized for the whole op budget), so a
+  // refusal fails a CHECK.
   bool Update(ThreadContext& ctx, uint64_t key, uint64_t value);
   void Insert(ThreadContext& ctx, uint64_t key, uint64_t value);
   // Ordered range scan; valid only when ordered() (callers emulate ranges on
@@ -82,7 +83,6 @@ class ShardStore {
   bool ordered() const { return kind_ == StoreKind::kFastFair; }
   // Durability point after the preload (FlatLog batches its appends).
   void FlushPreload(ThreadContext& ctx);
-  uint64_t store_full() const { return store_full_; }
 
  private:
   StoreKind kind_;
@@ -90,7 +90,6 @@ class ShardStore {
   std::unique_ptr<Cceh> cceh_;
   std::unique_ptr<FastFairTree> tree_;
   std::unique_ptr<FlatLog> flat_;
-  uint64_t store_full_ = 0;  // FlatLog appends refused (log exhausted)
 };
 
 }  // namespace pmemsim

@@ -104,10 +104,6 @@ class AttributionCollector {
   uint64_t stage_total(Stage stage) const { return stage_total_[stage]; }
   uint64_t StageTotalSum() const;
   const Histogram& op_hist(Op op) const { return op_hist_[op]; }
-  // Exact-rank tail extraction (Histogram::Quantile, q in [0,1]) over one op
-  // class — how the serving tier reads its per-shard memory-op tails out of
-  // the attribution layer.
-  uint64_t OpQuantile(Op op, double q) const { return op_hist_[op].Quantile(q); }
   const Histogram& async_accept_hist() const { return async_accept_hist_; }
 
   // {"accesses":N,"end_to_end_total":..,"ops":{load:{hist}..},

@@ -211,8 +211,8 @@ TEST(ServiceTierTest, AttributionCoversTheServePhase) {
     EXPECT_GT(attr.access_count(), 0u) << "shard " << shard->index();
     // Exact conservation per access: stage totals sum to end-to-end.
     EXPECT_EQ(attr.StageTotalSum(), attr.end_to_end_total());
-    EXPECT_LE(attr.OpQuantile(AttributionCollector::kLoad, 0.5),
-              attr.OpQuantile(AttributionCollector::kLoad, 0.999));
+    EXPECT_LE(attr.op_hist(AttributionCollector::kLoad).Quantile(0.5),
+              attr.op_hist(AttributionCollector::kLoad).Quantile(0.999));
   }
 }
 

@@ -1,14 +1,19 @@
 // Tests for the parallel sweep runner: submission-order emission at any job
 // count, byte-identical --stats_json output, and per-point failure isolation.
 
+#include <fcntl.h>
 #include <gtest/gtest.h>
+#include <unistd.h>
 
+#include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <fstream>
 #include <functional>
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -96,7 +101,7 @@ TEST(SweepRunnerTest, ThrowingPointIsIsolated) {
   const Flags flags = MakeFlags({"--jobs=4"});
   BenchReport report(flags, "sweep_runner_test");
   SweepRunner runner(flags);
-  int survivors = 0;
+  std::atomic<int> survivors{0};  // the points may run on different workers
   runner.Add("ok_before", [&](SweepPoint& point) {
     point.Emit(Row().Set("name", "ok_before"));
     ++survivors;
@@ -113,7 +118,7 @@ TEST(SweepRunnerTest, ThrowingPointIsIsolated) {
   const std::string out = testing::internal::GetCapturedStdout();
   const std::string err = testing::internal::GetCapturedStderr();
   EXPECT_NE(rc, 0);
-  EXPECT_EQ(survivors, 2);  // the failure did not stop the sweep
+  EXPECT_EQ(survivors.load(), 2);  // the failure did not stop the sweep
   EXPECT_EQ(out, "name\nok_before\nerror,boom\nok_after\n");
   EXPECT_NE(err.find("deliberate"), std::string::npos);
 }
@@ -132,6 +137,47 @@ TEST(SweepRunnerTest, CheckFailureBecomesErrorRowNotAbort) {
   testing::internal::GetCapturedStderr();
   EXPECT_NE(rc, 0);
   EXPECT_EQ(out, "name\nerror,check_fails\nfine\n");
+}
+
+TEST(SweepRunnerTest, RowsStreamBeforeTheLastPointFinishes) {
+  // Point 1 waits until point 0's row is on stdout. A runner that held rows
+  // back until every point had finished would leave it waiting until the
+  // timeout. stdout goes to a file that point 1 can read while the sweep runs.
+  const std::string path = testing::TempDir() + "/sweep_stream.out";
+  std::fflush(stdout);
+  const int saved = dup(STDOUT_FILENO);
+  const int fd = open(path.c_str(), O_CREAT | O_TRUNC | O_WRONLY, 0644);
+  ASSERT_GE(saved, 0);
+  ASSERT_GE(fd, 0);
+  ASSERT_GE(dup2(fd, STDOUT_FILENO), 0);
+  close(fd);
+
+  const Flags flags = MakeFlags({"--jobs=2"});
+  BenchReport report(flags, "sweep_runner_test");
+  SweepRunner runner(flags);
+  report.DeclareColumns({"index"});
+  std::fflush(stdout);
+  bool timed_out = false;
+  runner.Add("p0", [](SweepPoint& point) { point.Emit(Row().Set("index", 0)); });
+  runner.Add("p1", [&](SweepPoint& point) {
+    const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(30);
+    while (ReadFile(path) != "index\n0\n") {
+      if (std::chrono::steady_clock::now() > deadline) {
+        timed_out = true;
+        break;
+      }
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    point.Emit(Row().Set("index", 1));
+  });
+  const int rc = runner.Finish(report);
+
+  std::fflush(stdout);
+  dup2(saved, STDOUT_FILENO);
+  close(saved);
+  EXPECT_EQ(rc, 0);
+  EXPECT_FALSE(timed_out) << "point 0's row was held back until point 1 finished";
+  EXPECT_EQ(ReadFile(path), "index\n0\n1\n");
 }
 
 TEST(SweepRunnerTest, JobsZeroClampsToOne) {

@@ -157,7 +157,6 @@ TEST(Serialization, EmptyHistogramIsExplicitNotZero) {
   Histogram h;
   EXPECT_EQ(h.count(), 0u);
   EXPECT_EQ(h.Quantile(0.50), 0u);  // documented fallback; callers check count()
-  EXPECT_EQ(h.Summary(), "n=0 (empty)");
 
   JsonValue v;
   std::string error;
