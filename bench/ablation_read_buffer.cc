@@ -25,13 +25,13 @@ int main(int argc, char** argv) {
 
   struct Policy {
     const char* name;
-    uint8_t eviction;
+    ReadBufferEviction eviction;
     bool exclusive;
   };
   static const Policy kPolicies[] = {
-      {"fifo-exclusive (hardware)", 0, true},
-      {"lru-exclusive", 1, true},
-      {"fifo-inclusive", 0, false},
+      {"fifo-exclusive (hardware)", ReadBufferEviction::kFifo, true},
+      {"lru-exclusive", ReadBufferEviction::kLru, true},
+      {"fifo-inclusive", ReadBufferEviction::kFifo, false},
   };
   for (const Policy& p : kPolicies) {
     PlatformConfig platform = G1Platform();

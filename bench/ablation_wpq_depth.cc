@@ -18,7 +18,7 @@ using namespace pmemsim;
 
 double Measure(uint32_t wpq_entries, uint64_t wss) {
   PlatformConfig cfg = G1Platform();
-  cfg.imc.wpq_entries = wpq_entries;
+  cfg.imc.wpq.entries = wpq_entries;
   return pmemsim_bench::MeasureChaseList(
       cfg, wss, /*sequential=*/false, 0xAB, 4000, 8000,
       [](ThreadContext& ctx, ChaseList& list, uint64_t n) {

@@ -20,17 +20,17 @@ namespace {
 
 using namespace pmemsim;
 
-PlatformConfig AblatedPlatform(uint8_t wb_eviction, bool periodic) {
+PlatformConfig AblatedPlatform(WriteBufferEviction wb_eviction, bool periodic) {
   PlatformConfig cfg = G1Platform();
-  cfg.optane.write_buffer_eviction = wb_eviction;
-  cfg.optane.periodic_full_writeback = periodic;
-  cfg.optane.batch_evict = false;  // isolate the victim-choice policy
+  cfg.optane.write_buffer.eviction = wb_eviction;
+  cfg.optane.write_buffer.periodic_full_writeback = periodic;
+  cfg.optane.write_buffer.batch_evict = false;  // isolate the victim-choice policy
   return cfg;
 }
 
 // Cyclic single-line writes: random eviction decays gracefully, oldest-first
 // (FIFO) thrashes exactly like Fig. 2's read cliff.
-double CyclicHitRatio(uint8_t wb_eviction, uint64_t wss) {
+double CyclicHitRatio(WriteBufferEviction wb_eviction, uint64_t wss) {
   System system(AblatedPlatform(wb_eviction, false), 1);
   ThreadContext& ctx = system.CreateThread();
   SetPrefetchers(ctx, false, false, false);
@@ -50,8 +50,9 @@ double CyclicHitRatio(uint8_t wb_eviction, uint64_t wss) {
 
 // Fig. 3's full-XPLine write pattern (every cacheline, address order).
 double FullWriteWa(bool periodic, uint64_t wss) {
-  return pmemsim_bench::MeasureWriteAmplification(AblatedPlatform(0, periodic), wss,
-                                                  kLinesPerXPLine, /*random=*/false);
+  return pmemsim_bench::MeasureWriteAmplification(
+      AblatedPlatform(WriteBufferEviction::kRandom, periodic), wss, kLinesPerXPLine,
+      /*random=*/false);
 }
 
 }  // namespace
@@ -73,8 +74,10 @@ int main(int argc, char** argv) {
   for (uint64_t kb = 4; kb <= max_kb; kb += 4) {
     runner.Add("cyclic-hit-ratio/" + std::to_string(kb) + "kb",
                [=](pmemsim_bench::SweepPoint& point) {
-                 emit(point, "cyclic-hit-ratio", "random", kb, CyclicHitRatio(0, KiB(kb)));
-                 emit(point, "cyclic-hit-ratio", "oldest-first", kb, CyclicHitRatio(1, KiB(kb)));
+                 emit(point, "cyclic-hit-ratio", "random", kb,
+                      CyclicHitRatio(WriteBufferEviction::kRandom, KiB(kb)));
+                 emit(point, "cyclic-hit-ratio", "oldest-first", kb,
+                      CyclicHitRatio(WriteBufferEviction::kOldest, KiB(kb)));
                });
   }
   for (uint64_t kb = 4; kb <= max_kb; kb += 4) {

@@ -62,8 +62,8 @@ int main(int argc, char** argv) {
   std::printf("=== %s on-DIMM buffer explorer ===\n", platform.name.c_str());
   std::printf("read buffer %llu KB | write buffer %llu KB (%u entries reserved)\n\n",
               (unsigned long long)(platform.optane.read_buffer_bytes / 1024),
-              (unsigned long long)(platform.optane.write_buffer_bytes / 1024),
-              platform.optane.write_buffer_partial_reserve);
+              (unsigned long long)(platform.optane.write_buffer.capacity_bytes / 1024),
+              platform.optane.write_buffer.partial_reserve_entries);
 
   std::printf("%8s  %18s  %20s\n", "WSS", "read amp (1 CpX)", "write amp (25%% part.)");
   for (uint64_t kb = 2; kb <= 32; kb += 2) {

@@ -23,20 +23,17 @@
 #include <cstdint>
 #include <vector>
 
+#include "src/common/config.h"
 #include "src/common/flat_map.h"
 #include "src/common/types.h"
 #include "src/trace/counters.h"
 
 namespace pmemsim {
 
-// Replacement policy knobs (the shipped hardware behaves FIFO + exclusive,
-// per §3.1; the alternatives exist for the ablation benches).
-enum class ReadBufferEviction : uint8_t { kFifo, kLru };
-
 class ReadBuffer {
  public:
-  ReadBuffer(uint64_t capacity_bytes, Counters* counters,
-             ReadBufferEviction eviction = ReadBufferEviction::kFifo, bool exclusive = true);
+  ReadBuffer(uint64_t capacity_bytes, Counters* counters, ReadBufferEviction eviction,
+             bool exclusive);
 
   // True if the cacheline at `line_addr` can be served from the buffer.
   bool Probe(Addr line_addr) const;

@@ -6,10 +6,10 @@
 
 namespace pmemsim {
 
-WriteBuffer::WriteBuffer(const WriteBufferConfig& config, Counters* counters)
+WriteBuffer::WriteBuffer(const WriteBufferConfig& config, Counters* counters, uint64_t rng_seed)
     : config_(config),
       counters_(counters),
-      rng_(config.rng_seed),
+      rng_(rng_seed),
       capacity_entries_(static_cast<size_t>(config.capacity_bytes / kXPLineSize)) {
   PMEMSIM_CHECK(counters_ != nullptr);
   PMEMSIM_CHECK(capacity_entries_ > 0);

@@ -21,25 +21,13 @@
 #include <cstdint>
 #include <vector>
 
+#include "src/common/config.h"
 #include "src/common/flat_map.h"
 #include "src/common/random.h"
 #include "src/common/types.h"
 #include "src/trace/counters.h"
 
 namespace pmemsim {
-
-enum class WriteBufferEviction : uint8_t { kRandom, kOldest };
-
-struct WriteBufferConfig {
-  WriteBufferEviction eviction = WriteBufferEviction::kRandom;
-  uint64_t capacity_bytes = KiB(16);
-  uint32_t partial_reserve_entries = 16;  // entries unusable by partial XPLines
-  bool periodic_full_writeback = true;
-  Cycles full_writeback_period = 5000;
-  bool batch_evict = true;
-  double batch_evict_keep_fraction = 0.5;
-  uint64_t rng_seed = 0xC0FFEE;
-};
 
 // A write-back the owner must perform against the media.
 struct WritebackRequest {
@@ -50,7 +38,8 @@ struct WritebackRequest {
 
 class WriteBuffer {
  public:
-  WriteBuffer(const WriteBufferConfig& config, Counters* counters);
+  // `rng_seed` seeds the random-victim stream (one per DIMM).
+  WriteBuffer(const WriteBufferConfig& config, Counters* counters, uint64_t rng_seed);
 
   // Records a 64 B write arriving from the WPQ at time `now` that becomes
   // readable at `visible_at`. Appends any required write-backs (evictions

@@ -7,47 +7,11 @@ namespace pmemsim {
 PlatformConfig G1Platform() {
   PlatformConfig p;
   p.name = "G1-Optane";
-  p.generation = Generation::kG1;
-  p.cpu_ghz = 2.1;
-
-  // Xeon Gold 6320: 32 KB L1d, 1 MB L2, 27.5 MB L3.
-  p.cache.l1 = {KiB(32), 8, 4};
-  p.cache.l2 = {MiB(1), 16, 14};
-  p.cache.l3 = {MiB(27) + KiB(512), 11, 48};
-  p.cache.clwb_retains_line = false;  // G1 clwb behaves like clflushopt
-  p.cache.clwb_dispatch_delay = 420;
-
-  // 128 GB 100-series Optane DIMM.
-  p.optane.read_buffer_bytes = KiB(16);
-  p.optane.write_buffer_bytes = KiB(16);
-  p.optane.write_buffer_partial_reserve = 16;  // 12 KB usable for partial lines
-  p.optane.periodic_full_writeback = true;
-  p.optane.full_writeback_period = 5000;
-  p.optane.batch_evict = true;
-  p.optane.batch_evict_keep_fraction = 0.5;
-  p.optane.buffer_hit_latency = 90;
-  p.optane.media_read_latency = 420;
-  p.optane.media_write_latency = 480;
-  p.optane.media_read_ports = 12;
-  p.optane.media_write_ports = 4;
-  p.optane.ait_cache_coverage_bytes = MiB(16);
-  p.optane.ait_miss_penalty = 210;
-  p.optane.write_visible_delay = 2100;
-  p.optane.unordered_read_overlap = 800;
-  p.optane.same_line_flush_stall = true;
-  p.optane.same_line_stall_window = 550;
-
-  p.dram.load_latency = 190;
-  p.dram.store_accept_latency = 35;
-  p.dram.write_visible_delay = 420;
-  p.dram.unordered_read_overlap = 380;
-
-  p.imc.numa_hop_latency = 180;
   return p;
 }
 
 PlatformConfig G2Platform() {
-  PlatformConfig p = G1Platform();
+  PlatformConfig p;
   p.name = "G2-Optane";
   p.generation = Generation::kG2;
   p.cpu_ghz = 3.0;
@@ -59,19 +23,16 @@ PlatformConfig G2Platform() {
   p.cache.l2 = {MiB(1) + KiB(256), 20, 16};
   p.cache.l3 = {MiB(36), 12, 54};
   p.cache.clwb_retains_line = true;  // G2 clwb keeps the line cached
-  p.cache.clwb_dispatch_delay = 420;
 
   // 200-series: slightly larger read buffer (22 KB), no periodic write-back of
   // fully written XPLines, single-victim random eviction, knee beyond 12 KB.
   p.optane.read_buffer_bytes = KiB(22);
-  p.optane.write_buffer_bytes = KiB(16);
-  p.optane.write_buffer_partial_reserve = 0;  // full 16 KB usable
-  p.optane.periodic_full_writeback = false;
-  p.optane.batch_evict = false;
+  p.optane.write_buffer.partial_reserve_entries = 0;  // full 16 KB usable
+  p.optane.write_buffer.periodic_full_writeback = false;
+  p.optane.write_buffer.batch_evict = false;
   p.optane.buffer_hit_latency = 150;  // coherence upkeep makes buffer hits dearer
   p.optane.media_read_latency = 560;  // ~same ns at a higher clock
   p.optane.media_write_latency = 640;
-  p.optane.ait_cache_coverage_bytes = MiB(16);
   p.optane.ait_miss_penalty = 260;
   p.optane.write_visible_delay = 1750;
   p.optane.unordered_read_overlap = 1100;

@@ -1,8 +1,12 @@
 // Platform configuration: every tunable constant of the simulated machine.
 //
-// Two presets mirror the paper's testbeds:
-//   G1: dual Xeon Gold 6320 @ 2.1 GHz + 100-series Optane DCPMM
-//   G2: dual Xeon Gold 5317 @ 3.0 GHz + 200-series Optane DCPMM
+// This file is the one table of those constants. Each value is written once:
+//   * the G1 testbed (dual Xeon Gold 6320 @ 2.1 GHz + 100-series Optane DCPMM)
+//     is the member initializers below, so G1Platform() only names it;
+//   * G2Platform() (dual Xeon Gold 5317 @ 3.0 GHz + 200-series Optane DCPMM)
+//     assigns only the values that differ from G1;
+//   * each component takes its slice (WpqConfig, WriteBufferConfig, ...)
+//     directly instead of copying fields into a config of its own.
 //
 // Latency constants are calibrated so the paper's anchor measurements hold
 // (see DESIGN.md §1); every structural parameter (buffer sizes, policies,
@@ -28,19 +32,21 @@ struct CacheLevelConfig {
   Cycles hit_latency = 4;
 };
 
+// Xeon Gold 6320: 32 KB L1d, 1 MB L2, 27.5 MB L3.
 struct CacheConfig {
-  CacheLevelConfig l1;
-  CacheLevelConfig l2;
-  CacheLevelConfig l3;
+  CacheLevelConfig l1 = {KiB(32), 8, 4};
+  CacheLevelConfig l2 = {MiB(1), 16, 14};
+  CacheLevelConfig l3 = {MiB(27) + KiB(512), 11, 48};
 
-  // G2 platforms retain the cacheline (clean) after clwb; G1 invalidates it.
+  // G2 platforms retain the cacheline (clean) after clwb; G1 invalidates it
+  // (G1 clwb behaves like clflushopt).
   bool clwb_retains_line = false;
 
   // Cycles between a clwb retiring and its cache-side effect (invalidation on
   // G1) plus its dispatch toward the iMC becoming architecturally visible to
   // younger, unordered loads. Models the out-of-order window that lets a load
   // under sfence still hit the cache for very recently flushed lines.
-  Cycles clwb_dispatch_delay = 400;
+  Cycles clwb_dispatch_delay = 420;
 
   // Default prefetcher enables (each is runtime-toggleable as with the BIOS
   // switches on the testbeds).
@@ -52,21 +58,20 @@ struct CacheConfig {
   uint32_t stream_prefetch_degree = 2;
 };
 
-// Optane DIMM internals (per DIMM).
-struct OptaneDimmConfig {
-  // --- on-DIMM read buffer (paper §3.1) ---
-  uint64_t read_buffer_bytes = KiB(16);  // 16 KB on G1, 22 KB on G2
-  // Ablation knobs; hardware behaves FIFO + exclusive (DESIGN.md).
-  uint8_t read_buffer_eviction = 0;   // 0 = FIFO, 1 = LRU
-  bool read_buffer_exclusive = true;
-  uint8_t write_buffer_eviction = 0;  // 0 = random, 1 = oldest-first
+// Replacement policy knobs (the shipped hardware behaves FIFO + exclusive and
+// random-victim, per §3.1/§3.2; the alternatives exist for the ablation
+// benches).
+enum class ReadBufferEviction : uint8_t { kFifo, kLru };
+enum class WriteBufferEviction : uint8_t { kRandom, kOldest };
 
-  // --- on-DIMM write-combining buffer (paper §3.2) ---
-  uint64_t write_buffer_bytes = KiB(16);
+// On-DIMM write-combining buffer (paper §3.2).
+struct WriteBufferConfig {
+  WriteBufferEviction eviction = WriteBufferEviction::kRandom;
+  uint64_t capacity_bytes = KiB(16);
   // Entries reserved for write-back staging; usable capacity for partially
-  // written XPLines is (write_buffer_bytes/256 - reserve). 16 on G1 yields the
+  // written XPLines is (capacity_bytes/256 - reserve). 16 on G1 yields the
   // observed 12 KB knee.
-  uint32_t write_buffer_partial_reserve = 16;
+  uint32_t partial_reserve_entries = 16;
   // G1 writes fully-modified XPLines back to media periodically (~5000 cycles);
   // G2 disables this.
   bool periodic_full_writeback = true;
@@ -76,6 +81,16 @@ struct OptaneDimmConfig {
   bool batch_evict = true;
   // Fraction of occupied entries retained after a batch eviction.
   double batch_evict_keep_fraction = 0.5;
+};
+
+// Optane DIMM internals (per DIMM): a 128 GB 100-series DCPMM.
+struct OptaneDimmConfig {
+  // --- on-DIMM read buffer (paper §3.1) ---
+  uint64_t read_buffer_bytes = KiB(16);  // 16 KB on G1, 22 KB on G2
+  ReadBufferEviction read_buffer_eviction = ReadBufferEviction::kFifo;
+  bool read_buffer_exclusive = true;
+
+  WriteBufferConfig write_buffer;
 
   // --- service latencies (cycles) ---
   Cycles buffer_hit_latency = 90;    // DDR-T round trip hitting an on-DIMM buffer
@@ -113,6 +128,9 @@ struct OptaneDimmConfig {
 // Conventional DRAM DIMM model.
 struct DramConfig {
   Cycles load_latency = 190;
+  // Read by no model (DRAM stores are accepted through the WPQ); kept only
+  // because the fp1 trace fingerprint renders it, and dropping it would
+  // re-key every recorded .pmtrace.
   Cycles store_accept_latency = 35;
   // DDR4 writes are synchronous; the visible delay is short.
   Cycles write_visible_delay = 420;
@@ -121,17 +139,28 @@ struct DramConfig {
   Cycles port_service = 30;
 };
 
+// Per-DIMM write pending queue inside the iMC's ADR domain.
+struct WpqConfig {
+  uint32_t entries = 16;        // queue depth
+  Cycles accept_latency = 120;  // store/flush acceptance into the ADR domain
+  Cycles drain_latency = 30;    // WPQ -> DIMM write-buffer transfer
+};
+
 // Integrated memory controller.
 struct ImcConfig {
-  uint32_t wpq_entries = 16;        // per-DIMM write pending queue depth
-  Cycles wpq_accept_latency = 120;   // store/flush acceptance into the ADR domain
-  Cycles wpq_drain_latency = 30;    // WPQ -> DIMM write-buffer transfer
-  uint32_t rpq_entries = 32;        // read pending queue depth (bookkeeping)
-  Cycles read_overhead = 25;        // iMC processing per read request
-  uint32_t optane_dimm_count = 6;
+  WpqConfig wpq;
+  // Read pending queue depth. Read by no model; kept only because the fp1
+  // trace fingerprint renders it, and dropping it would re-key every recorded
+  // .pmtrace.
+  uint32_t rpq_entries = 32;
+  Cycles read_overhead = 25;                    // iMC processing per read request
   uint64_t interleave_granularity = kPageSize;  // 4 KB PM interleave
-  Cycles numa_hop_latency = 180;    // one-way socket interconnect hop
+  Cycles numa_hop_latency = 180;                // one-way socket interconnect hop
 };
+
+// The testbeds' Optane DIMM count (six, interleaved at 4 KB). A System built
+// with a DIMM count of 0 gets this many.
+inline constexpr uint32_t kTestbedOptaneDimms = 6;
 
 // Core execution-model constants.
 struct CpuConfig {
@@ -151,6 +180,7 @@ struct CpuConfig {
   Cycles simd_copy_cost = 14;   // per-64 B AVX load+store pair (Algorithm 2)
 };
 
+// A default-constructed PlatformConfig is the G1 testbed, unnamed.
 struct PlatformConfig {
   std::string name;
   Generation generation = Generation::kG1;

@@ -36,8 +36,8 @@ struct PmRegion {
 
 class System {
  public:
-  // `optane_dimm_count` overrides the platform preset when non-zero (the
-  // paper measures both a single non-interleaved DIMM and 6 interleaved).
+  // `optane_dimm_count` of 0 means kTestbedOptaneDimms (the paper measures
+  // both a single non-interleaved DIMM and the testbed's interleaved set).
   explicit System(const PlatformConfig& config, uint32_t optane_dimm_count = 0);
 
   // Region allocation (bump allocator; regions are never freed).
@@ -54,10 +54,6 @@ class System {
   const PlatformConfig& config() const { return config_; }
   // System-wide totals: a live aggregation over the per-DIMM/per-thread
   // scopes, re-materialized on every access (and by CounterDelta).
-  Counters& counters() {
-    counters_.Sync();
-    return counters_;
-  }
   const Counters& counters() const {
     counters_.Sync();
     return counters_;

@@ -7,30 +7,16 @@
 namespace pmemsim {
 
 OptaneDimm::OptaneDimm(const OptaneDimmConfig& config, Counters* counters, uint64_t rng_seed)
-    : read_impl_(config.periodic_full_writeback ? &OptaneDimm::ReadImpl<true>
-                                                : &OptaneDimm::ReadImpl<false>),
+    : read_impl_(config.write_buffer.periodic_full_writeback ? &OptaneDimm::ReadImpl<true>
+                                                             : &OptaneDimm::ReadImpl<false>),
       config_(config),
       counters_(counters),
       ait_(config.ait_cache_coverage_bytes, config.ait_miss_penalty, counters),
       media_(config.media_read_ports, config.media_read_latency, config.media_write_ports,
              config.media_write_latency, counters),
-      read_buffer_(config.read_buffer_bytes, counters,
-                   config.read_buffer_eviction == 0 ? ReadBufferEviction::kFifo
-                                                    : ReadBufferEviction::kLru,
+      read_buffer_(config.read_buffer_bytes, counters, config.read_buffer_eviction,
                    config.read_buffer_exclusive),
-      write_buffer_(
-          WriteBufferConfig{
-              .eviction = config.write_buffer_eviction == 0 ? WriteBufferEviction::kRandom
-                                                            : WriteBufferEviction::kOldest,
-              .capacity_bytes = config.write_buffer_bytes,
-              .partial_reserve_entries = config.write_buffer_partial_reserve,
-              .periodic_full_writeback = config.periodic_full_writeback,
-              .full_writeback_period = config.full_writeback_period,
-              .batch_evict = config.batch_evict,
-              .batch_evict_keep_fraction = config.batch_evict_keep_fraction,
-              .rng_seed = rng_seed,
-          },
-          counters) {
+      write_buffer_(config.write_buffer, counters, rng_seed) {
   PMEMSIM_CHECK(counters_ != nullptr);
 }
 

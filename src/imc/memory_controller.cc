@@ -2,7 +2,6 @@
 
 #include <string>
 
-#include "src/common/check.h"
 #include "src/trace/registry.h"
 
 namespace pmemsim {
@@ -10,22 +9,19 @@ namespace pmemsim {
 MemoryController::MemoryController(const PlatformConfig& platform, CounterRegistry* registry,
                                    uint32_t optane_dimm_count)
     : config_(platform.imc), counters_(registry->CreateScope("imc")) {
-  const uint32_t n = optane_dimm_count ? optane_dimm_count : config_.optane_dimm_count;
-  PMEMSIM_CHECK(n > 0);
-  const WpqConfig wpq_config{config_.wpq_entries, config_.wpq_accept_latency,
-                             config_.wpq_drain_latency};
+  const uint32_t n = optane_dimm_count ? optane_dimm_count : kTestbedOptaneDimms;
   for (uint32_t i = 0; i < n; ++i) {
     const std::string scope_name = "optane_dimm" + std::to_string(i);
     Counters* scope = registry->CreateScope(scope_name);
     optane_scope_counters_.push_back(scope);
     optane_dimms_.push_back(
         std::make_unique<OptaneDimm>(platform.optane, scope, 0xD1337 + i * 0x9E37));
-    optane_wpqs_.push_back(std::make_unique<Wpq>(wpq_config, scope));
+    optane_wpqs_.push_back(std::make_unique<Wpq>(config_.wpq, scope));
   }
   Counters* dram_scope = registry->CreateScope("dram");
   dram_scope_counters_ = dram_scope;
   dram_dimm_ = std::make_unique<DramDimm>(platform.dram, dram_scope);
-  dram_wpq_ = std::make_unique<Wpq>(wpq_config, dram_scope);
+  dram_wpq_ = std::make_unique<Wpq>(config_.wpq, dram_scope);
   if (optane_dimms_.size() == 1) {
     sole_optane_ = optane_dimms_[0].get();
   }

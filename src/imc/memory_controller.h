@@ -35,8 +35,8 @@ class CounterRegistry;
 
 class MemoryController {
  public:
-  // `optane_dimm_count` overrides the platform's count when non-zero (the
-  // paper evaluates both a single non-interleaved DIMM and 6 interleaved).
+  // `optane_dimm_count` of 0 means kTestbedOptaneDimms (the paper evaluates
+  // both a single non-interleaved DIMM and the testbed's interleaved set).
   //
   // Scoped form: creates one counter scope per Optane DIMM ("optane_dimmN",
   // shared with its WPQ), one for the DRAM channel ("dram"), and one for the

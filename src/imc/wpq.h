@@ -12,16 +12,11 @@
 #include <cstdint>
 #include <deque>
 
+#include "src/common/config.h"
 #include "src/common/types.h"
 #include "src/trace/counters.h"
 
 namespace pmemsim {
-
-struct WpqConfig {
-  uint32_t entries = 16;
-  Cycles accept_latency = 55;  // iMC processing before the store is in ADR
-  Cycles drain_latency = 110;  // WPQ -> DIMM transfer (DDR-T write slot)
-};
 
 class Wpq {
  public:

@@ -228,6 +228,7 @@ uint64_t PlatformFingerprint(const PlatformConfig& config, uint32_t dimm_count) 
   // rendered string keeps the digest independent of struct layout.
   char buf[1024];
   const OptaneDimmConfig& o = config.optane;
+  const WriteBufferConfig& w = o.write_buffer;
   const CpuConfig& c = config.cpu;
   const CacheConfig& h = config.cache;
   std::snprintf(
@@ -244,15 +245,16 @@ uint64_t PlatformFingerprint(const PlatformConfig& config, uint32_t dimm_count) 
       h.l2.size_bytes, h.l2.ways, h.l2.hit_latency, h.l3.size_bytes, h.l3.ways, h.l3.hit_latency,
       h.clwb_retains_line ? 1u : 0u, h.clwb_dispatch_delay, h.adjacent_line_prefetch ? 1u : 0u,
       h.dcu_streamer_prefetch ? 1u : 0u, h.l2_stream_prefetch ? 1u : 0u, h.stream_prefetch_degree,
-      o.read_buffer_bytes, o.read_buffer_eviction, o.read_buffer_exclusive ? 1u : 0u,
-      o.write_buffer_bytes, o.write_buffer_partial_reserve, o.periodic_full_writeback ? 1u : 0u,
-      o.full_writeback_period, o.batch_evict ? 1u : 0u, o.batch_evict_keep_fraction,
-      o.buffer_hit_latency, o.media_read_latency, o.media_write_latency, o.media_read_ports,
-      o.media_write_ports, o.ait_cache_coverage_bytes, o.ait_miss_penalty, o.write_visible_delay,
-      o.same_line_flush_stall ? 1u : 0u, o.same_line_stall_window, o.unordered_read_overlap,
-      config.dram.load_latency, config.dram.store_accept_latency, config.dram.write_visible_delay,
+      o.read_buffer_bytes, static_cast<unsigned>(o.read_buffer_eviction),
+      o.read_buffer_exclusive ? 1u : 0u, w.capacity_bytes, w.partial_reserve_entries,
+      w.periodic_full_writeback ? 1u : 0u, w.full_writeback_period, w.batch_evict ? 1u : 0u,
+      w.batch_evict_keep_fraction, o.buffer_hit_latency, o.media_read_latency,
+      o.media_write_latency, o.media_read_ports, o.media_write_ports, o.ait_cache_coverage_bytes,
+      o.ait_miss_penalty, o.write_visible_delay, o.same_line_flush_stall ? 1u : 0u,
+      o.same_line_stall_window, o.unordered_read_overlap, config.dram.load_latency,
+      config.dram.store_accept_latency, config.dram.write_visible_delay,
       config.dram.unordered_read_overlap, config.dram.ports, config.dram.port_service,
-      config.imc.wpq_entries, config.imc.wpq_accept_latency, config.imc.wpq_drain_latency,
+      config.imc.wpq.entries, config.imc.wpq.accept_latency, config.imc.wpq.drain_latency,
       config.imc.rpq_entries, config.imc.read_overhead, config.imc.interleave_granularity,
       config.imc.numa_hop_latency, c.store_buffer_depth, c.fence_cost, c.store_issue_cost,
       c.store_miss_post_cost, c.nt_store_issue_cost, c.flush_issue_cost, c.simd_copy_cost);

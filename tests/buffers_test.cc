@@ -6,6 +6,7 @@
 
 #include "src/buffers/read_buffer.h"
 #include "src/buffers/write_buffer.h"
+#include "src/common/config.h"
 #include "src/common/random.h"
 
 namespace pmemsim {
@@ -15,14 +16,14 @@ namespace {
 
 TEST(ReadBufferTest, MissOnEmpty) {
   Counters c;
-  ReadBuffer buf(KiB(16), &c);
+  ReadBuffer buf(KiB(16), &c, ReadBufferEviction::kFifo, /*exclusive=*/true);
   EXPECT_FALSE(buf.ConsumeLine(0));
   EXPECT_EQ(c.read_buffer_misses, 1u);
 }
 
 TEST(ReadBufferTest, FillMakesAllFourLinesHit) {
   Counters c;
-  ReadBuffer buf(KiB(16), &c);
+  ReadBuffer buf(KiB(16), &c, ReadBufferEviction::kFifo, /*exclusive=*/true);
   buf.Fill(512);
   for (uint64_t cl = 0; cl < 4; ++cl) {
     EXPECT_TRUE(buf.ConsumeLine(512 + cl * kCacheLineSize)) << cl;
@@ -33,7 +34,7 @@ TEST(ReadBufferTest, ExclusiveDelivery) {
   // A consumed line is gone (exclusive with the CPU caches): re-reading
   // always costs a refetch — the reason RA never drops below 1 (§3.1).
   Counters c;
-  ReadBuffer buf(KiB(16), &c);
+  ReadBuffer buf(KiB(16), &c, ReadBufferEviction::kFifo, /*exclusive=*/true);
   buf.Fill(0);
   EXPECT_TRUE(buf.ConsumeLine(0));
   EXPECT_FALSE(buf.ConsumeLine(0));
@@ -43,7 +44,7 @@ TEST(ReadBufferTest, ExclusiveDelivery) {
 
 TEST(ReadBufferTest, RefillRefreshesConsumedLines) {
   Counters c;
-  ReadBuffer buf(KiB(16), &c);
+  ReadBuffer buf(KiB(16), &c, ReadBufferEviction::kFifo, /*exclusive=*/true);
   buf.Fill(0);
   EXPECT_TRUE(buf.ConsumeLine(0));
   buf.Fill(0);  // refetch refreshes in place
@@ -52,7 +53,7 @@ TEST(ReadBufferTest, RefillRefreshesConsumedLines) {
 
 TEST(ReadBufferTest, FifoEviction) {
   Counters c;
-  ReadBuffer buf(KiB(1), &c);  // 4 XPLine slots
+  ReadBuffer buf(KiB(1), &c, ReadBufferEviction::kFifo, /*exclusive=*/true);  // 4 XPLine slots
   for (uint64_t i = 0; i < 5; ++i) {
     buf.Fill(i * kXPLineSize);
   }
@@ -63,7 +64,7 @@ TEST(ReadBufferTest, FifoEviction) {
 
 TEST(ReadBufferTest, RemoveForTransition) {
   Counters c;
-  ReadBuffer buf(KiB(16), &c);
+  ReadBuffer buf(KiB(16), &c, ReadBufferEviction::kFifo, /*exclusive=*/true);
   buf.Fill(0);
   EXPECT_TRUE(buf.ContainsXPLine(128));
   EXPECT_TRUE(buf.Remove(128));
@@ -76,7 +77,7 @@ TEST(ReadBufferTest, FreedSlotsRefillInFifoOrder) {
   // are reused in the order they were freed (FIFO), before the eviction hand
   // touches any live slot. Layout below: A,B,C,D land in slots 0..3.
   Counters c;
-  ReadBuffer buf(KiB(1), &c);  // 4 XPLine slots
+  ReadBuffer buf(KiB(1), &c, ReadBufferEviction::kFifo, /*exclusive=*/true);  // 4 XPLine slots
   const Addr a = 0 * kXPLineSize, b = 1 * kXPLineSize, cc = 2 * kXPLineSize,
              d = 3 * kXPLineSize, e = 4 * kXPLineSize, f = 5 * kXPLineSize,
              g = 6 * kXPLineSize, h = 7 * kXPLineSize;
@@ -110,8 +111,8 @@ TEST(ReadBufferTest, FillForDeliveryMatchesFillPlusConsume) {
   // Fill + ConsumeLine, with only the counter bookkeeping differing —
   // OptaneDimm::Read relies on this to skip the post-fill lookup.
   Counters c1, c2;
-  ReadBuffer x(KiB(1), &c1);
-  ReadBuffer y(KiB(1), &c2);
+  ReadBuffer x(KiB(1), &c1, ReadBufferEviction::kFifo, /*exclusive=*/true);
+  ReadBuffer y(KiB(1), &c2, ReadBufferEviction::kFifo, /*exclusive=*/true);
   const Addr addrs[] = {64, 3 * kXPLineSize + 128, 9 * kXPLineSize, 64, 5 * kXPLineSize + 192};
   for (const Addr addr : addrs) {
     x.FillForDelivery(addr);
@@ -138,7 +139,7 @@ TEST_P(ReadBufferRaProperty, Fig2Law) {
   const uint64_t capacity = KiB(16);
 
   Counters c;
-  ReadBuffer buf(capacity, &c);
+  ReadBuffer buf(capacity, &c, ReadBufferEviction::kFifo, /*exclusive=*/true);
   const uint64_t xplines = wss / kXPLineSize;
 
   auto round = [&]() {
@@ -183,28 +184,12 @@ INSTANTIATE_TEST_SUITE_P(Sweep, ReadBufferRaProperty,
 
 // ---------- WriteBuffer ----------
 
-WriteBufferConfig G1WbConfig() {
-  WriteBufferConfig cfg;
-  cfg.capacity_bytes = KiB(16);
-  cfg.partial_reserve_entries = 16;
-  cfg.periodic_full_writeback = true;
-  cfg.full_writeback_period = 5000;
-  cfg.batch_evict = true;
-  return cfg;
-}
-
-WriteBufferConfig G2WbConfig() {
-  WriteBufferConfig cfg;
-  cfg.capacity_bytes = KiB(16);
-  cfg.partial_reserve_entries = 0;
-  cfg.periodic_full_writeback = false;
-  cfg.batch_evict = false;
-  return cfg;
-}
+// Random-victim stream seed for every buffer built here.
+constexpr uint64_t kRngSeed = 0xC0FFEE;
 
 TEST(WriteBufferTest, MergeIsAHit) {
   Counters c;
-  WriteBuffer buf(G1WbConfig(), &c);
+  WriteBuffer buf(G1Platform().optane.write_buffer, &c, kRngSeed);
   std::vector<WritebackRequest> wb;
   EXPECT_FALSE(buf.Write(0, 0, 100, wb));
   EXPECT_TRUE(buf.Write(64, 1, 101, wb));  // same XPLine
@@ -216,7 +201,7 @@ TEST(WriteBufferTest, MergeIsAHit) {
 
 TEST(WriteBufferTest, VisibleAtIsPerCacheline) {
   Counters c;
-  WriteBuffer buf(G1WbConfig(), &c);
+  WriteBuffer buf(G1Platform().optane.write_buffer, &c, kRngSeed);
   std::vector<WritebackRequest> wb;
   buf.Write(0, 0, 1000, wb);
   buf.Write(64, 0, 2000, wb);
@@ -229,7 +214,7 @@ TEST(WriteBufferTest, PartialCapacityKnee) {
   // G1: partial XPLines are absorbed without any write-back until the usable
   // 48-entry (12 KB) capacity is exceeded (Fig. 3).
   Counters c;
-  WriteBuffer buf(G1WbConfig(), &c);
+  WriteBuffer buf(G1Platform().optane.write_buffer, &c, kRngSeed);
   std::vector<WritebackRequest> wb;
   for (uint64_t xp = 0; xp < 47; ++xp) {
     buf.Write(xp * kXPLineSize, 0, 0, wb);
@@ -247,7 +232,7 @@ TEST(WriteBufferTest, PartialCapacityKnee) {
 
 TEST(WriteBufferTest, PeriodicWritebackOfFullLines) {
   Counters c;
-  WriteBuffer buf(G1WbConfig(), &c);
+  WriteBuffer buf(G1Platform().optane.write_buffer, &c, kRngSeed);
   std::vector<WritebackRequest> wb;
   for (uint64_t cl = 0; cl < 4; ++cl) {
     buf.Write(cl * kCacheLineSize, 10, 100, wb);  // fully written XPLine
@@ -264,7 +249,7 @@ TEST(WriteBufferTest, PeriodicWritebackOfFullLines) {
 
 TEST(WriteBufferTest, G2NoPeriodicWriteback) {
   Counters c;
-  WriteBuffer buf(G2WbConfig(), &c);
+  WriteBuffer buf(G2Platform().optane.write_buffer, &c, kRngSeed);
   std::vector<WritebackRequest> wb;
   for (uint64_t cl = 0; cl < 4; ++cl) {
     buf.Write(cl * kCacheLineSize, 10, 100, wb);
@@ -275,7 +260,7 @@ TEST(WriteBufferTest, G2NoPeriodicWriteback) {
 
 TEST(WriteBufferTest, G2FullCapacitySingleEviction) {
   Counters c;
-  WriteBuffer buf(G2WbConfig(), &c);
+  WriteBuffer buf(G2Platform().optane.write_buffer, &c, kRngSeed);
   std::vector<WritebackRequest> wb;
   for (uint64_t xp = 0; xp < 64; ++xp) {
     buf.Write(xp * kXPLineSize, 0, 0, wb);
@@ -287,7 +272,7 @@ TEST(WriteBufferTest, G2FullCapacitySingleEviction) {
 
 TEST(WriteBufferTest, AbsorbFillCompletesEntry) {
   Counters c;
-  WriteBuffer buf(G1WbConfig(), &c);
+  WriteBuffer buf(G1Platform().optane.write_buffer, &c, kRngSeed);
   std::vector<WritebackRequest> wb;
   buf.Write(0, 0, 100, wb);
   EXPECT_FALSE(buf.ReadSnoop(64).holds_line);
@@ -302,7 +287,7 @@ TEST(WriteBufferTest, AbsorbFillCompletesEntry) {
 
 TEST(WriteBufferTest, InstallTransitionHoldsWholeXPLine) {
   Counters c;
-  WriteBuffer buf(G1WbConfig(), &c);
+  WriteBuffer buf(G1Platform().optane.write_buffer, &c, kRngSeed);
   std::vector<WritebackRequest> wb;
   buf.InstallTransition(64, 0, 500, wb);
   EXPECT_TRUE(buf.ReadSnoop(0).holds_line);
@@ -321,7 +306,7 @@ TEST_P(WriteBufferHitProperty, Fig4Law) {
   const uint64_t wss = GetParam();
   for (const bool g1 : {true, false}) {
     Counters c;
-    WriteBuffer buf(g1 ? G1WbConfig() : G2WbConfig(), &c);
+    WriteBuffer buf((g1 ? G1Platform() : G2Platform()).optane.write_buffer, &c, kRngSeed);
     std::vector<WritebackRequest> wb;
     Rng rng(7 + wss);
     const uint64_t xplines = wss / kXPLineSize;
@@ -351,7 +336,7 @@ INSTANTIATE_TEST_SUITE_P(Sweep, WriteBufferHitProperty,
 // history, so two identically seeded buffers must emit identical sequences.
 std::vector<WritebackRequest> ReplayMixedWorkload(const WriteBufferConfig& cfg) {
   Counters c;
-  WriteBuffer buf(cfg, &c);
+  WriteBuffer buf(cfg, &c, kRngSeed);
   std::vector<WritebackRequest> all;
   std::vector<WritebackRequest> wb;
   Rng rng(0xD373C7);
@@ -374,7 +359,7 @@ std::vector<WritebackRequest> ReplayMixedWorkload(const WriteBufferConfig& cfg) 
 TEST(WriteBufferTest, DeterministicWritebackSequence) {
   for (const bool g1 : {true, false}) {
     const WriteBufferConfig cfg = [&] {
-      WriteBufferConfig c = g1 ? G1WbConfig() : G2WbConfig();
+      WriteBufferConfig c = (g1 ? G1Platform() : G2Platform()).optane.write_buffer;
       c.eviction = WriteBufferEviction::kRandom;
       return c;
     }();
@@ -392,7 +377,7 @@ TEST(WriteBufferTest, DeterministicWritebackSequence) {
 
 TEST(WriteBufferTest, DeterministicOldestEvictionSequence) {
   // The kOldest ablation policy must also replay identically.
-  WriteBufferConfig cfg = G2WbConfig();
+  WriteBufferConfig cfg = G2Platform().optane.write_buffer;
   cfg.eviction = WriteBufferEviction::kOldest;
   const std::vector<WritebackRequest> a = ReplayMixedWorkload(cfg);
   const std::vector<WritebackRequest> b = ReplayMixedWorkload(cfg);
@@ -406,7 +391,7 @@ TEST(WriteBufferTest, DrainAllOrderFollowsKeyList) {
   // DrainAll walks keys_ (deterministic), not map_. With no evictions the
   // key list is insertion-ordered, so the drain order is the write order.
   Counters c;
-  WriteBuffer buf(G2WbConfig(), &c);
+  WriteBuffer buf(G2Platform().optane.write_buffer, &c, kRngSeed);
   std::vector<WritebackRequest> wb;
   const Addr xplines[] = {7 * kXPLineSize, 3 * kXPLineSize, 11 * kXPLineSize, 1 * kXPLineSize};
   for (const Addr xp : xplines) {

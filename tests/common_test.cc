@@ -495,22 +495,22 @@ TEST(ConfigTest, G1Preset) {
   const PlatformConfig p = G1Platform();
   EXPECT_EQ(p.generation, Generation::kG1);
   EXPECT_EQ(p.optane.read_buffer_bytes, KiB(16));
-  EXPECT_EQ(p.optane.write_buffer_bytes, KiB(16));
-  EXPECT_TRUE(p.optane.periodic_full_writeback);
+  EXPECT_EQ(p.optane.write_buffer.capacity_bytes, KiB(16));
+  EXPECT_TRUE(p.optane.write_buffer.periodic_full_writeback);
   EXPECT_TRUE(p.optane.same_line_flush_stall);
   EXPECT_FALSE(p.cache.clwb_retains_line);
   // 12 KB usable for partial XPLines.
-  EXPECT_EQ(p.optane.write_buffer_partial_reserve, 16u);
+  EXPECT_EQ(p.optane.write_buffer.partial_reserve_entries, 16u);
 }
 
 TEST(ConfigTest, G2Preset) {
   const PlatformConfig p = G2Platform();
   EXPECT_EQ(p.generation, Generation::kG2);
   EXPECT_EQ(p.optane.read_buffer_bytes, KiB(22));
-  EXPECT_FALSE(p.optane.periodic_full_writeback);
+  EXPECT_FALSE(p.optane.write_buffer.periodic_full_writeback);
   EXPECT_FALSE(p.optane.same_line_flush_stall);
   EXPECT_TRUE(p.cache.clwb_retains_line);
-  EXPECT_EQ(p.optane.write_buffer_partial_reserve, 0u);
+  EXPECT_EQ(p.optane.write_buffer.partial_reserve_entries, 0u);
 }
 
 TEST(ConfigTest, CacheGeometryDividesEvenly) {

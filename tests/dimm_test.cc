@@ -126,7 +126,7 @@ TEST(OptaneDimmTest, SameLineStallOnlyOnG1) {
 TEST(OptaneDimmTest, PartialEvictionCountsRmw) {
   Counters c;
   OptaneDimmConfig cfg = G1Dimm();
-  cfg.periodic_full_writeback = false;
+  cfg.write_buffer.periodic_full_writeback = false;
   OptaneDimm dimm(cfg, &c);
   // Overflow the partial capacity with single-line writes.
   for (uint64_t xp = 0; xp < 80; ++xp) {

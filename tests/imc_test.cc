@@ -167,13 +167,13 @@ TEST(McTest, SameLinePersistStallsOnG1) {
   McFixture f(G1Platform(), 1);
   f.mc.Write(0, 1000, 0);
   const McWriteResult w2 = f.mc.Write(0, 1100, 0);  // same line, within window
-  EXPECT_GT(w2.accepted_at - 1100, G1Platform().imc.wpq_accept_latency);
+  EXPECT_GT(w2.accepted_at - 1100, G1Platform().imc.wpq.accept_latency);
   EXPECT_GT(f.totals().wpq_stall_cycles, 0u);
 
   McFixture g2(G2Platform(), 1);
   g2.mc.Write(0, 1000, 0);
   const McWriteResult g2w = g2.mc.Write(0, 1100, 0);
-  EXPECT_EQ(g2w.accepted_at, 1100 + G2Platform().imc.wpq_accept_latency);
+  EXPECT_EQ(g2w.accepted_at, 1100 + G2Platform().imc.wpq.accept_latency);
 }
 
 TEST(McTest, DramSameLineWritesDoNotStall) {
@@ -183,7 +183,7 @@ TEST(McTest, DramSameLineWritesDoNotStall) {
   ASSERT_TRUE(G1Platform().optane.same_line_flush_stall);
   f.mc.Write(kDramAddressBase, 1000, 0);
   const McWriteResult w2 = f.mc.Write(kDramAddressBase, 1100, 0);
-  EXPECT_EQ(w2.accepted_at, 1100 + G1Platform().imc.wpq_accept_latency);
+  EXPECT_EQ(w2.accepted_at, 1100 + G1Platform().imc.wpq.accept_latency);
   EXPECT_EQ(f.totals().wpq_stall_cycles, 0u);
 }
 
@@ -191,7 +191,7 @@ TEST(McTest, DifferentLinesDoNotStall) {
   McFixture f(G1Platform(), 1);
   f.mc.Write(0, 1000, 0);
   const McWriteResult w2 = f.mc.Write(kCacheLineSize, 1100, 0);
-  EXPECT_EQ(w2.accepted_at, 1100 + G1Platform().imc.wpq_accept_latency);
+  EXPECT_EQ(w2.accepted_at, 1100 + G1Platform().imc.wpq.accept_latency);
 }
 
 TEST(McTest, DramWritesRouteToDramModel) {

@@ -222,8 +222,31 @@ TEST(TraceFormatTest, FingerprintIsStableAndDiscriminating) {
   EXPECT_NE(PlatformFingerprint(g1, 1), PlatformFingerprint(g1, 6));
 
   PlatformConfig tweaked = g1;
-  tweaked.optane.write_buffer_bytes += kXPLineSize;
+  tweaked.optane.write_buffer.capacity_bytes += kXPLineSize;
   EXPECT_NE(PlatformFingerprint(g1, 1), PlatformFingerprint(tweaked, 1));
+}
+
+// Pins the digest of every named preset at both DIMM counts the paper
+// measures. A drift re-keys every trace recorded on that preset; no committed
+// .pmtrace is recorded on plain g2, so this is the only guard for it.
+TEST(TraceFormatTest, FingerprintPinnedPerPreset) {
+  struct Pin {
+    const char* preset;
+    uint32_t dimms;
+    uint64_t fingerprint;
+  };
+  const Pin kPins[] = {
+      {"g1", 1, 0x0c9992f5ec3c4148},
+      {"g1", 6, 0x46743bceab91ba99},
+      {"g2", 1, 0xe3f10f7784fd9512},
+      {"g2", 6, 0xd2cea82f4cf9cb97},
+      {"g2-eadr", 1, 0xc54cca51c434fe60},
+      {"g2-eadr", 6, 0x46acd9c0b33fefb1},
+  };
+  for (const Pin& pin : kPins) {
+    EXPECT_EQ(PlatformFingerprint(*PlatformByName(pin.preset), pin.dimms), pin.fingerprint)
+        << pin.preset << " dimms=" << pin.dimms;
+  }
 }
 
 // Every strict-prefix truncation of a valid file must be rejected cleanly.
