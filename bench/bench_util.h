@@ -98,6 +98,25 @@ class Flags {
     return v;
   }
 
+  // GetU64 for 32-bit counts (threads, DIMMs, depths): a value above
+  // UINT32_MAX exits(2) instead of being truncated.
+  uint32_t GetU32(const std::string& name, uint32_t def) const {
+    const uint64_t v = GetU64(name, def);
+    if (v > UINT32_MAX) {
+      BadValue(name, Find(name).value_or(""), "unsigned 32-bit integer");
+    }
+    return static_cast<uint32_t>(v);
+  }
+
+  // GetU32 for counts that must not be zero.
+  uint32_t GetPositiveU32(const std::string& name, uint32_t def) const {
+    const uint32_t v = GetU32(name, def);
+    if (v == 0) {
+      BadValue(name, Find(name).value_or(""), "positive integer");
+    }
+    return v;
+  }
+
   // A comma-separated list (--mixes=a,b,e). An empty list or an empty
   // element exits(2).
   std::vector<std::string> GetList(const std::string& name, const std::string& def) const {

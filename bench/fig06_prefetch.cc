@@ -21,7 +21,7 @@ int main(int argc, char** argv) {
   const auto gens = sweep.flags().GetGenerations("both");
   const uint64_t max_mb = sweep.flags().GetU64("max_mb", 1024);
   const uint64_t max_visits = sweep.flags().GetU64("max_visits", 60000);
-  const uint32_t repeats = static_cast<uint32_t>(sweep.flags().GetU64("repeats", 4));
+  const uint32_t repeats = sweep.flags().GetU32("repeats", 4);
   pmemsim_bench::SweepRunner& runner =
       sweep.Start("Figure 6", "media & iMC read ratios under CPU prefetchers",
                   {"gen", "prefetcher", "wss_kb", "pm_ratio", "imc_ratio"});

@@ -110,10 +110,10 @@ int main(int argc, char** argv) {
                              ? Generation::kG2
                              : Generation::kG1;
   const uint64_t keys = sweep.flags().GetU64("keys", 600000);
-  const uint32_t depth = static_cast<uint32_t>(sweep.flags().GetU64("depth", 8));
-  const uint32_t max_workers = static_cast<uint32_t>(sweep.flags().GetU64("max_workers", 8));
+  const uint32_t depth = sweep.flags().GetU32("depth", 8);
+  const uint32_t max_workers = sweep.flags().GetU32("max_workers", 8);
   const bool scaled_cache = !sweep.flags().Has("full_cache");
-  const uint32_t dimms = static_cast<uint32_t>(sweep.flags().GetU64("dimms", 6));
+  const uint32_t dimms = sweep.flags().GetU32("dimms", 6);
   pmemsim_bench::SweepRunner& runner =
       sweep.Start("Figure 10", "CCEH with helper-thread prefetching (PM vs DRAM)",
                   {"device", "variant", "workers", "cycles_per_insert", "mops"});

@@ -79,7 +79,7 @@ int main(int argc, char** argv) {
   pmemsim_bench::Sweep sweep(argc, argv, "fig12_btree");
   const auto gens = sweep.flags().GetGenerations("both");
   const uint64_t keys = sweep.flags().GetU64("keys", 120000);
-  const uint32_t max_threads = static_cast<uint32_t>(sweep.flags().GetU64("max_threads", 9));
+  const uint32_t max_threads = sweep.flags().GetU32("max_threads", 9);
   pmemsim_bench::SweepRunner& runner =
       sweep.Start("Figure 12", "FAST&FAIR inserts: in-place vs out-of-place redo logging",
                   {"gen", "mode", "threads", "cycles_per_insert", "mops"});

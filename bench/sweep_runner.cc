@@ -19,8 +19,8 @@ void SweepPoint::Emit(BenchReport::Row row) {
 }
 
 SweepRunner::SweepRunner(const Flags& flags) {
-  const uint64_t jobs = flags.GetU64("jobs", 1);
-  jobs_ = jobs == 0 ? 1 : static_cast<uint32_t>(jobs);
+  const uint32_t jobs = flags.GetU32("jobs", 1);
+  jobs_ = jobs == 0 ? 1 : jobs;
 }
 
 void SweepRunner::Add(std::string label, std::function<void(SweepPoint&)> fn) {

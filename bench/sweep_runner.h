@@ -72,7 +72,7 @@ class SweepPoint {
 
 class SweepRunner {
  public:
-  // Reads --jobs=N from `flags` (default 1, clamped to >= 1).
+  // Reads --jobs=N from `flags` (default 1; 0 means 1; above UINT32_MAX exits 2).
   explicit SweepRunner(const Flags& flags);
 
   // Queues one sweep point. `label` names the point in error rows and the

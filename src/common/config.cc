@@ -1,8 +1,34 @@
 #include "src/common/config.h"
 
 #include <cctype>
+#include <cstdio>
 
 namespace pmemsim {
+
+namespace {
+
+template <typename T>
+std::string ValueText(const T& value) {
+  if constexpr (std::is_same_v<T, std::string>) {
+    return value;
+  } else if constexpr (std::is_floating_point_v<T>) {
+    char buf[32];
+    std::snprintf(buf, sizeof(buf), "%.17g", value);
+    return buf;
+  } else {
+    return std::to_string(static_cast<uint64_t>(value));
+  }
+}
+
+}  // namespace
+
+std::vector<std::string> FieldTexts(const PlatformConfig& config) {
+  std::vector<std::string> texts;
+  ForEachField(config, [&](std::string_view path, const auto& value) {
+    texts.push_back(std::string(path) + "=" + ValueText(value));
+  });
+  return texts;
+}
 
 PlatformConfig G1Platform() {
   PlatformConfig p;
@@ -39,7 +65,6 @@ PlatformConfig G2Platform() {
   p.optane.same_line_flush_stall = false;
 
   p.dram.load_latency = 260;  // higher cycles at 3 GHz + coherence cost
-  p.dram.store_accept_latency = 40;
   p.dram.write_visible_delay = 500;
   p.dram.unordered_read_overlap = 430;
 

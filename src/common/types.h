@@ -56,7 +56,9 @@ enum class MemoryKind : uint8_t {
   kDram,    // conventional DRAM
 };
 
-// Optane DCPMM generation. Selects buffer sizing / write-back / clwb policy.
+// Optane DCPMM generation: a preset's label (PlatformConfig::generation, the
+// trace header). No model branches on it: buffer sizing, write-back and clwb
+// policy are PlatformConfig fields, and PlatformFor(gen) only picks a preset.
 enum class Generation : uint8_t {
   kG1,  // 100-series Optane, Cascade Lake-era platform
   kG2,  // 200-series Optane, Ice Lake-era platform

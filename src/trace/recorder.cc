@@ -1,6 +1,5 @@
 #include "src/trace/recorder.h"
 
-#include <cinttypes>
 #include <cstdio>
 #include <cstring>
 
@@ -224,44 +223,18 @@ uint64_t TraceFile::TotalRecords() const {
 }
 
 uint64_t PlatformFingerprint(const PlatformConfig& config, uint32_t dimm_count) {
-  // Canonical text over every constant that shapes replay timing; hashing the
-  // rendered string keeps the digest independent of struct layout.
-  char buf[1024];
-  const OptaneDimmConfig& o = config.optane;
-  const WriteBufferConfig& w = o.write_buffer;
-  const CpuConfig& c = config.cpu;
-  const CacheConfig& h = config.cache;
-  std::snprintf(
-      buf, sizeof(buf),
-      "fp1|%s|gen%u|ghz%.6g|eadr%u|dimms%u|l1:%" PRIu64 "/%u/%" PRIu64 "|l2:%" PRIu64 "/%u/%" PRIu64
-      "|l3:%" PRIu64 "/%u/%" PRIu64 "|clwb%u/%" PRIu64 "|pf%u%u%u/%u|rb%" PRIu64 "/%u/%u|wb%" PRIu64
-      "/%u/%u/%" PRIu64 "/%u/%.6g|lat%" PRIu64 "/%" PRIu64 "/%" PRIu64 "|ports%u/%u|ait%" PRIu64
-      "/%" PRIu64 "|vis%" PRIu64 "|slfs%u/%" PRIu64 "|ovl%" PRIu64 "|dram%" PRIu64 "/%" PRIu64
-      "/%" PRIu64 "/%" PRIu64 "/%u/%" PRIu64 "|imc%u/%" PRIu64 "/%" PRIu64 "/%u/%" PRIu64
-      "/%" PRIu64 "/%" PRIu64 "|cpu%u/%" PRIu64 "/%" PRIu64 "/%" PRIu64 "/%" PRIu64 "/%" PRIu64
-      "/%" PRIu64 "",
-      config.name.c_str(), static_cast<unsigned>(config.generation), config.cpu_ghz,
-      config.eadr_enabled ? 1u : 0u, dimm_count, h.l1.size_bytes, h.l1.ways, h.l1.hit_latency,
-      h.l2.size_bytes, h.l2.ways, h.l2.hit_latency, h.l3.size_bytes, h.l3.ways, h.l3.hit_latency,
-      h.clwb_retains_line ? 1u : 0u, h.clwb_dispatch_delay, h.adjacent_line_prefetch ? 1u : 0u,
-      h.dcu_streamer_prefetch ? 1u : 0u, h.l2_stream_prefetch ? 1u : 0u, h.stream_prefetch_degree,
-      o.read_buffer_bytes, static_cast<unsigned>(o.read_buffer_eviction),
-      o.read_buffer_exclusive ? 1u : 0u, w.capacity_bytes, w.partial_reserve_entries,
-      w.periodic_full_writeback ? 1u : 0u, w.full_writeback_period, w.batch_evict ? 1u : 0u,
-      w.batch_evict_keep_fraction, o.buffer_hit_latency, o.media_read_latency,
-      o.media_write_latency, o.media_read_ports, o.media_write_ports, o.ait_cache_coverage_bytes,
-      o.ait_miss_penalty, o.write_visible_delay, o.same_line_flush_stall ? 1u : 0u,
-      o.same_line_stall_window, o.unordered_read_overlap, config.dram.load_latency,
-      config.dram.store_accept_latency, config.dram.write_visible_delay,
-      config.dram.unordered_read_overlap, config.dram.ports, config.dram.port_service,
-      config.imc.wpq.entries, config.imc.wpq.accept_latency, config.imc.wpq.drain_latency,
-      config.imc.rpq_entries, config.imc.read_overhead, config.imc.interleave_granularity,
-      config.imc.numa_hop_latency, c.store_buffer_depth, c.fence_cost, c.store_issue_cost,
-      c.store_miss_post_cost, c.nt_store_issue_cost, c.flush_issue_cost, c.simd_copy_cost);
+  // The fp2 text: the DIMM count, then every PlatformConfig leaf as path=value
+  // (FieldTexts). Hashing the rendered text keeps the digest independent of
+  // struct layout.
+  std::string text = "fp2|dimms=" + std::to_string(dimm_count);
+  for (const std::string& field : FieldTexts(config)) {
+    text += '|';
+    text += field;
+  }
   // FNV-1a 64.
   uint64_t h64 = 0xcbf29ce484222325ull;
-  for (const char* p = buf; *p != '\0'; ++p) {
-    h64 ^= static_cast<uint8_t>(*p);
+  for (const char c : text) {
+    h64 ^= static_cast<uint8_t>(c);
     h64 *= 0x100000001b3ull;
   }
   return h64;

@@ -126,9 +126,11 @@ struct TraceFile {
   static bool Load(const std::string& path, TraceFile* out, std::string* error);
 };
 
-// Stable 64-bit digest of everything that shapes replay timing: the platform
-// preset's structural and latency constants plus the DIMM population. Two
-// machines replay each other's traces only when these match exactly.
+// FNV-1a 64 of the fp2 text "fp2|dimms=N|path=value|...": the DIMM count,
+// then every PlatformConfig leaf from FieldTexts (config.h's field list), so
+// a leaf added to the list is in the digest with no edit here. Two machines
+// replay each other's traces only when these match exactly; a change to any
+// preset value, or to the list, re-keys the committed traces.
 uint64_t PlatformFingerprint(const PlatformConfig& config, uint32_t dimm_count);
 
 // Collects the operation stream of one System run. Threads are declared once

@@ -8,6 +8,7 @@
 #include <cstring>
 #include <map>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "src/common/backing_store.h"
@@ -511,6 +512,58 @@ TEST(ConfigTest, G2Preset) {
   EXPECT_FALSE(p.optane.same_line_flush_stall);
   EXPECT_TRUE(p.cache.clwb_retains_line);
   EXPECT_EQ(p.optane.write_buffer.partial_reserve_entries, 0u);
+}
+
+// The paths whose FieldTexts differ between two configs, in list order.
+std::vector<std::string> DiffPaths(const PlatformConfig& from, const PlatformConfig& to) {
+  const std::vector<std::string> a = FieldTexts(from);
+  const std::vector<std::string> b = FieldTexts(to);
+  std::vector<std::string> paths;
+  for (size_t i = 0; i < a.size(); ++i) {
+    if (a[i] != b[i]) {
+      paths.push_back(a[i].substr(0, a[i].find('=')));
+    }
+  }
+  return paths;
+}
+
+// DESIGN.md §1: the G1 testbed is the field-list defaults, and each later
+// preset states only what differs from the one it starts from.
+TEST(ConfigTest, PresetsAreDiffsOfTheFieldList) {
+  EXPECT_EQ(DiffPaths(PlatformConfig{}, G1Platform()), std::vector<std::string>{"name"});
+  const std::vector<std::string> g1_to_g2 = {
+      "name",
+      "generation",
+      "cpu_ghz",
+      "cache.l1.size_bytes",
+      "cache.l1.ways",
+      "cache.l1.hit_latency",
+      "cache.l2.size_bytes",
+      "cache.l2.ways",
+      "cache.l2.hit_latency",
+      "cache.l3.size_bytes",
+      "cache.l3.ways",
+      "cache.l3.hit_latency",
+      "cache.clwb_retains_line",
+      "optane.read_buffer_bytes",
+      "optane.write_buffer.partial_reserve_entries",
+      "optane.write_buffer.periodic_full_writeback",
+      "optane.write_buffer.batch_evict",
+      "optane.buffer_hit_latency",
+      "optane.media_read_latency",
+      "optane.media_write_latency",
+      "optane.ait_miss_penalty",
+      "optane.write_visible_delay",
+      "optane.same_line_flush_stall",
+      "optane.unordered_read_overlap",
+      "dram.load_latency",
+      "dram.write_visible_delay",
+      "dram.unordered_read_overlap",
+      "imc.numa_hop_latency",
+  };
+  EXPECT_EQ(DiffPaths(G1Platform(), G2Platform()), g1_to_g2);
+  EXPECT_EQ(DiffPaths(G2Platform(), G2EadrPlatform()),
+            (std::vector<std::string>{"name", "eadr_enabled"}));
 }
 
 TEST(ConfigTest, CacheGeometryDividesEvenly) {

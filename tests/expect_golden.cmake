@@ -1,6 +1,7 @@
 # Runs EXE with ARGS (a ;-separated list) and passes only when it exits RC
 # (default 0), when ROW is given a line of its stdout starts with ROW (a
-# regex), and when OUT is given the file it wrote to OUT is byte-identical
+# regex), when ERR is given its stderr matches ERR (a regex) and its stdout
+# is empty, and when OUT is given the file it wrote to OUT is byte-identical
 # to GOLDEN.
 #
 #   cmake -DEXE=<binary> "-DARGS=--store=cceh;--stats_json=/tmp/cceh.json" \
@@ -23,6 +24,12 @@ if(NOT rc STREQUAL RC)
 endif()
 if(DEFINED ROW AND NOT printed MATCHES "(^|\n)${ROW}")
   message(FATAL_ERROR "${EXE} ${ARGS}: no stdout line starts with '${ROW}'\n${printed}")
+endif()
+if(DEFINED ERR AND NOT err MATCHES "${ERR}")
+  message(FATAL_ERROR "${EXE} ${ARGS}: stderr does not match '${ERR}'\n${err}")
+endif()
+if(DEFINED ERR AND NOT printed STREQUAL "")
+  message(FATAL_ERROR "${EXE} ${ARGS}: printed on stdout while refusing\n${printed}")
 endif()
 if(NOT DEFINED OUT)
   return()

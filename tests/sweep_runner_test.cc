@@ -448,6 +448,23 @@ TEST(FlagsTest, GetSizeRejectsMalformedSizesWithExitTwo) {
   }
 }
 
+TEST(FlagsTest, GetU32RejectsValuesAboveUint32MaxWithExitTwo) {
+  const Flags flags = MakeFlags({"--max=4294967295", "--wrap=4294967297", "--zero=0"});
+  EXPECT_EQ(flags.GetU32("max", 1), UINT32_MAX);
+  EXPECT_EQ(flags.GetU32("zero", 1), 0u);
+  EXPECT_EQ(flags.GetPositiveU32("absent", 3), 3u);
+  EXPECT_EXIT(flags.GetU32("wrap", 1), testing::ExitedWithCode(2),
+              "invalid value for --wrap: '4294967297'");
+  EXPECT_EXIT(flags.GetPositiveU32("wrap", 1), testing::ExitedWithCode(2),
+              "invalid value for --wrap: '4294967297'");
+  EXPECT_EXIT(flags.GetPositiveU32("zero", 1), testing::ExitedWithCode(2),
+              "invalid value for --zero: '0'");
+  // --jobs=0 still means one worker; 2^32 + 1 no longer wraps to it.
+  EXPECT_EQ(SweepRunner(MakeFlags({"--jobs=0"})).jobs(), 1u);
+  EXPECT_EXIT((void)SweepRunner(MakeFlags({"--jobs=4294967297"})), testing::ExitedWithCode(2),
+              "invalid value for --jobs: '4294967297'");
+}
+
 TEST(BenchReportTest, SamplesJsonIsNotABenchFlag) {
   // Only pmemsim_watch produces an interval series and queries the flag
   // itself; a bench that builds a BenchReport must reject it as unknown.

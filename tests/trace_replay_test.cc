@@ -3,7 +3,10 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <map>
 #include <string>
+#include <string_view>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -212,6 +215,24 @@ TEST(TraceReplayTest, ReplayOnWrongPlatformDivergesLoudly) {
   EXPECT_NE(res.error.find("diverged"), std::string::npos) << res.error;
 }
 
+// Changes one config leaf to another valid value: a string gains a
+// character, a bool flips, an enum moves to its neighbour, a number grows.
+template <typename T>
+void Perturb(T& value) {
+  if constexpr (std::is_same_v<T, std::string>) {
+    value += '\'';
+  } else if constexpr (std::is_same_v<T, bool>) {
+    value = !value;
+  } else if constexpr (std::is_enum_v<T>) {
+    value = static_cast<T>(static_cast<std::underlying_type_t<T>>(value) ^ 1);
+  } else {
+    value += 1;
+  }
+}
+
+// For every leaf ForEachField visits, a G1 copy that differs in that leaf
+// only must get a digest of its own: no constant that shapes replay is left
+// out of the fingerprint.
 TEST(TraceFormatTest, FingerprintIsStableAndDiscriminating) {
   const PlatformConfig g1 = *PlatformByName("g1");
   const PlatformConfig g2 = *PlatformByName("g2");
@@ -221,9 +242,21 @@ TEST(TraceFormatTest, FingerprintIsStableAndDiscriminating) {
   EXPECT_NE(PlatformFingerprint(g2, 1), PlatformFingerprint(g2e, 1));
   EXPECT_NE(PlatformFingerprint(g1, 1), PlatformFingerprint(g1, 6));
 
-  PlatformConfig tweaked = g1;
-  tweaked.optane.write_buffer.capacity_bytes += kXPLineSize;
-  EXPECT_NE(PlatformFingerprint(g1, 1), PlatformFingerprint(tweaked, 1));
+  std::vector<std::string> paths;
+  ForEachField(g1, [&](std::string_view path, const auto&) { paths.emplace_back(path); });
+  std::map<uint64_t, std::string> seen = {{PlatformFingerprint(g1, 1), "g1"}};
+  for (size_t i = 0; i < paths.size(); ++i) {
+    PlatformConfig tweaked = g1;
+    size_t leaf = 0;
+    ForEachField(tweaked, [&](std::string_view, auto& value) {
+      if (leaf++ == i) {
+        Perturb(value);
+      }
+    });
+    const auto [it, fresh] = seen.emplace(PlatformFingerprint(tweaked, 1), paths[i]);
+    EXPECT_TRUE(fresh) << paths[i] << " hashes like " << it->second;
+  }
+  EXPECT_EQ(seen.size(), paths.size() + 1);
 }
 
 // Pins the digest of every named preset at both DIMM counts the paper
@@ -236,12 +269,12 @@ TEST(TraceFormatTest, FingerprintPinnedPerPreset) {
     uint64_t fingerprint;
   };
   const Pin kPins[] = {
-      {"g1", 1, 0x0c9992f5ec3c4148},
-      {"g1", 6, 0x46743bceab91ba99},
-      {"g2", 1, 0xe3f10f7784fd9512},
-      {"g2", 6, 0xd2cea82f4cf9cb97},
-      {"g2-eadr", 1, 0xc54cca51c434fe60},
-      {"g2-eadr", 6, 0x46acd9c0b33fefb1},
+      {"g1", 1, 0xbe7120c1de37ef0d},
+      {"g1", 6, 0x2a5e166ec38d1d9e},
+      {"g2", 1, 0x05848ea98a8244ce},
+      {"g2", 6, 0x0e00c18c24181d0f},
+      {"g2-eadr", 1, 0x90537a0841f04798},
+      {"g2-eadr", 6, 0x70d8c848e8aa60cb},
   };
   for (const Pin& pin : kPins) {
     EXPECT_EQ(PlatformFingerprint(*PlatformByName(pin.preset), pin.dimms), pin.fingerprint)

@@ -154,13 +154,13 @@ int main(int argc, char** argv) {
       flags.GetChoice("persist", "none", {"none", "clwb", "clwb+mfence"});
   cfg.wss = flags.GetSize("wss", cfg.wss);
   cfg.stride = flags.GetPositiveU64("stride", cfg.stride);
-  cfg.threads = static_cast<uint32_t>(flags.GetPositiveU64("threads", cfg.threads));
+  cfg.threads = flags.GetPositiveU32("threads", cfg.threads);
   cfg.ops = flags.GetPositiveU64("ops", cfg.ops);
   cfg.spec = ProbeSpec(cfg.op, persist);
   cfg.spec.pattern = cfg.pattern == "seq" ? pmemsim_bench::AccessPattern::kSeq
                                           : pmemsim_bench::AccessPattern::kRand;
   cfg.spec.distance = flags.GetU64("distance", cfg.spec.distance);
-  cfg.dimms = static_cast<uint32_t>(flags.GetU64("dimms", cfg.dimms));
+  cfg.dimms = flags.GetU32("dimms", cfg.dimms);
   if (cfg.wss < cfg.stride) {
     pmemsim_bench::Flags::BadValue("wss", std::to_string(cfg.wss),
                                    "working set of at least one stride");

@@ -134,7 +134,7 @@ int main(int argc, char** argv) {
   // ServeCliConfig's) as its default.
   ServeCliConfig cli;
   cli.platform = flags.GetPlatform("platform", "g1");
-  cli.dimms = static_cast<uint32_t>(flags.GetU64("dimms", cli.dimms));
+  cli.dimms = flags.GetU32("dimms", cli.dimms);
   const std::string store =
       flags.GetChoice("store", StoreName(cli.serve.store), {"cceh", "fastfair", "flatlog"});
   cli.serve.store = *StoreByName(store);
@@ -155,18 +155,17 @@ int main(int argc, char** argv) {
   }
 
   ServeConfig& cfg = cli.serve;
-  cfg.shards = static_cast<uint32_t>(flags.GetPositiveU64("shards", cfg.shards));
-  cfg.workers_per_shard =
-      static_cast<uint32_t>(flags.GetPositiveU64("workers", cfg.workers_per_shard));
+  cfg.shards = flags.GetPositiveU32("shards", cfg.shards);
+  cfg.workers_per_shard = flags.GetPositiveU32("workers", cfg.workers_per_shard);
   cfg.queue_depth = flags.GetPositiveU64("queue_depth", cfg.queue_depth);
   cfg.batch = flags.GetPositiveU64("batch", cfg.batch);
-  cfg.clients = static_cast<uint32_t>(flags.GetU64("clients", cfg.clients));
+  cfg.clients = flags.GetU32("clients", cfg.clients);
   cfg.think_cycles = flags.GetDouble("think", cfg.think_cycles);
   cfg.interarrival_cycles = flags.GetDouble("arrival_interval", cfg.interarrival_cycles);
   cfg.ops = flags.GetU64("ops", cfg.ops);
   cfg.keys = flags.GetPositiveU64("keys", cfg.keys);
   cfg.theta = flags.GetDouble("theta", cfg.theta);
-  cfg.scan_len = static_cast<uint32_t>(flags.GetU64("scan_len", cfg.scan_len));
+  cfg.scan_len = flags.GetU32("scan_len", cfg.scan_len);
   cfg.seed = flags.GetU64("seed", cfg.seed);
 
   // --engine_threads gives every shard domain a private System; its value is
@@ -174,8 +173,7 @@ int main(int argc, char** argv) {
   // System. --dispatch_latency belongs to that configuration's simulated
   // model, so it is rejected without --engine_threads.
   cli.partitioned = !flags.Get("engine_threads", "").empty();
-  cfg.engine_threads =
-      static_cast<uint32_t>(flags.GetPositiveU64("engine_threads", cfg.engine_threads));
+  cfg.engine_threads = flags.GetPositiveU32("engine_threads", cfg.engine_threads);
   cfg.dispatch_latency = flags.GetU64("dispatch_latency", cfg.dispatch_latency);
   if (!cli.partitioned && !flags.Get("dispatch_latency", "").empty()) {
     pmemsim_bench::Flags::BadValue("dispatch_latency", flags.Get("dispatch_latency", ""),

@@ -291,7 +291,7 @@ int RunRecord(pmemsim_bench::Sweep& sweep) {
   const std::string scenario = flags.Get("scenario", "");
   const std::string out_path = flags.Get("out", "");
   const std::string platform_name = flags.GetChoice("platform", "g1", PlatformNames());
-  const uint32_t dimms = static_cast<uint32_t>(flags.GetU64("dimms", 1));
+  const uint32_t dimms = flags.GetU32("dimms", 1);
   const auto config = PlatformByName(platform_name);
   const std::vector<PointSpec> points = BuildPoints(scenario, flags);
   flags.RejectUnknown();  // answers --help ahead of the required-flag checks

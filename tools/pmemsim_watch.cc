@@ -228,10 +228,10 @@ int main(int argc, char** argv) {
   }
   cfg.wss = flags.GetSize("wss", cfg.wss);
   cfg.stride = flags.GetU64("stride", cfg.stride);
-  cfg.threads = static_cast<uint32_t>(flags.GetPositiveU64("threads", cfg.threads));
+  cfg.threads = flags.GetPositiveU32("threads", cfg.threads);
   cfg.ops = flags.GetPositiveU64("ops", cfg.ops);
   cfg.spec.distance = flags.GetU64("distance", 4);
-  cfg.dimms = static_cast<uint32_t>(flags.GetU64("dimms", cfg.dimms));
+  cfg.dimms = flags.GetU32("dimms", cfg.dimms);
   cfg.interval = flags.GetPositiveU64("sample_interval_cycles", cfg.interval);
   cfg.breakdown = flags.Has("breakdown");
   cfg.quiet = flags.Has("quiet");
