@@ -14,8 +14,9 @@ artifacts:
                (pmemsim_watch writes it as "global_delta").
 
 Checks performed:
-  1. schema: every sample has index/t_begin/t_end/partial/delta/gauges, with
-     sequential indices and contiguous [t_begin, t_end) spans;
+  1. schema: every sample has index/t_begin/t_end/partial/delta/gauges, its
+     gauges hold all four SampleGauges fields, with sequential indices and
+     contiguous [t_begin, t_end) spans;
   2. only the final sample may be marked partial;
   3. for every counter field: sum of sample deltas == global delta, exactly;
   4. when the stats carry an "attribution" section (pmemsim_watch
@@ -35,7 +36,12 @@ import json
 import sys
 
 REQUIRED_SAMPLE_KEYS = ("index", "t_begin", "t_end", "partial", "delta", "gauges")
-REQUIRED_GAUGE_KEYS = ("wpq_occupancy", "read_buffer_entries", "write_buffer_entries")
+REQUIRED_GAUGE_KEYS = (
+    "wpq_occupancy",
+    "read_buffer_entries",
+    "write_buffer_entries",
+    "serve_queue_depth",
+)
 
 
 def fail(msg):

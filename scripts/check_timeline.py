@@ -11,7 +11,8 @@ using only the JSON artifacts:
 
   * --timeline: the --timeline_json file ({"points": [...]});
   * --stats:    optionally, the same run's --stats_json report, whose "serve"
-                section's whole-run totals must agree with the timeline's.
+                section's config and whole-run totals and whose "slo" section
+                must agree with the timeline's.
 
 Checks performed, per point:
   1. schema: config/serve_start/end/truncated/totals/global/shards present,
@@ -20,13 +21,17 @@ Checks performed, per point:
   2. contiguity: sequential indices, t_begin == previous t_end, first window
      starts at serve_start, last window ends at end, only the last window may
      be partial — for the global series and every shard series;
-  3. conservation: per-index global counts == sum over shards, whole-run
-     totals == sum over global windows;
+  3. conservation: per-index global counts == sum over shards, each global
+     window's mem block == the field-wise sum of the shard windows' mem
+     blocks, whole-run totals == sum over global windows;
   4. quantile sanity: p50 <= p99 <= p999 in every window with completions,
      null quantiles exactly when a window has no completions;
   5. SLO consistency (when present): violations == count of windows with
      slo_violation, burn_rate == violations / windows_with_traffic;
-  6. truncated must be false unless --allow-truncated.
+  6. truncated must be false unless --allow-truncated;
+  7. with --stats: the point's config (mix/loop/store/engine/shards) equals
+     its "serve" section's config, and its "slo" block equals the stats
+     "slo" entry for the point.
 
 Usage:
     check_timeline.py --timeline /tmp/serve_timeline.json \
@@ -62,6 +67,9 @@ REQUIRED_WINDOW_KEYS = (
     "sojourn_p999",
 )
 MERGED_COUNT_KEYS = ("completed", "admitted", "shed", "queue_depth")
+# Config keys the timeline shares with the stats "serve" section's config.
+SHARED_CONFIG_KEYS = ("mix", "loop", "store", "engine", "shards")
+SLO_SUMMARY_KEYS = ("violations", "windows", "windows_with_traffic", "burn_rate")
 
 
 def fail(msg):
@@ -156,6 +164,21 @@ def check_point(idx, point, allow_truncated):
                     f"{label} window {i}: global {key} {win[key]} != sum over shards {total}"
                 )
 
+    # The memory plane: the global block is the field-wise sum of the shard
+    # blocks (one per System, carried by the first shard on it).
+    for i, win in enumerate(g):
+        blocks = [s["windows"][i]["mem"] for s in shards if "mem" in s["windows"][i]]
+        if not blocks:
+            if "mem" in win:
+                fail(f"{label} window {i}: global mem block with no shard mem block")
+            continue
+        if "mem" not in win:
+            fail(f"{label} window {i}: shard mem blocks but no global mem block")
+        for key, value in win["mem"].items():
+            total = sum(b[key] for b in blocks)
+            if value != total:
+                fail(f"{label} window {i}: global mem.{key} {value} != sum over shards {total}")
+
     # Whole-run conservation: totals are the column sums of the global series.
     totals = point["totals"]
     for key in ("completed", "admitted", "shed"):
@@ -183,6 +206,20 @@ def check_point(idx, point, allow_truncated):
     return totals
 
 
+def check_slo_entry(idx, point, entry):
+    """The stats "slo" entry for a point must restate its timeline's slo block."""
+    slo = point.get("slo")
+    if (entry is None) != (slo is None):
+        fail(f"point {idx}: stats slo entry {entry} vs timeline slo block {slo}")
+    if entry is None:
+        return
+    cfg = point["config"]
+    want = {"mix": cfg["mix"], "loop": cfg["loop"], "slo_p99_cycles": cfg["slo_p99_cycles"]}
+    want.update({key: slo[key] for key in SLO_SUMMARY_KEYS})
+    if entry != want:
+        fail(f"point {idx}: stats slo entry {entry} != timeline {want}")
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--timeline", required=True, help="--timeline_json artifact")
@@ -203,11 +240,15 @@ def main():
         fail(f"{args.timeline}: not a pmemsim_serve timeline artifact")
 
     serve_sections = None
+    slo_entries = None
     if args.stats:
         stats = load_json(args.stats)
         serve_sections = stats.get("serve")
         if not isinstance(serve_sections, list) or len(serve_sections) != len(points):
             fail(f"{args.stats}: 'serve' section missing or misaligned with timeline points")
+        slo_entries = stats.get("slo", [None] * len(points))
+        if not isinstance(slo_entries, list) or len(slo_entries) != len(points):
+            fail(f"{args.stats}: 'slo' section misaligned with timeline points")
 
     checked = 0
     for idx, point in enumerate(points):
@@ -224,6 +265,14 @@ def main():
                     f"point {idx}: timeline completed {totals['completed']} != serve "
                     f"section {expected['completed']}"
                 )
+            for key in SHARED_CONFIG_KEYS:
+                if point["config"][key] != serve["config"][key]:
+                    fail(
+                        f"point {idx}: timeline config.{key} {point['config'][key]!r} != "
+                        f"serve section {serve['config'][key]!r}"
+                    )
+        if slo_entries is not None:
+            check_slo_entry(idx, point, slo_entries[idx])
         if args.report:
             cfg = point["config"]
             print(
