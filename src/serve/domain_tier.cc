@@ -24,6 +24,15 @@ ServeConfig WithoutDispatchHop(ServeConfig cfg) {
 
 }  // namespace
 
+const char* EngineName(bool partitioned) { return partitioned ? "partitioned" : "interleaved"; }
+
+ServeTimeline::Config TimelineConfigFor(const ServeConfig& cfg, bool partitioned,
+                                        Cycles interval_cycles, uint64_t slo_p99_cycles) {
+  return {.mix = cfg.mix_name, .loop = LoopModeName(cfg.loop), .store = StoreName(cfg.store),
+          .engine = EngineName(partitioned), .shards = cfg.shards,
+          .interval_cycles = interval_cycles, .slo_p99_cycles = slo_p99_cycles};
+}
+
 ServeDomain::ServeDomain(System* system, const ServeConfig& cfg, uint32_t index,
                          std::vector<uint64_t> load_keys, uint64_t append_budget)
     : cfg_(cfg),
@@ -521,7 +530,7 @@ void DomainTier::ToJson(JsonWriter& w) const {
   w.Key("seed").Value(cfg_.seed);
   // Engine identity — but deliberately NOT engine_threads: the report must
   // byte-compare across host thread counts (the determinism gate).
-  w.Key("engine").Value(shared_system_ != nullptr ? "interleaved" : "partitioned");
+  w.Key("engine").Value(EngineName(shared_system_ == nullptr));
   w.Key("dispatch_latency").Value(static_cast<uint64_t>(cfg_.dispatch_latency));
   w.EndObject();
   w.Key("load_cycles").Value(static_cast<uint64_t>(load_end_));

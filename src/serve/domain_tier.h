@@ -76,6 +76,14 @@ namespace pmemsim {
 
 class JsonWriter;
 
+// "partitioned" (a private System per shard domain) or "interleaved" (every
+// domain on one shared System): the engine name in the serve reports.
+const char* EngineName(bool partitioned);
+
+// The timeline config of one serve point (slo_p99_cycles 0 = monitor off).
+ServeTimeline::Config TimelineConfigFor(const ServeConfig& cfg, bool partitioned,
+                                        Cycles interval_cycles, uint64_t slo_p99_cycles = 0);
+
 // One shard domain: the serving state of exactly one shard on a System it
 // may share with its peers. All methods are called either from the
 // coordinator between epochs or from the single host thread advancing this

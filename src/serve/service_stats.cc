@@ -4,6 +4,7 @@
 
 #include "src/common/check.h"
 #include "src/trace/json.h"
+#include "src/trace/serve_metrics.h"
 
 namespace pmemsim {
 
@@ -62,15 +63,7 @@ void ServiceStats::ToJson(JsonWriter& w, double cpu_ghz, Cycles serve_start) con
   w.EndObject();
   w.Key("ops_per_sec").Value(OpsPerSec(cpu_ghz, serve_start));
   w.Key("last_completion").Value(static_cast<uint64_t>(last_completion));
-  if (sojourn.count() == 0) {
-    w.Key("sojourn_p50").Null();
-    w.Key("sojourn_p99").Null();
-    w.Key("sojourn_p999").Null();
-  } else {
-    w.Key("sojourn_p50").Value(sojourn.Quantile(0.50));
-    w.Key("sojourn_p99").Value(sojourn.Quantile(0.99));
-    w.Key("sojourn_p999").Value(sojourn.Quantile(0.999));
-  }
+  SojournTailsToJson(w, sojourn);
   w.Key("latency").BeginObject();
   w.Key("sojourn");
   sojourn.ToJson(w);

@@ -5,6 +5,26 @@
 
 namespace pmemsim {
 
+SampleGauges& SampleGauges::operator+=(const SampleGauges& rhs) {
+#define PMEMSIM_ADD_GAUGE(type, name) name += rhs.name;
+  PMEMSIM_GAUGE_FIELDS(PMEMSIM_ADD_GAUGE)
+#undef PMEMSIM_ADD_GAUGE
+  return *this;
+}
+
+void SampleGauges::WriteFields(JsonWriter& w) const {
+#define PMEMSIM_WRITE_GAUGE(type, name) w.Key(#name).Value(name);
+  PMEMSIM_GAUGE_FIELDS(PMEMSIM_WRITE_GAUGE)
+#undef PMEMSIM_WRITE_GAUGE
+}
+
+void WindowHeader::WriteHeader(JsonWriter& w) const {
+  w.Key("index").Value(index);
+  w.Key("t_begin").Value(t_begin);
+  w.Key("t_end").Value(t_end);
+  w.Key("partial").Value(partial);
+}
+
 Sampler::Sampler(const Counters* counters, Cycles interval_cycles, Cycles origin)
     : counters_(counters), interval_(interval_cycles), delta_(counters) {
   PMEMSIM_CHECK(counters != nullptr);
@@ -74,17 +94,11 @@ void Sampler::ToJson(JsonWriter& w) const {
   w.BeginArray();
   for (const Sample& s : samples_) {
     w.BeginObject();
-    w.Key("index").Value(s.index);
-    w.Key("t_begin").Value(static_cast<uint64_t>(s.t_begin));
-    w.Key("t_end").Value(static_cast<uint64_t>(s.t_end));
-    w.Key("partial").Value(s.partial);
+    s.WriteHeader(w);
     w.Key("delta");
     s.delta.ToJson(w);
     w.Key("gauges").BeginObject();
-    w.Key("wpq_occupancy").Value(s.gauges.wpq_occupancy);
-    w.Key("read_buffer_entries").Value(s.gauges.read_buffer_entries);
-    w.Key("write_buffer_entries").Value(s.gauges.write_buffer_entries);
-    w.Key("serve_queue_depth").Value(s.gauges.serve_queue_depth);
+    s.gauges.WriteFields(w);
     w.EndObject();
     w.EndObject();
   }

@@ -38,21 +38,39 @@ namespace pmemsim {
 
 class JsonWriter;
 
+// The gauge fields, as PMEMSIM_COUNTER_FIELDS is for Counters: SampleGauges'
+// members, its += and its JSON writer come from this list.
+#define PMEMSIM_GAUGE_FIELDS(X)     \
+  X(double, wpq_occupancy)          \
+  X(uint64_t, read_buffer_entries)  \
+  X(uint64_t, write_buffer_entries) \
+  X(uint64_t, serve_queue_depth)
+
 // Instantaneous occupancy values read at each interval boundary — gauges, as
-// opposed to the monotone counter deltas. Filled by the gauge source the
+// opposed to the monotone counter deltas: entries across the Optane WPQs,
+// occupied on-DIMM read-buffer slots and write-buffer entries, and the
+// serving tier's request-queue occupancy. Filled by the gauge source the
 // owner installs (typically summing over a System's DIMMs/WPQs).
 struct SampleGauges {
-  double wpq_occupancy = 0.0;       // entries across the Optane WPQs
-  uint64_t read_buffer_entries = 0; // occupied on-DIMM read-buffer slots
-  uint64_t write_buffer_entries = 0;// occupied on-DIMM write-buffer entries
-  uint64_t serve_queue_depth = 0;   // serving-tier request-queue occupancy
+#define PMEMSIM_DECLARE_GAUGE(type, name) type name = 0;
+  PMEMSIM_GAUGE_FIELDS(PMEMSIM_DECLARE_GAUGE)
+#undef PMEMSIM_DECLARE_GAUGE
+
+  SampleGauges& operator+=(const SampleGauges& rhs);  // several Systems as one
+  void WriteFields(JsonWriter& w) const;              // into the open object
 };
 
-struct Sample {
-  uint64_t index = 0;   // interval number, 0-based
-  Cycles t_begin = 0;   // inclusive start of the interval
-  Cycles t_end = 0;     // exclusive end (the boundary, or Finalize's clock)
-  bool partial = false; // closing interval cut short by Finalize
+// One interval of a series: the memory-plane samples and the serve windows.
+struct WindowHeader {
+  uint64_t index = 0;    // interval number, 0-based
+  Cycles t_begin = 0;    // inclusive start of the interval
+  Cycles t_end = 0;      // exclusive end (the boundary, or the closing clock)
+  bool partial = false;  // closing interval cut short by Finalize
+
+  void WriteHeader(JsonWriter& w) const;  // the four fields, into the open object
+};
+
+struct Sample : WindowHeader {
   Counters delta;       // counter deltas accumulated within the interval
   SampleGauges gauges;  // read at t_end
 };

@@ -27,38 +27,41 @@ Sampler* ServeMetrics::AttachMemSampler(const Counters* counters, Sampler::Gauge
   return sampler_.get();
 }
 
-ServeMetrics::Bucket& ServeMetrics::BucketFor(Cycles t) {
+ServeWindow& ServeMetrics::WindowAt(Cycles t) {
   PMEMSIM_CHECK_MSG(begun_, "serve metrics event before Begin");
   PMEMSIM_CHECK_MSG(t >= origin_, "serve metrics event predates the series origin");
   max_observed_ = std::max(max_observed_, t);
-  return buckets_[(t - origin_) / interval_];
+  const uint64_t index = (t - origin_) / interval_;
+  if (index >= windows_.size()) {
+    windows_.resize(index + 1);
+  }
+  return windows_[index];
 }
 
 void ServeMetrics::RecordAdmission(Cycles t) {
-  ++BucketFor(t).admitted;
+  ++WindowAt(t).admitted;
   ++total_admitted_;
 }
 
 void ServeMetrics::RecordShed(Cycles t) {
-  ++BucketFor(t).shed;
+  ++WindowAt(t).shed;
   ++total_shed_;
 }
 
 void ServeMetrics::RecordCompletion(Cycles end, Cycles sojourn) {
-  Bucket& b = BucketFor(end);
-  ++b.completed;
-  b.sojourn.Add(sojourn);
+  ServeWindow& win = WindowAt(end);
+  ++win.completed;
+  win.sojourn.Add(sojourn);
   ++total_completed_;
 }
 
 void ServeMetrics::ObserveQueueDepth(Cycles t, uint64_t depth) {
-  Bucket& b = BucketFor(t);
+  ServeWindow& win = WindowAt(t);
   // Latest observation wins; at equal timestamps the later call wins, which
   // within one engine's deterministic step order is itself deterministic.
-  if (!b.has_depth || t >= b.depth_time) {
-    b.has_depth = true;
-    b.depth_time = t;
-    b.depth = depth;
+  if (!win.depth_time || t >= *win.depth_time) {
+    win.depth_time = t;
+    win.queue_depth = depth;
   }
 }
 
@@ -75,46 +78,38 @@ void ServeMetrics::Finalize(Cycles end) {
   // zero-width) closing window so every timeline has windows to gate on.
   if (total == 0) total = 1;
 
+  // Events stamped exactly at `end` when `end` lies on a boundary were
+  // recorded one past the last window; the closing window owns its right
+  // edge, so clamp them in. Stamped at `end`, their depth observation is the
+  // closing window's latest.
+  if (windows_.size() > total) {
+    ServeWindow& last = windows_[total - 1];
+    const ServeWindow& edge = windows_[total];
+    last.completed += edge.completed;
+    last.admitted += edge.admitted;
+    last.shed += edge.shed;
+    last.sojourn.Merge(edge.sojourn);
+    if (edge.depth_time) {
+      last.depth_time = edge.depth_time;
+      last.queue_depth = edge.queue_depth;
+    }
+  }
   windows_.resize(total);
+
+  // Queue depth is a gauge: windows without an observation carry the last
+  // known occupancy forward (an idle window still has a queue).
+  uint64_t depth = 0;
   for (uint64_t i = 0; i < total; ++i) {
     ServeWindow& win = windows_[i];
     win.index = i;
     win.t_begin = origin_ + i * interval_;
     win.t_end = std::min(origin_ + (i + 1) * interval_, end);
     win.partial = (win.t_end - win.t_begin) < interval_;
-  }
-
-  // Fold the sparse buckets in. Events stamped exactly at `end` when `end`
-  // lies on a boundary indexed one past the last window; the closing window
-  // owns its right edge, so clamp them in. The map iterates in index order,
-  // so the >=-time rule keeps the latest depth observation across a clamp.
-  struct DepthPick {
-    bool has = false;
-    Cycles time = 0;
-    uint64_t depth = 0;
-  };
-  std::vector<DepthPick> picks(total);
-  for (const auto& [idx, b] : buckets_) {
-    ServeWindow& win = windows_[std::min<uint64_t>(idx, total - 1)];
-    win.completed += b.completed;
-    win.admitted += b.admitted;
-    win.shed += b.shed;
-    win.sojourn.Merge(b.sojourn);
-    DepthPick& pick = picks[win.index];
-    if (b.has_depth && (!pick.has || b.depth_time >= pick.time)) {
-      pick.has = true;
-      pick.time = b.depth_time;
-      pick.depth = b.depth;
+    if (win.depth_time) {
+      depth = win.queue_depth;
+    } else {
+      win.queue_depth = depth;
     }
-  }
-  buckets_.clear();
-
-  // Queue depth is a gauge: windows without an observation carry the last
-  // known occupancy forward (a window with no folds still has a queue).
-  uint64_t carry = 0;
-  for (uint64_t i = 0; i < total; ++i) {
-    if (picks[i].has) carry = picks[i].depth;
-    windows_[i].queue_depth = carry;
   }
 
   // Graft the joined memory-plane series: samples align by construction
@@ -182,11 +177,7 @@ void ServeTimeline::MergeGlobal() {
   global_windows_.resize(n);
   for (size_t i = 0; i < n; ++i) {
     ServeWindow& g = global_windows_[i];
-    const ServeWindow& ref = metrics_[0]->windows()[i];
-    g.index = ref.index;
-    g.t_begin = ref.t_begin;
-    g.t_end = ref.t_end;
-    g.partial = ref.partial;
+    static_cast<WindowHeader&>(g) = metrics_[0]->windows()[i];
     for (const auto& m : metrics_) {
       const ServeWindow& w = m->windows()[i];
       g.completed += w.completed;
@@ -199,10 +190,7 @@ void ServeTimeline::MergeGlobal() {
       if (w.has_mem) {
         g.has_mem = true;
         g.mem_delta += w.mem_delta;
-        g.mem_gauges.wpq_occupancy += w.mem_gauges.wpq_occupancy;
-        g.mem_gauges.read_buffer_entries += w.mem_gauges.read_buffer_entries;
-        g.mem_gauges.write_buffer_entries += w.mem_gauges.write_buffer_entries;
-        g.mem_gauges.serve_queue_depth += w.mem_gauges.serve_queue_depth;
+        g.mem_gauges += w.mem_gauges;
       }
     }
   }
@@ -223,34 +211,33 @@ ServeTimeline::SloSummary ServeTimeline::Slo() const {
   return slo;
 }
 
+void ServeTimeline::SloSummary::WriteFields(JsonWriter& w) const {
+  w.Key("violations").Value(violations);
+  w.Key("windows").Value(windows);
+  w.Key("windows_with_traffic").Value(windows_with_traffic);
+  w.Key("burn_rate").Value(burn_rate);
+}
+
+void SojournTailsToJson(JsonWriter& w, const Histogram& sojourn) {
+  for (const auto& [key, q] : {std::pair{"sojourn_p50", 0.50}, std::pair{"sojourn_p99", 0.99},
+                               std::pair{"sojourn_p999", 0.999}}) {
+    w.Key(key);
+    if (sojourn.count() == 0) {
+      w.Null();
+    } else {
+      w.Value(sojourn.Quantile(q));
+    }
+  }
+}
+
 void ServeTimeline::WindowToJson(JsonWriter& w, const ServeWindow& win, bool with_slo) const {
   w.BeginObject();
-  w.Key("index").Value(win.index);
-  w.Key("t_begin").Value(win.t_begin);
-  w.Key("t_end").Value(win.t_end);
-  w.Key("partial").Value(win.partial);
+  win.WriteHeader(w);
   w.Key("completed").Value(win.completed);
   w.Key("admitted").Value(win.admitted);
   w.Key("shed").Value(win.shed);
   w.Key("queue_depth").Value(win.queue_depth);
-  w.Key("sojourn_p50");
-  if (win.sojourn.count()) {
-    w.Value(win.sojourn.Quantile(0.50));
-  } else {
-    w.Null();
-  }
-  w.Key("sojourn_p99");
-  if (win.sojourn.count()) {
-    w.Value(win.sojourn.Quantile(0.99));
-  } else {
-    w.Null();
-  }
-  w.Key("sojourn_p999");
-  if (win.sojourn.count()) {
-    w.Value(win.sojourn.Quantile(0.999));
-  } else {
-    w.Null();
-  }
+  SojournTailsToJson(w, win.sojourn);
   if (with_slo && cfg_.slo_p99_cycles > 0) {
     w.Key("slo_violation")
         .Value(win.completed > 0 && win.sojourn.Quantile(0.99) > cfg_.slo_p99_cycles);
@@ -262,10 +249,7 @@ void ServeTimeline::WindowToJson(JsonWriter& w, const ServeWindow& win, bool wit
     w.Key("media_read_bytes").Value(win.mem_delta.media_read_bytes);
     w.Key("media_write_bytes").Value(win.mem_delta.media_write_bytes);
     w.Key("wpq_stall_cycles").Value(win.mem_delta.wpq_stall_cycles);
-    w.Key("wpq_occupancy").Value(win.mem_gauges.wpq_occupancy);
-    w.Key("read_buffer_entries").Value(win.mem_gauges.read_buffer_entries);
-    w.Key("write_buffer_entries").Value(win.mem_gauges.write_buffer_entries);
-    w.Key("serve_queue_depth").Value(win.mem_gauges.serve_queue_depth);
+    win.mem_gauges.WriteFields(w);
     w.EndObject();
   }
   w.EndObject();
@@ -301,12 +285,8 @@ void ServeTimeline::ToJson(JsonWriter& w) const {
   w.EndObject();
 
   if (cfg_.slo_p99_cycles > 0) {
-    const SloSummary slo = Slo();
     w.Key("slo").BeginObject();
-    w.Key("violations").Value(slo.violations);
-    w.Key("windows").Value(slo.windows);
-    w.Key("windows_with_traffic").Value(slo.windows_with_traffic);
-    w.Key("burn_rate").Value(slo.burn_rate);
+    Slo().WriteFields(w);
     w.EndObject();
   }
 

@@ -9,13 +9,13 @@
 // quantiles, optionally joined with the memory-plane interval series (a
 // Sampler over the same origin/interval, so windows align exactly).
 //
-// Determinism: events are bucketed by their *simulated* timestamps, and every
-// per-window aggregate is commutative (counts sum, histogram adds commute),
-// so the materialized timeline depends only on the simulated event set —
-// never on host interleaving. The one order-sensitive reading, the
-// queue-depth gauge, takes the last observation per window in the owning
-// engine's step order, which is itself deterministic per domain. That is what
-// makes the emitted timeline byte-identical at any --jobs x --engine_threads.
+// Determinism: events land in windows by their *simulated* timestamps, and
+// every per-window aggregate is commutative (counts sum, histogram adds
+// commute), so the timeline depends only on the simulated event set — never
+// on host interleaving. The one order-sensitive reading, the queue-depth
+// gauge, takes the latest observation per window, at equal times the later
+// call in the owning engine's deterministic step order. That is what makes
+// the emitted timeline byte-identical at any --jobs x --engine_threads.
 //
 // Conservation (gated by tests and scripts/check_timeline.py): the windows
 // tile [origin, end) contiguously (only the final window may be partial), and
@@ -36,8 +36,8 @@
 #define SRC_TRACE_SERVE_METRICS_H_
 
 #include <cstdint>
-#include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -51,22 +51,22 @@ namespace pmemsim {
 
 class JsonWriter;
 
-// One materialized telemetry window: [t_begin, t_end), except the closing
-// window which also owns events stamped exactly at its t_end.
-struct ServeWindow {
-  uint64_t index = 0;
-  Cycles t_begin = 0;
-  Cycles t_end = 0;
-  bool partial = false;  // closing window cut short by Finalize
+// One telemetry window: [t_begin, t_end), except the closing window which
+// also owns events stamped exactly at its t_end.
+struct ServeWindow : WindowHeader {
   uint64_t completed = 0;
   uint64_t admitted = 0;
   uint64_t shed = 0;
   uint64_t queue_depth = 0;  // occupancy at window close (carried forward)
-  Histogram sojourn;         // per-window sojourn latencies -> windowed tails
-  bool has_mem = false;      // memory-plane interval joined in
+  std::optional<Cycles> depth_time;  // latest depth observation; none = carried
+  Histogram sojourn;     // per-window sojourn latencies -> windowed tails
+  bool has_mem = false;  // memory-plane interval joined in
   Counters mem_delta;
   SampleGauges mem_gauges;
 };
+
+// Writes sojourn_p50/p99/p999 (exact-rank) into the open object, null if empty.
+void SojournTailsToJson(JsonWriter& w, const Histogram& sojourn);
 
 // Per-shard windowed serve metrics. All recording calls happen on the shard's
 // engine thread (lockstep, or the domain's host thread within an epoch);
@@ -86,39 +86,27 @@ class ServeMetrics {
   void RecordAdmission(Cycles t);
   void RecordShed(Cycles t);
   void RecordCompletion(Cycles end, Cycles sojourn);
-  // Queue-occupancy gauge: the last observation per window (in call order,
-  // which is the owning engine's deterministic step order) closes the window.
+  // Queue-occupancy gauge: the latest observation per window (at equal
+  // times, the later call) closes the window.
   void ObserveQueueDepth(Cycles t, uint64_t depth);
 
-  // Materializes the contiguous window list over [origin, end], emitting
-  // zero windows for idle intervals and folding the joined mem samples in.
+  // Completes the contiguous window list over [origin, end], with zero
+  // windows for idle intervals and the joined mem samples folded in.
   // Idempotent (later calls are ignored), so a truncated flush after a
   // normal finalize changes nothing.
   void Finalize(Cycles end);
-  bool finalized() const { return finalized_; }
 
-  Cycles origin() const { return origin_; }
-  Cycles interval_cycles() const { return interval_; }
   // Largest event timestamp observed; the truncated-flush finalize point.
   Cycles max_observed() const { return max_observed_; }
   uint64_t total_completed() const { return total_completed_; }
   uint64_t total_admitted() const { return total_admitted_; }
   uint64_t total_shed() const { return total_shed_; }
 
+  // Indexed by window number, recorded into directly; whole after Finalize.
   const std::vector<ServeWindow>& windows() const { return windows_; }
 
  private:
-  struct Bucket {
-    uint64_t completed = 0;
-    uint64_t admitted = 0;
-    uint64_t shed = 0;
-    Histogram sojourn;
-    bool has_depth = false;
-    Cycles depth_time = 0;
-    uint64_t depth = 0;
-  };
-
-  Bucket& BucketFor(Cycles t);
+  ServeWindow& WindowAt(Cycles t);  // grows the list to reach `t`'s window
 
   Cycles interval_;
   Cycles origin_ = 0;
@@ -128,7 +116,6 @@ class ServeMetrics {
   uint64_t total_completed_ = 0;
   uint64_t total_admitted_ = 0;
   uint64_t total_shed_ = 0;
-  std::map<uint64_t, Bucket> buckets_;  // sparse, keyed by window index
   std::unique_ptr<Sampler> sampler_;
   std::vector<ServeWindow> windows_;
 };
@@ -157,9 +144,13 @@ class ServeTimeline {
     uint64_t windows = 0;
     uint64_t windows_with_traffic = 0;
     double burn_rate = 0.0;  // violations / windows_with_traffic
+    // The timeline's "slo" block and pmemsim_serve's "slo" entries.
+    void WriteFields(JsonWriter& w) const;
   };
 
   explicit ServeTimeline(const Config& cfg);
+
+  const Config& config() const { return cfg_; }
 
   // Creates one SpanRecorder per shard (off by default: pay-for-use).
   void EnableSpans();

@@ -225,21 +225,10 @@ TEST(DomainTierTest, ReportExcludesEngineThreadsAndNamesTheEngine) {
 
 // ---------- Serve observability on private-System domains ----------
 
-ServeTimeline::Config PartitionedTimelineConfig(const ServeConfig& cfg, Cycles interval) {
-  ServeTimeline::Config tc;
-  tc.mix = cfg.mix_name;
-  tc.loop = LoopModeName(cfg.loop);
-  tc.store = StoreName(cfg.store);
-  tc.engine = "partitioned";
-  tc.shards = cfg.shards;
-  tc.interval_cycles = interval;
-  return tc;
-}
-
 // One observed run: the tier report, the timeline artifact, and the span
 // export concatenated — everything the CLI can emit for a point.
 std::string RunObservedToJson(const ServeConfig& cfg) {
-  ServeTimeline timeline(PartitionedTimelineConfig(cfg, /*interval=*/5000));
+  ServeTimeline timeline(TimelineConfigFor(cfg, /*partitioned=*/true, /*interval=*/5000));
   timeline.EnableSpans();
   DomainTier tier(G1Platform(), /*dimms_per_domain=*/1, cfg);
   tier.AttachTimeline(&timeline);
@@ -272,7 +261,7 @@ TEST(DomainTierTest, EagerTimelineWellFormedAndConserved) {
   ServeConfig cfg = SmallConfig(LoopMode::kOpen);
   cfg.dispatch_latency = 0;
   cfg.engine_threads = 4;  // ignored in eager mode
-  ServeTimeline timeline(PartitionedTimelineConfig(cfg, /*interval=*/5000));
+  ServeTimeline timeline(TimelineConfigFor(cfg, /*partitioned=*/true, /*interval=*/5000));
   DomainTier tier(G1Platform(), 1, cfg);
   tier.AttachTimeline(&timeline);
   tier.Run();

@@ -248,19 +248,6 @@ TEST(ServiceTierTest, EveryStoreServesEveryMix) {
 
 // ---------- Serve observability: windowed metrics, spans, timeline ----------
 
-ServeTimeline::Config TimelineConfig(const ServeConfig& cfg, Cycles interval,
-                                     uint64_t slo_p99 = 0) {
-  ServeTimeline::Config tc;
-  tc.mix = cfg.mix_name;
-  tc.loop = LoopModeName(cfg.loop);
-  tc.store = StoreName(cfg.store);
-  tc.engine = "interleaved";
-  tc.shards = cfg.shards;
-  tc.interval_cycles = interval;
-  tc.slo_p99_cycles = slo_p99;
-  return tc;
-}
-
 TEST(ServeMetricsTest, WindowedQuantilesMatchReferenceMerge) {
   // Feed completions out of simulated-time order, the way epoch replays and
   // multi-worker interleavings deliver them, and compare the materialized
@@ -312,7 +299,7 @@ TEST(ServeTimelineTest, GlobalWindowsAreTheExactShardMerge) {
   cfg.loop = LoopMode::kOpen;
   cfg.mix = *MixByName("a");
   cfg.mix_name = "a";
-  ServeTimeline timeline(TimelineConfig(cfg, /*interval=*/200));
+  ServeTimeline timeline(TimelineConfigFor(cfg, /*partitioned=*/false, /*interval=*/200));
   timeline.Begin(0);
   timeline.shard(0)->RecordCompletion(150, 40);
   timeline.shard(0)->RecordAdmission(10);
@@ -344,7 +331,7 @@ TEST(ServiceTierTest, SpanConservationIdentities) {
   cfg.loop = LoopMode::kClosed;
   cfg.mix = *MixByName("f");  // rmw: every request reads and writes
   cfg.mix_name = "f";
-  ServeTimeline timeline(TimelineConfig(cfg, /*interval=*/20000));
+  ServeTimeline timeline(TimelineConfigFor(cfg, /*partitioned=*/false, /*interval=*/20000));
   timeline.EnableSpans();
   auto system = MakeG1System(2);
   ServiceTier tier(system.get(), cfg);
@@ -392,7 +379,8 @@ TEST(ServiceTierTest, TimelineMatchesWholeRunTotals) {
   cfg.mix_name = "a";
   cfg.queue_depth = 2;
   cfg.interarrival_cycles = 60;  // overload: force sheds into the timeline
-  ServeTimeline timeline(TimelineConfig(cfg, /*interval=*/10000, /*slo_p99=*/1));
+  ServeTimeline timeline(
+      TimelineConfigFor(cfg, /*partitioned=*/false, /*interval=*/10000, /*slo_p99=*/1));
   auto system = MakeG1System(2);
   ServiceTier tier(system.get(), cfg);
   tier.AttachTimeline(&timeline);
@@ -444,7 +432,7 @@ TEST(ServeTimelineTest, FlushTruncatedYieldsWellFormedTimeline) {
   cfg.mix = *MixByName("a");
   cfg.mix_name = "a";
   cfg.loop = LoopMode::kOpen;
-  ServeTimeline timeline(TimelineConfig(cfg, /*interval=*/100));
+  ServeTimeline timeline(TimelineConfigFor(cfg, /*partitioned=*/false, /*interval=*/100));
   timeline.Begin(1000);
   timeline.shard(0)->RecordAdmission(1010);
   timeline.shard(0)->RecordCompletion(1350, 340);
@@ -469,7 +457,7 @@ TEST(ServeTimelineTest, FlushTruncatedYieldsWellFormedTimeline) {
 
   // Degenerate flush: nothing observed, not even Begin. One zero-width
   // window keeps every downstream consumer's "non-empty series" invariant.
-  ServeTimeline empty(TimelineConfig(cfg, /*interval=*/100));
+  ServeTimeline empty(TimelineConfigFor(cfg, /*partitioned=*/false, /*interval=*/100));
   empty.FlushTruncated();
   EXPECT_TRUE(empty.truncated());
   ASSERT_EQ(empty.global_windows().size(), 1u);

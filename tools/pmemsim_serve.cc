@@ -50,16 +50,15 @@ struct ServeCliConfig {
   bool observe = false;           // any of the above requested
 };
 
-void EmitScope(pmemsim_bench::SweepPoint& point, const ServeCliConfig& cli,
-               const std::string& mix, LoopMode loop, const std::string& scope,
-               const ServiceStats& stats, Cycles serve_start) {
+void EmitScope(pmemsim_bench::SweepPoint& point, const ServeCliConfig& cli, const ServeConfig& cfg,
+               const std::string& scope, const ServiceStats& stats, Cycles serve_start) {
   point.Emit(pmemsim_bench::Row()
-                 .Set("mix", mix)
-                 .Set("loop", LoopModeName(loop))
-                 .Set("store", StoreName(cli.serve.store))
+                 .Set("mix", cfg.mix_name)
+                 .Set("loop", LoopModeName(cfg.loop))
+                 .Set("store", StoreName(cfg.store))
                  .Set("scope", scope)
-                 .Set("shards", cli.serve.shards)
-                 .Set("workers_per_shard", cli.serve.workers_per_shard)
+                 .Set("shards", cfg.shards)
+                 .Set("workers_per_shard", cfg.workers_per_shard)
                  .Set("ops_per_sec", stats.OpsPerSec(cli.platform.cpu_ghz, serve_start), 0)
                  .Set("sojourn_p50", stats.sojourn.Quantile(0.50))
                  .Set("sojourn_p99", stats.sojourn.Quantile(0.99))
@@ -69,21 +68,16 @@ void EmitScope(pmemsim_bench::SweepPoint& point, const ServeCliConfig& cli,
                  .Set("completed", stats.completed));
 }
 
-void RunPoint(const ServeCliConfig& cli, const std::string& mix, LoopMode loop,
-              pmemsim_bench::SweepPoint& point, std::string* serve_json,
-              ServeTimeline* timeline) {
-  ServeConfig cfg = cli.serve;
-  cfg.mix_name = mix;
-  cfg.mix = *MixByName(mix);
-  cfg.loop = loop;
+void RunPoint(const ServeCliConfig& cli, const ServeConfig& cfg, pmemsim_bench::SweepPoint& point,
+              std::string* serve_json, ServeTimeline* timeline) {
   const auto serve = [&](DomainTier& tier) {
     tier.AttachTimeline(timeline);
     tier.Run();
-    EmitScope(point, cli, mix, loop, "global", tier.GlobalStats(), tier.serve_start());
+    EmitScope(point, cli, cfg, "global", tier.GlobalStats(), tier.serve_start());
     for (const auto& domain : tier.domains()) {
       char scope[16];
       std::snprintf(scope, sizeof(scope), "shard%u", domain->index());
-      EmitScope(point, cli, mix, loop, scope, domain->stats(), tier.serve_start());
+      EmitScope(point, cli, cfg, scope, domain->stats(), tier.serve_start());
     }
     *serve_json = tier.ToJson();
   };
@@ -217,18 +211,15 @@ int main(int argc, char** argv) {
   size_t index = 0;
   for (const std::string& mix : cli.mixes) {
     for (const LoopMode mode : cli.loops) {
+      ServeConfig point_cfg = cli.serve;
+      point_cfg.mix_name = mix;
+      point_cfg.mix = *MixByName(mix);
+      point_cfg.loop = mode;
       std::string* slot = &serve_sections[index];
       ServeTimeline* timeline = nullptr;
       if (cli.observe) {
-        ServeTimeline::Config tcfg;
-        tcfg.mix = mix;
-        tcfg.loop = LoopModeName(mode);
-        tcfg.store = StoreName(cli.serve.store);
-        tcfg.engine = cli.partitioned ? "partitioned" : "interleaved";
-        tcfg.shards = cli.serve.shards;
-        tcfg.interval_cycles = cli.sample_interval;
-        tcfg.slo_p99_cycles = cli.slo_p99;
-        timelines[index] = std::make_unique<ServeTimeline>(tcfg);
+        timelines[index] = std::make_unique<ServeTimeline>(
+            TimelineConfigFor(point_cfg, cli.partitioned, cli.sample_interval, cli.slo_p99));
         if (!cli.spans_path.empty()) {
           timelines[index]->EnableSpans();
         }
@@ -236,8 +227,8 @@ int main(int argc, char** argv) {
       }
       ++index;
       const std::string label = "mix-" + mix + "/" + LoopModeName(mode);
-      runner.Add(label, [&cli, mix, mode, slot, timeline](pmemsim_bench::SweepPoint& point) {
-        RunPoint(cli, mix, mode, point, slot, timeline);
+      runner.Add(label, [&cli, point_cfg, slot, timeline](pmemsim_bench::SweepPoint& point) {
+        RunPoint(cli, point_cfg, point, slot, timeline);
       });
     }
   }
@@ -268,20 +259,14 @@ int main(int argc, char** argv) {
     // visible without parsing the full timeline artifact.
     pmemsim::JsonWriter slo;
     slo.BeginArray();
-    index = 0;
-    for (const std::string& mix : cli.mixes) {
-      for (const LoopMode mode : cli.loops) {
-        const ServeTimeline::SloSummary s = timelines[index++]->Slo();
-        slo.BeginObject();
-        slo.Key("mix").Value(mix);
-        slo.Key("loop").Value(LoopModeName(mode));
-        slo.Key("slo_p99_cycles").Value(cli.slo_p99);
-        slo.Key("violations").Value(s.violations);
-        slo.Key("windows").Value(s.windows);
-        slo.Key("windows_with_traffic").Value(s.windows_with_traffic);
-        slo.Key("burn_rate").Value(s.burn_rate);
-        slo.EndObject();
-      }
+    for (const std::unique_ptr<ServeTimeline>& timeline : timelines) {
+      const ServeTimeline::Config& tc = timeline->config();
+      slo.BeginObject();
+      slo.Key("mix").Value(tc.mix);
+      slo.Key("loop").Value(tc.loop);
+      slo.Key("slo_p99_cycles").Value(tc.slo_p99_cycles);
+      timeline->Slo().WriteFields(slo);
+      slo.EndObject();
     }
     slo.EndArray();
     report.AddSection("slo", slo.str());
