@@ -294,6 +294,37 @@ TEST(ServeMetricsTest, WindowedQuantilesMatchReferenceMerge) {
   EXPECT_EQ(m.total_completed(), events.size());
 }
 
+TEST(ServeMetricsTest, BoundaryEndEventsJoinTheClosingWindow) {
+  // `end` on a window boundary: events stamped exactly at `end` belong to the
+  // closing window, and the latest depth observation wins whatever the call
+  // order.
+  ServeMetrics m(/*interval_cycles=*/100);
+  m.Begin(1000);
+  m.ObserveQueueDepth(1180, 5);
+  m.ObserveQueueDepth(1150, 3);  // earlier than 1180: does not replace it
+  m.RecordCompletion(1199, 10);
+  m.RecordCompletion(1200, 20);
+  m.RecordAdmission(1200);
+  m.Finalize(1200);
+  ASSERT_EQ(m.windows().size(), 2u);
+  EXPECT_EQ(m.windows()[0].queue_depth, 0u);
+  const ServeWindow& last = m.windows()[1];
+  EXPECT_EQ(last.t_end, 1200u);
+  EXPECT_FALSE(last.partial);
+  EXPECT_EQ(last.completed, 2u);
+  EXPECT_EQ(last.sojourn.count(), 2u);
+  EXPECT_EQ(last.admitted, 1u);
+  EXPECT_EQ(last.queue_depth, 5u);
+
+  ServeMetrics edge(/*interval_cycles=*/100);
+  edge.Begin(1000);
+  edge.ObserveQueueDepth(1150, 3);
+  edge.ObserveQueueDepth(1200, 7);  // at `end`: the closing window's latest
+  edge.Finalize(1200);
+  ASSERT_EQ(edge.windows().size(), 2u);
+  EXPECT_EQ(edge.windows()[1].queue_depth, 7u);
+}
+
 TEST(ServeTimelineTest, GlobalWindowsAreTheExactShardMerge) {
   ServeConfig cfg = SmallConfig();
   cfg.loop = LoopMode::kOpen;
